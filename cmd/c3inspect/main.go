@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"c3/internal/stable"
@@ -40,7 +41,9 @@ func main() {
 		overview(store, *ranks)
 		return
 	}
-	inspect(store, *rank, *version)
+	if err := inspect(os.Stdout, store, *rank, *version); err != nil {
+		fatalf("%v", err)
+	}
 }
 
 // overview lists each rank's last committed version with its marker
@@ -85,13 +88,13 @@ func markerBrief(store *stable.DiskStore, rank, version int) string {
 }
 
 // inspect prints one checkpoint's sections and cross-checks them against
-// the commit marker's digests.
-func inspect(store *stable.DiskStore, rank, version int) {
+// the commit marker's digests. Any disagreement is the returned error.
+func inspect(w io.Writer, store *stable.DiskStore, rank, version int) error {
 	v := version
 	if v < 0 {
 		last, ok, err := store.LastCommitted(rank)
 		if err != nil || !ok {
-			fatalf("rank %d has no committed checkpoint (%v)", rank, err)
+			return fmt.Errorf("rank %d has no committed checkpoint (%v)", rank, err)
 		}
 		v = last
 	}
@@ -100,12 +103,12 @@ func inspect(store *stable.DiskStore, rank, version int) {
 	recorded := make(map[string]stable.SectionMeta, len(meta.Sections))
 	switch {
 	case errors.Is(metaErr, stable.ErrLegacyMarker):
-		fmt.Printf("rank %d version %d: committed, pre-metadata marker (no digests to verify)\n", rank, v)
+		fmt.Fprintf(w, "rank %d version %d: committed, pre-metadata marker (no digests to verify)\n", rank, v)
 	case metaErr != nil:
-		fatalf("rank %d version %d marker: %v", rank, v, metaErr)
+		return fmt.Errorf("rank %d version %d marker: %w", rank, v, metaErr)
 	default:
-		fmt.Printf("rank %d version %d: membership-epoch %d, codec %s\n",
-			rank, v, meta.MembershipEpoch, meta.CodecName())
+		fmt.Fprintf(w, "rank %d version %d: marker format %d, membership-epoch %d, codec %s\n",
+			rank, v, meta.Format, meta.MembershipEpoch, meta.CodecName())
 		for _, s := range meta.Sections {
 			recorded[s.Name] = s
 		}
@@ -113,18 +116,18 @@ func inspect(store *stable.DiskStore, rank, version int) {
 
 	snap, err := store.Open(rank, v)
 	if err != nil {
-		fatalf("open rank %d version %d: %v", rank, v, err)
+		return fmt.Errorf("open rank %d version %d: %w", rank, v, err)
 	}
 	defer snap.Close()
 	sections, err := snap.Sections()
 	if err != nil {
-		fatalf("list sections: %v", err)
+		return fmt.Errorf("list sections: %w", err)
 	}
 	total, bad := 0, 0
 	for _, name := range sections {
 		data, err := snap.ReadSection(name)
 		if err != nil {
-			fatalf("read %q: %v", name, err)
+			return fmt.Errorf("read %q: %w", name, err)
 		}
 		note := ""
 		if s, ok := recorded[name]; ok {
@@ -132,25 +135,28 @@ func inspect(store *stable.DiskStore, rank, version int) {
 			case s.Bytes != len(data):
 				note = fmt.Sprintf("  SIZE MISMATCH (marker %d)", s.Bytes)
 				bad++
+			case meta.Format < 2:
+				note = "  format 1 (FNV-1a) digest not verified"
 			case s.Sum != stable.SectionSum(data):
-				note = fmt.Sprintf("  DIGEST MISMATCH (marker %016x)", s.Sum)
+				note = fmt.Sprintf("  DIGEST MISMATCH (marker %08x)", s.Sum)
 				bad++
 			default:
-				note = fmt.Sprintf("  fnv %016x ok", s.Sum)
+				note = fmt.Sprintf("  crc32c %08x ok", s.Sum)
 			}
 			delete(recorded, name)
 		}
-		fmt.Printf("  %-10s %8d bytes%s\n", name, len(data), note)
+		fmt.Fprintf(w, "  %-10s %8d bytes%s\n", name, len(data), note)
 		total += len(data)
 	}
-	fmt.Printf("  %-10s %8d bytes\n", "total", total)
+	fmt.Fprintf(w, "  %-10s %8d bytes\n", "total", total)
 	for name := range recorded {
-		fmt.Printf("  MISSING: marker records section %q but the store has none\n", name)
+		fmt.Fprintf(w, "  MISSING: marker records section %q but the store has none\n", name)
 		bad++
 	}
 	if bad > 0 {
-		fatalf("%d section(s) disagree with the commit marker", bad)
+		return fmt.Errorf("%d section(s) disagree with the commit marker", bad)
 	}
+	return nil
 }
 
 func fatalf(format string, args ...any) {

@@ -9,7 +9,8 @@
 //
 // Blocking operations recognized:
 //   - net.Dial / net.DialTimeout / net.DialUDP/TCP/IP/Unix, (*net.Dialer).Dial*
-//   - Read/Write on values implementing net.Conn (kernel-buffer blocking)
+//   - Read/Write on values implementing net.Conn (kernel-buffer blocking),
+//     and (*net.Buffers).WriteTo, the writev form of the same write
 //   - channel send statements
 //   - (*sync.WaitGroup).Wait
 //   - time.Sleep
@@ -112,6 +113,8 @@ func (c *checker) directBlock(n ast.Node) (string, bool) {
 				return "net." + fn.Name(), true
 			case full == "(*net.Dialer).Dial" || full == "(*net.Dialer).DialContext":
 				return full, true
+			case full == "(*net.Buffers).WriteTo":
+				return "net.Buffers.WriteTo", true // a writev on the conn
 			case full == "time.Sleep":
 				return "time.Sleep", true
 			case full == "(*sync.WaitGroup).Wait":

@@ -66,6 +66,13 @@ func (p *peer) connWrite(frame []byte) {
 	p.conn.Write(frame) // want `Write on net\.Conn p\.conn while p\.mu is held`
 }
 
+func (p *peer) connWritev(head, body []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	bufs := net.Buffers{head, body}
+	bufs.WriteTo(p.conn) // want `net\.Buffers\.WriteTo while p\.mu is held`
+}
+
 func (p *peer) selectBlocks() {
 	p.mu.Lock()
 	select { // want `blocking select while p\.mu is held`

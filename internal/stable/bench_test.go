@@ -1,0 +1,82 @@
+package stable
+
+import (
+	"fmt"
+	"testing"
+)
+
+// Layer micro-benchmarks for the stages a diskless checkpoint byte passes
+// through inside this package: digest, parity encode, repair decode. Each
+// reports ns/op, MB/s and allocs/op; CHANGES.md quotes them before/after.
+
+var benchSink any
+
+func sizeName(n int) string {
+	if n >= 1<<20 {
+		return fmt.Sprintf("%dMiB", n>>20)
+	}
+	return fmt.Sprintf("%dKiB", n>>10)
+}
+
+func BenchmarkDigest(b *testing.B) {
+	for _, n := range []int{1 << 10, 2 << 20, 8 << 20} {
+		blob := testBlob(n, 1)
+		b.Run(sizeName(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink = replSum(blob)
+			}
+		})
+	}
+}
+
+func benchEncode(b *testing.B, name string, k, m int, sizes ...int) {
+	codec, err := NewCodec(name, k, m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range sizes {
+		blob := testBlob(n, 2)
+		b.Run(sizeName(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				shards, err := codec.Encode(blob)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = shards
+			}
+		})
+	}
+}
+
+func BenchmarkRSEncode(b *testing.B)  { benchEncode(b, "rs", 4, 2, 1<<20, 8<<20) }
+func BenchmarkXOREncode(b *testing.B) { benchEncode(b, "xor", 4, 0, 8<<20) }
+
+// BenchmarkRSDecodeRepair decodes an rs 4+2 line with two data shards
+// missing: the worst case the parity budget covers.
+func BenchmarkRSDecodeRepair(b *testing.B) {
+	const n = 8 << 20
+	codec, err := NewCodec("rs", 4, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shards, err := codec.Encode(testBlob(n, 3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	shards[0], shards[2] = nil, nil
+	b.Run(sizeName(n), func(b *testing.B) {
+		b.SetBytes(n)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			blob, err := codec.Decode(shards, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink = blob
+		}
+	})
+}

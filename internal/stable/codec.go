@@ -33,7 +33,10 @@ package stable
 // latency the AblationCodec bench table prices.
 
 import (
+	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 )
 
@@ -47,7 +50,14 @@ const (
 // Codec turns a checkpoint blob into shards and back. Encode returns
 // DataShards()+ParityShards() shards; Decode reconstructs the blob from any
 // sufficient subset (nil entries mark missing or checksum-rejected shards).
-// Implementations never retain or alias the input blob.
+//
+// Ownership: the caller hands the blob over to Encode. The returned shards
+// may alias it (the erasure codecs' data shards are sub-slices of the blob,
+// so encoding touches each data byte once instead of copying it first), and
+// the caller must not modify the blob while it still uses the shards. A
+// store that retains a shard beyond the commit copies it into a buffer of
+// its own (encodeReplFrag does), so nothing stored ever pins the blob.
+// Decode only reads its input shards and returns a fresh blob.
 type Codec interface {
 	// Name is the flag-level identifier (dup, xor, rs).
 	Name() string
@@ -57,8 +67,8 @@ type Codec interface {
 	DataShards() int
 	// ParityShards is m: the number of simultaneous shard losses tolerated.
 	ParityShards() int
-	// Encode splits blob into k+m shards. Data shards other than the last
-	// have equal length for the erasure codecs (the blob is zero-padded).
+	// Encode splits blob into k+m shards. All shards of an erasure codec
+	// have equal length (the tail is zero-padded).
 	Encode(blob []byte) ([][]byte, error)
 	// Decode reconstructs the original blob of length total from shards
 	// (indexed as produced by Encode; nil = lost). It fails cleanly when
@@ -170,13 +180,18 @@ func shardSize(total, k int) int {
 	return sz
 }
 
-// dataShards cuts blob into k copies of length sz each, zero-padding the
-// tail. The shards never alias blob.
+// dataShards cuts blob into k shards of sz bytes. A shard that lies wholly
+// inside the blob aliases it (capacity clipped, so an append cannot reach
+// the next shard); only the tail, where zero padding is needed, is a copy.
 func dataShards(blob []byte, k, sz int) [][]byte {
 	shards := make([][]byte, k)
-	for i := 0; i < k; i++ {
-		s := make([]byte, sz)
+	for i := range shards {
 		lo := i * sz
+		if lo+sz <= len(blob) {
+			shards[i] = blob[lo : lo+sz : lo+sz]
+			continue
+		}
+		s := make([]byte, sz)
 		if lo < len(blob) {
 			copy(s, blob[lo:])
 		}
@@ -210,11 +225,7 @@ func (c xorCodec) Encode(blob []byte) ([][]byte, error) {
 	sz := shardSize(len(blob), c.k)
 	shards := dataShards(blob, c.k, sz)
 	parity := make([]byte, sz)
-	for _, s := range shards {
-		for i, b := range s {
-			parity[i] ^= b
-		}
-	}
+	gfMulRows([][]byte{gfOnes(c.k)}, shards, [][]byte{parity}, sz)
 	return append(shards, parity), nil
 }
 
@@ -235,18 +246,19 @@ func (c xorCodec) Decode(shards [][]byte, total int) ([]byte, error) {
 		if shards[c.k] == nil {
 			return nil, fmt.Errorf("stable: xor shard %d and parity both lost", missing)
 		}
-		repair := append([]byte(nil), shards[c.k]...)
-		for i := 0; i < c.k; i++ {
+		sz := len(shards[c.k])
+		have := make([][]byte, 0, c.k)
+		for i, s := range shards {
 			if i == missing {
 				continue
 			}
-			if len(shards[i]) != len(repair) {
-				return nil, fmt.Errorf("stable: xor shard %d length %d != %d", i, len(shards[i]), len(repair))
+			if len(s) != sz {
+				return nil, fmt.Errorf("stable: xor shard %d length %d != %d", i, len(s), sz)
 			}
-			for j, b := range shards[i] {
-				repair[j] ^= b
-			}
+			have = append(have, s)
 		}
+		repair := make([]byte, sz)
+		gfMulRows([][]byte{gfOnes(c.k)}, have, [][]byte{repair}, sz)
 		shards = append([][]byte(nil), shards...)
 		shards[missing] = repair
 	}
@@ -264,6 +276,12 @@ func (c xorCodec) Decode(shards [][]byte, total int) ([]byte, error) {
 var gfExp [512]byte
 var gfLog [256]byte
 
+// gfMulTable[c][b] = c·b: the per-coefficient product tables the shard
+// kernel (gfMulAdd) indexes, one 256-byte row per coefficient (64 KiB in
+// all; a row fits in four cache lines). Scalar gfMul builds it and remains
+// the arithmetic for matrix construction and the tests' oracle.
+var gfMulTable [256][256]byte
+
 func init() {
 	x := 1
 	for i := 0; i < 255; i++ {
@@ -276,6 +294,11 @@ func init() {
 	}
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
+	}
+	for c := range gfMulTable {
+		for b := range gfMulTable[c] {
+			gfMulTable[c][b] = gfMul(byte(c), byte(b))
+		}
 	}
 }
 
@@ -294,6 +317,82 @@ func gfDiv(a, b byte) byte {
 		panic("stable: GF(2^8) division by zero")
 	}
 	return gfExp[int(gfLog[a])+255-int(gfLog[b])]
+}
+
+// gfMulAdd is the parity kernel: dst[i] ^= coef·src[i] for every i. It is
+// the one loop every checkpoint byte passes through per parity row, so it
+// is a table lookup with no zero tests and no bounds checks, eight bytes
+// per iteration; a coefficient of 1 is a plain XOR at memory speed.
+func gfMulAdd(dst, src []byte, coef byte) {
+	switch coef {
+	case 0:
+		return
+	case 1:
+		subtle.XORBytes(dst, dst, src[:len(dst)])
+		return
+	}
+	t := &gfMulTable[coef]
+	n := len(dst)
+	src = src[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		sw, dw := src[i:i+8:i+8], dst[i:i+8:i+8]
+		s := binary.LittleEndian.Uint64(sw)
+		p := uint64(t[byte(s)]) | uint64(t[byte(s>>8)])<<8 | uint64(t[byte(s>>16)])<<16 | uint64(t[byte(s>>24)])<<24 |
+			uint64(t[byte(s>>32)])<<32 | uint64(t[byte(s>>40)])<<40 | uint64(t[byte(s>>48)])<<48 | uint64(t[byte(s>>56)])<<56
+		binary.LittleEndian.PutUint64(dw, binary.LittleEndian.Uint64(dw)^p)
+	}
+	for ; i < n; i++ {
+		dst[i] ^= t[src[i]]
+	}
+}
+
+// gfStripe is how many bytes of every shard gfMulRows works on at a time:
+// one input stripe feeds all output rows while it is still in cache, so
+// each input shard is read from memory once however many rows there are.
+const gfStripe = 32 << 10
+
+// gfMulRows computes out[r] = Σ_j coef[r][j]·in[j] over shards of sz bytes
+// (out rows must start zeroed). It serves Encode (coef = the parity rows of
+// the encoding matrix) and Decode (coef = the inverted rows of the missing
+// shards) alike. Large shards are split by byte range across GOMAXPROCS
+// goroutines; the ranges are disjoint, so the workers share nothing.
+func gfMulRows(coef [][]byte, in, out [][]byte, sz int) {
+	workers := min(runtime.GOMAXPROCS(0), sz/(4*gfStripe))
+	if workers <= 1 {
+		gfMulRange(coef, in, out, 0, sz)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := w*sz/workers, (w+1)*sz/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gfMulRange(coef, in, out, lo, hi)
+		}()
+	}
+	wg.Wait()
+}
+
+func gfMulRange(coef [][]byte, in, out [][]byte, lo, hi int) {
+	for ; lo < hi; lo += gfStripe {
+		end := min(lo+gfStripe, hi)
+		for j, src := range in {
+			for r, dst := range out {
+				gfMulAdd(dst[lo:end], src[lo:end], coef[r][j])
+			}
+		}
+	}
+}
+
+// gfOnes is the coefficient row of plain XOR parity.
+func gfOnes(k int) []byte {
+	row := make([]byte, k)
+	for i := range row {
+		row[i] = 1
+	}
+	return row
 }
 
 // gfMatrix is a dense matrix over GF(2^8).
@@ -433,23 +532,12 @@ func (c rsCodec) ParityShards() int { return c.m }
 func (c rsCodec) Encode(blob []byte) ([][]byte, error) {
 	sz := shardSize(len(blob), c.k)
 	shards := dataShards(blob, c.k, sz)
-	enc := rsEncodeMatrix(c.k, c.m)
-	for p := 0; p < c.m; p++ {
-		row := enc[c.k+p]
-		parity := make([]byte, sz)
-		for j := 0; j < c.k; j++ {
-			coef := row[j]
-			if coef == 0 {
-				continue
-			}
-			data := shards[j]
-			for i := 0; i < sz; i++ {
-				parity[i] ^= gfMul(coef, data[i])
-			}
-		}
-		shards = append(shards, parity)
+	parity := make([][]byte, c.m)
+	for p := range parity {
+		parity[p] = make([]byte, sz)
 	}
-	return shards, nil
+	gfMulRows(rsEncodeMatrix(c.k, c.m)[c.k:], shards, parity, sz)
+	return append(shards, parity...), nil
 }
 
 func (c rsCodec) Decode(shards [][]byte, total int) ([]byte, error) {
@@ -493,24 +581,21 @@ func (c rsCodec) Decode(shards [][]byte, total int) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Only the missing data shards are recomputed: row d of the
+		// inverse rebuilds data shard d from the k survivors.
 		repaired := append([][]byte(nil), shards...)
-		for d := 0; d < c.k; d++ {
-			if repaired[d] != nil {
-				continue
-			}
-			out := make([]byte, sz)
-			for r, idx := range have {
-				coef := inv[d][r]
-				if coef == 0 {
-					continue
-				}
-				src := shards[idx]
-				for i := 0; i < sz; i++ {
-					out[i] ^= gfMul(coef, src[i])
-				}
-			}
-			repaired[d] = out
+		in := make([][]byte, c.k)
+		for r, idx := range have {
+			in[r] = shards[idx]
 		}
+		var rows, out [][]byte
+		for d := 0; d < c.k; d++ {
+			if repaired[d] == nil {
+				repaired[d] = make([]byte, sz)
+				rows, out = append(rows, inv[d]), append(out, repaired[d])
+			}
+		}
+		gfMulRows(rows, in, out, sz)
 		shards = repaired
 	}
 	blob := joinShards(shards, c.k, total)

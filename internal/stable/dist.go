@@ -422,13 +422,18 @@ func (h *distHandle) Commit() error {
 	}
 	s.mu.Unlock()
 
+	// The encode span covers everything that reads the checkpoint bytes
+	// before they ship — flatten, shard, parity, digests — so that encode,
+	// ship and ack tile the whole commit.
 	encSp := trace.Default().Begin(int32(s.self), trace.KindEncode, 0, uint64(h.version))
 	blob := encodeReplSections(h.sections)
 	shards, err := s.codec.Encode(blob)
-	encSp.End(uint64(len(blob)))
 	if err != nil {
+		encSp.End(0)
 		return fmt.Errorf("stable: encode checkpoint (%d,%d): %w", h.rank, h.version, err)
 	}
+	sum, sums := replSum(blob), shardSums(shards)
+	encSp.End(uint64(len(blob)))
 	s.mu.Lock()
 	sendPlan, targets, keepLocal, parity := commitPlan(s.codec, h.rank, len(shards), member.NewTopology(s.members, s.groupSize))
 	// units extends the codec shards with the cross-group parity shard
@@ -442,8 +447,8 @@ func (h *distHandle) Commit() error {
 		frags: len(shards),
 		data:  s.codec.DataShards(),
 		total: len(blob),
-		sum:   replSum(blob),
-		sums:  shardSums(shards),
+		sum:   sum,
+		sums:  sums,
 		cross: parity + 1,
 	}
 	startEpoch := s.epoch

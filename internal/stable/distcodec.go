@@ -79,7 +79,7 @@ func decodeDistQueryFrag(data replPayload) (reqID uint64, owner, version, idx in
 }
 
 func encodeDistRespFrag(reqID uint64, found bool, frag []byte) replPayload {
-	w := wire.NewWriter(24 + len(frag))
+	w := wire.NewWriter(1 + 8 + 1 + 4) // header only, as in encodeReplFrag
 	w.U8(distMsgRespFrag)
 	w.U64(reqID)
 	w.Bool(found)
@@ -91,7 +91,7 @@ func decodeDistRespFrag(data replPayload) (reqID uint64, found bool, frag []byte
 	r := wire.NewReader(data[1:])
 	reqID = r.U64()
 	found = r.Bool()
-	frag = r.Bytes32()
+	frag = r.View32() // aliases the response, which carries this one fragment
 	return reqID, found, frag, r.Err()
 }
 

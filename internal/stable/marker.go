@@ -17,6 +17,10 @@ import (
 // (c3inspect) decodes it, and a marker from the pre-metadata era ("ok\n")
 // stays a valid commit.
 type CommitMeta struct {
+	// Format is the marker format the record was decoded from. Format 1
+	// stamped FNV-1a section digests; format 2 (current) stamps SectionSum,
+	// so only format-2 digests can be re-verified.
+	Format uint8
 	// MembershipEpoch is the detector's membership epoch when the commit
 	// was written (0 when the writer predates elastic membership or runs
 	// without a detector).
@@ -28,8 +32,8 @@ type CommitMeta struct {
 	// configuration the diskless planes used.
 	Codec        uint8
 	Data, Parity int
-	// Sections lists each stored section with its byte size and FNV-1a
-	// digest, in the order written.
+	// Sections lists each stored section with its byte size and digest
+	// (SectionSum under format 2), in the order written.
 	Sections []SectionMeta
 }
 
@@ -55,8 +59,9 @@ func (m CommitMeta) CodecName() string {
 }
 
 // SectionSum is the digest stamped into SectionMeta entries (the
-// replication plane's FNV-1a), exported so tooling (c3inspect) can
-// re-verify stored bytes against the commit marker.
+// replication plane's replSum: CRC-32C carried in a u64), exported so
+// tooling (c3inspect) can re-verify stored bytes against a format-2 commit
+// marker.
 func SectionSum(b []byte) uint64 { return replSum(b) }
 
 // Marker wire format: magic, format version, then the meta fields. The
@@ -64,7 +69,9 @@ func SectionSum(b []byte) uint64 { return replSum(b) }
 // content without relying on length.
 var markerMagic = []byte("C3MK")
 
-const markerFormat = 1
+// markerFormat is the format written. 2 differs from 1 only in the digest
+// algorithm behind SectionMeta.Sum; the layout is the same, so both decode.
+const markerFormat = 2
 
 // maxMarkerSections clamps attacker- or corruption-supplied section counts
 // before allocation, mirroring maxWireShards on the replication plane.
@@ -98,10 +105,12 @@ func decodeCommitMeta(data []byte) (CommitMeta, error) {
 		return CommitMeta{}, ErrLegacyMarker
 	}
 	r := wire.NewReader(data[len(markerMagic):])
-	if v := r.U8(); v != markerFormat {
-		return CommitMeta{}, fmt.Errorf("stable: unknown marker format %d", v)
+	format := r.U8()
+	if format != 1 && format != markerFormat {
+		return CommitMeta{}, fmt.Errorf("stable: unknown marker format %d", format)
 	}
 	m := CommitMeta{
+		Format:          format,
 		MembershipEpoch: r.U64(),
 		Codec:           r.U8(),
 		Data:            r.Int(),

@@ -2,6 +2,7 @@ package stable
 
 import (
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"sync"
 
@@ -78,8 +79,8 @@ type replCommitRec struct {
 	frags int      // total shard count (k+m; k for dup)
 	data  int      // shards required to reconstruct (k)
 	total int      // original blob length
-	sum   uint64   // FNV digest of the whole blob
-	sums  []uint64 // per-shard FNV digests (corrupt shards count as lost)
+	sum   uint64   // replSum of the whole blob
+	sums  []uint64 // per-shard replSum (corrupt shards count as lost)
 	// cross is the cross-group parity holder's rank plus one (0: no
 	// cross-group shard — flat topology or single group). Under a grouped
 	// topology every codec shard lands inside the owner's group, so a
@@ -176,9 +177,14 @@ func (p replPayload) WireKind() uint8 { return transport.WireKindRepl }
 // own wire encoding.
 func (p replPayload) MarshalWire() []byte { return p }
 
+// The decoder keeps the bytes it is handed (DecodeWirePayload's contract:
+// nobody modifies them afterwards; the TCP mesh reads every frame into an
+// allocation of its own). A fragment a daemon stores is then a sub-slice of
+// exactly one received frame — it pins that frame's few header bytes and
+// nothing larger.
 func init() {
 	transport.RegisterWireDecoder(transport.WireKindRepl, func(data []byte) (any, error) {
-		return replPayload(append([]byte(nil), data...)), nil
+		return replPayload(data), nil
 	})
 }
 
@@ -1037,11 +1043,11 @@ func decodeReplSections(blob []byte) (map[string][]byte, error) {
 	sections := make(map[string][]byte, n)
 	for i := 0; i < n; i++ {
 		name := r.String()
-		data := r.Bytes32()
+		data := r.Bytes32() // a copy: the blob may be a fragment some node still holds
 		if r.Err() != nil {
 			break
 		}
-		sections[name] = append([]byte(nil), data...)
+		sections[name] = data
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("corrupt replication blob: %w", err)
@@ -1069,21 +1075,26 @@ func splitFragments(blob []byte, k int) [][]byte {
 	return frags
 }
 
-// replSum is a simple FNV-1a digest for reassembly validation.
-func replSum(b []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	sum := uint64(offset)
-	for _, c := range b {
-		sum = (sum ^ uint64(c)) * prime
-	}
-	return sum
-}
+// replSum is the one digest of the storage plane: CRC-32C (Castagnoli),
+// which the standard library computes with the CPU's CRC instructions at
+// memory speed. It guards against corruption — a flipped bit, a torn or
+// misplaced shard — not against an adversary. It is carried as a u64 so
+// markers and frames keep their layout.
+func replSum(b []byte) uint64 { return uint64(crc32.Checksum(b, castagnoli)) }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // The fragment header names the codec and shard geometry so a holder can
 // attribute a shard without its marker; the marker remains the
 // authoritative record reassembly validates against.
+//
+// The payload is the fragment's own copy — what a holder stores never pins
+// the owner's blob. The Writer is sized for the header alone on purpose:
+// appending the fragment then allocates the payload at its final size
+// without zeroing bytes the append is about to overwrite, which a Writer
+// pre-sized for the whole payload would do first.
 func encodeReplFrag(owner, version int, inc uint64, codecID uint8, shards, idx int, frag []byte) replPayload {
-	w := wire.NewWriter(40 + len(frag))
+	w := wire.NewWriter(replFragHeader)
 	w.U8(replMsgFrag)
 	w.Int(owner)
 	w.Int(version)
@@ -1095,6 +1106,9 @@ func encodeReplFrag(owner, version int, inc uint64, codecID uint8, shards, idx i
 	return replPayload(w.Bytes())
 }
 
+// replFragHeader is the encoded size of a fragment payload's fixed fields.
+const replFragHeader = 1 + 8 + 8 + 8 + 1 + 8 + 8 + 4
+
 func decodeReplFrag(data replPayload) (owner, version int, inc uint64, codecID uint8, shards, idx int, frag []byte, err error) {
 	r := wire.NewReader(data[1:])
 	owner, version = r.Int(), r.Int()
@@ -1102,7 +1116,7 @@ func decodeReplFrag(data replPayload) (owner, version int, inc uint64, codecID u
 	codecID = r.U8()
 	shards = r.Int()
 	idx = r.Int()
-	frag = append([]byte(nil), r.Bytes32()...)
+	frag = r.View32() // aliases data: one fragment per payload, so it pins only itself
 	return owner, version, inc, codecID, shards, idx, frag, r.Err()
 }
 

@@ -129,7 +129,34 @@ type Mesh struct {
 // heldFrame is one outbound frame buffered by a hold-mode partition rule.
 type heldFrame struct {
 	to    int
-	frame []byte
+	frame wireFrame
+}
+
+// wireFrame is one encoded message. A small message is one buffer — length
+// prefix, frame header, body — handed to the kernel with one write. A bulk
+// body (checkpoint fragments) is not copied behind the header: it stays
+// where the payload encoded it and goes out with head in one writev.
+type wireFrame struct {
+	head []byte
+	body []byte // nil when head carries the body
+}
+
+// bulkBody is the body size from which a frame is sent as two segments.
+// Go's writev path costs a frame about a microsecond more than a plain
+// write (64 B ping-pong over loopback: +11 %, slower in 8 of 10 paired
+// runs), which a copy of a few KiB undercuts and a copy of megabytes does
+// not (8 MiB rs 4+2 commit: 8 % faster without it).
+const bulkBody = 4 << 10
+
+// writeTo hands the frame to the kernel.
+func (f wireFrame) writeTo(c net.Conn) error {
+	if f.body == nil {
+		_, err := c.Write(f.head)
+		return err
+	}
+	bufs := net.Buffers{f.head, f.body}
+	_, err := bufs.WriteTo(c)
+	return err
 }
 
 // peerConn is the outbound connection to one peer.
@@ -248,7 +275,7 @@ func (m *Mesh) dropInbound(from, to int) bool {
 
 // holdIfActive buffers a frame if a hold-mode rule currently covers the
 // pair, reporting whether it did.
-func (m *Mesh) holdIfActive(to int, frame []byte) bool {
+func (m *Mesh) holdIfActive(to int, frame wireFrame) bool {
 	m.partMu.Lock()
 	defer m.partMu.Unlock()
 	if !m.partBlocked[[2]int{m.self, to}] || !m.partHold {
@@ -400,19 +427,23 @@ func (m *Mesh) noteDropped() {
 }
 
 // encodeFrame serializes one message into a length-prefixed frame.
-func encodeFrame(gen uint64, msg transport.Message) ([]byte, error) {
+func encodeFrame(gen uint64, msg transport.Message) (wireFrame, error) {
 	wp, ok := msg.Payload.(transport.WirePayload)
 	if !ok {
-		return nil, fmt.Errorf("tcp: payload %T cannot cross a wire (no WirePayload)", msg.Payload)
+		return wireFrame{}, fmt.Errorf("tcp: payload %T cannot cross a wire (no WirePayload)", msg.Payload)
 	}
 	body := wp.MarshalWire()
 	if len(body) > maxFrame-frameHeaderLen {
 		// The receiver treats an oversized length prefix as stream
 		// corruption and drops the connection (losing queued frames behind
 		// it); refuse on the send side instead.
-		return nil, fmt.Errorf("tcp: %d-byte payload exceeds the %d-byte frame limit", len(body), maxFrame)
+		return wireFrame{}, fmt.Errorf("tcp: %d-byte payload exceeds the %d-byte frame limit", len(body), maxFrame)
 	}
-	w := wire.NewWriter(4 + frameHeaderLen + len(body))
+	inline := len(body)
+	if inline >= bulkBody {
+		inline = 0
+	}
+	w := wire.NewWriter(4 + frameHeaderLen + inline)
 	w.U32(uint32(frameHeaderLen + len(body)))
 	w.U64(gen)
 	w.U32(uint32(msg.From))
@@ -421,8 +452,10 @@ func encodeFrame(gen uint64, msg transport.Message) ([]byte, error) {
 	w.U8(wp.WireKind())
 	w.U64(msg.Trace.Span)
 	w.U64(msg.Trace.Clock)
-	buf := append(w.Bytes(), body...)
-	return buf, nil
+	if len(body) >= bulkBody {
+		return wireFrame{head: w.Bytes(), body: body}, nil
+	}
+	return wireFrame{head: append(w.Bytes(), body...)}, nil
 }
 
 // peer returns (creating if needed) the connection slot for a rank.
@@ -477,7 +510,7 @@ func connDead(c net.Conn) bool {
 // write delivers one frame to a peer, dialing or re-dialing as needed. It
 // reports false when the frame could not be handed to the kernel (the peer
 // is down); the message is then dropped, never queued.
-func (m *Mesh) write(rank int, frame []byte) bool {
+func (m *Mesh) write(rank int, frame wireFrame) bool {
 	debug := m.debug
 	p := m.peer(rank)
 	p.mu.Lock()
@@ -529,7 +562,7 @@ func (m *Mesh) write(rank int, frame []byte) bool {
 		}
 		// Frames must hit the kernel atomically per connection to keep the
 		// per-(src,dst) FIFO guarantee; p.mu is that per-peer write lock.
-		if _, err := p.conn.Write(frame); err == nil { //c3lint:allow lockblock per-peer FIFO framing requires the write under the lock
+		if err := frame.writeTo(p.conn); err == nil { //c3lint:allow lockblock per-peer FIFO framing requires the write under the lock
 			return true
 		} else if debug {
 			fmt.Fprintf(os.Stderr, "tcp[%d]: write to %d failed: %v\n", m.self, rank, err)

@@ -59,7 +59,9 @@ func RegisterWireDecoder(kind uint8, dec func(data []byte) (any, error)) {
 }
 
 // DecodeWirePayload rebuilds a payload from its wire encoding. The data
-// slice is owned by the caller; decoders must copy what they keep.
+// slice is handed over to the decoder: callers pass bytes nobody modifies
+// afterwards (the TCP mesh reads each frame into an allocation of its own),
+// so a decoder of bulk payloads may keep a sub-slice instead of copying.
 func DecodeWirePayload(kind uint8, data []byte) (any, error) {
 	wireDecMu.RLock()
 	dec := wireDecoders[kind]

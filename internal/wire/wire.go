@@ -9,6 +9,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -239,7 +240,13 @@ func (r *Reader) length() int {
 }
 
 // Bytes32 decodes a length-prefixed byte string. The result is a copy.
-func (r *Reader) Bytes32() []byte {
+func (r *Reader) Bytes32() []byte { return bytes.Clone(r.View32()) }
+
+// View32 decodes a length-prefixed byte string without copying it: the
+// result aliases the Reader's input (capacity clipped to its length) and
+// keeps that whole buffer reachable. For callers that own the input and
+// would otherwise copy a bulk payload only to drop the original.
+func (r *Reader) View32() []byte {
 	n := r.length()
 	if r.err != nil {
 		return nil
@@ -248,9 +255,7 @@ func (r *Reader) Bytes32() []byte {
 	if b == nil {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	return b[:n:n]
 }
 
 // String decodes a length-prefixed string.
