@@ -22,9 +22,11 @@
 //	    self-healing mode: the launcher is a dumb respawner with NO
 //	    knowledge of the failure. It SIGKILLs rank 1 (acting as an outside
 //	    operator) once that rank has committed 2 checkpoints; the
-//	    survivors' failure detectors (heartbeats over the replication
-//	    mesh) notice, agree on an epoch-numbered dead set, elect a
-//	    coordinator, request a respawn, and recover on their own.
+//	    survivors' failure detectors notice (the replication mesh reports
+//	    the dead process's closed sockets; heartbeats catch what leaves no
+//	    such trace), agree on an epoch-numbered dead set, elect a
+//	    coordinator, request a respawn, and recover on their own. The
+//	    summary's detect-cause= names the path that caught it.
 //	    Heartbeat cadence and suspicion threshold are tuned with
 //	    -heartbeat and -phi; the store's recovery-query behavior with
 //	    -ack-timeout, -query-timeout and -query-retries.
@@ -380,21 +382,24 @@ func printSelfHealSummary(res *cluster.LaunchResult, ranks int) {
 			continue
 		}
 		fields := map[string]int64{}
+		cause := "none"
 		for _, f := range strings.Fields(stat) {
 			if kv := strings.SplitN(f, "=", 2); len(kv) == 2 {
 				if v, err := strconv.ParseInt(kv[1], 10, 64); err == nil {
 					fields[kv[0]] = v
+				} else if kv[0] == "cause" {
+					cause = kv[1]
 				}
 			}
 		}
 		if fields["suspect_us"] == 0 {
 			continue
 		}
-		line := fmt.Sprintf("  rank %d: detections=%d epochs=%d agree=+%dus restore-start=+%dus",
-			r, fields["detections"], fields["epochs"], fields["agree_us"], fields["restore_us"])
+		line := fmt.Sprintf("  rank %d: detections=%d epochs=%d detect-cause=%s agree=+%dus restore-start=+%dus",
+			r, fields["detections"], fields["epochs"], cause, fields["agree_us"], fields["restore_us"])
 		if !res.KillTime.IsZero() {
 			detect := time.UnixMicro(fields["suspect_us"]).Sub(res.KillTime)
-			line += fmt.Sprintf(" detect-latency=%v", detect.Round(time.Millisecond))
+			line += fmt.Sprintf(" detect-latency=%v", detect.Round(10*time.Microsecond))
 		}
 		fmt.Println(line)
 	}

@@ -31,6 +31,7 @@ import (
 	"sort"
 	"strings"
 
+	"c3/internal/detect"
 	"c3/internal/trace"
 )
 
@@ -133,7 +134,9 @@ func printTimeline(tl *trace.Timeline) {
 		case trace.PhaseRecv:
 			line += fmt.Sprintf(" <- r%d (%d bytes)", ev.Peer, ev.Arg)
 		default:
-			if ev.Arg != 0 {
+			if ev.Kind == trace.KindSuspect {
+				line += fmt.Sprintf(" r%d cause=%s", uint32(ev.Arg), detect.Cause(ev.Arg>>32))
+			} else if ev.Arg != 0 {
 				line += fmt.Sprintf(" arg=%d", ev.Arg)
 			}
 		}

@@ -261,9 +261,12 @@ func elasticOrchestrate(t *testing.T, addr string) error {
 	// the join agreements; wait for the death agreement and recovery. The
 	// epoch number is the durable signal — the dead list is transient
 	// (cleared as soon as the respawned rank rejoins), so a loaded machine
-	// can blow straight past the window where it is non-empty.
+	// can blow straight past the window where it is non-empty. The anchor is
+	// the epoch that installed the 6-member list, not the epoch of the first
+	// 6-member status seen: the death agreement follows the kill within
+	// milliseconds, so that status may already carry it.
 	killEpoch, err := await("SIGKILL death agreement", func(st ops.Status) bool {
-		return st.Epoch > grown.Epoch
+		return st.Epoch > grown.MembershipEpoch
 	})
 	if err != nil {
 		return err

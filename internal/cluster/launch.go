@@ -94,7 +94,9 @@ type LaunchResult struct {
 	// Stats holds each rank's reported store statistics line (for the
 	// diskless store: "reassemblies=<n>", counting checkpoints rebuilt from
 	// peer fragments over the wire; in self-healing mode additionally
-	// detections=, epochs=, suspect_us=, agree_us= and restore_us=).
+	// detections=, epochs=, suspect_us=, agree_us=, restore_us= and cause=,
+	// the detection path behind the first suspicion: loss, phi, lease,
+	// report, or none).
 	Stats map[int]string
 	// KillTime is when the external SIGKILL was delivered (zero if none).
 	// Compared against the workers' reported suspect_us timestamps it
@@ -147,7 +149,18 @@ type launcher struct {
 	replAddrs []string
 	workers   []*workerProc
 	events    chan launchEvent
+	stop      chan struct{} // closed when cleanup begins: nothing reads events
 	deadline  time.Time
+}
+
+// post hands an event to the driving loop, or drops it once cleanup has
+// begun. A worker's stdout reader parked on a full events channel would
+// never reach cmd.Wait, and cleanup waits for exactly that.
+func (l *launcher) post(ev launchEvent) {
+	select {
+	case l.events <- ev:
+	case <-l.stop:
+	}
 }
 
 func (l *launcher) logf(format string, args ...any) {
@@ -225,6 +238,7 @@ func Launch(cfg LaunchConfig) (*LaunchResult, error) {
 		replAddrs: replAddrs,
 		workers:   make([]*workerProc, cfg.Capacity),
 		events:    make(chan launchEvent, 64),
+		stop:      make(chan struct{}),
 		deadline:  time.Now().Add(cfg.Timeout),
 	}
 	defer l.cleanup()
@@ -299,19 +313,20 @@ func (l *launcher) spawn(rank int) error {
 		sc.Buffer(make([]byte, 64*1024), 64*1024)
 		for sc.Scan() {
 			if f := strings.Fields(sc.Text()); len(f) > 0 {
-				l.events <- launchEvent{rank: rank, proc: w, fields: f}
+				l.post(launchEvent{rank: rank, proc: w, fields: f})
 			}
 		}
 		// Pipe closed: the process exited (or was SIGKILLed).
 		_ = cmd.Wait()
 		close(w.exited)
-		l.events <- launchEvent{rank: rank, proc: w, fields: []string{"exit"}}
+		l.post(launchEvent{rank: rank, proc: w, fields: []string{"exit"}})
 	}()
 	l.logf("rank %d: worker pid %d", rank, cmd.Process.Pid)
 	return nil
 }
 
 func (l *launcher) cleanup() {
+	close(l.stop)
 	for _, w := range l.workers {
 		if w == nil || w.dead {
 			continue
@@ -530,7 +545,7 @@ func (l *launcher) driveSelfHeal() (*LaunchResult, error) {
 		// The heal fires on the event loop (a synthetic event), keeping all
 		// worker stdin writes on this goroutine.
 		time.AfterFunc(ep.HealAfter, func() {
-			l.events <- launchEvent{rank: -1, fields: []string{"heal-timer"}}
+			l.post(launchEvent{rank: -1, fields: []string{"heal-timer"}})
 		})
 	}
 	if ep != nil && ep.AfterCheckpoints <= 0 {

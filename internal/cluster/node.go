@@ -38,8 +38,10 @@ package cluster
 // the survivors, re-execs the dead rank, and broadcasts the next attempt.
 // In self-healing mode (NodeConfig.SelfHeal) the node shares its long-lived
 // replication mesh between the distributed store and a failure detector
-// (internal/detect) through a transport.Demux: survivors detect a death via
-// phi-accrual heartbeat monitoring, agree on an epoch-numbered dead set,
+// (internal/detect) through a transport.Demux: survivors detect a death
+// from the mesh's loss report (a crashed process's connection ends
+// without a goodbye) or, for failures that leave no such trace, from
+// phi-accrual heartbeat silence, agree on an epoch-numbered dead set,
 // interrupt in-flight commits by advancing the store's epoch, elect the
 // lowest-ranked survivor to ask the launcher — now a dumb respawner — for
 // replacement processes, and enter the restore attempt on their own. The
@@ -451,8 +453,8 @@ func (w *node) emitSuccess(attempt int, sh *selfHealState) {
 				restoreUS = sh.restoreStart.Sub(tm.SuspectAt).Microseconds()
 			}
 		}
-		stat += fmt.Sprintf(" detections=%d epochs=%d suspect_us=%d agree_us=%d restore_us=%d",
-			sh.det.Detections(), sh.det.Epoch(), suspectUS, agreeUS, restoreUS)
+		stat += fmt.Sprintf(" detections=%d epochs=%d suspect_us=%d agree_us=%d restore_us=%d cause=%s",
+			sh.det.Detections(), sh.det.Epoch(), suspectUS, agreeUS, restoreUS, tm.Cause)
 	}
 	w.emit("%s", stat)
 	w.emit("done %d %s", attempt, result)
@@ -609,7 +611,10 @@ func (w *node) runSelfHeal() error {
 	}
 	defer det.Close()
 	w.det = det
-	demux.SetObservers(det.ObserveRecv, det.ObserveSend)
+	// Every frame on the shared mesh is liveness evidence, and a peer's
+	// crash arrives as a loss report behind its last frame (the mesh's
+	// goodbye frames keep orderly exits out of it).
+	det.ObserveVia(demux)
 	demux.Start()
 	defer demux.Close()
 	if relay != nil {
@@ -855,7 +860,7 @@ func (w *node) Status() ops.Status {
 		Storage:         w.cfg.Rank >= w.cfg.Ranks,
 		Attempt:         int(w.curAttempt.Load()),
 		Epoch:           w.det.Epoch(),
-		MembershipEpoch: members.Epoch(),
+		MembershipEpoch: w.det.MembershipEpoch(),
 		Members:         members.Members(),
 		Dead:            w.det.Dead(),
 		Fenced:          w.det.Fenced(),
@@ -879,6 +884,10 @@ func (w *node) Metrics() ops.Metrics {
 	if tm := w.det.Times(); !tm.SuspectAt.IsZero() && tm.AgreeAt.After(tm.SuspectAt) {
 		last = tm.AgreeAt.Sub(tm.SuspectAt).Seconds()
 	}
+	suspicions := make(map[string]uint64)
+	for cause, n := range w.det.Suspicions() {
+		suspicions[cause.String()] = n
+	}
 	return ops.Metrics{
 		Rank:            w.cfg.Rank,
 		Attempt:         int(w.curAttempt.Load()),
@@ -886,8 +895,9 @@ func (w *node) Metrics() ops.Metrics {
 		CommitSeconds:   float64(nanos) / 1e9,
 		Detections:      w.det.Detections(),
 		DetectLastSecs:  last,
+		Suspicions:      suspicions,
 		Epoch:           w.det.Epoch(),
-		MembershipEpoch: members.Epoch(),
+		MembershipEpoch: w.det.MembershipEpoch(),
 		Members:         members.Size(),
 		Groups:          w.det.Topology().NumGroups(),
 		StoredBytes:     w.dist.StoredBytes(),

@@ -25,8 +25,12 @@ import (
 const procWorkerEnv = "C3_TEST_WORKER"
 
 func TestMain(m *testing.M) {
-	if os.Getenv(procWorkerEnv) == "1" {
+	switch os.Getenv(procWorkerEnv) {
+	case "1":
 		runProcWorker()
+		os.Exit(0)
+	case "flood":
+		runFloodWorker()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())

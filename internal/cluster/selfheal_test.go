@@ -16,6 +16,10 @@ import (
 	"c3/internal/trace"
 )
 
+// selfHealHeartbeat is the detector's heartbeat interval in launchSelfHeal
+// worlds.
+const selfHealHeartbeat = 15 * time.Millisecond
+
 // launchSelfHeal runs a self-healing multi-process world from the test
 // binary's worker mode.
 func launchSelfHeal(t *testing.T, ranks int, kill *cluster.ExternalKillSpec, extra ...string) *cluster.LaunchResult {
@@ -34,7 +38,7 @@ func launchSelfHeal(t *testing.T, ranks int, kill *cluster.ExternalKillSpec, ext
 				"-peers", strings.Join(mpiAddrs, ","),
 				"-repl-peers", strings.Join(replAddrs, ","),
 				"-self-heal",
-				"-heartbeat", "15ms",
+				"-heartbeat", selfHealHeartbeat.String(),
 				"-phi", "6",
 				// Tuned with the suspicion threshold: recovery reads give a
 				// still-rejoining peer a second sweep instead of one long wait.
@@ -72,9 +76,11 @@ func statField(t *testing.T, stat, key string) int64 {
 // external `kill -9` purely via detector-triggered recovery. The launcher
 // only plays operator (delivers the kill) and respawner (spawns the
 // replacement on the coordinator's request); the survivors detect the
-// death via heartbeat accrual, agree on epoch 2, interrupt in-flight
-// commits, negotiate the restore line, and converge to the failure-free
-// checksums.
+// death from the replication mesh's loss report, agree on epoch 2,
+// interrupt in-flight commits, negotiate the restore line, and converge to
+// the failure-free checksums. Detection must not wait for heartbeat
+// silence: kill -> first suspicion stays within 5 heartbeat intervals,
+// where phi accrual alone needs about 14.
 func TestSelfHealingExternalSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test in -short mode")
@@ -100,6 +106,7 @@ func TestSelfHealingExternalSIGKILL(t *testing.T) {
 	// Survivors: exactly one detection, the agreement moved the world to
 	// epoch 2, and the successful attempt restored from the recovery line.
 	var latency time.Duration
+	lossCaused := false
 	for r := 0; r < 4; r++ {
 		stat := res.Stats[r]
 		if statField(t, stat, "epochs") != 2 {
@@ -120,6 +127,7 @@ func TestSelfHealingExternalSIGKILL(t *testing.T) {
 				latency = d
 			}
 		}
+		lossCaused = lossCaused || strings.Contains(stat, "cause=loss")
 	}
 	// The replacement must have reassembled its checkpoints from peers.
 	if statField(t, res.Stats[victim], "reassemblies") < 1 {
@@ -129,9 +137,12 @@ func TestSelfHealingExternalSIGKILL(t *testing.T) {
 		t.Error("no survivor reported a positive detection latency")
 	} else {
 		t.Logf("detection latency (kill -> first suspicion): %v", latency)
-		if latency > 10*time.Second {
-			t.Errorf("detection latency %v is implausibly large", latency)
+		if bound := 5 * selfHealHeartbeat; latency > bound {
+			t.Errorf("detection latency %v exceeds 5 heartbeat intervals (%v): the loss report did not fire", latency, bound)
 		}
+	}
+	if !lossCaused {
+		t.Error("no survivor reports cause=loss: the death was not detected from its socket")
 	}
 
 	checkSIGKILLTrace(t, traceDir)

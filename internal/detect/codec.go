@@ -57,19 +57,26 @@ func decodePing(data payload) (epoch uint64, err error) {
 	return epoch, r.Err()
 }
 
-func encodeSuspect(epoch uint64, target int) payload {
-	w := wire.NewWriter(17)
+// encodeSuspect gossips a suspicion with the path that raised it, so an
+// adopting rank reports how the failure was really detected.
+func encodeSuspect(epoch uint64, target int, cause Cause) payload {
+	w := wire.NewWriter(18)
 	w.U8(msgSuspect)
 	w.U64(epoch)
 	w.Int(target)
+	w.U8(uint8(cause))
 	return payload(w.Bytes())
 }
 
-func decodeSuspect(data payload) (epoch uint64, target int, err error) {
+func decodeSuspect(data payload) (epoch uint64, target int, cause Cause, err error) {
 	r := wire.NewReader(data[1:])
 	epoch = r.U64()
 	target = r.Int()
-	return epoch, target, r.Err()
+	cause = Cause(r.U8())
+	if cause >= numCauses {
+		cause = CauseNone
+	}
+	return epoch, target, cause, r.Err()
 }
 
 // Propose, commit, and state all carry the proposed (or current) member

@@ -6,8 +6,10 @@
 // Each rank runs one Detector. It emits heartbeats to the ring predecessors
 // that monitor it (piggybacking on any other traffic already flowing to
 // them) and runs a phi-accrual Monitor over its ring successors. When a
-// monitor's suspicion crosses the threshold the rank gossips the suspicion
-// to the survivors; the coordinator — the lowest-ranked process not itself
+// monitor's suspicion crosses the threshold — or, without waiting for any
+// silence, when the transport reports that a peer's process is gone
+// (ObserveLost) — the rank gossips the suspicion to the survivors; the
+// coordinator — the lowest-ranked process not itself
 // suspected — then drives a small two-phase agreement: it proposes
 // (epoch+1, dead set) to every survivor, collects acknowledgments, and
 // commits the transition. A committed epoch is the survivors' contract
@@ -18,7 +20,9 @@
 //
 // The protocol tolerates the failures that matter for fail-stop recovery:
 // a suspected rank that is merely slow clears its suspicion the moment any
-// message from it arrives (false-suspicion recovery); a coordinator that
+// message from it arrives (false-suspicion recovery), and a rank that has
+// heard from it recently neither adopts the suspicion nor votes for its
+// death; a coordinator that
 // dies mid-agreement is itself suspected and the next-lowest survivor
 // restarts the proposal with the union dead set; near-simultaneous deaths
 // either merge into one proposal or commit as consecutive epochs. A
@@ -115,6 +119,34 @@ type Times struct {
 	SuspectAt time.Time
 	// AgreeAt is when the epoch commit was applied locally.
 	AgreeAt time.Time
+	// Cause is the detection path behind the suspicion at SuspectAt.
+	Cause Cause
+}
+
+// Cause names the detection path that raised a suspicion. Suspect gossip
+// carries it, so a rank that adopts another's suspicion reports the path
+// that actually detected the failure.
+type Cause uint8
+
+const (
+	// CauseNone: the suspicion was adopted from a proposal, which does not
+	// say how the proposer came by it.
+	CauseNone   Cause = iota
+	CauseLoss         // the transport confirmed the peer's process gone
+	CausePhi          // phi-accrual heartbeat silence crossed the threshold
+	CauseLease        // the contact lease expired
+	CauseReport       // the peer's group report went stale (grouped worlds)
+	numCauses
+)
+
+var causeNames = [numCauses]string{"none", "loss", "phi", "lease", "report"}
+
+// String returns the cause's name ("loss", "phi", ...).
+func (c Cause) String() string {
+	if c < numCauses {
+		return causeNames[c]
+	}
+	return "invalid"
 }
 
 // proposal is the coordinator's in-flight two-phase agreement. It commits
@@ -147,13 +179,19 @@ type Detector struct {
 
 	groupSize int              // configured checkpoint-group size (0: flat)
 	relay     *transport.Relay // optional two-hop router for cross-group sends
+	// viaDemux: a demux's observers feed liveness (ObserveVia), so the
+	// receive loop does not observe detector frames a second time. Set
+	// before Start.
+	viaDemux bool
 
 	mu           sync.Mutex
 	epoch        uint64
 	members      member.Set        // current membership (epoch-stamped)
+	memberEpoch  uint64            // epoch that last changed the member list
 	topo         member.Topology   // two-level view of members (flat if groupSize<=1)
 	dead         map[int]bool      // dead members (still members: respawn slots)
-	suspected    map[int]time.Time // rank -> when first suspected
+	suspected    map[int]Cause     // rank -> the path that raised its suspicion
+	suspicions   [numCauses]uint64 // suspicions raised, by cause
 	pendingJoin  map[int]bool      // non-member slots asking to join
 	pendingLeave map[int]bool      // members asked to drain out
 	monitors     map[int]*Monitor  // ring successors this rank watches
@@ -164,6 +202,7 @@ type Detector struct {
 	propSeq      uint64
 	detections   uint64
 	pendSuspect  time.Time // earliest suspicion since the last commit
+	pendCause    Cause     // the path that raised it
 	times        Times
 	fenced       bool // live contact < strict majority of the membership
 	closed       bool
@@ -223,10 +262,11 @@ func New(opts Options) (*Detector, error) {
 		clock:        opts.Clock,
 		epoch:        opts.Members.Epoch(),
 		members:      opts.Members,
+		memberEpoch:  opts.Members.Epoch(),
 		groupSize:    opts.GroupSize,
 		relay:        opts.Relay,
 		dead:         make(map[int]bool),
-		suspected:    make(map[int]time.Time),
+		suspected:    make(map[int]Cause),
 		pendingJoin:  make(map[int]bool),
 		pendingLeave: make(map[int]bool),
 		monitors:     make(map[int]*Monitor),
@@ -236,7 +276,7 @@ func New(opts Options) (*Detector, error) {
 		done:         make(chan struct{}),
 	}
 	if d.epoch < 1 {
-		d.epoch = 1
+		d.epoch, d.memberEpoch = 1, 1
 	}
 	d.lease = opts.LeaseTimeout
 	now := d.clock()
@@ -307,6 +347,26 @@ func (d *Detector) Members() member.Set {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.members
+}
+
+// MembershipEpoch returns the epoch that installed the current member
+// list: a join or drain agreement moves it, a death agreement does not.
+func (d *Detector) MembershipEpoch() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.memberEpoch
+}
+
+// Suspicions returns how many suspicions this rank has raised or adopted,
+// by the path that detected them. Every cause has an entry.
+func (d *Detector) Suspicions() map[Cause]uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make(map[Cause]uint64, numCauses-1)
+	for c := CauseLoss; c < numCauses; c++ {
+		out[c] = d.suspicions[c]
+	}
+	return out
 }
 
 // Topology returns the current two-level view of the membership (flat when
@@ -427,6 +487,65 @@ func (d *Detector) Suspected() []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// ObserveVia makes dm's observers the detector's liveness input: every
+// frame on any plane of the shared mesh (ObserveRecv), every send
+// (ObserveSend), and every loss report (ObserveLost). The receive loop
+// then leaves detector frames unobserved, so liveness is observed in one
+// place, in arrival order: a frame that a lost connection delivered before
+// its end is counted before the loss report and can never clear the
+// suspicion that report raises. Call before dm.Start and Start.
+func (d *Detector) ObserveVia(dm *transport.Demux) {
+	d.viaDemux = true
+	dm.SetObservers(d.ObserveRecv, d.ObserveSend, d.ObserveLost)
+}
+
+// ObserveLost records a loss report: the transport saw rank r's connection
+// end without a goodbye and confirmed r's process gone. The suspicion is
+// raised, gossiped and proposed at once instead of at the next tick, and
+// the gossip also goes to r, so a live r protests. It stays a hint: a live
+// r's traffic clears it, and ranks that have heard from r recently neither
+// adopt it nor vote for it (contradictedLocked). Loss reports follow the
+// gossip adoption rule: in a grouped world a non-delegate ignores a rank
+// of another group, and a delegate adopts it.
+func (d *Detector) ObserveLost(r int) {
+	if r == d.self || r < 0 || r >= d.n {
+		return
+	}
+	d.mu.Lock()
+	_, already := d.suspected[r]
+	if already || d.dead[r] || !d.members.Contains(r) || !d.members.Contains(d.self) || d.crossGroupLocked(r) {
+		d.mu.Unlock()
+		return
+	}
+	d.suspectLocked(r, d.clock(), CauseLoss)
+	epoch := d.epoch
+	targets := append(d.gossipTargetsLocked(nil), r)
+	d.mu.Unlock()
+	d.logf("rank %d: suspects rank %d dead (connection lost)", d.self, r)
+	g := encodeSuspect(epoch, r, CauseLoss)
+	for _, t := range targets {
+		d.send(t, g)
+	}
+	d.driveProposal()
+}
+
+// crossGroupLocked reports whether r's suspicion is not this rank's to
+// hold: in a grouped world a non-delegate holds no suspicions of ranks in
+// other groups, because the clearing evidence (the target group's
+// reports) only reaches delegates. Callers hold d.mu.
+func (d *Detector) crossGroupLocked(r int) bool {
+	return d.groupedLocked() && d.topo.GroupOf(r) != d.topo.GroupOf(d.self) && !d.amDelegateLocked()
+}
+
+// contradictedLocked reports whether this rank has heard from r within
+// half a contact lease, a window every live member's lease pings keep
+// filled. Such a rank neither adopts another rank's suspicion of r nor
+// acks a proposal that declares r dead; its own detection paths may still
+// suspect r. Callers hold d.mu.
+func (d *Detector) contradictedLocked(r int, now time.Time) bool {
+	return now.Sub(d.lastHeard[r]) < d.lease/2
 }
 
 // ObserveRecv records liveness evidence: a message from peer `from` arrived
@@ -675,7 +794,7 @@ func (d *Detector) tick() {
 			continue
 		}
 		if mon.Phi(now) >= d.threshold {
-			d.suspectLocked(m, now)
+			d.suspectLocked(m, now, CausePhi)
 			newSuspects = append(newSuspects, m)
 		}
 	}
@@ -701,7 +820,7 @@ func (d *Detector) tick() {
 			continue
 		}
 		if now.Sub(d.lastHeard[r]) > d.lease {
-			d.suspectLocked(r, now)
+			d.suspectLocked(r, now, CauseLease)
 			leaseSuspects = append(leaseSuspects, r)
 		}
 	}
@@ -719,6 +838,10 @@ func (d *Detector) tick() {
 		gossip = append(gossip, s)
 	}
 	sort.Ints(gossip)
+	causes := make([]Cause, len(gossip))
+	for i, s := range gossip {
+		causes[i] = d.suspected[s]
+	}
 	// Drain requests are re-gossiped each tick for the same reason the
 	// suspicions are: the send path is lossy and the coordinator may not
 	// have heard the request directly.
@@ -752,8 +875,8 @@ func (d *Detector) tick() {
 		// the per-tick re-gossip would otherwise dominate the ring.
 		trace.Default().Emit(int32(d.self), trace.KindGossip, 0, uint64(len(gossip)))
 	}
-	for _, s := range gossip {
-		g := encodeSuspect(epoch, s)
+	for i, s := range gossip {
+		g := encodeSuspect(epoch, s, causes[i])
 		for _, t := range gossipTargets {
 			d.send(t, g)
 		}
@@ -768,17 +891,18 @@ func (d *Detector) tick() {
 	d.driveProposal()
 }
 
-// suspectLocked records a (new) suspicion of rank r at time now. Callers
-// hold d.mu.
-func (d *Detector) suspectLocked(r int, now time.Time) {
+// suspectLocked records a (new) suspicion of rank r at time now, raised by
+// the given detection path. Callers hold d.mu.
+func (d *Detector) suspectLocked(r int, now time.Time, cause Cause) {
 	if _, ok := d.suspected[r]; ok {
 		return
 	}
-	d.suspected[r] = now
+	d.suspected[r] = cause
+	d.suspicions[cause]++
 	if d.pendSuspect.IsZero() {
-		d.pendSuspect = now
+		d.pendSuspect, d.pendCause = now, cause
 	}
-	trace.Default().Emit(int32(d.self), trace.KindSuspect, 0, uint64(r))
+	trace.Default().Emit(int32(d.self), trace.KindSuspect, 0, uint64(cause)<<32|uint64(r))
 }
 
 // dropProposalLocked abandons the in-flight proposal (if any), closing
@@ -1061,6 +1185,9 @@ func (d *Detector) applyEpoch(epoch uint64, dead, members []int, via string) {
 	}
 	d.epoch = epoch
 	d.members = newMembers
+	if membersChanged {
+		d.memberEpoch = epoch
+	}
 	d.dead = newSet
 	d.detections += uint64(len(newDead))
 	for r := range d.suspected {
@@ -1109,7 +1236,7 @@ func (d *Detector) applyEpoch(epoch uint64, dead, members []int, via string) {
 		d.prop.sp.End(epoch) // this coordinator's agreement committed
 		d.prop = nil
 	}
-	d.times = Times{SuspectAt: d.pendSuspect, AgreeAt: now}
+	d.times = Times{SuspectAt: d.pendSuspect, AgreeAt: now, Cause: d.pendCause}
 	rec := trace.Default()
 	rec.Emit(int32(d.self), trace.KindEpoch, 0, epoch)
 	if !d.pendSuspect.IsZero() {
@@ -1120,7 +1247,7 @@ func (d *Detector) applyEpoch(epoch uint64, dead, members []int, via string) {
 	if membersChanged {
 		rec.Emit(int32(d.self), trace.KindMember, 0, epoch)
 	}
-	d.pendSuspect = time.Time{}
+	d.pendSuspect, d.pendCause = time.Time{}, CauseNone
 	sort.Ints(newDead)
 	allDead := setToSlice(newSet)
 	onEpoch, onEvicted, onDrained := d.opts.OnEpoch, d.opts.OnEvicted, d.opts.OnDrained
@@ -1165,11 +1292,11 @@ func (d *Detector) recvLoop() {
 		if !ok || len(data) == 0 || msg.From == d.self {
 			continue
 		}
-		// Any detector message is itself liveness evidence. (When the mesh
-		// runs under a demux, the demux observer already recorded it; a
-		// second observation is harmless — the monitor mean is floored at
-		// the heartbeat interval.)
-		d.ObserveRecv(msg.From)
+		// Any detector message is itself liveness evidence, unless a demux
+		// observer already recorded it on arrival (ObserveVia).
+		if !d.viaDemux {
+			d.ObserveRecv(msg.From)
+		}
 		d.handle(msg.From, data)
 	}
 }
@@ -1183,7 +1310,7 @@ func (d *Detector) handle(from int, data payload) {
 		}
 		d.reconcileEpoch(from, epoch)
 	case msgSuspect:
-		epoch, target, err := decodeSuspect(data)
+		epoch, target, cause, err := decodeSuspect(data)
 		if err != nil {
 			return
 		}
@@ -1205,17 +1332,12 @@ func (d *Detector) handle(from int, data payload) {
 			d.send(from, encodeState(cur, deadNow, membersNow))
 			return
 		}
-		adopt := !d.dead[target] && d.members.Contains(target)
-		if adopt && d.groupedLocked() &&
-			d.topo.GroupOf(target) != d.topo.GroupOf(d.self) && !d.amDelegateLocked() {
-			// Non-delegates hold no cross-group suspicions: the clearing
-			// evidence (the target group's reports) only reaches delegates, so
-			// adopting here could strand a stale suspicion forever. The
-			// delegates — who do adopt it — drive the agreement if it is real.
-			adopt = false
-		}
-		if adopt {
-			d.suspectLocked(target, now)
+		// Non-delegates hold no cross-group suspicions: adopting here could
+		// strand a stale suspicion forever. The delegates, who do adopt it,
+		// drive the agreement if it is real.
+		if !d.dead[target] && d.members.Contains(target) && !d.crossGroupLocked(target) &&
+			!d.contradictedLocked(target, now) {
+			d.suspectLocked(target, now, cause)
 		}
 		fence := d.refenceLocked()
 		d.mu.Unlock()
@@ -1356,7 +1478,11 @@ func (d *Detector) handlePropose(from int, epoch, seq uint64, dead, members []in
 // mid-agreement) starts from the same dead set and member list. On a
 // mismatch the reconciliation reply (state or hello) goes to origin — the
 // coordinator — whether the proposal arrived directly or through a
-// delegate relay. It reports whether the proposal is ack-worthy.
+// delegate relay. A proposal that declares dead a rank this rank does not
+// suspect but has recently heard from is withheld, not acked: the
+// coordinator retransmits every tick, by when the evidence has either
+// aged out or turned into a suspicion of our own. It reports whether the
+// proposal is ack-worthy.
 func (d *Detector) adoptPropose(origin int, epoch uint64, dead, members []int) bool {
 	d.mu.Lock()
 	cur := d.epoch
@@ -1371,10 +1497,21 @@ func (d *Detector) adoptPropose(origin int, epoch uint64, dead, members []int) b
 		return false
 	}
 	now := d.clock()
+	var fresh []int
 	for _, r := range dead {
-		if !d.dead[r] && d.members.Contains(r) {
-			d.suspectLocked(r, now)
+		if d.dead[r] || !d.members.Contains(r) {
+			continue
 		}
+		if _, susp := d.suspected[r]; !susp {
+			if d.contradictedLocked(r, now) {
+				d.mu.Unlock()
+				return false
+			}
+			fresh = append(fresh, r)
+		}
+	}
+	for _, r := range fresh {
+		d.suspectLocked(r, now, CauseNone)
 	}
 	proposed := member.New(epoch, members)
 	for _, r := range proposed.Members() {

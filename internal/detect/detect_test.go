@@ -72,8 +72,8 @@ func TestCodecRoundtrips(t *testing.T) {
 	if e, err := decodePing(encodePing(7)); err != nil || e != 7 {
 		t.Fatalf("ping roundtrip: epoch=%d err=%v", e, err)
 	}
-	if e, tgt, err := decodeSuspect(encodeSuspect(3, 12)); err != nil || e != 3 || tgt != 12 {
-		t.Fatalf("suspect roundtrip: epoch=%d target=%d err=%v", e, tgt, err)
+	if e, tgt, c, err := decodeSuspect(encodeSuspect(3, 12, CauseLoss)); err != nil || e != 3 || tgt != 12 || c != CauseLoss {
+		t.Fatalf("suspect roundtrip: epoch=%d target=%d cause=%s err=%v", e, tgt, c, err)
 	}
 	e, s, dead, members, err := decodePropose(encodePropose(4, 9, []int{1, 3}, []int{0, 2, 4}))
 	if err != nil || e != 4 || s != 9 || !equalInts(dead, []int{1, 3}) || !equalInts(members, []int{0, 2, 4}) {

@@ -221,7 +221,7 @@ func (d *Detector) groupTickLocked(now time.Time) (report payload, targets []int
 			if _, already := d.suspected[r]; already {
 				continue
 			}
-			d.suspectLocked(r, now)
+			d.suspectLocked(r, now, CauseReport)
 			groupSuspects = append(groupSuspects, r)
 			fresh = true
 		}

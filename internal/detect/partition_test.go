@@ -303,7 +303,7 @@ func TestStaleSuspectGossipDropped(t *testing.T) {
 	// reordered network would deliver it. The receiving coordinator must
 	// drop it instead of re-opening agreement on the cleared rank.
 	if err := w.nw.Send(transport.Message{
-		From: 2, To: 0, Class: transport.Control, Payload: encodeSuspect(1, 3),
+		From: 2, To: 0, Class: transport.Control, Payload: encodeSuspect(1, 3, CausePhi),
 	}); err != nil {
 		t.Fatalf("inject stale suspect: %v", err)
 	}

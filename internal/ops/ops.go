@@ -36,6 +36,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -97,6 +98,9 @@ type Metrics struct {
 	ReplicatedBytes int64
 	Reassemblies    int64
 	Fenced          bool
+	// Suspicions counts suspicions raised, by the detection path that
+	// raised them ("loss", "phi", "lease", "report").
+	Suspicions map[string]uint64
 }
 
 // Backend is what the hosting node exposes to the control plane. All
@@ -282,6 +286,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		strconv.FormatFloat(m.CommitSeconds, 'g', -1, 64))
 	count("c3_detections_total", "committed epoch transitions observed by the failure detector", int64(m.Detections))
 	gauge("c3_detection_latency_seconds", "suspicion-to-agreement latency of the most recent epoch transition", m.DetectLastSecs)
+	if len(m.Suspicions) > 0 {
+		fmt.Fprintf(&b, "# HELP c3_suspicions_total suspicions raised, by the detection path that raised them\n# TYPE c3_suspicions_total counter\n")
+		causes := make([]string, 0, len(m.Suspicions))
+		for c := range m.Suspicions {
+			causes = append(causes, c)
+		}
+		sort.Strings(causes)
+		for _, c := range causes {
+			fmt.Fprintf(&b, "c3_suspicions_total{rank=\"%d\",cause=%q} %d\n", m.Rank, c, m.Suspicions[c])
+		}
+	}
 	gauge("c3_epoch", "agreed recovery epoch", float64(m.Epoch))
 	gauge("c3_membership_epoch", "epoch that installed the current membership", float64(m.MembershipEpoch))
 	gauge("c3_members", "current membership size", float64(m.Members))

@@ -55,7 +55,7 @@ const (
 	KindShip      // fragment + marker transmission to one peer
 	KindAck       // waiting for replication acks
 	// Detector phases.
-	KindSuspect // first local suspicion of a rank
+	KindSuspect // first local suspicion of a rank (arg: cause<<32|rank, cause per detect.Cause)
 	KindGossip  // suspicion gossip fan-out
 	KindAgree   // two-phase epoch agreement (propose -> commit)
 	KindEpoch   // committed epoch transition applied locally

@@ -11,10 +11,27 @@ package transport
 // detector uses them to piggyback liveness on existing traffic: every
 // message received from a peer counts as a heartbeat from it, and every
 // message sent toward a peer lets the emitter skip the next explicit ping.
+// A third hook carries loss reports: a backend that can tell a dead peer
+// process from its connection's end (LossReporter) queues a PeerLost
+// marker behind that connection's last frame, and the pump fires the lost
+// observer only after the recv observer has seen every frame before it.
 
 import (
 	"sync"
 )
+
+// PeerLost is the payload of a loss report: the in-band marker a
+// LossReporter queues on its local port behind the last frame of a
+// connection whose peer process is gone. Message.From names the peer.
+type PeerLost struct{}
+
+// LossReporter is implemented by interconnects that can confirm a peer
+// process's death from its connection (the TCP mesh). Reports are off
+// until ReportLosses is called: a consumer that does not read PeerLost
+// markers (the MPI layer) never receives one.
+type LossReporter interface {
+	ReportLosses()
+}
 
 // Demux fans one Interconnect's local receive stream out to per-kind
 // planes. Create planes with Plane, install observers, then call Start.
@@ -26,6 +43,7 @@ type Demux struct {
 	planes   map[uint8]*demuxPlane
 	onRecv   func(from int)
 	onSend   func(to int)
+	onLost   func(from int)
 	started  bool
 	shutdown bool
 
@@ -52,11 +70,13 @@ func (d *Demux) Plane(kind uint8) Interconnect {
 }
 
 // SetObservers installs the liveness hooks: recv fires for every message
-// the pump delivers (any plane), send for every outbound message. Install
-// before Start; either may be nil.
-func (d *Demux) SetObservers(recv func(from int), send func(to int)) {
+// the pump delivers (any plane), send for every outbound message, and lost
+// for every loss report, after recv has fired for each frame the lost
+// connection delivered. Install before Start; any may be nil. A non-nil
+// lost turns the backend's loss reports on (LossReporter).
+func (d *Demux) SetObservers(recv func(from int), send func(to int), lost func(from int)) {
 	d.mu.Lock()
-	d.onRecv, d.onSend = recv, send
+	d.onRecv, d.onSend, d.onLost = recv, send, lost
 	d.mu.Unlock()
 }
 
@@ -89,7 +109,11 @@ func (d *Demux) Start() {
 		return
 	}
 	d.started = true
+	lost := d.onLost
 	d.mu.Unlock()
+	if lr, ok := d.inner.(LossReporter); ok && lost != nil {
+		lr.ReportLosses()
+	}
 	d.wg.Add(1)
 	go d.pump()
 }
@@ -121,12 +145,18 @@ func (d *Demux) pump() {
 			return // interconnect shut down
 		}
 		d.mu.Lock()
-		recv := d.onRecv
+		recv, lost := d.onRecv, d.onLost
 		var plane *demuxPlane
 		if wp, ok := msg.Payload.(WirePayload); ok {
 			plane = d.planes[wp.WireKind()]
 		}
 		d.mu.Unlock()
+		if _, ok := msg.Payload.(PeerLost); ok {
+			if lost != nil {
+				lost(msg.From)
+			}
+			continue
+		}
 		if recv != nil {
 			recv(msg.From)
 		}

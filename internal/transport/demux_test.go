@@ -32,8 +32,8 @@ func TestDemuxRoutesByKind(t *testing.T) {
 
 	recvFrom := make(chan int, 16)
 	sentTo := make(chan int, 16)
-	d1.SetObservers(func(from int) { recvFrom <- from }, nil)
-	d0.SetObservers(nil, func(to int) { sentTo <- to })
+	d1.SetObservers(func(from int) { recvFrom <- from }, nil, nil)
+	d0.SetObservers(nil, func(to int) { sentTo <- to }, nil)
 	d0.Start()
 	d1.Start()
 	defer d0.Close()
@@ -92,6 +92,51 @@ func TestDemuxRoutesByKind(t *testing.T) {
 	}
 	if msg, err := a1.Endpoint(1).Recv(); err != nil || msg.Payload.(kindedPayload).data != 3 {
 		t.Fatalf("loopback recv = %+v, %v", msg, err)
+	}
+}
+
+// TestDemuxLostFiresAfterFrames: a PeerLost marker queued behind a peer's
+// frames reaches the lost observer only after the recv observer has seen
+// every one of them, and is delivered to no plane.
+func TestDemuxLostFiresAfterFrames(t *testing.T) {
+	nw := NewNetwork(2)
+	d1 := NewDemux(nw, 1)
+	a1 := d1.Plane(testKindA)
+	events := make(chan string, 16)
+	d1.SetObservers(func(from int) { events <- "recv" }, nil, func(from int) {
+		if from != 0 {
+			t.Errorf("lost observer saw from=%d, want 0", from)
+		}
+		events <- "lost"
+	})
+	d1.Start()
+	defer d1.Close()
+
+	for i := byte(0); i < 3; i++ {
+		if err := nw.Send(Message{From: 0, To: 1, Payload: kindedPayload{kind: testKindA, data: i}}); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+	}
+	if err := nw.Send(Message{From: 0, To: 1, Payload: PeerLost{}}); err != nil {
+		t.Fatalf("send marker: %v", err)
+	}
+	for i, want := range []string{"recv", "recv", "recv", "lost"} {
+		select {
+		case got := <-events:
+			if got != want {
+				t.Fatalf("observer event %d = %s, want %s", i, got, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("observer event %d (%s) never fired", i, want)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := a1.Endpoint(1).Recv(); err != nil {
+			t.Fatalf("plane recv %d: %v", i, err)
+		}
+	}
+	if _, ok, _ := a1.Endpoint(1).TryRecv(); ok {
+		t.Fatal("the PeerLost marker reached a plane")
 	}
 }
 

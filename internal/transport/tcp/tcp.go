@@ -13,17 +13,23 @@
 // the in-memory Network's semantics for messages addressed to a killed
 // endpoint. When the peer is re-executed and listens again on the same
 // address, the next send re-dials, so long-lived meshes (the replicated
-// stable store's) survive rank restarts. Short-lived meshes (one per MPI
-// attempt) carry a generation number in every frame; frames from another
-// generation are discarded, so a stale in-flight message from a dead
-// attempt can never leak into its successor. Connection establishment
-// performs a generation handshake so a dialer that reaches the previous
-// generation's still-bound listener is refused and retries, rather than
-// having its first frames silently discarded mid-transition.
+// stable store's) survive rank restarts. A mesh can also report the death
+// itself (ReportLosses): an orderly Shutdown says goodbye on every
+// outbound connection, so an inbound connection that ends without one is
+// confirmed with a fresh dial and, if the peer's process is gone, answered
+// with a transport.PeerLost marker queued behind its last frame.
+// Short-lived meshes (one per MPI attempt) carry a generation number in
+// every frame; frames from another generation are discarded, so a stale
+// in-flight message from a dead attempt can never leak into its
+// successor. Connection establishment performs a generation handshake so
+// a dialer that reaches the previous generation's still-bound listener is
+// refused and retries, rather than having its first frames silently
+// discarded mid-transition.
 package tcp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -106,6 +112,8 @@ type Mesh struct {
 	peers   map[int]*peerConn
 	inbound map[net.Conn]struct{}
 	down    atomic.Bool
+	// lossReports turns on PeerLost markers (ReportLosses).
+	lossReports atomic.Bool
 
 	// Partition fault model: directed (from, to) pairs currently severed.
 	// In drop mode outbound frames whose pair matches vanish before they
@@ -176,6 +184,15 @@ type peerConn struct {
 // until the next probe window, which also bounds how long a restarted
 // peer waits to be re-discovered.
 const redialBackoff = 200 * time.Millisecond
+
+// confirmTimeout bounds the dial and handshake that confirm a loss report
+// (peerGone). A timeout is no evidence either way, so it only caps how
+// long the ended connection's reader lingers; goodbyeTimeout likewise caps
+// the goodbye write to a peer that stopped reading.
+const (
+	confirmTimeout = 250 * time.Millisecond
+	goodbyeTimeout = 100 * time.Millisecond
+)
 
 // New creates a mesh for local rank self in a world whose rank addresses
 // are addrs (len(addrs) ranks). addrs[self] may use port 0; Addr reports
@@ -335,18 +352,26 @@ func (m *Mesh) Kill(rank int) {
 	}
 }
 
+// ReportLosses implements transport.LossReporter: from now on, an inbound
+// connection that ends without a goodbye and whose peer a fresh dial
+// confirms gone queues a transport.PeerLost marker behind its last frame.
+func (m *Mesh) ReportLosses() { m.lossReports.Store(true) }
+
 // Shutdown implements transport.Interconnect: close the listener and every
-// connection and kill the local port, unblocking all receives.
+// connection and kill the local port, unblocking all receives. Each
+// outbound connection first carries a goodbye frame, so the peer can tell
+// this orderly exit from a crash.
 func (m *Mesh) Shutdown() {
 	if m.down.Swap(true) {
 		return
 	}
 	_ = m.ln.Close()
+	outbound := make(map[int]net.Conn)
 	m.mu.Lock()
-	for _, p := range m.peers {
+	for rank, p := range m.peers {
 		p.mu.Lock()
 		if p.conn != nil {
-			_ = p.conn.Close()
+			outbound[rank] = p.conn
 			p.conn = nil
 		}
 		p.mu.Unlock()
@@ -355,6 +380,11 @@ func (m *Mesh) Shutdown() {
 		_ = c.Close()
 	}
 	m.mu.Unlock()
+	for rank, c := range outbound {
+		_ = c.SetWriteDeadline(time.Now().Add(goodbyeTimeout))
+		_, _ = c.Write(m.goodbyeFrame(rank))
+		_ = c.Close()
+	}
 	m.port.kill()
 }
 
@@ -443,19 +473,32 @@ func encodeFrame(gen uint64, msg transport.Message) (wireFrame, error) {
 	if inline >= bulkBody {
 		inline = 0
 	}
-	w := wire.NewWriter(4 + frameHeaderLen + inline)
-	w.U32(uint32(frameHeaderLen + len(body)))
+	head := frameHead(4+frameHeaderLen+inline, len(body), gen, msg, wp.WireKind())
+	if len(body) >= bulkBody {
+		return wireFrame{head: head, body: body}, nil
+	}
+	return wireFrame{head: append(head, body...)}, nil
+}
+
+// frameHead writes a frame's length prefix and header for a body of
+// bodyLen bytes into a buffer with room for capacity bytes.
+func frameHead(capacity, bodyLen int, gen uint64, msg transport.Message, kind uint8) []byte {
+	w := wire.NewWriter(capacity)
+	w.U32(uint32(frameHeaderLen + bodyLen))
 	w.U64(gen)
 	w.U32(uint32(msg.From))
 	w.U32(uint32(msg.To))
 	w.U8(uint8(msg.Class))
-	w.U8(wp.WireKind())
+	w.U8(kind)
 	w.U64(msg.Trace.Span)
 	w.U64(msg.Trace.Clock)
-	if len(body) >= bulkBody {
-		return wireFrame{head: w.Bytes(), body: body}, nil
-	}
-	return wireFrame{head: append(w.Bytes(), body...)}, nil
+	return w.Bytes()
+}
+
+// goodbyeFrame is the empty frame an orderly Shutdown sends toward rank.
+func (m *Mesh) goodbyeFrame(rank int) []byte {
+	msg := transport.Message{From: m.self, To: rank, Class: transport.Control}
+	return frameHead(4+frameHeaderLen, 0, m.gen, msg, transport.WireKindGoodbye)
 }
 
 // peer returns (creating if needed) the connection slot for a rank.
@@ -606,19 +649,55 @@ func (m *Mesh) dial(rank int, window time.Duration) net.Conn {
 // and waits for the acceptor's verdict. False means the far side is not (or
 // not yet) running the same generation.
 func (m *Mesh) handshake(conn net.Conn) bool {
+	reply, err := m.handshakeReply(conn, hsTimeout)
+	return err == nil && reply == hsAccept
+}
+
+// handshakeReply sends the generation announcement and returns the
+// acceptor's one-byte verdict, or the error that kept it from arriving.
+func (m *Mesh) handshakeReply(conn net.Conn, timeout time.Duration) (byte, error) {
 	w := wire.NewWriter(12)
 	w.U32(hsMagic)
 	w.U64(m.gen)
-	_ = conn.SetDeadline(time.Now().Add(hsTimeout))
+	_ = conn.SetDeadline(time.Now().Add(timeout))
 	defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	if _, err := conn.Write(w.Bytes()); err != nil {
-		return false
+		return 0, err
 	}
 	var reply [1]byte
 	if _, err := io.ReadFull(conn, reply[:]); err != nil {
+		return 0, err
+	}
+	return reply[0], nil
+}
+
+// peerGone confirms a loss: rank's inbound connection ended without a
+// goodbye, which a crash does but so do a write error, a partition rule or
+// a redial on the peer's side. One fresh dial plus the generation
+// handshake tells them apart. A refused or reset connect means the process
+// is gone, and so does a connection reset or closed before the handshake
+// reply: a dying process's listener still completes connects from its
+// backlog for about 100 µs after its connections close. A reply, accept or
+// refuse, proves a live process, and a timeout proves nothing. A pair
+// covered by a partition rule never confirms: the rule, not a death, may
+// be what cut it.
+func (m *Mesh) peerGone(rank int) bool {
+	if m.down.Load() || m.dropRule(m.self, rank) || m.dropRule(rank, m.self) {
 		return false
 	}
-	return reply[0] == hsAccept
+	conn, err := net.DialTimeout("tcp", m.addrs[rank], confirmTimeout)
+	if err != nil {
+		return errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET)
+	}
+	defer conn.Close()
+	_, err = m.handshakeReply(conn, confirmTimeout)
+	return connEnded(err) || errors.Is(err, syscall.EPIPE)
+}
+
+// connEnded reports whether a read error is the peer's end of the
+// connection (FIN or RST) rather than a local close, a timeout or no error.
+func connEnded(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, syscall.ECONNRESET)
 }
 
 // acceptLoop admits inbound connections from peers.
@@ -637,46 +716,58 @@ func (m *Mesh) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames from one inbound connection into the local port.
+// readLoop decodes frames from one inbound connection into the local port
+// and, when loss reports are on, answers a confirmed crash of the peer with
+// a PeerLost marker behind the connection's last frame.
 func (m *Mesh) readLoop(conn net.Conn) {
 	defer m.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		m.mu.Lock()
-		delete(m.inbound, conn)
-		m.mu.Unlock()
-	}()
+	peer, err := m.readFrames(conn)
+	_ = conn.Close()
+	m.mu.Lock()
+	delete(m.inbound, conn)
+	m.mu.Unlock()
+	if peer >= 0 && connEnded(err) && m.lossReports.Load() && m.peerGone(peer) {
+		m.port.push(transport.Message{From: peer, To: m.self, Class: transport.Control, Payload: transport.PeerLost{}})
+	}
+}
+
+// readFrames runs one inbound connection until it ends. It returns the rank
+// the connection's frames came from (-1 before the first) and the read
+// error that ended it; nil means the connection ended for a reason of its
+// own (a goodbye, a foreign or corrupt stream, a refused generation).
+func (m *Mesh) readFrames(conn net.Conn) (int, error) {
+	peer := -1
 	// Generation handshake: refuse dialers from another generation so they
 	// retry after this address changes hands, instead of writing frames the
 	// generation filter below would silently discard.
 	var pre [12]byte
 	_ = conn.SetReadDeadline(time.Now().Add(hsTimeout))
 	if _, err := io.ReadFull(conn, pre[:]); err != nil {
-		return
+		return peer, nil
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	pr := wire.NewReader(pre[:])
 	if magic, gen := pr.U32(), pr.U64(); magic != hsMagic {
-		return // not a c3 peer; drop without replying
+		return peer, nil // not a c3 peer; drop without replying
 	} else if gen != m.gen {
 		_, _ = conn.Write([]byte{hsRefuse})
-		return
+		return peer, nil
 	}
 	if _, err := conn.Write([]byte{hsAccept}); err != nil {
-		return
+		return peer, nil
 	}
 	var lenBuf [4]byte
 	for {
 		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-			return
+			return peer, err
 		}
 		n := binary.LittleEndian.Uint32(lenBuf[:])
 		if n < frameHeaderLen || n > maxFrame {
-			return // corrupt stream; drop the connection
+			return peer, nil // corrupt stream; drop the connection
 		}
 		body := make([]byte, n)
 		if _, err := io.ReadFull(conn, body); err != nil {
-			return
+			return peer, err
 		}
 		r := wire.NewReader(body)
 		gen := r.U64()
@@ -686,10 +777,14 @@ func (m *Mesh) readLoop(conn net.Conn) {
 		kind := r.U8()
 		tctx := trace.Ctx{Span: r.U64(), Clock: r.U64()}
 		if r.Err() != nil {
-			return
+			return peer, nil
 		}
 		if gen != m.gen || to != m.self || from < 0 || from >= m.n {
 			continue // stale generation or misrouted frame
+		}
+		peer = from
+		if kind == transport.WireKindGoodbye {
+			return peer, nil // orderly exit: no loss to report
 		}
 		if m.dropInbound(from, m.self) {
 			continue // blackholed pair: filter frames already in flight
@@ -747,8 +842,12 @@ func (p *port) kill() {
 	p.cond.Broadcast()
 }
 
-// traceRecv records the message-edge delivery on the local recorder.
+// traceRecv records the message-edge delivery on the local recorder. A
+// loss report is not an edge: no send matches it.
 func traceRecv(rank int, msg transport.Message) {
+	if _, lost := msg.Payload.(transport.PeerLost); lost {
+		return
+	}
 	size := 0
 	if s, ok := msg.Payload.(transport.Sizer); ok {
 		size = s.TransportSize()

@@ -19,6 +19,10 @@ import (
 // decoder; the values are part of the TCP frame format and must not be
 // reused.
 const (
+	// WireKindGoodbye is reserved for the TCP mesh's goodbye frame: an
+	// empty body an orderly Shutdown sends on each outbound connection. No
+	// payload may claim it.
+	WireKindGoodbye uint8 = 0
 	// WireKindEnvelope is an *mpi.Envelope (registered by internal/mpi).
 	WireKindEnvelope uint8 = 1
 	// WireKindRepl is a stable-store replication payload (registered by
