@@ -320,6 +320,7 @@ func launcherMain() {
 		fmt.Printf("  membership: joins=%d drains=%d (compute %d, capacity %d)\n",
 			res.Joins, res.Drains, *ranks, capacity)
 	}
+	printFromScratch(res, *ranks)
 	if *selfHeal {
 		printSelfHealSummary(res, *ranks)
 	}
@@ -370,6 +371,18 @@ func writeJSONSummary(path, kernel, class string, ranks, capacity int, res *clus
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		fatalf("write %s: %v", path, err)
+	}
+}
+
+// printFromScratch names each rank whose final attempt found no complete
+// recovery line and re-executed from the beginning.
+func printFromScratch(res *cluster.LaunchResult, ranks int) {
+	for r := 0; r < ranks; r++ {
+		for _, f := range strings.Fields(res.Stats[r]) {
+			if v, ok := strings.CutPrefix(f, "fromscratch="); ok && v != "0" {
+				fmt.Printf("  rank %d: restarted from scratch (no complete recovery line)\n", r)
+			}
+		}
 	}
 }
 

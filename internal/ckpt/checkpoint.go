@@ -337,6 +337,7 @@ func (l *Layer) Restore() (bool, error) {
 		if err := l.store.Truncate(l.rank, 0); err != nil {
 			return false, l.fatal(fmt.Errorf("ckpt: truncate dead generation: %w", err))
 		}
+		l.stats.FromScratch++
 		return false, nil
 	}
 

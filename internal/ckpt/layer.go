@@ -165,8 +165,11 @@ type Stats struct {
 	// stores it equals CheckpointBytes; for the diskless replicated
 	// stores StoredBytes/CheckpointBytes is the codec's storage-overhead
 	// ratio (3x for dup +1/+2, (k+m)/k for the erasure codecs).
-	StoredBytes     uint64
-	Restores        uint64
+	StoredBytes uint64
+	Restores    uint64
+	// FromScratch counts Restore calls that found no complete global line
+	// and restarted the computation from the beginning.
+	FromScratch     uint64
 	StartDuration   time.Duration
 	CommitDuration  time.Duration
 	RestoreDuration time.Duration

@@ -89,14 +89,16 @@ type LaunchResult struct {
 	Joins  int
 	Drains int
 	// Results holds each rank's reported result string from the successful
-	// attempt.
+	// attempt, and DoneAt when the launcher read the rank's done event.
 	Results map[int]string
-	// Stats holds each rank's reported store statistics line (for the
-	// diskless store: "reassemblies=<n>", counting checkpoints rebuilt from
-	// peer fragments over the wire; in self-healing mode additionally
-	// detections=, epochs=, suspect_us=, agree_us=, restore_us= and cause=,
-	// the detection path behind the first suspicion: loss, phi, lease,
-	// report, or none).
+	DoneAt  map[int]time.Time
+	// Stats holds each rank's reported store statistics line (restores= and
+	// fromscratch=, whether the final attempt restored from a line or
+	// re-executed from the start; for the diskless store "reassemblies=<n>",
+	// counting checkpoints rebuilt from peer fragments over the wire; in
+	// self-healing mode additionally detections=, epochs=, suspect_us=,
+	// agree_us=, restore_us= and cause=, the detection path behind the
+	// first suspicion: loss, phi, lease, report, or none).
 	Stats map[int]string
 	// KillTime is when the external SIGKILL was delivered (zero if none).
 	// Compared against the workers' reported suspect_us timestamps it
@@ -404,7 +406,7 @@ func (l *launcher) awaitEach(kind string, want map[int]bool) error {
 // drive runs attempts until one completes on every rank, recovering from
 // worker deaths in between.
 func (l *launcher) drive() (*LaunchResult, error) {
-	res := &LaunchResult{Results: make(map[int]string), Stats: make(map[int]string)}
+	res := &LaunchResult{Results: make(map[int]string), DoneAt: make(map[int]time.Time), Stats: make(map[int]string)}
 	restore := 0
 	for attempt := 0; ; attempt++ {
 		res.Attempts++
@@ -432,6 +434,7 @@ func (l *launcher) drive() (*LaunchResult, error) {
 						result = ev.fields[2]
 					}
 					done[ev.rank] = result
+					res.DoneAt[ev.rank] = time.Now()
 				}
 			case "stat":
 				if len(ev.fields) >= 3 && ev.fields[1] == strconv.Itoa(attempt) {
@@ -501,7 +504,7 @@ func (l *launcher) drive() (*LaunchResult, error) {
 // launcher's sole primitives are spawn(rank) on a coordinator's request
 // and — when configured — the operator's external SIGKILL.
 func (l *launcher) driveSelfHeal() (*LaunchResult, error) {
-	res := &LaunchResult{Results: make(map[int]string), Stats: make(map[int]string)}
+	res := &LaunchResult{Results: make(map[int]string), DoneAt: make(map[int]time.Time), Stats: make(map[int]string)}
 	for _, w := range l.workers[:l.cfg.Ranks] {
 		w.command("run 0 0")
 	}
@@ -725,6 +728,7 @@ func (l *launcher) driveSelfHeal() (*LaunchResult, error) {
 				result = ev.fields[2]
 			}
 			res.Results[ev.rank] = result
+			res.DoneAt[ev.rank] = time.Now()
 			// Complete once every rank has finished the same attempt. A rank
 			// that finished an earlier attempt before a late failure re-runs
 			// and reports again, so the map converges on the final attempt.

@@ -193,9 +193,10 @@ type node struct {
 	statMu    sync.Mutex
 	lastStats ckpt.Stats // the protocol counters of the last finished attempt
 
-	curAttempt atomic.Int64               // attempt whose events (ckpt) are being emitted
-	lastLine   atomic.Int64               // last locally committed version (-1: none)
-	layer      atomic.Pointer[ckpt.Layer] // running attempt's protocol layer (ops checkpoint trigger)
+	curAttempt  atomic.Int64               // attempt whose events (ckpt) are being emitted
+	lastLine    atomic.Int64               // last locally committed version (-1: none)
+	layer       atomic.Pointer[ckpt.Layer] // running attempt's protocol layer (ops checkpoint trigger)
+	fromScratch atomic.Int64               // restore attempts that found no complete line
 }
 
 // distOptions assembles the store options shared by both modes.
@@ -437,10 +438,11 @@ func (w *node) emitSuccess(attempt int, sh *selfHealState) {
 	w.statMu.Lock()
 	st := w.lastStats
 	w.statMu.Unlock()
-	// Recovery provenance: did this attempt restore from a line, and how
-	// many checkpoints were reassembled from peer fragments over the wire.
-	stat := fmt.Sprintf("stat %d reassemblies=%d restores=%d checkpoints=%d",
-		attempt, reasm, st.Restores, st.CheckpointsTaken)
+	// Recovery provenance: did this attempt restore from a line or restart
+	// from scratch, and how many checkpoints were reassembled from peer
+	// fragments over the wire.
+	stat := fmt.Sprintf("stat %d reassemblies=%d restores=%d fromscratch=%d checkpoints=%d",
+		attempt, reasm, st.Restores, st.FromScratch, st.CheckpointsTaken)
 	if sh != nil {
 		tm := sh.det.Times()
 		suspectUS, agreeUS, restoreUS := int64(0), int64(0), int64(0)
@@ -502,6 +504,14 @@ func (w *node) attemptBody(mesh *tcp.Mesh, attempt int, restore bool) error {
 	w.statMu.Lock()
 	w.lastStats = st
 	w.statMu.Unlock()
+	if st.FromScratch > 0 {
+		// Loud on purpose: the world re-executed from the beginning, so
+		// every committed checkpoint bought nothing for this recovery.
+		w.fromScratch.Add(int64(st.FromScratch))
+		if w.cfg.Log != nil {
+			w.cfg.Log("rank %d: attempt %d restarted from scratch: no complete recovery line", w.cfg.Rank, attempt)
+		}
+	}
 	return err
 }
 
@@ -903,6 +913,7 @@ func (w *node) Metrics() ops.Metrics {
 		StoredBytes:     w.dist.StoredBytes(),
 		ReplicatedBytes: w.dist.ReplicatedBytes(),
 		Reassemblies:    w.dist.Reassemblies(),
+		FromScratch:     w.fromScratch.Load(),
 		Fenced:          w.det.Fenced(),
 	}
 }

@@ -92,7 +92,7 @@ func TestMultiProcessPartitionHeal(t *testing.T) {
 			t.Errorf("rank %d stat %q: epochs = %d, want >= 2 (quorum commit missing)", r, stat, e)
 		}
 		if statField(t, stat, "restores") < 1 {
-			t.Errorf("rank %d stat %q: no restore after heal", r, stat)
+			t.Errorf("rank %d stat %q: no restore after heal (fromscratch=%d)", r, stat, statField(t, stat, "fromscratch"))
 		}
 	}
 	checkProcSums(t, res, ref)

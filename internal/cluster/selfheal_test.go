@@ -298,7 +298,11 @@ func TestMultiProcessRestartFromScratch(t *testing.T) {
 }
 
 // TestSelfHealingFailureFree: the detector plane must be pure overhead in
-// a failure-free run — one attempt, epoch 1, no detections.
+// a failure-free run — one attempt, epoch 1, no detections. The attempt
+// also ends together: each rank's MPI mesh says goodbye as it closes, so
+// a rank still finishing drops its last sends toward a closed peer at once
+// instead of redialing it for the 250 ms window, one closed peer after
+// another.
 func TestSelfHealingFailureFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test in -short mode")
@@ -314,5 +318,18 @@ func TestSelfHealingFailureFree(t *testing.T) {
 		if statField(t, stat, "epochs") != 1 || statField(t, stat, "detections") != 0 {
 			t.Errorf("rank %d stat %q: want epochs=1 detections=0", r, stat)
 		}
+	}
+	var first, last time.Time
+	for r := 0; r < 4; r++ {
+		at := res.DoneAt[r]
+		if first.IsZero() || at.Before(first) {
+			first = at
+		}
+		if at.After(last) {
+			last = at
+		}
+	}
+	if spread := last.Sub(first); spread > 100*time.Millisecond {
+		t.Errorf("done events spread over %v (want <= 100ms): %v", spread, res.DoneAt)
 	}
 }

@@ -206,6 +206,9 @@ type Detector struct {
 	times        Times
 	fenced       bool // live contact < strict majority of the membership
 	closed       bool
+	// changed is closed, and replaced, whenever epoch or members change:
+	// a joiner waiting for admission wakes on it instead of a tick.
+	changed chan struct{}
 
 	// Grouped-mode state (see group.go). Indexed by group id; re-derived
 	// at every membership change.
@@ -273,6 +276,7 @@ func New(opts Options) (*Detector, error) {
 		lastSent:     make(map[int]time.Time),
 		relayAgg:     make(map[aggKey]*aggState),
 		senders:      make(map[int]chan outFrame),
+		changed:      make(chan struct{}),
 		done:         make(chan struct{}),
 	}
 	if d.epoch < 1 {
@@ -620,17 +624,22 @@ func (d *Detector) JoinNew(timeout time.Duration) (uint64, error) {
 		"membership never admitted us")
 }
 
+// helloUntil broadcasts hello every heartbeat interval until admitted()
+// holds. It re-checks admitted() the moment the epoch or the membership
+// changes, so a join returns as soon as the state snapshot lands.
 func (d *Detector) helloUntil(timeout time.Duration, admitted func() bool, what string) (uint64, error) {
 	deadline := d.clock().Add(timeout)
-	for {
+	tick := time.NewTicker(d.interval)
+	defer tick.Stop()
+	for hello := true; ; {
+		d.mu.Lock()
+		changed := d.changed
+		d.mu.Unlock()
 		if admitted() {
 			return d.Epoch(), nil
 		}
-		hello := encodeHello()
-		for q := 0; q < d.n; q++ {
-			if q != d.self {
-				d.send(q, hello)
-			}
+		if hello {
+			d.helloAll()
 		}
 		if d.clock().After(deadline) {
 			return 0, fmt.Errorf("detect: rank %d join timed out after %v (%s)", d.self, timeout, what)
@@ -638,7 +647,20 @@ func (d *Detector) helloUntil(timeout time.Duration, admitted func() bool, what 
 		select {
 		case <-d.done:
 			return 0, fmt.Errorf("detect: closed during join")
-		case <-time.After(d.interval):
+		case <-changed:
+			hello = false
+		case <-tick.C:
+			hello = true
+		}
+	}
+}
+
+// helloAll broadcasts hello to every other slot.
+func (d *Detector) helloAll() {
+	hello := encodeHello()
+	for q := 0; q < d.n; q++ {
+		if q != d.self {
+			d.send(q, hello)
 		}
 	}
 }
@@ -1185,6 +1207,8 @@ func (d *Detector) applyEpoch(epoch uint64, dead, members []int, via string) {
 	}
 	d.epoch = epoch
 	d.members = newMembers
+	close(d.changed)
+	d.changed = make(chan struct{})
 	if membersChanged {
 		d.memberEpoch = epoch
 	}
@@ -1427,12 +1451,7 @@ func (d *Detector) handle(from int, data payload) {
 			// majority's view (minus ourselves); now broadcast hello so the
 			// survivors mark us alive again and reset our monitors — the
 			// heal half of the fencing state machine.
-			hello := encodeHello()
-			for q := 0; q < d.n; q++ {
-				if q != d.self {
-					d.send(q, hello)
-				}
-			}
+			d.helloAll()
 			d.logf("rank %d: rejoining — epoch %d had declared us dead", d.self, epoch)
 		}
 	default:

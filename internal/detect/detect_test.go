@@ -381,6 +381,50 @@ func TestLateRankJoins(t *testing.T) {
 	}
 }
 
+// TestJoinWakesOnStateSnapshot: Join returns when the survivor's state
+// snapshot lands, not at the next hello tick. With a 1 s heartbeat the
+// tick would cost a whole second.
+func TestJoinWakesOnStateSnapshot(t *testing.T) {
+	const hb = time.Second
+	nw := transport.NewNetwork(2)
+	survivor, err := New(Options{Self: 0, Ranks: 2, Net: nw, HeartbeatInterval: hb,
+		Members: member.New(3, []int{0, 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var snapshot time.Time
+	joiner, err := New(Options{Self: 1, Ranks: 2, Net: nw, HeartbeatInterval: hb,
+		OnEpoch: func(uint64, member.Set, []int, []int) {
+			mu.Lock()
+			snapshot = time.Now()
+			mu.Unlock()
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Detector{survivor, joiner} {
+		d.Start()
+		defer d.Close()
+	}
+	epoch, err := joiner.Join(5 * time.Second)
+	returned := time.Now()
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if epoch != 3 {
+		t.Fatalf("joined at epoch %d, want the survivor's 3", epoch)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if snapshot.IsZero() {
+		t.Fatal("the state snapshot never reached OnEpoch")
+	}
+	if d := returned.Sub(snapshot); d > 50*time.Millisecond {
+		t.Fatalf("Join returned %v after the state snapshot (heartbeat %v): it waited for the tick", d, hb)
+	}
+}
+
 // TestOnEpochCallback: the epoch callback delivers the transition exactly
 // once per epoch with the newly dead ranks.
 func TestOnEpochCallback(t *testing.T) {

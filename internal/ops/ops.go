@@ -97,6 +97,7 @@ type Metrics struct {
 	StoredBytes     int64
 	ReplicatedBytes int64
 	Reassemblies    int64
+	FromScratch     int64 // restore attempts that found no complete line and re-executed
 	Fenced          bool
 	// Suspicions counts suspicions raised, by the detection path that
 	// raised them ("loss", "phi", "lease", "report").
@@ -307,6 +308,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("c3_stored_bytes", "resident stable-storage footprint (own copies plus peer shards)", float64(m.StoredBytes))
 	count("c3_replicated_bytes_total", "fragment bytes shipped to peer nodes", m.ReplicatedBytes)
 	count("c3_reassemblies_total", "checkpoints rebuilt from peer fragments over the wire", m.Reassemblies)
+	count("c3_restores_from_scratch_total", "restore attempts that found no complete recovery line and re-executed from the start", m.FromScratch)
 	fenced := 0.0
 	if m.Fenced {
 		fenced = 1

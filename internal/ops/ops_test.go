@@ -106,7 +106,7 @@ func TestMetricsExposition(t *testing.T) {
 		Rank: 1, Attempt: 0, Commits: 12, CommitSeconds: 0.25,
 		Detections: 2, DetectLastSecs: 0.031, Epoch: 3, MembershipEpoch: 3,
 		Members: 5, StoredBytes: 1 << 20, ReplicatedBytes: 3 << 20,
-		Reassemblies: 1, Fenced: true,
+		Reassemblies: 1, FromScratch: 1, Fenced: true,
 		Suspicions: map[string]uint64{"loss": 2, "phi": 0, "lease": 1, "report": 0},
 	}}
 	s := newTestServer(t, b)
@@ -119,6 +119,7 @@ func TestMetricsExposition(t *testing.T) {
 		`c3_commits_total{rank="1"} 12`,
 		`c3_commit_seconds_total{rank="1"} 0.25`,
 		`c3_detections_total{rank="1"} 2`,
+		`c3_restores_from_scratch_total{rank="1"} 1`,
 		"# TYPE c3_suspicions_total counter",
 		`c3_suspicions_total{rank="1",cause="loss"} 2`,
 		`c3_suspicions_total{rank="1",cause="phi"} 0`,

@@ -25,6 +25,14 @@
 // a dialer that reaches the previous generation's still-bound listener is
 // refused and retries, rather than having its first frames silently
 // discarded mid-transition.
+//
+// Waiting is driven by events rather than by ticks. The handshake names
+// the dialer's rank, so an accepted connection from rank r wakes any dial
+// loop of this mesh that is waiting on r and lifts r's redial backoff. A
+// goodbye from r marks r departed: sends to it drop at once, with no
+// redial, until r connects again. A generation-tagged mesh dials every
+// peer as soon as it is created, so its arrival wakes every peer that is
+// waiting for it, and every pair carries a goodbye at teardown.
 package tcp
 
 import (
@@ -67,8 +75,11 @@ const frameHeaderLen = 34
 // hangs the new attempt). The dialer therefore announces its generation
 // up front and the acceptor acks only on an exact match; a refused dial is
 // retried within the dial window until the peer's same-generation listener
-// takes over the address.
+// takes over the address. The announcement is magic(4) + generation(8) +
+// the dialer's rank(4); the rank is what lets an accepted handshake count
+// as the dialer's arrival. All ranks of a world run the same build.
 const (
+	hsLen    = 16
 	hsMagic  = 0x43334853 // "C3HS"
 	hsAccept = 0x06       // acceptor runs the same generation
 	hsRefuse = 0x15       // generation mismatch: retry after the peer rebinds
@@ -82,7 +93,10 @@ type Option func(*Mesh)
 
 // WithGeneration tags every frame with gen; incoming frames from another
 // generation are dropped. Per-attempt meshes use the attempt number so a
-// restarted world never observes its predecessor's in-flight traffic.
+// restarted world never observes its predecessor's in-flight traffic. A
+// mesh with a non-zero generation connects to every peer when it is
+// created instead of on first send: each peer learns of its arrival at
+// once, and each pair has a connection to carry the goodbye.
 func WithGeneration(gen uint64) Option {
 	return func(m *Mesh) { m.gen = gen }
 }
@@ -112,6 +126,7 @@ type Mesh struct {
 	peers   map[int]*peerConn
 	inbound map[net.Conn]struct{}
 	down    atomic.Bool
+	closed  chan struct{} // closed by Shutdown: wakes every waiting dial loop
 	// lossReports turns on PeerLost markers (ReportLosses).
 	lossReports atomic.Bool
 
@@ -167,12 +182,43 @@ func (f wireFrame) writeTo(c net.Conn) error {
 	return err
 }
 
-// peerConn is the outbound connection to one peer.
+// peerConn is the outbound connection to one peer. mu is its write lock
+// and guards conn, connected and the backoff. The peer's events (arrival,
+// departure) are recorded without mu, by the accept and read paths, which
+// must not wait behind a dial that holds it.
 type peerConn struct {
 	mu        sync.Mutex
 	conn      net.Conn
 	connected bool      // ever connected: re-dials use the short window
 	downUntil time.Time // failed-dial backoff: drop sends without redialing
+	downSeen  uint64    // arrivals when the backoff began; a later one lifts it
+
+	arrivals atomic.Uint64 // handshakes accepted from the peer
+	byeAt    atomic.Uint64 // the arrival whose connection said goodbye (0: none)
+	wake     chan struct{} // capacity 1: an arrival or departure wakes the dial loop
+}
+
+// backedOff reports whether sends must drop without redialing: a dial
+// failed within redialBackoff and the peer has not connected since.
+// Callers hold p.mu.
+func (p *peerConn) backedOff() bool {
+	return time.Now().Before(p.downUntil) && p.arrivals.Load() == p.downSeen
+}
+
+// departed reports whether the peer said goodbye on its latest connection
+// and has not connected since. A goodbye read late from an older
+// connection, after the peer connected again, does not count.
+func (p *peerConn) departed() bool {
+	bye := p.byeAt.Load()
+	return bye != 0 && bye == p.arrivals.Load()
+}
+
+// signal wakes the peer's dial loop, if one is waiting.
+func (p *peerConn) signal() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
 }
 
 // redialBackoff is how long sends to a peer drop immediately after a
@@ -180,9 +226,9 @@ type peerConn struct {
 // pays a full dial window while holding the peer's connection lock,
 // serializing into multi-second stalls for everything else addressed to
 // that rank (the failure detector's heartbeat queue, recovery queries).
-// With it, the first send after a death pays one dial; the rest fail fast
-// until the next probe window, which also bounds how long a restarted
-// peer waits to be re-discovered.
+// With it, the first send after a death pays one dial; the rest fail fast.
+// The peer's next connection to this mesh lifts it, so a restarted peer's
+// queries are answered at once instead of after the backoff.
 const redialBackoff = 200 * time.Millisecond
 
 // confirmTimeout bounds the dial and handshake that confirm a loss report
@@ -208,19 +254,34 @@ func New(self int, addrs []string, opts ...Option) (*Mesh, error) {
 		dialWindow: 10 * time.Second,
 		peers:      make(map[int]*peerConn),
 		inbound:    make(map[net.Conn]struct{}),
+		closed:     make(chan struct{}),
 		port:       newPort(self),
 		debug:      os.Getenv("C3_TCP_DEBUG") != "",
 	}
 	for _, o := range opts {
 		o(m)
 	}
-	ln, err := net.Listen("tcp", addrs[self])
-	if err != nil {
-		return nil, fmt.Errorf("tcp: rank %d listen %s: %w", self, addrs[self], err)
+	if m.ln == nil {
+		ln, err := net.Listen("tcp", addrs[self])
+		if err != nil {
+			return nil, fmt.Errorf("tcp: rank %d listen %s: %w", self, addrs[self], err)
+		}
+		m.ln = ln
 	}
-	m.ln = ln
 	m.wg.Add(1)
 	go m.acceptLoop()
+	if m.gen != 0 {
+		for r := 0; r < m.n; r++ {
+			if r == self {
+				continue
+			}
+			m.wg.Add(1)
+			go func(r int) {
+				defer m.wg.Done()
+				m.write(r, wireFrame{}) // connect only: one dial loop per peer, shared with sends
+			}(r)
+		}
+	}
 	return m, nil
 }
 
@@ -365,6 +426,7 @@ func (m *Mesh) Shutdown() {
 	if m.down.Swap(true) {
 		return
 	}
+	close(m.closed)
 	_ = m.ln.Close()
 	outbound := make(map[int]net.Conn)
 	m.mu.Lock()
@@ -507,10 +569,36 @@ func (m *Mesh) peer(rank int) *peerConn {
 	defer m.mu.Unlock()
 	p := m.peers[rank]
 	if p == nil {
-		p = &peerConn{}
+		p = &peerConn{wake: make(chan struct{}, 1)}
 		m.peers[rank] = p
 	}
 	return p
+}
+
+// noteArrival records an accepted handshake from rank and returns its
+// number: the peer is up, so it is no longer departed, its redial backoff
+// no longer applies, and a dial loop waiting on it retries now.
+func (m *Mesh) noteArrival(rank int) uint64 {
+	p := m.peer(rank)
+	arrival := p.arrivals.Add(1)
+	p.signal()
+	return arrival
+}
+
+// noteGoodbye records rank's goodbye on the connection of the given
+// arrival: sends to it drop from now on without a dial, a dial loop
+// waiting on it gives up, and the outbound connection to it is closed.
+// The mark lasts until rank connects again.
+func (m *Mesh) noteGoodbye(rank int, arrival uint64) {
+	p := m.peer(rank)
+	p.byeAt.Store(arrival)
+	p.signal()
+	p.mu.Lock()
+	if p.conn != nil {
+		_ = p.conn.Close()
+		p.conn = nil
+	}
+	p.mu.Unlock()
 }
 
 // connDead probes an outbound connection for a buffered FIN or RST with a
@@ -552,12 +640,17 @@ func connDead(c net.Conn) bool {
 
 // write delivers one frame to a peer, dialing or re-dialing as needed. It
 // reports false when the frame could not be handed to the kernel (the peer
-// is down); the message is then dropped, never queued.
+// is down or said goodbye); the message is then dropped, never queued. An
+// empty frame only connects: a generation-tagged mesh's creation uses it,
+// so creation and sends share one dial loop per peer.
 func (m *Mesh) write(rank int, frame wireFrame) bool {
 	debug := m.debug
 	p := m.peer(rank)
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.departed() {
+		return false // said goodbye: nothing to dial until it connects again
+	}
 	if p.conn != nil && connDead(p.conn) {
 		if debug {
 			fmt.Fprintf(os.Stderr, "tcp[%d]: probe found dead conn to %d, redialing\n", m.self, rank)
@@ -567,26 +660,28 @@ func (m *Mesh) write(rank int, frame wireFrame) bool {
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		if p.conn == nil {
-			if time.Now().Before(p.downUntil) {
+			if p.backedOff() {
 				return false // recent dial failure: drop without redialing
 			}
 			window := m.dialWindow
 			if p.connected {
-				// The peer was reachable before and vanished — likely dead.
-				// Don't stall the sender; a restarted peer is retried on the
-				// next send.
+				// The peer was reachable before and vanished without a
+				// goodbye — likely dead. Don't stall the sender; a restarted
+				// peer is retried on the next send, or at once when it
+				// connects here.
 				window = 250 * time.Millisecond
 			}
 			// Dialing under p.mu is deliberate post-PR4: the lock is
 			// per-peer, so a dead peer stalls only its own frames, and the
 			// redial window after a loss is bounded to 250ms (the 30s-stall
 			// bug was the unbounded window, not the lock itself).
-			conn := m.dial(rank, window) //c3lint:allow lockblock per-peer lock; redial window bounded to 250ms
+			seen := p.arrivals.Load()
+			conn := m.dial(rank, p, window) //c3lint:allow lockblock per-peer lock; redial window bounded to 250ms
 			if conn == nil {
 				if debug {
 					fmt.Fprintf(os.Stderr, "tcp[%d]: dial %d failed\n", m.self, rank)
 				}
-				p.downUntil = time.Now().Add(redialBackoff)
+				p.downUntil, p.downSeen = time.Now().Add(redialBackoff), seen
 				return false
 			}
 			p.conn = conn
@@ -601,7 +696,10 @@ func (m *Mesh) write(rank int, frame wireFrame) bool {
 			// hold rule the frame is re-queued for the Heal flush.
 			_ = p.conn.Close()
 			p.conn = nil
-			return m.holdIfActive(rank, frame)
+			return frame.head != nil && m.holdIfActive(rank, frame)
+		}
+		if frame.head == nil {
+			return true // connect only
 		}
 		// Frames must hit the kernel atomically per connection to keep the
 		// per-(src,dst) FIFO guarantee; p.mu is that per-peer write lock.
@@ -621,11 +719,14 @@ func (m *Mesh) write(rank int, frame wireFrame) bool {
 // listener may not be up yet during world start or rank re-execution) and
 // attempt transitions (the address is temporarily owned by the previous
 // generation's listener, which refuses the handshake until the peer's new
-// mesh rebinds).
-func (m *Mesh) dial(rank int, window time.Duration) net.Conn {
+// mesh rebinds). Between attempts the loop waits for the peer's arrival
+// (its handshake reaching this mesh), for its goodbye, or for Shutdown,
+// whichever comes first; the 20 ms retry only covers a peer that comes up
+// without connecting here.
+func (m *Mesh) dial(rank int, p *peerConn, window time.Duration) net.Conn {
 	deadline := time.Now().Add(window)
 	for {
-		if m.down.Load() {
+		if m.down.Load() || p.departed() {
 			return nil
 		}
 		conn, err := net.DialTimeout("tcp", m.addrs[rank], window)
@@ -641,7 +742,11 @@ func (m *Mesh) dial(rank int, window time.Duration) net.Conn {
 		if time.Now().After(deadline) {
 			return nil
 		}
-		time.Sleep(20 * time.Millisecond)
+		select {
+		case <-p.wake:
+		case <-m.closed:
+		case <-time.After(20 * time.Millisecond):
+		}
 	}
 }
 
@@ -656,9 +761,10 @@ func (m *Mesh) handshake(conn net.Conn) bool {
 // handshakeReply sends the generation announcement and returns the
 // acceptor's one-byte verdict, or the error that kept it from arriving.
 func (m *Mesh) handshakeReply(conn net.Conn, timeout time.Duration) (byte, error) {
-	w := wire.NewWriter(12)
+	w := wire.NewWriter(hsLen)
 	w.U32(hsMagic)
 	w.U64(m.gen)
+	w.U32(uint32(m.self))
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	if _, err := conn.Write(w.Bytes()); err != nil {
@@ -734,20 +840,23 @@ func (m *Mesh) readLoop(conn net.Conn) {
 // readFrames runs one inbound connection until it ends. It returns the rank
 // the connection's frames came from (-1 before the first) and the read
 // error that ended it; nil means the connection ended for a reason of its
-// own (a goodbye, a foreign or corrupt stream, a refused generation).
+// own (a goodbye, a foreign or corrupt stream, a refused generation). A
+// goodbye marks the peer departed.
 func (m *Mesh) readFrames(conn net.Conn) (int, error) {
 	peer := -1
 	// Generation handshake: refuse dialers from another generation so they
 	// retry after this address changes hands, instead of writing frames the
-	// generation filter below would silently discard.
-	var pre [12]byte
+	// generation filter below would silently discard. An accepted dialer
+	// has arrived: a dial loop of this mesh waiting on it retries now.
+	var pre [hsLen]byte
 	_ = conn.SetReadDeadline(time.Now().Add(hsTimeout))
 	if _, err := io.ReadFull(conn, pre[:]); err != nil {
 		return peer, nil
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	pr := wire.NewReader(pre[:])
-	if magic, gen := pr.U32(), pr.U64(); magic != hsMagic {
+	magic, gen, dialer := pr.U32(), pr.U64(), int(pr.U32())
+	if magic != hsMagic {
 		return peer, nil // not a c3 peer; drop without replying
 	} else if gen != m.gen {
 		_, _ = conn.Write([]byte{hsRefuse})
@@ -755,6 +864,10 @@ func (m *Mesh) readFrames(conn net.Conn) (int, error) {
 	}
 	if _, err := conn.Write([]byte{hsAccept}); err != nil {
 		return peer, nil
+	}
+	var arrival uint64
+	if dialer >= 0 && dialer < m.n && dialer != m.self {
+		arrival = m.noteArrival(dialer)
 	}
 	var lenBuf [4]byte
 	for {
@@ -784,6 +897,9 @@ func (m *Mesh) readFrames(conn net.Conn) (int, error) {
 		}
 		peer = from
 		if kind == transport.WireKindGoodbye {
+			if from == dialer {
+				m.noteGoodbye(from, arrival)
+			}
 			return peer, nil // orderly exit: no loss to report
 		}
 		if m.dropInbound(from, m.self) {

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -31,28 +32,40 @@ func init() {
 	})
 }
 
+// withListener hands New an already bound listener, so a test knows every
+// rank's address before the first mesh exists (a generation-tagged mesh
+// dials its peers as soon as it is created).
+func withListener(ln net.Listener) Option {
+	return func(m *Mesh) { m.ln = ln }
+}
+
+// listenAll binds n ephemeral loopback listeners and returns them with
+// their addresses.
+func listenAll(t *testing.T, n int) ([]net.Listener, []string) {
+	t.Helper()
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
+	}
+	return lns, addrs
+}
+
 // newTestMeshes brings up an n-rank mesh world on ephemeral ports.
 func newTestMeshes(t *testing.T, n int, opts ...Option) []*Mesh {
 	t.Helper()
-	addrs := make([]string, n)
+	lns, addrs := listenAll(t, n)
 	meshes := make([]*Mesh, n)
-	// Two passes: bind rank 0..n-1 with :0, collecting real addresses as we
-	// go; later ranks get the earlier ranks' real addresses, and earlier
-	// meshes learn later addresses lazily via the full list rebuild below.
 	for i := 0; i < n; i++ {
-		addrs[i] = "127.0.0.1:0"
-	}
-	for i := 0; i < n; i++ {
-		m, err := New(i, addrs, opts...)
+		m, err := New(i, addrs, append([]Option{withListener(lns[i])}, opts...)...)
 		if err != nil {
 			t.Fatalf("mesh %d: %v", i, err)
 		}
-		addrs[i] = m.Addr()
 		meshes[i] = m
-	}
-	// Rebind every mesh's view of peer addresses to the real ones.
-	for _, m := range meshes {
-		copy(m.addrs, addrs)
 	}
 	t.Cleanup(func() {
 		for _, m := range meshes {
@@ -115,21 +128,19 @@ func TestMeshLoopback(t *testing.T) {
 }
 
 func TestMeshGenerationFilter(t *testing.T) {
-	addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
-	m0, err := New(0, addrs, WithGeneration(1))
+	lns, addrs := listenAll(t, 2)
+	// The refused handshakes retry until the dial window closes.
+	window := WithDialWindow(300 * time.Millisecond)
+	m0, err := New(0, addrs, withListener(lns[0]), WithGeneration(1), window)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m0.Close()
-	addrs[0] = m0.Addr()
-	m1, err := New(1, addrs, WithGeneration(2))
+	m1, err := New(1, addrs, withListener(lns[1]), WithGeneration(2), window)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m1.Close()
-	addrs[1] = m1.Addr()
-	copy(m0.addrs, addrs)
-	copy(m1.addrs, addrs)
 
 	if err := m0.Send(transport.Message{From: 0, To: 1, Payload: testPayload("stale")}); err != nil {
 		t.Fatal(err)
