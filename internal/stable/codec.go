@@ -33,6 +33,7 @@ package stable
 // latency the AblationCodec bench table prices.
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
@@ -154,13 +155,12 @@ func (c dupCodec) Encode(blob []byte) ([][]byte, error) {
 }
 
 func (c dupCodec) Decode(shards [][]byte, total int) ([]byte, error) {
-	blob := make([]byte, 0, total)
 	for idx, s := range shards {
 		if s == nil {
 			return nil, fmt.Errorf("stable: dup fragment %d missing", idx)
 		}
-		blob = append(blob, s...)
 	}
+	blob := bytes.Join(shards, nil) // a new buffer, as joinShards
 	if len(blob) != total {
 		return nil, fmt.Errorf("stable: dup reassembly %d/%d bytes", len(blob), total)
 	}
@@ -200,12 +200,11 @@ func dataShards(blob []byte, k, sz int) [][]byte {
 	return shards
 }
 
-// joinShards concatenates k reconstructed data shards and trims the padding.
+// joinShards concatenates k reconstructed data shards into a new buffer and
+// trims the padding. bytes.Join allocates without zeroing the bytes it is
+// about to overwrite, which make would do first.
 func joinShards(shards [][]byte, k, total int) []byte {
-	blob := make([]byte, 0, k*len(shards[0]))
-	for i := 0; i < k; i++ {
-		blob = append(blob, shards[i]...)
-	}
+	blob := bytes.Join(shards[:k], nil)
 	if len(blob) < total {
 		return nil
 	}

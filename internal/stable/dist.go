@@ -2,6 +2,7 @@ package stable
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"c3/internal/member"
 	"c3/internal/trace"
 	"c3/internal/transport"
+	"c3/internal/wire"
 )
 
 // DistStore is the multi-process form of ReplicatedStore: one instance per
@@ -62,7 +64,7 @@ type DistStore struct {
 
 	reqMu   sync.Mutex
 	nextReq uint64
-	waiters map[uint64]chan replPayload
+	waiters map[uint64]chan distResp
 
 	wg sync.WaitGroup
 }
@@ -175,7 +177,7 @@ func NewDistStore(self, n int, net transport.Interconnect, opts ...DistOption) *
 		queryRetries: 1,
 		node:         newReplNode(),
 		awaiting:     make(map[replAckKey]bool),
-		waiters:      make(map[uint64]chan replPayload),
+		waiters:      make(map[uint64]chan distResp),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for _, o := range opts {
@@ -363,12 +365,23 @@ func (s *DistStore) send(to int, class transport.Class, p replPayload) {
 // --- Write path ---
 
 type distHandle struct {
-	store    *DistStore
-	rank     int
-	version  int
-	sections map[string][]byte
+	store   *DistStore
+	rank    int
+	version int
+	// blob is the replication blob, built as the sections arrive: a section
+	// count that Commit fills in, then (name, length, bytes) per section in
+	// the order written. Appending a section here is the one copy the store
+	// makes of the caller's bytes.
+	blob     wire.Writer
+	sections []blobSection // in blob order
 	done     bool
 	stored   int64
+}
+
+// blobSection locates one section's bytes in the handle's blob.
+type blobSection struct {
+	name  string
+	at, n int // blob[at : at+n]
 }
 
 // StoredSize reports the stable-storage bytes this commit occupies across
@@ -383,18 +396,57 @@ func (s *DistStore) Begin(rank, version int) (Checkpoint, error) {
 	s.mu.Lock()
 	delete(s.node.local, version)
 	s.mu.Unlock()
-	return &distHandle{store: s, rank: rank, version: version, sections: make(map[string][]byte)}, nil
+	h := &distHandle{store: s, rank: rank, version: version}
+	h.blob.U32(0) // the section count, filled in by Commit
+	return h, nil
 }
 
 func (h *distHandle) WriteSection(name string, data []byte) error {
 	if h.done {
 		return fmt.Errorf("stable: write to finished checkpoint (%d,%d)", h.rank, h.version)
 	}
-	h.sections[name] = append([]byte(nil), data...)
+	if i := slices.IndexFunc(h.sections, func(sec blobSection) bool { return sec.name == name }); i >= 0 {
+		h.dropSection(i)
+	}
+	h.appendSection(name, data)
 	h.store.mu.Lock()
 	h.store.bytesWritten += int64(len(data))
 	h.store.mu.Unlock()
 	return nil
+}
+
+func (h *distHandle) appendSection(name string, data []byte) {
+	h.blob.String(name)
+	h.blob.Bytes32(data)
+	h.sections = append(h.sections, blobSection{name: name, at: h.blob.Len() - len(data), n: len(data)})
+}
+
+// dropSection rebuilds the blob without section i, so a section written
+// twice is stored once, with its second content.
+func (h *distHandle) dropSection(i int) {
+	old, kept := h.blob.Bytes(), slices.Delete(h.sections, i, i+1)
+	h.blob, h.sections = wire.Writer{}, nil
+	h.blob.U32(0)
+	for _, sec := range kept {
+		h.appendSection(sec.name, old[sec.at:sec.at+sec.n])
+	}
+}
+
+// views returns the sections as sub-slices of blob, capacity clipped.
+func (h *distHandle) views(blob []byte) map[string][]byte {
+	out := make(map[string][]byte, len(h.sections))
+	for _, sec := range h.sections {
+		out[sec.name] = blob[sec.at : sec.at+sec.n : sec.at+sec.n]
+	}
+	return out
+}
+
+// rawBytes is the sections' total size.
+func (h *distHandle) rawBytes() (n int64) {
+	for _, sec := range h.sections {
+		n += int64(sec.n)
+	}
+	return n
 }
 
 func (h *distHandle) Abort() error {
@@ -423,10 +475,11 @@ func (h *distHandle) Commit() error {
 	s.mu.Unlock()
 
 	// The encode span covers everything that reads the checkpoint bytes
-	// before they ship — flatten, shard, parity, digests — so that encode,
-	// ship and ack tile the whole commit.
+	// before they ship — shard, parity, digests — so that encode, ship and
+	// ack tile the whole commit. WriteSection already flattened the blob.
 	encSp := trace.Default().Begin(int32(s.self), trace.KindEncode, 0, uint64(h.version))
-	blob := encodeReplSections(h.sections)
+	h.blob.PatchU32(0, uint32(len(h.sections)))
+	blob := h.blob.Bytes()
 	shards, err := s.codec.Encode(blob)
 	if err != nil {
 		encSp.End(0)
@@ -461,7 +514,7 @@ func (h *distHandle) Commit() error {
 	}
 	s.mu.Unlock()
 	if keepLocal {
-		h.stored += sectionsBytes(h.sections)
+		h.stored += h.rawBytes()
 	}
 
 	shipSp := trace.Default().Begin(int32(s.self), trace.KindShip, 0, uint64(h.version))
@@ -537,7 +590,8 @@ func (h *distHandle) Commit() error {
 		delete(s.awaiting, replAckKey{owner: h.rank, version: h.version, from: nb})
 	}
 	if keepLocal && !fenced {
-		s.node.local[h.version] = &memCkpt{sections: h.sections, commit: true}
+		// The local copy is the blob itself: its sections are views of it.
+		s.node.local[h.version] = &memCkpt{sections: h.views(blob), commit: true}
 	}
 	hook := s.commitHook
 	s.mu.Unlock()
@@ -648,7 +702,7 @@ func (s *DistStore) daemon() {
 			s.reqMu.Unlock()
 			if ch != nil {
 				select {
-				case ch <- data:
+				case ch <- distResp{from: msg.From, data: data}:
 				default: // waiter gave up or buffer full; drop
 				}
 			}
@@ -713,15 +767,21 @@ type remoteLine struct {
 	holders map[int][]int // fragment idx -> peers holding it
 }
 
-// newRequest registers a response channel for a fresh request id.
-func (s *DistStore) newRequest(buf int) (uint64, chan replPayload) {
+// distResp is a query response as the daemon routes it to its waiter,
+// with the peer that sent it.
+type distResp struct {
+	from int
+	data replPayload
+}
+
+// newRequest registers ch as the waiter for a fresh request id. Several
+// requests may share one channel.
+func (s *DistStore) newRequest(ch chan distResp) uint64 {
 	s.reqMu.Lock()
 	defer s.reqMu.Unlock()
 	s.nextReq++
-	id := s.nextReq
-	ch := make(chan replPayload, buf)
-	s.waiters[id] = ch
-	return id, ch
+	s.waiters[s.nextReq] = ch
+	return s.nextReq
 }
 
 func (s *DistStore) dropRequest(id uint64) {
@@ -733,7 +793,8 @@ func (s *DistStore) dropRequest(id uint64) {
 // queryPeers asks every peer what it holds for owner and merges the
 // responses, waiting until all peers answered or the query timeout passed.
 func (s *DistStore) queryPeers(owner int) map[int]*remoteLine {
-	reqID, ch := s.newRequest(s.n)
+	ch := make(chan distResp, s.n)
+	reqID := s.newRequest(ch)
 	defer s.dropRequest(reqID)
 	sweep := s.peerList()
 	for _, q := range sweep {
@@ -744,20 +805,17 @@ func (s *DistStore) queryPeers(owner int) map[int]*remoteLine {
 	deadline := time.After(s.queryTimeout)
 	for answered := 0; answered < peers; {
 		select {
-		case data := <-ch:
-			if len(data) == 0 || data[0] != distMsgRespLast {
+		case resp := <-ch:
+			if len(resp.data) == 0 || resp.data[0] != distMsgRespLast {
 				continue
 			}
-			_, entries, err := decodeDistRespLast(data)
+			_, entries, err := decodeDistRespLast(resp.data)
 			if err != nil {
 				continue
 			}
 			if s.logf != nil {
-				s.logf("dist: rank %d query owner=%d: peer response with %d entries", s.self, owner, len(entries))
+				s.logf("dist: rank %d query owner=%d: rank %d holds %d entries", s.self, owner, resp.from, len(entries))
 			}
-			// The response's From is not carried in the payload; holders are
-			// identified by a follow-up fragment query fan-out, so here we
-			// only record which versions exist and how complete they are.
 			for _, e := range entries {
 				rl := lines[e.version]
 				if rl == nil {
@@ -765,7 +823,7 @@ func (s *DistStore) queryPeers(owner int) map[int]*remoteLine {
 					lines[e.version] = rl
 				}
 				for _, idx := range e.held {
-					rl.holders[idx] = append(rl.holders[idx], -1)
+					rl.holders[idx] = append(rl.holders[idx], resp.from)
 				}
 			}
 			answered++
@@ -850,32 +908,15 @@ func (s *DistStore) Open(rank, version int) (Snapshot, error) {
 		reSp.End(0)
 		return nil, fmt.Errorf("%w: rank %d version %d (no local copy, no peer commit marker)", ErrNotFound, rank, version)
 	}
-	// Fetch shards until the codec can reconstruct; a shard unreachable or
-	// digest-mismatched on every peer counts as lost, which the erasure
-	// codecs tolerate up to their parity count. When group-local shards
-	// fall short (a whole group died together), the cross-group parity
-	// shard — the whole blob, one group over — is fetched instead.
-	_, hasCross := rl.rec.crossHolder()
-	units := rl.rec.frags
-	if hasCross {
-		units++
+	shards := s.fetchShards(rank, version, rl)
+	blob, held, err := reassembleBlob(rl.rec, shards)
+	var sections map[string][]byte
+	if err == nil {
+		// A blob the codec just built belongs to this restore, so the
+		// sections are views of it; the cross-group parity shard is a
+		// fetched fragment, so its sections are copies.
+		sections, err = decodeReplSections(blob, !held)
 	}
-	shards := make([][]byte, units)
-	valid := 0
-	for idx := 0; idx < rl.rec.frags && valid < rl.rec.need(); idx++ {
-		frag, ok := s.fetchFrag(rank, version, idx, rl.rec)
-		if !ok {
-			continue
-		}
-		shards[idx] = frag
-		valid++
-	}
-	if hasCross && valid < rl.rec.need() {
-		if frag, ok := s.fetchFrag(rank, version, rl.rec.frags, rl.rec); ok {
-			shards[rl.rec.frags] = frag
-		}
-	}
-	sections, err := reassembleSections(rl.rec, shards)
 	if err != nil {
 		reSp.End(0)
 		return nil, fmt.Errorf("%w: rank %d version %d: %v", ErrNotFound, rank, version, err)
@@ -891,6 +932,102 @@ func (s *DistStore) Open(rank, version int) (Snapshot, error) {
 	return &memSnap{ck: ck}, nil
 }
 
+// fetchShards fetches shards of the line until the codec can reconstruct
+// it, into a slice with room for the cross-group parity shard when the
+// line has one. The first need() shards some peer reported holding are
+// fetched at once, each from the first peer that reported it: with every
+// holder live, a restore is one round of exactly need() requests. Only the
+// shards that round did not yield are swept for (fetchFrag), those with a
+// reported holder first. A shard unreachable or digest-mismatched on every
+// peer counts as lost, which the erasure codecs tolerate up to their
+// parity count. When group-local shards fall short (a whole group died
+// together), the cross-group parity shard — the whole blob, one group
+// over — is fetched instead, from its reported holder before any sweep
+// for shards nobody reported.
+func (s *DistStore) fetchShards(owner, version int, rl *remoteLine) [][]byte {
+	rec := rl.rec
+	_, hasCross := rec.crossHolder()
+	units := rec.frags
+	if hasCross {
+		units++ // the cross-group parity shard at index rec.frags
+	}
+	shards := make([][]byte, units)
+	need := rec.need()
+	var plan []shardAsk
+	for idx := 0; idx < rec.frags && len(plan) < need; idx++ {
+		if hs := rl.holders[idx]; len(hs) > 0 {
+			plan = append(plan, shardAsk{idx: idx, peer: hs[0]})
+		}
+	}
+	valid := s.fetchFrom(owner, version, rec, plan, shards)
+	sweep := func(reported bool) {
+		for idx := 0; idx < rec.frags && valid < need; idx++ {
+			if shards[idx] == nil && (len(rl.holders[idx]) > 0) == reported {
+				if frag, ok := s.fetchFrag(owner, version, idx, rec); ok {
+					shards[idx] = frag
+					valid++
+				}
+			}
+		}
+	}
+	sweep(true)
+	if hasCross && valid < need {
+		// The parity shard alone reconstructs the line: ask its reported
+		// holder before sweeping for shards nobody reported.
+		idx := rec.frags
+		if hs := rl.holders[idx]; len(hs) > 0 && s.fetchFrom(owner, version, rec, []shardAsk{{idx: idx, peer: hs[0]}}, shards) == 1 {
+			return shards
+		}
+	}
+	sweep(false)
+	if hasCross && valid < need {
+		if frag, ok := s.fetchFrag(owner, version, rec.frags, rec); ok {
+			shards[rec.frags] = frag
+		}
+	}
+	return shards
+}
+
+// shardAsk is one planned fragment request: shard idx from peer.
+type shardAsk struct{ idx, peer int }
+
+// fetchFrom sends every planned request at once, then collects the answers
+// until all arrived or the query timeout passed. Each digest-valid shard
+// lands in shards; the count of those is returned.
+func (s *DistStore) fetchFrom(owner, version int, rec replCommitRec, plan []shardAsk, shards [][]byte) int {
+	if len(plan) == 0 {
+		return 0
+	}
+	ch := make(chan distResp, len(plan))
+	idxOf := make(map[uint64]int, len(plan))
+	for _, a := range plan {
+		reqID := s.newRequest(ch)
+		idxOf[reqID] = a.idx
+		s.send(a.peer, transport.Control, encodeDistQueryFrag(reqID, owner, version, a.idx))
+	}
+	defer func() {
+		for reqID := range idxOf {
+			s.dropRequest(reqID)
+		}
+	}()
+	got := 0
+	deadline := time.After(s.queryTimeout)
+	for range plan {
+		select {
+		case resp := <-ch:
+			reqID, found, frag, err := decodeDistRespFrag(resp.data)
+			idx, ok := idxOf[reqID]
+			if err == nil && ok && found && shards[idx] == nil && rec.shardValid(idx, frag) {
+				shards[idx] = frag
+				got++
+			}
+		case <-deadline:
+			return got
+		}
+	}
+	return got
+}
+
 // fetchFrag asks each peer in turn for one fragment, repeating the sweep
 // up to the configured retry count (a peer may still be re-dialing this
 // process's freshly bound mesh when the first round goes out). A fetched
@@ -899,12 +1036,13 @@ func (s *DistStore) Open(rank, version int) (Snapshot, error) {
 func (s *DistStore) fetchFrag(owner, version, idx int, rec replCommitRec) ([]byte, bool) {
 	for round := 0; round < s.queryRetries; round++ {
 		for _, q := range s.peerList() {
-			reqID, ch := s.newRequest(1)
+			ch := make(chan distResp, 1)
+			reqID := s.newRequest(ch)
 			s.send(q, transport.Control, encodeDistQueryFrag(reqID, owner, version, idx))
 			select {
-			case data := <-ch:
+			case resp := <-ch:
 				s.dropRequest(reqID)
-				_, found, frag, err := decodeDistRespFrag(data)
+				_, found, frag, err := decodeDistRespFrag(resp.data)
 				if err == nil && found && rec.shardValid(idx, frag) {
 					return frag, true
 				}

@@ -1,0 +1,309 @@
+package stable
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"c3/internal/member"
+	"c3/internal/transport"
+)
+
+// Tests for DistStore's one-copy-per-layer path: WriteSection's copy is the
+// flatten into the replication blob, a dup commit keeps that blob as its
+// local copy, and a restore fetches the k shards it needs at once from the
+// holders that reported them.
+
+// fragQueryNet wraps one store's interconnect and counts the fragment
+// queries it sends. When dropTo is set, the first query to that rank kills
+// it and every query to it is lost: the holder died after answering the
+// restore's which-lines query but before its fragment was fetched.
+type fragQueryNet struct {
+	transport.Interconnect
+	mu      sync.Mutex
+	queries int
+	dropTo  int // -1: none
+}
+
+func (n *fragQueryNet) Send(msg transport.Message) error {
+	if p, ok := msg.Payload.(replPayload); ok && len(p) > 0 && p[0] == distMsgQueryFrag {
+		n.mu.Lock()
+		n.queries++
+		drop := msg.To == n.dropTo
+		n.mu.Unlock()
+		if drop {
+			n.Interconnect.Kill(msg.To)
+			return nil
+		}
+	}
+	return n.Interconnect.Send(msg)
+}
+
+func (n *fragQueryNet) count() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.queries
+}
+
+// countingDistWorld is distWorld with the owner's interconnect wrapped.
+func countingDistWorld(t *testing.T, n, owner int, opts ...DistOption) ([]*DistStore, *fragQueryNet) {
+	t.Helper()
+	nw := transport.NewNetwork(n)
+	counter := &fragQueryNet{Interconnect: &sharedNet{Interconnect: nw}, dropTo: -1}
+	stores := make([]*DistStore, n)
+	for r := 0; r < n; r++ {
+		var net transport.Interconnect = &sharedNet{Interconnect: nw}
+		if r == owner {
+			net = counter
+		}
+		stores[r] = NewDistStore(r, n, net, opts...)
+	}
+	t.Cleanup(func() {
+		nw.Shutdown()
+		for _, s := range stores {
+			s.wg.Wait()
+		}
+	})
+	return stores, counter
+}
+
+func wipe(s *DistStore) {
+	s.mu.Lock()
+	s.node = newReplNode()
+	s.mu.Unlock()
+}
+
+func readSections(t *testing.T, s Store, rank, version int) map[string][]byte {
+	t.Helper()
+	snap, err := s.Open(rank, version)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer snap.Close()
+	names, err := snap.Sections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(names))
+	for _, name := range names {
+		if out[name], err = snap.ReadSection(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+func sameSections(a, b map[string][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for name, data := range a {
+		if other, ok := b[name]; !ok || !bytes.Equal(data, other) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDistWriteSectionTwiceKeepsSecond: a section written twice is stored
+// once, with its second content, locally and in what the holders got.
+func TestDistWriteSectionTwiceKeepsSecond(t *testing.T) {
+	stores := distWorld(t, 4)
+	ck, err := stores[1].Begin(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second, other := testBlob(5000, 1), testBlob(700, 2), []byte("other")
+	for _, w := range []struct {
+		name string
+		data []byte
+	}{{"app", first}, {"mpi", other}, {"app", second}} {
+		if err := ck.WriteSection(w.name, w.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Count, then (name, length, bytes) for each section once.
+	h := ck.(*distHandle)
+	if want := 4 + (4 + len("mpi") + 4 + len(other)) + (4 + len("app") + 4 + len(second)); h.blob.Len() != want {
+		t.Fatalf("blob is %d bytes after a rewrite, want %d: the first content is still in it", h.blob.Len(), want)
+	}
+	if err := ck.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{"app": second, "mpi": other}
+	if got := readSections(t, stores[1], 1, 1); !sameSections(got, want) {
+		t.Fatal("local copy does not hold the second content")
+	}
+	wipe(stores[1])
+	if got := readSections(t, stores[1], 1, 1); !sameSections(got, want) {
+		t.Fatal("the reassembled line does not hold the second content")
+	}
+}
+
+// TestDistSectionOrderIrrelevant: the blob holds sections in the order
+// they were written, and every order reassembles the same line.
+func TestDistSectionOrderIrrelevant(t *testing.T) {
+	sections := map[string][]byte{
+		"app": testBlob(9000, 3), "mpi": []byte("tables"), "early": {}, "late": {1, 2, 3}, "results": testBlob(100, 4),
+	}
+	orders := [][]string{
+		{"app", "mpi", "early", "late", "results"},
+		{"results", "late", "early", "mpi", "app"},
+		{"early", "app", "results", "mpi", "late"},
+	}
+	for _, codec := range []string{"dup", "rs"} {
+		for i, order := range orders {
+			t.Run(fmt.Sprintf("%s/%d", codec, i), func(t *testing.T) {
+				k, m := 2, 0
+				if codec == "rs" {
+					k, m = 3, 2
+				}
+				stores := distWorld(t, 6, WithDistCodec(mustCodec(t, codec, k, m)))
+				ck, err := stores[2].Begin(2, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range order {
+					if err := ck.WriteSection(name, sections[name]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := ck.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				if got := readSections(t, stores[2], 2, 1); !sameSections(got, sections) {
+					t.Fatalf("order %v read back other sections", order)
+				}
+				wipe(stores[2])
+				if got := readSections(t, stores[2], 2, 1); !sameSections(got, sections) {
+					t.Fatalf("order %v reassembled other sections", order)
+				}
+			})
+		}
+	}
+}
+
+// TestDistRestoreFetchesKShardsAtOnce: on an 8-node rs 4+2 world with every
+// holder live, the which-lines query names the real holders, and a restore
+// sends exactly k fragment queries — one per needed shard, to its holder.
+func TestDistRestoreFetchesKShardsAtOnce(t *testing.T) {
+	const n, owner, k, m = 8, 3, 4, 2
+	stores, counter := countingDistWorld(t, n, owner, WithDistCodec(mustCodec(t, "rs", k, m)))
+	want := map[string][]byte{"app": testBlob(1<<20+5, 7), "mpi": []byte("tables")}
+	writeDistCommitted(t, stores[owner], owner, 1, want)
+	wipe(stores[owner])
+
+	holderOf, _ := member.Launch(n).ShardPlan(owner, k+m)
+	rl := stores[owner].queryPeers(owner)[1]
+	if rl == nil {
+		t.Fatal("no peer reported the line")
+	}
+	for idx := 0; idx < k+m; idx++ {
+		if hs := rl.holders[idx]; len(hs) != 1 || hs[0] != holderOf[idx] {
+			t.Fatalf("shard %d: reported holders %v, placed on %d", idx, hs, holderOf[idx])
+		}
+	}
+
+	before := counter.count()
+	if got := readSections(t, stores[owner], owner, 1); !sameSections(got, want) {
+		t.Fatal("restore returned other sections")
+	}
+	if sent := counter.count() - before; sent != k {
+		t.Fatalf("restore sent %d fragment queries, want k = %d", sent, k)
+	}
+}
+
+// TestDistRestoreSweepsForLostHolder: a holder that reported its shard
+// dies before the fetch reaches it; the restore sweeps for a replacement
+// shard and still reassembles the line.
+func TestDistRestoreSweepsForLostHolder(t *testing.T) {
+	const n, owner, k, m = 8, 3, 4, 2
+	stores, counter := countingDistWorld(t, n, owner, WithDistCodec(mustCodec(t, "rs", k, m)),
+		WithQueryTimeout(150*time.Millisecond))
+	want := map[string][]byte{"app": testBlob(300_001, 8)}
+	writeDistCommitted(t, stores[owner], owner, 1, want)
+	wipe(stores[owner])
+
+	holderOf, _ := member.Launch(n).ShardPlan(owner, k+m)
+	counter.mu.Lock()
+	counter.dropTo = holderOf[0] // a shard the first round asks for
+	counter.mu.Unlock()
+	if got := readSections(t, stores[owner], owner, 1); !sameSections(got, want) {
+		t.Fatal("restore with a holder lost mid-fetch returned other sections")
+	}
+	if sent := counter.count(); sent <= k {
+		t.Fatalf("restore sent %d fragment queries: the lost shard was not swept for", sent)
+	}
+}
+
+// TestParityReassemblyOwnsItsBytes: a line reassembled through the
+// cross-group parity shard shares no memory with any fragment a store
+// holds — scribbling over every held fragment afterwards changes nothing
+// the owner reads back. In ReplicatedStore the parity shard is the held
+// fragment itself; in DistStore it arrives in a response.
+func TestParityReassemblyOwnsItsBytes(t *testing.T) {
+	const n, g, owner = 10, 5, 1
+	want := map[string][]byte{"app": testBlob(8_000, 9), "mpi": []byte("tables")}
+	rs := mustCodec(t, "rs", 3, 1)
+	// Each world returns the owner's store after the loss and a function
+	// that scribbles over every fragment of the line a store holds.
+	worlds := map[string]func(t *testing.T) (Store, func() int){
+		"replicated": func(t *testing.T) (Store, func() int) {
+			s := NewReplicatedStore(n, WithCodec(rs), WithGroupSize(g))
+			t.Cleanup(s.Close)
+			writeCommitted(t, s, owner, 1, want)
+			for r := 0; r < g; r++ { // group 0 dies whole
+				s.FailNode(r)
+			}
+			return s, func() int {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				return scribbleHeld(s.nodes)
+			}
+		},
+		"dist": func(t *testing.T) (Store, func() int) {
+			stores := distWorld(t, n, WithDistCodec(rs), WithDistGroupSize(g))
+			writeDistCommitted(t, stores[owner], owner, 1, want)
+			for r := 0; r < g; r++ {
+				wipe(stores[r])
+			}
+			return stores[owner], func() (held int) {
+				for _, s := range stores {
+					s.mu.Lock()
+					held += scribbleHeld([]*replNode{s.node})
+					s.mu.Unlock()
+				}
+				return held
+			}
+		},
+	}
+	for name, build := range worlds {
+		t.Run(name, func(t *testing.T) {
+			store, scribbleLine := build(t)
+			if got := readSections(t, store, owner, 1); !sameSections(got, want) {
+				t.Fatal("parity reassembly returned other sections")
+			}
+			if scribbleLine() == 0 {
+				t.Fatal("no fragments of the line held after the group loss")
+			}
+			if got := readSections(t, store, owner, 1); !sameSections(got, want) {
+				t.Fatal("the re-installed line changed when held fragments did: it aliases one")
+			}
+		})
+	}
+}
+
+// scribbleHeld scribbles over every fragment the nodes hold and returns
+// how many there were.
+func scribbleHeld(nodes []*replNode) int {
+	held := 0
+	for _, node := range nodes {
+		for _, frag := range node.frags {
+			scribble(frag)
+			held++
+		}
+	}
+	return held
+}

@@ -1,6 +1,7 @@
 package stable
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -927,32 +928,43 @@ func (s *ReplicatedStore) Open(rank, version int) (Snapshot, error) {
 	return &memSnap{ck: ck}, nil
 }
 
-// reassembleSections decodes a shard set against its commit marker: codec
-// reconstruction, whole-blob digest validation, section decode. The slice
-// may carry the cross-group parity shard at index rec.frags; a valid one
-// is the blob itself and short-circuits the codec — the whole-group-loss
-// path, where zero group-local shards survive. Decode-around of up to m
-// lost or corrupt group-local shards is unchanged when no parity shard
-// was fetched.
+// reassembleSections decodes a shard set against its commit marker
+// (reassembleBlob) and copies the sections out of the blob.
 func reassembleSections(rec replCommitRec, shards [][]byte) (map[string][]byte, error) {
+	blob, _, err := reassembleBlob(rec, shards)
+	if err != nil {
+		return nil, err
+	}
+	return decodeReplSections(blob, false)
+}
+
+// reassembleBlob decodes a shard set against its commit marker: codec
+// reconstruction and whole-blob digest validation. The slice may carry the
+// cross-group parity shard at index rec.frags; a valid one is the blob
+// itself and short-circuits the codec — the whole-group-loss path, where
+// zero group-local shards survive. held then reports that the blob is that
+// fragment, which some node may still hold, rather than a buffer the codec
+// just built. Decode-around of up to m lost or corrupt group-local shards
+// is unchanged when no parity shard was fetched.
+func reassembleBlob(rec replCommitRec, shards [][]byte) (blob []byte, held bool, err error) {
 	if len(shards) > rec.frags {
 		if g := shards[rec.frags]; g != nil && rec.shardValid(rec.frags, g) {
-			return decodeReplSections(g)
+			return g, true, nil
 		}
 		shards = shards[:rec.frags]
 	}
 	codec, err := rec.codecOf()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	blob, err := codec.Decode(shards, rec.total)
+	blob, err = codec.Decode(shards, rec.total)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if len(blob) != rec.total || replSum(blob) != rec.sum {
-		return nil, fmt.Errorf("stable: reassembly digest mismatch (%d/%d bytes)", len(blob), rec.total)
+		return nil, false, fmt.Errorf("stable: reassembly digest mismatch (%d/%d bytes)", len(blob), rec.total)
 	}
-	return decodeReplSections(blob)
+	return blob, false, nil
 }
 
 // findFrag locates a digest-valid copy of one shard; a corrupt copy on one
@@ -1037,15 +1049,22 @@ func encodeReplSections(sections map[string][]byte) []byte {
 	return w.Bytes()
 }
 
-func decodeReplSections(blob []byte) (map[string][]byte, error) {
+// decodeReplSections parses a replication blob into its sections. With
+// view they are sub-slices of blob (capacity clipped): for a blob nothing
+// else holds, such as one the codec just built or a commit's own. Without
+// it they are copies, for a blob that may be a fragment some node holds.
+func decodeReplSections(blob []byte, view bool) (map[string][]byte, error) {
 	r := wire.NewReader(blob)
 	n := r.Count(8) // minimum bytes per serialized section
 	sections := make(map[string][]byte, n)
 	for i := 0; i < n; i++ {
 		name := r.String()
-		data := r.Bytes32() // a copy: the blob may be a fragment some node still holds
+		data := r.View32()
 		if r.Err() != nil {
 			break
+		}
+		if !view {
+			data = bytes.Clone(data)
 		}
 		sections[name] = data
 	}

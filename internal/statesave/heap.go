@@ -1,6 +1,7 @@
 package statesave
 
 import (
+	"bytes"
 	"fmt"
 
 	"c3/internal/wire"
@@ -61,14 +62,12 @@ func (h *Heap) Alloc(name string, size int) *Block {
 	if _, dup := h.byName[name]; dup {
 		panic(fmt.Sprintf("statesave: heap block %q already allocated", name))
 	}
-	b := &Block{name: name, data: make([]byte, size)}
+	b := &Block{name: name}
 	if restored, ok := h.pending[name]; ok {
-		if len(restored) == len(b.data) {
-			copy(b.data, restored)
-		} else {
-			b.data = restored
-		}
+		b.data = restored // the heap's own copy, made by Load
 		delete(h.pending, name)
+	} else {
+		b.data = make([]byte, size)
 	}
 	h.blocks = append(h.blocks, b)
 	h.byName[name] = b
@@ -117,6 +116,11 @@ func (h *Heap) Blocks() []*Block { return append([]*Block(nil), h.blocks...) }
 // Save serializes the live blocks.
 func (h *Heap) Save() []byte {
 	w := wire.NewWriter(64 + h.live)
+	h.save(w)
+	return w.Bytes()
+}
+
+func (h *Heap) save(w *wire.Writer) {
 	w.U32(uint32(len(h.blocks)))
 	for _, b := range h.blocks {
 		w.String(b.name)
@@ -124,18 +128,17 @@ func (h *Heap) Save() []byte {
 	}
 	w.Int(h.highWater)
 	w.I64(h.freed)
-	return w.Bytes()
 }
 
 // Load restores blocks from a Save image. Contents land in live blocks with
 // matching names immediately; names not yet allocated are parked in the
-// pending table for the next Alloc.
+// pending table for the next Alloc. The heap keeps no reference to data.
 func (h *Heap) Load(data []byte) error {
 	r := wire.NewReader(data)
 	n := r.Count(8) // minimum bytes per serialized block
 	for i := 0; i < n; i++ {
 		name := r.String()
-		contents := r.Bytes32()
+		contents := r.View32()
 		if r.Err() != nil {
 			return fmt.Errorf("statesave: corrupt heap image: %w", r.Err())
 		}
@@ -144,10 +147,10 @@ func (h *Heap) Load(data []byte) error {
 				copy(b.data, contents)
 			} else {
 				h.live += len(contents) - len(b.data)
-				b.data = contents
+				b.data = bytes.Clone(contents)
 			}
 		} else {
-			h.pending[name] = contents
+			h.pending[name] = bytes.Clone(contents)
 		}
 	}
 	h.highWater = r.Int()
@@ -158,13 +161,15 @@ func (h *Heap) Load(data []byte) error {
 	return r.Err()
 }
 
-// Section adapts the heap into a registry section named "__heap".
+// Section adapts the heap into a registry section named "__heap". Its
+// body is the Save image as a length-prefixed byte string, written into
+// and loaded from the registry image with no intermediate copy.
 func (h *Heap) Section() Section {
 	return NewCustom("__heap",
 		h.LiveBytes,
-		func(w *wire.Writer) { w.Bytes32(h.Save()) },
+		func(w *wire.Writer) { bytes32(w, h.save) },
 		func(r *wire.Reader) error {
-			img := r.Bytes32()
+			img := r.View32()
 			if r.Err() != nil {
 				return r.Err()
 			}

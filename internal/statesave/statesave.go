@@ -32,9 +32,12 @@ import (
 type Section interface {
 	// Name returns the registration name, unique within a Registry.
 	Name() string
-	// Save appends the section's contents.
+	// Save appends the section's contents. w is the whole image being
+	// built, so Save must only append to it.
 	Save(w *wire.Writer)
-	// Load restores the section's contents.
+	// Load restores the section's contents. r reads a view of the image
+	// the caller owns: Load must copy what it keeps and must not retain
+	// the reader's bytes.
 	Load(r *wire.Reader) error
 	// LiveBytes is the current size of the section's live data.
 	LiveBytes() int
@@ -95,28 +98,38 @@ func (g *Registry) LiveBytes() int {
 	return total
 }
 
-// Save serializes every registered section.
+// Save serializes every registered section. Each body is written straight
+// into the image behind a length prefix filled in afterwards, so a
+// section's bytes are encoded once and never copied.
 func (g *Registry) Save() []byte {
 	w := wire.NewWriter(1024 + g.LiveBytes())
 	w.U32(uint32(len(g.sections)))
 	for _, s := range g.sections {
 		w.String(s.Name())
-		body := wire.NewWriter(64 + s.LiveBytes())
-		s.Save(body)
-		w.Bytes32(body.Bytes())
+		bytes32(w, s.Save)
 	}
 	return w.Bytes()
 }
 
+// bytes32 writes what body appends to w as a length-prefixed byte string:
+// the encoding of w.Bytes32 without the intermediate buffer.
+func bytes32(w *wire.Writer, body func(w *wire.Writer)) {
+	at := w.Len()
+	w.U32(0)
+	body(w)
+	w.PatchU32(at, uint32(w.Len()-at-4))
+}
+
 // Load restores sections by name from a Save image. Sections present in the
 // image but not registered are an error (the program shape diverged);
-// registered sections missing from the image are left untouched.
+// registered sections missing from the image are left untouched. Each
+// section decodes from a view of data, straight into its own storage.
 func (g *Registry) Load(data []byte) error {
 	r := wire.NewReader(data)
 	n := r.Count(8) // minimum bytes per serialized section
 	for i := 0; i < n; i++ {
 		name := r.String()
-		body := r.Bytes32()
+		body := r.View32()
 		if r.Err() != nil {
 			return fmt.Errorf("statesave: corrupt image: %w", r.Err())
 		}
@@ -252,17 +265,14 @@ func (c *Float64s) Name() string { return c.name }
 // Save implements Section.
 func (c *Float64s) Save(w *wire.Writer) { w.F64s(c.data) }
 
-// Load implements Section.
+// Load implements Section. A saved slice of the registered length decodes
+// in place, keeping the app's slice identity.
 func (c *Float64s) Load(r *wire.Reader) error {
-	vs := r.F64s()
+	vs := r.F64sInto(c.data)
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if len(vs) == len(c.data) {
-		copy(c.data, vs) // keep the app's slice identity
-	} else {
-		c.data = vs
-	}
+	c.data = vs
 	return nil
 }
 
@@ -296,15 +306,11 @@ func (c *Int64s) Save(w *wire.Writer) { w.I64s(c.data) }
 
 // Load implements Section.
 func (c *Int64s) Load(r *wire.Reader) error {
-	vs := r.I64s()
+	vs := r.I64sInto(c.data)
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if len(vs) == len(c.data) {
-		copy(c.data, vs)
-	} else {
-		c.data = vs
-	}
+	c.data = vs
 	return nil
 }
 

@@ -6,9 +6,10 @@ import (
 )
 
 // FuzzReader drives every decoder over arbitrary input. The invariants:
-// no panic, no allocation larger than the input could justify, and the
-// sticky error machinery always reports truncation instead of producing
-// values past the end of input.
+// no panic, no allocation larger than the input could justify, the sticky
+// error machinery always reports truncation instead of producing values
+// past the end of input, and the in-place decoders never write into a
+// destination they do not return.
 func FuzzReader(f *testing.F) {
 	// Seed with a well-formed image touching every encoder.
 	w := NewWriter(256)
@@ -26,6 +27,12 @@ func FuzzReader(f *testing.F) {
 	w.Ints([]int{-9, 9})
 	w.F64s([]float64{0.5, -0.5})
 	f.Add(w.Bytes())
+	// Runs the in-place decoders meet first: one of the length they are
+	// given, one not.
+	runs := NewWriter(64)
+	runs.F64s([]float64{1, 2, 3})
+	runs.I64s([]int64{4})
+	f.Add(runs.Bytes())
 	// A hostile length prefix: claims 2^31-1 elements.
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3})
 	f.Add([]byte{})
@@ -54,6 +61,41 @@ func FuzzReader(f *testing.F) {
 		}
 		if r.Err() == nil && r.Remaining() < 0 {
 			t.Fatal("negative remaining without error")
+		}
+
+		// The in-place decoders, given a dst of the wrong length: either they
+		// fail and leave dst alone, or they return a fresh slice the input
+		// justifies and still leave dst alone.
+		for _, wrong := range []int{0, 1, 3} {
+			r := NewReader(data)
+			fdst := make([]float64, wrong)
+			idst := make([]int64, wrong)
+			for i := range fdst {
+				fdst[i], idst[i] = -1, -1
+			}
+			fs := r.F64sInto(fdst)
+			fused := r.Err() == nil && len(fs) == wrong
+			is := r.I64sInto(idst)
+			iused := r.Err() == nil && len(is) == wrong
+			for _, got := range []int{len(fs), len(is)} {
+				if got*8 > len(data) {
+					t.Fatalf("Into decoder produced %d elements from %d input bytes", got, len(data))
+				}
+			}
+			if !fused {
+				for i := range fdst {
+					if fdst[i] != -1 {
+						t.Fatalf("F64sInto wrote into a dst of length %d it did not return", wrong)
+					}
+				}
+			}
+			if !iused {
+				for i := range idst {
+					if idst[i] != -1 {
+						t.Fatalf("I64sInto wrote into a dst of length %d it did not return", wrong)
+					}
+				}
+			}
 		}
 
 		// Round-trip property on the tail: whatever Bytes32 decodes must

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrShortBuffer is reported when a Reader runs out of input mid-value.
@@ -96,35 +97,70 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
+// PatchU32 overwrites the 32-bit value at offset at, which an earlier U32
+// wrote: a length prefix reserved before the bytes it counts were known.
+func (w *Writer) PatchU32(at int, v uint32) {
+	binary.LittleEndian.PutUint32(w.buf[at:at+4], v)
+}
+
+// run appends the u32 count n and reserves the 8n bytes of its elements in
+// one step, returning them for the caller to fill.
+func (w *Writer) run(n int) []byte {
+	w.buf = slices.Grow(w.buf, 4+8*n)
+	w.U32(uint32(n))
+	at := len(w.buf)
+	w.buf = w.buf[:at+8*n]
+	return w.buf[at:]
+}
+
+// The slice encoders fill the reserved run with no per-element append and
+// no bounds checks: the loop's own length test is the only one.
+
 // I64s appends a length-prefixed slice of 64-bit signed integers.
 func (w *Writer) I64s(vs []int64) {
-	w.U32(uint32(len(vs)))
+	b := w.run(len(vs))
 	for _, v := range vs {
-		w.I64(v)
+		if len(b) < 8 {
+			return
+		}
+		binary.LittleEndian.PutUint64(b, uint64(v))
+		b = b[8:]
 	}
 }
 
 // U64s appends a length-prefixed slice of 64-bit unsigned integers.
 func (w *Writer) U64s(vs []uint64) {
-	w.U32(uint32(len(vs)))
+	b := w.run(len(vs))
 	for _, v := range vs {
-		w.U64(v)
+		if len(b) < 8 {
+			return
+		}
+		binary.LittleEndian.PutUint64(b, v)
+		b = b[8:]
 	}
 }
 
 // Ints appends a length-prefixed slice of ints.
 func (w *Writer) Ints(vs []int) {
-	w.U32(uint32(len(vs)))
+	b := w.run(len(vs))
 	for _, v := range vs {
-		w.Int(v)
+		if len(b) < 8 {
+			return
+		}
+		binary.LittleEndian.PutUint64(b, uint64(int64(v)))
+		b = b[8:]
 	}
 }
 
 // F64s appends a length-prefixed slice of float64s.
 func (w *Writer) F64s(vs []float64) {
-	w.U32(uint32(len(vs)))
+	b := w.run(len(vs))
 	for _, v := range vs {
-		w.F64(v)
+		if len(b) < 8 {
+			return
+		}
+		binary.LittleEndian.PutUint64(b, math.Float64bits(v))
+		b = b[8:]
 	}
 }
 
@@ -268,17 +304,38 @@ func (r *Reader) String() string {
 	return string(b)
 }
 
+// The slice decoders take a whole run in one step — Count has already
+// checked that it is there — and decode it with no per-element error or
+// bounds check. An error leaves the destination untouched: nothing is
+// decoded until the whole run is known to be present.
+
 // I64s decodes a length-prefixed slice of 64-bit signed integers.
-func (r *Reader) I64s() []int64 {
+func (r *Reader) I64s() []int64 { return r.I64sInto(nil) }
+
+// I64sInto decodes a length-prefixed slice of 64-bit signed integers into
+// dst when the encoded length equals len(dst), and returns dst. Otherwise
+// it returns a new slice of the encoded length (nil when that is zero) and
+// leaves dst alone, as it does on error.
+func (r *Reader) I64sInto(dst []int64) []int64 {
 	n := r.Count(8)
-	if r.err != nil || n == 0 {
+	if r.err != nil {
 		return nil
 	}
-	vs := make([]int64, n)
-	for i := range vs {
-		vs[i] = r.I64()
+	if n != len(dst) {
+		if n == 0 {
+			return nil
+		}
+		dst = make([]int64, n)
 	}
-	return vs
+	b := r.take(8 * n)
+	for i := range dst {
+		if len(b) < 8 {
+			break
+		}
+		dst[i] = int64(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+	}
+	return dst
 }
 
 // U64s decodes a length-prefixed slice of 64-bit unsigned integers.
@@ -288,8 +345,13 @@ func (r *Reader) U64s() []uint64 {
 		return nil
 	}
 	vs := make([]uint64, n)
+	b := r.take(8 * n)
 	for i := range vs {
-		vs[i] = r.U64()
+		if len(b) < 8 {
+			break
+		}
+		vs[i] = binary.LittleEndian.Uint64(b)
+		b = b[8:]
 	}
 	return vs
 }
@@ -301,21 +363,42 @@ func (r *Reader) Ints() []int {
 		return nil
 	}
 	vs := make([]int, n)
+	b := r.take(8 * n)
 	for i := range vs {
-		vs[i] = r.Int()
+		if len(b) < 8 {
+			break
+		}
+		vs[i] = int(int64(binary.LittleEndian.Uint64(b)))
+		b = b[8:]
 	}
 	return vs
 }
 
 // F64s decodes a length-prefixed slice of float64s.
-func (r *Reader) F64s() []float64 {
+func (r *Reader) F64s() []float64 { return r.F64sInto(nil) }
+
+// F64sInto decodes a length-prefixed slice of float64s into dst when the
+// encoded length equals len(dst), and returns dst. Otherwise it returns a
+// new slice of the encoded length (nil when that is zero) and leaves dst
+// alone, as it does on error.
+func (r *Reader) F64sInto(dst []float64) []float64 {
 	n := r.Count(8)
-	if r.err != nil || n == 0 {
+	if r.err != nil {
 		return nil
 	}
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = r.F64()
+	if n != len(dst) {
+		if n == 0 {
+			return nil
+		}
+		dst = make([]float64, n)
 	}
-	return vs
+	b := r.take(8 * n)
+	for i := range dst {
+		if len(b) < 8 {
+			break
+		}
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+	}
+	return dst
 }
