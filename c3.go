@@ -171,11 +171,13 @@ var (
 	// NewDiskStore returns an on-disk checkpoint store with atomic commit
 	// (the paper's Configuration #3).
 	NewDiskStore = stable.NewDiskStore
-	// NewReplicatedStore returns the diskless, ReStore-style store: each
-	// rank's checkpoints live in node memory with fragments replicated to
-	// its +1/+2 neighbors, and a failed rank's lines are reassembled from
-	// surviving peers. Pair it with Policy.AsyncCommit for checkpointing
-	// that neither blocks the application nor touches a disk.
+	// NewReplicatedStore returns the diskless, ReStore-style store: one
+	// replication node per rank over an in-memory interconnect, each
+	// rank's checkpoints in its node's memory with fragments replicated to
+	// its +1/+2 neighbors, and a failed rank's lines reassembled from
+	// surviving peers — the engine multi-process worlds run over TCP.
+	// Pair it with Policy.AsyncCommit for checkpointing that neither
+	// blocks the application nor touches a disk.
 	NewReplicatedStore = stable.NewReplicatedStore
 	// NewDelayedStore wraps a store with an artificial write cost, for
 	// experiments that emulate slow stable storage deterministically.
@@ -190,17 +192,14 @@ type Codec = stable.Codec
 var (
 	// WithFragments sets how many pieces each checkpoint is split into
 	// before replication under the default dup codec.
-	WithFragments = stable.WithFragments
+	WithFragments = stable.WithDistFragments
 	// WithCodec replaces full replication with an erasure codec: the k+m
 	// shards land on distinct ring successors (rotated parity placement)
 	// and any k reconstruct a line, so rs k=4,m=2 matches dup's two-loss
 	// tolerance at roughly half the memory and interconnect bytes.
-	WithCodec = stable.WithCodec
+	WithCodec = stable.WithDistCodec
 	// NewCodec builds a codec by name ("dup", "xor", "rs") and geometry.
 	NewCodec = stable.NewCodec
-	// WithReplicationLatency applies a latency model to the replication
-	// interconnect.
-	WithReplicationLatency = stable.WithReplicationLatency
 )
 
 // WithLatency configures an artificial interconnect latency model for the

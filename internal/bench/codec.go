@@ -63,7 +63,7 @@ func AblationCodec(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		store := stable.NewReplicatedStore(worldRanks, stable.WithCodec(codec))
+		store := stable.NewReplicatedStore(worldRanks, stable.WithDistCodec(codec))
 
 		// reps rounds of a full world commit, retiring the previous round
 		// so the resident footprint always reflects exactly one line.

@@ -29,7 +29,7 @@ func TestInProcessDualFailureRSCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := stable.NewReplicatedStore(ranks, stable.WithCodec(rs))
+	store := stable.NewReplicatedStore(ranks, stable.WithDistCodec(rs))
 	defer store.Close()
 	var got sync.Map
 	res := run(t, cluster.Config{
@@ -84,7 +84,7 @@ func TestInProcessXORCodecSingleFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := stable.NewReplicatedStore(ranks, stable.WithCodec(xor))
+	store := stable.NewReplicatedStore(ranks, stable.WithDistCodec(xor))
 	defer store.Close()
 	var got sync.Map
 	res := run(t, cluster.Config{

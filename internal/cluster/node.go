@@ -69,6 +69,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -255,9 +256,10 @@ func RunNode(cfg NodeConfig) error {
 	w := &node{cfg: cfg}
 	w.curAttempt.Store(-1)
 	w.lastLine.Store(-1)
-	// Salt the span-id space by rank so ids minted by different processes
+	// Salt the span-id space by rank and process so ids minted by different
+	// processes — a respawned rank and its SIGKILLed predecessor included —
 	// never collide when c3trace merges their dumps.
-	trace.SetSalt(uint64(cfg.Rank))
+	trace.SetSalt(trace.IncarnationSalt(cfg.Rank, os.Getpid()))
 	defer w.dumpTrace("exit")
 
 	if cfg.SelfHeal != nil {

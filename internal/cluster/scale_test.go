@@ -39,7 +39,7 @@ func TestScaleThousandRankWholeGroupLoss(t *testing.T) {
 
 	// Failure-free reference.
 	var ref sync.Map
-	refStore := stable.NewReplicatedStore(ranks, stable.WithCodec(rs), stable.WithGroupSize(groupSize))
+	refStore := stable.NewReplicatedStore(ranks, stable.WithDistCodec(rs), stable.WithDistGroupSize(groupSize))
 	defer refStore.Close()
 	runScale(t, cluster.Config{
 		Ranks: ranks, App: sched.StressApp(iters, &ref), Store: refStore,
@@ -52,7 +52,7 @@ func TestScaleThousandRankWholeGroupLoss(t *testing.T) {
 		correlated = append(correlated, r)
 	}
 	var got sync.Map
-	store := stable.NewReplicatedStore(ranks, stable.WithCodec(rs), stable.WithGroupSize(groupSize))
+	store := stable.NewReplicatedStore(ranks, stable.WithDistCodec(rs), stable.WithDistGroupSize(groupSize))
 	defer store.Close()
 	res := runScale(t, cluster.Config{
 		Ranks: ranks, App: sched.StressApp(iters, &got), Store: store,
@@ -92,7 +92,7 @@ func TestScaleGroupedWholeGroupLoss(t *testing.T) {
 	}
 
 	var ref sync.Map
-	refStore := stable.NewReplicatedStore(ranks, stable.WithCodec(rs), stable.WithGroupSize(groupSize))
+	refStore := stable.NewReplicatedStore(ranks, stable.WithDistCodec(rs), stable.WithDistGroupSize(groupSize))
 	defer refStore.Close()
 	runScale(t, cluster.Config{
 		Ranks: ranks, App: sched.StressApp(iters, &ref), Store: refStore,
@@ -105,7 +105,7 @@ func TestScaleGroupedWholeGroupLoss(t *testing.T) {
 		correlated = append(correlated, r)
 	}
 	var got sync.Map
-	store := stable.NewReplicatedStore(ranks, stable.WithCodec(rs), stable.WithGroupSize(groupSize))
+	store := stable.NewReplicatedStore(ranks, stable.WithDistCodec(rs), stable.WithDistGroupSize(groupSize))
 	defer store.Close()
 	res := runScale(t, cluster.Config{
 		Ranks: ranks, App: sched.StressApp(iters, &got), Store: store,

@@ -58,7 +58,7 @@ func groupedStore(n, g int) func() stable.Store {
 		if err != nil {
 			panic(err) // static codec parameters; cannot fail
 		}
-		return stable.NewReplicatedStore(n, stable.WithCodec(rs), stable.WithGroupSize(g))
+		return stable.NewReplicatedStore(n, stable.WithDistCodec(rs), stable.WithDistGroupSize(g))
 	}
 }
 

@@ -1,8 +1,8 @@
 package stable
 
-// Pluggable fragment codecs for the diskless stable stores.
+// Pluggable fragment codecs for the diskless stable store.
 //
-// The paper's diskless configuration (and PR 1's ReplicatedStore) buys
+// The paper's diskless configuration (and the first replicated store) buys
 // fault tolerance with full replication: every checkpoint blob is copied
 // verbatim to the +1/+2 ring neighbors, so surviving any two simultaneous
 // node losses costs 2x the checkpoint size in interconnect bytes and 2x in
@@ -152,6 +152,26 @@ func (c dupCodec) ParityShards() int { return 0 }
 
 func (c dupCodec) Encode(blob []byte) ([][]byte, error) {
 	return splitFragments(blob, c.k), nil
+}
+
+// splitFragments cuts the blob into k nearly equal pieces (fewer when the
+// blob is shorter than k bytes; always at least one, possibly empty). Each
+// fragment is an independent copy: a sub-slice would keep the entire blob
+// reachable for as long as ANY fragment is retained anywhere, so pruning a
+// line's other fragments (Retire/Truncate) would reclaim no memory.
+func splitFragments(blob []byte, k int) [][]byte {
+	if k > len(blob) {
+		k = len(blob)
+	}
+	if k < 1 {
+		k = 1
+	}
+	frags := make([][]byte, 0, k)
+	for i := 0; i < k; i++ {
+		lo, hi := i*len(blob)/k, (i+1)*len(blob)/k
+		frags = append(frags, append(make([]byte, 0, hi-lo), blob[lo:hi]...))
+	}
+	return frags
 }
 
 func (c dupCodec) Decode(shards [][]byte, total int) ([]byte, error) {

@@ -3,6 +3,8 @@ package stable
 import (
 	"bytes"
 	"testing"
+
+	"c3/internal/member"
 )
 
 // testBlob builds a deterministic pseudo-random blob.
@@ -141,7 +143,7 @@ func TestShardPlacement(t *testing.T) {
 	shards := k + m
 	parityHolders := make(map[int]bool)
 	for owner := 0; owner < n; owner++ {
-		holderOf, holders := shardPlan(owner, shards, n)
+		holderOf, holders := member.Launch(n).ShardPlan(owner, shards)
 		if len(holders) != shards {
 			t.Fatalf("owner %d: %d distinct holders, want %d", owner, len(holders), shards)
 		}
@@ -166,7 +168,7 @@ func TestShardPlacement(t *testing.T) {
 
 	// Degenerate world: more shards than peers wraps without touching the
 	// owner and still covers every index.
-	holderOf, _ := shardPlan(1, 5, 4)
+	holderOf, _ := member.Launch(4).ShardPlan(1, 5)
 	for idx, h := range holderOf {
 		if h == 1 {
 			t.Fatalf("wrapped placement stores owner's own shard %d", idx)

@@ -1,9 +1,9 @@
 package stable
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -13,25 +13,24 @@ import (
 	"c3/internal/wire"
 )
 
-// DistStore is the multi-process form of ReplicatedStore: one instance per
-// OS process, holding exactly one node's memory (its own checkpoints plus
-// the fragments and commit markers it replicates for its -1/-2 ring
-// predecessors). Instances communicate over a transport.Interconnect —
-// a tcp.Mesh in real deployments, an in-memory Network in tests.
+// DistStore is the diskless, ReStore-style replication engine: one
+// instance per rank, holding exactly one node's memory (its own
+// checkpoints plus the fragments and commit markers it replicates for its
+// ring predecessors). Instances communicate over a transport.Interconnect —
+// a tcp.Mesh with one OS process per rank, or the in-memory Network an
+// in-process world (ReplicatedStore) shares among its n instances.
 //
-// The write path speaks exactly ReplicatedStore's wire protocol: at commit
-// the blob's fragments are shipped to the +1/+2 ring neighbors followed by
+// The write path ships the blob's shards to their ring holders followed by
 // a commit marker on the same FIFO pair, and the commit blocks until every
-// neighbor acknowledged (or a timeout excuses a dead one). The read path,
-// which in ReplicatedStore inspects all nodes' memory directly, becomes a
-// query protocol: a restarted process with empty memory asks its peers
-// which committed versions they hold for it and fetches the fragments, so
-// diskless recovery works across real process boundaries — a rank that was
-// SIGKILLed reassembles its last committed line entirely over the wire.
+// holder acknowledged (or a timeout excuses a dead one). The read path is a
+// query protocol: a restarted rank with empty memory asks its peers which
+// committed versions they hold for it and fetches the fragments, so a rank
+// that was SIGKILLed reassembles its last committed line over the wire.
 //
-// Failure model: a process that dies takes its node memory with it — no
-// FailNode call is needed, real death *is* the wipe. A committed line is
-// lost only if the owner and both replica holders die together.
+// Failure model: a process that dies takes its node memory with it — real
+// death *is* the wipe. In-process worlds model it with ReplicatedStore's
+// FailNode. A committed line is lost only if more of its holders die than
+// the codec tolerates.
 type DistStore struct {
 	self      int
 	n         int
@@ -50,11 +49,18 @@ type DistStore struct {
 	cond        *sync.Cond
 	members     member.Set
 	node        *replNode
-	awaiting    map[replAckKey]bool
+	awaiting    map[replAckKey]ackState
 	interrupted bool
 	epoch       uint64 // recovery epoch; advancing it releases blocked commits
 	fenced      bool   // minority side of a partition: commits refuse, not excuse
 	closed      bool
+	// lines is the merged peer answer of the last LastCommitted query for
+	// this rank, which the following Open reuses (nil: none kept).
+	lines map[int]*remoteLine
+	// wipes counts FailNode wipes of this node's memory; wiping holds the
+	// holders whose memory a FailNode is wiping right now.
+	wipes  uint64
+	wiping map[int]bool
 
 	bytesWritten    int64
 	replicatedBytes int64
@@ -66,8 +72,20 @@ type DistStore struct {
 	nextReq uint64
 	waiters map[uint64]chan distResp
 
-	wg sync.WaitGroup
+	wg   sync.WaitGroup
+	done chan struct{} // closed when the daemon exits
 }
+
+// ackState is where one holder's acknowledgment of one commit stands.
+type ackState uint8
+
+const (
+	ackPending ackState = iota
+	ackDone
+	// ackLost: the holder's memory was wiped while the commit was in
+	// flight. Its shards count lost even if it acknowledged them.
+	ackLost
+)
 
 // DistOption configures a DistStore.
 type DistOption func(*DistStore)
@@ -176,8 +194,10 @@ func NewDistStore(self, n int, net transport.Interconnect, opts ...DistOption) *
 		queryTimeout: 3 * time.Second,
 		queryRetries: 1,
 		node:         newReplNode(),
-		awaiting:     make(map[replAckKey]bool),
+		awaiting:     make(map[replAckKey]ackState),
+		wiping:       make(map[int]bool),
 		waiters:      make(map[uint64]chan distResp),
+		done:         make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for _, o := range opts {
@@ -269,19 +289,19 @@ func (s *DistStore) Fenced() bool {
 }
 
 // SetMembership installs the member ring new commits place against and
-// recovery queries sweep. Unlike ReplicatedStore's active migration, the
-// distributed store re-partitions lazily: existing lines stay where the
-// old ring put them and recovery decodes around holders that left (the
-// codec tolerates ≤m unreachable shards), while every line committed
-// after the change lands on the new ring. The next committed recovery
-// line therefore completes the re-partition, which is exactly when the
-// elastic runtime changes membership.
+// recovery queries sweep. The store re-partitions lazily: existing lines
+// stay where the old ring put them and recovery decodes around holders
+// that left (the codec tolerates ≤m unreachable shards), while every line
+// committed after the change lands on the new ring. The next committed
+// recovery line therefore completes the re-partition, which is exactly
+// when the elastic runtime changes membership.
 func (s *DistStore) SetMembership(m member.Set) {
 	if m.Size() == 0 {
 		return
 	}
 	s.mu.Lock()
 	s.members = m
+	s.lines = nil
 	s.mu.Unlock()
 }
 
@@ -331,6 +351,13 @@ func (s *DistStore) CommitStats() (count int64, nanos int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.commits, s.commitNanos
+}
+
+// BytesWritten returns the section bytes written to this store.
+func (s *DistStore) BytesWritten() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bytesWritten
 }
 
 // ReplicatedBytes returns the fragment bytes shipped to peer nodes.
@@ -395,6 +422,7 @@ func (s *DistStore) Begin(rank, version int) (Checkpoint, error) {
 	}
 	s.mu.Lock()
 	delete(s.node.local, version)
+	s.lines = nil
 	s.mu.Unlock()
 	h := &distHandle{store: s, rank: rank, version: version}
 	h.blob.U32(0) // the section count, filled in by Commit
@@ -457,8 +485,8 @@ func (h *distHandle) Abort() error {
 // Commit encodes the checkpoint through the store's codec, ships the
 // shards and commit marker to their holders, and waits for their
 // acknowledgments; a holder that never answers within the ack timeout (it
-// is dead, or the world is being torn down) is excused. Only then does the
-// version become locally committed.
+// is dead, or the world is being torn down) or whose memory FailNode wipes
+// is excused. Only then does the version become locally committed.
 func (h *distHandle) Commit() error {
 	if h.done {
 		return fmt.Errorf("stable: commit of finished checkpoint (%d,%d)", h.rank, h.version)
@@ -504,9 +532,13 @@ func (h *distHandle) Commit() error {
 		sums:  sums,
 		cross: parity + 1,
 	}
-	startEpoch := s.epoch
+	startEpoch, startWipes := s.epoch, s.wipes
 	for _, nb := range targets {
-		s.awaiting[replAckKey{owner: h.rank, version: h.version, from: nb}] = false
+		st := ackPending
+		if s.wiping[nb] {
+			st = ackLost // what lands there now may land before the wipe
+		}
+		s.awaiting[replAckKey{owner: h.rank, version: h.version, from: nb}] = st
 		for _, idx := range sendPlan[nb] {
 			s.replicatedBytes += int64(len(units[idx]))
 			h.stored += int64(len(units[idx]))
@@ -548,8 +580,10 @@ func (h *distHandle) Commit() error {
 		lostShards = 0
 		parityLost = false
 		for _, nb := range targets {
-			if !s.awaiting[replAckKey{owner: h.rank, version: h.version, from: nb}] {
-				pending++
+			if st := s.awaiting[replAckKey{owner: h.rank, version: h.version, from: nb}]; st != ackDone {
+				if st == ackPending {
+					pending++
+				}
 				for _, idx := range sendPlan[nb] {
 					if idx >= len(shards) {
 						parityLost = true
@@ -589,8 +623,9 @@ func (h *distHandle) Commit() error {
 	for _, nb := range targets {
 		delete(s.awaiting, replAckKey{owner: h.rank, version: h.version, from: nb})
 	}
-	if keepLocal && !fenced {
+	if keepLocal && !fenced && s.wipes == startWipes {
 		// The local copy is the blob itself: its sections are views of it.
+		// A node wiped mid-commit keeps none: the line lives on its holders.
 		s.node.local[h.version] = &memCkpt{sections: h.views(blob), commit: true}
 	}
 	hook := s.commitHook
@@ -602,9 +637,9 @@ func (h *distHandle) Commit() error {
 		return fmt.Errorf("stable: commit (%d,%d) torn down while fenced: %w", h.rank, h.version, ErrFenced)
 	}
 	// Erasure-coded commits keep no local copy, so the ack-timeout excusal
-	// has a floor: if the unacknowledged holders account for more shards
-	// than the parity budget, the line cannot be reconstructed and success
-	// would let the protocol retire the previous, recoverable line. An
+	// has a floor: if the unacknowledged or wiped holders account for more
+	// shards than the parity budget, the line cannot be reconstructed and
+	// success would let the protocol retire the previous, recoverable line. An
 	// acknowledged cross-group parity shard lifts the floor: it alone
 	// reconstructs the blob, so a correlated *group-dead* loss — every
 	// group-local holder silent at once, far beyond the ≤m individual
@@ -634,11 +669,21 @@ func (h *distHandle) Commit() error {
 // prunes, and routes acknowledgments and query responses to waiters.
 func (s *DistStore) daemon() {
 	defer s.wg.Done()
+	defer close(s.done)
 	ep := s.net.Endpoint(s.self)
 	for {
 		msg, err := ep.Recv()
 		if err != nil {
 			return // interconnect shut down
+		}
+		if w, ok := msg.Payload.(wipeMarker); ok {
+			s.mu.Lock()
+			s.node = newReplNode()
+			s.lines = nil
+			s.wipes++
+			s.mu.Unlock()
+			close(w)
+			continue
 		}
 		data, ok := msg.Payload.(replPayload)
 		if !ok || len(data) == 0 {
@@ -669,8 +714,8 @@ func (s *DistStore) daemon() {
 			}
 			s.mu.Lock()
 			key := replAckKey{owner: owner, version: version, from: from}
-			if _, waiting := s.awaiting[key]; waiting {
-				s.awaiting[key] = true
+			if st, waiting := s.awaiting[key]; waiting && st == ackPending {
+				s.awaiting[key] = ackDone
 				s.cond.Broadcast()
 			}
 			s.mu.Unlock()
@@ -725,6 +770,47 @@ func (s *DistStore) daemon() {
 			s.mu.Unlock()
 		}
 	}
+}
+
+// --- In-process fail-stop (ReplicatedStore.FailNode) ---
+
+// wipeMarker is the in-band cut FailNode queues behind everything already
+// queued to the failed node: the daemon stores what precedes it, then
+// drops the node's whole memory and closes the channel.
+type wipeMarker chan struct{}
+
+// wipe loses this node's memory, including the replication traffic queued
+// to it at the call, and returns once the daemon has made that cut. The
+// node's own commit in flight installs no local copy.
+func (s *DistStore) wipe() {
+	w := make(wipeMarker)
+	if s.net.Send(transport.Message{From: s.self, To: s.self, Class: transport.Control, Payload: w}) != nil {
+		return // the interconnect is down, and the memory with it
+	}
+	select {
+	case <-w:
+	case <-s.done:
+	}
+}
+
+// holderWiping tells this node that peer r's memory is being wiped
+// (wiping) or has been (!wiping). Meanwhile r is a holder that lost its
+// shards: commits stop waiting for its acknowledgment and count its shards
+// lost even if it acknowledged them.
+func (s *DistStore) holderWiping(r int, wiping bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !wiping {
+		delete(s.wiping, r)
+		return
+	}
+	s.wiping[r] = true
+	for key := range s.awaiting {
+		if key.from == r {
+			s.awaiting[key] = ackLost
+		}
+	}
+	s.cond.Broadcast()
 }
 
 // answerQueryLast reports every (version, marker, held fragment indexes)
@@ -854,41 +940,48 @@ func (rl *remoteLine) complete() bool {
 	return avail >= need
 }
 
-// LastCommitted implements Store: the newest locally committed version or,
-// when local memory is empty (a restarted process), the newest version
-// whose marker and full fragment set survive on peers.
+// LastCommitted implements Store: the newest version this node holds a
+// committed local copy of or, when that need not be the newest (the
+// erasure codecs keep no local copy; a restarted process has none), the
+// newest version whose marker and enough shards survive on peers. The
+// merged peer answer for this rank is kept for the Open that follows, so a
+// restore queries the peers once.
 func (s *DistStore) LastCommitted(rank int) (int, bool, error) {
+	best, ok := 0, false
 	if rank == s.self {
 		s.mu.Lock()
-		best, ok := 0, false
 		for v, ck := range s.node.local {
 			if ck.commit && (!ok || v > best) {
 				best, ok = v, true
 			}
 		}
 		s.mu.Unlock()
-		if ok {
-			return best, true, nil
+		if ok && s.codec.ParityShards() == 0 {
+			return best, true, nil // dup: every line committed here has a local copy
 		}
 	}
 	lines := s.queryPeers(rank)
-	versions := make([]int, 0, len(lines))
-	for v := range lines {
-		versions = append(versions, v)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(versions)))
-	for _, v := range versions {
-		if lines[v].complete() {
-			return v, true, nil
+	for v, rl := range lines {
+		if (!ok || v > best) && rl.complete() {
+			best, ok = v, true
 		}
 	}
-	return 0, false, nil
+	if rank == s.self {
+		s.mu.Lock()
+		s.lines = lines
+		s.mu.Unlock()
+	}
+	return best, ok, nil
 }
 
 // Open implements Store. A missing local copy is reassembled from peer
 // fragments fetched over the wire, validated against the commit marker,
-// and re-installed locally (the restarted node re-hosting its line).
+// and re-installed locally (the restarted node re-hosting its line). The
+// holders come from the answer LastCommitted kept when it has the version;
+// they are hints only, since every fetched shard is validated and missing
+// ones are swept for.
 func (s *DistStore) Open(rank, version int) (Snapshot, error) {
+	var rl *remoteLine
 	s.mu.Lock()
 	if rank == s.self {
 		if ck, ok := s.node.local[version]; ok {
@@ -898,13 +991,15 @@ func (s *DistStore) Open(rank, version int) (Snapshot, error) {
 			}
 			return &memSnap{ck: ck}, nil
 		}
+		rl = s.lines[version]
 	}
 	s.mu.Unlock()
 
 	reSp := trace.Default().Begin(int32(s.self), trace.KindReassemble, 0, uint64(version))
-	lines := s.queryPeers(rank)
-	rl, ok := lines[version]
-	if !ok {
+	if rl == nil {
+		rl = s.queryPeers(rank)[version]
+	}
+	if rl == nil {
 		reSp.End(0)
 		return nil, fmt.Errorf("%w: rank %d version %d (no local copy, no peer commit marker)", ErrNotFound, rank, version)
 	}
@@ -1074,6 +1169,13 @@ func (s *DistStore) prune(rank, version int, above bool) error {
 				delete(s.node.local, v)
 			}
 		}
+		// The kept peer answer loses what the peers are told to drop: the
+		// versions above a truncated line, or all of it on a retire.
+		for v := range s.lines {
+			if !above || v > version {
+				delete(s.lines, v)
+			}
+		}
 		s.mu.Unlock()
 	}
 	// Prune what this node and every peer hold for the rank. FIFO ordering
@@ -1100,13 +1202,120 @@ func (s *DistStore) prune(rank, version int, above bool) error {
 
 var _ Store = (*DistStore)(nil)
 
-// --- Query message codecs ---
+// --- Placement and reassembly ---
 
-// Distributed-store message kinds (disjoint from the replMsg* range).
-const (
-	distMsgQueryLast uint8 = iota + 16
-	distMsgRespLast
-	distMsgQueryFrag
-	distMsgRespFrag
-	distMsgPrune
-)
+// commitPlan is the placement decision of one commit, computed over the
+// current topology. On a flat (single-group) topology the ring is the
+// whole membership: for the dup codec every shard goes to both ring
+// successors and the owner keeps a full local copy; for an erasure codec
+// each shard goes to exactly one distinct ring successor (rotated
+// placement) and no local copy is kept — the memory saving that is the
+// codec's point. With members 0..n-1 the plan is the fixed-world plan, so
+// existing lines keep their holders until the membership actually changes.
+//
+// Under a grouped topology the same formulas run over the owner's
+// group-local ring (so commit traffic never leaves the group), and one
+// additional cross-group parity shard — the whole blob, at index shards —
+// is assigned to topo.ParityHolder(owner) in the next group, keeping the
+// line recoverable through a whole-group loss. parity is that holder's
+// rank, or -1 when the topology has a single group.
+func commitPlan(codec Codec, owner, shards int, topo member.Topology) (sendPlan map[int][]int, holders []int, keepLocal bool, parity int) {
+	ring := topo.Set()
+	if !topo.Flat() {
+		ring = topo.GroupSetOf(owner)
+	}
+	if codec.ParityShards() == 0 {
+		holders = ring.Successors(owner, 2)
+		all := make([]int, shards)
+		for i := range all {
+			all[i] = i
+		}
+		sendPlan = make(map[int][]int, len(holders)+1)
+		for _, nb := range holders {
+			sendPlan[nb] = all
+		}
+		keepLocal = true
+	} else {
+		holderOf, hs := ring.ShardPlan(owner, shards)
+		holders = hs
+		sendPlan = make(map[int][]int, len(holders)+1)
+		for idx, hr := range holderOf {
+			sendPlan[hr] = append(sendPlan[hr], idx)
+		}
+	}
+	parity = topo.ParityHolder(owner)
+	if parity == owner {
+		parity = -1
+	}
+	if parity >= 0 {
+		sendPlan[parity] = append(sendPlan[parity], shards)
+		holders = append(holders, parity)
+	}
+	return sendPlan, holders, keepLocal, parity
+}
+
+// shardSums digests every shard for the commit marker, so recovery can
+// reject a corrupt shard and repair it from parity instead of failing the
+// whole-blob digest check.
+func shardSums(shards [][]byte) []uint64 {
+	sums := make([]uint64, len(shards))
+	for i, s := range shards {
+		sums[i] = replSum(s)
+	}
+	return sums
+}
+
+// reassembleBlob decodes a shard set against its commit marker: codec
+// reconstruction and whole-blob digest validation. The slice may carry the
+// cross-group parity shard at index rec.frags; a valid one is the blob
+// itself and short-circuits the codec — the whole-group-loss path, where
+// zero group-local shards survive. held then reports that the blob is that
+// fragment rather than a buffer the codec just built. Decode-around of up
+// to m lost or corrupt group-local shards is unchanged when no parity
+// shard was fetched.
+func reassembleBlob(rec replCommitRec, shards [][]byte) (blob []byte, held bool, err error) {
+	if len(shards) > rec.frags {
+		if g := shards[rec.frags]; g != nil && rec.shardValid(rec.frags, g) {
+			return g, true, nil
+		}
+		shards = shards[:rec.frags]
+	}
+	codec, err := rec.codecOf()
+	if err != nil {
+		return nil, false, err
+	}
+	blob, err = codec.Decode(shards, rec.total)
+	if err != nil {
+		return nil, false, err
+	}
+	if len(blob) != rec.total || replSum(blob) != rec.sum {
+		return nil, false, fmt.Errorf("stable: reassembly digest mismatch (%d/%d bytes)", len(blob), rec.total)
+	}
+	return blob, false, nil
+}
+
+// decodeReplSections parses a replication blob — a section count, then
+// (name, length, bytes) per section — into its sections. With view they
+// are sub-slices of blob (capacity clipped): for a blob nothing else holds,
+// such as one the codec just built. Without it they are copies, for a blob
+// that is a fragment some response carried.
+func decodeReplSections(blob []byte, view bool) (map[string][]byte, error) {
+	r := wire.NewReader(blob)
+	n := r.Count(8) // minimum bytes per serialized section
+	sections := make(map[string][]byte, n)
+	for i := 0; i < n; i++ {
+		name := r.String()
+		data := r.View32()
+		if r.Err() != nil {
+			break
+		}
+		if !view {
+			data = bytes.Clone(data)
+		}
+		sections[name] = data
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("corrupt replication blob: %w", err)
+	}
+	return sections, nil
+}

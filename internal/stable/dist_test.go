@@ -5,34 +5,17 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"c3/internal/transport"
 )
 
-// distWorld builds n DistStores sharing one in-memory network, the
-// single-process stand-in for n processes on a TCP mesh.
+// distWorld builds an in-process world of n DistStores over one in-memory
+// network — the single-process stand-in for n processes on a TCP mesh —
+// and returns its nodes.
 func distWorld(t *testing.T, n int, opts ...DistOption) []*DistStore {
 	t.Helper()
-	nw := transport.NewNetwork(n)
-	stores := make([]*DistStore, n)
-	for r := 0; r < n; r++ {
-		stores[r] = NewDistStore(r, n, &sharedNet{Interconnect: nw}, opts...)
-	}
-	t.Cleanup(func() {
-		nw.Shutdown()
-		for _, s := range stores {
-			s.wg.Wait()
-		}
-	})
-	return stores
+	s := NewReplicatedStore(n, opts...)
+	t.Cleanup(s.Close)
+	return s.nodes
 }
-
-// sharedNet lets n DistStores share one in-memory Network: Shutdown is
-// deferred to the test cleanup so closing one store does not sever the
-// others.
-type sharedNet struct{ transport.Interconnect }
-
-func (s *sharedNet) Shutdown() {}
 
 func writeDistCommitted(t *testing.T, s *DistStore, rank, version int, sections map[string][]byte) {
 	t.Helper()
@@ -77,29 +60,14 @@ func TestDistStoreCommitAndLocalRead(t *testing.T) {
 // network: the owner's replacement is a brand-new DistStore with empty
 // memory, while peers retain theirs.
 func TestDistStoreRecoversAfterRestart(t *testing.T) {
-	nw := transport.NewNetwork(4)
-	shared := &sharedNet{Interconnect: nw}
-	stores := make([]*DistStore, 4)
-	for r := 0; r < 4; r++ {
-		stores[r] = NewDistStore(r, 4, shared)
-	}
-	defer func() {
-		nw.Shutdown()
-		for _, s := range stores {
-			s.wg.Wait()
-		}
-	}()
-
+	stores := distWorld(t, 4)
 	sections := map[string][]byte{"app": []byte("the quick brown fox"), "late": {1, 2, 3}}
 	writeDistCommitted(t, stores[1], 1, 1, sections)
 
-	// The owner's memory is wiped in place (the in-memory analogue of the
-	// process dying and a replacement starting empty: same daemon, no
-	// state). Endpoint queues can't be swapped mid-test, so wipe the maps.
+	// The owner's memory is wiped in place: the in-memory analogue of the
+	// process dying and a replacement starting empty.
 	s1 := stores[1]
-	s1.mu.Lock()
-	s1.node = newReplNode()
-	s1.mu.Unlock()
+	s1.wipe()
 
 	v, ok, err := s1.LastCommitted(1)
 	if err != nil {
@@ -149,9 +117,7 @@ func TestDistStoreTruncatePrunesPeers(t *testing.T) {
 
 	// After wiping the owner, only version 1 must be recoverable.
 	s2 := stores[2]
-	s2.mu.Lock()
-	s2.node = newReplNode()
-	s2.mu.Unlock()
+	s2.wipe()
 	v, ok, err := s2.LastCommitted(2)
 	if err != nil || !ok || v != 1 {
 		t.Fatalf("LastCommitted after truncate = %d,%v,%v; want 1,true,nil", v, ok, err)
@@ -250,21 +216,8 @@ func TestDistStoreCommitHook(t *testing.T) {
 		got = append(got, v)
 		mu.Unlock()
 	}
-	nw := transport.NewNetwork(3)
-	stores := make([]*DistStore, 3)
-	for r := 0; r < 3; r++ {
-		opts := []DistOption{}
-		if r == 0 {
-			opts = append(opts, WithCommitHook(hook))
-		}
-		stores[r] = NewDistStore(r, 3, &sharedNet{Interconnect: nw}, opts...)
-	}
-	t.Cleanup(func() {
-		nw.Shutdown()
-		for _, s := range stores {
-			s.wg.Wait()
-		}
-	})
+	// Only rank 0 commits, so only its hook fires.
+	stores := distWorld(t, 3, WithCommitHook(hook))
 	writeDistCommitted(t, stores[0], 0, 1, map[string][]byte{"a": {1}})
 	writeDistCommitted(t, stores[0], 0, 2, map[string][]byte{"a": {2}})
 	mu.Lock()
@@ -284,9 +237,7 @@ func TestDistStoreQueryRetries(t *testing.T) {
 
 	// Wipe the owner, as in the restart test.
 	s1 := stores[1]
-	s1.mu.Lock()
-	s1.node = newReplNode()
-	s1.mu.Unlock()
+	s1.wipe()
 
 	snap, err := s1.Open(1, 1)
 	if err != nil {
@@ -324,9 +275,7 @@ func TestDistStoreRSCodecRecoversAfterDualWipe(t *testing.T) {
 
 	// Wipe the owner and one shard holder (two simultaneous deaths).
 	for _, r := range []int{1, 3} {
-		stores[r].mu.Lock()
-		stores[r].node = newReplNode()
-		stores[r].mu.Unlock()
+		stores[r].wipe()
 	}
 
 	v, ok, err := stores[1].LastCommitted(1)

@@ -2,13 +2,275 @@ package stable
 
 import (
 	"fmt"
+	"hash/crc32"
 
+	"c3/internal/transport"
 	"c3/internal/wire"
 )
 
-// Codecs for the distributed store's recovery-query messages. Like the
-// replication codecs they produce replPayload values, so the same
-// interconnect (and the same TCP frame kind) carries them.
+// The replication protocol's node memory, commit markers and messages. One
+// wire protocol serves every DistStore, whichever interconnect carries it.
+
+// replNode is one rank's memory: its own checkpoints plus holdings for
+// peers.
+type replNode struct {
+	local   map[int]*memCkpt
+	frags   map[replFragKey][]byte
+	commits map[replCommitKey]replCommitRec
+}
+
+func newReplNode() *replNode {
+	return &replNode{
+		local:   make(map[int]*memCkpt),
+		frags:   make(map[replFragKey][]byte),
+		commits: make(map[replCommitKey]replCommitRec),
+	}
+}
+
+type replFragKey struct {
+	owner, version, idx int
+}
+
+type replCommitKey struct {
+	owner, version int
+}
+
+// replCommitRec is the commit marker replicated alongside the fragments:
+// the shard geometry and digests recovery validates reassembly against.
+type replCommitRec struct {
+	codec uint8    // CodecDup, CodecXOR, CodecRS
+	frags int      // total shard count (k+m; k for dup)
+	data  int      // shards required to reconstruct (k)
+	total int      // original blob length
+	sum   uint64   // replSum of the whole blob
+	sums  []uint64 // per-shard replSum (corrupt shards count as lost)
+	// cross is the cross-group parity holder's rank plus one (0: no
+	// cross-group shard — flat topology or single group). Under a grouped
+	// topology every codec shard lands inside the owner's group, so a
+	// whole-group loss destroys all k+m of them; the cross-group shard is
+	// one whole-blob redundancy unit at index frags, held one group over,
+	// that keeps the line recoverable through exactly that failure.
+	cross int
+}
+
+// crossHolder returns the cross-group parity holder and whether one exists.
+func (rec replCommitRec) crossHolder() (int, bool) {
+	return rec.cross - 1, rec.cross > 0
+}
+
+// need is the number of distinct valid shards reassembly requires.
+func (rec replCommitRec) need() int {
+	if rec.data > 0 {
+		return rec.data
+	}
+	return rec.frags
+}
+
+// maxWireShards bounds the shard count a wire-supplied commit marker may
+// claim. Recovery loops and allocations scale with rec.frags, and the
+// marker arrives off a socket — an insane value must be rejected at
+// decode, not trusted.
+const maxWireShards = 4096
+
+// sane validates marker geometry read off the wire.
+func (rec replCommitRec) sane() bool {
+	if rec.frags < 1 || rec.frags > maxWireShards {
+		return false
+	}
+	if rec.data < 0 || rec.data > rec.frags {
+		return false
+	}
+	if rec.total < 0 || rec.total > wire.MaxLen {
+		return false
+	}
+	if len(rec.sums) != 0 && len(rec.sums) != rec.frags {
+		return false
+	}
+	if rec.cross < 0 || rec.cross > maxWireShards {
+		return false
+	}
+	return true
+}
+
+// codecOf reconstructs the codec that produced the marker's shards.
+func (rec replCommitRec) codecOf() (Codec, error) {
+	return codecFor(rec.codec, rec.need(), rec.frags-rec.need())
+}
+
+// shardValid reports whether a held fragment matches the marker's per-shard
+// digest; markers from the pre-digest era (empty sums) accept any bytes and
+// rely on the whole-blob digest alone. Index frags is the cross-group
+// parity shard (when the marker records one): the full blob, validated
+// against the whole-blob digest.
+func (rec replCommitRec) shardValid(idx int, frag []byte) bool {
+	if _, ok := rec.crossHolder(); ok && idx == rec.frags {
+		return len(frag) == rec.total && replSum(frag) == rec.sum
+	}
+	if idx < 0 || idx >= rec.frags {
+		return false
+	}
+	if len(rec.sums) != rec.frags {
+		return true
+	}
+	return replSum(frag) == rec.sums[idx]
+}
+
+type replAckKey struct {
+	owner, version, from int
+}
+
+// replSum is the one digest of the storage plane: CRC-32C (Castagnoli),
+// which the standard library computes with the CPU's CRC instructions at
+// memory speed. It guards against corruption — a flipped bit, a torn or
+// misplaced shard — not against an adversary. It is carried as a u64 so
+// markers and frames keep their layout.
+func replSum(b []byte) uint64 { return uint64(crc32.Checksum(b, castagnoli)) }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Message kinds: the replication write path, then the recovery queries.
+const (
+	replMsgFrag uint8 = iota + 1
+	replMsgCommit
+	replMsgAck
+)
+
+const (
+	distMsgQueryLast uint8 = iota + 16
+	distMsgRespLast
+	distMsgQueryFrag
+	distMsgRespFrag
+	distMsgPrune
+)
+
+// replPayload lets the transport count and delay replication bytes.
+type replPayload []byte
+
+// TransportSize implements transport.Sizer.
+func (p replPayload) TransportSize() int { return len(p) }
+
+// WireKind implements transport.WirePayload, so replication traffic can
+// cross the TCP mesh in multi-process deployments unchanged.
+func (p replPayload) WireKind() uint8 { return transport.WireKindRepl }
+
+// MarshalWire implements transport.WirePayload: the payload already is its
+// own wire encoding.
+func (p replPayload) MarshalWire() []byte { return p }
+
+// The decoder keeps the bytes it is handed (DecodeWirePayload's contract:
+// nobody modifies them afterwards; the TCP mesh reads every frame into an
+// allocation of its own). A fragment a daemon stores is then a sub-slice of
+// exactly one received frame — it pins that frame's few header bytes and
+// nothing larger.
+func init() {
+	transport.RegisterWireDecoder(transport.WireKindRepl, func(data []byte) (any, error) {
+		return replPayload(data), nil
+	})
+}
+
+// The fragment header names the codec and shard geometry so a holder can
+// attribute a shard without its marker; the marker remains the
+// authoritative record reassembly validates against. The incarnation
+// field is kept for layout and always sent as zero.
+//
+// The payload is the fragment's own copy — what a holder stores never pins
+// the owner's blob. The Writer is sized for the header alone on purpose:
+// appending the fragment then allocates the payload at its final size
+// without zeroing bytes the append is about to overwrite, which a Writer
+// pre-sized for the whole payload would do first.
+func encodeReplFrag(owner, version int, inc uint64, codecID uint8, shards, idx int, frag []byte) replPayload {
+	w := wire.NewWriter(replFragHeader)
+	w.U8(replMsgFrag)
+	w.Int(owner)
+	w.Int(version)
+	w.U64(inc)
+	w.U8(codecID)
+	w.Int(shards)
+	w.Int(idx)
+	w.Bytes32(frag)
+	return replPayload(w.Bytes())
+}
+
+// replFragHeader is the encoded size of a fragment payload's fixed fields.
+const replFragHeader = 1 + 8 + 8 + 8 + 1 + 8 + 8 + 4
+
+func decodeReplFrag(data replPayload) (owner, version int, inc uint64, codecID uint8, shards, idx int, frag []byte, err error) {
+	r := wire.NewReader(data[1:])
+	owner, version = r.Int(), r.Int()
+	inc = r.U64()
+	codecID = r.U8()
+	shards = r.Int()
+	idx = r.Int()
+	frag = r.View32() // aliases data: one fragment per payload, so it pins only itself
+	return owner, version, inc, codecID, shards, idx, frag, r.Err()
+}
+
+// writeReplRec and readReplRec (de)serialize a commit marker's record; the
+// same layout is embedded in the last-committed query responses.
+func writeReplRec(w *wire.Writer, rec replCommitRec) {
+	w.U8(rec.codec)
+	w.Int(rec.frags)
+	w.Int(rec.data)
+	w.Int(rec.total)
+	w.U64(rec.sum)
+	w.U64s(rec.sums)
+	w.Int(rec.cross)
+}
+
+func readReplRec(r *wire.Reader) replCommitRec {
+	return replCommitRec{
+		codec: r.U8(),
+		frags: r.Int(),
+		data:  r.Int(),
+		total: r.Int(),
+		sum:   r.U64(),
+		sums:  r.U64s(),
+		cross: r.Int(),
+	}
+}
+
+// replRecWireMin is the minimum serialized size of a replCommitRec, for
+// count clamping in repeated decoders.
+const replRecWireMin = 1 + 8 + 8 + 8 + 8 + 4 + 8
+
+func encodeReplCommit(owner, version int, inc uint64, rec replCommitRec) replPayload {
+	w := wire.NewWriter(64 + 8*len(rec.sums))
+	w.U8(replMsgCommit)
+	w.Int(owner)
+	w.Int(version)
+	w.U64(inc)
+	writeReplRec(w, rec)
+	return replPayload(w.Bytes())
+}
+
+func decodeReplCommit(data replPayload) (owner, version int, inc uint64, rec replCommitRec, err error) {
+	r := wire.NewReader(data[1:])
+	owner, version = r.Int(), r.Int()
+	inc = r.U64()
+	rec = readReplRec(r)
+	if err := r.Err(); err != nil {
+		return owner, version, inc, rec, err
+	}
+	if !rec.sane() {
+		return owner, version, inc, rec, fmt.Errorf("stable: insane commit marker geometry (frags=%d data=%d total=%d)", rec.frags, rec.data, rec.total)
+	}
+	return owner, version, inc, rec, nil
+}
+
+func encodeReplAck(owner, version, from int) replPayload {
+	w := wire.NewWriter(24)
+	w.U8(replMsgAck)
+	w.Int(owner)
+	w.Int(version)
+	w.Int(from)
+	return replPayload(w.Bytes())
+}
+
+func decodeReplAck(data replPayload) (owner, version, from int, err error) {
+	r := wire.NewReader(data[1:])
+	owner, version, from = r.Int(), r.Int(), r.Int()
+	return owner, version, from, r.Err()
+}
 
 func encodeDistQueryLast(reqID uint64, owner int) replPayload {
 	w := wire.NewWriter(24)

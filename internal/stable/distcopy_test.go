@@ -16,22 +16,23 @@ import (
 // local copy, and a restore fetches the k shards it needs at once from the
 // holders that reported them.
 
-// fragQueryNet wraps one store's interconnect and counts the fragment
-// queries it sends. When dropTo is set, the first query to that rank kills
-// it and every query to it is lost: the holder died after answering the
-// restore's which-lines query but before its fragment was fetched.
-type fragQueryNet struct {
+// countingNet wraps one store's interconnect and counts the replication
+// messages it sends, by kind. When dropTo is set, the first fragment query
+// to that rank kills it and every fragment query to it is lost: the holder
+// died after answering the restore's which-lines query but before its
+// fragment was fetched.
+type countingNet struct {
 	transport.Interconnect
-	mu      sync.Mutex
-	queries int
-	dropTo  int // -1: none
+	mu     sync.Mutex
+	sent   map[uint8]int
+	dropTo int // -1: none
 }
 
-func (n *fragQueryNet) Send(msg transport.Message) error {
-	if p, ok := msg.Payload.(replPayload); ok && len(p) > 0 && p[0] == distMsgQueryFrag {
+func (n *countingNet) Send(msg transport.Message) error {
+	if p, ok := msg.Payload.(replPayload); ok && len(p) > 0 {
 		n.mu.Lock()
-		n.queries++
-		drop := msg.To == n.dropTo
+		n.sent[p[0]]++
+		drop := p[0] == distMsgQueryFrag && msg.To == n.dropTo
 		n.mu.Unlock()
 		if drop {
 			n.Interconnect.Kill(msg.To)
@@ -41,38 +42,31 @@ func (n *fragQueryNet) Send(msg transport.Message) error {
 	return n.Interconnect.Send(msg)
 }
 
-func (n *fragQueryNet) count() int {
+func (n *countingNet) count(kind uint8) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.queries
+	return n.sent[kind]
 }
 
 // countingDistWorld is distWorld with the owner's interconnect wrapped.
-func countingDistWorld(t *testing.T, n, owner int, opts ...DistOption) ([]*DistStore, *fragQueryNet) {
+func countingDistWorld(t *testing.T, n, owner int, opts ...DistOption) ([]*DistStore, *countingNet) {
 	t.Helper()
 	nw := transport.NewNetwork(n)
-	counter := &fragQueryNet{Interconnect: &sharedNet{Interconnect: nw}, dropTo: -1}
+	counter := &countingNet{Interconnect: nw, sent: make(map[uint8]int), dropTo: -1}
 	stores := make([]*DistStore, n)
-	for r := 0; r < n; r++ {
-		var net transport.Interconnect = &sharedNet{Interconnect: nw}
+	for r := range stores {
+		var net transport.Interconnect = nw
 		if r == owner {
 			net = counter
 		}
 		stores[r] = NewDistStore(r, n, net, opts...)
 	}
 	t.Cleanup(func() {
-		nw.Shutdown()
 		for _, s := range stores {
-			s.wg.Wait()
+			s.Close()
 		}
 	})
 	return stores, counter
-}
-
-func wipe(s *DistStore) {
-	s.mu.Lock()
-	s.node = newReplNode()
-	s.mu.Unlock()
 }
 
 func readSections(t *testing.T, s Store, rank, version int) map[string][]byte {
@@ -136,7 +130,7 @@ func TestDistWriteSectionTwiceKeepsSecond(t *testing.T) {
 	if got := readSections(t, stores[1], 1, 1); !sameSections(got, want) {
 		t.Fatal("local copy does not hold the second content")
 	}
-	wipe(stores[1])
+	stores[1].wipe()
 	if got := readSections(t, stores[1], 1, 1); !sameSections(got, want) {
 		t.Fatal("the reassembled line does not hold the second content")
 	}
@@ -176,7 +170,7 @@ func TestDistSectionOrderIrrelevant(t *testing.T) {
 				if got := readSections(t, stores[2], 2, 1); !sameSections(got, sections) {
 					t.Fatalf("order %v read back other sections", order)
 				}
-				wipe(stores[2])
+				stores[2].wipe()
 				if got := readSections(t, stores[2], 2, 1); !sameSections(got, sections) {
 					t.Fatalf("order %v reassembled other sections", order)
 				}
@@ -193,7 +187,7 @@ func TestDistRestoreFetchesKShardsAtOnce(t *testing.T) {
 	stores, counter := countingDistWorld(t, n, owner, WithDistCodec(mustCodec(t, "rs", k, m)))
 	want := map[string][]byte{"app": testBlob(1<<20+5, 7), "mpi": []byte("tables")}
 	writeDistCommitted(t, stores[owner], owner, 1, want)
-	wipe(stores[owner])
+	stores[owner].wipe()
 
 	holderOf, _ := member.Launch(n).ShardPlan(owner, k+m)
 	rl := stores[owner].queryPeers(owner)[1]
@@ -206,11 +200,11 @@ func TestDistRestoreFetchesKShardsAtOnce(t *testing.T) {
 		}
 	}
 
-	before := counter.count()
+	before := counter.count(distMsgQueryFrag)
 	if got := readSections(t, stores[owner], owner, 1); !sameSections(got, want) {
 		t.Fatal("restore returned other sections")
 	}
-	if sent := counter.count() - before; sent != k {
+	if sent := counter.count(distMsgQueryFrag) - before; sent != k {
 		t.Fatalf("restore sent %d fragment queries, want k = %d", sent, k)
 	}
 }
@@ -224,7 +218,7 @@ func TestDistRestoreSweepsForLostHolder(t *testing.T) {
 		WithQueryTimeout(150*time.Millisecond))
 	want := map[string][]byte{"app": testBlob(300_001, 8)}
 	writeDistCommitted(t, stores[owner], owner, 1, want)
-	wipe(stores[owner])
+	stores[owner].wipe()
 
 	holderOf, _ := member.Launch(n).ShardPlan(owner, k+m)
 	counter.mu.Lock()
@@ -233,16 +227,43 @@ func TestDistRestoreSweepsForLostHolder(t *testing.T) {
 	if got := readSections(t, stores[owner], owner, 1); !sameSections(got, want) {
 		t.Fatal("restore with a holder lost mid-fetch returned other sections")
 	}
-	if sent := counter.count(); sent <= k {
+	if sent := counter.count(distMsgQueryFrag); sent <= k {
 		t.Fatalf("restore sent %d fragment queries: the lost shard was not swept for", sent)
+	}
+}
+
+// TestDistRestoreQueriesPeersOnce: a restore — LastCommitted, Truncate to
+// the line the world agreed on, then Open — asks the peers what they hold
+// once: n-1 query-last frames, not a round per call.
+func TestDistRestoreQueriesPeersOnce(t *testing.T) {
+	const n, owner = 8, 3
+	stores, counter := countingDistWorld(t, n, owner, WithDistCodec(mustCodec(t, "rs", 4, 2)))
+	want := map[string][]byte{"app": testBlob(100_003, 5)}
+	writeDistCommitted(t, stores[owner], owner, 1, want)
+	writeDistCommitted(t, stores[owner], owner, 2, map[string][]byte{"app": []byte("newer")})
+	stores[owner].wipe()
+
+	before := counter.count(distMsgQueryLast)
+	if v, ok, err := stores[owner].LastCommitted(owner); err != nil || !ok || v != 2 {
+		t.Fatalf("LastCommitted = %d,%v,%v; want 2,true,nil", v, ok, err)
+	}
+	// Another rank has no line 2, so the world agrees on line 1.
+	if err := stores[owner].Truncate(owner, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := readSections(t, stores[owner], owner, 1); !sameSections(got, want) {
+		t.Fatal("restore returned other sections")
+	}
+	if sent := counter.count(distMsgQueryLast) - before; sent != n-1 {
+		t.Fatalf("restore sent %d query-last frames, want n-1 = %d", sent, n-1)
 	}
 }
 
 // TestParityReassemblyOwnsItsBytes: a line reassembled through the
 // cross-group parity shard shares no memory with any fragment a store
 // holds — scribbling over every held fragment afterwards changes nothing
-// the owner reads back. In ReplicatedStore the parity shard is the held
-// fragment itself; in DistStore it arrives in a response.
+// the owner reads back, whether FailNode or a process restart lost the
+// owner's group.
 func TestParityReassemblyOwnsItsBytes(t *testing.T) {
 	const n, g, owner = 10, 5, 1
 	want := map[string][]byte{"app": testBlob(8_000, 9), "mpi": []byte("tables")}
@@ -251,32 +272,21 @@ func TestParityReassemblyOwnsItsBytes(t *testing.T) {
 	// that scribbles over every fragment of the line a store holds.
 	worlds := map[string]func(t *testing.T) (Store, func() int){
 		"replicated": func(t *testing.T) (Store, func() int) {
-			s := NewReplicatedStore(n, WithCodec(rs), WithGroupSize(g))
+			s := NewReplicatedStore(n, WithDistCodec(rs), WithDistGroupSize(g))
 			t.Cleanup(s.Close)
 			writeCommitted(t, s, owner, 1, want)
 			for r := 0; r < g; r++ { // group 0 dies whole
 				s.FailNode(r)
 			}
-			return s, func() int {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return scribbleHeld(s.nodes)
-			}
+			return s, func() int { return scribbleHeld(s.nodes) }
 		},
 		"dist": func(t *testing.T) (Store, func() int) {
 			stores := distWorld(t, n, WithDistCodec(rs), WithDistGroupSize(g))
 			writeDistCommitted(t, stores[owner], owner, 1, want)
 			for r := 0; r < g; r++ {
-				wipe(stores[r])
+				stores[r].wipe()
 			}
-			return stores[owner], func() (held int) {
-				for _, s := range stores {
-					s.mu.Lock()
-					held += scribbleHeld([]*replNode{s.node})
-					s.mu.Unlock()
-				}
-				return held
-			}
+			return stores[owner], func() int { return scribbleHeld(stores) }
 		},
 	}
 	for name, build := range worlds {
@@ -295,15 +305,16 @@ func TestParityReassemblyOwnsItsBytes(t *testing.T) {
 	}
 }
 
-// scribbleHeld scribbles over every fragment the nodes hold and returns
+// scribbleHeld scribbles over every fragment the stores hold and returns
 // how many there were.
-func scribbleHeld(nodes []*replNode) int {
-	held := 0
-	for _, node := range nodes {
-		for _, frag := range node.frags {
+func scribbleHeld(stores []*DistStore) (held int) {
+	for _, s := range stores {
+		s.mu.Lock()
+		for _, frag := range s.node.frags {
 			scribble(frag)
 			held++
 		}
+		s.mu.Unlock()
 	}
 	return held
 }

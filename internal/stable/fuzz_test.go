@@ -2,6 +2,8 @@ package stable
 
 import (
 	"testing"
+
+	"c3/internal/wire"
 )
 
 // FuzzReplDecode exercises the replication and recovery-query codecs with
@@ -9,10 +11,16 @@ import (
 // deliver to the store daemons. No input may panic or allocate beyond the
 // input's own size class.
 func FuzzReplDecode(f *testing.F) {
-	// Corpus: real frames from a committed replication round.
-	sections := map[string][]byte{"app": []byte("application state"), "late": {1, 2, 3, 4}}
-	blob := encodeReplSections(sections)
-	f.Add([]byte(blob))
+	// Corpus: real frames from a committed replication round, and the blob
+	// they were cut from (section count, then name and bytes per section).
+	w := wire.NewWriter(64)
+	w.U32(2)
+	w.String("app")
+	w.Bytes32([]byte("application state"))
+	w.String("late")
+	w.Bytes32([]byte{1, 2, 3, 4})
+	blob := w.Bytes()
+	f.Add(blob)
 	frags := splitFragments(blob, 2)
 	f.Add([]byte(encodeReplFrag(1, 3, 0, CodecDup, 2, 0, frags[0])))
 	f.Add([]byte(encodeReplCommit(1, 3, 0, replCommitRec{codec: CodecDup, frags: 2, data: 2, total: len(blob), sum: replSum(blob), sums: shardSums(frags)})))

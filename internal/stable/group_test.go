@@ -62,7 +62,7 @@ func TestReplicatedGroupLossRecoveredViaParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n, g = 12, 6
-	s := NewReplicatedStore(n, WithCodec(rs), WithGroupSize(g))
+	s := NewReplicatedStore(n, WithDistCodec(rs), WithDistGroupSize(g))
 	defer s.Close()
 
 	payloads := make(map[int][]byte)
@@ -104,49 +104,47 @@ func TestReplicatedGroupLossRecoveredViaParity(t *testing.T) {
 	}
 }
 
-// TestReplicatedGroupedRepartition: a membership change under a grouped
-// topology re-places lines onto the new group assignment, including a
-// fresh cross-group parity shard on the new next-group holder.
+// TestReplicatedGroupedRepartition: after a membership change under a
+// grouped topology the old line stays where the old groups put it and
+// still decodes, and the next line lands on the new group assignment —
+// with its cross-group parity shard on the new next-group holder, which
+// carries it through the loss of the owner's whole new group.
 func TestReplicatedGroupedRepartition(t *testing.T) {
 	rs, err := NewCodec("rs", 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n, g = 12, 4
-	s := NewReplicatedStore(n, WithCodec(rs), WithGroupSize(g))
+	s := NewReplicatedStore(n, WithDistCodec(rs), WithDistGroupSize(g))
 	defer s.Close()
-	payload := make([]byte, 5_000)
-	for i := range payload {
-		payload[i] = byte(i * 31)
-	}
-	writeCommitted(t, s, 5, 1, map[string][]byte{"app": payload})
+	old, payload := testBlob(5_000, 1), testBlob(5_000, 2)
+	writeCommitted(t, s, 5, 1, map[string][]byte{"app": old})
 
 	// Shrink across a group boundary: removing rank 2 re-partitions every
 	// downstream group.
-	m := s.Members().WithRemoved(2, 2)
+	m := s.nodes[0].Members().WithRemoved(2, 2)
 	s.SetMembership(m)
 	topo := member.NewTopology(m, g)
+	if got := readApp(t, s, 5, 1); !bytes.Equal(got, old) {
+		t.Fatal("the old line decoded to other bytes after the re-partition")
+	}
+	writeCommitted(t, s, 5, 2, map[string][]byte{"app": payload})
 
-	s.mu.Lock()
-	rec, ok := s.nodes[topo.ParityHolder(5)].commits[replCommitKey{owner: 5, version: 1}]
-	s.mu.Unlock()
+	parity := s.nodes[topo.ParityHolder(5)]
+	parity.mu.Lock()
+	rec, ok := parity.node.commits[replCommitKey{owner: 5, version: 2}]
+	parity.mu.Unlock()
 	if !ok {
-		t.Fatalf("new parity holder %d has no marker after re-partition", topo.ParityHolder(5))
+		t.Fatalf("new parity holder %d has no marker for the next line", topo.ParityHolder(5))
 	}
 	if h, hasCross := rec.crossHolder(); !hasCross || h != topo.ParityHolder(5) {
 		t.Fatalf("marker cross holder = %d,%v; want %d,true", h, hasCross, topo.ParityHolder(5))
 	}
-	// The re-placed line survives losing the owner's whole new group.
 	for _, r := range topo.GroupMembers(topo.GroupOf(5)) {
 		s.FailNode(r)
 	}
-	snap, err := s.Open(5, 1)
-	if err != nil {
-		t.Fatalf("Open after post-repartition group loss: %v", err)
-	}
-	defer snap.Close()
-	if got, err := snap.ReadSection("app"); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("reassembled %d bytes, err %v", len(got), err)
+	if got := readApp(t, s, 5, 2); !bytes.Equal(got, payload) {
+		t.Fatal("the next line decoded to other bytes after its new group's loss")
 	}
 }
 
@@ -169,9 +167,7 @@ func TestDistStoreGroupLossRecoveredViaParity(t *testing.T) {
 
 	// Group 0 dies whole: owner and every group-local shard holder.
 	for r := 0; r < g; r++ {
-		stores[r].mu.Lock()
-		stores[r].node = newReplNode()
-		stores[r].mu.Unlock()
+		stores[r].wipe()
 	}
 
 	v, ok, err := stores[1].LastCommitted(1)

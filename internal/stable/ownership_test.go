@@ -105,7 +105,7 @@ func TestCommittedBytesAreNotShared(t *testing.T) {
 	const n, owner = 8, 1
 	worlds := map[string]func(t *testing.T, codec Codec) (store Store, forget func()){
 		"replicated": func(t *testing.T, codec Codec) (Store, func()) {
-			s := NewReplicatedStore(n, WithCodec(codec))
+			s := NewReplicatedStore(n, WithDistCodec(codec))
 			t.Cleanup(s.Close)
 			return s, func() { s.FailNode(owner) }
 		},
@@ -220,77 +220,50 @@ func TestFlippedBitRejectedAndDecodedAround(t *testing.T) {
 	want := testBlob(200_003, 6)
 	key := func(idx int) replFragKey { return replFragKey{owner: owner, version: 1, idx: idx} }
 
-	t.Run("replicated", func(t *testing.T) {
-		s := NewReplicatedStore(n, WithCodec(mustCodec(t, "rs", k, m)))
-		defer s.Close()
-		writeCommitted(t, s, owner, 1, map[string][]byte{"app": want})
-		for idx := 0; idx < k+m; idx++ {
-			s.mu.Lock()
-			rec := s.peerCommitted(owner)[1]
-			var frag []byte
-			for _, node := range s.nodes {
-				if f, ok := node.frags[key(idx)]; ok {
-					frag = f
+	worlds := map[string]func(t *testing.T) []*DistStore{
+		"replicated": func(t *testing.T) []*DistStore { return distWorld(t, n, WithDistCodec(mustCodec(t, "rs", k, m))) },
+		"dist-tcp":   func(t *testing.T) []*DistStore { return tcpDistWorld(t, n, WithDistCodec(mustCodec(t, "rs", k, m))) },
+	}
+	for name, build := range worlds {
+		t.Run(name, func(t *testing.T) {
+			stores := build(t)
+			writeDistCommitted(t, stores[owner], owner, 1, map[string][]byte{"app": want})
+			for idx := 0; idx < k+m; idx++ {
+				var holder *DistStore
+				var frag []byte
+				for _, s := range stores {
+					s.mu.Lock()
+					if f, ok := s.node.frags[key(idx)]; ok {
+						holder, frag = s, f
+					}
+					s.mu.Unlock()
 				}
-			}
-			if frag == nil {
-				s.mu.Unlock()
-				t.Fatalf("shard %d not stored", idx)
-			}
-			frag[len(frag)/2] ^= 0x04
-			rejected := !rec.shardValid(idx, frag)
-			delete(s.nodes[owner].local, 1)
-			s.mu.Unlock()
-			if !rejected {
-				t.Fatalf("shard %d with a flipped bit passed shardValid", idx)
-			}
-			if !bytes.Equal(readApp(t, s, owner, 1), want) {
-				t.Fatalf("Open with shard %d corrupt returned other bytes", idx)
-			}
-			s.mu.Lock()
-			frag[len(frag)/2] ^= 0x04
-			s.mu.Unlock()
-		}
-	})
-
-	t.Run("dist-tcp", func(t *testing.T) {
-		stores := tcpDistWorld(t, n, WithDistCodec(mustCodec(t, "rs", k, m)))
-		writeDistCommitted(t, stores[owner], owner, 1, map[string][]byte{"app": want})
-		for idx := 0; idx < k+m; idx++ {
-			var holder *DistStore
-			var frag []byte
-			for _, s := range stores {
-				s.mu.Lock()
-				if f, ok := s.node.frags[key(idx)]; ok {
-					holder, frag = s, f
+				if holder == nil {
+					t.Fatalf("shard %d not stored", idx)
 				}
-				s.mu.Unlock()
+				holder.mu.Lock()
+				rec := holder.node.commits[replCommitKey{owner: owner, version: 1}]
+				frag[len(frag)/2] ^= 0x04
+				rejected := !rec.shardValid(idx, frag)
+				holder.mu.Unlock()
+				if !rejected {
+					t.Fatalf("shard %d with a flipped bit passed shardValid", idx)
+				}
+				if !bytes.Equal(readApp(t, stores[owner], owner, 1), want) {
+					t.Fatalf("Open with shard %d corrupt returned other bytes", idx)
+				}
+				holder.mu.Lock()
+				frag[len(frag)/2] ^= 0x04
+				holder.mu.Unlock()
+				stores[owner].mu.Lock()
+				delete(stores[owner].node.local, 1) // the next round must reassemble again
+				stores[owner].mu.Unlock()
 			}
-			if holder == nil {
-				t.Fatalf("shard %d not stored", idx)
+			if got := stores[owner].Reassemblies(); got != k+m {
+				t.Fatalf("%d reassemblies, want %d", got, k+m)
 			}
-			holder.mu.Lock()
-			rec := holder.node.commits[replCommitKey{owner: owner, version: 1}]
-			frag[len(frag)/2] ^= 0x04
-			rejected := !rec.shardValid(idx, frag)
-			holder.mu.Unlock()
-			if !rejected {
-				t.Fatalf("shard %d with a flipped bit passed shardValid", idx)
-			}
-			if !bytes.Equal(readApp(t, stores[owner], owner, 1), want) {
-				t.Fatalf("Open with shard %d corrupt returned other bytes", idx)
-			}
-			holder.mu.Lock()
-			frag[len(frag)/2] ^= 0x04
-			holder.mu.Unlock()
-			stores[owner].mu.Lock()
-			delete(stores[owner].node.local, 1) // the next round must reassemble again
-			stores[owner].mu.Unlock()
-		}
-		if got := stores[owner].Reassemblies(); got != k+m {
-			t.Fatalf("%d reassemblies, want %d", got, k+m)
-		}
-	})
+		})
+	}
 }
 
 // TestCommitSpansTileTheCommit: encode, ship and ack are the commit's only

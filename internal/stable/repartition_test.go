@@ -3,6 +3,7 @@ package stable
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"c3/internal/member"
@@ -34,13 +35,13 @@ func repartitionCodecs(t *testing.T) []Codec {
 	return codecs
 }
 
-// lossCombos enumerates every subset of at most m shard indexes out of
-// shards — the loss patterns a codec with m parity shards must tolerate.
-func lossCombos(shards, m int) [][]int {
+// lossCombos enumerates every subset of at most m indexes out of n — the
+// loss patterns a codec with m parity shards must tolerate.
+func lossCombos(n, m int) [][]int {
 	combos := [][]int{nil}
 	var rec func(start int, cur []int)
 	rec = func(start int, cur []int) {
-		for i := start; i < shards; i++ {
+		for i := start; i < n; i++ {
 			next := append(append([]int(nil), cur...), i)
 			combos = append(combos, next)
 			if len(next) < m {
@@ -54,59 +55,77 @@ func lossCombos(shards, m int) [][]int {
 	return combos
 }
 
-// dropLine removes the owner's local copy and every node's copy of the
-// given shard indexes for (owner, version), returning an undo closure.
-func dropLine(s *ReplicatedStore, owner, version int, lost []int) func() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	savedLocal := s.nodes[owner].local[version]
-	delete(s.nodes[owner].local, version)
-	type stash struct {
-		node int
-		key  replFragKey
-		frag []byte
+// lineRec returns the commit marker some node holds for (owner, version).
+func lineRec(s *ReplicatedStore, owner, version int) (replCommitRec, bool) {
+	for _, node := range s.nodes {
+		node.mu.Lock()
+		rec, ok := node.node.commits[replCommitKey{owner: owner, version: version}]
+		node.mu.Unlock()
+		if ok {
+			return rec, true
+		}
 	}
-	var saved []stash
-	for _, idx := range lost {
-		key := replFragKey{owner: owner, version: version, idx: idx}
-		for r, node := range s.nodes {
-			if frag, ok := node.frags[key]; ok {
-				saved = append(saved, stash{node: r, key: key, frag: frag})
-				delete(node.frags, key)
+	return replCommitRec{}, false
+}
+
+// loseHolders hides (owner, version) — marker and shards — from the given
+// holders, and the owner's local copy, returning an undo closure.
+func loseHolders(s *ReplicatedStore, owner, version int, lost []int) func() {
+	type stash struct {
+		frags  map[replFragKey][]byte
+		marker *replCommitRec
+	}
+	ckey := replCommitKey{owner: owner, version: version}
+	saved := make(map[int]stash, len(lost))
+	for _, h := range lost {
+		node := s.nodes[h]
+		st := stash{frags: make(map[replFragKey][]byte)}
+		node.mu.Lock()
+		for key, frag := range node.node.frags {
+			if key.owner == owner && key.version == version {
+				st.frags[key] = frag
+				delete(node.node.frags, key)
 			}
 		}
+		if rec, ok := node.node.commits[ckey]; ok {
+			st.marker = &rec
+			delete(node.node.commits, ckey)
+		}
+		node.mu.Unlock()
+		saved[h] = st
 	}
+	dropLocal := func() {
+		o := s.nodes[owner]
+		o.mu.Lock()
+		delete(o.node.local, version)
+		o.mu.Unlock()
+	}
+	dropLocal()
 	return func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
 		// Open re-installs a reassembled local copy; discard it so the next
 		// loss pattern exercises reassembly again, then restore the stash.
-		delete(s.nodes[owner].local, version)
-		if savedLocal != nil {
-			s.nodes[owner].local[version] = savedLocal
-		}
-		for _, st := range saved {
-			s.nodes[st.node].frags[st.key] = st.frag
+		dropLocal()
+		for h, st := range saved {
+			node := s.nodes[h]
+			node.mu.Lock()
+			for key, frag := range st.frags {
+				node.node.frags[key] = frag
+			}
+			if st.marker != nil {
+				node.node.commits[ckey] = *st.marker
+			}
+			node.mu.Unlock()
 		}
 	}
 }
 
 // assertPlacement checks that every shard of (owner, version) sits on the
-// holder the current member ring assigns it.
+// holder the member ring m assigns it.
 func assertPlacement(t *testing.T, s *ReplicatedStore, m member.Set, owner, version int) {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := func() (replCommitRec, bool) {
-		for _, node := range s.nodes {
-			if rec, ok := node.commits[replCommitKey{owner: owner, version: version}]; ok {
-				return rec, true
-			}
-		}
-		return replCommitRec{}, false
-	}()
+	rec, ok := lineRec(s, owner, version)
 	if !ok {
-		t.Fatalf("owner %d version %d: no commit marker after re-partition", owner, version)
+		t.Fatalf("owner %d version %d: no commit marker", owner, version)
 	}
 	codec, err := rec.codecOf()
 	if err != nil {
@@ -114,24 +133,45 @@ func assertPlacement(t *testing.T, s *ReplicatedStore, m member.Set, owner, vers
 	}
 	sendPlan, holders, _, _ := commitPlan(codec, owner, rec.frags, member.NewTopology(m, 0))
 	for _, h := range holders {
-		if _, ok := s.nodes[h].commits[replCommitKey{owner: owner, version: version}]; !ok {
-			t.Fatalf("owner %d: holder %d missing commit marker under %s", owner, h, m)
-		}
+		node := s.nodes[h]
+		node.mu.Lock()
+		_, marked := node.node.commits[replCommitKey{owner: owner, version: version}]
+		var missing []int
 		for _, idx := range sendPlan[h] {
-			key := replFragKey{owner: owner, version: version, idx: idx}
-			if frag, ok := s.nodes[h].frags[key]; !ok || !rec.shardValid(idx, frag) {
-				t.Fatalf("owner %d: holder %d missing shard %d under %s", owner, h, idx, m)
+			if frag, ok := node.node.frags[replFragKey{owner: owner, version: version, idx: idx}]; !ok || !rec.shardValid(idx, frag) {
+				missing = append(missing, idx)
 			}
+		}
+		node.mu.Unlock()
+		if !marked || len(missing) > 0 {
+			t.Fatalf("owner %d version %d: holder %d has marker=%v, lacks shards %v under %s",
+				owner, version, h, marked, missing, m)
 		}
 	}
 }
 
-// TestRepartitionMatrix is the exhaustive elastic re-placement sweep: for
+// decodable reports whether the holders in stay, minus those lost, still
+// hold enough distinct shards of the line for its codec.
+func decodable(rec replCommitRec, sendPlan map[int][]int, stay, lost []int) bool {
+	have := make(map[int]bool)
+	for _, h := range stay {
+		if !slices.Contains(lost, h) {
+			for _, idx := range sendPlan[h] {
+				have[idx] = true
+			}
+		}
+	}
+	return len(have) >= rec.need()
+}
+
+// TestRepartitionMatrix is the exhaustive elastic re-partition sweep: for
 // every world size N=3..8, every grow/shrink of 1-2 slots, and every codec
-// geometry, each member commits a line under the old ring, the membership
-// changes, and every surviving owner's line must (a) sit exactly where the
-// new ring places it and (b) stay reconstructible under every loss pattern
-// of at most m shards.
+// geometry, each member commits a line under the old ring, then the
+// membership changes. Re-partition is lazy, so for every member owner
+// (a) the next line it commits sits exactly where the new ring places it,
+// and (b) the old line still decodes where the old ring put it, under
+// every loss of up to max(m,1) of its old holders that remain members
+// which leaves the codec enough shards.
 func TestRepartitionMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive matrix; skipped in -short")
@@ -158,17 +198,17 @@ func codecName(c Codec) string {
 
 func runRepartition(t *testing.T, n, delta int, codec Codec) {
 	capacity := n + 2
-	s := NewReplicatedStore(capacity, WithCodec(codec))
+	s := NewReplicatedStore(capacity, WithDistCodec(codec))
 	defer s.Close()
 	boot := member.New(1, member.Launch(n).Members())
 	s.SetMembership(boot)
 
-	sections := func(owner int) map[string][]byte {
-		pay := bytes.Repeat([]byte{byte(owner + 1)}, 257) // not shard-aligned
+	sections := func(owner, version int) map[string][]byte {
+		pay := bytes.Repeat([]byte{byte(owner + 1), byte(version)}, 129) // not shard-aligned
 		return map[string][]byte{"app": pay, "rank": {byte(owner)}}
 	}
 	for _, owner := range boot.Members() {
-		writeCommitted(t, s, owner, 1, sections(owner))
+		writeCommitted(t, s, owner, 1, sections(owner, 1))
 	}
 
 	var next member.Set
@@ -187,29 +227,45 @@ func runRepartition(t *testing.T, n, delta int, codec Codec) {
 	}
 	s.SetMembership(next)
 
-	m := codec.ParityShards()
-	shards := codec.DataShards() + m
 	for _, owner := range next.Members() {
+		writeCommitted(t, s, owner, 2, sections(owner, 2))
+		assertPlacement(t, s, next, owner, 2)
 		if !boot.Contains(owner) {
-			continue // joined after the line committed; owns nothing yet
+			continue // joined after the old line committed; owns none
 		}
-		assertPlacement(t, s, next, owner, 1)
-		for _, lost := range lossCombos(shards, m) {
-			undo := dropLine(s, owner, 1, lost)
+		rec, ok := lineRec(s, owner, 1)
+		if !ok {
+			t.Fatalf("owner %d: old line has no marker", owner)
+		}
+		sendPlan, holders, _, _ := commitPlan(codec, owner, rec.frags, member.NewTopology(boot, 0))
+		var stay []int // old holders still members: the only ones recovery asks
+		for _, h := range holders {
+			if next.Contains(h) {
+				stay = append(stay, h)
+			}
+		}
+		for _, combo := range lossCombos(len(stay), max(codec.ParityShards(), 1)) {
+			lost := make([]int, len(combo))
+			for i, j := range combo {
+				lost[i] = stay[j]
+			}
+			if !decodable(rec, sendPlan, stay, lost) {
+				if len(lost) == 0 && len(stay) == len(holders) {
+					t.Fatalf("owner %d: old line undecodable with every holder a member", owner)
+				}
+				continue
+			}
+			undo := loseHolders(s, owner, 1, lost)
 			snap, err := s.Open(owner, 1)
 			if err != nil {
 				undo()
-				t.Fatalf("owner %d lost=%v: Open: %v", owner, lost, err)
+				t.Fatalf("owner %d lost holders %v: Open: %v", owner, lost, err)
 			}
 			got, err := snap.ReadSection("app")
-			if err != nil || !bytes.Equal(got, sections(owner)["app"]) {
-				undo()
-				t.Fatalf("owner %d lost=%v: bad app section (err=%v)", owner, lost, err)
-			}
 			undo()
+			if err != nil || !bytes.Equal(got, sections(owner, 1)["app"]) {
+				t.Fatalf("owner %d lost holders %v: bad app section (err=%v)", owner, lost, err)
+			}
 		}
-	}
-	if got := s.Migrations(); got < int64(min(n, n+delta)) {
-		t.Fatalf("migrations = %d, want >= %d (one per surviving owner)", got, min(n, n+delta))
 	}
 }

@@ -185,8 +185,8 @@ func TestReplicatedWithLatencyModelCommitIsDurable(t *testing.T) {
 	// Even with replication latency, Commit must not return before the
 	// fragments are acknowledged — recovery immediately after a commit plus
 	// owner failure must succeed.
-	s := NewReplicatedStore(4, WithReplicationLatency(
-		transport.ConstantLatency(2*time.Millisecond, 0)))
+	slow := transport.WithLatency(transport.ConstantLatency(2*time.Millisecond, 0))
+	s := newReplicatedStore(transport.NewNetwork(4, slow))
 	defer s.Close()
 	writeCommitted(t, s, 1, 1, map[string][]byte{"app": []byte("durable")})
 	s.FailNode(1)
@@ -198,7 +198,7 @@ func TestReplicatedWithLatencyModelCommitIsDurable(t *testing.T) {
 }
 
 func TestReplicatedManyFragments(t *testing.T) {
-	s := NewReplicatedStore(5, WithFragments(7))
+	s := NewReplicatedStore(5, WithDistFragments(7))
 	defer s.Close()
 	big := make([]byte, 10_000)
 	for i := range big {
@@ -242,7 +242,7 @@ func TestReplicatedRSCodecSurvivesTwoLosses(t *testing.T) {
 		payload[i] = byte(i * 13)
 	}
 	for pair := 0; pair < 5; pair++ {
-		s := NewReplicatedStore(8, WithCodec(mustCodec(t, "rs", 4, 2)))
+		s := NewReplicatedStore(8, WithDistCodec(mustCodec(t, "rs", 4, 2)))
 		writeCommitted(t, s, 0, 1, map[string][]byte{"app": payload})
 		s.FailNode(0)        // the owner (holds nothing, but dies first)
 		s.FailNode(1 + pair) // two of the six shard holders
@@ -268,7 +268,7 @@ func TestReplicatedRSCodecSurvivesTwoLosses(t *testing.T) {
 
 // TestReplicatedRSCodecThreeLossesFail: m+1 shard losses must fail cleanly.
 func TestReplicatedRSCodecThreeLossesFail(t *testing.T) {
-	s := NewReplicatedStore(8, WithCodec(mustCodec(t, "rs", 4, 2)))
+	s := NewReplicatedStore(8, WithDistCodec(mustCodec(t, "rs", 4, 2)))
 	defer s.Close()
 	writeCommitted(t, s, 0, 1, map[string][]byte{"app": []byte("gone")})
 	s.FailNode(0)
@@ -285,7 +285,7 @@ func TestReplicatedRSCodecThreeLossesFail(t *testing.T) {
 
 // TestReplicatedXORCodecSurvivesOneLoss: k+1 single-parity coding.
 func TestReplicatedXORCodecSurvivesOneLoss(t *testing.T) {
-	s := NewReplicatedStore(6, WithCodec(mustCodec(t, "xor", 4, 1)))
+	s := NewReplicatedStore(6, WithDistCodec(mustCodec(t, "xor", 4, 1)))
 	defer s.Close()
 	writeCommitted(t, s, 2, 1, map[string][]byte{"app": []byte("xor-protected state")})
 	s.FailNode(2) // owner
@@ -306,21 +306,21 @@ func TestReplicatedXORCodecSurvivesOneLoss(t *testing.T) {
 // TestReplicatedCodecCorruptShardRepaired: a digest-mismatched shard counts
 // as lost and is repaired from parity, not concatenated into a bogus blob.
 func TestReplicatedCodecCorruptShardRepaired(t *testing.T) {
-	s := NewReplicatedStore(8, WithCodec(mustCodec(t, "rs", 4, 2)))
+	s := NewReplicatedStore(8, WithDistCodec(mustCodec(t, "rs", 4, 2)))
 	defer s.Close()
 	payload := []byte("erasure coding repairs corruption too, not just loss....")
 	writeCommitted(t, s, 0, 1, map[string][]byte{"app": payload})
 
 	// Flip a byte in every replica of shard 0, wherever it landed.
-	s.mu.Lock()
 	corrupted := 0
 	for _, node := range s.nodes {
-		if frag, ok := node.frags[replFragKey{owner: 0, version: 1, idx: 0}]; ok && len(frag) > 0 {
+		node.mu.Lock()
+		if frag, ok := node.node.frags[replFragKey{owner: 0, version: 1, idx: 0}]; ok && len(frag) > 0 {
 			frag[0] ^= 0xff
 			corrupted++
 		}
+		node.mu.Unlock()
 	}
-	s.mu.Unlock()
 	if corrupted == 0 {
 		t.Fatal("no stored copy of shard 0 found")
 	}
@@ -345,7 +345,7 @@ func TestReplicatedCodecStoredBytesRatio(t *testing.T) {
 		payload[i] = byte(i)
 	}
 	measure := func(codec Codec) int64 {
-		s := NewReplicatedStore(8, WithCodec(codec))
+		s := NewReplicatedStore(8, WithDistCodec(codec))
 		defer s.Close()
 		for r := 0; r < 8; r++ {
 			writeCommitted(t, s, r, 1, map[string][]byte{"app": payload})
@@ -417,6 +417,7 @@ func TestFragmentRetentionReleasesBlob(t *testing.T) {
 	if err := s.Retire(0, 2); err != nil {
 		t.Fatal(err)
 	}
+	s.settle() // the holders have applied the prune
 
 	var after runtime.MemStats
 	runtime.GC()

@@ -445,5 +445,16 @@ func SetClock(now func() int64) { std.SetClock(now) }
 // SetSalt salts the default recorder's span ids (one-process-per-rank).
 func SetSalt(salt uint64) { std.SetSalt(salt) }
 
+// IncarnationSalt is the span-id salt of one process of a
+// one-process-per-rank world: the rank in the low 12 bits of the 24-bit
+// salt field and the low 11 bits of the process id above it. A respawned
+// rank is a new process, so its ids stay disjoint from those of the
+// incarnation it replaces, whose frames may still be in flight (unless
+// the two process ids agree in their low 11 bits). Ranks stay disjoint up
+// to 4096.
+func IncarnationSalt(rank, pid int) uint64 {
+	return uint64(pid&(1<<11-1))<<12 | uint64(rank&(1<<12-1))
+}
+
 // SetEnabled flips the default recorder's kill switch (overhead A/B).
 func SetEnabled(on bool) { std.SetEnabled(on) }

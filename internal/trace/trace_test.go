@@ -147,6 +147,34 @@ func TestSaltedSpanIDsDisjoint(t *testing.T) {
 	}
 }
 
+// TestIncarnationSaltsDisjoint: a respawned rank (same rank, another
+// process id) mints span ids disjoint from its predecessor's, and two
+// ranks of one process id stay disjoint too, at the field's widest values.
+func TestIncarnationSaltsDisjoint(t *testing.T) {
+	recorders := map[string]*Recorder{
+		"rank 1 pid 4242":    New(64),
+		"rank 1 pid 4243":    New(64),
+		"rank 2 pid 4242":    New(64),
+		"rank 4095 pid 2047": New(64),
+		"rank 4095 pid 2046": New(64),
+	}
+	recorders["rank 1 pid 4242"].SetSalt(IncarnationSalt(1, 4242))
+	recorders["rank 1 pid 4243"].SetSalt(IncarnationSalt(1, 4243))
+	recorders["rank 2 pid 4242"].SetSalt(IncarnationSalt(2, 4242))
+	recorders["rank 4095 pid 2047"].SetSalt(IncarnationSalt(4095, 2047))
+	recorders["rank 4095 pid 2046"].SetSalt(IncarnationSalt(4095, 2046))
+	minted := map[uint64]string{}
+	for name, r := range recorders {
+		for i := 0; i < 1000; i++ {
+			id := r.NewSpan()
+			if other, dup := minted[id]; dup {
+				t.Fatalf("span id %#x minted by %s and %s", id, other, name)
+			}
+			minted[id] = name
+		}
+	}
+}
+
 // TestSpanFeedsHistogram: End routes the span duration into the
 // per-kind histogram, under an injected deterministic clock.
 func TestSpanFeedsHistogram(t *testing.T) {
