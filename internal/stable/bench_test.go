@@ -80,3 +80,40 @@ func BenchmarkRSDecodeRepair(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkDiskCommit is one line of DiskStore's Configuration #3 write
+// path as the protocol layer drives it: Begin, an 8 MiB application
+// section plus five small protocol sections, Commit. The previous version
+// is retired after each, so the directory holds at most one line.
+func BenchmarkDiskCommit(b *testing.B) {
+	store, err := NewDiskStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	app := testBlob(8<<20, 4)
+	small := testBlob(256, 5)
+	names := []string{"mpi", "early", "late", "results", "requests"}
+	b.SetBytes(int64(len(app) + len(names)*len(small)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		ck, err := store.Begin(0, i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ck.WriteSection("app", app); err != nil {
+			b.Fatal(err)
+		}
+		for _, name := range names {
+			if err := ck.WriteSection(name, small); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := ck.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		if err := store.Retire(0, i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -362,12 +362,21 @@ func (s *DiskStore) dir(rank, version int) string {
 	return filepath.Join(s.root, fmt.Sprintf("rank%04d", rank), fmt.Sprintf("v%08d", version))
 }
 
+// diskHandle writes one version directory. Each section's bytes reach the
+// kernel synchronously in WriteSection; its fsync and close, like Begin's
+// directory syncs, run on a goroutine the handle tracks, and Commit (or
+// Abort) joins them all before it goes on.
 type diskHandle struct {
 	store    *DiskStore
 	rank     int
 	ver      int
 	dir      string
 	sections []SectionMeta
+	crash    func(stage string) bool // diskCrashpoint as of Begin
+
+	syncs   sync.WaitGroup
+	errMu   sync.Mutex
+	syncErr error // the first background sync's failure
 }
 
 // Begin implements Store.
@@ -379,7 +388,40 @@ func (s *DiskStore) Begin(rank, version int) (Checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("stable: create checkpoint dir: %w", err)
 	}
-	return &diskHandle{store: s, rank: rank, ver: version, dir: dir}, nil
+	h := &diskHandle{store: s, rank: rank, ver: version, dir: dir, crash: diskCrashpoint}
+	// The version directory's own entry lives in the rank directory, and
+	// the rank directory's entry in the store root; without syncing those
+	// too, a machine crash after Commit returns could leave the freshly
+	// committed version's directory missing entirely — while the protocol
+	// has already retired the older lines it replaced. Both entries exist
+	// now, so their syncs can run while the sections are written.
+	h.inBackground("sync rank dir", func() error { return syncDir(filepath.Dir(dir)) })
+	h.inBackground("sync store root", func() error { return syncDir(s.root) })
+	return h, nil
+}
+
+// inBackground runs one durability step on a goroutine the handle joins in
+// Commit or Abort, keeping the first failure for Commit to report.
+func (h *diskHandle) inBackground(what string, step func() error) {
+	h.syncs.Add(1)
+	go func() {
+		defer h.syncs.Done()
+		if err := step(); err != nil {
+			h.errMu.Lock()
+			if h.syncErr == nil {
+				h.syncErr = fmt.Errorf("stable: %s: %w", what, err)
+			}
+			h.errMu.Unlock()
+		}
+	}()
+}
+
+// join waits for every background step and returns the first failure.
+func (h *diskHandle) join() error {
+	h.syncs.Wait()
+	h.errMu.Lock()
+	defer h.errMu.Unlock()
+	return h.syncErr
 }
 
 func sectionFile(name string) string {
@@ -394,10 +436,17 @@ func sectionFile(name string) string {
 	}, name) + ".bin"
 }
 
-// diskCrashpoint, when non-nil, is consulted before each commit stage; a
-// true return simulates the process dying at that point (the torn-commit
-// test). Stages, in order: "marker-write", "marker-rename", "dir-sync".
+// diskCrashpoint, when non-nil, is consulted at each commit stage; a true
+// return simulates the process dying (or the device failing) at that point
+// (the torn-commit test). Stages, in order: "section-sync" (each section's
+// background fsync, which then reports failure), "marker-write",
+// "marker-rename", "dir-sync". Begin hands its value to the handle, so
+// tests set it before Begin and a handle left running by an earlier test
+// never reads it concurrently.
 var diskCrashpoint func(stage string) bool
+
+// crashAt reports whether the handle's crashpoint fires at stage.
+func (h *diskHandle) crashAt(stage string) bool { return h.crash != nil && h.crash(stage) }
 
 // errSimulatedCrash marks a crashpoint-triggered abort in tests.
 var errSimulatedCrash = errors.New("stable: simulated crash")
@@ -413,11 +462,16 @@ func writeFileSync(path string, data []byte) error {
 		_ = f.Close() // the write error is the one to report
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // the sync error is the one to report
-		return err
+	return syncClose(f)
+}
+
+// syncClose fsyncs f and closes it, reporting the first failure.
+func syncClose(f *os.File) error {
+	err := f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	return err
 }
 
 // syncDir fsyncs a directory, making its entries (renames, creations)
@@ -435,15 +489,32 @@ func syncDir(dir string) error {
 	return err
 }
 
+// WriteSection writes the section straight to its final file: only the
+// COMMITTED marker makes a version visible, so no tmp file and rename are
+// needed. data is not retained once WriteSection returns; the file's fsync
+// and close run in the background until Commit or Abort joins them.
 func (h *diskHandle) WriteSection(name string, data []byte) error {
-	path := filepath.Join(h.dir, sectionFile(name))
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, data); err != nil {
+	file := sectionFile(name)
+	for _, s := range h.sections {
+		if s.Name != name && sectionFile(s.Name) == file {
+			return fmt.Errorf("stable: section %q maps to the same file %s as section %q", name, file, s.Name)
+		}
+	}
+	f, err := os.OpenFile(filepath.Join(h.dir, file), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return fmt.Errorf("stable: write section %q: %w", name, err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("stable: commit section %q: %w", name, err)
+	if _, err := f.Write(data); err != nil {
+		_ = f.Close() // the write error is the one to report
+		return fmt.Errorf("stable: write section %q: %w", name, err)
 	}
+	h.inBackground(fmt.Sprintf("sync section %q", name), func() error {
+		err := syncClose(f)
+		if h.crashAt("section-sync") {
+			return errSimulatedCrash
+		}
+		return err
+	})
 	meta := SectionMeta{Name: name, Bytes: len(data), Sum: replSum(data)}
 	for i, s := range h.sections {
 		if s.Name == name { // re-written section: replace its record
@@ -456,18 +527,24 @@ func (h *diskHandle) WriteSection(name string, data []byte) error {
 }
 
 // Commit makes the checkpoint durable against real process or machine
-// death, in write-ahead order: (1) the directory is synced so every
-// section file's rename is durable, (2) the marker's contents are written
-// and synced, (3) the marker is renamed into place, (4) the directory is
-// synced again so the rename itself is durable. A crash between any two
-// steps leaves either no marker (the version is invisible and recovery
-// uses the previous line) or a complete marker over fully durable
-// sections — never a marker naming partial data.
+// death, in write-ahead order: (1) every section's fsync and the rank
+// directory and store root syncs, in flight since WriteSection and Begin,
+// are joined, (2) the version directory is synced so every section file's
+// entry is durable, (3) the marker's contents are written and synced,
+// (4) the marker is renamed into place, (5) the directory is synced again
+// so the rename itself is durable. A crash between any two steps leaves
+// either no marker (the version is invisible and recovery uses the
+// previous line) or a complete marker over fully durable sections — never
+// a marker naming partial data. When Commit returns nil the version's
+// whole path, from the store root down, is durable.
 func (h *diskHandle) Commit() error {
+	if err := h.join(); err != nil {
+		return err
+	}
 	if err := syncDir(h.dir); err != nil {
 		return fmt.Errorf("stable: sync checkpoint dir: %w", err)
 	}
-	if diskCrashpoint != nil && diskCrashpoint("marker-write") {
+	if h.crashAt("marker-write") {
 		return errSimulatedCrash
 	}
 	meta := h.store.markerMeta()
@@ -476,33 +553,25 @@ func (h *diskHandle) Commit() error {
 	if err := writeFileSync(tmp, encodeCommitMeta(meta)); err != nil {
 		return fmt.Errorf("stable: write commit marker: %w", err)
 	}
-	if diskCrashpoint != nil && diskCrashpoint("marker-rename") {
+	if h.crashAt("marker-rename") {
 		return errSimulatedCrash
 	}
 	if err := os.Rename(tmp, filepath.Join(h.dir, "COMMITTED")); err != nil {
 		return fmt.Errorf("stable: commit: %w", err)
 	}
-	if diskCrashpoint != nil && diskCrashpoint("dir-sync") {
+	if h.crashAt("dir-sync") {
 		return errSimulatedCrash
 	}
 	if err := syncDir(h.dir); err != nil {
 		return fmt.Errorf("stable: sync commit marker: %w", err)
 	}
-	// The version directory's own entry (created by Begin) lives in the
-	// rank directory, and the rank directory's entry in the store root;
-	// without syncing those too, a machine crash after Commit returns could
-	// leave the freshly committed version's directory missing entirely —
-	// while the protocol has already retired the older lines it replaced.
-	if err := syncDir(filepath.Dir(h.dir)); err != nil {
-		return fmt.Errorf("stable: sync rank dir: %w", err)
-	}
-	if err := syncDir(h.store.root); err != nil {
-		return fmt.Errorf("stable: sync store root: %w", err)
-	}
 	return nil
 }
 
+// Abort joins the handle's background syncs, whose outcome no longer
+// matters, and removes the version directory.
 func (h *diskHandle) Abort() error {
+	_ = h.join() // the version is being discarded: its sync failures are moot
 	return os.RemoveAll(h.dir)
 }
 

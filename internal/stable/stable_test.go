@@ -106,8 +106,11 @@ func TestBeginClearsStale(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ck, _ := store.Begin(1, 7)
 			_ = ck.WriteSection("old", []byte("junk"))
-			// A crashed process never commits; a later attempt re-begins
-			// the same version.
+			// Large enough that the disk handle's syncs may still be in
+			// flight when the handle is abandoned.
+			_ = ck.WriteSection("app", testBlob(1<<20, 1))
+			// A crashed process never commits or aborts; a later attempt
+			// re-begins the same version.
 			ck2, err := store.Begin(1, 7)
 			if err != nil {
 				t.Fatal(err)
@@ -123,6 +126,12 @@ func TestBeginClearsStale(t *testing.T) {
 			defer snap.Close()
 			if _, err := snap.ReadSection("old"); err == nil {
 				t.Fatal("stale section survived Begin")
+			}
+			if names, err := snap.Sections(); err != nil || len(names) != 1 || names[0] != "app" {
+				t.Fatalf("sections = %v, %v; want only app", names, err)
+			}
+			if data, err := snap.ReadSection("app"); err != nil || string(data) != "fresh" {
+				t.Fatalf("app = %.16q, %v; want the new handle's contents", data, err)
 			}
 		})
 	}

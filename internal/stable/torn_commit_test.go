@@ -1,18 +1,21 @@
 package stable
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // TestDiskStoreTornCommit kills the commit at every stage boundary and
 // asserts the store's core durability invariant: LastCommitted never names
 // a version whose data could be partial. A version becomes visible only
 // through the final COMMITTED rename, which happens after every section
-// file and the directory itself are fsynced.
+// file and the directory itself are fsynced. The "section-sync" stage fails
+// a section's background fsync: Commit must report it and write no marker.
 func TestDiskStoreTornCommit(t *testing.T) {
-	for _, stage := range []string{"marker-write", "marker-rename", "dir-sync"} {
+	for _, stage := range []string{"section-sync", "marker-write", "marker-rename", "dir-sync"} {
 		t.Run(stage, func(t *testing.T) {
 			dir := t.TempDir()
 			s, err := NewDiskStore(dir)
@@ -32,16 +35,21 @@ func TestDiskStoreTornCommit(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Version 2 dies mid-commit at the stage under test.
+			// Version 2 dies mid-commit at the stage under test. The
+			// crashpoint is armed before Begin, which hands it to the
+			// handle.
+			diskCrashpoint = func(st string) bool { return st == stage }
+			defer func() { diskCrashpoint = nil }()
 			ck2, err := s.Begin(0, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ck2.WriteSection("app", []byte("line-2")); err != nil {
-				t.Fatal(err)
+			// Two sections, so two background syncs fail at "section-sync".
+			for _, name := range []string{"app", "mpi"} {
+				if err := ck2.WriteSection(name, []byte("line-2")); err != nil {
+					t.Fatal(err)
+				}
 			}
-			diskCrashpoint = func(st string) bool { return st == stage }
-			defer func() { diskCrashpoint = nil }()
 			err = ck2.Commit()
 
 			// The "machine reboots": a fresh store over the same directory.
@@ -54,7 +62,7 @@ func TestDiskStoreTornCommit(t *testing.T) {
 				t.Fatal(err3)
 			}
 			switch stage {
-			case "marker-write", "marker-rename":
+			case "section-sync", "marker-write", "marker-rename":
 				// The crash hit before the marker rename: version 2 must be
 				// invisible, version 1 still the recovery line.
 				if err == nil {
@@ -143,5 +151,139 @@ func TestDiskStoreStaleCommittingMarker(t *testing.T) {
 	defer snap.Close()
 	if data, _ := snap.ReadSection("app"); string(data) != "rewritten" {
 		t.Fatalf("content = %q after rewrite", data)
+	}
+}
+
+// TestDiskCommitJoinsBackgroundSyncs holds a section's background fsync
+// open and checks that neither Commit nor Abort returns (or, for Abort,
+// removes the directory) before it finishes: no goroutine a handle starts
+// outlives the handle.
+func TestDiskCommitJoinsBackgroundSyncs(t *testing.T) {
+	for _, finish := range []string{"commit", "abort"} {
+		t.Run(finish, func(t *testing.T) {
+			s, err := NewDiskStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			entered, release := make(chan struct{}, 1), make(chan struct{})
+			diskCrashpoint = func(st string) bool {
+				if st == "section-sync" {
+					entered <- struct{}{}
+					<-release
+				}
+				return false
+			}
+			defer func() { diskCrashpoint = nil }()
+			ck, err := s.Begin(0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ck.WriteSection("app", []byte("held")); err != nil {
+				t.Fatal(err)
+			}
+			<-entered
+			done := make(chan error, 1)
+			go func() {
+				if finish == "commit" {
+					done <- ck.Commit()
+				} else {
+					done <- ck.Abort()
+				}
+			}()
+			select {
+			case err := <-done:
+				t.Fatalf("%s returned (%v) while a section sync was in flight", finish, err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			if _, err := os.Stat(s.dir(0, 1)); err != nil {
+				t.Fatalf("version directory gone before the sync finished: %v", err)
+			}
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatalf("%s: %v", finish, err)
+			}
+			_, ok, err := s.LastCommitted(0)
+			if err != nil || ok != (finish == "commit") {
+				t.Fatalf("LastCommitted ok=%v, err %v after %s", ok, err, finish)
+			}
+		})
+	}
+}
+
+// TestDiskSectionRewrittenInOneHandle: a section written twice reads back
+// its second contents, and the marker lists it once, with the second
+// contents' digest.
+func TestDiskSectionRewrittenInOneHandle(t *testing.T) {
+	s, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := testBlob(1<<20, 1), testBlob(4096, 2)
+	ck, err := s.Begin(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		name string
+		data []byte
+	}{{"app", first}, {"mpi", []byte("mpi")}, {"app", second}} {
+		if err := ck.WriteSection(w.name, w.data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := s.Meta(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(meta.Sections) != 2 || meta.Sections[0].Name != "app" || meta.Sections[1].Name != "mpi" {
+		t.Fatalf("marker sections %+v; want app, mpi once each", meta.Sections)
+	}
+	if a := meta.Sections[0]; a.Bytes != len(second) || a.Sum != SectionSum(second) {
+		t.Fatalf("marker records %+v for app; want the second write's %d bytes", a, len(second))
+	}
+	snap, err := s.Open(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if data, err := snap.ReadSection("app"); err != nil || !bytes.Equal(data, second) {
+		t.Fatalf("app read back %d bytes (%v); want the second write's %d", len(data), err, len(second))
+	}
+}
+
+// TestDiskSectionFileCollision: two section names that sanitize to the
+// same file are refused, not silently stored over each other.
+func TestDiskSectionFileCollision(t *testing.T) {
+	s, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := s.Begin(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.WriteSection("a.b", []byte("dot")); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.WriteSection("a_b", []byte("underscore")); err == nil {
+		t.Fatal(`"a_b" accepted though "a.b" already maps to its file`)
+	}
+	if err := ck.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := s.Meta(0, 1)
+	if err != nil || len(meta.Sections) != 1 || meta.Sections[0].Name != "a.b" {
+		t.Fatalf("marker %+v, %v; want only a.b", meta, err)
+	}
+	snap, err := s.Open(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	if data, err := snap.ReadSection("a.b"); err != nil || string(data) != "dot" {
+		t.Fatalf("a.b = %q, %v; want the first write", data, err)
 	}
 }
