@@ -198,7 +198,7 @@ func launcherMain() {
 		fatalf("%v", err)
 	}
 	if extKillSpec != nil && !*selfHeal {
-		fatalf("-external-kill requires -self-heal (the legacy launcher cannot recover an uncoordinated kill)")
+		fatalf("-external-kill requires -self-heal (the oracle launcher cannot recover an uncoordinated kill)")
 	}
 	var partSpec *cluster.ExternalPartitionSpec
 	if *part != "" {

@@ -2,23 +2,25 @@ package cluster
 
 // The multi-process launcher: spawns one worker process per rank (the
 // workers call RunNode) and coordinates over the workers' stdin and stdout
-// pipes. Two coordination modes exist:
+// pipes. It broadcasts the first attempt and then runs one event loop,
+// which ends once every rank has finished the same attempt. Recovery has
+// two drivers (see node.go):
 //
-//   - Legacy (default): the launcher is an omniscient oracle. It injects
-//     failures as real SIGKILLs via the victim protocol, aborts the
-//     survivors' attempt when a worker dies, re-executes the dead rank,
-//     and starts the next attempt in restore mode.
+//   - Oracle (default): the launcher injects failures as real SIGKILLs via
+//     the victim protocol and, when a worker dies, runs the recovery step
+//     itself: abort the survivors' attempt, re-execute the dead rank, and
+//     start the next attempt in restore mode.
 //
 //   - Self-healing (LaunchConfig.SelfHeal): the launcher is a dumb
-//     respawner exposing exactly one recovery primitive — spawn(rank). It
-//     broadcasts the initial run, then only reacts: a "respawn r" request
-//     from the survivors' elected coordinator re-executes rank r (the new
-//     process is told to "join" and adopts the agreed epoch from its
-//     peers); everything else — detection, agreement, commit interruption,
-//     restore-line negotiation, attempt sequencing — happens among the
-//     workers themselves (internal/detect). The launcher can still play
-//     the role of an outside operator: ExternalKill delivers an
-//     uncoordinated SIGKILL mid-run, the headline self-healing scenario.
+//     respawner exposing exactly one recovery primitive — spawn(rank). A
+//     "respawn r" request from the survivors' elected coordinator
+//     re-executes rank r (the new process is told to "join" and adopts the
+//     agreed epoch from its peers); everything else — detection,
+//     agreement, commit release, restore-line negotiation, attempt
+//     sequencing — happens among the workers themselves (internal/detect).
+//     The launcher can still play the role of an outside operator:
+//     ExternalKill delivers an uncoordinated SIGKILL mid-run, the headline
+//     self-healing scenario.
 
 import (
 	"bufio"
@@ -153,6 +155,7 @@ type launcher struct {
 	events    chan launchEvent
 	stop      chan struct{} // closed when cleanup begins: nothing reads events
 	deadline  time.Time
+	res       *LaunchResult
 }
 
 // post hands an event to the driving loop, or drops it once cleanup has
@@ -242,12 +245,13 @@ func Launch(cfg LaunchConfig) (*LaunchResult, error) {
 		events:    make(chan launchEvent, 64),
 		stop:      make(chan struct{}),
 		deadline:  time.Now().Add(cfg.Timeout),
+		res:       &LaunchResult{Results: make(map[int]string), DoneAt: make(map[int]time.Time), Stats: make(map[int]string)},
 	}
 	defer l.cleanup()
 
 	if cfg.ExternalKill != nil {
 		if !cfg.SelfHeal {
-			return nil, fmt.Errorf("cluster: ExternalKill requires SelfHeal (the legacy launcher would never recover an uncoordinated kill)")
+			return nil, fmt.Errorf("cluster: ExternalKill requires SelfHeal (the oracle launcher would never recover an uncoordinated kill)")
 		}
 		if r := cfg.ExternalKill.Rank; r < 0 || r >= cfg.Ranks {
 			return nil, fmt.Errorf("cluster: ExternalKill rank %d out of range [0,%d)", r, cfg.Ranks)
@@ -277,9 +281,6 @@ func Launch(cfg LaunchConfig) (*LaunchResult, error) {
 	}
 	if err := l.awaitEach("ready", l.allRanks()); err != nil {
 		return nil, err
-	}
-	if cfg.SelfHeal {
-		return l.driveSelfHeal()
 	}
 	return l.drive()
 }
@@ -367,16 +368,22 @@ func (l *launcher) handleCommon(ev launchEvent) (consumed bool, err error) {
 	case "victim":
 		// The failure spec fired inside the worker, which is now frozen at
 		// the exact protocol point: deliver the real SIGKILL.
-		w := l.workers[ev.rank]
-		l.logf("rank %d: victim — delivering SIGKILL to pid %d", ev.rank, w.cmd.Process.Pid)
-		if err := w.cmd.Process.Kill(); err != nil {
-			return true, fmt.Errorf("cluster: SIGKILL rank %d: %w", ev.rank, err)
-		}
-		return true, nil
+		return true, l.kill(ev.rank)
 	case "error":
 		return true, fmt.Errorf("cluster: rank %d: %s", ev.rank, strings.Join(ev.fields[1:], " "))
 	}
 	return false, nil
+}
+
+// kill delivers a real SIGKILL to rank's worker and records the moment.
+func (l *launcher) kill(rank int) error {
+	w := l.workers[rank]
+	l.logf("rank %d: SIGKILL to pid %d", rank, w.cmd.Process.Pid)
+	l.res.KillTime = time.Now()
+	if err := w.cmd.Process.Kill(); err != nil {
+		return fmt.Errorf("cluster: SIGKILL rank %d: %w", rank, err)
+	}
+	return nil
 }
 
 // awaitEach consumes events until every rank in want has produced the
@@ -403,124 +410,23 @@ func (l *launcher) awaitEach(kind string, want map[int]bool) error {
 	return nil
 }
 
-// drive runs attempts until one completes on every rank, recovering from
-// worker deaths in between.
+// drive broadcasts the first attempt, then reacts to worker events until
+// every rank has finished the same attempt. Recovery sequencing lives in
+// the workers under self-heal, where the launcher's sole primitives are
+// spawn(rank) on a coordinator's request and — when configured — the
+// operator's external SIGKILL; the oracle runs recover on a death.
 func (l *launcher) drive() (*LaunchResult, error) {
-	res := &LaunchResult{Results: make(map[int]string), DoneAt: make(map[int]time.Time), Stats: make(map[int]string)}
-	restore := 0
-	for attempt := 0; ; attempt++ {
-		res.Attempts++
-		l.logf("attempt %d (restore=%d)", attempt, restore)
-		for _, w := range l.workers {
-			w.command("run %d %d", attempt, restore)
-		}
-		done := make(map[int]string)
-		var died []int
-		for len(done) < l.cfg.Ranks && len(died) == 0 {
-			ev, err := l.nextEvent()
-			if err != nil {
-				return res, err
-			}
-			if consumed, err := l.handleCommon(ev); err != nil {
-				return res, err
-			} else if consumed {
-				continue
-			}
-			switch ev.fields[0] {
-			case "done":
-				if len(ev.fields) >= 2 && ev.fields[1] == strconv.Itoa(attempt) {
-					result := ""
-					if len(ev.fields) >= 3 {
-						result = ev.fields[2]
-					}
-					done[ev.rank] = result
-					res.DoneAt[ev.rank] = time.Now()
-				}
-			case "stat":
-				if len(ev.fields) >= 3 && ev.fields[1] == strconv.Itoa(attempt) {
-					res.Stats[ev.rank] = strings.Join(ev.fields[2:], " ")
-				}
-			case "exit":
-				if ev.proc != l.workers[ev.rank] {
-					continue // a dead predecessor's event, not the current worker
-				}
-				l.workers[ev.rank].dead = true
-				died = append(died, ev.rank)
-				l.logf("rank %d: worker died", ev.rank)
-			case "down":
-				// The rank observed the world going down; recovery follows
-				// once the death event arrives.
-			}
-		}
-		if len(done) == l.cfg.Ranks {
-			res.Results = done
-			return res, nil
-		}
-
-		// Recovery: tear the survivors' attempt down, re-exec the dead.
-		res.Restarts += len(died)
-		if res.Restarts > l.cfg.MaxRestarts {
-			return res, fmt.Errorf("cluster: %d worker deaths exceed MaxRestarts=%d", res.Restarts, l.cfg.MaxRestarts)
-		}
-		survivors := make(map[int]bool)
-		for _, w := range l.workers {
-			if !w.dead {
-				survivors[w.rank] = true
-				w.command("abort %d", attempt)
-			}
-		}
-		moreDied, err := l.awaitAborted(attempt, survivors)
-		if err != nil {
-			return res, err
-		}
-		for _, r := range moreDied {
-			l.workers[r].dead = true
-			l.logf("rank %d: worker died during abort", r)
-			died = append(died, r)
-		}
-		res.Restarts += len(moreDied)
-		if res.Restarts > l.cfg.MaxRestarts {
-			return res, fmt.Errorf("cluster: %d worker deaths exceed MaxRestarts=%d", res.Restarts, l.cfg.MaxRestarts)
-		}
-		for _, r := range died {
-			l.logf("rank %d: re-executing", r)
-			if err := l.spawn(r); err != nil {
-				return res, err
-			}
-		}
-		ready := make(map[int]bool)
-		for _, r := range died {
-			ready[r] = true
-		}
-		if err := l.awaitEach("ready", ready); err != nil {
-			return res, err
-		}
-		restore = 1
-	}
-}
-
-// driveSelfHeal is the dumb-respawner event loop: broadcast the initial
-// run, then only react. Recovery sequencing lives in the workers; the
-// launcher's sole primitives are spawn(rank) on a coordinator's request
-// and — when configured — the operator's external SIGKILL.
-func (l *launcher) driveSelfHeal() (*LaunchResult, error) {
-	res := &LaunchResult{Results: make(map[int]string), DoneAt: make(map[int]time.Time), Stats: make(map[int]string)}
+	res := l.res
 	for _, w := range l.workers[:l.cfg.Ranks] {
 		w.command("run 0 0")
 	}
+	attempt := 0 // the oracle's current attempt
 
 	ek := l.cfg.ExternalKill
-	killed := false
-	kill := func(rank int) error {
-		w := l.workers[rank]
-		l.logf("rank %d: external SIGKILL to pid %d", rank, w.cmd.Process.Pid)
-		res.KillTime = time.Now()
-		killed = true
-		return w.cmd.Process.Kill()
-	}
+	killed := func() bool { return !res.KillTime.IsZero() }
 	if ek != nil && ek.AfterCheckpoints <= 0 && ek.AfterJoins <= 0 {
 		// Kill before the rank's first committed line: the from-scratch case.
-		if err := kill(ek.Rank); err != nil {
+		if err := l.kill(ek.Rank); err != nil {
 			return res, err
 		}
 	}
@@ -564,20 +470,12 @@ func (l *launcher) driveSelfHeal() (*LaunchResult, error) {
 		if err != nil {
 			return res, err
 		}
+		if consumed, err := l.handleCommon(ev); err != nil {
+			return res, err
+		} else if consumed {
+			continue
+		}
 		switch ev.fields[0] {
-		case "error":
-			return res, fmt.Errorf("cluster: rank %d: %s", ev.rank, strings.Join(ev.fields[1:], " "))
-		case "victim":
-			// A worker froze at its own failure spec. The launcher plays
-			// operator and delivers the SIGKILL, but — unlike legacy mode —
-			// coordinates nothing afterwards: the survivors must notice.
-			res.KillTime = time.Now()
-			killed = true
-			w := l.workers[ev.rank]
-			l.logf("rank %d: victim — delivering SIGKILL to pid %d (self-heal: no coordination follows)", ev.rank, w.cmd.Process.Pid)
-			if err := w.cmd.Process.Kill(); err != nil {
-				return res, fmt.Errorf("cluster: SIGKILL rank %d: %w", ev.rank, err)
-			}
 		case "heal-timer":
 			if parted && !healed {
 				l.logf("partition: healing")
@@ -590,10 +488,10 @@ func (l *launcher) driveSelfHeal() (*LaunchResult, error) {
 				}
 			}
 		case "ckpt":
-			if ek != nil && !killed && ev.rank == ek.Rank {
+			if ek != nil && !killed() && ev.rank == ek.Rank {
 				ckpts++
 				if ckpts >= ek.AfterCheckpoints && res.Joins >= ek.AfterJoins {
-					if err := kill(ek.Rank); err != nil {
+					if err := l.kill(ek.Rank); err != nil {
 						return res, err
 					}
 				}
@@ -693,10 +591,10 @@ func (l *launcher) driveSelfHeal() (*LaunchResult, error) {
 				res.Joins++ // spare slot admitted by a membership epoch
 			}
 			l.logf("rank %d: joined (%s)", ev.rank, strings.Join(ev.fields[1:], " "))
-			if ek != nil && !killed && ckpts >= ek.AfterCheckpoints && ek.AfterJoins > 0 && res.Joins >= ek.AfterJoins {
+			if ek != nil && !killed() && ckpts >= ek.AfterCheckpoints && ek.AfterJoins > 0 && res.Joins >= ek.AfterJoins {
 				// The join gate was the last condition still pending: the
 				// operator's kill lands in the freshly resized world.
-				if err := kill(ek.Rank); err != nil {
+				if err := l.kill(ek.Rank); err != nil {
 					return res, err
 				}
 			}
@@ -751,26 +649,71 @@ func (l *launcher) driveSelfHeal() (*LaunchResult, error) {
 			}
 			l.workers[ev.rank].dead = true
 			l.logf("rank %d: worker died", ev.rank)
+			if !l.cfg.SelfHeal {
+				if err := l.recover(attempt); err != nil {
+					return res, err
+				}
+				attempt++
+			}
 		case "down":
-			// A survivor observed the world going down; the detector drives
-			// what happens next.
+			// A survivor observed the world going down; the recovery driver
+			// decides what happens next.
 		}
 	}
 }
 
+// recover is the oracle's reaction to a worker's death: abort the
+// survivors' attempt, re-execute every dead rank (including any that died
+// during the abort), and start the next attempt in restore mode.
+func (l *launcher) recover(attempt int) error {
+	survivors := make(map[int]bool)
+	for _, w := range l.workers {
+		if !w.dead {
+			survivors[w.rank] = true
+			w.command("abort %d", attempt)
+		}
+	}
+	if err := l.awaitAborted(attempt, survivors); err != nil {
+		return err
+	}
+	dead := make(map[int]bool)
+	for _, w := range l.workers {
+		if w.dead {
+			dead[w.rank] = true
+		}
+	}
+	l.res.Restarts += len(dead)
+	if l.res.Restarts > l.cfg.MaxRestarts {
+		return fmt.Errorf("cluster: %d worker deaths exceed MaxRestarts=%d", l.res.Restarts, l.cfg.MaxRestarts)
+	}
+	for r := range dead {
+		l.logf("rank %d: re-executing", r)
+		if err := l.spawn(r); err != nil {
+			return err
+		}
+	}
+	if err := l.awaitEach("ready", dead); err != nil {
+		return err
+	}
+	for _, w := range l.workers {
+		w.command("run %d 1", attempt+1)
+	}
+	return nil
+}
+
 // awaitAborted waits for each survivor to acknowledge the abort token. A
-// survivor dying during the abort is tolerated: it is reported back so
-// the caller adds it to the re-exec set (MaxRestarts still bounds total
+// survivor dying during the abort is tolerated: it is marked dead so the
+// caller adds it to the re-exec set (MaxRestarts still bounds total
 // deaths).
-func (l *launcher) awaitAborted(token int, want map[int]bool) (died []int, err error) {
+func (l *launcher) awaitAborted(token int, want map[int]bool) error {
 	tok := strconv.Itoa(token)
 	for len(want) > 0 {
 		ev, err := l.nextEvent()
 		if err != nil {
-			return died, err
+			return err
 		}
 		if consumed, err := l.handleCommon(ev); err != nil {
-			return died, err
+			return err
 		} else if consumed {
 			continue
 		}
@@ -782,9 +725,10 @@ func (l *launcher) awaitAborted(token int, want map[int]bool) (died []int, err e
 		case "exit":
 			if ev.proc == l.workers[ev.rank] && want[ev.rank] {
 				delete(want, ev.rank)
-				died = append(died, ev.rank)
+				l.workers[ev.rank].dead = true
+				l.logf("rank %d: worker died during abort", ev.rank)
 			}
 		}
 	}
-	return died, nil
+	return nil
 }

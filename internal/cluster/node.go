@@ -13,7 +13,7 @@ package cluster
 //	                   quit                      exit
 //	node -> launcher:  ready                     store + meshes are up
 //	                   victim                    failure spec fired; awaiting SIGKILL
-//	                   ckpt <attempt> <version>  a checkpoint committed (self-heal)
+//	                   ckpt <attempt> <version>  a checkpoint committed (diskless store)
 //	                   respawn <rank>            coordinator requests a re-exec
 //	                   wantjoin <slot>           ops plane asks for a new member
 //	                                             (slot -1: launcher picks a spare)
@@ -33,21 +33,27 @@ package cluster
 // loses its memory, and its re-executed replacement reassembles its
 // checkpoints from peers over the wire.
 //
-// Two coordination modes exist. In the legacy launcher-driven mode the
-// launcher is an omniscient oracle: it delivers the SIGKILL itself, aborts
-// the survivors, re-execs the dead rank, and broadcasts the next attempt.
-// In self-healing mode (NodeConfig.SelfHeal) the node shares its long-lived
-// replication mesh between the distributed store and a failure detector
-// (internal/detect) through a transport.Demux: survivors detect a death
-// from the mesh's loss report (a crashed process's connection ends
-// without a goodbye) or, for failures that leave no such trace, from
-// phi-accrual heartbeat silence, agree on an epoch-numbered dead set,
-// interrupt in-flight commits by advancing the store's epoch, elect the
-// lowest-ranked survivor to ask the launcher — now a dumb respawner — for
-// replacement processes, and enter the restore attempt on their own. The
-// attempt number is derived from the agreed epoch (attempt = epoch - 1),
-// so every process, including a freshly joined replacement, converges on
-// the same MPI-mesh generation without a central sequencer.
+// One node body serves two drivers. Either way an attempt ends the same
+// way — the store advances to the next attempt's epoch (attempt = epoch -
+// 1), which releases any commit blocked on a dead holder, and the
+// attempt's MPI mesh is shut down — and the next attempt starts in
+// restore mode on a mesh tagged with its generation.
+//
+//   - The launcher as oracle sends the commands: it delivers the SIGKILL
+//     itself, aborts the survivors ("abort"), re-execs the dead rank, and
+//     broadcasts the next attempt ("run").
+//
+//   - In self-healing mode (NodeConfig.SelfHeal) the node shares its
+//     long-lived replication mesh between the distributed store and a
+//     failure detector (internal/detect) through a transport.Demux:
+//     survivors detect a death from the mesh's loss report (a crashed
+//     process's connection ends without a goodbye) or, for failures that
+//     leave no such trace, from phi-accrual heartbeat silence, agree on an
+//     epoch-numbered dead set, elect the lowest-ranked survivor to ask the
+//     launcher — now a dumb respawner — for replacement processes, and
+//     enter the restore attempt of the agreed epoch on their own, so every
+//     process, including a freshly joined replacement, converges on the
+//     same MPI-mesh generation without a central sequencer.
 //
 // Elastic membership (NodeConfig.Capacity > Ranks) decouples the two
 // meanings "rank" used to conflate: the MPI world that runs the
@@ -194,13 +200,15 @@ type node struct {
 	statMu    sync.Mutex
 	lastStats ckpt.Stats // the protocol counters of the last finished attempt
 
+	restoreStart time.Time // when the latest self-healed restore attempt was entered
+
 	curAttempt  atomic.Int64               // attempt whose events (ckpt) are being emitted
 	lastLine    atomic.Int64               // last locally committed version (-1: none)
 	layer       atomic.Pointer[ckpt.Layer] // running attempt's protocol layer (ops checkpoint trigger)
 	fromScratch atomic.Int64               // restore attempts that found no complete line
 }
 
-// distOptions assembles the store options shared by both modes.
+// distOptions assembles the diskless store's options.
 func (cfg *NodeConfig) distOptions() ([]stable.DistOption, error) {
 	var opts []stable.DistOption
 	if cfg.Codec != "" || cfg.DataShards > 0 || cfg.ParityShards > 0 {
@@ -261,66 +269,9 @@ func RunNode(cfg NodeConfig) error {
 	// never collide when c3trace merges their dumps.
 	trace.SetSalt(trace.IncarnationSalt(cfg.Rank, os.Getpid()))
 	defer w.dumpTrace("exit")
-
-	if cfg.SelfHeal != nil {
-		if len(cfg.ReplAddrs) == 0 {
-			err := fmt.Errorf("cluster: self-healing mode requires the diskless replicated store (ReplAddrs)")
-			w.emit("error %v", err)
-			return err
-		}
-		return w.runSelfHeal()
-	}
-
-	switch {
-	case len(cfg.ReplAddrs) > 0:
-		dopts, err := cfg.distOptions()
-		if err != nil {
-			w.emit("error %v", err)
-			return err
-		}
-		rmesh, err := tcp.New(cfg.Rank, cfg.ReplAddrs, tcp.WithDialWindow(cfg.DialWindow))
-		if err != nil {
-			w.emit("error %v", err)
-			return err
-		}
-		w.dist = stable.NewDistStore(cfg.Rank, cfg.Ranks, rmesh, dopts...)
-		w.store = w.dist
-		defer w.dist.Close()
-	case cfg.StorePath != "":
-		disk, err := stable.NewDiskStore(cfg.StorePath)
-		if err != nil {
-			w.emit("error %v", err)
-			return err
-		}
-		// Stamp the configured codec geometry into commit markers so
-		// c3inspect reports the same configuration the diskless planes use.
-		if c, cerr := stable.NewCodec(cfg.Codec, cfg.DataShards, cfg.ParityShards); cerr == nil {
-			disk.SetMarkerInfo(c.ID(), c.DataShards(), c.ParityShards())
-		}
-		w.store = disk
-	default:
-		err := fmt.Errorf("cluster: node needs ReplAddrs or StorePath")
+	if err := w.run(); err != nil {
 		w.emit("error %v", err)
 		return err
-	}
-
-	cmds := w.commandStream()
-	w.emit("ready")
-	for cmd := range cmds {
-		switch cmd[0] {
-		case "run":
-			if len(cmd) < 3 {
-				w.emit("error malformed run command")
-				continue
-			}
-			attempt, _ := strconv.Atoi(cmd[1])
-			restore := cmd[2] == "1"
-			w.runAttempt(attempt, restore, cmds)
-		case "abort":
-			w.emit("aborted %s", tokenOf(cmd))
-		case "quit":
-			return nil
-		}
 	}
 	return nil
 }
@@ -377,58 +328,10 @@ func (w *node) emit(format string, args ...any) {
 	}
 }
 
-// runAttempt executes one world launch, staying responsive to abort
-// commands while the application runs.
-func (w *node) runAttempt(attempt int, restore bool, cmds <-chan []string) {
-	if w.dist != nil {
-		w.dist.Resume()
-	}
-	w.curAttempt.Store(int64(attempt))
-	mesh, err := tcp.New(w.cfg.Rank, w.cfg.MPIAddrs,
-		tcp.WithGeneration(uint64(attempt+1)), tcp.WithDialWindow(w.cfg.DialWindow))
-	if err != nil {
-		w.emit("error %v", err)
-		return
-	}
-	done := make(chan error, 1)
-	go func() { done <- w.attemptBody(mesh, attempt, restore) }()
-
-	for {
-		select {
-		case err := <-done:
-			w.finishMesh(mesh)
-			switch {
-			case err == nil:
-				w.emitSuccess(attempt, nil)
-			case errors.Is(err, mpi.ErrDown):
-				w.emit("down %d", attempt)
-			default:
-				w.emit("error rank %d attempt %d: %v", w.cfg.Rank, attempt, err)
-			}
-			return
-		case cmd, ok := <-cmds:
-			if !ok || cmd[0] == "quit" {
-				w.teardown(mesh)
-				<-done
-				return
-			}
-			if cmd[0] == "abort" {
-				w.teardown(mesh)
-				<-done
-				w.finishMesh(mesh)
-				w.dumpTrace("abort")
-				w.emit("aborted %s", tokenOf(cmd))
-				return
-			}
-			w.emit("error unexpected %q during attempt", cmd[0])
-		}
-	}
-}
-
 // emitSuccess reports a completed attempt: the stat line (recovery
 // provenance, and in self-healing mode the detection/agreement/restore
 // latency decomposition) followed by the done event.
-func (w *node) emitSuccess(attempt int, sh *selfHealState) {
+func (w *node) emitSuccess(attempt int) {
 	result := ""
 	if w.cfg.Result != nil {
 		result = w.cfg.Result()
@@ -445,37 +348,23 @@ func (w *node) emitSuccess(attempt int, sh *selfHealState) {
 	// fragments over the wire.
 	stat := fmt.Sprintf("stat %d reassemblies=%d restores=%d fromscratch=%d checkpoints=%d",
 		attempt, reasm, st.Restores, st.FromScratch, st.CheckpointsTaken)
-	if sh != nil {
-		tm := sh.det.Times()
+	if w.det != nil {
+		tm := w.det.Times()
 		suspectUS, agreeUS, restoreUS := int64(0), int64(0), int64(0)
 		if !tm.SuspectAt.IsZero() {
 			suspectUS = tm.SuspectAt.UnixMicro()
 			if tm.AgreeAt.After(tm.SuspectAt) {
 				agreeUS = tm.AgreeAt.Sub(tm.SuspectAt).Microseconds()
 			}
-			if sh.restoreStart.After(tm.SuspectAt) {
-				restoreUS = sh.restoreStart.Sub(tm.SuspectAt).Microseconds()
+			if w.restoreStart.After(tm.SuspectAt) {
+				restoreUS = w.restoreStart.Sub(tm.SuspectAt).Microseconds()
 			}
 		}
 		stat += fmt.Sprintf(" detections=%d epochs=%d suspect_us=%d agree_us=%d restore_us=%d cause=%s",
-			sh.det.Detections(), sh.det.Epoch(), suspectUS, agreeUS, restoreUS, tm.Cause)
+			w.det.Detections(), w.det.Epoch(), suspectUS, agreeUS, restoreUS, tm.Cause)
 	}
 	w.emit("%s", stat)
 	w.emit("done %d %s", attempt, result)
-}
-
-// teardown brings the current attempt down: the MPI mesh dies (all blocked
-// operations return ErrDown) and any commit blocked on a dead neighbor's
-// acknowledgment is released.
-func (w *node) teardown(mesh *tcp.Mesh) {
-	mesh.Shutdown()
-	if w.dist != nil {
-		w.dist.Interrupt()
-	}
-}
-
-func (w *node) finishMesh(mesh *tcp.Mesh) {
-	mesh.Close()
 }
 
 // attemptBody is one rank's share of one world launch — the multi-process
@@ -517,8 +406,6 @@ func (w *node) attemptBody(mesh *tcp.Mesh, attempt int, restore bool) error {
 	return err
 }
 
-// --- Self-healing mode ---
-
 // epochEvent is a committed epoch transition delivered by the detector.
 type epochEvent struct {
 	epoch   uint64
@@ -527,128 +414,68 @@ type epochEvent struct {
 	newDead []int
 }
 
-// selfHealState bundles the self-healing runtime of one node.
-type selfHealState struct {
-	det          *detect.Detector
-	restoreStart time.Time // when the latest restore attempt was entered
-}
-
-// runSelfHeal is RunNode's body in self-healing mode: the long-lived
-// replication mesh is demultiplexed between the distributed store and the
-// failure detector, and the node coordinates its own recovery.
-func (w *node) runSelfHeal() error {
+// run is RunNode's body: bring the store up, then run attempts as the
+// driver orders them — the launcher's run/abort commands, or the epochs
+// the detector agrees on — until quit, stdin EOF, drain or a fatal error.
+func (w *node) run() error {
 	cfg := w.cfg
 	sh := cfg.SelfHeal
-	if sh.JoinTimeout <= 0 {
-		sh.JoinTimeout = 15 * time.Second
-	}
 	// The compute world is fixed at Ranks; membership (shard placement,
 	// quorum, agreement votes) is elastic across Capacity slots. A slot
 	// beyond the compute world is a storage member: no app attempts.
 	storage := cfg.Rank >= cfg.Ranks
-	boot := member.Launch(cfg.Ranks)
-
-	dopts, err := cfg.distOptions()
-	if err != nil {
-		w.emit("error %v", err)
-		return err
-	}
-	rmesh, err := tcp.New(cfg.Rank, cfg.ReplAddrs, tcp.WithDialWindow(cfg.DialWindow))
-	if err != nil {
-		w.emit("error %v", err)
-		return err
-	}
-	demux := transport.NewDemux(rmesh, cfg.Rank)
-	replPlane := demux.Plane(transport.WireKindRepl)
-	detPlane := demux.Plane(transport.WireKindDetect)
-	// Grouped worlds route cross-group detector traffic through delegate
-	// relays instead of opening an all-pairs conversation; the relay plane
-	// must exist before the demux starts dispatching frames.
-	var relay *transport.Relay
-	if cfg.GroupSize > 1 {
-		relay = transport.NewRelay(demux)
-	}
-
-	dopts = append(dopts, stable.WithCommitHook(func(version int) {
-		w.lastLine.Store(int64(version))
-		w.emit("ckpt %d %d", w.curAttempt.Load(), version)
-	}))
-	dopts = append(dopts, stable.WithDistMembers(boot))
-	w.dist = stable.NewDistStore(cfg.Rank, cfg.Capacity, replPlane, dopts...)
-	w.store = w.dist
-	defer w.dist.Close()
-
 	epochCh := make(chan epochEvent, 16)
 	evicted := make(chan uint64, 1)
 	drained := make(chan uint64, 1)
-	det, err := detect.New(detect.Options{
-		Self:              cfg.Rank,
-		Ranks:             cfg.Capacity,
-		Members:           boot,
-		Net:               detPlane,
-		HeartbeatInterval: sh.HeartbeatInterval,
-		PhiThreshold:      sh.PhiThreshold,
-		GroupSize:         cfg.GroupSize,
-		Relay:             relay,
-		OnEpoch: func(epoch uint64, members member.Set, dead, newDead []int) {
-			epochCh <- epochEvent{epoch: epoch, members: members, dead: dead, newDead: newDead}
-		},
-		OnEvicted: func(epoch uint64) {
-			select {
-			case evicted <- epoch:
-			default:
-			}
-		},
-		OnDrained: func(epoch uint64) {
-			select {
-			case drained <- epoch:
-			default:
-			}
-		},
-		// Fencing: when this rank loses majority contact the store refuses
-		// checkpoint commits (ErrFenced) instead of excusing the unreachable
-		// holders — a minority-side rank must not extend a recovery line a
-		// majority may be superseding without it.
-		OnFence: func(fenced bool) {
-			w.dist.SetFenced(fenced)
-			// Preserve the ring around the fencing transition: partition
-			// post-mortems want the detector events that led here.
-			w.dumpTrace("fence")
-		},
-		Logf: cfg.Log,
-	})
-	if err != nil {
-		w.emit("error %v", err)
-		return err
-	}
-	defer det.Close()
-	w.det = det
-	// Every frame on the shared mesh is liveness evidence, and a peer's
-	// crash arrives as a loss report behind its last frame (the mesh's
-	// goodbye frames keep orderly exits out of it).
-	det.ObserveVia(demux)
-	demux.Start()
-	defer demux.Close()
-	if relay != nil {
-		relay.Start()
-		defer relay.Close()
-	}
-	det.Start()
 
-	if cfg.OpsAddr != "" {
-		var oo []ops.Option
-		if cfg.OpsDebug {
-			oo = append(oo, ops.WithDebug())
+	var rmesh *tcp.Mesh
+	switch {
+	case len(cfg.ReplAddrs) > 0:
+		dopts, err := cfg.distOptions()
+		if err != nil {
+			return err
 		}
-		srv, serr := ops.Serve(cfg.OpsAddr, w, oo...)
-		if serr != nil {
-			w.emit("error %v", serr)
-			return serr
+		if rmesh, err = tcp.New(cfg.Rank, cfg.ReplAddrs, tcp.WithDialWindow(cfg.DialWindow)); err != nil {
+			return err
 		}
-		defer srv.Close()
+		// The long-lived replication mesh is demultiplexed: the store rides
+		// its replication plane, and in self-healing mode the failure
+		// detector shares the same connections.
+		demux := transport.NewDemux(rmesh, cfg.Rank)
+		dopts = append(dopts, stable.WithDistMembers(member.Launch(cfg.Ranks)),
+			stable.WithCommitHook(func(version int) {
+				w.lastLine.Store(int64(version))
+				w.emit("ckpt %d %d", w.curAttempt.Load(), version)
+			}))
+		w.dist = stable.NewDistStore(cfg.Rank, cfg.Capacity, demux.Plane(transport.WireKindRepl), dopts...)
+		w.store = w.dist
+		defer w.dist.Close()
+		if sh != nil {
+			closeDet, err := w.startDetector(demux, epochCh, evicted, drained)
+			if err != nil {
+				return err
+			}
+			defer closeDet()
+		}
+		demux.Start()
+		defer demux.Close()
+	case sh != nil:
+		return fmt.Errorf("cluster: self-healing mode requires the diskless replicated store (ReplAddrs)")
+	case cfg.StorePath != "":
+		disk, err := stable.NewDiskStore(cfg.StorePath)
+		if err != nil {
+			return err
+		}
+		// Stamp the configured codec geometry into commit markers so
+		// c3inspect reports the same configuration the diskless planes use.
+		if c, cerr := stable.NewCodec(cfg.Codec, cfg.DataShards, cfg.ParityShards); cerr == nil {
+			disk.SetMarkerInfo(c.ID(), c.DataShards(), c.ParityShards())
+		}
+		w.store = disk
+	default:
+		return fmt.Errorf("cluster: node needs ReplAddrs or StorePath")
 	}
 
-	state := &selfHealState{det: det}
 	cmds := w.commandStream()
 	w.emit("ready")
 
@@ -660,9 +487,6 @@ func (w *node) runSelfHeal() error {
 		partPairs [][2]int // active partition rules (nil when healed)
 	)
 	start := func(a int, restore bool) {
-		if w.dist != nil {
-			w.dist.Resume()
-		}
 		attempt = a
 		w.curAttempt.Store(int64(a))
 		if storage {
@@ -685,16 +509,24 @@ func (w *node) runSelfHeal() error {
 		done = make(chan error, 1)
 		go func(m *tcp.Mesh) { done <- w.attemptBody(m, a, restore) }(m)
 	}
-	stop := func() {
+	// abandon ends the running attempt. Advancing the store to a newer
+	// epoch first releases any commit blocked on a dead holder's
+	// acknowledgment; the mesh shutdown then fails every MPI call.
+	abandon := func(epoch uint64) {
+		if w.dist != nil {
+			w.dist.AdvanceEpoch(epoch)
+		}
 		if done == nil {
 			return
 		}
 		mesh.Shutdown()
 		<-done
-		w.finishMesh(mesh)
+		mesh.Close()
 		mesh, done = nil, nil
 	}
-	defer stop()
+	// Leaving for any reason abandons the attempt as the oracle's abort
+	// does: into the next attempt's epoch (attempt = epoch - 1).
+	defer func() { abandon(uint64(attempt + 2)) }()
 
 	for {
 		select {
@@ -713,6 +545,12 @@ func (w *node) runSelfHeal() error {
 					continue // already running or stale
 				}
 				start(a, cmd[2] == "1")
+			case "abort":
+				// The oracle's recovery step: tear the attempt down into the
+				// epoch of the attempt it will start next.
+				abandon(uint64(attempt + 2))
+				w.dumpTrace("abort")
+				w.emit("aborted %s", tokenOf(cmd))
 			case "join":
 				// Entry into a running world. A respawned compute rank is
 				// still a member and merely adopts the agreed epoch; a storage
@@ -722,19 +560,18 @@ func (w *node) runSelfHeal() error {
 				var epoch uint64
 				var jerr error
 				if storage {
-					epoch, jerr = det.JoinNew(sh.JoinTimeout)
+					epoch, jerr = w.det.JoinNew(sh.JoinTimeout)
 				} else {
-					epoch, jerr = det.Join(sh.JoinTimeout)
+					epoch, jerr = w.det.Join(sh.JoinTimeout)
 				}
 				if jerr != nil {
-					w.emit("error %v", jerr)
 					return jerr
 				}
 				seenEpoch = epoch
-				w.dist.SetMembership(det.Members())
+				w.dist.SetMembership(w.det.Members())
 				w.dist.AdvanceEpoch(epoch)
 				w.emit("joined %d", epoch)
-				state.restoreStart = time.Now()
+				w.restoreStart = time.Now()
 				w.dumpTrace("restore")
 				start(int(epoch)-1, true)
 			case "part":
@@ -765,12 +602,6 @@ func (w *node) runSelfHeal() error {
 				}
 			case "quit":
 				return nil
-			case "abort":
-				// Legacy command; in self-healing mode recovery is driven by
-				// epochs, but acknowledge so a mixed launcher doesn't hang.
-				stop()
-				w.dumpTrace("abort")
-				w.emit("aborted %s", tokenOf(cmd))
 			}
 
 		case ev := <-epochCh:
@@ -786,8 +617,7 @@ func (w *node) runSelfHeal() error {
 			// deaths and membership changes alike restart the world in
 			// restore mode at attempt = epoch - 1.
 			w.dist.SetMembership(ev.members)
-			w.dist.AdvanceEpoch(ev.epoch)
-			stop()
+			abandon(ev.epoch)
 			// The lowest-ranked surviving member coordinates: it negotiates
 			// the restore line (logged for visibility; the binding negotiation
 			// is the collective reduction inside Restore) and asks the
@@ -808,7 +638,7 @@ func (w *node) runSelfHeal() error {
 					}(ev.epoch)
 				}
 			}
-			state.restoreStart = time.Now()
+			w.restoreStart = time.Now()
 			// Dump before re-entering the attempt so the suspect/gossip/agree
 			// window that produced this epoch is on disk even if the restore
 			// itself dies.
@@ -816,42 +646,116 @@ func (w *node) runSelfHeal() error {
 			start(int(ev.epoch)-1, true)
 
 		case err := <-done:
-			w.finishMesh(mesh)
+			mesh.Close()
 			mesh, done = nil, nil
 			switch {
 			case err == nil:
-				w.emitSuccess(attempt, state)
+				w.emitSuccess(attempt)
 				// Stay alive: a later failure elsewhere can still roll the
-				// world back, in which case the epoch event restarts us.
-			case errors.Is(err, mpi.ErrDown):
-				// The mesh died under us — either our own teardown racing the
-				// epoch event, or a peer's death stalling the world until the
-				// detector confirms it. The epoch event drives the restart.
-				w.emit("down %d", attempt)
-			case errors.Is(err, stable.ErrFenced):
-				// Minority side of a partition: the store refused a commit.
-				// Report down and wait — the heal delivers a newer epoch
-				// (majority committed without us) that restarts the attempt.
+				// world back, in which case the driver restarts us.
+			case errors.Is(err, mpi.ErrDown), errors.Is(err, stable.ErrFenced):
+				// The mesh died under us — a peer's death stalling the world
+				// until the driver reacts — or, on the minority side of a
+				// partition, the store refused a commit and the heal's newer
+				// epoch restarts the attempt.
 				w.emit("down %d", attempt)
 			default:
-				w.emit("error rank %d attempt %d: %v", cfg.Rank, attempt, err)
-				return err
+				return fmt.Errorf("rank %d attempt %d: %w", cfg.Rank, attempt, err)
 			}
 
 		case epoch := <-drained:
 			// A committed membership epoch removed this very slot — the
 			// graceful shrink this node (or an operator via the ops plane)
 			// asked for. Stop hosting and exit cleanly; peers re-partition.
-			stop()
+			abandon(epoch)
 			w.emit("drained %d", epoch)
 			return nil
 
 		case epoch := <-evicted:
-			err := fmt.Errorf("rank %d evicted by epoch %d while alive (false suspicion won agreement)", cfg.Rank, epoch)
-			w.emit("error %v", err)
-			return err
+			return fmt.Errorf("rank %d evicted by epoch %d while alive (false suspicion won agreement)", cfg.Rank, epoch)
 		}
 	}
+}
+
+// startDetector adds the self-healing runtime to the node: the failure
+// detector on the demux's detector plane, the delegate relay of a grouped
+// world, and the ops control plane when configured. It must run before the
+// demux starts dispatching frames; the returned func tears it all down.
+func (w *node) startDetector(demux *transport.Demux, epochCh chan<- epochEvent, evicted, drained chan uint64) (func(), error) {
+	cfg := w.cfg
+	if cfg.SelfHeal.JoinTimeout <= 0 {
+		cfg.SelfHeal.JoinTimeout = 15 * time.Second
+	}
+	// Grouped worlds route cross-group detector traffic through delegate
+	// relays instead of opening an all-pairs conversation.
+	var relay *transport.Relay
+	if cfg.GroupSize > 1 {
+		relay = transport.NewRelay(demux)
+	}
+	offer := func(ch chan uint64, epoch uint64) {
+		select {
+		case ch <- epoch:
+		default:
+		}
+	}
+	det, err := detect.New(detect.Options{
+		Self:              cfg.Rank,
+		Ranks:             cfg.Capacity,
+		Members:           member.Launch(cfg.Ranks),
+		Net:               demux.Plane(transport.WireKindDetect),
+		HeartbeatInterval: cfg.SelfHeal.HeartbeatInterval,
+		PhiThreshold:      cfg.SelfHeal.PhiThreshold,
+		GroupSize:         cfg.GroupSize,
+		Relay:             relay,
+		OnEpoch: func(epoch uint64, members member.Set, dead, newDead []int) {
+			epochCh <- epochEvent{epoch: epoch, members: members, dead: dead, newDead: newDead}
+		},
+		OnEvicted: func(epoch uint64) { offer(evicted, epoch) },
+		OnDrained: func(epoch uint64) { offer(drained, epoch) },
+		// Fencing: when this rank loses majority contact the store refuses
+		// checkpoint commits (ErrFenced) instead of excusing the unreachable
+		// holders — a minority-side rank must not extend a recovery line a
+		// majority may be superseding without it.
+		OnFence: func(fenced bool) {
+			w.dist.SetFenced(fenced)
+			// Preserve the ring around the fencing transition: partition
+			// post-mortems want the detector events that led here.
+			w.dumpTrace("fence")
+		},
+		Logf: cfg.Log,
+	})
+	if err != nil {
+		return nil, err
+	}
+	w.det = det
+	// Every frame on the shared mesh is liveness evidence, and a peer's
+	// crash arrives as a loss report behind its last frame (the mesh's
+	// goodbye frames keep orderly exits out of it).
+	det.ObserveVia(demux)
+	if relay != nil {
+		relay.Start()
+	}
+	det.Start()
+	var srv *ops.Server
+	if cfg.OpsAddr != "" {
+		var oo []ops.Option
+		if cfg.OpsDebug {
+			oo = append(oo, ops.WithDebug())
+		}
+		if srv, err = ops.Serve(cfg.OpsAddr, w, oo...); err != nil {
+			det.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if srv != nil {
+			_ = srv.Close() // shutting down: the ops server has nothing left to serve
+		}
+		if relay != nil {
+			relay.Close()
+		}
+		det.Close()
+	}, nil
 }
 
 // --- Ops control-plane backend (internal/ops.Backend) ---

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,6 +70,11 @@ func runProcWorker() {
 		app       = fs.String("app", "stress", "")
 		iters     = fs.Int("iters", procIters, "")
 		pace      = fs.Duration("pace", 0, "")
+		storeDir  = fs.String("store", "", "")
+		meetDir   = fs.String("rendezvous", "", "")
+		ballastR  = fs.Int("ballast-rank", -1, "")
+		ballast   = fs.Int("ballast", 0, "")
+		hold      = fs.Int("hold", 0, "")
 	)
 	_ = fs.Parse(os.Args[1:])
 
@@ -85,6 +91,7 @@ func runProcWorker() {
 		TraceDir:  *traceDir,
 		MPIAddrs:  strings.Split(*peers, ","),
 		ReplAddrs: strings.Split(*replPeers, ","),
+		StorePath: *storeDir,
 		App:       workload,
 		Policy:    ckpt.Policy{EveryNthPragma: *every, AsyncCommit: *async},
 		In:        os.Stdin,
@@ -113,13 +120,77 @@ func runProcWorker() {
 				append([]any{*rank, time.Since(start).Microseconds()}, args...)...)
 		}
 	}
+	if *storeDir != "" {
+		nc.ReplAddrs = nil
+	}
 	if *killRank == *rank || *killRank2 == *rank {
 		nc.Kill = &cluster.FailureSpec{Rank: *rank, AtPragma: *killAt, AfterCheckpoints: *killAfter}
+	}
+	meet := &rendezvousEnv{dir: *meetDir, self: *rank}
+	switch {
+	case *meetDir == "":
+	case *hold > 0 && *rank == *ballastR:
+		meet.markAfter = *hold
+	case *hold > 0 && *rank == *killRank:
+		meet.waitBefore, meet.waitFor = *hold, *ballastR
+	case *killRank2 >= 0 && nc.Kill != nil:
+		meet.markBefore, meet.waitBefore, meet.waitFor = *killAt, *killAt, *killRank+*killRank2-*rank
+	}
+	nc.App = func(env cluster.Env) error {
+		if *rank == *ballastR {
+			// Extra checkpointed state: this rank's commits ship slowly.
+			env.State().Bytes("ballast").SetData(make([]byte, *ballast))
+		}
+		if meet.dir != "" {
+			meet.Env, meet.pragmas = env, 0
+			env = meet
+		}
+		return workload(env)
 	}
 	if err := cluster.RunNode(nc); err != nil {
 		fmt.Fprintf(os.Stderr, "proc worker rank %d: %v\n", *rank, err)
 		os.Exit(1)
 	}
+}
+
+// rendezvousEnv orders pragmas across worker processes through marker
+// files in a shared directory: before its markBefore-th pragma, or after
+// its markAfter-th, a rank leaves its mark; before its waitBefore-th it
+// waits for waitFor's mark. Later attempts find every mark already there.
+type rendezvousEnv struct {
+	cluster.Env
+	dir                               string
+	self, waitFor                     int
+	markBefore, markAfter, waitBefore int
+	pragmas                           int
+}
+
+func (e *rendezvousEnv) mark() error {
+	return os.WriteFile(filepath.Join(e.dir, fmt.Sprintf("rank%d", e.self)), nil, 0o644)
+}
+
+func (e *rendezvousEnv) Checkpoint() error {
+	e.pragmas++
+	if e.pragmas == e.markBefore {
+		if err := e.mark(); err != nil {
+			return err
+		}
+	}
+	if e.pragmas == e.waitBefore {
+		for {
+			if _, err := os.Stat(filepath.Join(e.dir, fmt.Sprintf("rank%d", e.waitFor))); err == nil {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := e.Env.Checkpoint(); err != nil {
+		return err
+	}
+	if e.pragmas == e.markAfter {
+		return e.mark()
+	}
+	return nil
 }
 
 // procReference computes the failure-free per-rank checksums in-process.
@@ -146,7 +217,17 @@ func procReference(t *testing.T, ranks int) map[int]int {
 
 func launchProcs(t *testing.T, ranks int, extra ...string) *cluster.LaunchResult {
 	t.Helper()
-	res, err := cluster.Launch(cluster.LaunchConfig{
+	res, err := cluster.Launch(procLaunchConfig(t, ranks, extra...))
+	if err != nil {
+		t.Fatalf("launch: %v", err)
+	}
+	return res
+}
+
+// procLaunchConfig is the oracle launch of ranks proc workers, each given
+// the extra worker flags.
+func procLaunchConfig(t *testing.T, ranks int, extra ...string) cluster.LaunchConfig {
+	return cluster.LaunchConfig{
 		Ranks:   ranks,
 		Exe:     os.Args[0],
 		Env:     []string{procWorkerEnv + "=1", "GOTRACEBACK=all"},
@@ -161,11 +242,7 @@ func launchProcs(t *testing.T, ranks int, extra ...string) *cluster.LaunchResult
 			return append(args, extra...)
 		},
 		Log: t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("launch: %v", err)
 	}
-	return res
 }
 
 func checkProcSums(t *testing.T, res *cluster.LaunchResult, ref map[int]int) {
@@ -233,6 +310,61 @@ func TestMultiProcessSIGKILLRecovery(t *testing.T) {
 	}
 }
 
+// TestMultiProcessSIGKILLRecoveryDisk drives the headline scenario through
+// RunNode's DiskStore branch: every worker shares one checkpoint directory
+// instead of the diskless replicated store.
+func TestMultiProcessSIGKILLRecoveryDisk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test in -short mode")
+	}
+	ref := procReference(t, 4)
+	cfg := procLaunchConfig(t, 4, "-every", "4", "-store", t.TempDir(),
+		"-kill-rank", "1", "-kill-at", "9", "-kill-after", "2")
+	cfg.Disk = true
+	res, err := cluster.Launch(cfg)
+	if err != nil {
+		t.Fatalf("launch: %v", err)
+	}
+	if res.Restarts != 1 || res.Attempts != 2 {
+		t.Fatalf("restarts=%d attempts=%d, want 1/2", res.Restarts, res.Attempts)
+	}
+	checkProcSums(t, res, ref)
+	for r := 0; r < 4; r++ {
+		if stat := res.Stats[r]; !strings.Contains(stat, "restores=1") {
+			t.Errorf("rank %d stat %q: world did not restore from the recovery line", r, stat)
+		}
+	}
+}
+
+// TestMultiProcessAbortReleasesBlockedCommit: the oracle's abort must
+// release a survivor's commit that waits for the SIGKILLed holder's
+// acknowledgment. The ack timeout is far above the launch timeout, so only
+// the abort's store-epoch advance can end that wait in time.
+func TestMultiProcessAbortReleasesBlockedCommit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test in -short mode")
+	}
+	ref := procReference(t, 4)
+	// Line 2 starts at pragma 6; rank 1 starts it last (it holds until rank
+	// 3 has passed pragma 6) and dies at pragma 7, in an iteration with no
+	// collective, so nothing waits on rank 3's commit of line 2. That commit
+	// ships 32 MiB of ballast to ranks 0 and then 1, and is still in flight
+	// when rank 1 dies: rank 1 never acknowledges it.
+	cfg := procLaunchConfig(t, 4, "-every", "3", "-ack-timeout", "10m",
+		"-kill-rank", "1", "-kill-at", "7", "-kill-after", "2",
+		"-ballast-rank", "3", "-ballast", strconv.Itoa(32<<20),
+		"-hold", "6", "-rendezvous", t.TempDir())
+	cfg.Timeout = 20 * time.Second
+	res, err := cluster.Launch(cfg)
+	if err != nil {
+		t.Fatalf("launch: %v", err)
+	}
+	if res.Restarts != 1 {
+		t.Fatalf("restarts=%d, want 1", res.Restarts)
+	}
+	checkProcSums(t, res, ref)
+}
+
 // TestMultiProcessSIGKILLRecoveryAsync drives the same scenario through
 // the asynchronous commit pipeline.
 func TestMultiProcessSIGKILLRecoveryAsync(t *testing.T) {
@@ -263,7 +395,7 @@ func TestMultiProcessDualSIGKILLRS(t *testing.T) {
 		"-every", "4",
 		"-codec", "rs", "-shards", "3", "-parity", "2",
 		"-kill-rank", "1", "-kill-rank2", "3", "-kill-at", "9", "-kill-after", "2",
-		"-query-retries", "3")
+		"-query-retries", "3", "-rendezvous", t.TempDir())
 	if res.Restarts != 2 {
 		t.Fatalf("restarts=%d, want 2 re-executed processes", res.Restarts)
 	}

@@ -267,7 +267,7 @@ func TestSelfHealingKillBeforeFirstLine(t *testing.T) {
 	}
 }
 
-// TestMultiProcessRestartFromScratch covers the legacy launcher path for
+// TestMultiProcessRestartFromScratch covers the oracle launcher path for
 // the same from-scratch case, with a deterministic kill position: the
 // victim dies at its third pragma — exactly where line 1 would start
 // (every=3) — so no rank's line 1 can complete globally. The replacement

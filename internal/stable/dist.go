@@ -45,15 +45,14 @@ type DistStore struct {
 	commitHook   func(version int)
 	logf         func(format string, args ...any)
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	members     member.Set
-	node        *replNode
-	awaiting    map[replAckKey]ackState
-	interrupted bool
-	epoch       uint64 // recovery epoch; advancing it releases blocked commits
-	fenced      bool   // minority side of a partition: commits refuse, not excuse
-	closed      bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	members  member.Set
+	node     *replNode
+	awaiting map[replAckKey]ackState
+	epoch    uint64 // recovery epoch; advancing it releases blocked commits
+	fenced   bool   // minority side of a partition: commits refuse, not excuse
+	closed   bool
 	// lines is the merged peer answer of the last LastCommitted query for
 	// this rank, which the following Open reuses (nil: none kept).
 	lines map[int]*remoteLine
@@ -149,7 +148,7 @@ func WithQueryRetries(k int) DistOption {
 
 // WithCommitHook installs a callback invoked after each locally committed
 // version. The acknowledgment wait that precedes the local commit may
-// have ended early — interrupt, epoch advance, ack timeout excusing a
+// have ended early — epoch advance, shutdown, ack timeout excusing a
 // dead neighbor — so the hook reports local durability, not replication
 // completion. The multi-process node uses it to report checkpoint
 // progress to the launcher, which drives the external-kill demo mode.
@@ -224,31 +223,13 @@ func (s *DistStore) Close() {
 	s.wg.Wait()
 }
 
-// Interrupt releases commits blocked on neighbor acknowledgments (they
-// keep their local copy and return). The multi-process runtime calls it
-// when an attempt is aborted, so a committer waiting on a dead neighbor
-// cannot stall the restart; call Resume before the next attempt.
-func (s *DistStore) Interrupt() {
-	s.mu.Lock()
-	s.interrupted = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// Resume clears an Interrupt.
-func (s *DistStore) Resume() {
-	s.mu.Lock()
-	s.interrupted = false
-	s.mu.Unlock()
-}
-
-// AdvanceEpoch moves the store to a new recovery epoch. Every commit still
-// waiting for neighbor acknowledgments under an older epoch is released
-// (it keeps its local copy, exactly like an Interrupt), but unlike
-// Interrupt/Resume no explicit re-arm is needed: commits started under the
-// new epoch wait normally. The self-healing runtime calls it when the
-// failure detector's agreement commits a new epoch, so recovery is driven
-// by the survivors' own consensus rather than a launcher abort.
+// AdvanceEpoch moves the store to a new recovery epoch. A checkpoint begun
+// under an older epoch no longer waits for neighbor acknowledgments — a
+// commit already waiting is released, and one that commits later does not
+// wait (either keeps its local copy); checkpoints begun under the new epoch
+// wait normally. The multi-process node calls it whenever an attempt ends —
+// on the failure detector's agreed epoch, or on the launcher's abort — so
+// a committer waiting on a dead holder cannot stall the restart.
 func (s *DistStore) AdvanceEpoch(epoch uint64) {
 	s.mu.Lock()
 	if epoch > s.epoch {
@@ -395,6 +376,7 @@ type distHandle struct {
 	store   *DistStore
 	rank    int
 	version int
+	epoch   uint64 // the store's recovery epoch when the checkpoint began
 	// blob is the replication blob, built as the sections arrive: a section
 	// count that Commit fills in, then (name, length, bytes) per section in
 	// the order written. Appending a section here is the one copy the store
@@ -423,8 +405,8 @@ func (s *DistStore) Begin(rank, version int) (Checkpoint, error) {
 	s.mu.Lock()
 	delete(s.node.local, version)
 	s.lines = nil
+	h := &distHandle{store: s, rank: rank, version: version, epoch: s.epoch}
 	s.mu.Unlock()
-	h := &distHandle{store: s, rank: rank, version: version}
 	h.blob.U32(0) // the section count, filled in by Commit
 	return h, nil
 }
@@ -532,7 +514,7 @@ func (h *distHandle) Commit() error {
 		sums:  sums,
 		cross: parity + 1,
 	}
-	startEpoch, startWipes := s.epoch, s.wipes
+	startEpoch, startWipes := h.epoch, s.wipes
 	for _, nb := range targets {
 		st := ackPending
 		if s.wiping[nb] {
@@ -593,7 +575,7 @@ func (h *distHandle) Commit() error {
 				}
 			}
 		}
-		if s.interrupted || s.closed || s.epoch != startEpoch {
+		if s.closed || s.epoch != startEpoch {
 			break
 		}
 		if s.fenced {
@@ -619,7 +601,7 @@ func (h *distHandle) Commit() error {
 		s.cond.Wait()
 	}
 	fenced := s.fenced
-	tornDown := s.interrupted || s.closed || s.epoch != startEpoch
+	tornDown := s.closed || s.epoch != startEpoch
 	for _, nb := range targets {
 		delete(s.awaiting, replAckKey{owner: h.rank, version: h.version, from: nb})
 	}
@@ -644,9 +626,9 @@ func (h *distHandle) Commit() error {
 	// reconstructs the blob, so a correlated *group-dead* loss — every
 	// group-local holder silent at once, far beyond the ≤m individual
 	// losses the ring excusal was built for — is excused the same way a
-	// single dead neighbor is. The teardown exits (interrupt, epoch
-	// advance, shutdown) keep their legacy semantics — recovery truncates
-	// and re-executes those lines.
+	// single dead neighbor is. The teardown exits (epoch advance,
+	// shutdown) keep their legacy semantics — recovery truncates and
+	// re-executes those lines.
 	parityAcked := parity >= 0 && !parityLost
 	if !keepLocal && !tornDown && len(shards)-lostShards < s.codec.DataShards() && !parityAcked {
 		return fmt.Errorf("stable: commit (%d,%d) missing acknowledgments for %d of %d shards (codec needs %d)",

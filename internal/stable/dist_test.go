@@ -196,6 +196,32 @@ func TestDistStoreEpochReleasesBlockedCommit(t *testing.T) {
 	}
 }
 
+// TestDistStoreEpochReleasesLateCommit: a checkpoint begun before an epoch
+// advance but committed after it belongs to the ended attempt, so its
+// commit must not wait for a dead neighbor either.
+func TestDistStoreEpochReleasesLateCommit(t *testing.T) {
+	stores := distWorld(t, 3, WithAckTimeout(time.Hour))
+	stores[1].net.Kill(1) // rank 1 is dead: it will never ack
+	ck, err := stores[0].Begin(0, 1)
+	if err != nil {
+		t.Fatalf("Begin: %v", err)
+	}
+	if err := ck.WriteSection("a", []byte{7}); err != nil {
+		t.Fatalf("WriteSection: %v", err)
+	}
+	stores[0].AdvanceEpoch(2)
+	released := make(chan error, 1)
+	go func() { released <- ck.Commit() }()
+	select {
+	case err := <-released:
+		if err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a checkpoint begun before the epoch advance waited for the dead neighbor")
+	}
+}
+
 // TestDistStoreAdvanceEpochMonotonic: stale (lower) epochs are ignored.
 func TestDistStoreAdvanceEpochMonotonic(t *testing.T) {
 	stores := distWorld(t, 2)
