@@ -11,17 +11,13 @@ import (
 const (
 	msgPing    uint8 = iota + 1 // heartbeat, carries the sender's epoch
 	msgSuspect                  // gossip: sender suspects target dead
-	msgPropose                  // agreement phase 1: (epoch, seq, dead set)
-	msgAck                      // agreement phase 1 response
+	msgPropose                  // agreement phase 1: (epoch, seq, origin, hops, dead set)
+	msgAck                      // agreement phase 1 response: votes for origin's proposal
 	msgCommit                   // agreement phase 2: epoch transition
 	msgHello                    // a (re)joining rank announces itself
 	msgState                    // membership snapshot, answers hello / catch-up
 	msgDrain                    // request: remove a member at the next epoch
-	// Two-level (grouped) topology messages.
-	msgReport     // delegate report: own group's live set + per-group live counts
-	msgProposeRly // propose relayed through a group delegate (carries origin)
-	msgAckAgg     // delegate's aggregated agreement acks for its group
-	msgCommitRly  // commit relayed through a group delegate (forward to group)
+	msgReport                   // delegate report: own group's live set + per-group live counts
 )
 
 // payload is a detector message on the wire. Like the stable store's
@@ -83,55 +79,77 @@ func decodeSuspect(data payload) (epoch uint64, target int, cause Cause, err err
 // list alongside the dead set: membership is part of what the agreement
 // commits, so a rank can never adopt an epoch without also adopting the
 // member ring that epoch's quorum rules are defined over.
-func encodePropose(epoch, seq uint64, dead, members []int) payload {
-	w := wire.NewWriter(40 + 8*len(dead) + 8*len(members))
+//
+// A propose names its coordinator (origin), which every ack and protest
+// goes back to. hops=0 asks the receiver to vote; hops=1 addresses a group
+// delegate, which also re-broadcasts the proposal (with hops=0) to its
+// group and aggregates the group's votes toward origin.
+func encodePropose(epoch, seq uint64, origin int, hops uint8, dead, members []int) payload {
+	w := wire.NewWriter(34 + 8*len(dead) + 8*len(members))
 	w.U8(msgPropose)
 	w.U64(epoch)
 	w.U64(seq)
+	w.Int(origin)
+	w.U8(hops)
 	w.Ints(dead)
 	w.Ints(members)
 	return payload(w.Bytes())
 }
 
-func decodePropose(data payload) (epoch, seq uint64, dead, members []int, err error) {
+func decodePropose(data payload) (epoch, seq uint64, origin int, hops uint8, dead, members []int, err error) {
 	r := wire.NewReader(data[1:])
 	epoch = r.U64()
 	seq = r.U64()
+	origin = r.Int()
+	hops = r.U8()
 	dead = r.Ints()
 	members = r.Ints()
-	return epoch, seq, dead, members, r.Err()
+	return epoch, seq, origin, hops, dead, members, r.Err()
 }
 
-func encodeAck(epoch, seq uint64) payload {
-	w := wire.NewWriter(17)
+// encodeAck carries votes for origin's proposal (epoch, seq): one rank's
+// own vote, or a delegate's cumulative aggregate of its group's votes.
+// The coordinator counts each rank once, so resends and reordering are
+// harmless.
+func encodeAck(epoch, seq uint64, origin int, ranks []int) payload {
+	w := wire.NewWriter(29 + 8*len(ranks))
 	w.U8(msgAck)
 	w.U64(epoch)
 	w.U64(seq)
+	w.Int(origin)
+	w.Ints(ranks)
 	return payload(w.Bytes())
 }
 
-func decodeAck(data payload) (epoch, seq uint64, err error) {
+func decodeAck(data payload) (epoch, seq uint64, origin int, ranks []int, err error) {
 	r := wire.NewReader(data[1:])
 	epoch = r.U64()
 	seq = r.U64()
-	return epoch, seq, r.Err()
+	origin = r.Int()
+	ranks = r.Ints()
+	return epoch, seq, origin, ranks, r.Err()
 }
 
-func encodeCommit(epoch uint64, dead, members []int) payload {
-	w := wire.NewWriter(32 + 8*len(dead) + 8*len(members))
+// encodeCommit announces an epoch transition. relay addresses a group's
+// first live member, which applies the epoch and re-broadcasts a plain
+// commit to its group under the membership the commit installs.
+func encodeCommit(epoch uint64, relay bool, dead, members []int) payload {
+	w := wire.NewWriter(18 + 8*len(dead) + 8*len(members))
 	w.U8(msgCommit)
 	w.U64(epoch)
+	w.Bool(relay)
 	w.Ints(dead)
 	w.Ints(members)
 	return payload(w.Bytes())
 }
 
-func decodeCommit(data payload) (epoch uint64, dead, members []int, err error) {
+func decodeCommit(data payload) (epoch uint64, relay bool, dead, members []int, err error) {
 	r := wire.NewReader(data[1:])
 	epoch = r.U64()
+	relay = r.Bool()
 	dead = r.Ints()
 	members = r.Ints()
-	return epoch, dead, members, r.Err()
+	return epoch, relay, dead, members, r.Err()
 }
 
 func encodeHello() payload {
@@ -174,8 +192,6 @@ func decodeDrain(data payload) (epoch uint64, target int, err error) {
 	return epoch, target, r.Err()
 }
 
-// --- Grouped-topology messages ---
-
 // encodeReport is a delegate's periodic liveness report: the live members
 // of its own group (positive evidence for whole-group failure detection)
 // plus its per-group live counts (the world view its group members fence
@@ -198,73 +214,6 @@ func decodeReport(data payload) (epoch uint64, groups, live []int, err error) {
 	return epoch, groups, live, r.Err()
 }
 
-// encodeProposeRly is a propose routed through a group delegate: origin is
-// the coordinator the acks must reach, and hops=1 asks the receiving
-// delegate to re-broadcast the proposal (with hops=0) to its group and
-// aggregate the group's acks back to origin.
-func encodeProposeRly(epoch, seq uint64, origin int, hops uint8, dead, members []int) payload {
-	w := wire.NewWriter(50 + 8*len(dead) + 8*len(members))
-	w.U8(msgProposeRly)
-	w.U64(epoch)
-	w.U64(seq)
-	w.Int(origin)
-	w.U8(hops)
-	w.Ints(dead)
-	w.Ints(members)
-	return payload(w.Bytes())
-}
-
-func decodeProposeRly(data payload) (epoch, seq uint64, origin int, hops uint8, dead, members []int, err error) {
-	r := wire.NewReader(data[1:])
-	epoch = r.U64()
-	seq = r.U64()
-	origin = r.Int()
-	hops = r.U8()
-	dead = r.Ints()
-	members = r.Ints()
-	return epoch, seq, origin, hops, dead, members, r.Err()
-}
-
-// encodeAckAgg carries a delegate's aggregated agreement votes: every group
-// member (delegate included) whose ack for (epoch, seq) the delegate has
-// collected so far. Aggregates are cumulative and idempotent at the
-// coordinator, so retransmissions and reordering are harmless.
-func encodeAckAgg(epoch, seq uint64, ranks []int) payload {
-	w := wire.NewWriter(25 + 8*len(ranks))
-	w.U8(msgAckAgg)
-	w.U64(epoch)
-	w.U64(seq)
-	w.Ints(ranks)
-	return payload(w.Bytes())
-}
-
-func decodeAckAgg(data payload) (epoch, seq uint64, ranks []int, err error) {
-	r := wire.NewReader(data[1:])
-	epoch = r.U64()
-	seq = r.U64()
-	ranks = r.Ints()
-	return epoch, seq, ranks, r.Err()
-}
-
-// encodeCommitRly is a commit routed through a group delegate: the receiver
-// applies the epoch and re-broadcasts a plain commit to its (new) group.
-func encodeCommitRly(epoch uint64, dead, members []int) payload {
-	w := wire.NewWriter(32 + 8*len(dead) + 8*len(members))
-	w.U8(msgCommitRly)
-	w.U64(epoch)
-	w.Ints(dead)
-	w.Ints(members)
-	return payload(w.Bytes())
-}
-
-func decodeCommitRly(data payload) (epoch uint64, dead, members []int, err error) {
-	r := wire.NewReader(data[1:])
-	epoch = r.U64()
-	dead = r.Ints()
-	members = r.Ints()
-	return epoch, dead, members, r.Err()
-}
-
 func kindName(k uint8) string {
 	switch k {
 	case msgPing:
@@ -285,12 +234,6 @@ func kindName(k uint8) string {
 		return "drain"
 	case msgReport:
 		return "report"
-	case msgProposeRly:
-		return "propose-rly"
-	case msgAckAgg:
-		return "ack-agg"
-	case msgCommitRly:
-		return "commit-rly"
 	default:
 		return fmt.Sprintf("kind(%d)", k)
 	}

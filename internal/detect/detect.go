@@ -73,18 +73,16 @@ type Options struct {
 	// ring, and fencing is computed from actual receive evidence. Default
 	// 10 heartbeat intervals.
 	LeaseTimeout time.Duration
-	// GroupSize enables the two-level topology: with g > 1 the membership
-	// is partitioned into member.Topology groups of g consecutive ring
-	// slots, heartbeats and lease pings stay inside the group, and one
-	// runtime delegate per group carries cross-group liveness reports and
-	// agreement relays (see group.go). 0 (or >= world) keeps the flat
-	// protocol.
+	// GroupSize sets the two-level topology: the membership is partitioned
+	// into member.Topology groups of g consecutive ring slots, heartbeats
+	// and lease pings stay inside the group, and one runtime delegate per
+	// group carries cross-group liveness reports and agreement relays (see
+	// group.go). 0 (or >= world) makes the whole world one group.
 	GroupSize int
-	// Relay, when non-nil in a grouped world, routes detector unicasts to
-	// cross-group non-delegates through the destination group's delegate
-	// (two hops), keeping the per-rank connection graph at O(g + world/g).
-	// Without it every send is direct; the protocol is unaffected either
-	// way.
+	// Relay, when non-nil, routes detector unicasts to cross-group
+	// non-delegates through the destination group's delegate (two hops),
+	// keeping the per-rank connection graph at O(g + world/g). Without it
+	// every send is direct; the protocol is unaffected either way.
 	Relay *transport.Relay
 	// Clock substitutes a time source (tests); default time.Now.
 	Clock func() time.Time
@@ -177,7 +175,7 @@ type Detector struct {
 	threshold float64
 	clock     func() time.Time
 
-	groupSize int              // configured checkpoint-group size (0: flat)
+	groupSize int              // configured checkpoint-group size (0: one group)
 	relay     *transport.Relay // optional two-hop router for cross-group sends
 	// viaDemux: a demux's observers feed liveness (ObserveVia), so the
 	// receive loop does not observe detector frames a second time. Set
@@ -188,7 +186,7 @@ type Detector struct {
 	epoch        uint64
 	members      member.Set        // current membership (epoch-stamped)
 	memberEpoch  uint64            // epoch that last changed the member list
-	topo         member.Topology   // two-level view of members (flat if groupSize<=1)
+	topo         member.Topology   // two-level view of members (one group if groupSize<=1)
 	dead         map[int]bool      // dead members (still members: respawn slots)
 	suspected    map[int]Cause     // rank -> the path that raised its suspicion
 	suspicions   [numCauses]uint64 // suspicions raised, by cause
@@ -210,13 +208,13 @@ type Detector struct {
 	// a joiner waiting for admission wakes on it instead of a tick.
 	changed chan struct{}
 
-	// Grouped-mode state (see group.go). Indexed by group id; re-derived
-	// at every membership change.
-	gHeard      []time.Time          // last report (or member contact) per remote group
-	gCount      []int                // believed live count per group
-	lastReport  time.Time            // when this delegate last sent its report
-	wasDelegate bool                 // delegate role at the previous tick (trace edges)
-	relayAgg    map[aggKey]*aggState // delegate's cumulative ack aggregation
+	// Two-level state (see group.go). Indexed by group id; re-derived at
+	// every membership change.
+	gHeard      []time.Time             // last report (or member contact) per remote group
+	gCount      []int                   // believed live count per group
+	lastReport  time.Time               // when this delegate last sent its report
+	wasDelegate bool                    // delegate role at the previous tick (trace edges)
+	relayAgg    map[aggKey]map[int]bool // delegate's cumulative vote aggregation
 
 	sendMu        sync.Mutex
 	senders       map[int]chan outFrame
@@ -274,7 +272,7 @@ func New(opts Options) (*Detector, error) {
 		pendingLeave: make(map[int]bool),
 		monitors:     make(map[int]*Monitor),
 		lastSent:     make(map[int]time.Time),
-		relayAgg:     make(map[aggKey]*aggState),
+		relayAgg:     make(map[aggKey]map[int]bool),
 		senders:      make(map[int]chan outFrame),
 		changed:      make(chan struct{}),
 		done:         make(chan struct{}),
@@ -297,11 +295,11 @@ func New(opts Options) (*Detector, error) {
 	return d, nil
 }
 
-// The heartbeat neighborhood is the member ring's ±1/±2: each rank
-// monitors its two ring successors (member.Set.Successors) and heartbeats
-// toward the two predecessors that monitor it. With the launch membership
-// 0..n-1 this is exactly the fixed-world (rank±d)%n ring the detector
-// shipped with.
+// The heartbeat neighborhood is the group-local ring's ±1/±2: each rank
+// monitors its two ring successors (member.Topology.GroupSuccessors) and
+// heartbeats toward the two predecessors that monitor it. With one group
+// and the launch membership 0..n-1 this is exactly the fixed-world
+// (rank±d)%n ring the detector shipped with.
 
 // Start launches the heartbeat/evaluation ticker and the receive loop.
 func (d *Detector) Start() {
@@ -373,8 +371,8 @@ func (d *Detector) Suspicions() map[Cause]uint64 {
 	return out
 }
 
-// Topology returns the current two-level view of the membership (flat when
-// grouping is disabled).
+// Topology returns the current two-level view of the membership (one group
+// when grouping is disabled).
 func (d *Detector) Topology() member.Topology {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -428,36 +426,22 @@ func (d *Detector) refenceLocked() func() {
 	if d.members.Contains(d.self) {
 		live++ // self
 	}
-	if d.groupedLocked() {
-		// Grouped worlds have no all-pairs lease pings: direct contact
-		// evidence covers the group, and the rest of the world counts
-		// through the per-group report lease — a remote group whose report
-		// is fresh contributes its reported live strength.
-		ownGid := d.topo.GroupOf(d.self)
-		for _, r := range d.topo.GroupMembers(ownGid) {
-			if r == d.self || d.dead[r] {
-				continue
-			}
-			if now.Sub(d.lastHeard[r]) <= d.lease {
-				live++
-			}
+	// Lease pings stay inside the group: direct contact evidence covers the
+	// group, and the rest of the world counts through the per-group report
+	// lease — a remote group whose report is fresh contributes its reported
+	// live strength.
+	ownGid := d.topo.GroupOf(d.self)
+	for _, r := range d.topo.GroupMembers(ownGid) {
+		if r == d.self || d.dead[r] {
+			continue
 		}
-		for gid := 0; gid < d.topo.NumGroups(); gid++ {
-			if gid == ownGid {
-				continue
-			}
-			if now.Sub(d.gHeard[gid]) <= d.lease {
-				live += d.gCount[gid]
-			}
+		if now.Sub(d.lastHeard[r]) <= d.lease {
+			live++
 		}
-	} else {
-		for _, r := range d.members.Members() {
-			if r == d.self || d.dead[r] {
-				continue
-			}
-			if now.Sub(d.lastHeard[r]) <= d.lease {
-				live++
-			}
+	}
+	for gid := 0; gid < d.topo.NumGroups(); gid++ {
+		if gid != ownGid && now.Sub(d.gHeard[gid]) <= d.lease {
+			live += d.gCount[gid]
 		}
 	}
 	size, quorum := d.members.Size(), d.quorum()
@@ -511,8 +495,8 @@ func (d *Detector) ObserveVia(dm *transport.Demux) {
 // the gossip also goes to r, so a live r protests. It stays a hint: a live
 // r's traffic clears it, and ranks that have heard from r recently neither
 // adopt it nor vote for it (contradictedLocked). Loss reports follow the
-// gossip adoption rule: in a grouped world a non-delegate ignores a rank
-// of another group, and a delegate adopts it.
+// gossip adoption rule: a non-delegate ignores a rank of another group,
+// and a delegate adopts it.
 func (d *Detector) ObserveLost(r int) {
 	if r == d.self || r < 0 || r >= d.n {
 		return
@@ -536,11 +520,11 @@ func (d *Detector) ObserveLost(r int) {
 }
 
 // crossGroupLocked reports whether r's suspicion is not this rank's to
-// hold: in a grouped world a non-delegate holds no suspicions of ranks in
-// other groups, because the clearing evidence (the target group's
-// reports) only reaches delegates. Callers hold d.mu.
+// hold: a non-delegate holds no suspicions of ranks in other groups,
+// because the clearing evidence (the target group's reports) only reaches
+// delegates. Callers hold d.mu.
 func (d *Detector) crossGroupLocked(r int) bool {
-	return d.groupedLocked() && d.topo.GroupOf(r) != d.topo.GroupOf(d.self) && !d.amDelegateLocked()
+	return d.topo.GroupOf(r) != d.topo.GroupOf(d.self) && !d.amDelegateLocked()
 }
 
 // contradictedLocked reports whether this rank has heard from r within
@@ -562,13 +546,11 @@ func (d *Detector) ObserveRecv(from int) {
 	now := d.clock()
 	d.mu.Lock()
 	d.lastHeard[from] = now
-	if d.groupedLocked() {
-		// Direct contact from a remote group (a protest ping, a relay hop's
-		// agreement traffic) renews that group's report lease: any member
-		// speaking proves the group is not wholesale dead.
-		if gid := d.topo.GroupOf(from); gid != d.topo.GroupOf(d.self) && gid < len(d.gHeard) {
-			d.gHeard[gid] = now
-		}
+	// Direct contact from a remote group (a protest ping, a relay hop's
+	// agreement traffic) renews that group's report lease: any member
+	// speaking proves the group is not wholesale dead.
+	if gid := d.topo.GroupOf(from); gid != d.topo.GroupOf(d.self) && gid < len(d.gHeard) {
+		d.gHeard[gid] = now
 	}
 	if m := d.monitors[from]; m != nil {
 		m.Observe(now)
@@ -699,9 +681,9 @@ type outFrame struct {
 }
 
 // send enqueues a payload toward a peer on its dedicated worker, so a dead
-// peer's connection stalls never delay heartbeats to live peers. In a
-// grouped world with a relay wired, sends to cross-group non-delegates
-// route through the destination group's runtime delegate.
+// peer's connection stalls never delay heartbeats to live peers. With a
+// relay wired, sends to cross-group non-delegates route through the
+// destination group's runtime delegate.
 func (d *Detector) send(to int, p payload) {
 	via := -1
 	if d.relay != nil {
@@ -765,24 +747,20 @@ func (d *Detector) tick() {
 		return
 	}
 	epoch := d.epoch
-	grouped := d.groupedLocked()
 	// Heartbeats to the predecessors that monitor this rank (every
-	// interval), and low-rate lease pings to every other live member so the
-	// whole world keeps receiving positive contact evidence for the fencing
-	// rule. Both are skipped when other traffic already reached the peer
-	// within the window (piggybacking). In a grouped world both stay inside
-	// the group — cross-group liveness travels in delegate reports instead,
-	// which is what caps the steady-state send rate at O(g + world/g).
+	// interval), and low-rate lease pings to every other live group member
+	// so the group keeps receiving positive contact evidence for the
+	// fencing rule. Both are skipped when other traffic already reached the
+	// peer within the window (piggybacking). Both stay inside the group —
+	// cross-group liveness travels in delegate reports instead, which is
+	// what caps the steady-state send rate at O(g + world/g).
 	isPred := make(map[int]bool, 2)
 	for _, t := range d.hbTargetsLocked() {
 		isPred[t] = true
 	}
-	pingPool := d.members.Members()
-	if grouped {
-		pingPool = d.topo.GroupMembers(d.topo.GroupOf(d.self))
-	}
+	groupPool := d.topo.GroupMembers(d.topo.GroupOf(d.self))
 	var pings []int
-	for _, t := range pingPool {
+	for _, t := range groupPool {
 		if t == d.self || d.dead[t] {
 			continue
 		}
@@ -820,21 +798,17 @@ func (d *Detector) tick() {
 			newSuspects = append(newSuspects, m)
 		}
 	}
-	// Lease evaluation for the ranks outside this rank's monitor set. The
-	// ±1/±2 ring cannot see into a contiguous far-side group — its interior
-	// ranks are heartbeat-monitored only by their own severed neighbors —
-	// but the contact lease covers every pair: a live peer keeps lease-
-	// pinging us, so a peer silent past the full lease is as suspect as a
-	// monitored one crossing the phi threshold. A false positive clears the
-	// same way monitor suspicions do (ObserveRecv on the peer's next ping).
-	// Grouped, the lease only covers the group (lease pings stay inside
-	// it); remote groups are covered by report staleness at the delegates.
-	leasePool := d.members.Members()
-	if grouped {
-		leasePool = pingPool
-	}
+	// Lease evaluation for the group members outside this rank's monitor
+	// set. The ±1/±2 ring cannot see into a contiguous far side of a
+	// partition — its interior ranks are heartbeat-monitored only by their
+	// own severed neighbors — but the contact lease covers every pair in the
+	// group: a live peer keeps lease-pinging us, so a peer silent past the
+	// full lease is as suspect as a monitored one crossing the phi
+	// threshold. A false positive clears the same way monitor suspicions do
+	// (ObserveRecv on the peer's next ping). Remote groups are covered by
+	// report staleness at the delegates.
 	var leaseSuspects []int
-	for _, r := range leasePool {
+	for _, r := range groupPool {
 		if r == d.self || d.dead[r] || d.monitors[r] != nil {
 			continue
 		}
@@ -846,8 +820,8 @@ func (d *Detector) tick() {
 			leaseSuspects = append(leaseSuspects, r)
 		}
 	}
-	// Grouped-mode duties: delegate role transitions, whole-group staleness
-	// suspicion, and the periodic delegate report.
+	// Delegate duties: role transitions, whole-group staleness suspicion,
+	// and the periodic report.
 	report, reportTargets, groupSuspects := d.groupTickLocked(now)
 	leaseSuspects = append(leaseSuspects, groupSuspects...)
 	// Gossip every outstanding suspicion, not just the fresh ones: the send
@@ -868,8 +842,8 @@ func (d *Detector) tick() {
 	// suspicions are: the send path is lossy and the coordinator may not
 	// have heard the request directly.
 	drains := setToSlice(d.pendingLeave)
-	// Flat: everyone live. Grouped: the live group plus the other groups'
-	// delegates — the O(g + world/g) fan-out bound.
+	// The live group plus the other groups' delegates — the O(g + world/g)
+	// fan-out bound.
 	gossipTargets := d.gossipTargetsLocked(gossip)
 	fence := d.refenceLocked()
 	d.mu.Unlock()
@@ -934,26 +908,6 @@ func (d *Detector) dropProposalLocked() {
 		d.prop.sp.End(0)
 		d.prop = nil
 	}
-}
-
-// liveExceptLocked returns every member that is not self, not dead, not
-// suspected, and not in skip. Callers hold d.mu.
-func (d *Detector) liveExceptLocked(skip []int) []int {
-	skipSet := make(map[int]bool, len(skip))
-	for _, s := range skip {
-		skipSet[s] = true
-	}
-	var out []int
-	for _, r := range d.members.Members() {
-		if r == d.self || d.dead[r] || skipSet[r] {
-			continue
-		}
-		if _, susp := d.suspected[r]; susp {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 // driveProposal runs the coordinator's side of the agreement: start or
@@ -1055,89 +1009,65 @@ func (d *Detector) driveProposal() {
 		d.mu.Unlock()
 		return
 	}
-	// Retransmission targets. Flat: every pending voter directly. Grouped:
-	// own-group voters directly, every remote group through one relayed
-	// propose to its runtime delegate — O(g + world/g) frames per round
-	// instead of O(world). driveProposal runs every tick, so a delegate
-	// dying mid-agreement just redirects the next round's relay to the
-	// group's new runtime delegate.
+	// Retransmission targets: own-group voters directly, every remote group
+	// through one relayed propose to its runtime delegate — O(g + world/g)
+	// frames per round instead of O(world). driveProposal runs every tick,
+	// so a delegate dying mid-agreement just redirects the next round's
+	// relay to the group's new runtime delegate.
 	var direct []int
 	relayVias := make(map[int]bool)
-	if d.groupedLocked() {
-		ownGid := d.topo.GroupOf(d.self)
-		for r := range p.pending {
-			gid := d.topo.GroupOf(r)
-			if gid == ownGid {
-				direct = append(direct, r)
-				continue
-			}
-			via := d.delegateOfLocked(gid)
-			if via < 0 || via == d.self {
-				direct = append(direct, r)
-				continue
-			}
-			relayVias[via] = true
-		}
-	} else {
-		for r := range p.pending {
+	ownGid := d.topo.GroupOf(d.self)
+	for r := range p.pending {
+		gid := d.topo.GroupOf(r)
+		via := d.delegateOfLocked(gid)
+		if gid == ownGid || via < 0 || via == d.self {
 			direct = append(direct, r)
+			continue
 		}
+		relayVias[via] = true
 	}
 	d.mu.Unlock()
-	msg := encodePropose(p.epoch, p.seq, p.dead, p.members)
+	msg := encodePropose(p.epoch, p.seq, d.self, 0, p.dead, p.members)
 	for _, t := range direct {
 		d.send(t, msg)
 	}
-	if len(relayVias) > 0 {
-		rly := encodeProposeRly(p.epoch, p.seq, d.self, 1, p.dead, p.members)
-		for _, via := range setToSlice(relayVias) {
-			d.send(via, rly)
-		}
+	rly := encodePropose(p.epoch, p.seq, d.self, 1, p.dead, p.members)
+	for _, via := range setToSlice(relayVias) {
+		d.send(via, rly)
 	}
 }
 
 // commitProposal finalizes an agreement: broadcast the commit and apply it
 // locally. The broadcast covers the union of the old and new member sets,
 // so a freshly admitted slot learns of its own admission and a drained
-// slot learns it is out.
+// slot learns it is out. Under the topology the commit installs, this
+// rank's group and the slots leaving the membership get direct commits;
+// each remote group gets one relay commit, addressed to its lowest
+// not-dead member (which re-broadcasts it group-locally, see
+// handleCommit). A dropped relay heals through the report/ping epoch
+// reconciliation.
 func (d *Detector) commitProposal(p *proposal) {
 	d.mu.Lock()
 	targets := make(map[int]bool, len(p.members)+d.members.Size())
 	for _, r := range d.members.Members() {
 		targets[r] = true
 	}
-	grouped := d.groupedLocked()
 	d.mu.Unlock()
 	for _, r := range p.members {
 		targets[r] = true
 	}
+	deadSet := make(map[int]bool, len(p.dead))
 	for _, dr := range p.dead {
 		delete(targets, dr)
+		deadSet[dr] = true
 	}
 	delete(targets, d.self)
-	msg := encodeCommit(p.epoch, p.dead, p.members)
-	if !grouped {
-		for _, r := range setToSlice(targets) {
-			d.send(r, msg)
-		}
-		d.applyEpoch(p.epoch, p.dead, p.members, "agreement")
-		return
-	}
-	// Grouped: direct commits to this rank's group and to slots leaving the
-	// new membership; one relayed commit per remote group, addressed to its
-	// lowest not-dead member under the topology the commit installs (which
-	// re-broadcasts it group-locally, see handleCommitRly). A dropped relay
-	// heals through the report/ping epoch reconciliation.
 	next := member.NewTopology(member.New(p.epoch, p.members), d.groupSize)
-	deadSet := make(map[int]bool, len(p.dead))
-	for _, r := range p.dead {
-		deadSet[r] = true
-	}
 	ownGid := next.GroupOf(d.self)
 	var direct []int
 	vias := make(map[int]bool)
 	for _, r := range setToSlice(targets) {
-		if next.Flat() || !next.Set().Contains(r) || next.GroupOf(r) == ownGid {
+		if !next.Set().Contains(r) || next.GroupOf(r) == ownGid {
 			direct = append(direct, r)
 			continue
 		}
@@ -1154,10 +1084,11 @@ func (d *Detector) commitProposal(p *proposal) {
 		}
 		vias[via] = true
 	}
-	rly := encodeCommitRly(p.epoch, p.dead, p.members)
+	msg := encodeCommit(p.epoch, false, p.dead, p.members)
 	for _, r := range direct {
 		d.send(r, msg)
 	}
+	rly := encodeCommit(p.epoch, true, p.dead, p.members)
 	for _, via := range setToSlice(vias) {
 		d.send(via, rly)
 	}
@@ -1167,13 +1098,14 @@ func (d *Detector) commitProposal(p *proposal) {
 // applyEpoch installs a committed epoch transition (from our own agreement,
 // a peer's commit, or a state snapshot) — the new membership, the dead set
 // — rebuilds the heartbeat ring for the new member set, and fires OnEpoch
-// (or OnDrained/OnEvicted when the transition removes this very rank).
-func (d *Detector) applyEpoch(epoch uint64, dead, members []int, via string) {
+// (or OnDrained/OnEvicted when the transition removes this very rank). It
+// reports whether the epoch was new here.
+func (d *Detector) applyEpoch(epoch uint64, dead, members []int, via string) bool {
 	now := d.clock()
 	d.mu.Lock()
 	if epoch <= d.epoch {
 		d.mu.Unlock()
-		return
+		return false
 	}
 	newMembers := member.New(epoch, members)
 	if newMembers.Size() == 0 {
@@ -1230,7 +1162,7 @@ func (d *Detector) applyEpoch(epoch uint64, dead, members []int, via string) {
 		}
 	}
 	// Re-derive the two-level topology for the new membership and reset the
-	// per-group report leases; delegate ack aggregates for epochs at or
+	// per-group report leases; delegate vote aggregates for epochs at or
 	// below the committed one are settled.
 	d.retopoLocked(now)
 	for k := range d.relayAgg {
@@ -1288,18 +1220,19 @@ func (d *Detector) applyEpoch(epoch uint64, dead, members []int, via string) {
 		if onDrained != nil {
 			onDrained(epoch)
 		}
-		return
+		return true
 	}
 	if selfDead {
 		d.logf("rank %d: DECLARED DEAD by epoch %d while alive", d.self, epoch)
 		if onEvicted != nil {
 			onEvicted(epoch)
 		}
-		return
+		return true
 	}
 	if onEpoch != nil {
 		onEpoch(epoch, newMembers, allDead, newDead)
 	}
+	return true
 }
 
 // --- Receive path ---
@@ -1370,23 +1303,23 @@ func (d *Detector) handle(from int, data payload) {
 		}
 		d.driveProposal()
 	case msgPropose:
-		epoch, seq, dead, members, err := decodePropose(data)
+		epoch, seq, origin, hops, dead, members, err := decodePropose(data)
 		if err != nil {
 			return
 		}
-		d.handlePropose(from, epoch, seq, dead, members)
+		d.handlePropose(from, epoch, seq, origin, hops, dead, members)
 	case msgAck:
-		epoch, seq, err := decodeAck(data)
+		epoch, seq, origin, ranks, err := decodeAck(data)
 		if err != nil {
 			return
 		}
-		d.handleAck(from, epoch, seq)
+		d.handleAck(epoch, seq, origin, ranks)
 	case msgCommit:
-		epoch, dead, members, err := decodeCommit(data)
+		epoch, relay, dead, members, err := decodeCommit(data)
 		if err != nil {
 			return
 		}
-		d.applyEpoch(epoch, dead, members, fmt.Sprintf("commit from rank %d", from))
+		d.handleCommit(from, epoch, relay, dead, members)
 	case msgHello:
 		d.handleHello(from)
 	case msgDrain:
@@ -1409,24 +1342,6 @@ func (d *Detector) handle(from int, data payload) {
 			return
 		}
 		d.handleReport(from, epoch, groups, live)
-	case msgProposeRly:
-		epoch, seq, origin, hops, dead, members, err := decodeProposeRly(data)
-		if err != nil {
-			return
-		}
-		d.handleProposeRly(from, epoch, seq, origin, hops, dead, members)
-	case msgAckAgg:
-		epoch, seq, ranks, err := decodeAckAgg(data)
-		if err != nil {
-			return
-		}
-		d.handleAckAgg(from, epoch, seq, ranks)
-	case msgCommitRly:
-		epoch, dead, members, err := decodeCommitRly(data)
-		if err != nil {
-			return
-		}
-		d.handleCommitRly(from, epoch, dead, members)
 	case msgState:
 		epoch, dead, members, err := decodeState(data)
 		if err != nil {
@@ -1443,9 +1358,7 @@ func (d *Detector) handle(from int, data payload) {
 			}
 			filtered = append(filtered, r)
 		}
-		wasBehind := epoch > d.Epoch()
-		d.applyEpoch(epoch, filtered, members, fmt.Sprintf("state from rank %d", from))
-		if selfDead && wasBehind {
+		if d.applyEpoch(epoch, filtered, members, fmt.Sprintf("state from rank %d", from)) && selfDead {
 			// The snapshot declared this very rank dead: a majority
 			// committed an epoch while we were fenced off. We adopted the
 			// majority's view (minus ourselves); now broadcast hello so the
@@ -1476,19 +1389,53 @@ func (d *Detector) reconcileEpoch(from int, peerEpoch uint64) {
 	}
 }
 
-func (d *Detector) handlePropose(from int, epoch, seq uint64, dead, members []int) {
+// handlePropose votes on a proposal. hops=0 asks for this rank's own
+// vote, sent back to whoever forwarded the proposal: the coordinator
+// itself, or the delegate that relayed it. hops=1 makes this rank the relay
+// for its group: it votes, re-broadcasts the proposal with hops=0 to the
+// live group, and starts (or extends) the cumulative aggregate of the
+// group's votes toward the coordinator.
+func (d *Detector) handlePropose(from int, epoch, seq uint64, origin int, hops uint8, dead, members []int) {
 	for _, r := range dead {
 		if r == d.self {
 			// Proposed dead while alive: protest instead of acking; the
-			// proposer clears the suspicion when the ping arrives.
-			d.send(from, encodePing(d.Epoch()))
+			// coordinator clears the suspicion when the ping arrives.
+			d.send(origin, encodePing(d.Epoch()))
 			return
 		}
 	}
-	if !d.adoptPropose(from, epoch, dead, members) {
+	if !d.adoptPropose(origin, epoch, dead, members) {
 		return
 	}
-	d.send(from, encodeAck(epoch, seq))
+	if hops == 0 {
+		d.send(from, encodeAck(epoch, seq, origin, []int{d.self}))
+		return
+	}
+	d.mu.Lock()
+	var fwd []int
+	for _, r := range d.topo.GroupMembers(d.topo.GroupOf(d.self)) {
+		if r == d.self || d.dead[r] {
+			continue
+		}
+		if _, susp := d.suspected[r]; susp {
+			continue
+		}
+		fwd = append(fwd, r)
+	}
+	key := aggKey{origin: origin, epoch: epoch, seq: seq}
+	agg := d.relayAgg[key]
+	if agg == nil {
+		agg = make(map[int]bool)
+		d.relayAgg[key] = agg
+	}
+	agg[d.self] = true
+	ranks := setToSlice(agg)
+	d.mu.Unlock()
+	msg := encodePropose(epoch, seq, origin, 0, dead, members)
+	for _, t := range fwd {
+		d.send(t, msg)
+	}
+	d.send(origin, encodeAck(epoch, seq, origin, ranks))
 }
 
 // adoptPropose validates a proposal against the local epoch and, when it is
@@ -1551,12 +1498,25 @@ func (d *Detector) adoptPropose(origin int, epoch uint64, dead, members []int) b
 	return true
 }
 
-func (d *Detector) handleAck(from int, epoch, seq uint64) {
+// handleAck counts votes for origin's proposal (epoch, seq). When origin
+// is this rank they go toward its in-flight proposal; otherwise this rank
+// relayed that proposal, so they join the aggregate kept for it and the
+// cumulative set goes on to origin. A vote meant for any other proposal
+// counts nowhere.
+func (d *Detector) handleAck(epoch, seq uint64, origin int, ranks []int) {
 	d.mu.Lock()
-	p := d.prop
-	if p != nil && p.epoch == epoch && p.seq == seq && p.pending[from] {
-		delete(p.pending, from)
-		p.acked[from] = true
+	if origin == d.self {
+		p := d.prop
+		if p == nil || p.epoch != epoch || p.seq != seq {
+			d.mu.Unlock()
+			return
+		}
+		for _, r := range ranks {
+			if p.pending[r] {
+				delete(p.pending, r)
+				p.acked[r] = true
+			}
+		}
 		ready := 1+len(p.acked) >= d.quorum()
 		d.mu.Unlock()
 		if ready {
@@ -1564,19 +1524,47 @@ func (d *Detector) handleAck(from int, epoch, seq uint64) {
 		}
 		return
 	}
-	// Delegate path: a group member's vote on a proposal this rank relayed
-	// (handleProposeRly). Fold it into the aggregate and forward the
-	// cumulative set — the coordinator dedups, so resends are harmless.
-	agg := d.relayAgg[aggKey{epoch: epoch, seq: seq}]
-	if agg == nil || agg.acked[from] {
+	agg := d.relayAgg[aggKey{origin: origin, epoch: epoch, seq: seq}]
+	grew := false
+	for _, r := range ranks {
+		if agg != nil && !agg[r] {
+			agg[r] = true
+			grew = true
+		}
+	}
+	if !grew {
 		d.mu.Unlock()
 		return
 	}
-	agg.acked[from] = true
-	origin := agg.origin
-	ranks := setToSlice(agg.acked)
+	out := setToSlice(agg)
 	d.mu.Unlock()
-	d.send(origin, encodeAckAgg(epoch, seq, ranks))
+	d.send(origin, encodeAck(epoch, seq, origin, out))
+}
+
+// handleCommit applies a committed epoch. A relay commit is also
+// re-broadcast to this rank's group under the membership it installs, but
+// only when it advanced this rank's epoch — an already known epoch means
+// the group has been (or is being) told already.
+func (d *Detector) handleCommit(from int, epoch uint64, relay bool, dead, members []int) {
+	via := "commit"
+	if relay {
+		via = "relayed commit"
+	}
+	if !d.applyEpoch(epoch, dead, members, fmt.Sprintf("%s from rank %d", via, from)) || !relay {
+		return
+	}
+	d.mu.Lock()
+	var fwd []int
+	for _, r := range d.topo.GroupMembers(d.topo.GroupOf(d.self)) {
+		if r != d.self && !d.dead[r] {
+			fwd = append(fwd, r)
+		}
+	}
+	d.mu.Unlock()
+	msg := encodeCommit(epoch, false, dead, members)
+	for _, t := range fwd {
+		d.send(t, msg)
+	}
 }
 
 // handleHello marks a (re)joining member alive and answers with the

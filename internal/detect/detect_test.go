@@ -75,16 +75,19 @@ func TestCodecRoundtrips(t *testing.T) {
 	if e, tgt, c, err := decodeSuspect(encodeSuspect(3, 12, CauseLoss)); err != nil || e != 3 || tgt != 12 || c != CauseLoss {
 		t.Fatalf("suspect roundtrip: epoch=%d target=%d cause=%s err=%v", e, tgt, c, err)
 	}
-	e, s, dead, members, err := decodePropose(encodePropose(4, 9, []int{1, 3}, []int{0, 2, 4}))
-	if err != nil || e != 4 || s != 9 || !equalInts(dead, []int{1, 3}) || !equalInts(members, []int{0, 2, 4}) {
-		t.Fatalf("propose roundtrip: epoch=%d seq=%d dead=%v members=%v err=%v", e, s, dead, members, err)
+	e, s, origin, hops, dead, members, err := decodePropose(encodePropose(4, 9, 2, 0, []int{1, 3}, []int{0, 2, 4}))
+	if err != nil || e != 4 || s != 9 || origin != 2 || hops != 0 ||
+		!equalInts(dead, []int{1, 3}) || !equalInts(members, []int{0, 2, 4}) {
+		t.Fatalf("propose roundtrip: epoch=%d seq=%d origin=%d hops=%d dead=%v members=%v err=%v",
+			e, s, origin, hops, dead, members, err)
 	}
-	if e, s, err := decodeAck(encodeAck(4, 9)); err != nil || e != 4 || s != 9 {
-		t.Fatalf("ack roundtrip: epoch=%d seq=%d err=%v", e, s, err)
+	if e, s, origin, ranks, err := decodeAck(encodeAck(4, 9, 2, []int{5})); err != nil || e != 4 || s != 9 ||
+		origin != 2 || !equalInts(ranks, []int{5}) {
+		t.Fatalf("ack roundtrip: epoch=%d seq=%d origin=%d ranks=%v err=%v", e, s, origin, ranks, err)
 	}
-	e, dead, members, err = decodeCommit(encodeCommit(5, []int{2}, []int{0, 1, 3}))
-	if err != nil || e != 5 || !equalInts(dead, []int{2}) || !equalInts(members, []int{0, 1, 3}) {
-		t.Fatalf("commit roundtrip: epoch=%d dead=%v members=%v err=%v", e, dead, members, err)
+	e, relay, dead, members, err := decodeCommit(encodeCommit(5, false, []int{2}, []int{0, 1, 3}))
+	if err != nil || e != 5 || relay || !equalInts(dead, []int{2}) || !equalInts(members, []int{0, 1, 3}) {
+		t.Fatalf("commit roundtrip: epoch=%d relay=%v dead=%v members=%v err=%v", e, relay, dead, members, err)
 	}
 	e, dead, members, err = decodeState(encodeState(6, nil, []int{0, 1}))
 	if err != nil || e != 6 || len(dead) != 0 || !equalInts(members, []int{0, 1}) {
@@ -93,12 +96,41 @@ func TestCodecRoundtrips(t *testing.T) {
 	if e, tgt, err := decodeDrain(encodeDrain(7, 5)); err != nil || e != 7 || tgt != 5 {
 		t.Fatalf("drain roundtrip: epoch=%d target=%d err=%v", e, tgt, err)
 	}
-	// Truncated payloads must error, not panic.
-	for _, p := range []payload{encodePropose(1, 1, []int{1}, []int{0, 1}), encodeCommit(2, []int{0, 1}, []int{2})} {
-		if _, _, _, _, err := decodePropose(p[:3]); err == nil && p[0] == msgPropose {
-			t.Fatalf("truncated propose decoded without error")
+}
+
+// TestCodecTruncation: every decoder rejects every strict prefix of its
+// message that still has the kind byte (the byte handle dispatches on; an
+// empty frame never reaches a decoder). A truncated frame must error, not
+// panic or decode short.
+func TestCodecTruncation(t *testing.T) {
+	cases := []struct {
+		p      payload
+		decode func(payload) error
+	}{
+		{encodePing(7), func(p payload) error { _, err := decodePing(p); return err }},
+		{encodeSuspect(3, 12, CauseLoss), func(p payload) error { _, _, _, err := decodeSuspect(p); return err }},
+		{encodePropose(4, 9, 2, 1, []int{1, 3}, []int{0, 2, 4}), func(p payload) error {
+			_, _, _, _, _, _, err := decodePropose(p)
+			return err
+		}},
+		{encodeAck(4, 9, 2, []int{3, 5}), func(p payload) error { _, _, _, _, err := decodeAck(p); return err }},
+		{encodeCommit(5, true, []int{2}, []int{0, 1, 3}), func(p payload) error {
+			_, _, _, _, err := decodeCommit(p)
+			return err
+		}},
+		{encodeState(6, []int{1}, []int{0, 1}), func(p payload) error { _, _, _, err := decodeState(p); return err }},
+		{encodeDrain(7, 5), func(p payload) error { _, _, err := decodeDrain(p); return err }},
+		{encodeReport(3, []int{2, 3}, []int{4, 5}), func(p payload) error { _, _, _, err := decodeReport(p); return err }},
+	}
+	for _, c := range cases {
+		if err := c.decode(c.p); err != nil {
+			t.Fatalf("%s: whole message failed to decode: %v", kindName(c.p[0]), err)
 		}
-		_ = p
+		for n := 1; n < len(c.p); n++ {
+			if err := c.decode(c.p[:n]); err == nil {
+				t.Errorf("%s truncated to %d of %d bytes decoded without error", kindName(c.p[0]), n, len(c.p))
+			}
+		}
 	}
 }
 

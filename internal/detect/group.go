@@ -1,12 +1,12 @@
 package detect
 
-// Two-level (grouped) failure detection. With Options.GroupSize g > 1 the
-// detector replaces the flat O(world) heartbeat-and-lease mesh with the
-// member.Topology's checkpoint groups:
+// Two-level failure detection. Options.GroupSize g partitions the
+// membership into member.Topology's checkpoint groups, and the detector
+// runs over them:
 //
 //   - Heartbeats and phi monitors run on the intra-group ring (±1/±2 of the
 //     group-local member set), and lease pings stay inside the group — the
-//     per-rank steady-state send rate drops from O(world) to O(g).
+//     per-rank steady-state send rate is O(g), not O(world).
 //   - Each group has a runtime delegate: its lowest live, non-suspected
 //     member, computed locally by every rank from its own view (the
 //     epoch-static designation is Topology.Delegate; the runtime rule skips
@@ -24,15 +24,21 @@ package detect
 //     evidence (the victim group's reports) only reaches delegates, so a
 //     non-delegate adopting cross-group gossip could never clear it.
 //   - The epoch agreement relays through delegates: the coordinator sends
-//     one propose per remote group to its delegate, the delegate
-//     re-broadcasts it to the group and aggregates the group's acks into a
-//     single cumulative ack-agg back to the coordinator. Propose/ack
-//     traffic at the coordinator is O(world/g + g) per round instead of
-//     O(world). Retransmission re-picks delegates each tick, so a delegate
-//     dying mid-agreement only redirects the relay.
+//     one propose with hops=1 per remote group to its delegate, the
+//     delegate re-broadcasts it to the group and aggregates the group's
+//     votes into a single cumulative ack back to the coordinator, and a
+//     relay commit reaches each remote group's first live member, which
+//     re-broadcasts it. Propose/ack traffic at the coordinator is
+//     O(world/g + g) per round instead of O(world). Retransmission re-picks
+//     delegates each tick, so a delegate dying mid-agreement only
+//     redirects the relay.
 //
-// With GroupSize <= 1 (or >= world) the topology is flat and every code
-// path below degenerates to the pre-grouping behavior.
+// A flat world (GroupSize <= 1, or >= world) is the one-group case of the
+// same code: the group is the whole ring, so heartbeats, leases, gossip and
+// agreement all reach every member directly. The one guard is
+// groupTickLocked's: with a single group there is no cross-group evidence
+// to carry, so a one-group world sends no reports and emits no delegate
+// role events.
 
 import (
 	"sort"
@@ -42,23 +48,11 @@ import (
 	"c3/internal/trace"
 )
 
-// aggKey identifies one relayed agreement a delegate aggregates acks for.
+// aggKey identifies one relayed agreement a delegate aggregates votes for:
+// coordinator origin's proposal (epoch, seq).
 type aggKey struct {
-	epoch uint64
-	seq   uint64
-}
-
-// aggState is a delegate's cumulative ack collection for one relayed
-// proposal: the coordinator it reports to and the group votes seen so far.
-type aggState struct {
-	origin int
-	acked  map[int]bool
-}
-
-// groupedLocked reports whether two-level topology is active. Callers hold
-// d.mu.
-func (d *Detector) groupedLocked() bool {
-	return !d.topo.Flat()
+	origin     int
+	epoch, seq uint64
 }
 
 // retopoLocked recomputes the topology after a membership change and
@@ -84,22 +78,15 @@ func (d *Detector) retopoLocked(now time.Time) {
 }
 
 // monitorWantedLocked returns the ranks this rank phi-monitors: its two
-// ring successors — on the group-local ring when grouped, the full member
-// ring when flat. Callers hold d.mu.
+// successors on the group-local ring. Callers hold d.mu.
 func (d *Detector) monitorWantedLocked() []int {
-	if d.groupedLocked() {
-		return d.topo.GroupSuccessors(d.self, 2)
-	}
-	return d.members.Successors(d.self, 2)
+	return d.topo.GroupSuccessors(d.self, 2)
 }
 
-// hbTargetsLocked returns the predecessors that monitor this rank (the
-// heartbeat targets). Callers hold d.mu.
+// hbTargetsLocked returns the group-local predecessors that monitor this
+// rank (the heartbeat targets). Callers hold d.mu.
 func (d *Detector) hbTargetsLocked() []int {
-	if d.groupedLocked() {
-		return d.topo.GroupPredecessors(d.self, 2)
-	}
-	return d.members.Predecessors(d.self, 2)
+	return d.topo.GroupPredecessors(d.self, 2)
 }
 
 // delegateOfLocked returns group gid's runtime delegate — its lowest
@@ -121,17 +108,14 @@ func (d *Detector) delegateOfLocked(gid int) int {
 // amDelegateLocked reports whether this rank is currently its own group's
 // runtime delegate. Callers hold d.mu.
 func (d *Detector) amDelegateLocked() bool {
-	return d.groupedLocked() && d.delegateOfLocked(d.topo.GroupOf(d.self)) == d.self
+	return d.delegateOfLocked(d.topo.GroupOf(d.self)) == d.self
 }
 
-// gossipTargetsLocked returns where suspicion (and drain) gossip goes:
-// every live member when flat; the live group plus the other groups'
-// runtime delegates when grouped — the O(g + world/g) fan-out bound the
-// two-level design rests on. Callers hold d.mu.
+// gossipTargetsLocked returns where suspicion (and drain) gossip goes: the
+// live group plus the other groups' runtime delegates, leaving out the
+// ranks in skip — the O(g + world/g) fan-out bound the two-level design
+// rests on. Callers hold d.mu.
 func (d *Detector) gossipTargetsLocked(skip []int) []int {
-	if !d.groupedLocked() {
-		return d.liveExceptLocked(skip)
-	}
 	skipSet := make(map[int]bool, len(skip))
 	for _, s := range skip {
 		skipSet[s] = true
@@ -162,12 +146,12 @@ func (d *Detector) gossipTargetsLocked(skip []int) []int {
 }
 
 // routeLocked picks the intermediate hop for a detector send: -1 for a
-// direct send, or the destination group's runtime delegate when this world
-// is grouped, a relay is wired, and the destination is a non-delegate
-// outside this rank's group — keeping every rank's connection graph at
-// O(g + world/g) peers. Callers hold d.mu.
+// direct send, or the destination group's runtime delegate when a relay is
+// wired and the destination is a non-delegate outside this rank's group —
+// keeping every rank's connection graph at O(g + world/g) peers. Callers
+// hold d.mu.
 func (d *Detector) routeLocked(to int) int {
-	if d.relay == nil || !d.groupedLocked() || !d.members.Contains(to) {
+	if d.relay == nil || !d.members.Contains(to) {
 		return -1
 	}
 	gid := d.topo.GroupOf(to)
@@ -181,13 +165,15 @@ func (d *Detector) routeLocked(to int) int {
 	return via
 }
 
-// groupTickLocked runs the per-tick grouped-mode duties: delegate-role
+// groupTickLocked runs the per-tick delegate duties: delegate-role
 // transitions, whole-group staleness suspicion, and report emission. It
 // returns the report payload and its targets (nil when no report is due
 // this tick); the caller sends them after releasing d.mu, and appends the
-// returned fresh suspicions to its gossip bookkeeping. Callers hold d.mu.
+// returned fresh suspicions to its gossip bookkeeping. A one-group world
+// has no cross-group evidence to carry and skips all of it. Callers hold
+// d.mu.
 func (d *Detector) groupTickLocked(now time.Time) (report payload, targets []int, groupSuspects []int) {
-	if !d.groupedLocked() {
+	if d.topo.Flat() {
 		return nil, nil, nil
 	}
 	amDel := d.amDelegateLocked()
@@ -292,7 +278,7 @@ func (d *Detector) groupTickLocked(now time.Time) (report payload, targets []int
 func (d *Detector) handleReport(from int, epoch uint64, groups, live []int) {
 	now := d.clock()
 	d.mu.Lock()
-	if !d.groupedLocked() || !d.members.Contains(from) {
+	if !d.members.Contains(from) {
 		d.mu.Unlock()
 		return
 	}
@@ -330,102 +316,4 @@ func (d *Detector) handleReport(from int, epoch uint64, groups, live []int) {
 		d.logf("rank %d: suspicion of rank %d cleared by its group's report", d.self, r)
 	}
 	d.reconcileEpoch(from, epoch)
-}
-
-// handleProposeRly processes a delegate-relayed proposal. hops=1 means
-// this rank is the relay: adopt, re-broadcast with hops=0 to the group,
-// and start (or extend) the cumulative ack aggregate toward the
-// coordinator. hops=0 means a fellow group member relayed it here: adopt
-// and ack to the relaying delegate, which folds the vote into its
-// aggregate.
-func (d *Detector) handleProposeRly(from int, epoch, seq uint64, origin int, hops uint8, dead, members []int) {
-	for _, r := range dead {
-		if r == d.self {
-			d.send(origin, encodePing(d.Epoch()))
-			return
-		}
-	}
-	if !d.adoptPropose(origin, epoch, dead, members) {
-		return
-	}
-	if hops == 0 {
-		d.send(from, encodeAck(epoch, seq))
-		return
-	}
-	d.mu.Lock()
-	var fwd []int
-	if d.groupedLocked() {
-		for _, r := range d.topo.GroupMembers(d.topo.GroupOf(d.self)) {
-			if r == d.self || d.dead[r] {
-				continue
-			}
-			if _, susp := d.suspected[r]; susp {
-				continue
-			}
-			fwd = append(fwd, r)
-		}
-	}
-	key := aggKey{epoch: epoch, seq: seq}
-	agg := d.relayAgg[key]
-	if agg == nil || agg.origin != origin {
-		agg = &aggState{origin: origin, acked: make(map[int]bool)}
-		d.relayAgg[key] = agg
-	}
-	agg.acked[d.self] = true
-	ranks := setToSlice(agg.acked)
-	d.mu.Unlock()
-	msg := encodeProposeRly(epoch, seq, origin, 0, dead, members)
-	for _, t := range fwd {
-		d.send(t, msg)
-	}
-	d.send(origin, encodeAckAgg(epoch, seq, ranks))
-}
-
-// handleAckAgg folds a delegate's cumulative group votes into the
-// coordinator's in-flight proposal.
-func (d *Detector) handleAckAgg(from int, epoch, seq uint64, ranks []int) {
-	d.mu.Lock()
-	p := d.prop
-	if p == nil || p.epoch != epoch || p.seq != seq {
-		d.mu.Unlock()
-		return
-	}
-	for _, r := range ranks {
-		if p.pending[r] {
-			delete(p.pending, r)
-			p.acked[r] = true
-		}
-	}
-	ready := 1+len(p.acked) >= d.quorum()
-	d.mu.Unlock()
-	if ready {
-		d.commitProposal(p)
-	}
-}
-
-// handleCommitRly applies a relayed commit and re-broadcasts it to this
-// rank's group under the membership the commit installs. Forwarding only
-// happens when the commit actually advanced this rank's epoch — an already
-// known epoch means the group has been (or is being) told already.
-func (d *Detector) handleCommitRly(from int, epoch uint64, dead, members []int) {
-	if epoch <= d.Epoch() {
-		return
-	}
-	d.applyEpoch(epoch, dead, members, "relayed commit")
-	d.mu.Lock()
-	if d.epoch != epoch || !d.groupedLocked() {
-		d.mu.Unlock()
-		return
-	}
-	var fwd []int
-	for _, r := range d.topo.GroupMembers(d.topo.GroupOf(d.self)) {
-		if r != d.self && !d.dead[r] {
-			fwd = append(fwd, r)
-		}
-	}
-	d.mu.Unlock()
-	msg := encodeCommit(epoch, dead, members)
-	for _, t := range fwd {
-		d.send(t, msg)
-	}
 }

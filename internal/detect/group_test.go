@@ -50,25 +50,29 @@ func newGroupedWorld(t *testing.T, n, g int, hb time.Duration, phi float64, rela
 	return w
 }
 
+// TestGroupedCodecRoundtrips: the delegate report, and the relay forms of
+// the agreement messages — a propose for a delegate to re-broadcast
+// (hops=1), a delegate's aggregated votes, and a commit for a group's
+// first live member to re-broadcast.
 func TestGroupedCodecRoundtrips(t *testing.T) {
 	e, groups, live, err := decodeReport(encodeReport(3, []int{2, 3, 0}, []int{4, 5}))
 	if err != nil || e != 3 || !equalInts(groups, []int{2, 3, 0}) || !equalInts(live, []int{4, 5}) {
 		t.Fatalf("report roundtrip: epoch=%d groups=%v live=%v err=%v", e, groups, live, err)
 	}
-	e, s, origin, hops, dead, members, err := decodeProposeRly(encodeProposeRly(4, 9, 2, 1, []int{7}, []int{0, 1, 2}))
+	e, s, origin, hops, dead, members, err := decodePropose(encodePropose(4, 9, 2, 1, []int{7}, []int{0, 1, 2}))
 	if err != nil || e != 4 || s != 9 || origin != 2 || hops != 1 ||
 		!equalInts(dead, []int{7}) || !equalInts(members, []int{0, 1, 2}) {
-		t.Fatalf("propose-rly roundtrip: epoch=%d seq=%d origin=%d hops=%d dead=%v members=%v err=%v",
+		t.Fatalf("relayed propose roundtrip: epoch=%d seq=%d origin=%d hops=%d dead=%v members=%v err=%v",
 			e, s, origin, hops, dead, members, err)
 	}
 	var ranks []int
-	e, s, ranks, err = decodeAckAgg(encodeAckAgg(4, 9, []int{3, 4, 5}))
-	if err != nil || e != 4 || s != 9 || !equalInts(ranks, []int{3, 4, 5}) {
-		t.Fatalf("ack-agg roundtrip: epoch=%d seq=%d ranks=%v err=%v", e, s, ranks, err)
+	e, s, origin, ranks, err = decodeAck(encodeAck(4, 9, 2, []int{3, 4, 5}))
+	if err != nil || e != 4 || s != 9 || origin != 2 || !equalInts(ranks, []int{3, 4, 5}) {
+		t.Fatalf("aggregated ack roundtrip: epoch=%d seq=%d origin=%d ranks=%v err=%v", e, s, origin, ranks, err)
 	}
-	e, dead, members, err = decodeCommitRly(encodeCommitRly(5, []int{2}, []int{0, 1, 3}))
-	if err != nil || e != 5 || !equalInts(dead, []int{2}) || !equalInts(members, []int{0, 1, 3}) {
-		t.Fatalf("commit-rly roundtrip: epoch=%d dead=%v members=%v err=%v", e, dead, members, err)
+	e, relay, dead, members, err := decodeCommit(encodeCommit(5, true, []int{2}, []int{0, 1, 3}))
+	if err != nil || e != 5 || !relay || !equalInts(dead, []int{2}) || !equalInts(members, []int{0, 1, 3}) {
+		t.Fatalf("relay commit roundtrip: epoch=%d relay=%v dead=%v members=%v err=%v", e, relay, dead, members, err)
 	}
 }
 
@@ -241,7 +245,7 @@ func TestGroupedGossipFanOutBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	flat.mu.Lock()
-	flatTargets := flat.liveExceptLocked(nil)
+	flatTargets := flat.gossipTargetsLocked(nil)
 	flat.mu.Unlock()
 	if len(flatTargets) != n-1 {
 		t.Fatalf("flat gossip fan-out = %d, want %d", len(flatTargets), n-1)
@@ -305,5 +309,118 @@ func TestGroupedTopologyAccessor(t *testing.T) {
 	}
 	if !member.NewTopology(w.dets[0].Members(), 3).SameGroups(topo) {
 		t.Fatalf("topology out of sync with membership: %s", topo.String())
+	}
+}
+
+// TestRelayedAckCountsOnlyForItsCoordinator: a delegate's vote aggregate
+// belongs to one coordinator's proposal. Rank 2 relays coordinator 0's
+// proposal (epoch 2, seq 1); a vote from rank 3 on rank 2's own proposal
+// with the same (epoch, seq) must not join that aggregate and reach rank 0.
+func TestRelayedAckCountsOnlyForItsCoordinator(t *testing.T) {
+	const n, g = 6, 3
+	nw := transport.NewNetwork(n)
+	defer nw.Shutdown()
+	d, err := New(Options{Self: 2, Ranks: n, Net: nw, GroupSize: g, HeartbeatInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	// Rank 2 has not heard from the proposed-dead rank lately, so it votes.
+	d.mu.Lock()
+	d.lastHeard[5] = time.Time{}
+	d.mu.Unlock()
+	d.handle(0, encodePropose(2, 1, 0, 1, []int{5}, []int{0, 1, 2, 3, 4, 5}))
+	d.handle(3, encodeAck(2, 1, 2, []int{3}))
+
+	ep := nw.Endpoint(0)
+	votes := 0
+	for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); {
+		msg, ok, _ := ep.TryRecv()
+		if !ok {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		p, _ := msg.Payload.(payload)
+		if len(p) == 0 || p[0] != msgAck {
+			continue
+		}
+		_, _, origin, ranks, err := decodeAck(p)
+		if err != nil || origin != 0 {
+			t.Fatalf("ack to coordinator 0: origin=%d ranks=%v err=%v", origin, ranks, err)
+		}
+		votes++
+		for _, r := range ranks {
+			if r == 3 {
+				t.Fatalf("rank 3's vote on rank 2's own proposal reached coordinator 0: %v", ranks)
+			}
+		}
+	}
+	if votes == 0 {
+		t.Fatal("the relay never sent its own vote to coordinator 0")
+	}
+}
+
+// TestGroupedGrowOneGroupIntoTwo: a one-group world (members {0,1,2},
+// group size 3) admits slot 3, which opens a second group. The commit
+// reaches the new group as a relay commit; every rank must converge on the
+// same epoch and member list, and nobody may fence.
+func TestGroupedGrowOneGroupIntoTwo(t *testing.T) {
+	const capacity, g = 4, 3
+	hb, phi := tuned(5*time.Millisecond, 8)
+	nw := transport.NewNetwork(capacity)
+	dets := make([]*Detector, capacity)
+	boot := member.Launch(3)
+	for r := 0; r < capacity; r++ {
+		d, err := New(Options{
+			Self: r, Ranks: capacity, Members: boot, Net: nw, GroupSize: g,
+			HeartbeatInterval: hb, PhiThreshold: phi,
+			Logf: func(format string, args ...any) { t.Logf("detect: "+format, args...) },
+		})
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+		dets[r] = d
+		d.Start()
+	}
+	t.Cleanup(func() {
+		for _, d := range dets {
+			d.Close()
+		}
+	})
+	if _, err := dets[3].JoinNew(10 * time.Second); err != nil {
+		t.Fatalf("JoinNew: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		want := dets[0].Epoch()
+		ok := dets[0].Members().Size() == capacity
+		for _, d := range dets {
+			if d.Epoch() != want || !equalInts(d.Members().Members(), []int{0, 1, 2, 3}) {
+				ok = false
+			}
+		}
+		if ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			for r, d := range dets {
+				t.Logf("rank %d: epoch=%d %s", r, d.Epoch(), d.Members())
+			}
+			t.Fatal("the world did not converge on the two-group membership")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// Let a few lease horizons pass under the two-group topology.
+	time.Sleep(30 * hb)
+	for r, d := range dets {
+		if d.Fenced() {
+			t.Errorf("rank %d fenced after the grow", r)
+		}
+		if topo := d.Topology(); topo.NumGroups() != 2 {
+			t.Errorf("rank %d topology %s, want 2 groups", r, topo.String())
+		}
+		if dead := d.Dead(); len(dead) != 0 {
+			t.Errorf("rank %d dead = %v after the grow, want none", r, dead)
+		}
 	}
 }

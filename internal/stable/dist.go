@@ -1187,25 +1187,22 @@ var _ Store = (*DistStore)(nil)
 // --- Placement and reassembly ---
 
 // commitPlan is the placement decision of one commit, computed over the
-// current topology. On a flat (single-group) topology the ring is the
-// whole membership: for the dup codec every shard goes to both ring
-// successors and the owner keeps a full local copy; for an erasure codec
-// each shard goes to exactly one distinct ring successor (rotated
-// placement) and no local copy is kept — the memory saving that is the
-// codec's point. With members 0..n-1 the plan is the fixed-world plan, so
-// existing lines keep their holders until the membership actually changes.
+// owner's group-local ring (so commit traffic never leaves the group): for
+// the dup codec every shard goes to both ring successors and the owner
+// keeps a full local copy; for an erasure codec each shard goes to exactly
+// one distinct ring successor (rotated placement) and no local copy is
+// kept — the memory saving that is the codec's point. On a single-group
+// topology the ring is the whole membership, and with members 0..n-1 the
+// plan is the fixed-world plan, so existing lines keep their holders until
+// the membership actually changes.
 //
-// Under a grouped topology the same formulas run over the owner's
-// group-local ring (so commit traffic never leaves the group), and one
-// additional cross-group parity shard — the whole blob, at index shards —
-// is assigned to topo.ParityHolder(owner) in the next group, keeping the
-// line recoverable through a whole-group loss. parity is that holder's
-// rank, or -1 when the topology has a single group.
+// With two or more groups one additional cross-group parity shard — the
+// whole blob, at index shards — is assigned to topo.ParityHolder(owner) in
+// the next group, keeping the line recoverable through a whole-group loss.
+// parity is that holder's rank, or -1 when the topology has a single
+// group.
 func commitPlan(codec Codec, owner, shards int, topo member.Topology) (sendPlan map[int][]int, holders []int, keepLocal bool, parity int) {
-	ring := topo.Set()
-	if !topo.Flat() {
-		ring = topo.GroupSetOf(owner)
-	}
+	ring := topo.GroupSetOf(owner)
 	if codec.ParityShards() == 0 {
 		holders = ring.Successors(owner, 2)
 		all := make([]int, shards)
