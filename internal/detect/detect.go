@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"c3/internal/member"
-	"c3/internal/trace"
 	"c3/internal/transport"
 )
 
@@ -145,24 +144,6 @@ func (c Cause) String() string {
 		return causeNames[c]
 	}
 	return "invalid"
-}
-
-// proposal is the coordinator's in-flight two-phase agreement. It commits
-// only once the coordinator's own vote plus the collected acks reach a
-// strict majority of the current membership — a coordinator that cannot
-// reach quorum (it sits on the minority side of a partition) stalls
-// instead of committing, so two sides of a split can never fork the epoch
-// sequence (the PBFT-style view-change discipline). Besides the dead set
-// a proposal carries the member list the new epoch installs, so grows and
-// shrinks commit through exactly the same two-phase path as deaths.
-type proposal struct {
-	epoch   uint64
-	seq     uint64
-	dead    []int        // full proposed dead set, sorted
-	members []int        // proposed member list, sorted
-	pending map[int]bool // participants that have not acked yet
-	acked   map[int]bool // participants whose ack arrived
-	sp      trace.Span   // agree span: proposal creation -> local commit
 }
 
 // Detector is one rank's failure-detection and membership endpoint.
@@ -404,67 +385,6 @@ func (d *Detector) Fenced() bool {
 	return d.fenced
 }
 
-// quorum is the number of votes an epoch commit needs: a strict majority
-// of the current membership (not of the current survivors — otherwise two
-// partition sides could each reach "majority of who I can see"). After a
-// committed grow or shrink the majority is of the new member set, which
-// is what makes resize safe against partitions: the old world's minority
-// can never outvote the committed configuration. Callers hold d.mu.
-func (d *Detector) quorum() int {
-	return d.members.Quorum()
-}
-
-// refenceLocked recomputes the fencing state from the contact leases and
-// returns the OnFence callback to fire (nil if no transition). A peer
-// counts as reachable only on positive receive evidence within the lease —
-// suspicion alone cannot drive fencing, because the ring monitors of a
-// small minority never cover the whole far side of a split. Callers hold
-// d.mu and must invoke the returned func, if any, after releasing it.
-func (d *Detector) refenceLocked() func() {
-	now := d.clock()
-	live := 0
-	if d.members.Contains(d.self) {
-		live++ // self
-	}
-	// Lease pings stay inside the group: direct contact evidence covers the
-	// group, and the rest of the world counts through the per-group report
-	// lease — a remote group whose report is fresh contributes its reported
-	// live strength.
-	ownGid := d.topo.GroupOf(d.self)
-	for _, r := range d.topo.GroupMembers(ownGid) {
-		if r == d.self || d.dead[r] {
-			continue
-		}
-		if now.Sub(d.lastHeard[r]) <= d.lease {
-			live++
-		}
-	}
-	for gid := 0; gid < d.topo.NumGroups(); gid++ {
-		if gid != ownGid && now.Sub(d.gHeard[gid]) <= d.lease {
-			live += d.gCount[gid]
-		}
-	}
-	size, quorum := d.members.Size(), d.quorum()
-	fenced := live < quorum
-	if fenced == d.fenced {
-		return nil
-	}
-	d.fenced = fenced
-	cb := d.opts.OnFence
-	return func() {
-		d.logf("rank %d: fencing -> %v (live view %d of %d members, quorum %d)",
-			d.self, fenced, live, size, quorum)
-		arg := uint64(0)
-		if fenced {
-			arg = 1
-		}
-		trace.Default().Emit(int32(d.self), trace.KindFence, 0, arg)
-		if cb != nil {
-			cb(fenced)
-		}
-	}
-}
-
 // Suspected returns the currently suspected (not yet agreed dead) ranks.
 func (d *Detector) Suspected() []int {
 	d.mu.Lock()
@@ -475,194 +395,6 @@ func (d *Detector) Suspected() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// ObserveVia makes dm's observers the detector's liveness input: every
-// frame on any plane of the shared mesh (ObserveRecv), every send
-// (ObserveSend), and every loss report (ObserveLost). The receive loop
-// then leaves detector frames unobserved, so liveness is observed in one
-// place, in arrival order: a frame that a lost connection delivered before
-// its end is counted before the loss report and can never clear the
-// suspicion that report raises. Call before dm.Start and Start.
-func (d *Detector) ObserveVia(dm *transport.Demux) {
-	d.viaDemux = true
-	dm.SetObservers(d.ObserveRecv, d.ObserveSend, d.ObserveLost)
-}
-
-// ObserveLost records a loss report: the transport saw rank r's connection
-// end without a goodbye and confirmed r's process gone. The suspicion is
-// raised, gossiped and proposed at once instead of at the next tick, and
-// the gossip also goes to r, so a live r protests. It stays a hint: a live
-// r's traffic clears it, and ranks that have heard from r recently neither
-// adopt it nor vote for it (contradictedLocked). Loss reports follow the
-// gossip adoption rule: a non-delegate ignores a rank of another group,
-// and a delegate adopts it.
-func (d *Detector) ObserveLost(r int) {
-	if r == d.self || r < 0 || r >= d.n {
-		return
-	}
-	d.mu.Lock()
-	_, already := d.suspected[r]
-	if already || d.dead[r] || !d.members.Contains(r) || !d.members.Contains(d.self) || d.crossGroupLocked(r) {
-		d.mu.Unlock()
-		return
-	}
-	d.suspectLocked(r, d.clock(), CauseLoss)
-	epoch := d.epoch
-	targets := append(d.gossipTargetsLocked(nil), r)
-	d.mu.Unlock()
-	d.logf("rank %d: suspects rank %d dead (connection lost)", d.self, r)
-	g := encodeSuspect(epoch, r, CauseLoss)
-	for _, t := range targets {
-		d.send(t, g)
-	}
-	d.driveProposal()
-}
-
-// crossGroupLocked reports whether r's suspicion is not this rank's to
-// hold: a non-delegate holds no suspicions of ranks in other groups,
-// because the clearing evidence (the target group's reports) only reaches
-// delegates. Callers hold d.mu.
-func (d *Detector) crossGroupLocked(r int) bool {
-	return d.topo.GroupOf(r) != d.topo.GroupOf(d.self) && !d.amDelegateLocked()
-}
-
-// contradictedLocked reports whether this rank has heard from r within
-// half a contact lease, a window every live member's lease pings keep
-// filled. Such a rank neither adopts another rank's suspicion of r nor
-// acks a proposal that declares r dead; its own detection paths may still
-// suspect r. Callers hold d.mu.
-func (d *Detector) contradictedLocked(r int, now time.Time) bool {
-	return now.Sub(d.lastHeard[r]) < d.lease/2
-}
-
-// ObserveRecv records liveness evidence: a message from peer `from` arrived
-// on any plane of the shared mesh. The demux calls this for every inbound
-// message, so replication traffic doubles as heartbeats.
-func (d *Detector) ObserveRecv(from int) {
-	if from == d.self || from < 0 || from >= d.n {
-		return
-	}
-	now := d.clock()
-	d.mu.Lock()
-	d.lastHeard[from] = now
-	// Direct contact from a remote group (a protest ping, a relay hop's
-	// agreement traffic) renews that group's report lease: any member
-	// speaking proves the group is not wholesale dead.
-	if gid := d.topo.GroupOf(from); gid != d.topo.GroupOf(d.self) && gid < len(d.gHeard) {
-		d.gHeard[gid] = now
-	}
-	if m := d.monitors[from]; m != nil {
-		m.Observe(now)
-	}
-	_, wasSuspected := d.suspected[from]
-	if wasSuspected && !d.dead[from] {
-		// The peer spoke: the suspicion was false. Clearing it here (and
-		// re-observing) makes the coordinator rebuild any in-flight proposal
-		// without the recovered rank.
-		delete(d.suspected, from)
-	}
-	fence := d.refenceLocked()
-	d.mu.Unlock()
-	if fence != nil {
-		fence()
-	}
-	if wasSuspected {
-		d.logf("rank %d: false suspicion of rank %d cleared by traffic", d.self, from)
-	}
-}
-
-// ObserveSend records outbound traffic toward a peer, letting the emitter
-// skip the next explicit ping (heartbeat piggybacking).
-func (d *Detector) ObserveSend(to int) {
-	if to == d.self {
-		return
-	}
-	now := d.clock()
-	d.mu.Lock()
-	d.lastSent[to] = now
-	d.mu.Unlock()
-}
-
-// Join is called by a freshly respawned replacement process (its slot is
-// still a member — death does not remove membership): it broadcasts hello
-// until a survivor's state response raises the local epoch past the boot
-// value, then returns the adopted epoch. Survivors react to the hello by
-// marking this rank alive again and resetting its monitor.
-func (d *Detector) Join(timeout time.Duration) (uint64, error) {
-	boot := d.Epoch()
-	return d.helloUntil(timeout, func() bool { return d.Epoch() > boot },
-		"no survivor answered")
-}
-
-// JoinNew is called by a spare slot entering an existing world for the
-// first time: it broadcasts hello (which survivors treat as a join
-// request, because the sender is not a member) until an epoch agreement
-// admits it to the membership, then returns the admitting epoch. The
-// coordinator folds the join into its next proposal, so admission rides
-// the same two-phase commit as a failure — a grow IS an epoch transition.
-func (d *Detector) JoinNew(timeout time.Duration) (uint64, error) {
-	return d.helloUntil(timeout, func() bool { return d.Members().Contains(d.self) },
-		"membership never admitted us")
-}
-
-// helloUntil broadcasts hello every heartbeat interval until admitted()
-// holds. It re-checks admitted() the moment the epoch or the membership
-// changes, so a join returns as soon as the state snapshot lands.
-func (d *Detector) helloUntil(timeout time.Duration, admitted func() bool, what string) (uint64, error) {
-	deadline := d.clock().Add(timeout)
-	tick := time.NewTicker(d.interval)
-	defer tick.Stop()
-	for hello := true; ; {
-		d.mu.Lock()
-		changed := d.changed
-		d.mu.Unlock()
-		if admitted() {
-			return d.Epoch(), nil
-		}
-		if hello {
-			d.helloAll()
-		}
-		if d.clock().After(deadline) {
-			return 0, fmt.Errorf("detect: rank %d join timed out after %v (%s)", d.self, timeout, what)
-		}
-		select {
-		case <-d.done:
-			return 0, fmt.Errorf("detect: closed during join")
-		case <-changed:
-			hello = false
-		case <-tick.C:
-			hello = true
-		}
-	}
-}
-
-// helloAll broadcasts hello to every other slot.
-func (d *Detector) helloAll() {
-	hello := encodeHello()
-	for q := 0; q < d.n; q++ {
-		if q != d.self {
-			d.send(q, hello)
-		}
-	}
-}
-
-// Drain requests a graceful shrink: remove target from the membership at
-// the next epoch agreement. The request is gossiped to the live members
-// every tick until a commit settles it (or the target stops being a
-// member some other way). Draining self is allowed — the OnDrained
-// callback fires once the removal commits.
-func (d *Detector) Drain(target int) error {
-	d.mu.Lock()
-	if !d.members.Contains(target) {
-		cur := d.members
-		d.mu.Unlock()
-		return fmt.Errorf("detect: drain target %d is not a member (%s)", target, cur)
-	}
-	d.pendingLeave[target] = true
-	d.mu.Unlock()
-	d.driveProposal()
-	return nil
 }
 
 func (d *Detector) logf(format string, args ...any) {
@@ -717,522 +449,6 @@ func (d *Detector) sendWorker(to int, ch chan outFrame) {
 		}
 		_ = d.net.Send(transport.Message{From: d.self, To: to, Class: transport.Control, Payload: f.p})
 	}
-}
-
-// --- Ticker: heartbeats, monitor evaluation, proposal driving ---
-
-func (d *Detector) tickLoop() {
-	defer d.wg.Done()
-	ticker := time.NewTicker(d.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-d.done:
-			return
-		case <-ticker.C:
-			d.tick()
-		}
-	}
-}
-
-func (d *Detector) tick() {
-	now := d.clock()
-
-	d.mu.Lock()
-	if !d.members.Contains(d.self) {
-		// Not (yet, or no longer) a member: no heartbeats, no suspicions,
-		// no proposals. A joining slot only listens and hellos (JoinNew);
-		// a drained slot is on its way out.
-		d.mu.Unlock()
-		return
-	}
-	epoch := d.epoch
-	// Heartbeats to the predecessors that monitor this rank (every
-	// interval), and low-rate lease pings to every other live group member
-	// so the group keeps receiving positive contact evidence for the
-	// fencing rule. Both are skipped when other traffic already reached the
-	// peer within the window (piggybacking). Both stay inside the group —
-	// cross-group liveness travels in delegate reports instead, which is
-	// what caps the steady-state send rate at O(g + world/g).
-	isPred := make(map[int]bool, 2)
-	for _, t := range d.hbTargetsLocked() {
-		isPred[t] = true
-	}
-	groupPool := d.topo.GroupMembers(d.topo.GroupOf(d.self))
-	var pings []int
-	for _, t := range groupPool {
-		if t == d.self || d.dead[t] {
-			continue
-		}
-		if _, susp := d.suspected[t]; susp && !d.fenced {
-			// A fenced rank keeps pinging the peers it suspects: they are
-			// probably on the majority side of a partition, and these probes
-			// are how it discovers the heal (the majority, which declared us
-			// dead, no longer sends anything our way — the probe's epoch
-			// reconciliation pulls their newer state over).
-			continue
-		}
-		window := d.interval
-		if !isPred[t] {
-			window = d.lease / 3 // lease pings: a few per lease horizon
-		}
-		if last, ok := d.lastSent[t]; ok && now.Sub(last) < window {
-			continue // piggybacked: recent traffic already proved liveness
-		}
-		d.lastSent[t] = now
-		pings = append(pings, t)
-	}
-
-	// Monitor evaluation: accrued suspicion past the threshold raises a
-	// suspicion and gossips it.
-	var newSuspects []int
-	for m, mon := range d.monitors {
-		if d.dead[m] {
-			continue
-		}
-		if _, already := d.suspected[m]; already {
-			continue
-		}
-		if mon.Phi(now) >= d.threshold {
-			d.suspectLocked(m, now, CausePhi)
-			newSuspects = append(newSuspects, m)
-		}
-	}
-	// Lease evaluation for the group members outside this rank's monitor
-	// set. The ±1/±2 ring cannot see into a contiguous far side of a
-	// partition — its interior ranks are heartbeat-monitored only by their
-	// own severed neighbors — but the contact lease covers every pair in the
-	// group: a live peer keeps lease-pinging us, so a peer silent past the
-	// full lease is as suspect as a monitored one crossing the phi
-	// threshold. A false positive clears the same way monitor suspicions do
-	// (ObserveRecv on the peer's next ping). Remote groups are covered by
-	// report staleness at the delegates.
-	var leaseSuspects []int
-	for _, r := range groupPool {
-		if r == d.self || d.dead[r] || d.monitors[r] != nil {
-			continue
-		}
-		if _, already := d.suspected[r]; already {
-			continue
-		}
-		if now.Sub(d.lastHeard[r]) > d.lease {
-			d.suspectLocked(r, now, CauseLease)
-			leaseSuspects = append(leaseSuspects, r)
-		}
-	}
-	// Delegate duties: role transitions, whole-group staleness suspicion,
-	// and the periodic report.
-	report, reportTargets, groupSuspects := d.groupTickLocked(now)
-	leaseSuspects = append(leaseSuspects, groupSuspects...)
-	// Gossip every outstanding suspicion, not just the fresh ones: the send
-	// path is lossy (full worker queue, redial backoff), and the would-be
-	// coordinator may not monitor the victim itself — a one-shot gossip that
-	// gets dropped would stall recovery forever. Suspicion windows are
-	// short, so the per-tick retransmission is a handful of tiny frames.
-	gossip := make([]int, 0, len(d.suspected))
-	for s := range d.suspected {
-		gossip = append(gossip, s)
-	}
-	sort.Ints(gossip)
-	causes := make([]Cause, len(gossip))
-	for i, s := range gossip {
-		causes[i] = d.suspected[s]
-	}
-	// Drain requests are re-gossiped each tick for the same reason the
-	// suspicions are: the send path is lossy and the coordinator may not
-	// have heard the request directly.
-	drains := setToSlice(d.pendingLeave)
-	// The live group plus the other groups' delegates — the O(g + world/g)
-	// fan-out bound.
-	gossipTargets := d.gossipTargetsLocked(gossip)
-	fence := d.refenceLocked()
-	d.mu.Unlock()
-	if fence != nil {
-		fence()
-	}
-	if report != nil {
-		for _, t := range reportTargets {
-			d.send(t, report)
-		}
-	}
-
-	ping := encodePing(epoch)
-	for _, t := range pings {
-		d.send(t, ping)
-	}
-	for _, s := range newSuspects {
-		d.logf("rank %d: suspects rank %d dead (phi >= %.1f)", d.self, s, d.threshold)
-	}
-	for _, s := range leaseSuspects {
-		d.logf("rank %d: suspects rank %d dead (contact lease expired)", d.self, s)
-	}
-	if fresh := len(newSuspects) + len(leaseSuspects); fresh > 0 && len(gossip) > 0 {
-		// One gossip event per fresh round, not per retransmission tick —
-		// the per-tick re-gossip would otherwise dominate the ring.
-		trace.Default().Emit(int32(d.self), trace.KindGossip, 0, uint64(len(gossip)))
-	}
-	for i, s := range gossip {
-		g := encodeSuspect(epoch, s, causes[i])
-		for _, t := range gossipTargets {
-			d.send(t, g)
-		}
-	}
-	for _, s := range drains {
-		g := encodeDrain(epoch, s)
-		for _, t := range gossipTargets {
-			d.send(t, g)
-		}
-	}
-
-	d.driveProposal()
-}
-
-// suspectLocked records a (new) suspicion of rank r at time now, raised by
-// the given detection path. Callers hold d.mu.
-func (d *Detector) suspectLocked(r int, now time.Time, cause Cause) {
-	if _, ok := d.suspected[r]; ok {
-		return
-	}
-	d.suspected[r] = cause
-	d.suspicions[cause]++
-	if d.pendSuspect.IsZero() {
-		d.pendSuspect, d.pendCause = now, cause
-	}
-	trace.Default().Emit(int32(d.self), trace.KindSuspect, 0, uint64(cause)<<32|uint64(r))
-}
-
-// dropProposalLocked abandons the in-flight proposal (if any), closing
-// its agree span as uncommitted. Callers hold d.mu.
-func (d *Detector) dropProposalLocked() {
-	if d.prop != nil {
-		d.prop.sp.End(0)
-		d.prop = nil
-	}
-}
-
-// driveProposal runs the coordinator's side of the agreement: start or
-// rebuild the proposal when the candidate dead set or member list
-// changes, retransmit to laggards, and commit once the votes (the
-// coordinator's own plus the acks) reach a strict majority of the current
-// membership. A proposal folds in everything outstanding: suspected
-// deaths, pending joins, and pending drains all commit through the same
-// epoch transition. Laggards that have not acked by then learn the result
-// from the commit broadcast or a later state exchange.
-func (d *Detector) driveProposal() {
-	d.mu.Lock()
-	if !d.members.Contains(d.self) {
-		d.dropProposalLocked()
-		d.mu.Unlock()
-		return
-	}
-	// Pending membership changes that still mean something: joins of slots
-	// not yet members, drains of slots still members.
-	joins := make([]int, 0, len(d.pendingJoin))
-	for r := range d.pendingJoin {
-		if !d.members.Contains(r) {
-			joins = append(joins, r)
-		}
-	}
-	leaves := make([]int, 0, len(d.pendingLeave))
-	for r := range d.pendingLeave {
-		if d.members.Contains(r) {
-			leaves = append(leaves, r)
-		}
-	}
-	if len(d.suspected) == 0 && len(joins) == 0 && len(leaves) == 0 {
-		d.dropProposalLocked()
-		d.mu.Unlock()
-		return
-	}
-	cand := make(map[int]bool, len(d.dead)+len(d.suspected))
-	for r := range d.dead {
-		cand[r] = true
-	}
-	for r := range d.suspected {
-		cand[r] = true
-	}
-	// Coordinator: the lowest member that is neither dead nor suspected.
-	coord := -1
-	for _, r := range d.members.Members() {
-		if !cand[r] {
-			coord = r
-			break
-		}
-	}
-	if coord != d.self {
-		d.dropProposalLocked() // not ours to drive (anymore)
-		d.mu.Unlock()
-		return
-	}
-	next := d.members.WithJoined(d.epoch+1, joins...).WithRemoved(d.epoch+1, leaves...)
-	memberList := next.Members()
-	// The dead set the new epoch carries: dead/suspected slots that remain
-	// members (a drained slot leaves the dead set with its membership).
-	deadSet := make([]int, 0, len(cand))
-	for r := range cand {
-		if next.Contains(r) {
-			deadSet = append(deadSet, r)
-		}
-	}
-	sort.Ints(deadSet)
-	if d.prop == nil || !equalInts(d.prop.dead, deadSet) || !equalInts(d.prop.members, memberList) {
-		d.propSeq++
-		// Votes come from the current configuration: every current member
-		// that is not a death candidate. Joining slots do not vote — they
-		// are not members until this very proposal commits.
-		pending := make(map[int]bool)
-		for _, r := range d.members.Members() {
-			if r != d.self && !cand[r] {
-				pending[r] = true
-			}
-		}
-		if d.prop != nil {
-			d.prop.sp.End(0) // superseded before committing
-		}
-		d.prop = &proposal{epoch: d.epoch + 1, seq: d.propSeq, dead: deadSet,
-			members: memberList, pending: pending, acked: make(map[int]bool),
-			sp: trace.Default().Begin(int32(d.self), trace.KindAgree, 0, d.epoch+1)}
-		d.logf("rank %d: proposing epoch %d dead=%v members=%v to %d survivors (seq %d)",
-			d.self, d.prop.epoch, deadSet, memberList, len(pending), d.propSeq)
-	}
-	p := d.prop
-	if 1+len(p.acked) >= d.quorum() {
-		d.mu.Unlock()
-		d.commitProposal(p)
-		return
-	}
-	if len(p.pending) == 0 {
-		// Everyone this coordinator can reach has acked, yet the votes fall
-		// short of a strict majority of the membership: it is on the
-		// minority side of a partition. Stall — committing here would fork
-		// the epoch sequence against a majority-side commit.
-		d.mu.Unlock()
-		return
-	}
-	// Retransmission targets: own-group voters directly, every remote group
-	// through one relayed propose to its runtime delegate — O(g + world/g)
-	// frames per round instead of O(world). driveProposal runs every tick,
-	// so a delegate dying mid-agreement just redirects the next round's
-	// relay to the group's new runtime delegate.
-	var direct []int
-	relayVias := make(map[int]bool)
-	ownGid := d.topo.GroupOf(d.self)
-	for r := range p.pending {
-		gid := d.topo.GroupOf(r)
-		via := d.delegateOfLocked(gid)
-		if gid == ownGid || via < 0 || via == d.self {
-			direct = append(direct, r)
-			continue
-		}
-		relayVias[via] = true
-	}
-	d.mu.Unlock()
-	msg := encodePropose(p.epoch, p.seq, d.self, 0, p.dead, p.members)
-	for _, t := range direct {
-		d.send(t, msg)
-	}
-	rly := encodePropose(p.epoch, p.seq, d.self, 1, p.dead, p.members)
-	for _, via := range setToSlice(relayVias) {
-		d.send(via, rly)
-	}
-}
-
-// commitProposal finalizes an agreement: broadcast the commit and apply it
-// locally. The broadcast covers the union of the old and new member sets,
-// so a freshly admitted slot learns of its own admission and a drained
-// slot learns it is out. Under the topology the commit installs, this
-// rank's group and the slots leaving the membership get direct commits;
-// each remote group gets one relay commit, addressed to its lowest
-// not-dead member (which re-broadcasts it group-locally, see
-// handleCommit). A dropped relay heals through the report/ping epoch
-// reconciliation.
-func (d *Detector) commitProposal(p *proposal) {
-	d.mu.Lock()
-	targets := make(map[int]bool, len(p.members)+d.members.Size())
-	for _, r := range d.members.Members() {
-		targets[r] = true
-	}
-	d.mu.Unlock()
-	for _, r := range p.members {
-		targets[r] = true
-	}
-	deadSet := make(map[int]bool, len(p.dead))
-	for _, dr := range p.dead {
-		delete(targets, dr)
-		deadSet[dr] = true
-	}
-	delete(targets, d.self)
-	next := member.NewTopology(member.New(p.epoch, p.members), d.groupSize)
-	ownGid := next.GroupOf(d.self)
-	var direct []int
-	vias := make(map[int]bool)
-	for _, r := range setToSlice(targets) {
-		if !next.Set().Contains(r) || next.GroupOf(r) == ownGid {
-			direct = append(direct, r)
-			continue
-		}
-		via := -1
-		for _, m := range next.GroupMembers(next.GroupOf(r)) {
-			if !deadSet[m] {
-				via = m
-				break
-			}
-		}
-		if via < 0 {
-			direct = append(direct, r)
-			continue
-		}
-		vias[via] = true
-	}
-	msg := encodeCommit(p.epoch, false, p.dead, p.members)
-	for _, r := range direct {
-		d.send(r, msg)
-	}
-	rly := encodeCommit(p.epoch, true, p.dead, p.members)
-	for _, via := range setToSlice(vias) {
-		d.send(via, rly)
-	}
-	d.applyEpoch(p.epoch, p.dead, p.members, "agreement")
-}
-
-// applyEpoch installs a committed epoch transition (from our own agreement,
-// a peer's commit, or a state snapshot) — the new membership, the dead set
-// — rebuilds the heartbeat ring for the new member set, and fires OnEpoch
-// (or OnDrained/OnEvicted when the transition removes this very rank). It
-// reports whether the epoch was new here.
-func (d *Detector) applyEpoch(epoch uint64, dead, members []int, via string) bool {
-	now := d.clock()
-	d.mu.Lock()
-	if epoch <= d.epoch {
-		d.mu.Unlock()
-		return false
-	}
-	newMembers := member.New(epoch, members)
-	if newMembers.Size() == 0 {
-		// Defensive: a commit with no member list keeps the current ring.
-		newMembers = d.members.WithEpoch(epoch)
-	}
-	wasMember := d.members.Contains(d.self)
-	isMember := newMembers.Contains(d.self)
-	membersChanged := !equalInts(d.members.Members(), newMembers.Members())
-	var newDead []int
-	selfDead := false
-	newSet := make(map[int]bool, len(dead))
-	for _, r := range dead {
-		if r == d.self {
-			selfDead = true
-		}
-		if !newMembers.Contains(r) {
-			continue // removed slots leave the dead set with their membership
-		}
-		newSet[r] = true
-		if !d.dead[r] {
-			newDead = append(newDead, r)
-		}
-	}
-	// Slots entering the ring start with a fresh contact lease, so a grow
-	// cannot fence or lease-suspect the newcomer before its first ping.
-	for _, r := range newMembers.Members() {
-		if !d.members.Contains(r) && r >= 0 && r < d.n {
-			d.lastHeard[r] = now
-		}
-	}
-	d.epoch = epoch
-	d.members = newMembers
-	close(d.changed)
-	d.changed = make(chan struct{})
-	if membersChanged {
-		d.memberEpoch = epoch
-	}
-	d.dead = newSet
-	d.detections += uint64(len(newDead))
-	for r := range d.suspected {
-		if newSet[r] || !newMembers.Contains(r) {
-			delete(d.suspected, r)
-		}
-	}
-	for r := range d.pendingJoin {
-		if newMembers.Contains(r) {
-			delete(d.pendingJoin, r)
-		}
-	}
-	for r := range d.pendingLeave {
-		if !newMembers.Contains(r) {
-			delete(d.pendingLeave, r)
-		}
-	}
-	// Re-derive the two-level topology for the new membership and reset the
-	// per-group report leases; delegate vote aggregates for epochs at or
-	// below the committed one are settled.
-	d.retopoLocked(now)
-	for k := range d.relayAgg {
-		if k.epoch <= epoch {
-			delete(d.relayAgg, k)
-		}
-	}
-	// Rebuild the monitor ring for the new membership: keep the arrival
-	// history of successors we already watched, start fresh monitors for
-	// new ones, drop the rest.
-	wanted := d.monitorWantedLocked()
-	next := make(map[int]*Monitor, len(wanted))
-	for _, m := range wanted {
-		if mon := d.monitors[m]; mon != nil {
-			next[m] = mon
-		} else {
-			next[m] = newMonitor(d.interval, now)
-		}
-	}
-	d.monitors = next
-	for r := range newSet {
-		if m := d.monitors[r]; m != nil {
-			m.Reset(now) // suspended while dead; fresh history on rejoin
-		}
-	}
-	if d.prop != nil {
-		d.prop.sp.End(epoch) // this coordinator's agreement committed
-		d.prop = nil
-	}
-	d.times = Times{SuspectAt: d.pendSuspect, AgreeAt: now, Cause: d.pendCause}
-	rec := trace.Default()
-	rec.Emit(int32(d.self), trace.KindEpoch, 0, epoch)
-	if !d.pendSuspect.IsZero() {
-		// Detection latency (first local suspicion -> committed epoch) feeds
-		// the epoch kind's histogram: ops exposes it as c3_detection_seconds.
-		rec.Observe(trace.KindEpoch, now.Sub(d.pendSuspect))
-	}
-	if membersChanged {
-		rec.Emit(int32(d.self), trace.KindMember, 0, epoch)
-	}
-	d.pendSuspect, d.pendCause = time.Time{}, CauseNone
-	sort.Ints(newDead)
-	allDead := setToSlice(newSet)
-	onEpoch, onEvicted, onDrained := d.opts.OnEpoch, d.opts.OnEvicted, d.opts.OnDrained
-	fence := d.refenceLocked()
-	d.mu.Unlock()
-	if fence != nil {
-		fence() // fencing state first, so epoch callbacks see it settled
-	}
-
-	d.logf("rank %d: epoch %d committed via %s, members=%v dead=%v (new %v)",
-		d.self, epoch, via, newMembers.Members(), allDead, newDead)
-	if wasMember && !isMember {
-		d.logf("rank %d: drained out of the membership by epoch %d", d.self, epoch)
-		if onDrained != nil {
-			onDrained(epoch)
-		}
-		return true
-	}
-	if selfDead {
-		d.logf("rank %d: DECLARED DEAD by epoch %d while alive", d.self, epoch)
-		if onEvicted != nil {
-			onEvicted(epoch)
-		}
-		return true
-	}
-	if onEpoch != nil {
-		onEpoch(epoch, newMembers, allDead, newDead)
-	}
-	return true
 }
 
 // --- Receive path ---
@@ -1369,239 +585,6 @@ func (d *Detector) handle(from int, data payload) {
 		}
 	default:
 		d.logf("rank %d: unknown detect message %s from rank %d", d.self, kindName(data[0]), from)
-	}
-}
-
-// reconcileEpoch compares a peer's advertised epoch with ours and heals a
-// divergence: a lagging peer gets our state, and if we lag we ask for
-// theirs.
-func (d *Detector) reconcileEpoch(from int, peerEpoch uint64) {
-	d.mu.Lock()
-	cur := d.epoch
-	dead := setToSlice(d.dead)
-	members := d.members.Members()
-	d.mu.Unlock()
-	switch {
-	case peerEpoch < cur:
-		d.send(from, encodeState(cur, dead, members))
-	case peerEpoch > cur:
-		d.send(from, encodeHello())
-	}
-}
-
-// handlePropose votes on a proposal. hops=0 asks for this rank's own
-// vote, sent back to whoever forwarded the proposal: the coordinator
-// itself, or the delegate that relayed it. hops=1 makes this rank the relay
-// for its group: it votes, re-broadcasts the proposal with hops=0 to the
-// live group, and starts (or extends) the cumulative aggregate of the
-// group's votes toward the coordinator.
-func (d *Detector) handlePropose(from int, epoch, seq uint64, origin int, hops uint8, dead, members []int) {
-	for _, r := range dead {
-		if r == d.self {
-			// Proposed dead while alive: protest instead of acking; the
-			// coordinator clears the suspicion when the ping arrives.
-			d.send(origin, encodePing(d.Epoch()))
-			return
-		}
-	}
-	if !d.adoptPropose(origin, epoch, dead, members) {
-		return
-	}
-	if hops == 0 {
-		d.send(from, encodeAck(epoch, seq, origin, []int{d.self}))
-		return
-	}
-	d.mu.Lock()
-	var fwd []int
-	for _, r := range d.topo.GroupMembers(d.topo.GroupOf(d.self)) {
-		if r == d.self || d.dead[r] {
-			continue
-		}
-		if _, susp := d.suspected[r]; susp {
-			continue
-		}
-		fwd = append(fwd, r)
-	}
-	key := aggKey{origin: origin, epoch: epoch, seq: seq}
-	agg := d.relayAgg[key]
-	if agg == nil {
-		agg = make(map[int]bool)
-		d.relayAgg[key] = agg
-	}
-	agg[d.self] = true
-	ranks := setToSlice(agg)
-	d.mu.Unlock()
-	msg := encodePropose(epoch, seq, origin, 0, dead, members)
-	for _, t := range fwd {
-		d.send(t, msg)
-	}
-	d.send(origin, encodeAck(epoch, seq, origin, ranks))
-}
-
-// adoptPropose validates a proposal against the local epoch and, when it is
-// the expected next epoch, adopts its suspicions and pending membership
-// changes so our own coordinator logic (should the proposer die
-// mid-agreement) starts from the same dead set and member list. On a
-// mismatch the reconciliation reply (state or hello) goes to origin — the
-// coordinator — whether the proposal arrived directly or through a
-// delegate relay. A proposal that declares dead a rank this rank does not
-// suspect but has recently heard from is withheld, not acked: the
-// coordinator retransmits every tick, by when the evidence has either
-// aged out or turned into a suspicion of our own. It reports whether the
-// proposal is ack-worthy.
-func (d *Detector) adoptPropose(origin int, epoch uint64, dead, members []int) bool {
-	d.mu.Lock()
-	cur := d.epoch
-	if epoch != cur+1 {
-		deadNow, membersNow := setToSlice(d.dead), d.members.Members()
-		d.mu.Unlock()
-		if epoch <= cur {
-			d.send(origin, encodeState(cur, deadNow, membersNow)) // proposer lags a commit
-		} else {
-			d.send(origin, encodeHello()) // we lag; fetch the peer's state
-		}
-		return false
-	}
-	now := d.clock()
-	var fresh []int
-	for _, r := range dead {
-		if d.dead[r] || !d.members.Contains(r) {
-			continue
-		}
-		if _, susp := d.suspected[r]; !susp {
-			if d.contradictedLocked(r, now) {
-				d.mu.Unlock()
-				return false
-			}
-			fresh = append(fresh, r)
-		}
-	}
-	for _, r := range fresh {
-		d.suspectLocked(r, now, CauseNone)
-	}
-	proposed := member.New(epoch, members)
-	for _, r := range proposed.Members() {
-		if !d.members.Contains(r) {
-			d.pendingJoin[r] = true
-		}
-	}
-	for _, r := range d.members.Members() {
-		if !proposed.Contains(r) {
-			d.pendingLeave[r] = true
-		}
-	}
-	fence := d.refenceLocked()
-	d.mu.Unlock()
-	if fence != nil {
-		fence()
-	}
-	return true
-}
-
-// handleAck counts votes for origin's proposal (epoch, seq). When origin
-// is this rank they go toward its in-flight proposal; otherwise this rank
-// relayed that proposal, so they join the aggregate kept for it and the
-// cumulative set goes on to origin. A vote meant for any other proposal
-// counts nowhere.
-func (d *Detector) handleAck(epoch, seq uint64, origin int, ranks []int) {
-	d.mu.Lock()
-	if origin == d.self {
-		p := d.prop
-		if p == nil || p.epoch != epoch || p.seq != seq {
-			d.mu.Unlock()
-			return
-		}
-		for _, r := range ranks {
-			if p.pending[r] {
-				delete(p.pending, r)
-				p.acked[r] = true
-			}
-		}
-		ready := 1+len(p.acked) >= d.quorum()
-		d.mu.Unlock()
-		if ready {
-			d.commitProposal(p)
-		}
-		return
-	}
-	agg := d.relayAgg[aggKey{origin: origin, epoch: epoch, seq: seq}]
-	grew := false
-	for _, r := range ranks {
-		if agg != nil && !agg[r] {
-			agg[r] = true
-			grew = true
-		}
-	}
-	if !grew {
-		d.mu.Unlock()
-		return
-	}
-	out := setToSlice(agg)
-	d.mu.Unlock()
-	d.send(origin, encodeAck(epoch, seq, origin, out))
-}
-
-// handleCommit applies a committed epoch. A relay commit is also
-// re-broadcast to this rank's group under the membership it installs, but
-// only when it advanced this rank's epoch — an already known epoch means
-// the group has been (or is being) told already.
-func (d *Detector) handleCommit(from int, epoch uint64, relay bool, dead, members []int) {
-	via := "commit"
-	if relay {
-		via = "relayed commit"
-	}
-	if !d.applyEpoch(epoch, dead, members, fmt.Sprintf("%s from rank %d", via, from)) || !relay {
-		return
-	}
-	d.mu.Lock()
-	var fwd []int
-	for _, r := range d.topo.GroupMembers(d.topo.GroupOf(d.self)) {
-		if r != d.self && !d.dead[r] {
-			fwd = append(fwd, r)
-		}
-	}
-	d.mu.Unlock()
-	msg := encodeCommit(epoch, false, dead, members)
-	for _, t := range fwd {
-		d.send(t, msg)
-	}
-}
-
-// handleHello marks a (re)joining member alive and answers with the
-// current membership snapshot. A hello from a slot that is NOT a member
-// is a join request: it is recorded for the coordinator to fold into the
-// next epoch agreement, and answered with the snapshot so the newcomer
-// can adopt the world's state while it waits for admission.
-func (d *Detector) handleHello(from int) {
-	now := d.clock()
-	d.mu.Lock()
-	wantJoin := false
-	if !d.members.Contains(from) {
-		if !d.pendingJoin[from] {
-			d.logf("rank %d: slot %d asks to join (hello from non-member)", d.self, from)
-		}
-		d.pendingJoin[from] = true
-		wantJoin = true
-	}
-	if d.dead[from] {
-		delete(d.dead, from)
-		d.logf("rank %d: rank %d rejoined (hello)", d.self, from)
-	}
-	delete(d.suspected, from)
-	if m := d.monitors[from]; m != nil {
-		m.Reset(now)
-	}
-	epoch := d.epoch
-	dead := setToSlice(d.dead)
-	members := d.members.Members()
-	fence := d.refenceLocked()
-	d.mu.Unlock()
-	if fence != nil {
-		fence()
-	}
-	d.send(from, encodeState(epoch, dead, members))
-	if wantJoin {
-		d.driveProposal()
 	}
 }
 
