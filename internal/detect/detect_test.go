@@ -96,13 +96,10 @@ func TestCodecRoundtrips(t *testing.T) {
 	if e, tgt, err := decodeDrain(encodeDrain(7, 5)); err != nil || e != 7 || tgt != 5 {
 		t.Fatalf("drain roundtrip: epoch=%d target=%d err=%v", e, tgt, err)
 	}
-}
-
-// TestCodecTruncation: every decoder rejects every strict prefix of its
-// message that still has the kind byte (the byte handle dispatches on; an
-// empty frame never reaches a decoder). A truncated frame must error, not
-// panic or decode short.
-func TestCodecTruncation(t *testing.T) {
+	// Every decoder rejects every strict prefix of its message that still
+	// has the kind byte (the byte handle dispatches on; an empty frame never
+	// reaches a decoder): a truncated frame must error, not panic or decode
+	// short.
 	cases := []struct {
 		p      payload
 		decode func(payload) error
