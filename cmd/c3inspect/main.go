@@ -12,7 +12,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -77,10 +76,7 @@ func overview(store *stable.DiskStore, ranks int) {
 // markerBrief renders the one-line marker summary for the overview.
 func markerBrief(store *stable.DiskStore, rank, version int) string {
 	meta, err := store.Meta(rank, version)
-	switch {
-	case errors.Is(err, stable.ErrLegacyMarker):
-		return "  (pre-metadata marker)"
-	case err != nil:
+	if err != nil {
 		return fmt.Sprintf("  (marker: %v)", err)
 	}
 	return fmt.Sprintf("  membership-epoch %d codec %s sections %d",
@@ -99,19 +95,15 @@ func inspect(w io.Writer, store *stable.DiskStore, rank, version int) error {
 		v = last
 	}
 
-	meta, metaErr := store.Meta(rank, v)
+	meta, err := store.Meta(rank, v)
+	if err != nil {
+		return fmt.Errorf("rank %d version %d marker: %w", rank, v, err)
+	}
+	fmt.Fprintf(w, "rank %d version %d: marker format %d, membership-epoch %d, codec %s\n",
+		rank, v, meta.Format, meta.MembershipEpoch, meta.CodecName())
 	recorded := make(map[string]stable.SectionMeta, len(meta.Sections))
-	switch {
-	case errors.Is(metaErr, stable.ErrLegacyMarker):
-		fmt.Fprintf(w, "rank %d version %d: committed, pre-metadata marker (no digests to verify)\n", rank, v)
-	case metaErr != nil:
-		return fmt.Errorf("rank %d version %d marker: %w", rank, v, metaErr)
-	default:
-		fmt.Fprintf(w, "rank %d version %d: marker format %d, membership-epoch %d, codec %s\n",
-			rank, v, meta.Format, meta.MembershipEpoch, meta.CodecName())
-		for _, s := range meta.Sections {
-			recorded[s.Name] = s
-		}
+	for _, s := range meta.Sections {
+		recorded[s.Name] = s
 	}
 
 	snap, err := store.Open(rank, v)

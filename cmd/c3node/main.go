@@ -12,26 +12,24 @@
 //
 //	c3node -ranks 4 -kernel CG -class S -every 3 -kill rank=1,at=5,after=1
 //	    additionally SIGKILL rank 1's process at its 5th pragma once it has
-//	    started at least one checkpoint (mid-logging-phase); the dead rank
-//	    is re-executed, reassembles its checkpoints from its +1/+2
-//	    neighbors over TCP, and the world recovers from the last committed
-//	    recovery line
-//
-//	c3node -ranks 4 -kernel CG -class S -every 3 -self-heal \
-//	       -external-kill rank=1,after=2
-//	    self-healing mode: the launcher is a dumb respawner with NO
-//	    knowledge of the failure. It SIGKILLs rank 1 (acting as an outside
-//	    operator) once that rank has committed 2 checkpoints; the
-//	    survivors' failure detectors notice (the replication mesh reports
-//	    the dead process's closed sockets; heartbeats catch what leaves no
-//	    such trace), agree on an epoch-numbered dead set, elect a
-//	    coordinator, request a respawn, and recover on their own. The
-//	    summary's detect-cause= names the path that caught it.
+//	    started at least one checkpoint (mid-logging-phase); the survivors'
+//	    failure detectors notice (the node mesh reports the dead process's
+//	    closed sockets; heartbeats catch what leaves no such trace), agree
+//	    on an epoch-numbered dead set, elect a coordinator and ask the
+//	    launcher — which only spawns and kills — to re-execute the dead
+//	    rank. It reassembles its checkpoints from its +1/+2 neighbors over
+//	    TCP, and the world recovers from the last committed recovery line.
+//	    The summary's detect-cause= names the path that caught the death.
 //	    Heartbeat cadence and suspicion threshold are tuned with
 //	    -heartbeat and -phi; the store's recovery-query behavior with
 //	    -ack-timeout, -query-timeout and -query-retries.
 //
-//	c3node -ranks 5 -kernel CG -class S -every 3 -self-heal \
+//	c3node -ranks 4 -kernel CG -class S -every 3 -external-kill rank=1,after=2
+//	    the same recovery with no failure spec inside any worker: the
+//	    launcher SIGKILLs rank 1 (acting as an outside operator) once that
+//	    rank has committed 2 checkpoints
+//
+//	c3node -ranks 5 -kernel CG -class S -every 3 \
 //	       -partition a=3+4,after=2,heal=3s
 //	    partition-tolerance demo: once ranks 3+4 have committed 2
 //	    checkpoints, the launcher severs them from the rest (symmetric
@@ -43,7 +41,7 @@
 //	    pings, rejoin through the state-snapshot path, and the final
 //	    checksums converge
 //
-//	c3node -ranks 4 -kernel CG -class S -self-heal -spare 2 -ops-base 9300
+//	c3node -ranks 4 -kernel CG -class S -spare 2 -ops-base 9300
 //	    elastic membership: two spare storage-member slots and an embedded
 //	    ops/metrics HTTP server per rank (rank r on 127.0.0.1:9300+r).
 //	    POST /join grows the world at the next recovery line (the launcher
@@ -54,7 +52,9 @@
 //
 //	c3node -ranks 4 -kernel LU -store /tmp/ckpts ...
 //	    use a shared-directory disk store instead of the diskless
-//	    replicated store
+//	    replicated store; recovery still runs through the detectors, so
+//	    -spare, -ops-base, -partition, -codec and -group-size, which need
+//	    the diskless store, are rejected
 //
 // The launcher's final line, "checksums=[...]", is identical between a
 // failure-free run and a run that survived a SIGKILL — the convergence
@@ -168,16 +168,15 @@ func launcherMain() {
 		codec    = flag.String("codec", "dup", "diskless-store fragment codec: dup (full +1/+2 replication), xor (k+1 single parity), rs (Reed-Solomon k+m)")
 		shards   = flag.Int("shards", 0, "codec data shards k (0 = per-codec default: dup 2, xor 4, rs 4)")
 		parity   = flag.Int("parity", 0, "codec parity shards m (0 = default: rs 2; xor always 1; dup none)")
-		groupSz  = flag.Int("group-size", 0, "two-level topology: partition ranks into checkpoint groups of this many slots (group-local shards + cross-group parity; with -self-heal also group heartbeat rings and delegate relays; 0 = flat)")
-		selfHeal = flag.Bool("self-heal", false, "autonomous recovery: workers detect failures and coordinate; launcher only respawns")
-		spare    = flag.Int("spare", 0, "spare storage-member slots beyond the compute world (elastic membership; requires -self-heal)")
-		opsBase  = flag.Int("ops-base", 0, "embedded ops/metrics HTTP server base port: rank r serves on 127.0.0.1:(base+r); 0 disables (requires -self-heal)")
+		groupSz  = flag.Int("group-size", 0, "two-level topology: partition ranks into checkpoint groups of this many slots (group-local shards + cross-group parity, group heartbeat rings and delegate relays; 0 = flat)")
+		spare    = flag.Int("spare", 0, "spare storage-member slots beyond the compute world (elastic membership)")
+		opsBase  = flag.Int("ops-base", 0, "embedded ops/metrics HTTP server base port: rank r serves on 127.0.0.1:(base+r); 0 disables")
 		opsDebug = flag.Bool("ops-debug", false, "expose net/http/pprof and runtime/trace start/stop verbs on the ops servers (requires -ops-base)")
 		traceDir = flag.String("trace-dir", "", "flight-recorder dump directory: each rank writes rank<N>.c3tr on epoch/fence/restore/exit (merge with c3trace)")
-		extKill  = flag.String("external-kill", "", "self-heal demo: operator SIGKILL rank=R[,after=K committed checkpoints][,joins=J spare admissions]")
-		part     = flag.String("partition", "", "self-heal demo: network split a=R+R..[,after=K committed checkpoints][,heal=DURATION]")
-		hb       = flag.Duration("heartbeat", 25*time.Millisecond, "self-heal: failure-detector heartbeat interval")
-		phi      = flag.Float64("phi", 5, "self-heal: accrual suspicion threshold")
+		extKill  = flag.String("external-kill", "", "operator SIGKILL rank=R[,after=K committed checkpoints][,joins=J spare admissions]")
+		part     = flag.String("partition", "", "network split a=R+R..[,after=K committed checkpoints][,heal=DURATION]")
+		hb       = flag.Duration("heartbeat", 25*time.Millisecond, "failure-detector heartbeat interval")
+		phi      = flag.Float64("phi", 5, "failure-detector accrual suspicion threshold")
 		ackTO    = flag.Duration("ack-timeout", 0, "replicated store: neighbor ack timeout (0 = default 5s)")
 		queryTO  = flag.Duration("query-timeout", 0, "replicated store: recovery query timeout (0 = default 3s)")
 		queryN   = flag.Int("query-retries", 0, "replicated store: recovery query sweeps (0 = default 1)")
@@ -197,30 +196,15 @@ func launcherMain() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if extKillSpec != nil && !*selfHeal {
-		fatalf("-external-kill requires -self-heal (the oracle launcher cannot recover an uncoordinated kill)")
-	}
 	var partSpec *cluster.ExternalPartitionSpec
 	if *part != "" {
 		partSpec, err = cluster.ParsePartitionSpec(*part)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		if !*selfHeal {
-			fatalf("-partition requires -self-heal (only the quorum-fenced world survives a split)")
-		}
-	}
-	if *selfHeal && *storeDir != "" {
-		fatalf("-self-heal requires the diskless replicated store (drop -store)")
 	}
 	if *spare < 0 {
 		fatalf("-spare must be non-negative")
-	}
-	if *spare > 0 && !*selfHeal {
-		fatalf("-spare requires -self-heal (membership agreements live in the workers)")
-	}
-	if *opsBase != 0 && !*selfHeal {
-		fatalf("-ops-base requires -self-heal (the ops plane queries the detector and membership)")
 	}
 	if *opsDebug && *opsBase == 0 {
 		fatalf("-ops-debug requires -ops-base (the debug verbs live on the ops servers)")
@@ -237,13 +221,20 @@ func launcherMain() {
 	if *groupSz > 0 && *storeDir != "" {
 		fatalf("-group-size applies to the diskless replicated store (drop -store)")
 	}
+	if *spare > 0 && *storeDir != "" {
+		fatalf("-spare needs the diskless replicated store: membership places shards (drop -store)")
+	}
+	if *opsBase != 0 && *storeDir != "" {
+		fatalf("-ops-base needs the diskless replicated store: the ops plane reads it (drop -store)")
+	}
+	if partSpec != nil && *storeDir != "" {
+		fatalf("-partition needs the diskless replicated store: only its commits are quorum-fenced (drop -store)")
+	}
 
 	capacity := *ranks + *spare
 	cfg := cluster.LaunchConfig{
 		Ranks:             *ranks,
 		Capacity:          capacity,
-		Disk:              *storeDir != "",
-		SelfHeal:          *selfHeal,
 		ExternalKill:      extKillSpec,
 		ExternalPartition: partSpec,
 		Args: func(rank int, mpiAddrs, replAddrs []string) []string {
@@ -253,7 +244,10 @@ func launcherMain() {
 				"-ranks", strconv.Itoa(*ranks),
 				"-capacity", strconv.Itoa(capacity),
 				"-peers", strings.Join(mpiAddrs, ","),
+				"-repl-peers", strings.Join(replAddrs, ","),
 				"-kernel", *kernel,
+				"-heartbeat", hb.String(),
+				"-phi", strconv.FormatFloat(*phi, 'g', -1, 64),
 				"-class", *class,
 				"-every", strconv.Itoa(*every),
 			}
@@ -272,19 +266,12 @@ func launcherMain() {
 			if *storeDir != "" {
 				args = append(args, "-store", *storeDir)
 			} else {
-				args = append(args, "-repl-peers", strings.Join(replAddrs, ","),
-					"-codec", *codec,
+				args = append(args, "-codec", *codec,
 					"-shards", strconv.Itoa(*shards),
 					"-parity", strconv.Itoa(*parity))
 				if *groupSz > 0 {
 					args = append(args, "-group-size", strconv.Itoa(*groupSz))
 				}
-			}
-			if *selfHeal {
-				args = append(args,
-					"-self-heal",
-					"-heartbeat", hb.String(),
-					"-phi", strconv.FormatFloat(*phi, 'g', -1, 64))
 			}
 			if *ackTO > 0 {
 				args = append(args, "-ack-timeout", ackTO.String())
@@ -321,9 +308,7 @@ func launcherMain() {
 			res.Joins, res.Drains, *ranks, capacity)
 	}
 	printFromScratch(res, *ranks)
-	if *selfHeal {
-		printSelfHealSummary(res, *ranks)
-	}
+	printRecoverySummary(res, *ranks)
 	if partSpec != nil {
 		printPartitionSummary(res, partSpec)
 	}
@@ -386,9 +371,9 @@ func printFromScratch(res *cluster.LaunchResult, ranks int) {
 	}
 }
 
-// printSelfHealSummary reports the detection -> agreement -> restore-start
+// printRecoverySummary reports the detection -> agreement -> restore-start
 // latency decomposition measured by the workers (EXPERIMENTS.md table 8).
-func printSelfHealSummary(res *cluster.LaunchResult, ranks int) {
+func printRecoverySummary(res *cluster.LaunchResult, ranks int) {
 	for r := 0; r < ranks; r++ {
 		stat := res.Stats[r]
 		if stat == "" {
@@ -469,7 +454,6 @@ func workerMain() {
 		shards    = fs.Int("shards", 0, "codec data shards k")
 		parity    = fs.Int("parity", 0, "codec parity shards m")
 		groupSz   = fs.Int("group-size", 0, "checkpoint-group width (0 = flat world)")
-		selfHeal  = fs.Bool("self-heal", false, "autonomous detection and recovery")
 		hb        = fs.Duration("heartbeat", 25*time.Millisecond, "detector heartbeat interval")
 		phi       = fs.Float64("phi", 5, "accrual suspicion threshold")
 		ackTO     = fs.Duration("ack-timeout", 0, "store neighbor ack timeout")
@@ -498,12 +482,14 @@ func workerMain() {
 		OpsDebug:     *opsDebug,
 		TraceDir:     *traceDir,
 		MPIAddrs:     splitAddrs(*peers),
+		ReplAddrs:    splitAddrs(*replPeers),
 		App:          k.App(p, out),
 		Policy:       ckpt.Policy{EveryNthPragma: *every, AsyncCommit: *async},
 		Kill:         killSpec,
 		AckTimeout:   *ackTO,
 		QueryTimeout: *queryTO,
 		QueryRetries: *queryN,
+		SelfHeal:     &cluster.SelfHealConfig{HeartbeatInterval: *hb, PhiThreshold: *phi},
 		In:           os.Stdin,
 		Out:          os.Stdout,
 		Result: func() string {
@@ -514,16 +500,9 @@ func workerMain() {
 			return strconv.FormatFloat(v, 'x', -1, 64)
 		},
 	}
-	if *selfHeal {
-		nc.SelfHeal = &cluster.SelfHealConfig{
-			HeartbeatInterval: *hb,
-			PhiThreshold:      *phi,
-		}
-	}
 	if *storeDir != "" {
 		nc.StorePath = *storeDir
 	} else {
-		nc.ReplAddrs = splitAddrs(*replPeers)
 		nc.Codec, nc.DataShards, nc.ParityShards = *codec, *shards, *parity
 		nc.GroupSize = *groupSz
 	}

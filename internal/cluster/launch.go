@@ -1,26 +1,20 @@
 package cluster
 
 // The multi-process launcher: spawns one worker process per rank (the
-// workers call RunNode) and coordinates over the workers' stdin and stdout
+// workers call RunNode) and talks to them over their stdin and stdout
 // pipes. It broadcasts the first attempt and then runs one event loop,
-// which ends once every rank has finished the same attempt. Recovery has
-// two drivers (see node.go):
+// which ends once every rank has finished the same attempt.
 //
-//   - Oracle (default): the launcher injects failures as real SIGKILLs via
-//     the victim protocol and, when a worker dies, runs the recovery step
-//     itself: abort the survivors' attempt, re-execute the dead rank, and
-//     start the next attempt in restore mode.
-//
-//   - Self-healing (LaunchConfig.SelfHeal): the launcher is a dumb
-//     respawner exposing exactly one recovery primitive — spawn(rank). A
-//     "respawn r" request from the survivors' elected coordinator
-//     re-executes rank r (the new process is told to "join" and adopts the
-//     agreed epoch from its peers); everything else — detection,
-//     agreement, commit release, restore-line negotiation, attempt
-//     sequencing — happens among the workers themselves (internal/detect).
-//     The launcher can still play the role of an outside operator:
-//     ExternalKill delivers an uncoordinated SIGKILL mid-run, the headline
-//     self-healing scenario.
+// Recovery is the workers' business (see node.go): they detect a death,
+// agree on an epoch-numbered dead set and re-enter the restore attempt of
+// that epoch by themselves. The launcher only spawns and kills. A "respawn
+// r" request from the survivors' elected coordinator re-executes rank r
+// (the new process is told to "join" and adopts the agreed epoch from its
+// peers). Kills come in two forms: a worker's failure spec fires at an
+// exact protocol point and the worker asks for its own SIGKILL ("victim"),
+// or ExternalKill plays an outside operator and SIGKILLs a rank mid-run
+// with no warning. ExternalPartition severs and later heals a rank group
+// through the workers' part/heal commands.
 
 import (
 	"bufio"
@@ -42,7 +36,7 @@ type LaunchConfig struct {
 	// [Ranks, Capacity) are spare storage-member slots: no process runs
 	// there at launch, but an ops-plane join request ("wantjoin" from a
 	// worker) spawns one, which is then admitted by a membership epoch
-	// agreement among the running workers. Requires SelfHeal.
+	// agreement among the running workers.
 	Capacity int
 	// Exe is the worker executable; empty means this executable
 	// (os.Executable), the re-exec idiom c3node uses.
@@ -53,21 +47,17 @@ type LaunchConfig struct {
 	Args func(rank int, mpiAddrs, replAddrs []string) []string
 	// Env is extra environment for the workers, appended to os.Environ().
 	Env []string
-	// Disk, when true, allocates no replication addresses (workers are
-	// expected to share a DiskStore via Args/StorePath).
-	Disk bool
-	// SelfHeal runs the launcher as a dumb respawner: recovery is
-	// coordinated by the workers (which must run with NodeConfig.SelfHeal).
+	// SelfHeal is ignored: every world recovers through its workers'
+	// detectors. It remains only for callers that still set it.
 	SelfHeal bool
-	// ExternalKill, in self-healing mode, makes the launcher act as an
-	// outside operator: it SIGKILLs the configured rank mid-run with no
-	// failure spec inside the worker and no recovery coordination — the
-	// survivors must detect and recover on their own.
+	// ExternalKill makes the launcher act as an outside operator: it
+	// SIGKILLs the configured rank mid-run with no failure spec inside the
+	// worker and no recovery coordination — the survivors must detect and
+	// recover on their own.
 	ExternalKill *ExternalKillSpec
-	// ExternalPartition, in self-healing mode, severs a rank group from
-	// the rest mid-run and heals it after a delay (the part/heal pipe
-	// commands on every worker). The workers' quorum logic must sort out
-	// who may commit.
+	// ExternalPartition severs a rank group from the rest mid-run and heals
+	// it after a delay (the part/heal pipe commands on every worker). The
+	// workers' quorum logic must sort out who may commit.
 	ExternalPartition *ExternalPartitionSpec
 	// MaxRestarts bounds recovery cycles (default 3).
 	MaxRestarts int
@@ -97,10 +87,10 @@ type LaunchResult struct {
 	// Stats holds each rank's reported store statistics line (restores= and
 	// fromscratch=, whether the final attempt restored from a line or
 	// re-executed from the start; for the diskless store "reassemblies=<n>",
-	// counting checkpoints rebuilt from peer fragments over the wire; in
-	// self-healing mode additionally detections=, epochs=, suspect_us=,
-	// agree_us=, restore_us= and cause=, the detection path behind the
-	// first suspicion: loss, phi, lease, report, or none).
+	// counting checkpoints rebuilt from peer fragments over the wire; and
+	// detections=, epochs=, suspect_us=, agree_us=, restore_us= and cause=,
+	// the detection path behind the first suspicion: loss, phi, lease,
+	// report, or none).
 	Stats map[int]string
 	// KillTime is when the external SIGKILL was delivered (zero if none).
 	// Compared against the workers' reported suspect_us timestamps it
@@ -109,8 +99,9 @@ type LaunchResult struct {
 	// PartTime and HealTime bracket the external partition (zero if none).
 	PartTime, HealTime time.Time
 	// SplitCkpts counts the checkpoint commits each rank reported while
-	// the partition was active — the fencing contract says the minority
-	// side's entries must be zero.
+	// its own partition rules were installed (between its "parted" and
+	// "healed" events) — the fencing contract says the minority side's
+	// entries must be zero.
 	SplitCkpts map[int]int
 }
 
@@ -174,9 +165,11 @@ func (l *launcher) logf(format string, args ...any) {
 	}
 }
 
-// freeAddrs reserves k distinct localhost TCP addresses by binding and
-// releasing ephemeral ports. The tiny reuse race is acceptable for a
-// launcher that immediately hands the addresses to its children.
+// freeAddrs reserves k distinct localhost TCP addresses by binding
+// ephemeral ports. Every probe listener stays open until all k are bound:
+// a port released early could come back from a later bind, handing two
+// ranks one address. The race left is another socket taking a port between
+// its release here and the worker's bind.
 func freeAddrs(k int) ([]string, error) {
 	addrs := make([]string, 0, k)
 	for i := 0; i < k; i++ {
@@ -184,8 +177,8 @@ func freeAddrs(k int) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
+		defer ln.Close() // probe listener: the address is all we wanted
 		addrs = append(addrs, ln.Addr().String())
-		_ = ln.Close() // probe listener: the address is all we wanted
 	}
 	return addrs, nil
 }
@@ -221,22 +214,15 @@ func Launch(cfg LaunchConfig) (*LaunchResult, error) {
 	if cfg.Capacity < cfg.Ranks {
 		return nil, fmt.Errorf("cluster: capacity %d below the %d-rank compute world", cfg.Capacity, cfg.Ranks)
 	}
-	if cfg.Capacity > cfg.Ranks && !cfg.SelfHeal {
-		return nil, fmt.Errorf("cluster: spare slots (capacity %d > %d ranks) require SelfHeal (membership agreements live in the workers)", cfg.Capacity, cfg.Ranks)
-	}
 
-	// The MPI plane spans only the fixed compute world; the replication
-	// plane (store + detector) spans every slot membership can grow into.
-	mpiAddrs, err := freeAddrs(cfg.Ranks)
+	// The MPI plane spans only the fixed compute world; the node mesh
+	// (detector + diskless store) spans every slot membership can grow
+	// into. One reservation keeps the two planes' ports distinct.
+	addrs, err := freeAddrs(cfg.Ranks + cfg.Capacity)
 	if err != nil {
 		return nil, err
 	}
-	var replAddrs []string
-	if !cfg.Disk {
-		if replAddrs, err = freeAddrs(cfg.Capacity); err != nil {
-			return nil, err
-		}
-	}
+	mpiAddrs, replAddrs := addrs[:cfg.Ranks:cfg.Ranks], addrs[cfg.Ranks:]
 	l := &launcher{
 		cfg:       cfg,
 		mpiAddrs:  mpiAddrs,
@@ -249,18 +235,10 @@ func Launch(cfg LaunchConfig) (*LaunchResult, error) {
 	}
 	defer l.cleanup()
 
-	if cfg.ExternalKill != nil {
-		if !cfg.SelfHeal {
-			return nil, fmt.Errorf("cluster: ExternalKill requires SelfHeal (the oracle launcher would never recover an uncoordinated kill)")
-		}
-		if r := cfg.ExternalKill.Rank; r < 0 || r >= cfg.Ranks {
-			return nil, fmt.Errorf("cluster: ExternalKill rank %d out of range [0,%d)", r, cfg.Ranks)
-		}
+	if ek := cfg.ExternalKill; ek != nil && (ek.Rank < 0 || ek.Rank >= cfg.Ranks) {
+		return nil, fmt.Errorf("cluster: ExternalKill rank %d out of range [0,%d)", ek.Rank, cfg.Ranks)
 	}
 	if ep := cfg.ExternalPartition; ep != nil {
-		if !cfg.SelfHeal {
-			return nil, fmt.Errorf("cluster: ExternalPartition requires SelfHeal (quorum fencing lives in the workers' detectors)")
-		}
 		if len(ep.GroupA) == 0 || len(ep.GroupA) >= cfg.Ranks {
 			return nil, fmt.Errorf("cluster: ExternalPartition group %v must be a proper non-empty subset of %d ranks", ep.GroupA, cfg.Ranks)
 		}
@@ -412,15 +390,13 @@ func (l *launcher) awaitEach(kind string, want map[int]bool) error {
 
 // drive broadcasts the first attempt, then reacts to worker events until
 // every rank has finished the same attempt. Recovery sequencing lives in
-// the workers under self-heal, where the launcher's sole primitives are
-// spawn(rank) on a coordinator's request and — when configured — the
-// operator's external SIGKILL; the oracle runs recover on a death.
+// the workers; the launcher's sole primitives are spawn(rank) on a
+// coordinator's request and the SIGKILLs it is configured to deliver.
 func (l *launcher) drive() (*LaunchResult, error) {
 	res := l.res
 	for _, w := range l.workers[:l.cfg.Ranks] {
-		w.command("run 0 0")
+		w.command("run")
 	}
-	attempt := 0 // the oracle's current attempt
 
 	ek := l.cfg.ExternalKill
 	killed := func() bool { return !res.KillTime.IsZero() }
@@ -433,9 +409,10 @@ func (l *launcher) drive() (*LaunchResult, error) {
 
 	ep := l.cfg.ExternalPartition
 	parted, healed := false, false
-	var inGroupA map[int]bool
+	var inGroupA, split map[int]bool
 	if ep != nil {
 		res.SplitCkpts = make(map[int]int)
+		split = make(map[int]bool)
 		inGroupA = make(map[int]bool, len(ep.GroupA))
 		for _, r := range ep.GroupA {
 			inGroupA[r] = true
@@ -487,6 +464,12 @@ func (l *launcher) drive() (*LaunchResult, error) {
 					}
 				}
 			}
+		case "parted":
+			// The rank's partition rules are installed: from here until its
+			// "healed", each commit it reports was made while split.
+			split[ev.rank] = true
+		case "healed":
+			delete(split, ev.rank)
 		case "ckpt":
 			if ek != nil && !killed() && ev.rank == ek.Rank {
 				ckpts++
@@ -497,7 +480,7 @@ func (l *launcher) drive() (*LaunchResult, error) {
 				}
 			}
 			if ep != nil {
-				if parted && !healed {
+				if split[ev.rank] {
 					res.SplitCkpts[ev.rank]++
 				}
 				if !parted && inGroupA[ev.rank] {
@@ -649,86 +632,6 @@ func (l *launcher) drive() (*LaunchResult, error) {
 			}
 			l.workers[ev.rank].dead = true
 			l.logf("rank %d: worker died", ev.rank)
-			if !l.cfg.SelfHeal {
-				if err := l.recover(attempt); err != nil {
-					return res, err
-				}
-				attempt++
-			}
-		case "down":
-			// A survivor observed the world going down; the recovery driver
-			// decides what happens next.
 		}
 	}
-}
-
-// recover is the oracle's reaction to a worker's death: abort the
-// survivors' attempt, re-execute every dead rank (including any that died
-// during the abort), and start the next attempt in restore mode.
-func (l *launcher) recover(attempt int) error {
-	survivors := make(map[int]bool)
-	for _, w := range l.workers {
-		if !w.dead {
-			survivors[w.rank] = true
-			w.command("abort %d", attempt)
-		}
-	}
-	if err := l.awaitAborted(attempt, survivors); err != nil {
-		return err
-	}
-	dead := make(map[int]bool)
-	for _, w := range l.workers {
-		if w.dead {
-			dead[w.rank] = true
-		}
-	}
-	l.res.Restarts += len(dead)
-	if l.res.Restarts > l.cfg.MaxRestarts {
-		return fmt.Errorf("cluster: %d worker deaths exceed MaxRestarts=%d", l.res.Restarts, l.cfg.MaxRestarts)
-	}
-	for r := range dead {
-		l.logf("rank %d: re-executing", r)
-		if err := l.spawn(r); err != nil {
-			return err
-		}
-	}
-	if err := l.awaitEach("ready", dead); err != nil {
-		return err
-	}
-	for _, w := range l.workers {
-		w.command("run %d 1", attempt+1)
-	}
-	return nil
-}
-
-// awaitAborted waits for each survivor to acknowledge the abort token. A
-// survivor dying during the abort is tolerated: it is marked dead so the
-// caller adds it to the re-exec set (MaxRestarts still bounds total
-// deaths).
-func (l *launcher) awaitAborted(token int, want map[int]bool) error {
-	tok := strconv.Itoa(token)
-	for len(want) > 0 {
-		ev, err := l.nextEvent()
-		if err != nil {
-			return err
-		}
-		if consumed, err := l.handleCommon(ev); err != nil {
-			return err
-		} else if consumed {
-			continue
-		}
-		switch ev.fields[0] {
-		case "aborted":
-			if len(ev.fields) >= 2 && ev.fields[1] == tok && want[ev.rank] {
-				delete(want, ev.rank)
-			}
-		case "exit":
-			if ev.proc == l.workers[ev.rank] && want[ev.rank] {
-				delete(want, ev.rank)
-				l.workers[ev.rank].dead = true
-				l.logf("rank %d: worker died during abort", ev.rank)
-			}
-		}
-	}
-	return nil
 }

@@ -2,14 +2,14 @@ package cluster
 
 // This file is the per-process half of the multi-process deployment mode:
 // one OS process per rank (a "node"), real TCP between them, and real
-// SIGKILL as the failure injector. RunNode hosts one rank and takes orders
-// from the launcher (launch.go) over its stdin/stdout pipes:
+// SIGKILL as the failure injector. RunNode hosts one rank and talks to the
+// launcher (launch.go) over its stdin/stdout pipes:
 //
-//	launcher -> node:  run <attempt> <restore>   start an attempt
-//	                   abort <token>             tear the current attempt down
+//	launcher -> node:  run                       start the first attempt
 //	                   join                      adopt the world's state from
-//	                                             peers (self-heal respawn, or a
+//	                                             peers (a respawned rank, or a
 //	                                             spare slot's first admission)
+//	                   part <group> / heal       install / remove partition rules
 //	                   quit                      exit
 //	node -> launcher:  ready                     store + meshes are up
 //	                   victim                    failure spec fired; awaiting SIGKILL
@@ -20,10 +20,10 @@ package cluster
 //	                   joined <epoch>            membership agreement admitted us
 //	                   drained <epoch>           membership agreement removed us;
 //	                                             exiting cleanly
+//	                   parted / healed           partition rules installed /
+//	                                             about to be removed
 //	                   stat <attempt> <k=v...>   store statistics for the attempt
 //	                   done <attempt> <result>   attempt completed
-//	                   down <attempt>            attempt ended with the world down
-//	                   aborted <token>           abort acknowledged, attempt torn down
 //	                   error <msg>               fatal node error
 //
 // A node outlives its attempts: the replicated store's memory (and its
@@ -33,27 +33,20 @@ package cluster
 // loses its memory, and its re-executed replacement reassembles its
 // checkpoints from peers over the wire.
 //
-// One node body serves two drivers. Either way an attempt ends the same
-// way — the store advances to the next attempt's epoch (attempt = epoch -
-// 1), which releases any commit blocked on a dead holder, and the
-// attempt's MPI mesh is shut down — and the next attempt starts in
-// restore mode on a mesh tagged with its generation.
-//
-//   - The launcher as oracle sends the commands: it delivers the SIGKILL
-//     itself, aborts the survivors ("abort"), re-execs the dead rank, and
-//     broadcasts the next attempt ("run").
-//
-//   - In self-healing mode (NodeConfig.SelfHeal) the node shares its
-//     long-lived replication mesh between the distributed store and a
-//     failure detector (internal/detect) through a transport.Demux:
-//     survivors detect a death from the mesh's loss report (a crashed
-//     process's connection ends without a goodbye) or, for failures that
-//     leave no such trace, from phi-accrual heartbeat silence, agree on an
-//     epoch-numbered dead set, elect the lowest-ranked survivor to ask the
-//     launcher — now a dumb respawner — for replacement processes, and
-//     enter the restore attempt of the agreed epoch on their own, so every
-//     process, including a freshly joined replacement, converges on the
-//     same MPI-mesh generation without a central sequencer.
+// Recovery has one driver, the workers themselves. The node shares a
+// long-lived mesh (ReplAddrs) between a failure detector (internal/detect)
+// and, unless StorePath picks a shared DiskStore, the diskless store's
+// replication plane, through a transport.Demux. Survivors detect a death
+// from the mesh's loss report (a crashed process's connection ends without
+// a goodbye) or, for failures that leave no such trace, from phi-accrual
+// heartbeat silence. They agree on an epoch-numbered dead set and elect the
+// lowest-ranked survivor to ask the launcher for replacement processes.
+// Each survivor then abandons its attempt — the store advances to the
+// agreed epoch, which releases any commit blocked on a dead holder, and the
+// attempt's MPI mesh is shut down — and enters the restore attempt of that
+// epoch (attempt = epoch - 1) on a mesh tagged with its generation. Every
+// process, a freshly joined replacement included, converges on the same
+// MPI-mesh generation without a central sequencer.
 //
 // Elastic membership (NodeConfig.Capacity > Ranks) decouples the two
 // meanings "rank" used to conflate: the MPI world that runs the
@@ -76,7 +69,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,8 +85,8 @@ import (
 	"c3/internal/transport/tcp"
 )
 
-// SelfHealConfig enables and tunes the autonomous failure-detection and
-// recovery mode. It requires the diskless replicated store (ReplAddrs).
+// SelfHealConfig tunes the failure detector every node runs; zero fields
+// keep the defaults.
 type SelfHealConfig struct {
 	// HeartbeatInterval is the detector's ping period (default 25ms).
 	HeartbeatInterval time.Duration
@@ -113,11 +105,11 @@ type NodeConfig struct {
 	// it hosts checkpoint shards and votes in agreements but runs no app.
 	Rank, Ranks int
 	// Capacity is the total pre-allocated slot count the elastic membership
-	// can grow into (0: Ranks — the classic fixed world). Requires SelfHeal
-	// when larger than Ranks; ReplAddrs must then list Capacity addresses.
+	// can grow into (0: Ranks — the classic fixed world). Larger than Ranks
+	// requires the diskless store (no StorePath).
 	Capacity int
 	// OpsAddr, when non-empty, starts the embedded operations control plane
-	// (internal/ops) on that address. Requires SelfHeal.
+	// (internal/ops) on that address. Requires the diskless store.
 	OpsAddr string
 	// OpsDebug additionally exposes net/http/pprof and runtime/trace
 	// start/stop verbs on the ops server (profiling a live world).
@@ -130,11 +122,12 @@ type NodeConfig struct {
 	// MPIAddrs are the per-rank addresses of the MPI-plane TCP meshes (one
 	// fresh mesh per attempt, tagged with the attempt's generation).
 	MPIAddrs []string
-	// ReplAddrs, when non-empty, are the per-rank addresses of the
-	// long-lived replication mesh backing a diskless stable.DistStore.
+	// ReplAddrs are the per-slot addresses (Capacity of them) of the
+	// long-lived node mesh: it carries the failure detector and, unless
+	// StorePath is set, the diskless stable.DistStore's replication plane.
 	ReplAddrs []string
-	// StorePath is the shared-filesystem DiskStore root used when
-	// ReplAddrs is empty.
+	// StorePath, when non-empty, selects a shared-filesystem DiskStore
+	// rooted there instead of the DistStore.
 	StorePath string
 	// Codec selects the diskless store's fragment codec: "dup" (full
 	// +1/+2 replication, default), "xor" (k data + 1 parity shard on
@@ -150,10 +143,10 @@ type NodeConfig struct {
 	// GroupSize partitions the world into checkpoint groups of that many
 	// ring slots (0: flat world). Grouping confines the store's shard
 	// fan-out to group-local successors plus one cross-group parity
-	// holder, and — in self-healing mode — switches the failure detector
-	// to the two-level topology: group-local heartbeat rings, per-group
-	// delegate report trees, and inter-group agreement relayed through
-	// delegates over the transport relay plane.
+	// holder, and switches the failure detector to the two-level
+	// topology: group-local heartbeat rings, per-group delegate report
+	// trees, and inter-group agreement relayed through delegates over the
+	// transport relay plane.
 	GroupSize int
 	// App is the application main, run once per attempt.
 	App func(Env) error
@@ -170,7 +163,7 @@ type NodeConfig struct {
 	// first attempt), the node reports itself as the victim and blocks,
 	// awaiting the launcher's real SIGKILL.
 	Kill *FailureSpec
-	// SelfHeal, when non-nil, runs the node in self-healing mode.
+	// SelfHeal tunes the failure detector (nil: the defaults).
 	SelfHeal *SelfHealConfig
 	// AckTimeout, QueryTimeout and QueryRetries tune the distributed
 	// store's neighbor-acknowledgment and recovery-query behavior; zero
@@ -192,8 +185,8 @@ type NodeConfig struct {
 type node struct {
 	cfg   NodeConfig
 	store stable.Store
-	dist  *stable.DistStore // non-nil when diskless
-	det   *detect.Detector  // non-nil in self-healing mode
+	dist  *stable.DistStore // nil when StorePath picks a DiskStore
+	det   *detect.Detector
 
 	outMu sync.Mutex
 
@@ -252,15 +245,27 @@ func RunNode(cfg NodeConfig) error {
 	if cfg.App == nil {
 		return fmt.Errorf("cluster: node has no application")
 	}
-	if cfg.SelfHeal == nil && (cfg.Capacity > cfg.Ranks || cfg.Rank >= cfg.Ranks) {
-		return fmt.Errorf("cluster: elastic membership (capacity %d > %d ranks) requires self-healing mode", cfg.Capacity, cfg.Ranks)
+	if len(cfg.ReplAddrs) != cfg.Capacity {
+		return fmt.Errorf("cluster: node needs %d ReplAddrs (one per slot), got %d", cfg.Capacity, len(cfg.ReplAddrs))
 	}
-	if cfg.OpsAddr != "" && cfg.SelfHeal == nil {
-		return fmt.Errorf("cluster: the ops control plane requires self-healing mode")
+	// Membership and the ops plane read the DistStore.
+	if cfg.StorePath != "" && cfg.Capacity > cfg.Ranks {
+		return fmt.Errorf("cluster: elastic membership (capacity %d > %d ranks) requires the diskless store (drop StorePath)", cfg.Capacity, cfg.Ranks)
+	}
+	if cfg.StorePath != "" && cfg.OpsAddr != "" {
+		return fmt.Errorf("cluster: the ops control plane requires the diskless store (drop StorePath)")
 	}
 	if cfg.DialWindow == 0 {
 		cfg.DialWindow = 10 * time.Second
 	}
+	var sh SelfHealConfig
+	if cfg.SelfHeal != nil {
+		sh = *cfg.SelfHeal
+	}
+	if sh.JoinTimeout <= 0 {
+		sh.JoinTimeout = 15 * time.Second
+	}
+	cfg.SelfHeal = &sh
 	w := &node{cfg: cfg}
 	w.curAttempt.Store(-1)
 	w.lastLine.Store(-1)
@@ -295,13 +300,6 @@ func (w *node) commandStream() chan []string {
 	return cmds
 }
 
-func tokenOf(cmd []string) string {
-	if len(cmd) > 1 {
-		return cmd[1]
-	}
-	return "?"
-}
-
 // dumpTrace writes the flight recorder's ring to TraceDir (no-op when
 // unset). Dumps overwrite: the rank's file always holds its latest window,
 // and the exit dump — the last writer — holds the most complete one.
@@ -329,8 +327,8 @@ func (w *node) emit(format string, args ...any) {
 }
 
 // emitSuccess reports a completed attempt: the stat line (recovery
-// provenance, and in self-healing mode the detection/agreement/restore
-// latency decomposition) followed by the done event.
+// provenance and the detection/agreement/restore latency decomposition)
+// followed by the done event.
 func (w *node) emitSuccess(attempt int) {
 	result := ""
 	if w.cfg.Result != nil {
@@ -348,21 +346,19 @@ func (w *node) emitSuccess(attempt int) {
 	// fragments over the wire.
 	stat := fmt.Sprintf("stat %d reassemblies=%d restores=%d fromscratch=%d checkpoints=%d",
 		attempt, reasm, st.Restores, st.FromScratch, st.CheckpointsTaken)
-	if w.det != nil {
-		tm := w.det.Times()
-		suspectUS, agreeUS, restoreUS := int64(0), int64(0), int64(0)
-		if !tm.SuspectAt.IsZero() {
-			suspectUS = tm.SuspectAt.UnixMicro()
-			if tm.AgreeAt.After(tm.SuspectAt) {
-				agreeUS = tm.AgreeAt.Sub(tm.SuspectAt).Microseconds()
-			}
-			if w.restoreStart.After(tm.SuspectAt) {
-				restoreUS = w.restoreStart.Sub(tm.SuspectAt).Microseconds()
-			}
+	tm := w.det.Times()
+	suspectUS, agreeUS, restoreUS := int64(0), int64(0), int64(0)
+	if !tm.SuspectAt.IsZero() {
+		suspectUS = tm.SuspectAt.UnixMicro()
+		if tm.AgreeAt.After(tm.SuspectAt) {
+			agreeUS = tm.AgreeAt.Sub(tm.SuspectAt).Microseconds()
 		}
-		stat += fmt.Sprintf(" detections=%d epochs=%d suspect_us=%d agree_us=%d restore_us=%d cause=%s",
-			w.det.Detections(), w.det.Epoch(), suspectUS, agreeUS, restoreUS, tm.Cause)
+		if w.restoreStart.After(tm.SuspectAt) {
+			restoreUS = w.restoreStart.Sub(tm.SuspectAt).Microseconds()
+		}
 	}
+	stat += fmt.Sprintf(" detections=%d epochs=%d suspect_us=%d agree_us=%d restore_us=%d cause=%s",
+		w.det.Detections(), w.det.Epoch(), suspectUS, agreeUS, restoreUS, tm.Cause)
 	w.emit("%s", stat)
 	w.emit("done %d %s", attempt, result)
 }
@@ -414,12 +410,11 @@ type epochEvent struct {
 	newDead []int
 }
 
-// run is RunNode's body: bring the store up, then run attempts as the
-// driver orders them — the launcher's run/abort commands, or the epochs
+// run is RunNode's body: bring the store and the detector up, then run
+// attempts — the first on the launcher's "run", later ones at the epochs
 // the detector agrees on — until quit, stdin EOF, drain or a fatal error.
 func (w *node) run() error {
 	cfg := w.cfg
-	sh := cfg.SelfHeal
 	// The compute world is fixed at Ranks; membership (shard placement,
 	// quorum, agreement votes) is elastic across Capacity slots. A slot
 	// beyond the compute world is a storage member: no app attempts.
@@ -428,40 +423,14 @@ func (w *node) run() error {
 	evicted := make(chan uint64, 1)
 	drained := make(chan uint64, 1)
 
-	var rmesh *tcp.Mesh
-	switch {
-	case len(cfg.ReplAddrs) > 0:
-		dopts, err := cfg.distOptions()
-		if err != nil {
-			return err
-		}
-		if rmesh, err = tcp.New(cfg.Rank, cfg.ReplAddrs, tcp.WithDialWindow(cfg.DialWindow)); err != nil {
-			return err
-		}
-		// The long-lived replication mesh is demultiplexed: the store rides
-		// its replication plane, and in self-healing mode the failure
-		// detector shares the same connections.
-		demux := transport.NewDemux(rmesh, cfg.Rank)
-		dopts = append(dopts, stable.WithDistMembers(member.Launch(cfg.Ranks)),
-			stable.WithCommitHook(func(version int) {
-				w.lastLine.Store(int64(version))
-				w.emit("ckpt %d %d", w.curAttempt.Load(), version)
-			}))
-		w.dist = stable.NewDistStore(cfg.Rank, cfg.Capacity, demux.Plane(transport.WireKindRepl), dopts...)
-		w.store = w.dist
-		defer w.dist.Close()
-		if sh != nil {
-			closeDet, err := w.startDetector(demux, epochCh, evicted, drained)
-			if err != nil {
-				return err
-			}
-			defer closeDet()
-		}
-		demux.Start()
-		defer demux.Close()
-	case sh != nil:
-		return fmt.Errorf("cluster: self-healing mode requires the diskless replicated store (ReplAddrs)")
-	case cfg.StorePath != "":
+	rmesh, err := tcp.New(cfg.Rank, cfg.ReplAddrs, tcp.WithDialWindow(cfg.DialWindow))
+	if err != nil {
+		return err
+	}
+	// The long-lived mesh is demultiplexed: the failure detector and the
+	// diskless store's replication plane share its connections.
+	demux := transport.NewDemux(rmesh, cfg.Rank)
+	if cfg.StorePath != "" {
 		disk, err := stable.NewDiskStore(cfg.StorePath)
 		if err != nil {
 			return err
@@ -472,9 +441,27 @@ func (w *node) run() error {
 			disk.SetMarkerInfo(c.ID(), c.DataShards(), c.ParityShards())
 		}
 		w.store = disk
-	default:
-		return fmt.Errorf("cluster: node needs ReplAddrs or StorePath")
+	} else {
+		dopts, err := cfg.distOptions()
+		if err != nil {
+			return err
+		}
+		dopts = append(dopts, stable.WithDistMembers(member.Launch(cfg.Ranks)),
+			stable.WithCommitHook(func(version int) {
+				w.lastLine.Store(int64(version))
+				w.emit("ckpt %d %d", w.curAttempt.Load(), version)
+			}))
+		w.dist = stable.NewDistStore(cfg.Rank, cfg.Capacity, demux.Plane(transport.WireKindRepl), dopts...)
+		w.store = w.dist
+		defer w.dist.Close()
 	}
+	closeDet, err := w.startDetector(demux, epochCh, evicted, drained)
+	if err != nil {
+		return err
+	}
+	defer closeDet()
+	demux.Start()
+	defer demux.Close()
 
 	cmds := w.commandStream()
 	w.emit("ready")
@@ -509,8 +496,8 @@ func (w *node) run() error {
 		done = make(chan error, 1)
 		go func(m *tcp.Mesh) { done <- w.attemptBody(m, a, restore) }(m)
 	}
-	// abandon ends the running attempt. Advancing the store to a newer
-	// epoch first releases any commit blocked on a dead holder's
+	// abandon ends the running attempt. Advancing the diskless store to a
+	// newer epoch first releases any commit blocked on a dead holder's
 	// acknowledgment; the mesh shutdown then fails every MPI call.
 	abandon := func(epoch uint64) {
 		if w.dist != nil {
@@ -524,8 +511,8 @@ func (w *node) run() error {
 		mesh.Close()
 		mesh, done = nil, nil
 	}
-	// Leaving for any reason abandons the attempt as the oracle's abort
-	// does: into the next attempt's epoch (attempt = epoch - 1).
+	// Leaving for any reason abandons the attempt into the next attempt's
+	// epoch (attempt = epoch - 1).
 	defer func() { abandon(uint64(attempt + 2)) }()
 
 	for {
@@ -536,40 +523,35 @@ func (w *node) run() error {
 			}
 			switch cmd[0] {
 			case "run":
-				if len(cmd) < 3 {
-					w.emit("error malformed run command")
-					continue
+				if attempt < 0 {
+					// Every rank is up: only now may the detector dial its
+					// peers, whose listeners would otherwise race its
+					// connects for their reserved ports.
+					w.det.Start()
+					start(0, false)
 				}
-				a, _ := strconv.Atoi(cmd[1])
-				if done != nil || a <= attempt {
-					continue // already running or stale
-				}
-				start(a, cmd[2] == "1")
-			case "abort":
-				// The oracle's recovery step: tear the attempt down into the
-				// epoch of the attempt it will start next.
-				abandon(uint64(attempt + 2))
-				w.dumpTrace("abort")
-				w.emit("aborted %s", tokenOf(cmd))
 			case "join":
 				// Entry into a running world. A respawned compute rank is
 				// still a member and merely adopts the agreed epoch; a storage
 				// slot (fresh spare, or its own re-execution) is admitted by a
 				// committed membership epoch — JoinNew's hello doubles as the
 				// join request.
+				w.det.Start()
 				var epoch uint64
 				var jerr error
 				if storage {
-					epoch, jerr = w.det.JoinNew(sh.JoinTimeout)
+					epoch, jerr = w.det.JoinNew(cfg.SelfHeal.JoinTimeout)
 				} else {
-					epoch, jerr = w.det.Join(sh.JoinTimeout)
+					epoch, jerr = w.det.Join(cfg.SelfHeal.JoinTimeout)
 				}
 				if jerr != nil {
 					return jerr
 				}
 				seenEpoch = epoch
-				w.dist.SetMembership(w.det.Members())
-				w.dist.AdvanceEpoch(epoch)
+				if w.dist != nil {
+					w.dist.SetMembership(w.det.Members())
+					w.dist.AdvanceEpoch(epoch)
+				}
 				w.emit("joined %d", epoch)
 				w.restoreStart = time.Now()
 				w.dumpTrace("restore")
@@ -594,7 +576,13 @@ func (w *node) run() error {
 				if mesh != nil {
 					mesh.SetPartition(partPairs, true)
 				}
+				w.emit("parted")
 			case "heal":
+				// Reported before the rules go: in hold mode no commit can
+				// complete across the split until Heal flushes the held
+				// frames, so every commit the flush completes is reported
+				// after "healed".
+				w.emit("healed")
 				partPairs = nil
 				rmesh.Heal()
 				if mesh != nil {
@@ -616,7 +604,9 @@ func (w *node) run() error {
 			// tear the attempt down. Every epoch lands at a recovery line:
 			// deaths and membership changes alike restart the world in
 			// restore mode at attempt = epoch - 1.
-			w.dist.SetMembership(ev.members)
+			if w.dist != nil {
+				w.dist.SetMembership(ev.members)
+			}
 			abandon(ev.epoch)
 			// The lowest-ranked surviving member coordinates: it negotiates
 			// the restore line (logged for visibility; the binding negotiation
@@ -655,10 +645,9 @@ func (w *node) run() error {
 				// world back, in which case the driver restarts us.
 			case errors.Is(err, mpi.ErrDown), errors.Is(err, stable.ErrFenced):
 				// The mesh died under us — a peer's death stalling the world
-				// until the driver reacts — or, on the minority side of a
-				// partition, the store refused a commit and the heal's newer
-				// epoch restarts the attempt.
-				w.emit("down %d", attempt)
+				// until the detector's epoch restarts it — or, on the minority
+				// side of a partition, the store refused a commit and the
+				// heal's newer epoch restarts the attempt.
 			default:
 				return fmt.Errorf("rank %d attempt %d: %w", cfg.Rank, attempt, err)
 			}
@@ -681,11 +670,9 @@ func (w *node) run() error {
 // detector on the demux's detector plane, the delegate relay of a grouped
 // world, and the ops control plane when configured. It must run before the
 // demux starts dispatching frames; the returned func tears it all down.
+// The detector itself starts on the node's first "run" or "join".
 func (w *node) startDetector(demux *transport.Demux, epochCh chan<- epochEvent, evicted, drained chan uint64) (func(), error) {
 	cfg := w.cfg
-	if cfg.SelfHeal.JoinTimeout <= 0 {
-		cfg.SelfHeal.JoinTimeout = 15 * time.Second
-	}
 	// Grouped worlds route cross-group detector traffic through delegate
 	// relays instead of opening an all-pairs conversation.
 	var relay *transport.Relay
@@ -717,7 +704,9 @@ func (w *node) startDetector(demux *transport.Demux, epochCh chan<- epochEvent, 
 		// holders — a minority-side rank must not extend a recovery line a
 		// majority may be superseding without it.
 		OnFence: func(fenced bool) {
-			w.dist.SetFenced(fenced)
+			if w.dist != nil {
+				w.dist.SetFenced(fenced)
+			}
 			// Preserve the ring around the fencing transition: partition
 			// post-mortems want the detector events that led here.
 			w.dumpTrace("fence")
@@ -735,7 +724,6 @@ func (w *node) startDetector(demux *transport.Demux, epochCh chan<- epochEvent, 
 	if relay != nil {
 		relay.Start()
 	}
-	det.Start()
 	var srv *ops.Server
 	if cfg.OpsAddr != "" {
 		var oo []ops.Option

@@ -26,7 +26,6 @@ func launchPartition(t *testing.T, ranks int, part *cluster.ExternalPartitionSpe
 		Exe:               os.Args[0],
 		Env:               []string{procWorkerEnv + "=1", "GOTRACEBACK=all"},
 		Timeout:           90 * time.Second,
-		SelfHeal:          true,
 		ExternalPartition: part,
 		Args: func(rank int, mpiAddrs, replAddrs []string) []string {
 			args := []string{
@@ -34,7 +33,6 @@ func launchPartition(t *testing.T, ranks int, part *cluster.ExternalPartitionSpe
 				"-ranks", strconv.Itoa(ranks),
 				"-peers", strings.Join(mpiAddrs, ","),
 				"-repl-peers", strings.Join(replAddrs, ","),
-				"-self-heal",
 				"-heartbeat", "15ms",
 				"-phi", "6",
 				"-query-timeout", "1s",

@@ -33,6 +33,9 @@ func TestMain(m *testing.M) {
 	case "flood":
 		runFloodWorker()
 		os.Exit(0)
+	case "part":
+		runPartWorker()
+		os.Exit(0)
 	}
 	os.Exit(m.Run())
 }
@@ -58,7 +61,6 @@ func runProcWorker() {
 		shards    = fs.Int("shards", 0, "")
 		parity    = fs.Int("parity", 0, "")
 		groupSz   = fs.Int("group-size", 0, "")
-		selfHeal  = fs.Bool("self-heal", false, "")
 		heartbeat = fs.Duration("heartbeat", 15*time.Millisecond, "")
 		phi       = fs.Float64("phi", 6, "")
 		ackTO     = fs.Duration("ack-timeout", 0, "")
@@ -94,6 +96,7 @@ func runProcWorker() {
 		StorePath: *storeDir,
 		App:       workload,
 		Policy:    ckpt.Policy{EveryNthPragma: *every, AsyncCommit: *async},
+		SelfHeal:  &cluster.SelfHealConfig{HeartbeatInterval: *heartbeat, PhiThreshold: *phi},
 		In:        os.Stdin,
 		Out:       os.Stdout,
 		Result: func() string {
@@ -104,12 +107,6 @@ func runProcWorker() {
 			return strconv.Itoa(v.(int))
 		},
 	}
-	if *selfHeal {
-		nc.SelfHeal = &cluster.SelfHealConfig{
-			HeartbeatInterval: *heartbeat,
-			PhiThreshold:      *phi,
-		}
-	}
 	nc.AckTimeout, nc.QueryTimeout, nc.QueryRetries = *ackTO, *queryTO, *queryN
 	nc.Codec, nc.DataShards, nc.ParityShards = *codec, *shards, *parity
 	nc.GroupSize = *groupSz
@@ -119,9 +116,6 @@ func runProcWorker() {
 			fmt.Fprintf(os.Stderr, "worker[r%d t=%7dus] "+format+"\n",
 				append([]any{*rank, time.Since(start).Microseconds()}, args...)...)
 		}
-	}
-	if *storeDir != "" {
-		nc.ReplAddrs = nil
 	}
 	if *killRank == *rank || *killRank2 == *rank {
 		nc.Kill = &cluster.FailureSpec{Rank: *rank, AtPragma: *killAt, AfterCheckpoints: *killAfter}
@@ -224,8 +218,8 @@ func launchProcs(t *testing.T, ranks int, extra ...string) *cluster.LaunchResult
 	return res
 }
 
-// procLaunchConfig is the oracle launch of ranks proc workers, each given
-// the extra worker flags.
+// procLaunchConfig launches ranks proc workers, each given the extra worker
+// flags.
 func procLaunchConfig(t *testing.T, ranks int, extra ...string) cluster.LaunchConfig {
 	return cluster.LaunchConfig{
 		Ranks:   ranks,
@@ -304,6 +298,7 @@ func TestMultiProcessSIGKILLRecovery(t *testing.T) {
 			t.Errorf("rank %d stat %q: world did not restore from the recovery line", r, stat)
 		}
 	}
+	checkSurvivorsDetected(t, res, 4, 1)
 	if stat := res.Stats[1]; !strings.Contains(stat, "reassemblies=") ||
 		strings.Contains(stat, "reassemblies=0") {
 		t.Errorf("re-executed rank reported %q: checkpoint was not reassembled from peers", stat)
@@ -318,13 +313,8 @@ func TestMultiProcessSIGKILLRecoveryDisk(t *testing.T) {
 		t.Skip("multi-process test in -short mode")
 	}
 	ref := procReference(t, 4)
-	cfg := procLaunchConfig(t, 4, "-every", "4", "-store", t.TempDir(),
+	res := launchProcs(t, 4, "-every", "4", "-store", t.TempDir(),
 		"-kill-rank", "1", "-kill-at", "9", "-kill-after", "2")
-	cfg.Disk = true
-	res, err := cluster.Launch(cfg)
-	if err != nil {
-		t.Fatalf("launch: %v", err)
-	}
 	if res.Restarts != 1 || res.Attempts != 2 {
 		t.Fatalf("restarts=%d attempts=%d, want 1/2", res.Restarts, res.Attempts)
 	}
@@ -334,35 +324,63 @@ func TestMultiProcessSIGKILLRecoveryDisk(t *testing.T) {
 			t.Errorf("rank %d stat %q: world did not restore from the recovery line", r, stat)
 		}
 	}
+	checkSurvivorsDetected(t, res, 4, 1)
 }
 
-// TestMultiProcessAbortReleasesBlockedCommit: the oracle's abort must
+// checkSurvivorsDetected asserts that every rank but the victim detected
+// the death itself and moved past the launch epoch: the workers, not the
+// launcher, drove the recovery.
+func checkSurvivorsDetected(t *testing.T, res *cluster.LaunchResult, ranks, victim int) {
+	t.Helper()
+	for r := 0; r < ranks; r++ {
+		if r == victim {
+			continue
+		}
+		stat := res.Stats[r]
+		if statField(t, stat, "detections") < 1 || statField(t, stat, "epochs") < 2 {
+			t.Errorf("survivor rank %d stat %q: want detections>=1 epochs>=2", r, stat)
+		}
+	}
+}
+
+// TestMultiProcessEpochReleasesBlockedCommit: the agreed epoch must
 // release a survivor's commit that waits for the SIGKILLed holder's
-// acknowledgment. The ack timeout is far above the launch timeout, so only
-// the abort's store-epoch advance can end that wait in time.
-func TestMultiProcessAbortReleasesBlockedCommit(t *testing.T) {
+// acknowledgment. The ack timeout is far above the launch timeout.
+//
+// The blocked committer is rank 3, then rank 0. On rank 3 the
+// replacement's wipe notice also ends the wait, because the coordinator
+// (rank 0) has already asked for it. On rank 0 only the store-epoch advance
+// in abandon can end it: the coordinator asks for the replacement only
+// after its own attempt is torn down.
+func TestMultiProcessEpochReleasesBlockedCommit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test in -short mode")
 	}
 	ref := procReference(t, 4)
-	// Line 2 starts at pragma 6; rank 1 starts it last (it holds until rank
-	// 3 has passed pragma 6) and dies at pragma 7, in an iteration with no
-	// collective, so nothing waits on rank 3's commit of line 2. That commit
-	// ships 32 MiB of ballast to ranks 0 and then 1, and is still in flight
-	// when rank 1 dies: rank 1 never acknowledges it.
-	cfg := procLaunchConfig(t, 4, "-every", "3", "-ack-timeout", "10m",
-		"-kill-rank", "1", "-kill-at", "7", "-kill-after", "2",
-		"-ballast-rank", "3", "-ballast", strconv.Itoa(32<<20),
-		"-hold", "6", "-rendezvous", t.TempDir())
-	cfg.Timeout = 20 * time.Second
-	res, err := cluster.Launch(cfg)
-	if err != nil {
-		t.Fatalf("launch: %v", err)
+	for _, committer := range []int{3, 0} {
+		t.Run(fmt.Sprintf("committer-%d", committer), func(t *testing.T) {
+			// Line 2 starts at pragma 6; rank 1 starts it last (it holds
+			// until the committer has passed pragma 6) and dies at pragma 7,
+			// in an iteration with no collective, so nothing waits on the
+			// committer's commit of line 2. That commit ships 32 MiB of
+			// ballast to the committer's two ring successors, rank 1 among
+			// them, and is still in flight when rank 1 dies: rank 1 never
+			// acknowledges it.
+			cfg := procLaunchConfig(t, 4, "-every", "3", "-ack-timeout", "10m",
+				"-kill-rank", "1", "-kill-at", "7", "-kill-after", "2",
+				"-ballast-rank", strconv.Itoa(committer), "-ballast", strconv.Itoa(32<<20),
+				"-hold", "6", "-rendezvous", t.TempDir())
+			cfg.Timeout = 20 * time.Second
+			res, err := cluster.Launch(cfg)
+			if err != nil {
+				t.Fatalf("launch: %v", err)
+			}
+			if res.Restarts != 1 {
+				t.Fatalf("restarts=%d, want 1", res.Restarts)
+			}
+			checkProcSums(t, res, ref)
+		})
 	}
-	if res.Restarts != 1 {
-		t.Fatalf("restarts=%d, want 1", res.Restarts)
-	}
-	checkProcSums(t, res, ref)
 }
 
 // TestMultiProcessSIGKILLRecoveryAsync drives the same scenario through

@@ -29,7 +29,6 @@ func launchSelfHeal(t *testing.T, ranks int, kill *cluster.ExternalKillSpec, ext
 		Exe:          os.Args[0],
 		Env:          []string{procWorkerEnv + "=1", "GOTRACEBACK=all"},
 		Timeout:      90 * time.Second,
-		SelfHeal:     true,
 		ExternalKill: kill,
 		Args: func(rank int, mpiAddrs, replAddrs []string) []string {
 			args := []string{
@@ -37,7 +36,6 @@ func launchSelfHeal(t *testing.T, ranks int, kill *cluster.ExternalKillSpec, ext
 				"-ranks", strconv.Itoa(ranks),
 				"-peers", strings.Join(mpiAddrs, ","),
 				"-repl-peers", strings.Join(replAddrs, ","),
-				"-self-heal",
 				"-heartbeat", selfHealHeartbeat.String(),
 				"-phi", "6",
 				// Tuned with the suspicion threshold: recovery reads give a
@@ -267,8 +265,8 @@ func TestSelfHealingKillBeforeFirstLine(t *testing.T) {
 	}
 }
 
-// TestMultiProcessRestartFromScratch covers the oracle launcher path for
-// the same from-scratch case, with a deterministic kill position: the
+// TestMultiProcessRestartFromScratch covers the same from-scratch case
+// through a worker's failure spec, with a deterministic kill position: the
 // victim dies at its third pragma — exactly where line 1 would start
 // (every=3) — so no rank's line 1 can complete globally. The replacement
 // must trigger a whole-world from-scratch restart rather than reassemble

@@ -378,15 +378,17 @@ func (d *Detector) applyEpoch(epoch uint64, dead, members []int, via string) boo
 
 // reconcileEpoch compares a peer's advertised epoch with ours and heals a
 // divergence: a lagging peer gets our state, and if we lag we ask for
-// theirs.
+// theirs. A same-epoch peer we hold dead gets our state as well: if it is
+// alive it answers with hello, which marks it alive again.
 func (d *Detector) reconcileEpoch(from int, peerEpoch uint64) {
 	d.mu.Lock()
 	cur := d.epoch
+	heldDead := d.dead[from]
 	dead := setToSlice(d.dead)
 	members := d.members.Members()
 	d.mu.Unlock()
 	switch {
-	case peerEpoch < cur:
+	case peerEpoch < cur, peerEpoch == cur && heldDead:
 		d.send(from, encodeState(cur, dead, members))
 	case peerEpoch > cur:
 		d.send(from, encodeHello())

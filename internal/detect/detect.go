@@ -282,8 +282,19 @@ func New(opts Options) (*Detector, error) {
 // and the launch membership 0..n-1 this is exactly the fixed-world
 // (rank±d)%n ring the detector shipped with.
 
-// Start launches the heartbeat/evaluation ticker and the receive loop.
+// Start launches the heartbeat/evaluation ticker and the receive loop. The
+// silence clocks (phi monitors and contact leases) restart here, so the
+// time between New and Start counts against no peer.
 func (d *Detector) Start() {
+	now := d.clock()
+	d.mu.Lock()
+	for r := range d.lastHeard {
+		d.lastHeard[r] = now
+	}
+	for _, m := range d.monitors {
+		m.Reset(now)
+	}
+	d.mu.Unlock()
 	d.wg.Add(2)
 	go d.tickLoop()
 	go d.recvLoop()
@@ -574,7 +585,9 @@ func (d *Detector) handle(from int, data payload) {
 			}
 			filtered = append(filtered, r)
 		}
-		if d.applyEpoch(epoch, filtered, members, fmt.Sprintf("state from rank %d", from)) && selfDead {
+		adopted := d.applyEpoch(epoch, filtered, members, fmt.Sprintf("state from rank %d", from))
+		switch {
+		case adopted && selfDead:
 			// The snapshot declared this very rank dead: a majority
 			// committed an epoch while we were fenced off. We adopted the
 			// majority's view (minus ourselves); now broadcast hello so the
@@ -582,6 +595,10 @@ func (d *Detector) handle(from int, data payload) {
 			// heal half of the fencing state machine.
 			d.helloAll()
 			d.logf("rank %d: rejoining — epoch %d had declared us dead", d.self, epoch)
+		case selfDead && epoch == d.Epoch():
+			// A peer at our own epoch still holds us dead: it adopted the
+			// epoch after our rejoin hello reached it. Tell it again.
+			d.send(from, encodeHello())
 		}
 	default:
 		d.logf("rank %d: unknown detect message %s from rank %d", d.self, kindName(data[0]), from)

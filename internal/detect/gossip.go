@@ -215,14 +215,11 @@ func (d *Detector) tick() {
 		if t == d.self || d.dead[t] {
 			continue
 		}
-		if _, susp := d.suspected[t]; susp && !d.fenced {
-			// A fenced rank keeps pinging the peers it suspects: they are
-			// probably on the majority side of a partition, and these probes
-			// are how it discovers the heal (the majority, which declared us
-			// dead, no longer sends anything our way — the probe's epoch
-			// reconciliation pulls their newer state over).
-			continue
-		}
+		// Suspected peers are pinged too. A live one may be silent toward
+		// us because it holds us dead — the majority side of a healed
+		// partition, or a same-epoch peer that adopted our death after our
+		// rejoin hello reached it — and the probe's epoch reconciliation is
+		// how the two sides find each other again.
 		window := d.interval
 		if !isPred[t] {
 			window = d.lease / 3 // lease pings: a few per lease horizon

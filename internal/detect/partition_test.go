@@ -256,6 +256,36 @@ func TestMinorityFencesAndHealsOnRejoin(t *testing.T) {
 	}
 }
 
+// TestSameEpochDeadAndSuspectHeal: a shape a heal can leave behind. Both
+// ranks are at the same epoch; rank 3 holds rank 4 dead (it adopted the
+// epoch after rank 4's rejoin hello reached it) while rank 4 suspects rank
+// 3. Pings used to skip dead and suspected peers, so neither sent the other
+// anything and the world never converged.
+func TestSameEpochDeadAndSuspectHeal(t *testing.T) {
+	hb, phi := tuned(5*time.Millisecond, 8)
+	w := newWorld(t, 5, hb, phi)
+	time.Sleep(10 * hb)
+	members := []int{0, 1, 2, 3, 4}
+	for r, d := range w.dets {
+		var dead []int
+		if r == 3 {
+			dead = []int{4}
+		}
+		d.applyEpoch(2, dead, members, "test")
+	}
+	d4 := w.dets[4]
+	d4.mu.Lock()
+	d4.suspectLocked(3, d4.clock(), CauseLease)
+	d4.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(w.dets[3].Dead()) != 0 || len(d4.Suspected()) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("never healed: rank 3 dead=%v, rank 4 suspects %v", w.dets[3].Dead(), d4.Suspected())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestStaleSuspectGossipDropped: suspicion gossip is gated on the epoch
 // number. A rank cleared by a newer epoch (here: rejoined after being
 // agreed dead) must not be re-suspected by a reordered suspect frame from

@@ -13,17 +13,16 @@ import (
 // produced the checkpoint (codec geometry, membership epoch at commit) and
 // what it contains (per-section sizes and digests). The marker's presence
 // is still what makes a version committed — LastCommitted and Open only
-// stat the file — so the structured content is pure metadata: tooling
-// (c3inspect) decodes it, and a marker from the pre-metadata era ("ok\n")
-// stays a valid commit.
+// stat the file — so the structured content is pure metadata that tooling
+// (c3inspect) decodes.
 type CommitMeta struct {
 	// Format is the marker format the record was decoded from. Format 1
 	// stamped FNV-1a section digests; format 2 (current) stamps SectionSum,
 	// so only format-2 digests can be re-verified.
 	Format uint8
-	// MembershipEpoch is the detector's membership epoch when the commit
-	// was written (0 when the writer predates elastic membership or runs
-	// without a detector).
+	// MembershipEpoch is the membership epoch recorded with the commit.
+	// DiskStore writes 0: elastic membership runs only over the diskless
+	// store.
 	MembershipEpoch uint64
 	// Codec, Data, Parity name the fragment-codec geometry the world's
 	// replicated plane was configured with (CodecDup/CodecXOR/CodecRS and
@@ -64,9 +63,7 @@ func (m CommitMeta) CodecName() string {
 // marker.
 func SectionSum(b []byte) uint64 { return replSum(b) }
 
-// Marker wire format: magic, format version, then the meta fields. The
-// magic keeps the structured marker distinguishable from the legacy "ok\n"
-// content without relying on length.
+// Marker wire format: magic, format version, then the meta fields.
 var markerMagic = []byte("C3MK")
 
 // markerFormat is the format written. 2 differs from 1 only in the digest
@@ -96,13 +93,9 @@ func encodeCommitMeta(m CommitMeta) []byte {
 	return w.Bytes()
 }
 
-// ErrLegacyMarker reports a commit marker from before the structured
-// format: a valid commit, but with no metadata to decode.
-var ErrLegacyMarker = errors.New("stable: pre-metadata commit marker")
-
 func decodeCommitMeta(data []byte) (CommitMeta, error) {
 	if len(data) < len(markerMagic) || string(data[:len(markerMagic)]) != string(markerMagic) {
-		return CommitMeta{}, ErrLegacyMarker
+		return CommitMeta{}, fmt.Errorf("stable: commit marker lacks the %s magic", markerMagic)
 	}
 	r := wire.NewReader(data[len(markerMagic):])
 	format := r.U8()
@@ -135,19 +128,11 @@ func decodeCommitMeta(data []byte) (CommitMeta, error) {
 	return m, nil
 }
 
-// SetMarkerInfo installs the metadata stamped into every subsequent commit
-// marker: the replication codec geometry (fixed per run) and the current
-// membership epoch (updated by the runtime on each epoch transition).
+// SetMarkerInfo installs the replication codec geometry (fixed per run)
+// stamped into every subsequent commit marker.
 func (s *DiskStore) SetMarkerInfo(codec uint8, data, parity int) {
 	s.metaMu.Lock()
 	s.codec, s.data, s.parity = codec, data, parity
-	s.metaMu.Unlock()
-}
-
-// SetEpoch updates the membership epoch recorded in subsequent markers.
-func (s *DiskStore) SetEpoch(epoch uint64) {
-	s.metaMu.Lock()
-	s.epoch = epoch
 	s.metaMu.Unlock()
 }
 
@@ -155,11 +140,10 @@ func (s *DiskStore) SetEpoch(epoch uint64) {
 func (s *DiskStore) markerMeta() CommitMeta {
 	s.metaMu.Lock()
 	defer s.metaMu.Unlock()
-	return CommitMeta{MembershipEpoch: s.epoch, Codec: s.codec, Data: s.data, Parity: s.parity}
+	return CommitMeta{Codec: s.codec, Data: s.data, Parity: s.parity}
 }
 
-// Meta decodes the commit marker of (rank, version). ErrLegacyMarker means
-// the version is committed but carries no structured metadata.
+// Meta decodes the commit marker of (rank, version).
 func (s *DiskStore) Meta(rank, version int) (CommitMeta, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir(rank, version), "COMMITTED"))
 	if errors.Is(err, os.ErrNotExist) {

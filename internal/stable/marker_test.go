@@ -1,7 +1,6 @@
 package stable
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -31,8 +30,8 @@ func TestDigestGoldenVector(t *testing.T) {
 
 // TestCommitMetaFormats: markers of format 2 (written now) and format 1
 // (same layout, FNV-1a digests) both decode and report their format; any
-// other format is an error, and the legacy "ok\n" marker stays a valid,
-// metadata-free commit.
+// other format is an error, and so is a marker without the magic (the
+// retired "ok\n" content).
 func TestCommitMetaFormats(t *testing.T) {
 	data := []byte("section bytes")
 	meta := CommitMeta{MembershipEpoch: 7, Codec: CodecRS, Data: 4, Parity: 2,
@@ -58,8 +57,8 @@ func TestCommitMetaFormats(t *testing.T) {
 	if _, err := decodeCommitMeta(v3); err == nil {
 		t.Fatal("format 3 marker accepted")
 	}
-	if _, err := decodeCommitMeta([]byte("ok\n")); !errors.Is(err, ErrLegacyMarker) {
-		t.Fatalf("legacy marker: %v", err)
+	if _, err := decodeCommitMeta([]byte("ok\n")); err == nil {
+		t.Fatal(`"ok\n" marker accepted`)
 	}
 }
 

@@ -345,7 +345,6 @@ type DiskStore struct {
 	root string
 
 	metaMu       sync.Mutex
-	epoch        uint64
 	codec        uint8
 	data, parity int
 }
