@@ -63,7 +63,7 @@ func (d *Demux) Plane(kind uint8) Interconnect {
 	defer d.mu.Unlock()
 	p := d.planes[kind]
 	if p == nil {
-		p = &demuxPlane{d: d, port: newQueuePort(d.self)}
+		p = &demuxPlane{d: d, port: NewInbox(d.self)}
 		d.planes[kind] = p
 	}
 	return p
@@ -97,7 +97,7 @@ func (d *Demux) Inject(kind uint8, msg Message) bool {
 	if plane == nil {
 		return false
 	}
-	return plane.port.push(msg)
+	return plane.port.Push(msg)
 }
 
 // Start launches the pump goroutine. It must be called exactly once, after
@@ -130,7 +130,7 @@ func (d *Demux) Close() {
 	d.mu.Unlock()
 	d.inner.Shutdown()
 	for _, p := range planes {
-		p.port.kill()
+		p.port.Kill()
 	}
 	d.wg.Wait()
 }
@@ -161,7 +161,7 @@ func (d *Demux) pump() {
 			recv(msg.From)
 		}
 		if plane != nil {
-			plane.port.push(msg)
+			plane.port.Push(msg)
 		}
 	}
 }
@@ -172,7 +172,7 @@ func (d *Demux) pump() {
 // tearing the whole mesh down is Demux.Close's job.
 type demuxPlane struct {
 	d    *Demux
-	port *queuePort
+	port *Inbox
 }
 
 func (p *demuxPlane) Size() int { return p.d.inner.Size() }
@@ -188,7 +188,7 @@ func (p *demuxPlane) Send(msg Message) error {
 		// Local loopback would be consumed by the shared endpoint the pump
 		// owns on some interconnects; route it straight into the plane port
 		// so self-sends never depend on the backend's loopback path.
-		if !p.port.push(msg) {
+		if !p.port.Push(msg) {
 			return ErrDown
 		}
 		return nil
@@ -200,106 +200,17 @@ func (p *demuxPlane) Endpoint(rank int) Port {
 	if rank == p.d.self {
 		return p.port
 	}
-	return downPort{rank: rank}
+	return DownPort(rank)
 }
 
 func (p *demuxPlane) Kill(rank int) {
 	if rank == p.d.self {
-		p.port.kill()
+		p.port.Kill()
 	}
 }
 
-func (p *demuxPlane) Shutdown()             { p.port.kill() }
+func (p *demuxPlane) Shutdown()             { p.port.Kill() }
 func (p *demuxPlane) Stats() Stats          { return p.d.inner.Stats() }
 func (p *demuxPlane) Scheduler() *Scheduler { return p.d.inner.Scheduler() }
 
 var _ Interconnect = (*demuxPlane)(nil)
-
-// queuePort is a minimal local receive queue (the demux analogue of the
-// in-memory Endpoint and the TCP mesh's port).
-type queuePort struct {
-	rank int
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Message
-	killed bool
-}
-
-func newQueuePort(rank int) *queuePort {
-	p := &queuePort{rank: rank}
-	p.cond = sync.NewCond(&p.mu)
-	return p
-}
-
-func (p *queuePort) Rank() int { return p.rank }
-
-func (p *queuePort) push(msg Message) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.killed {
-		return false
-	}
-	p.queue = append(p.queue, msg)
-	p.cond.Signal()
-	return true
-}
-
-func (p *queuePort) kill() {
-	p.mu.Lock()
-	p.killed = true
-	p.queue = nil
-	p.mu.Unlock()
-	p.cond.Broadcast()
-}
-
-func (p *queuePort) Recv() (Message, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.queue) == 0 {
-		if p.killed {
-			return Message{}, ErrDown
-		}
-		p.cond.Wait()
-	}
-	msg := p.queue[0]
-	p.queue = p.queue[1:]
-	return msg, nil
-}
-
-func (p *queuePort) TryRecv() (Message, bool, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.killed {
-		return Message{}, false, ErrDown
-	}
-	if len(p.queue) == 0 {
-		return Message{}, false, nil
-	}
-	msg := p.queue[0]
-	p.queue = p.queue[1:]
-	return msg, true, nil
-}
-
-func (p *queuePort) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
-
-func (p *queuePort) Killed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.killed
-}
-
-// downPort stands in for remote ranks: their receive sides live elsewhere.
-type downPort struct{ rank int }
-
-func (d downPort) Rank() int              { return d.rank }
-func (d downPort) Recv() (Message, error) { return Message{}, ErrDown }
-func (d downPort) TryRecv() (Message, bool, error) {
-	return Message{}, false, ErrDown
-}
-func (d downPort) Pending() int { return 0 }
-func (d downPort) Killed() bool { return true }

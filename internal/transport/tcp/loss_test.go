@@ -33,7 +33,7 @@ func (m *Mesh) crash() {
 		_ = c.Close()
 	}
 	m.mu.Unlock()
-	m.port.kill()
+	m.port.Kill()
 }
 
 // sendN sends n numbered frames from -> to.

@@ -119,7 +119,7 @@ type Mesh struct {
 	dialWindow time.Duration
 
 	ln    net.Listener
-	port  *port
+	port  port
 	debug bool // C3_TCP_DEBUG: trace dials, probes and write failures
 
 	mu      sync.Mutex
@@ -255,7 +255,7 @@ func New(self int, addrs []string, opts ...Option) (*Mesh, error) {
 		peers:      make(map[int]*peerConn),
 		inbound:    make(map[net.Conn]struct{}),
 		closed:     make(chan struct{}),
-		port:       newPort(self),
+		port:       port{transport.NewInbox(self)},
 		debug:      os.Getenv("C3_TCP_DEBUG") != "",
 	}
 	for _, o := range opts {
@@ -401,7 +401,7 @@ func (m *Mesh) Endpoint(rank int) transport.Port {
 	if rank == m.self {
 		return m.port
 	}
-	return deadPort{rank: rank}
+	return transport.DownPort(rank)
 }
 
 // Kill implements transport.Interconnect: the local rank's port is killed;
@@ -409,7 +409,7 @@ func (m *Mesh) Endpoint(rank int) transport.Port {
 // so it is a no-op here.
 func (m *Mesh) Kill(rank int) {
 	if rank == m.self {
-		m.port.kill()
+		m.port.Kill()
 	}
 }
 
@@ -447,7 +447,7 @@ func (m *Mesh) Shutdown() {
 		_, _ = c.Write(m.goodbyeFrame(rank))
 		_ = c.Close()
 	}
-	m.port.kill()
+	m.port.Kill()
 }
 
 // Close shuts the mesh down and waits for its background goroutines.
@@ -482,7 +482,7 @@ func (m *Mesh) Send(msg transport.Message) error {
 		msg.Trace = trace.Default().Send(int32(msg.From), int32(msg.To), uint64(size))
 	}
 	if msg.To == m.self {
-		if !m.port.push(msg) {
+		if !m.port.Push(msg) {
 			m.noteDropped()
 		}
 		return nil
@@ -833,7 +833,7 @@ func (m *Mesh) readLoop(conn net.Conn) {
 	delete(m.inbound, conn)
 	m.mu.Unlock()
 	if peer >= 0 && connEnded(err) && m.lossReports.Load() && m.peerGone(peer) {
-		m.port.push(transport.Message{From: peer, To: m.self, Class: transport.Control, Payload: transport.PeerLost{}})
+		m.port.Push(transport.Message{From: peer, To: m.self, Class: transport.Control, Payload: transport.PeerLost{}})
 	}
 }
 
@@ -909,7 +909,7 @@ func (m *Mesh) readFrames(conn net.Conn) (int, error) {
 		if err != nil {
 			continue // unknown or corrupt payload: drop the frame, keep the conn
 		}
-		if !m.port.push(transport.Message{From: from, To: to, Class: class, Payload: payload, Trace: tctx}) {
+		if !m.port.Push(transport.Message{From: from, To: to, Class: class, Payload: payload, Trace: tctx}) {
 			m.noteDropped()
 		}
 	}
@@ -919,44 +919,11 @@ var _ transport.Interconnect = (*Mesh)(nil)
 
 // --- Local port ---
 
-// port is the local rank's receive queue (the socket-backed analogue of the
-// in-memory Endpoint).
-type port struct {
-	rank int
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []transport.Message
-	killed bool
-}
-
-func newPort(rank int) *port {
-	p := &port{rank: rank}
-	p.cond = sync.NewCond(&p.mu)
-	return p
-}
-
-// Rank implements transport.Port.
-func (p *port) Rank() int { return p.rank }
-
-func (p *port) push(msg transport.Message) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.killed {
-		return false
-	}
-	p.queue = append(p.queue, msg)
-	p.cond.Signal()
-	return true
-}
-
-func (p *port) kill() {
-	p.mu.Lock()
-	p.killed = true
-	p.queue = nil
-	p.mu.Unlock()
-	p.cond.Broadcast()
-}
+// port is the local rank's receive queue: a transport.Inbox whose receives
+// are traced. It parks at once on an empty queue, never polls: its
+// producers are reader goroutines woken by the netpoller, and a receiver
+// yielding in a loop keeps its P from reaching the netpoller.
+type port struct{ *transport.Inbox }
 
 // traceRecv records the message-edge delivery on the local recorder. A
 // loss report is not an edge: no send matches it.
@@ -972,64 +939,19 @@ func traceRecv(rank int, msg transport.Message) {
 }
 
 // Recv implements transport.Port.
-func (p *port) Recv() (transport.Message, error) {
-	p.mu.Lock()
-	for len(p.queue) == 0 {
-		if p.killed {
-			p.mu.Unlock()
-			return transport.Message{}, transport.ErrDown
-		}
-		p.cond.Wait()
+func (p port) Recv() (transport.Message, error) {
+	msg, err := p.Inbox.Recv()
+	if err == nil {
+		traceRecv(p.Rank(), msg)
 	}
-	msg := p.queue[0]
-	p.queue = p.queue[1:]
-	p.mu.Unlock()
-	traceRecv(p.rank, msg)
-	return msg, nil
+	return msg, err
 }
 
 // TryRecv implements transport.Port.
-func (p *port) TryRecv() (transport.Message, bool, error) {
-	p.mu.Lock()
-	if p.killed {
-		p.mu.Unlock()
-		return transport.Message{}, false, transport.ErrDown
+func (p port) TryRecv() (transport.Message, bool, error) {
+	msg, ok, err := p.Inbox.TryRecv()
+	if ok {
+		traceRecv(p.Rank(), msg)
 	}
-	if len(p.queue) == 0 {
-		p.mu.Unlock()
-		return transport.Message{}, false, nil
-	}
-	msg := p.queue[0]
-	p.queue = p.queue[1:]
-	p.mu.Unlock()
-	traceRecv(p.rank, msg)
-	return msg, true, nil
+	return msg, ok, err
 }
-
-// Pending implements transport.Port.
-func (p *port) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
-
-// Killed implements transport.Port.
-func (p *port) Killed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.killed
-}
-
-// deadPort stands in for ranks hosted by other processes: their receive
-// sides do not exist here.
-type deadPort struct{ rank int }
-
-func (d deadPort) Rank() int { return d.rank }
-func (d deadPort) Recv() (transport.Message, error) {
-	return transport.Message{}, transport.ErrDown
-}
-func (d deadPort) TryRecv() (transport.Message, bool, error) {
-	return transport.Message{}, false, transport.ErrDown
-}
-func (d deadPort) Pending() int { return 0 }
-func (d deadPort) Killed() bool { return true }

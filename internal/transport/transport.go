@@ -10,8 +10,8 @@
 // benchmarks can emulate interconnects with different characteristics (the
 // paper evaluates on a Quadrics cluster and a Gigabit Ethernet cluster).
 // With zero latency, sends enqueue directly into the destination inbox;
-// with nonzero latency, each destination has a delivery goroutine that
-// imposes the delay while preserving per-pair FIFO order.
+// with nonzero latency, each destination's delivery goroutine (started on
+// demand) imposes the delay while preserving per-pair FIFO order.
 //
 // Endpoints can be killed (fail-stop) — a killed endpoint's blocking
 // receives return ErrDown and messages addressed to it are dropped, which
@@ -353,8 +353,7 @@ func (nw *Network) Send(msg Message) error {
 		}
 		return nil
 	}
-	delay := nw.latency(msg.From, msg.To, size)
-	dst.pushDelayed(msg, delay)
+	dst.pushDelayed(msg, nw.latency(msg.From, msg.To, size))
 	return nil
 }
 
@@ -378,21 +377,20 @@ func (nw *Network) Shutdown() {
 	}
 }
 
-// Endpoint is one rank's attachment point. Receive operations must be called
-// from a single goroutine (the rank's); push may be called from any.
+// Endpoint is one rank's attachment point on the in-memory network: its
+// Inbox plus receive tracing, the schedule engine's decision points and,
+// under real scheduling, the poll before parking. Receive operations must
+// be called from the rank's goroutine; push may be called from any.
 type Endpoint struct {
-	nw   *Network
-	rank int
+	in *Inbox
+	nw *Network
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Message
-	killed bool
-
-	// delay holds the delayed-delivery worker state; created lazily on the
-	// first delayed push so zero-latency networks pay nothing.
-	delayOnce sync.Once
-	delayCh   chan delayed
+	// The delay line of a latency model: one worker, started on demand and
+	// gone once the line drains, sleeps until each message is due and
+	// pushes it, preserving arrival order at this endpoint.
+	delayMu  sync.Mutex
+	delayQ   []delayed
+	delaying bool
 }
 
 type delayed struct {
@@ -401,107 +399,100 @@ type delayed struct {
 }
 
 func newEndpoint(nw *Network, rank int) *Endpoint {
-	ep := &Endpoint{nw: nw, rank: rank}
-	ep.cond = sync.NewCond(&ep.mu)
-	return ep
+	return &Endpoint{in: NewInbox(rank), nw: nw}
 }
 
 // Rank returns the endpoint's rank.
-func (ep *Endpoint) Rank() int { return ep.rank }
+func (ep *Endpoint) Rank() int { return ep.in.rank }
+
+// Pending reports the number of queued, undelivered messages.
+func (ep *Endpoint) Pending() int { return ep.in.Pending() }
+
+// Killed reports whether the endpoint has been killed.
+func (ep *Endpoint) Killed() bool { return ep.in.Killed() }
 
 // push enqueues directly. It reports false if the endpoint is killed.
 func (ep *Endpoint) push(msg Message) bool {
-	ep.mu.Lock()
-	if ep.killed {
-		ep.mu.Unlock()
+	if !ep.in.Push(msg) {
 		return false
 	}
-	ep.queue = append(ep.queue, msg)
-	ep.cond.Signal()
-	ep.mu.Unlock()
 	if s := ep.nw.sched; s != nil {
-		s.wake(ep.rank)
+		s.wake(ep.in.rank)
 	}
 	return true
 }
 
-// pushDelayed routes the message through the delivery worker, which imposes
-// the latency while preserving arrival order at this endpoint.
+// pushDelayed queues msg on the delay line without blocking; a message
+// toward a killed endpoint is dropped at once.
 func (ep *Endpoint) pushDelayed(msg Message, delay time.Duration) {
-	ep.delayOnce.Do(func() {
-		ep.delayCh = make(chan delayed, 1024)
-		go ep.deliveryLoop()
-	})
+	if ep.Killed() {
+		ep.nw.noteDropped()
+		return
+	}
 	// The latency model is wall-clock by definition and is only installed
 	// by real-time tests and benches; scheduled (replayable) runs install
 	// no LatencyModel, so none of this executes under the schedule engine.
-	select {
-	case ep.delayCh <- delayed{msg: msg, due: time.Now().Add(delay)}: //c3lint:allow determinism wall-clock latency injection; never active under the scheduler
-	default:
-		// Channel full: fall back to blocking send from a helper goroutine so
-		// the sender never blocks. Order is still preserved because only this
-		// path runs when the channel is full and the channel itself is FIFO.
-		ep.delayCh <- delayed{msg: msg, due: time.Now().Add(delay)} //c3lint:allow determinism wall-clock latency injection; never active under the scheduler
+	due := time.Now().Add(delay) //c3lint:allow determinism wall-clock latency injection; never active under the scheduler
+	ep.delayMu.Lock()
+	ep.delayQ = append(ep.delayQ, delayed{msg: msg, due: due})
+	start := !ep.delaying
+	ep.delaying = true
+	ep.delayMu.Unlock()
+	if start {
+		go ep.deliveryLoop()
 	}
 }
 
 func (ep *Endpoint) deliveryLoop() {
-	for d := range ep.delayCh {
-		if wait := time.Until(d.due); wait > 0 { //c3lint:allow determinism wall-clock latency worker; never active under the scheduler
+	for {
+		ep.delayMu.Lock()
+		if len(ep.delayQ) == 0 {
+			ep.delaying = false
+			ep.delayMu.Unlock()
+			return
+		}
+		d := ep.delayQ[0]
+		ep.delayQ = ep.delayQ[1:]
+		ep.delayMu.Unlock()
+		if wait := time.Until(d.due); wait > 0 && !ep.Killed() { //c3lint:allow determinism wall-clock latency worker; never active under the scheduler
 			time.Sleep(wait)
 		}
 		if !ep.push(d.msg) {
 			ep.nw.noteDropped()
 		}
-		ep.mu.Lock()
-		dead := ep.killed
-		ep.mu.Unlock()
-		if dead {
-			return
-		}
 	}
 }
 
 // Recv blocks until a message is available or the endpoint is killed.
+// Under real scheduling an empty queue is polled (Inbox.poll) before the
+// receiver parks.
 func (ep *Endpoint) Recv() (Message, error) {
 	if s := ep.nw.sched; s != nil {
 		return ep.recvVirtual(s)
 	}
-	ep.mu.Lock()
-	for len(ep.queue) == 0 {
-		if ep.killed {
-			ep.mu.Unlock()
-			return Message{}, ErrDown
-		}
-		ep.cond.Wait()
+	ep.in.poll()
+	msg, err := ep.in.Recv()
+	if err == nil {
+		traceRecv(ep.in.rank, msg)
 	}
-	msg := ep.queue[0]
-	ep.queue = ep.queue[1:]
-	ep.mu.Unlock()
-	traceRecv(ep.rank, msg)
-	return msg, nil
+	return msg, err
 }
 
 // recvVirtual is Recv under the virtual schedule engine: an empty queue
-// yields the token instead of waiting on the condition variable, so the
-// engine decides which rank's progress makes the message arrive.
+// yields the token instead of polling or parking, so the engine decides
+// which rank's progress makes the message arrive.
 func (ep *Endpoint) recvVirtual(s *Scheduler) (Message, error) {
-	s.point(ep.rank)
+	s.point(ep.in.rank)
 	for {
-		ep.mu.Lock()
-		if len(ep.queue) > 0 {
-			msg := ep.queue[0]
-			ep.queue = ep.queue[1:]
-			ep.mu.Unlock()
-			traceRecv(ep.rank, msg)
+		msg, ok, err := ep.in.TryRecv()
+		if ok {
+			traceRecv(ep.in.rank, msg)
 			return msg, nil
 		}
-		killed := ep.killed
-		ep.mu.Unlock()
-		if killed {
-			return Message{}, ErrDown
+		if err != nil {
+			return Message{}, err
 		}
-		if err := s.block(ep.rank); err != nil {
+		if err := s.block(ep.in.rank); err != nil {
 			return Message{}, err
 		}
 	}
@@ -511,45 +502,18 @@ func (ep *Endpoint) recvVirtual(s *Scheduler) (Message, error) {
 // message was available.
 func (ep *Endpoint) TryRecv() (msg Message, ok bool, err error) {
 	if s := ep.nw.sched; s != nil {
-		s.point(ep.rank)
+		s.point(ep.in.rank)
 	}
-	ep.mu.Lock()
-	if ep.killed {
-		ep.mu.Unlock()
-		return Message{}, false, ErrDown
+	msg, ok, err = ep.in.TryRecv()
+	if ok {
+		traceRecv(ep.in.rank, msg)
 	}
-	if len(ep.queue) == 0 {
-		ep.mu.Unlock()
-		return Message{}, false, nil
-	}
-	msg = ep.queue[0]
-	ep.queue = ep.queue[1:]
-	ep.mu.Unlock()
-	traceRecv(ep.rank, msg)
-	return msg, true, nil
-}
-
-// Pending reports the number of queued, undelivered messages.
-func (ep *Endpoint) Pending() int {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return len(ep.queue)
+	return msg, ok, err
 }
 
 func (ep *Endpoint) kill() {
-	ep.mu.Lock()
-	ep.killed = true
-	ep.queue = nil
-	ep.mu.Unlock()
-	ep.cond.Broadcast()
+	ep.in.Kill()
 	if s := ep.nw.sched; s != nil {
-		s.wake(ep.rank)
+		s.wake(ep.in.rank)
 	}
-}
-
-// Killed reports whether the endpoint has been killed.
-func (ep *Endpoint) Killed() bool {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	return ep.killed
 }
