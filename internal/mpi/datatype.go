@@ -78,14 +78,17 @@ type Datatype struct {
 
 	size   int
 	extent int
+	// dense: one element's walk visits buffer bytes [0, size) in order and
+	// extent == size, so count elements pack and unpack as one copy.
+	dense bool
 }
 
 // Predefined primitive datatypes.
 var (
-	TypeByte       = &Datatype{kind: tPrim, prim: KByte, size: 1, extent: 1}
-	TypeInt64      = &Datatype{kind: tPrim, prim: KInt64, size: 8, extent: 8}
-	TypeFloat64    = &Datatype{kind: tPrim, prim: KFloat64, size: 8, extent: 8}
-	TypeComplex128 = &Datatype{kind: tPrim, prim: KComplex128, size: 16, extent: 16}
+	TypeByte       = &Datatype{kind: tPrim, prim: KByte, size: 1, extent: 1, dense: true}
+	TypeInt64      = &Datatype{kind: tPrim, prim: KInt64, size: 8, extent: 8, dense: true}
+	TypeFloat64    = &Datatype{kind: tPrim, prim: KFloat64, size: 8, extent: 8, dense: true}
+	TypeComplex128 = &Datatype{kind: tPrim, prim: KComplex128, size: 16, extent: 16, dense: true}
 )
 
 // Size returns the packed byte size of one element.
@@ -114,6 +117,7 @@ func Contiguous(count int, base *Datatype) (*Datatype, error) {
 		count:  count,
 		size:   count * base.size,
 		extent: count * base.extent,
+		dense:  base.dense,
 	}, nil
 }
 
@@ -138,6 +142,7 @@ func Vector(count, blockLen, stride int, base *Datatype) (*Datatype, error) {
 		stride: stride,
 		size:   count * blockLen * base.size,
 		extent: ext,
+		dense:  base.dense && (count <= 1 || stride == blockLen),
 	}, nil
 }
 
@@ -147,10 +152,12 @@ func Indexed(blockLens, displs []int, base *Datatype) (*Datatype, error) {
 		return nil, fmt.Errorf("%w: indexed lengths mismatch (%d vs %d)", ErrInvalid, len(blockLens), len(displs))
 	}
 	size, ext := 0, 0
+	dense := base.dense
 	for i := range blockLens {
 		if blockLens[i] < 0 || displs[i] < 0 {
 			return nil, fmt.Errorf("%w: indexed negative block/displacement", ErrInvalid)
 		}
+		dense = dense && displs[i]*base.size == size
 		size += blockLens[i] * base.size
 		if end := (displs[i] + blockLens[i]) * base.extent; end > ext {
 			ext = end
@@ -163,6 +170,7 @@ func Indexed(blockLens, displs []int, base *Datatype) (*Datatype, error) {
 		displs:    append([]int(nil), displs...),
 		size:      size,
 		extent:    ext,
+		dense:     dense,
 	}, nil
 }
 
@@ -172,10 +180,12 @@ func Struct(blockLens, byteDispls []int, types []*Datatype) (*Datatype, error) {
 		return nil, fmt.Errorf("%w: struct lengths mismatch", ErrInvalid)
 	}
 	size, ext := 0, 0
+	dense := true
 	for i := range blockLens {
 		if blockLens[i] < 0 || byteDispls[i] < 0 || types[i] == nil {
 			return nil, fmt.Errorf("%w: struct negative block/displacement or nil type", ErrInvalid)
 		}
+		dense = dense && types[i].dense && byteDispls[i] == size
 		size += blockLens[i] * types[i].size
 		if end := byteDispls[i] + blockLens[i]*types[i].extent; end > ext {
 			ext = end
@@ -188,12 +198,17 @@ func Struct(blockLens, byteDispls []int, types []*Datatype) (*Datatype, error) {
 		children:  append([]*Datatype(nil), types...),
 		size:      size,
 		extent:    ext,
+		dense:     dense,
 	}, nil
 }
 
 // Pack serializes count elements laid out per d in src into a contiguous
 // packed buffer and returns it. The traversal is the recursive walk the
-// paper describes for logging non-contiguous message payloads.
+// paper describes for logging non-contiguous message payloads; a dense
+// type's elements already lie packed in src, so they are copied at once.
+// The result is always a fresh buffer: sends are eager, so the caller may
+// reuse src as soon as Send returns while the receiver still holds the
+// packed bytes.
 func (d *Datatype) Pack(src []byte, count int) ([]byte, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("%w: pack count %d", ErrInvalid, count)
@@ -201,6 +216,9 @@ func (d *Datatype) Pack(src []byte, count int) ([]byte, error) {
 	need := d.bufferSpan(count)
 	if need > len(src) {
 		return nil, fmt.Errorf("%w: pack needs %d bytes, buffer has %d", ErrInvalid, need, len(src))
+	}
+	if d.dense {
+		return append(make([]byte, 0, need), src[:need]...), nil
 	}
 	dst := make([]byte, 0, count*d.size)
 	for i := 0; i < count; i++ {
@@ -267,6 +285,9 @@ func (d *Datatype) Unpack(packed []byte, dst []byte, count int) (int, error) {
 	}
 	if d.bufferSpan(count) > len(dst) {
 		return 0, fmt.Errorf("%w: unpack needs %d buffer bytes, have %d", ErrInvalid, d.bufferSpan(count), len(dst))
+	}
+	if d.dense {
+		return copy(dst, packed[:count*d.size]), nil
 	}
 	pos := 0
 	for i := 0; i < count; i++ {

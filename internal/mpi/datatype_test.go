@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -176,6 +177,250 @@ func TestPackUnpackPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// walkPack and walkUnpack are the recursive element walk, the only path a
+// non-dense type takes; the dense fast path must match them byte for byte.
+func walkPack(d *Datatype, src []byte, count int) []byte {
+	dst := make([]byte, 0, count*d.size)
+	for i := 0; i < count; i++ {
+		dst = d.packOne(dst, src[i*d.extent:])
+	}
+	return dst
+}
+
+func walkUnpack(d *Datatype, packed, dst []byte, count int) int {
+	pos := 0
+	for i := 0; i < count; i++ {
+		pos = d.unpackOne(packed, pos, dst[i*d.extent:])
+	}
+	return pos
+}
+
+// checkAgainstWalk packs count elements of d from src and unpacks them into
+// two copies of dst, one through Pack/Unpack and one through the walk, and
+// reports the first difference.
+func checkAgainstWalk(d *Datatype, src, dst []byte, count int) error {
+	packed, err := d.Pack(src, count)
+	if err != nil {
+		return err
+	}
+	want := walkPack(d, src, count)
+	if !bytes.Equal(packed, want) {
+		return fmt.Errorf("Pack = %x, walk = %x", packed, want)
+	}
+	// Sends are eager: the packed bytes must not alias the caller's buffer.
+	orig := bytes.Clone(src)
+	for i := range src {
+		src[i] ^= 0xff
+	}
+	aliased := !bytes.Equal(packed, want)
+	copy(src, orig)
+	if aliased {
+		return fmt.Errorf("Pack returned bytes that alias src")
+	}
+	// Unpack from a longer buffer, as a receive of fewer elements than
+	// arrived does: the bytes past count elements must stay unread.
+	longer := append(bytes.Clone(packed), 0xa5, 0x5a, 0xa5)
+	got, walked := bytes.Clone(dst), bytes.Clone(dst)
+	n, err := d.Unpack(longer, got, count)
+	if err != nil {
+		return err
+	}
+	if wn := walkUnpack(d, longer, walked, count); n != wn || !bytes.Equal(got, walked) {
+		return fmt.Errorf("Unpack consumed %d and wrote %x, walk consumed %d and wrote %x", n, got, wn, walked)
+	}
+	return nil
+}
+
+func TestDenseLayoutMatchesWalk(t *testing.T) {
+	mk := func(d *Datatype, err error) *Datatype {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	f3 := mk(Contiguous(3, TypeFloat64))
+	cases := []struct {
+		name  string
+		d     *Datatype
+		dense bool
+	}{
+		{"byte", TypeByte, true},
+		{"int64", TypeInt64, true},
+		{"float64", TypeFloat64, true},
+		{"complex128", TypeComplex128, true},
+		{"contiguous-of-contiguous", mk(Contiguous(2, f3)), true},
+		{"contiguous-of-vector", mk(Contiguous(2, mk(Vector(2, 1, 3, TypeInt64)))), false},
+		{"vector-count-1", mk(Vector(1, 3, 7, TypeFloat64)), true},
+		{"vector-count-0", mk(Vector(0, 3, 0, TypeFloat64)), true},
+		{"vector-stride-eq-block", mk(Vector(4, 2, 2, TypeInt64)), true},
+		{"vector-strided", mk(Vector(4, 1, 4, TypeFloat64)), false},
+		{"indexed-consecutive", mk(Indexed([]int{2, 0, 1}, []int{0, 2, 2}, TypeInt64)), true},
+		{"indexed-gapped", mk(Indexed([]int{2, 1}, []int{0, 5}, TypeInt64)), false},
+		{"indexed-out-of-order", mk(Indexed([]int{1, 1}, []int{1, 0}, TypeInt64)), false},
+		{"indexed-empty-block-past-end", mk(Indexed([]int{1, 0}, []int{0, 4}, TypeByte)), false},
+		{"struct-in-order", mk(Struct([]int{1, 1}, []int{0, 8}, []*Datatype{TypeInt64, f3})), true},
+		{"struct-reordered", mk(Struct([]int{1, 1}, []int{24, 0}, []*Datatype{TypeInt64, f3})), false},
+		{"struct-padded", mk(Struct([]int{1, 1}, []int{0, 16}, []*Datatype{TypeByte, TypeFloat64})), false},
+		{"struct-trailing-padding", mk(Struct([]int{1, 0}, []int{0, 16}, []*Datatype{TypeFloat64, TypeByte})), false},
+		{"struct-non-dense-child", mk(Struct([]int{1}, []int{0}, []*Datatype{mk(Vector(2, 1, 2, TypeFloat64))})), false},
+		{"struct-of-dense-derived", mk(Struct([]int{2, 1}, []int{0, 8}, []*Datatype{mk(Vector(2, 2, 2, TypeByte)), TypeComplex128})), true},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, c := range cases {
+		if c.d.dense != c.dense {
+			t.Errorf("%s: dense = %v, want %v", c.name, c.d.dense, c.dense)
+		}
+		if c.d.dense && c.d.size != c.d.extent {
+			t.Errorf("%s: dense with size %d != extent %d", c.name, c.d.size, c.d.extent)
+		}
+		for count := 0; count <= 3; count++ {
+			src := make([]byte, count*c.d.extent+5)
+			dst := make([]byte, len(src))
+			rng.Read(src)
+			rng.Read(dst)
+			if err := checkAgainstWalk(c.d, src, dst, count); err != nil {
+				t.Errorf("%s, count %d: %v", c.name, count, err)
+			}
+		}
+	}
+}
+
+// fuzzType builds a derived datatype from the fuzz input, at most depth
+// levels deep and with blocks of at most a few elements, so the extent
+// stays small. A shape the constructors reject becomes TypeByte.
+func fuzzType(in *[]byte, depth int) *Datatype {
+	next := func() int {
+		if len(*in) == 0 {
+			return 0
+		}
+		b := (*in)[0]
+		*in = (*in)[1:]
+		return int(b)
+	}
+	prims := []*Datatype{TypeByte, TypeInt64, TypeFloat64, TypeComplex128}
+	op := next() % 5
+	if depth == 0 {
+		op = 0
+	}
+	var d *Datatype
+	var err error
+	switch op {
+	case 0:
+		return prims[next()%len(prims)]
+	case 1:
+		d, err = Contiguous(next()%4, fuzzType(in, depth-1))
+	case 2:
+		blk := next() % 3
+		d, err = Vector(next()%4, blk, blk+next()%3, fuzzType(in, depth-1))
+	case 3:
+		n := next() % 4
+		blks, displs := make([]int, n), make([]int, n)
+		for i := range blks {
+			blks[i], displs[i] = next()%3, next()%6
+		}
+		d, err = Indexed(blks, displs, fuzzType(in, depth-1))
+	case 4:
+		n := next() % 4
+		blks, displs, types := make([]int, n), make([]int, n), make([]*Datatype, n)
+		for i := range blks {
+			blks[i], displs[i], types[i] = next()%3, next()%48, fuzzType(in, depth-1)
+		}
+		d, err = Struct(blks, displs, types)
+	}
+	if err != nil {
+		return TypeByte
+	}
+	return d
+}
+
+// FuzzDatatypePack checks, for bounded derived types built from the input,
+// that Pack matches the element walk, that Unpack matches the walk's
+// writes (so the bytes the type covers are restored and no other byte
+// changes), and that neither panics.
+func FuzzDatatypePack(f *testing.F) {
+	f.Add([]byte{0, 0}, uint8(1))
+	f.Add([]byte{1, 3, 0, 2}, uint8(2))
+	f.Add([]byte{2, 2, 3, 0, 0, 2}, uint8(3))
+	f.Add([]byte{3, 2, 2, 0, 1, 2, 0, 1}, uint8(1))
+	f.Add([]byte{4, 2, 1, 0, 0, 1, 1, 8, 0, 2}, uint8(2))
+	f.Add([]byte{4, 2, 1, 8, 0, 2, 1, 0, 0, 1}, uint8(2))
+	f.Fuzz(func(t *testing.T, shape []byte, countU uint8) {
+		d := fuzzType(&shape, 3)
+		count := int(countU % 4)
+		if d.extent*count > 1<<16 {
+			return
+		}
+		rng := rand.New(rand.NewSource(int64(len(shape))*31 + int64(countU)))
+		src := make([]byte, count*d.extent+3)
+		dst := make([]byte, len(src))
+		rng.Read(src)
+		rng.Read(dst)
+		if err := checkAgainstWalk(d, src, dst, count); err != nil {
+			t.Fatalf("dense=%v size=%d extent=%d count=%d: %v", d.dense, d.size, d.extent, count, err)
+		}
+		packed, _ := d.Pack(src, count)
+		if _, err := d.Unpack(packed, dst, count); err != nil {
+			t.Fatal(err)
+		}
+		if repacked, _ := d.Pack(dst, count); !bytes.Equal(repacked, packed) {
+			t.Fatalf("Pack(Unpack(Pack(x))) = %x, want %x", repacked, packed)
+		}
+	})
+}
+
+// packCase is one layout the pack benchmarks measure.
+type packCase struct {
+	name  string
+	d     *Datatype
+	count int
+}
+
+// packCases are two dense layouts, as a small-message and a halo-exchange
+// send use them, and a strided column, which still takes the element walk.
+func packCases(b *testing.B) []packCase {
+	col, err := Vector(1024, 1, 2, TypeFloat64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return []packCase{
+		{"byte-1KiB", TypeByte, 1 << 10},
+		{"float64-16KiB", TypeFloat64, 2 << 10},
+		{"vector-strided-8KiB", col, 1},
+	}
+}
+
+func BenchmarkPack(b *testing.B) {
+	for _, c := range packCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			src := make([]byte, c.count*c.d.Extent())
+			b.SetBytes(int64(c.count * c.d.Size()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.d.Pack(src, c.count); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkUnpack(b *testing.B) {
+	for _, c := range packCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			dst := make([]byte, c.count*c.d.Extent())
+			packed := make([]byte, c.count*c.d.Size())
+			b.SetBytes(int64(len(packed)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.d.Unpack(packed, dst, c.count); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ package tcp
 // stay silent.
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"testing"
@@ -75,11 +76,34 @@ func assertNoLoss(t *testing.T, m *Mesh, window time.Duration) {
 func TestMeshLossReportFollowsLastFrame(t *testing.T) {
 	meshes := newTestMeshes(t, 2)
 	meshes[1].ReportLosses()
-	const k = 20
-	sendN(t, meshes[0], 1, k)
+	// A burst of small frames, which the reader takes several per read,
+	// with one frame larger than its buffer in the middle, which it reads
+	// straight into the frame's body.
+	const k, big = 200, 100
+	frames := make([]testPayload, k)
+	for i := range frames {
+		frames[i] = testPayload(fmt.Sprintf("f%03d", i))
+	}
+	frames[big] = make(testPayload, readBuffer+1000)
+	for i := range frames[big] {
+		frames[big][i] = byte(i * 7)
+	}
+	for i, p := range frames {
+		if err := meshes[0].Send(transport.Message{From: 0, To: 1, Payload: p}); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
 	meshes[0].crash()
 
-	expectFrames(t, meshes[1], k)
+	for i, want := range frames {
+		msg, ok := awaitMsg(t, meshes[1], 5*time.Second)
+		if !ok {
+			t.Fatalf("frame %d never arrived", i)
+		}
+		if got, isFrame := msg.Payload.(testPayload); !isFrame || !bytes.Equal(got, want) {
+			t.Fatalf("delivery %d is not frame %d (%d bytes, want %d)", i, i, len(got), len(want))
+		}
+	}
 	msg, ok := awaitMsg(t, meshes[1], 5*time.Second)
 	if !ok {
 		t.Fatal("no PeerLost after the crashed peer's last frame")

@@ -148,10 +148,12 @@ func TestMeshPartitionHoldFlushesInOrder(t *testing.T) {
 // the fast-path check when the rule landed.
 func TestMeshWriteUnderRuleClosesProbeConn(t *testing.T) {
 	meshes := newTestMeshes(t, 2)
-	frame, err := encodeFrame(meshes[0].gen, transport.Message{From: 0, To: 1, Payload: testPayload("late")})
+	msg := transport.Message{From: 0, To: 1, Payload: testPayload("late")}
+	kind, body, err := marshalBody(msg.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
+	frame := encodeFrame(meshes[0].gen, msg, kind, body)
 
 	// Drop mode: the frame vanishes and so must the probe connection.
 	setPartitionAll(meshes, [][2]int{{0, 1}}, false)

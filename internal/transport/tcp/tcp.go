@@ -36,6 +36,7 @@
 package tcp
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -55,6 +56,10 @@ import (
 // maxFrame bounds one frame body, so a corrupt or hostile length prefix
 // becomes an error instead of an enormous allocation.
 const maxFrame = 1 << 28
+
+// readBuffer is the size of each inbound connection's read buffer: a whole
+// queued window of 32 x 1 KiB frames fits in one read.
+const readBuffer = 64 << 10
 
 // frameHeaderLen is gen(8) + from(4) + to(4) + class(1) + kind(1) +
 // trace span(8) + trace lamport clock(8). The last 16 bytes are the
@@ -456,13 +461,22 @@ func (m *Mesh) Close() {
 	m.wg.Wait()
 }
 
-// Send implements transport.Interconnect.
+// Send implements transport.Interconnect. A payload the wire cannot carry
+// is refused before anything is counted or traced.
 func (m *Mesh) Send(msg transport.Message) error {
 	if m.down.Load() {
 		return transport.ErrDown
 	}
 	if msg.To < 0 || msg.To >= m.n {
 		return fmt.Errorf("tcp: destination %d out of range [0,%d)", msg.To, m.n)
+	}
+	var kind uint8
+	var body []byte
+	if msg.To != m.self {
+		var err error
+		if kind, body, err = marshalBody(msg.Payload); err != nil {
+			return err
+		}
 	}
 	size := 0
 	if s, ok := msg.Payload.(transport.Sizer); ok {
@@ -487,24 +501,17 @@ func (m *Mesh) Send(msg transport.Message) error {
 		}
 		return nil
 	}
+	frame := encodeFrame(m.gen, msg, kind, body)
 	if m.dropRule(m.self, msg.To) {
 		// Partitioned pair: in hold mode the frame is buffered for the next
 		// Heal; in drop mode it vanishes and the sender never errors (the
 		// in-memory Network's semantics for a severed pair). write()
 		// re-checks the rule after any dial, so a rule installed while a
 		// send is mid-flight still cannot leak a frame or a connection.
-		frame, err := encodeFrame(m.gen, msg)
-		if err != nil {
-			return err
-		}
 		if !m.holdIfActive(msg.To, frame) {
 			m.noteDropped()
 		}
 		return nil
-	}
-	frame, err := encodeFrame(m.gen, msg)
-	if err != nil {
-		return err
 	}
 	if !m.write(msg.To, frame) {
 		m.noteDropped()
@@ -518,28 +525,35 @@ func (m *Mesh) noteDropped() {
 	m.statMu.Unlock()
 }
 
-// encodeFrame serializes one message into a length-prefixed frame.
-func encodeFrame(gen uint64, msg transport.Message) (wireFrame, error) {
-	wp, ok := msg.Payload.(transport.WirePayload)
+// marshalBody returns a payload's wire kind and encoded body, or the error
+// that refuses it: no wire encoding, or a body over the frame limit.
+func marshalBody(payload any) (uint8, []byte, error) {
+	wp, ok := payload.(transport.WirePayload)
 	if !ok {
-		return wireFrame{}, fmt.Errorf("tcp: payload %T cannot cross a wire (no WirePayload)", msg.Payload)
+		return 0, nil, fmt.Errorf("tcp: payload %T cannot cross a wire (no WirePayload)", payload)
 	}
 	body := wp.MarshalWire()
 	if len(body) > maxFrame-frameHeaderLen {
 		// The receiver treats an oversized length prefix as stream
 		// corruption and drops the connection (losing queued frames behind
 		// it); refuse on the send side instead.
-		return wireFrame{}, fmt.Errorf("tcp: %d-byte payload exceeds the %d-byte frame limit", len(body), maxFrame)
+		return 0, nil, fmt.Errorf("tcp: %d-byte payload exceeds the %d-byte frame limit", len(body), maxFrame)
 	}
+	return wp.WireKind(), body, nil
+}
+
+// encodeFrame puts msg's length prefix and header in front of a body that
+// marshalBody accepted.
+func encodeFrame(gen uint64, msg transport.Message, kind uint8, body []byte) wireFrame {
 	inline := len(body)
 	if inline >= bulkBody {
 		inline = 0
 	}
-	head := frameHead(4+frameHeaderLen+inline, len(body), gen, msg, wp.WireKind())
+	head := frameHead(4+frameHeaderLen+inline, len(body), gen, msg, kind)
 	if len(body) >= bulkBody {
-		return wireFrame{head: head, body: body}, nil
+		return wireFrame{head: head, body: body}
 	}
-	return wireFrame{head: append(head, body...)}, nil
+	return wireFrame{head: append(head, body...)}
 }
 
 // frameHead writes a frame's length prefix and header for a body of
@@ -869,9 +883,17 @@ func (m *Mesh) readFrames(conn net.Conn) (int, error) {
 	if dialer >= 0 && dialer < m.n && dialer != m.self {
 		arrival = m.noteArrival(dialer)
 	}
+	// One buffered reader per connection: a small frame costs one read,
+	// not two, and frames queued behind each other share one. Each body
+	// is still its own allocation, because decoded payloads alias it and
+	// a stored fragment must pin only its own frame. Once the buffer is
+	// drained, bufio reads a remainder of at least readBuffer straight
+	// into the body, so a bulk frame copies only what was buffered and
+	// its last partial buffer.
+	br := bufio.NewReaderSize(conn, readBuffer)
 	var lenBuf [4]byte
 	for {
-		if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return peer, err
 		}
 		n := binary.LittleEndian.Uint32(lenBuf[:])
@@ -879,7 +901,7 @@ func (m *Mesh) readFrames(conn net.Conn) (int, error) {
 			return peer, nil // corrupt stream; drop the connection
 		}
 		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
+		if _, err := io.ReadFull(br, body); err != nil {
 			return peer, err
 		}
 		r := wire.NewReader(body)

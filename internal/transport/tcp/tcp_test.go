@@ -41,7 +41,7 @@ func withListener(ln net.Listener) Option {
 
 // listenAll binds n ephemeral loopback listeners and returns them with
 // their addresses.
-func listenAll(t *testing.T, n int) ([]net.Listener, []string) {
+func listenAll(t testing.TB, n int) ([]net.Listener, []string) {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -56,7 +56,7 @@ func listenAll(t *testing.T, n int) ([]net.Listener, []string) {
 }
 
 // newTestMeshes brings up an n-rank mesh world on ephemeral ports.
-func newTestMeshes(t *testing.T, n int, opts ...Option) []*Mesh {
+func newTestMeshes(t testing.TB, n int, opts ...Option) []*Mesh {
 	t.Helper()
 	lns, addrs := listenAll(t, n)
 	meshes := make([]*Mesh, n)
@@ -202,5 +202,75 @@ func TestMeshDropsToDeadPeerWithoutError(t *testing.T) {
 	}
 	if meshes[0].Stats().MessagesDropped == 0 {
 		t.Fatal("drop not counted")
+	}
+}
+
+func TestMeshRefusedSendIsNotCounted(t *testing.T) {
+	meshes := newTestMeshes(t, 2)
+	// A payload with no wire encoding is refused before it is counted.
+	if err := meshes[0].Send(transport.Message{From: 0, To: 1, Payload: "no wire form"}); err == nil {
+		t.Fatal("a payload without WirePayload was accepted")
+	}
+	if st := meshes[0].Stats(); st != (transport.Stats{}) {
+		t.Fatalf("refused send counted: %+v", st)
+	}
+	if err := meshes[0].Send(transport.Message{From: 0, To: 1, Payload: testPayload("ok")}); err != nil {
+		t.Fatal(err)
+	}
+	if st := meshes[0].Stats(); st.MessagesSent != 1 || st.DataMessages != 1 || st.DeliveredPayload != 2 {
+		t.Fatalf("accepted send counted as %+v", st)
+	}
+}
+
+// BenchmarkMeshWindow is one window of frames between two loopback meshes,
+// then an 8 B reply: the small-message stream (32 x 1 KiB, each frame
+// inline) and, as the bulk bypass, checkpoint-fragment-sized frames
+// (4 x 1 MiB, each written as header plus body).
+func BenchmarkMeshWindow(b *testing.B) {
+	for _, c := range []struct {
+		name          string
+		window, frame int
+	}{{"32x1KiB", 32, 1 << 10}, {"4x1MiB", 4, 1 << 20}} {
+		b.Run(c.name, func(b *testing.B) { benchWindow(b, c.window, c.frame) })
+	}
+}
+
+func benchWindow(b *testing.B, window, frame int) {
+	meshes := newTestMeshes(b, 2)
+	client, server := meshes[0].Endpoint(0), meshes[1].Endpoint(1)
+	payload, reply := make(testPayload, frame), make(testPayload, 8)
+	n := b.N
+	served := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			for k := 0; k < window; k++ {
+				if _, err := server.Recv(); err != nil {
+					served <- err
+					return
+				}
+			}
+			if err := meshes[1].Send(transport.Message{From: 1, To: 0, Payload: reply}); err != nil {
+				served <- err
+				return
+			}
+		}
+		served <- nil
+	}()
+	b.SetBytes(int64(window * frame))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < n; i++ {
+		for k := 0; k < window; k++ {
+			if err := meshes[0].Send(transport.Message{From: 0, To: 1, Payload: payload}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := client.Recv(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := <-served; err != nil {
+		b.Fatal(err)
 	}
 }
