@@ -184,21 +184,20 @@ var (
 	NewDelayedStore = stable.NewDelayedStore
 )
 
-// Codec is a stable-storage fragment codec: dup (full replication), xor
-// (single parity) or rs (Reed-Solomon k+m erasure coding).
+// Codec is the replicated store's (k, m) erasure code over GF(2^8): any k
+// of its k+m shards reconstruct a checkpoint.
 type Codec = stable.Codec
 
 // Replicated-store options.
 var (
-	// WithFragments sets how many pieces each checkpoint is split into
-	// before replication under the default dup codec.
-	WithFragments = stable.WithDistFragments
-	// WithCodec replaces full replication with an erasure codec: the k+m
-	// shards land on distinct ring successors (rotated parity placement)
-	// and any k reconstruct a line, so rs k=4,m=2 matches dup's two-loss
-	// tolerance at roughly half the memory and interconnect bytes.
+	// WithCodec sets the replicated store's codec. The default, dup, keeps
+	// a local copy and ships whole copies to the +1/+2 ring successors;
+	// with k > 1 the k+m shards land on distinct ring successors (rotated
+	// parity placement), so rs k=4,m=2 matches dup's two-loss tolerance at
+	// roughly half the memory and interconnect bytes.
 	WithCodec = stable.WithDistCodec
-	// NewCodec builds a codec by name ("dup", "xor", "rs") and geometry.
+	// NewCodec builds a codec from a preset name and geometry: "dup" (1, c)
+	// whole copies, "xor" (k, 1), "rs" (k, m).
 	NewCodec = stable.NewCodec
 )
 

@@ -79,8 +79,7 @@ func markerBrief(store *stable.DiskStore, rank, version int) string {
 	if err != nil {
 		return fmt.Sprintf("  (marker: %v)", err)
 	}
-	return fmt.Sprintf("  membership-epoch %d codec %s sections %d",
-		meta.MembershipEpoch, meta.CodecName(), len(meta.Sections))
+	return fmt.Sprintf("  membership-epoch %d sections %d", meta.MembershipEpoch, len(meta.Sections))
 }
 
 // inspect prints one checkpoint's sections and cross-checks them against
@@ -99,8 +98,8 @@ func inspect(w io.Writer, store *stable.DiskStore, rank, version int) error {
 	if err != nil {
 		return fmt.Errorf("rank %d version %d marker: %w", rank, v, err)
 	}
-	fmt.Fprintf(w, "rank %d version %d: marker format %d, membership-epoch %d, codec %s\n",
-		rank, v, meta.Format, meta.MembershipEpoch, meta.CodecName())
+	fmt.Fprintf(w, "rank %d version %d: marker format %d, membership-epoch %d\n",
+		rank, v, meta.Format, meta.MembershipEpoch)
 	recorded := make(map[string]stable.SectionMeta, len(meta.Sections))
 	for _, s := range meta.Sections {
 		recorded[s.Name] = s

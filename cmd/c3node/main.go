@@ -165,9 +165,9 @@ func launcherMain() {
 		async    = flag.Bool("async", false, "asynchronous commit pipeline")
 		kill     = flag.String("kill", "", "failure spec rank=R,at=P[,after=K]: SIGKILL that rank's process at that pragma")
 		storeDir = flag.String("store", "", "shared checkpoint directory (default: diskless replicated store over TCP)")
-		codec    = flag.String("codec", "dup", "diskless-store fragment codec: dup (full +1/+2 replication), xor (k+1 single parity), rs (Reed-Solomon k+m)")
-		shards   = flag.Int("shards", 0, "codec data shards k (0 = per-codec default: dup 2, xor 4, rs 4)")
-		parity   = flag.Int("parity", 0, "codec parity shards m (0 = default: rs 2; xor always 1; dup none)")
+		codec    = flag.String("codec", "dup", "diskless-store (k, m) erasure-code preset: dup (1, c: a local copy plus c whole copies on ring successors), xor (k, 1: XOR parity), rs (Reed-Solomon k, m)")
+		shards   = flag.Int("shards", 0, "dup: whole copies c (0 = 2); xor, rs: data shards k (0 = 4)")
+		parity   = flag.Int("parity", 0, "rs: parity shards m (0 = 2); xor always 1; dup none")
 		groupSz  = flag.Int("group-size", 0, "two-level topology: partition ranks into checkpoint groups of this many slots (group-local shards + cross-group parity, group heartbeat rings and delegate relays; 0 = flat)")
 		spare    = flag.Int("spare", 0, "spare storage-member slots beyond the compute world (elastic membership)")
 		opsBase  = flag.Int("ops-base", 0, "embedded ops/metrics HTTP server base port: rank r serves on 127.0.0.1:(base+r); 0 disables")
@@ -450,7 +450,7 @@ func workerMain() {
 		async     = fs.Bool("async", false, "asynchronous commit pipeline")
 		kill      = fs.String("kill", "", "failure spec for this rank")
 		storeDir  = fs.String("store", "", "shared checkpoint directory")
-		codec     = fs.String("codec", "dup", "diskless-store fragment codec")
+		codec     = fs.String("codec", "dup", "diskless-store (k, m) erasure-code preset")
 		shards    = fs.Int("shards", 0, "codec data shards k")
 		parity    = fs.Int("parity", 0, "codec parity shards m")
 		groupSz   = fs.Int("group-size", 0, "checkpoint-group width (0 = flat world)")

@@ -103,6 +103,9 @@ type LaunchResult struct {
 	// "healed" events) — the fencing contract says the minority side's
 	// entries must be zero.
 	SplitCkpts map[int]int
+	// PartLines holds each rank's newest committed version, as its ckpt
+	// events reported it, when its "parted" event arrived (-1: none yet).
+	PartLines map[int]int
 }
 
 // ExternalKillSpec schedules the launcher-as-operator SIGKILL.
@@ -412,6 +415,7 @@ func (l *launcher) drive() (*LaunchResult, error) {
 	var inGroupA, split map[int]bool
 	if ep != nil {
 		res.SplitCkpts = make(map[int]int)
+		res.PartLines = make(map[int]int)
 		split = make(map[int]bool)
 		inGroupA = make(map[int]bool, len(ep.GroupA))
 		for _, r := range ep.GroupA {
@@ -440,6 +444,7 @@ func (l *launcher) drive() (*LaunchResult, error) {
 
 	ckpts := 0
 	groupCkpts := 0
+	newest := make(map[int]int) // each rank's latest reported ckpt version
 	doneAttempt := make(map[int]int)
 	respawnPending := make(map[int]bool)
 	for {
@@ -468,9 +473,19 @@ func (l *launcher) drive() (*LaunchResult, error) {
 			// The rank's partition rules are installed: from here until its
 			// "healed", each commit it reports was made while split.
 			split[ev.rank] = true
+			v, ok := newest[ev.rank]
+			if !ok {
+				v = -1
+			}
+			res.PartLines[ev.rank] = v
 		case "healed":
 			delete(split, ev.rank)
 		case "ckpt":
+			if len(ev.fields) > 2 {
+				if v, err := strconv.Atoi(ev.fields[2]); err == nil {
+					newest[ev.rank] = v
+				}
+			}
 			if ek != nil && !killed() && ev.rank == ek.Rank {
 				ckpts++
 				if ckpts >= ek.AfterCheckpoints && res.Joins >= ek.AfterJoins {

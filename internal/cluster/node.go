@@ -129,15 +129,15 @@ type NodeConfig struct {
 	// StorePath, when non-empty, selects a shared-filesystem DiskStore
 	// rooted there instead of the DistStore.
 	StorePath string
-	// Codec selects the diskless store's fragment codec: "dup" (full
-	// +1/+2 replication, default), "xor" (k data + 1 parity shard on
-	// distinct ring successors, tolerates one loss), or "rs"
-	// (Reed-Solomon k+m, tolerates any m simultaneous losses at a
-	// fraction of dup's memory and wire bytes).
+	// Codec names the diskless store's (k, m) erasure-code preset:
+	// "dup" (default; k = 1, a local copy plus whole copies on ring
+	// successors), "xor" (k data + 1 XOR parity shard, tolerates one
+	// loss), or "rs" (Reed-Solomon k+m, tolerates any m simultaneous
+	// losses at a fraction of dup's memory and wire bytes).
 	Codec string
-	// DataShards (k) and ParityShards (m) tune the codec geometry; zero
-	// selects the per-codec defaults (dup: 2 fragments; xor: k=4; rs:
-	// k=4, m=2).
+	// DataShards and ParityShards tune the geometry; zero selects the
+	// preset's default. For dup, DataShards is the number of whole copies
+	// (default 2) and ParityShards must be zero; xor: k=4; rs: k=4, m=2.
 	DataShards   int
 	ParityShards int
 	// GroupSize partitions the world into checkpoint groups of that many
@@ -203,18 +203,11 @@ type node struct {
 
 // distOptions assembles the diskless store's options.
 func (cfg *NodeConfig) distOptions() ([]stable.DistOption, error) {
-	var opts []stable.DistOption
-	if cfg.Codec != "" || cfg.DataShards > 0 || cfg.ParityShards > 0 {
-		codec, err := stable.NewCodec(cfg.Codec, cfg.DataShards, cfg.ParityShards)
-		if err != nil {
-			return nil, err
-		}
-		if codec.ParityShards() == 0 && cfg.DataShards > 0 {
-			opts = append(opts, stable.WithDistFragments(cfg.DataShards))
-		} else if codec.ParityShards() > 0 {
-			opts = append(opts, stable.WithDistCodec(codec))
-		}
+	codec, err := stable.NewCodec(cfg.Codec, cfg.DataShards, cfg.ParityShards)
+	if err != nil {
+		return nil, err
 	}
+	opts := []stable.DistOption{stable.WithDistCodec(codec)}
 	if cfg.Log != nil {
 		opts = append(opts, stable.WithDistLog(cfg.Log))
 	}
@@ -434,11 +427,6 @@ func (w *node) run() error {
 		disk, err := stable.NewDiskStore(cfg.StorePath)
 		if err != nil {
 			return err
-		}
-		// Stamp the configured codec geometry into commit markers so
-		// c3inspect reports the same configuration the diskless planes use.
-		if c, cerr := stable.NewCodec(cfg.Codec, cfg.DataShards, cfg.ParityShards); cerr == nil {
-			disk.SetMarkerInfo(c.ID(), c.DataShards(), c.ParityShards())
 		}
 		w.store = disk
 	} else {

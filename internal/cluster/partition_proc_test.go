@@ -79,7 +79,8 @@ func TestMultiProcessPartitionHeal(t *testing.T) {
 			t.Errorf("minority rank %d committed %d checkpoint(s) while split, want 0", r, n)
 		}
 	}
-	t.Logf("split-time commits: %v (split %v -> heal %v)", res.SplitCkpts, res.PartTime, res.HealTime)
+	t.Logf("split-time commits: %v, newest lines at the split: %v (split %v -> heal %v)",
+		res.SplitCkpts, res.PartLines, res.PartTime, res.HealTime)
 
 	// Liveness after the heal: the majority's quorum epoch propagated
 	// everywhere (every rank left epoch 1), the post-heal recovery
@@ -90,7 +91,8 @@ func TestMultiProcessPartitionHeal(t *testing.T) {
 			t.Errorf("rank %d stat %q: epochs = %d, want >= 2 (quorum commit missing)", r, stat, e)
 		}
 		if statField(t, stat, "restores") < 1 {
-			t.Errorf("rank %d stat %q: no restore after heal (fromscratch=%d)", r, stat, statField(t, stat, "fromscratch"))
+			t.Errorf("rank %d stat %q: no restore after heal (fromscratch=%d; newest committed line at the split %d, all ranks %v)",
+				r, stat, statField(t, stat, "fromscratch"), res.PartLines[r], res.PartLines)
 		}
 	}
 	checkProcSums(t, res, ref)

@@ -54,6 +54,7 @@ func benchEncode(b *testing.B, name string, k, m int, sizes ...int) {
 
 func BenchmarkRSEncode(b *testing.B)  { benchEncode(b, "rs", 4, 2, 1<<20, 8<<20) }
 func BenchmarkXOREncode(b *testing.B) { benchEncode(b, "xor", 4, 0, 8<<20) }
+func BenchmarkDupEncode(b *testing.B) { benchEncode(b, "dup", 2, 0, 8<<20) }
 
 // BenchmarkRSDecodeRepair decodes an rs 4+2 line with two data shards
 // missing: the worst case the parity budget covers.

@@ -1,6 +1,6 @@
 package stable
 
-// Pluggable fragment codecs for the diskless stable store.
+// The fragment codec of the diskless stable store: one (k, m) erasure code.
 //
 // The paper's diskless configuration (and the first replicated store) buys
 // fault tolerance with full replication: every checkpoint blob is copied
@@ -12,25 +12,23 @@ package stable
 // into k data shards plus m parity shards, any k of the k+m suffice to
 // reconstruct, and each shard lives on a distinct ring successor.
 //
-// Three codecs are provided:
+// Both schemes are one systematic Reed-Solomon code over GF(2^8) whose
+// parity rows form a normalized Cauchy matrix (first row and first column
+// all ones). NewCodec's names are presets of its geometry:
 //
-//   - dup: the legacy scheme. The blob is split into fragments and every
-//     fragment is shipped to BOTH +1/+2 neighbors; the owner keeps a full
-//     local copy. Tolerates any 2 simultaneous losses at 2x wire / 3x
-//     stored cost. Default, with the pre-codec stores' placement, shard
-//     boundaries and recovery semantics (the fragment header and commit
-//     marker themselves gained codec fields, so the frame encoding is NOT
-//     compatible with pre-codec binaries).
-//   - xor: k data shards + 1 XOR parity shard on k+1 distinct successors.
+//   - dup (1, c): replication. Every parity row of a k = 1 code is [1], so
+//     each of the c parity shards is the blob itself; the store keeps shard
+//     0 as the owner's local copy and ships the c copies to ring successors
+//     (default c = 2: any 2 losses at 2x wire / 3x stored cost).
+//   - xor (k, 1): the one parity row is all ones, plain XOR parity.
 //     Tolerates any single loss at (k+1)/k cost.
-//   - rs: Reed-Solomon over GF(2^8), k data + m parity shards on k+m
-//     distinct successors. Tolerates any m simultaneous losses at (k+m)/k
-//     cost — at m=2 the same tolerance as dup for ~half the stored bytes.
+//   - rs (k, m): tolerates any m simultaneous losses at (k+m)/k cost — at
+//     m=2 the same tolerance as dup for ~half the stored bytes.
 //
-// For the erasure codecs the owner intentionally keeps NO full local copy:
-// the line exists only as shards spread around the ring (that is where the
-// memory saving comes from), and every Open reassembles — the reassembly
-// latency the AblationCodec bench table prices.
+// For k > 1 the owner intentionally keeps NO full local copy: the line
+// exists only as shards spread around the ring (that is where the memory
+// saving comes from), and every Open reassembles — the reassembly latency
+// the AblationCodec bench table prices.
 
 import (
 	"bytes"
@@ -41,35 +39,26 @@ import (
 	"sync"
 )
 
-// Codec identifiers carried in fragment headers and commit markers.
-const (
-	CodecDup uint8 = iota
-	CodecXOR
-	CodecRS
-)
-
 // Codec turns a checkpoint blob into shards and back. Encode returns
 // DataShards()+ParityShards() shards; Decode reconstructs the blob from any
-// sufficient subset (nil entries mark missing or checksum-rejected shards).
+// DataShards() of them (nil entries mark missing or checksum-rejected
+// shards).
 //
 // Ownership: the caller hands the blob over to Encode. The returned shards
-// may alias it (the erasure codecs' data shards are sub-slices of the blob,
-// so encoding touches each data byte once instead of copying it first), and
-// the caller must not modify the blob while it still uses the shards. A
-// store that retains a shard beyond the commit copies it into a buffer of
-// its own (encodeReplFrag does), so nothing stored ever pins the blob.
-// Decode only reads its input shards and returns a fresh blob.
+// may alias it (the data shards are sub-slices of the blob, and with k = 1
+// every parity shard is the one data shard, so encoding touches each data
+// byte at most once instead of copying it first), and the caller must not
+// modify the blob while it still uses the shards. A store that retains a
+// shard beyond the commit copies it into a buffer of its own
+// (encodeReplFrag does), so nothing stored ever pins the blob. Decode only
+// reads its input shards and returns a fresh blob.
 type Codec interface {
-	// Name is the flag-level identifier (dup, xor, rs).
-	Name() string
-	// ID is the wire identifier (CodecDup, CodecXOR, CodecRS).
-	ID() uint8
 	// DataShards is k: the number of shards that suffice to reconstruct.
 	DataShards() int
 	// ParityShards is m: the number of simultaneous shard losses tolerated.
 	ParityShards() int
-	// Encode splits blob into k+m shards. All shards of an erasure codec
-	// have equal length (the tail is zero-padded).
+	// Encode splits blob into k+m shards of equal length (the tail is
+	// zero-padded).
 	Encode(blob []byte) ([][]byte, error)
 	// Decode reconstructs the original blob of length total from shards
 	// (indexed as produced by Encode; nil = lost). It fails cleanly when
@@ -77,21 +66,25 @@ type Codec interface {
 	Decode(shards [][]byte, total int) ([]byte, error)
 }
 
-// NewCodec builds a codec by name. k is the data-shard count (0 selects
-// the per-codec default), m the parity-shard count (0 selects the
-// default). A parity count the codec cannot honor is an error, not a
-// silent downgrade — an operator passing -parity 2 with -codec dup must
-// not believe they have parity protection.
+// maxShards bounds k+m: GF(2^8) has 256 elements, and the Cauchy
+// construction needs k+m distinct ones.
+const maxShards = 255
+
+// NewCodec builds a codec from a preset name and its geometry (0 selects
+// the preset's default). For dup, k is the number of whole copies shipped
+// to ring successors. A parity count the preset cannot honor is an error,
+// not a silent downgrade — an operator passing -parity 2 with -codec dup
+// must not believe they have parity protection.
 func NewCodec(name string, k, m int) (Codec, error) {
 	switch name {
 	case "", "dup":
 		if m > 0 {
-			return nil, fmt.Errorf("stable: dup codec replicates full copies and takes no parity shards (use xor or rs)")
+			return nil, fmt.Errorf("stable: dup codec replicates whole copies and takes no parity shards (use xor or rs)")
 		}
 		if k <= 0 {
 			k = 2
 		}
-		return dupCodec{k: k}, nil
+		k, m = 1, k
 	case "xor":
 		if m > 1 {
 			return nil, fmt.Errorf("stable: xor codec has exactly one parity shard (use rs for m=%d)", m)
@@ -99,7 +92,7 @@ func NewCodec(name string, k, m int) (Codec, error) {
 		if k <= 0 {
 			k = 4
 		}
-		return xorCodec{k: k}, nil
+		m = 1
 	case "rs":
 		if k <= 0 {
 			k = 4
@@ -107,87 +100,14 @@ func NewCodec(name string, k, m int) (Codec, error) {
 		if m <= 0 {
 			m = 2
 		}
-		if k+m > 255 {
-			return nil, fmt.Errorf("stable: rs codec k+m = %d exceeds 255", k+m)
-		}
-		return rsCodec{k: k, m: m}, nil
 	default:
 		return nil, fmt.Errorf("stable: unknown codec %q (dup, xor, rs)", name)
 	}
+	if k+m > maxShards {
+		return nil, fmt.Errorf("stable: %s codec k+m = %d exceeds %d", name, k+m, maxShards)
+	}
+	return rsCodec{k: k, m: m}, nil
 }
-
-// codecFor reconstructs the codec a commit marker names, so the read path
-// can decode shards written by any configuration. The geometry comes off
-// the wire, so it is validated, never trusted.
-func codecFor(id uint8, data, parity int) (Codec, error) {
-	if data < 1 || parity < 0 || data+parity > 255 {
-		return nil, fmt.Errorf("stable: codec geometry k=%d m=%d out of range", data, parity)
-	}
-	switch id {
-	case CodecDup:
-		return dupCodec{k: data}, nil
-	case CodecXOR:
-		if parity != 1 {
-			return nil, fmt.Errorf("stable: xor marker with parity %d", parity)
-		}
-		return xorCodec{k: data}, nil
-	case CodecRS:
-		return rsCodec{k: data, m: parity}, nil
-	default:
-		return nil, fmt.Errorf("stable: unknown codec id %d", id)
-	}
-}
-
-// --- dup: legacy full replication ---
-
-// dupCodec reproduces splitFragments: k nearly equal, unpadded pieces.
-// There is no parity; reconstruction needs every piece, and fault tolerance
-// comes from the store shipping the full set to both ring neighbors.
-type dupCodec struct{ k int }
-
-func (c dupCodec) Name() string      { return "dup" }
-func (c dupCodec) ID() uint8         { return CodecDup }
-func (c dupCodec) DataShards() int   { return c.k }
-func (c dupCodec) ParityShards() int { return 0 }
-
-func (c dupCodec) Encode(blob []byte) ([][]byte, error) {
-	return splitFragments(blob, c.k), nil
-}
-
-// splitFragments cuts the blob into k nearly equal pieces (fewer when the
-// blob is shorter than k bytes; always at least one, possibly empty). Each
-// fragment is an independent copy: a sub-slice would keep the entire blob
-// reachable for as long as ANY fragment is retained anywhere, so pruning a
-// line's other fragments (Retire/Truncate) would reclaim no memory.
-func splitFragments(blob []byte, k int) [][]byte {
-	if k > len(blob) {
-		k = len(blob)
-	}
-	if k < 1 {
-		k = 1
-	}
-	frags := make([][]byte, 0, k)
-	for i := 0; i < k; i++ {
-		lo, hi := i*len(blob)/k, (i+1)*len(blob)/k
-		frags = append(frags, append(make([]byte, 0, hi-lo), blob[lo:hi]...))
-	}
-	return frags
-}
-
-func (c dupCodec) Decode(shards [][]byte, total int) ([]byte, error) {
-	for idx, s := range shards {
-		if s == nil {
-			return nil, fmt.Errorf("stable: dup fragment %d missing", idx)
-		}
-	}
-	blob := bytes.Join(shards, nil) // a new buffer, as joinShards
-	if len(blob) != total {
-		return nil, fmt.Errorf("stable: dup reassembly %d/%d bytes", len(blob), total)
-	}
-	return blob, nil
-}
-
-// --- shared erasure-coding shard layout ---
 
 // shardSize is the padded per-shard length for a blob of the given size
 // split into k data shards. Always at least 1 so parity math has bytes to
@@ -231,65 +151,6 @@ func joinShards(shards [][]byte, k, total int) []byte {
 	return blob[:total]
 }
 
-// --- xor: k+1, single-loss parity ---
-
-type xorCodec struct{ k int }
-
-func (c xorCodec) Name() string      { return "xor" }
-func (c xorCodec) ID() uint8         { return CodecXOR }
-func (c xorCodec) DataShards() int   { return c.k }
-func (c xorCodec) ParityShards() int { return 1 }
-
-func (c xorCodec) Encode(blob []byte) ([][]byte, error) {
-	sz := shardSize(len(blob), c.k)
-	shards := dataShards(blob, c.k, sz)
-	parity := make([]byte, sz)
-	gfMulRows([][]byte{gfOnes(c.k)}, shards, [][]byte{parity}, sz)
-	return append(shards, parity), nil
-}
-
-func (c xorCodec) Decode(shards [][]byte, total int) ([]byte, error) {
-	if len(shards) != c.k+1 {
-		return nil, fmt.Errorf("stable: xor expects %d shards, got %d", c.k+1, len(shards))
-	}
-	missing := -1
-	for i := 0; i < c.k; i++ {
-		if shards[i] == nil {
-			if missing >= 0 {
-				return nil, fmt.Errorf("stable: xor cannot repair shards %d and %d (tolerates one loss)", missing, i)
-			}
-			missing = i
-		}
-	}
-	if missing >= 0 {
-		if shards[c.k] == nil {
-			return nil, fmt.Errorf("stable: xor shard %d and parity both lost", missing)
-		}
-		sz := len(shards[c.k])
-		have := make([][]byte, 0, c.k)
-		for i, s := range shards {
-			if i == missing {
-				continue
-			}
-			if len(s) != sz {
-				return nil, fmt.Errorf("stable: xor shard %d length %d != %d", i, len(s), sz)
-			}
-			have = append(have, s)
-		}
-		repair := make([]byte, sz)
-		gfMulRows([][]byte{gfOnes(c.k)}, have, [][]byte{repair}, sz)
-		shards = append([][]byte(nil), shards...)
-		shards[missing] = repair
-	}
-	blob := joinShards(shards, c.k, total)
-	if blob == nil {
-		return nil, fmt.Errorf("stable: xor reassembly shorter than %d bytes", total)
-	}
-	return blob, nil
-}
-
-// --- rs: Reed-Solomon k+m over GF(2^8) ---
-
 // GF(2^8) arithmetic with the 0x11d polynomial (the classic RS field).
 // Exp table is doubled so mul can index exp[logA+logB] without a mod.
 var gfExp [512]byte
@@ -319,6 +180,7 @@ func init() {
 			gfMulTable[c][b] = gfMul(byte(c), byte(b))
 		}
 	}
+	cauchyParity = buildCauchyParity()
 }
 
 func gfMul(a, b byte) byte {
@@ -405,15 +267,6 @@ func gfMulRange(coef [][]byte, in, out [][]byte, lo, hi int) {
 	}
 }
 
-// gfOnes is the coefficient row of plain XOR parity.
-func gfOnes(k int) []byte {
-	row := make([]byte, k)
-	for i := range row {
-		row[i] = 1
-	}
-	return row
-}
-
 // gfMatrix is a dense matrix over GF(2^8).
 type gfMatrix [][]byte
 
@@ -425,32 +278,8 @@ func newGFMatrix(rows, cols int) gfMatrix {
 	return m
 }
 
-func gfIdentity(n int) gfMatrix {
-	m := newGFMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m[i][i] = 1
-	}
-	return m
-}
-
-// mul returns a × b.
-func (a gfMatrix) mul(b gfMatrix) gfMatrix {
-	rows, inner, cols := len(a), len(b), len(b[0])
-	out := newGFMatrix(rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			var acc byte
-			for k := 0; k < inner; k++ {
-				acc ^= gfMul(a[i][k], b[k][j])
-			}
-			out[i][j] = acc
-		}
-	}
-	return out
-}
-
 // invert returns the inverse via Gauss-Jordan elimination; it fails only on
-// a singular matrix (which the Vandermonde construction rules out for any
+// a singular matrix (which the Cauchy construction rules out for any
 // k-subset of rows).
 func (a gfMatrix) invert() (gfMatrix, error) {
 	n := len(a)
@@ -493,69 +322,69 @@ func (a gfMatrix) invert() (gfMatrix, error) {
 	return out, nil
 }
 
-// rsMatrixCache memoizes encoding matrices per (k, m): the matrix is a
-// pure constant of the geometry, and rebuilding it (including a k×k
-// inversion) on every commit would be hot-path work for nothing.
-var rsMatrixCache sync.Map // [2]int -> gfMatrix
+// cauchyParity holds the parity rows of every geometry at once: (k, m)'s
+// m×k parity matrix P is its top-left block, P[i][j] = cauchyParity[i][j].
+// It is the Cauchy matrix c[i][j] = 1/(x_i + y_j) over the points
+// x_i = 255-i and y_j = j, which are distinct wherever k+m <= 255. Every
+// square submatrix of a Cauchy matrix is nonsingular, so every k×k row
+// subset of [I; P] is invertible and ANY k surviving shards reconstruct
+// the data. Scaling a row or a column by a nonzero constant keeps that
+// property, so the columns are scaled until row 0 is all ones and then the
+// rows until column 0 is: c[i][j]·c[0][0] / (c[0][j]·c[i][0]). Hence (k, 1)
+// is plain XOR parity, every (1, m) parity row is [1] (a whole copy), and
+// the ones elsewhere are coefficients gfMulAdd turns into a plain XOR.
+// Row i is as long as any geometry with m > i needs: 254-i columns.
+var cauchyParity [][]byte
 
-// rsEncodeMatrix returns the systematic (k+m)×k encoding matrix: the top k
-// rows are the identity (data shards pass through unchanged), the bottom m
-// rows generate parity. It is derived from a (k+m)×k Vandermonde matrix by
-// normalizing its top square to the identity; every k×k submatrix of a
-// Vandermonde matrix with distinct evaluation points is invertible, a
-// property the normalization preserves — so ANY k surviving shards
-// reconstruct the data.
-func rsEncodeMatrix(k, m int) gfMatrix {
-	key := [2]int{k, m}
-	if cached, ok := rsMatrixCache.Load(key); ok {
-		return cached.(gfMatrix)
-	}
-	mat := buildRSEncodeMatrix(k, m)
-	rsMatrixCache.Store(key, mat)
-	return mat
-}
-
-func buildRSEncodeMatrix(k, m int) gfMatrix {
-	vand := newGFMatrix(k+m, k)
-	for r := 0; r < k+m; r++ {
-		// Row r evaluates at point r: entry j = r^j.
-		e := byte(1)
-		for j := 0; j < k; j++ {
-			vand[r][j] = e
-			e = gfMul(e, gfPoint(r))
+func buildCauchyParity() [][]byte {
+	c := func(i, j int) byte { return gfDiv(1, byte(maxShards-i)^byte(j)) }
+	rows := make([][]byte, maxShards-1)
+	for i := range rows {
+		rows[i] = make([]byte, maxShards-1-i)
+		for j := range rows[i] {
+			rows[i][j] = gfDiv(gfMul(c(i, j), c(0, 0)), gfMul(c(0, j), c(i, 0)))
 		}
 	}
-	top := newGFMatrix(k, k)
-	for i := 0; i < k; i++ {
-		copy(top[i], vand[i])
-	}
-	topInv, err := top.invert()
-	if err != nil {
-		panic(err) // distinct points: cannot happen
-	}
-	return vand.mul(topInv)
+	return rows
 }
 
-// gfPoint maps a row index to its distinct evaluation point. Index 0 maps
-// to 0 so row 0 of the raw Vandermonde is [1 0 0 ...]; all points are
-// distinct for r < 256.
-func gfPoint(r int) byte { return byte(r) }
-
+// rsCodec is the one codec: systematic Reed-Solomon with k data and m
+// parity shards.
 type rsCodec struct{ k, m int }
 
-func (c rsCodec) Name() string      { return "rs" }
-func (c rsCodec) ID() uint8         { return CodecRS }
 func (c rsCodec) DataShards() int   { return c.k }
 func (c rsCodec) ParityShards() int { return c.m }
+
+// rows returns the rows of the systematic encoding matrix [I; P] that
+// produced shards idxs: a unit row for a data shard, a parity row for the
+// others.
+func (c rsCodec) rows(idxs []int) gfMatrix {
+	out := newGFMatrix(len(idxs), c.k)
+	for r, idx := range idxs {
+		if idx < c.k {
+			out[r][idx] = 1
+		} else {
+			copy(out[r], cauchyParity[idx-c.k])
+		}
+	}
+	return out
+}
 
 func (c rsCodec) Encode(blob []byte) ([][]byte, error) {
 	sz := shardSize(len(blob), c.k)
 	shards := dataShards(blob, c.k, sz)
 	parity := make([][]byte, c.m)
+	if c.k == 1 {
+		// Every parity row is [1]: each parity shard is the data shard.
+		for p := range parity {
+			parity[p] = shards[0]
+		}
+		return append(shards, parity...), nil
+	}
 	for p := range parity {
 		parity[p] = make([]byte, sz)
 	}
-	gfMulRows(rsEncodeMatrix(c.k, c.m)[c.k:], shards, parity, sz)
+	gfMulRows(cauchyParity[:c.m], shards, parity, sz)
 	return append(shards, parity...), nil
 }
 
@@ -591,12 +420,7 @@ func (c rsCodec) Decode(shards [][]byte, total int) ([]byte, error) {
 		if len(have) < c.k {
 			return nil, fmt.Errorf("stable: rs has %d of %d required shards", len(have), c.k)
 		}
-		enc := rsEncodeMatrix(c.k, c.m)
-		sub := newGFMatrix(c.k, c.k)
-		for r, idx := range have {
-			copy(sub[r], enc[idx])
-		}
-		inv, err := sub.invert()
+		inv, err := c.rows(have).invert()
 		if err != nil {
 			return nil, err
 		}

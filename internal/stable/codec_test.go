@@ -43,6 +43,7 @@ func codecsUnderTest(t *testing.T) []Codec {
 		name string
 		k, m int
 	}{
+		{"dup", 1, 0}, {"dup", 2, 0}, {"dup", 3, 0},
 		{"xor", 2, 0}, {"xor", 3, 0}, {"xor", 4, 0},
 		{"rs", 2, 1}, {"rs", 2, 2}, {"rs", 3, 2}, {"rs", 4, 1}, {"rs", 4, 2}, {"rs", 4, 3}, {"rs", 5, 3},
 	} {
@@ -69,10 +70,10 @@ func TestCodecLossMatrix(t *testing.T) {
 			wantSum := replSum(blob)
 			shards, err := codec.Encode(blob)
 			if err != nil {
-				t.Fatalf("%s k=%d m=%d: encode: %v", codec.Name(), k, m, err)
+				t.Fatalf("k=%d m=%d: encode: %v", k, m, err)
 			}
 			if len(shards) != total {
-				t.Fatalf("%s k=%d m=%d: %d shards", codec.Name(), k, m, len(shards))
+				t.Fatalf("k=%d m=%d: %d shards", k, m, len(shards))
 			}
 			// Every survivable loss combination (0..m losses).
 			for lost := 0; lost <= m; lost++ {
@@ -84,10 +85,10 @@ func TestCodecLossMatrix(t *testing.T) {
 					}
 					got, err := codec.Decode(in, size)
 					if err != nil {
-						t.Fatalf("%s k=%d m=%d size=%d drop=%v: decode: %v", codec.Name(), k, m, size, drop, err)
+						t.Fatalf("k=%d m=%d size=%d drop=%v: decode: %v", k, m, size, drop, err)
 					}
 					if replSum(got) != wantSum || !bytes.Equal(got, blob) {
-						t.Fatalf("%s k=%d m=%d size=%d drop=%v: reconstruction differs", codec.Name(), k, m, size, drop)
+						t.Fatalf("k=%d m=%d size=%d drop=%v: reconstruction differs", k, m, size, drop)
 					}
 				})
 			}
@@ -99,38 +100,10 @@ func TestCodecLossMatrix(t *testing.T) {
 					in[d] = nil
 				}
 				if _, err := codec.Decode(in, size); err == nil {
-					t.Fatalf("%s k=%d m=%d size=%d drop=%v: decode of %d losses succeeded", codec.Name(), k, m, size, drop, m+1)
+					t.Fatalf("k=%d m=%d size=%d drop=%v: decode of %d losses succeeded", k, m, size, drop, m+1)
 				}
 			})
 		}
-	}
-}
-
-// TestDupCodecMatchesSplitFragments pins the dup codec to the legacy
-// fragment layout: same piece boundaries, reconstruction requires all.
-func TestDupCodecMatchesSplitFragments(t *testing.T) {
-	blob := testBlob(1001, 3)
-	c, _ := NewCodec("dup", 4, 0)
-	shards, err := c.Encode(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := splitFragments(blob, 4)
-	if len(shards) != len(legacy) {
-		t.Fatalf("shard count %d vs legacy %d", len(shards), len(legacy))
-	}
-	for i := range shards {
-		if !bytes.Equal(shards[i], legacy[i]) {
-			t.Fatalf("shard %d differs from legacy fragment", i)
-		}
-	}
-	got, err := c.Decode(shards, len(blob))
-	if err != nil || !bytes.Equal(got, blob) {
-		t.Fatalf("dup roundtrip: %v", err)
-	}
-	shards[2] = nil
-	if _, err := c.Decode(shards, len(blob)); err == nil {
-		t.Fatal("dup decode with a missing fragment must fail")
 	}
 }
 
@@ -182,12 +155,12 @@ func TestCodecRecRoundtrip(t *testing.T) {
 	blob := testBlob(513, 9)
 	rs, _ := NewCodec("rs", 3, 2)
 	shards, _ := rs.Encode(blob)
-	rec := replCommitRec{codec: CodecRS, frags: 5, data: 3, total: len(blob), sum: replSum(blob), sums: shardSums(shards)}
+	rec := replCommitRec{frags: 5, data: 3, total: len(blob), sum: replSum(blob), sums: shardSums(shards)}
 	owner, version, inc, got, err := decodeReplCommit(encodeReplCommit(7, 11, 3, rec))
 	if err != nil || owner != 7 || version != 11 || inc != 3 {
 		t.Fatalf("header roundtrip: %d %d %d %v", owner, version, inc, err)
 	}
-	if got.codec != rec.codec || got.frags != rec.frags || got.data != rec.data ||
+	if got.frags != rec.frags || got.data != rec.data ||
 		got.total != rec.total || got.sum != rec.sum || len(got.sums) != len(rec.sums) {
 		t.Fatalf("rec roundtrip: %+v vs %+v", got, rec)
 	}
@@ -195,9 +168,6 @@ func TestCodecRecRoundtrip(t *testing.T) {
 		if got.sums[i] != rec.sums[i] {
 			t.Fatalf("sum %d differs", i)
 		}
-	}
-	if got.need() != 3 {
-		t.Fatalf("need = %d", got.need())
 	}
 	if !got.shardValid(2, shards[2]) {
 		t.Fatal("valid shard rejected")
@@ -209,33 +179,52 @@ func TestCodecRecRoundtrip(t *testing.T) {
 	}
 }
 
+// TestMarkerRequiresGeometryAndDigests: a commit marker off the wire must
+// name a codec (1 <= data <= frags) and carry one digest per shard. A
+// marker without them would let a corrupt shard past repair, so both the
+// commit message and the last-committed response refuse it.
+func TestMarkerRequiresGeometryAndDigests(t *testing.T) {
+	blob := testBlob(300, 7)
+	shards, _ := rsCodec{k: 2, m: 1}.Encode(blob)
+	good := replCommitRec{frags: 3, data: 2, total: len(blob), sum: replSum(blob), sums: shardSums(shards)}
+	noSums, noData := good, good
+	noSums.sums = nil
+	noData.data = 0
+	for name, rec := range map[string]replCommitRec{"good": good, "empty sums": noSums, "data=0": noData} {
+		_, _, _, _, errCommit := decodeReplCommit(encodeReplCommit(1, 2, 0, rec))
+		_, entries, errLast := decodeDistRespLast(encodeDistRespLast(9, []distLastEntry{{version: 2, rec: rec}}))
+		if name == "good" {
+			if errCommit != nil || errLast != nil || len(entries) != 1 {
+				t.Fatalf("good marker refused: %v, %v", errCommit, errLast)
+			}
+			continue
+		}
+		if errCommit == nil {
+			t.Errorf("decodeReplCommit accepted a marker with %s", name)
+		}
+		if errLast == nil {
+			t.Errorf("decodeDistRespLast accepted a marker with %s", name)
+		}
+	}
+}
+
 // FuzzCodecDecode drives the reassembly entry point with arbitrary shard
 // bytes and geometry — the exact surface a malicious or corrupt peer
 // response reaches. No input may panic; a successful decode must satisfy
 // the whole-blob digest the caller re-validates.
 func FuzzCodecDecode(f *testing.F) {
 	blob := testBlob(300, 5)
-	for _, spec := range []struct {
-		name string
-		m    int
-	}{{"dup", 0}, {"xor", 1}, {"rs", 2}} {
-		c, err := NewCodec(spec.name, 3, spec.m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		shards, _ := c.Encode(blob)
-		f.Add(uint8(c.ID()), 3, spec.m, len(blob), shards[0], shards[1], []byte(nil))
+	for _, g := range [][2]int{{1, 2}, {3, 1}, {3, 2}} {
+		shards, _ := rsCodec{k: g[0], m: g[1]}.Encode(blob)
+		f.Add(g[0], g[1], len(blob), shards[0], shards[1], []byte(nil))
 	}
-	f.Add(uint8(CodecRS), 200, 100, 1<<20, []byte{1}, []byte{}, []byte{2, 3})
+	f.Add(200, 100, 1<<20, []byte{1}, []byte{}, []byte{2, 3})
 
-	f.Fuzz(func(t *testing.T, id uint8, k, m, total int, s0, s1, s2 []byte) {
-		if k < 0 || m < 0 || k > 64 || m > 64 || total < 0 || total > 1<<20 {
+	f.Fuzz(func(t *testing.T, k, m, total int, s0, s1, s2 []byte) {
+		if k < 1 || m < 0 || k > 64 || m > 64 || total < 0 || total > 1<<20 {
 			return
 		}
-		codec, err := codecFor(id%3, k, m)
-		if err != nil {
-			return
-		}
+		codec := rsCodec{k: k, m: m}
 		shards := make([][]byte, k+m)
 		pool := [][]byte{s0, s1, s2, nil}
 		for i := range shards {
@@ -267,15 +256,18 @@ func TestCodecNames(t *testing.T) {
 		wantM   int
 		wantErr bool
 	}{
-		{"", 0, 0, 2, 0, false},
-		{"dup", 0, 0, 2, 0, false},
-		{"dup", 5, 0, 5, 0, false},
-		{"dup", 5, 9, 0, 0, true}, // parity with dup is a misconfiguration, not a downgrade
+		{"", 0, 0, 1, 2, false},
+		{"dup", 0, 0, 1, 2, false},
+		{"dup", 3, 0, 1, 3, false}, // dup's number counts whole copies
+		{"dup", 5, 9, 0, 0, true},  // parity with dup is a misconfiguration, not a downgrade
+		{"dup", 255, 0, 0, 0, true},
 		{"xor", 0, 0, 4, 1, false},
 		{"xor", 6, 1, 6, 1, false},
 		{"xor", 6, 3, 0, 0, true}, // xor has exactly one parity shard
+		{"xor", 255, 0, 0, 0, true},
 		{"rs", 0, 0, 4, 2, false},
 		{"rs", 4, 2, 4, 2, false},
+		{"rs", 253, 2, 253, 2, false},
 		{"rs", 200, 100, 0, 0, true},
 		{"bogus", 0, 0, 0, 0, true},
 	} {
@@ -294,7 +286,51 @@ func TestCodecNames(t *testing.T) {
 				c.name, c.k, c.m, codec.DataShards(), codec.ParityShards(), c.wantK, c.wantM)
 		}
 	}
-	if _, err := codecFor(99, 2, 1); err == nil {
-		t.Fatal("unknown codec id accepted")
+}
+
+// TestCauchyAnyKShardsInvert checks the MDS property exhaustively for small
+// geometries: every k-row subset of [I; P] is invertible, so any k shards
+// reconstruct the blob.
+func TestCauchyAnyKShardsInvert(t *testing.T) {
+	for k := 1; k <= 12; k++ {
+		for m := 1; m <= 4; m++ {
+			c := rsCodec{k: k, m: m}
+			combinations(k+m, k, func(rows []int) {
+				if _, err := c.rows(rows).invert(); err != nil {
+					t.Fatalf("k=%d m=%d: rows %v of [I; P] are singular", k, m, rows)
+				}
+			})
+		}
+	}
+}
+
+// TestCauchyParityNormalized: for every geometry P's first row and first
+// column are all ones, so (k, 1) is plain XOR parity and every (1, m)
+// parity shard is a whole copy of the blob.
+func TestCauchyParityNormalized(t *testing.T) {
+	for k := 1; k < maxShards; k++ {
+		for m := 1; k+m <= maxShards; m++ {
+			p := rsCodec{k: k, m: m}.rows([]int{k})[0] // P's first row
+			for j, v := range p {
+				if v != 1 {
+					t.Fatalf("k=%d m=%d: P[0][%d] = %d, want 1", k, m, j, v)
+				}
+			}
+			for i := 0; i < m; i++ {
+				if v := cauchyParity[i][0]; v != 1 {
+					t.Fatalf("k=%d m=%d: P[%d][0] = %d, want 1", k, m, i, v)
+				}
+			}
+		}
+	}
+	blob := testBlob(1000, 4)
+	shards, err := mustCodec(t, "dup", 2, 0).Encode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range shards {
+		if &s[0] != &blob[0] || len(s) != len(blob) {
+			t.Fatalf("dup shard %d is not the blob itself", i)
+		}
 	}
 }

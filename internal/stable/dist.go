@@ -34,7 +34,6 @@ import (
 type DistStore struct {
 	self      int
 	n         int
-	fragments int
 	codec     Codec
 	groupSize int // checkpoint group size g; 0 = flat world
 	net       transport.Interconnect
@@ -89,20 +88,9 @@ const (
 // DistOption configures a DistStore.
 type DistOption func(*DistStore)
 
-// WithDistFragments sets how many pieces each checkpoint blob is split
-// into before replication under the default dup codec (default 2).
-func WithDistFragments(k int) DistOption {
-	return func(s *DistStore) {
-		if k >= 1 {
-			s.fragments = k
-		}
-	}
-}
-
-// WithDistCodec replaces the default full-replication (dup) scheme with an
-// erasure codec: each of the k+m shards lands on its own ring successor
-// (parity placement rotated per owner) and the owner keeps no full local
-// copy; any k shards reconstruct the line over the wire.
+// WithDistCodec sets the store's codec (default dup: NewCodec("dup", 0,
+// 0), whole copies on two ring successors). See commitPlan for where its
+// shards land.
 func WithDistCodec(codec Codec) DistOption {
 	return func(s *DistStore) { s.codec = codec }
 }
@@ -187,7 +175,7 @@ func NewDistStore(self, n int, net transport.Interconnect, opts ...DistOption) *
 		self:         self,
 		n:            n,
 		members:      member.Launch(n),
-		fragments:    2,
+		codec:        rsCodec{k: 1, m: 2},
 		net:          net,
 		ackTimeout:   5 * time.Second,
 		queryTimeout: 3 * time.Second,
@@ -202,11 +190,8 @@ func NewDistStore(self, n int, net transport.Interconnect, opts ...DistOption) *
 	for _, o := range opts {
 		o(s)
 	}
-	if s.codec == nil {
-		s.codec = dupCodec{k: s.fragments}
-	}
-	if s.codec.ParityShards() > 0 && n < 2 {
-		panic("stable: erasure codecs need at least one peer rank")
+	if s.codec.DataShards() > 1 && n < 2 {
+		panic("stable: a codec with k > 1 needs at least one peer rank")
 	}
 	s.wg.Add(1)
 	go s.daemon()
@@ -498,7 +483,8 @@ func (h *distHandle) Commit() error {
 	sum, sums := replSum(blob), shardSums(shards)
 	encSp.End(uint64(len(blob)))
 	s.mu.Lock()
-	sendPlan, targets, keepLocal, parity := commitPlan(s.codec, h.rank, len(shards), member.NewTopology(s.members, s.groupSize))
+	keepLocal := s.codec.DataShards() == 1
+	sendPlan, targets, parity := commitPlan(keepLocal, h.rank, len(shards), member.NewTopology(s.members, s.groupSize))
 	// units extends the codec shards with the cross-group parity shard
 	// (the whole blob, at index len(shards)) when the topology assigns one.
 	units := shards
@@ -506,7 +492,6 @@ func (h *distHandle) Commit() error {
 		units = append(append(make([][]byte, 0, len(shards)+1), shards...), blob)
 	}
 	rec := replCommitRec{
-		codec: s.codec.ID(),
 		frags: len(shards),
 		data:  s.codec.DataShards(),
 		total: len(blob),
@@ -535,7 +520,7 @@ func (h *distHandle) Commit() error {
 	var shippedBytes uint64
 	for _, nb := range targets {
 		for _, idx := range sendPlan[nb] {
-			s.send(nb, transport.Data, encodeReplFrag(h.rank, h.version, 0, rec.codec, len(shards), idx, units[idx]))
+			s.send(nb, transport.Data, encodeReplFrag(h.rank, h.version, 0, idx, units[idx]))
 			shippedBytes += uint64(len(units[idx]))
 		}
 		// The marker travels after the fragments on the same FIFO pair, so
@@ -618,10 +603,11 @@ func (h *distHandle) Commit() error {
 		// installed and no hook fires — a fenced rank reports zero commits.
 		return fmt.Errorf("stable: commit (%d,%d) torn down while fenced: %w", h.rank, h.version, ErrFenced)
 	}
-	// Erasure-coded commits keep no local copy, so the ack-timeout excusal
-	// has a floor: if the unacknowledged or wiped holders account for more
-	// shards than the parity budget, the line cannot be reconstructed and
-	// success would let the protocol retire the previous, recoverable line. An
+	// The ack-timeout excusal has a floor: if the unacknowledged or wiped
+	// holders account for more shards than the parity budget, the line
+	// cannot be reconstructed and success would let the protocol retire the
+	// previous, recoverable line. A kept local copy is shard 0, which no
+	// holder can lose, so a k = 1 commit always clears the floor. An
 	// acknowledged cross-group parity shard lifts the floor: it alone
 	// reconstructs the blob, so a correlated *group-dead* loss — every
 	// group-local holder silent at once, far beyond the ≤m individual
@@ -630,7 +616,7 @@ func (h *distHandle) Commit() error {
 	// shutdown) keep their legacy semantics — recovery truncates and
 	// re-executes those lines.
 	parityAcked := parity >= 0 && !parityLost
-	if !keepLocal && !tornDown && len(shards)-lostShards < s.codec.DataShards() && !parityAcked {
+	if !tornDown && len(shards)-lostShards < s.codec.DataShards() && !parityAcked {
 		return fmt.Errorf("stable: commit (%d,%d) missing acknowledgments for %d of %d shards (codec needs %d)",
 			h.rank, h.version, lostShards, len(shards), s.codec.DataShards())
 	}
@@ -673,7 +659,7 @@ func (s *DistStore) daemon() {
 		}
 		switch data[0] {
 		case replMsgFrag:
-			owner, version, _, _, _, idx, frag, err := decodeReplFrag(data)
+			owner, version, _, idx, frag, err := decodeReplFrag(data)
 			if err != nil {
 				continue
 			}
@@ -906,13 +892,13 @@ func (s *DistStore) queryPeers(owner int) map[int]*remoteLine {
 }
 
 // complete reports whether enough distinct shards of the line were seen
-// somewhere to reconstruct it (all for dup, any k for the erasure codecs,
-// or the cross-group parity shard alone — the whole-group-loss path).
+// somewhere to reconstruct it (any k, or the cross-group parity shard
+// alone — the whole-group-loss path).
 func (rl *remoteLine) complete() bool {
 	if _, ok := rl.rec.crossHolder(); ok && len(rl.holders[rl.rec.frags]) > 0 {
 		return true
 	}
-	need := rl.rec.need()
+	need := rl.rec.data
 	avail := 0
 	for idx := 0; idx < rl.rec.frags && avail < need; idx++ {
 		if len(rl.holders[idx]) > 0 {
@@ -923,9 +909,9 @@ func (rl *remoteLine) complete() bool {
 }
 
 // LastCommitted implements Store: the newest version this node holds a
-// committed local copy of or, when that need not be the newest (the
-// erasure codecs keep no local copy; a restarted process has none), the
-// newest version whose marker and enough shards survive on peers. The
+// committed local copy of or, when that need not be the newest (a k > 1
+// codec keeps no local copy; a restarted process has none), the newest
+// version whose marker and enough shards survive on peers. The
 // merged peer answer for this rank is kept for the Open that follows, so a
 // restore queries the peers once.
 func (s *DistStore) LastCommitted(rank int) (int, bool, error) {
@@ -938,8 +924,8 @@ func (s *DistStore) LastCommitted(rank int) (int, bool, error) {
 			}
 		}
 		s.mu.Unlock()
-		if ok && s.codec.ParityShards() == 0 {
-			return best, true, nil // dup: every line committed here has a local copy
+		if ok && s.codec.DataShards() == 1 {
+			return best, true, nil // k = 1: each line committed here is held here as shard 0
 		}
 	}
 	lines := s.queryPeers(rank)
@@ -1011,16 +997,16 @@ func (s *DistStore) Open(rank, version int) (Snapshot, error) {
 
 // fetchShards fetches shards of the line until the codec can reconstruct
 // it, into a slice with room for the cross-group parity shard when the
-// line has one. The first need() shards some peer reported holding are
+// line has one. The first k shards some peer reported holding are
 // fetched at once, each from the first peer that reported it: with every
-// holder live, a restore is one round of exactly need() requests. Only the
+// holder live, a restore is one round of exactly k requests. Only the
 // shards that round did not yield are swept for (fetchFrag), those with a
 // reported holder first. A shard unreachable or digest-mismatched on every
-// peer counts as lost, which the erasure codecs tolerate up to their
-// parity count. When group-local shards fall short (a whole group died
-// together), the cross-group parity shard — the whole blob, one group
-// over — is fetched instead, from its reported holder before any sweep
-// for shards nobody reported.
+// peer counts as lost, which the codec tolerates up to its parity count.
+// When group-local shards fall short (a whole group died together), the
+// cross-group parity shard — the whole blob, one group over — is fetched
+// instead, from its reported holder before any sweep for shards nobody
+// reported.
 func (s *DistStore) fetchShards(owner, version int, rl *remoteLine) [][]byte {
 	rec := rl.rec
 	_, hasCross := rec.crossHolder()
@@ -1029,7 +1015,7 @@ func (s *DistStore) fetchShards(owner, version int, rl *remoteLine) [][]byte {
 		units++ // the cross-group parity shard at index rec.frags
 	}
 	shards := make([][]byte, units)
-	need := rec.need()
+	need := rec.data
 	var plan []shardAsk
 	for idx := 0; idx < rec.frags && len(plan) < need; idx++ {
 		if hs := rl.holders[idx]; len(hs) > 0 {
@@ -1187,40 +1173,39 @@ var _ Store = (*DistStore)(nil)
 // --- Placement and reassembly ---
 
 // commitPlan is the placement decision of one commit, computed over the
-// owner's group-local ring (so commit traffic never leaves the group): for
-// the dup codec every shard goes to both ring successors and the owner
-// keeps a full local copy; for an erasure codec each shard goes to exactly
-// one distinct ring successor (rotated placement) and no local copy is
-// kept — the memory saving that is the codec's point. On a single-group
-// topology the ring is the whole membership, and with members 0..n-1 the
-// plan is the fixed-world plan, so existing lines keep their holders until
-// the membership actually changes.
+// owner's group-local ring (so commit traffic never leaves the group):
+// each shard goes to exactly one distinct ring successor (rotated
+// placement, member.ShardPlan). With keepLocal (k = 1) shard 0 is the
+// owner's local copy instead and only shards 1.. ship — for dup, whole
+// copies on the +1/+2 successors; a ring with no other member holds the
+// local copy alone. Otherwise no local copy is kept — the memory saving
+// that is the codec's point. On a single-group topology the ring is the
+// whole membership, and with members 0..n-1 the plan is the fixed-world
+// plan, so existing lines keep their holders until the membership
+// actually changes.
 //
 // With two or more groups one additional cross-group parity shard — the
 // whole blob, at index shards — is assigned to topo.ParityHolder(owner) in
 // the next group, keeping the line recoverable through a whole-group loss.
 // parity is that holder's rank, or -1 when the topology has a single
 // group.
-func commitPlan(codec Codec, owner, shards int, topo member.Topology) (sendPlan map[int][]int, holders []int, keepLocal bool, parity int) {
-	ring := topo.GroupSetOf(owner)
-	if codec.ParityShards() == 0 {
-		holders = ring.Successors(owner, 2)
-		all := make([]int, shards)
-		for i := range all {
-			all[i] = i
+func commitPlan(keepLocal bool, owner, shards int, topo member.Topology) (sendPlan map[int][]int, holders []int, parity int) {
+	first := 0
+	if keepLocal {
+		first = 1
+	}
+	holderOf, _ := topo.GroupSetOf(owner).ShardPlan(owner, shards-first)
+	sendPlan = make(map[int][]int, len(holderOf)+1)
+	for i, hr := range holderOf {
+		if hr == owner || (keepLocal && sendPlan[hr] != nil) {
+			// A ring of one has nobody else to hold a shard, and the k = 1
+			// shards are one blob: a small ring's wrap stores it once.
+			continue
 		}
-		sendPlan = make(map[int][]int, len(holders)+1)
-		for _, nb := range holders {
-			sendPlan[nb] = all
+		if sendPlan[hr] == nil {
+			holders = append(holders, hr)
 		}
-		keepLocal = true
-	} else {
-		holderOf, hs := ring.ShardPlan(owner, shards)
-		holders = hs
-		sendPlan = make(map[int][]int, len(holders)+1)
-		for idx, hr := range holderOf {
-			sendPlan[hr] = append(sendPlan[hr], idx)
-		}
+		sendPlan[hr] = append(sendPlan[hr], first+i)
 	}
 	parity = topo.ParityHolder(owner)
 	if parity == owner {
@@ -1230,15 +1215,20 @@ func commitPlan(codec Codec, owner, shards int, topo member.Topology) (sendPlan 
 		sendPlan[parity] = append(sendPlan[parity], shards)
 		holders = append(holders, parity)
 	}
-	return sendPlan, holders, keepLocal, parity
+	return sendPlan, holders, parity
 }
 
 // shardSums digests every shard for the commit marker, so recovery can
 // reject a corrupt shard and repair it from parity instead of failing the
-// whole-blob digest check.
+// whole-blob digest check. A shard that is the previous one (k = 1: every
+// parity shard is the data shard) reuses its digest.
 func shardSums(shards [][]byte) []uint64 {
 	sums := make([]uint64, len(shards))
 	for i, s := range shards {
+		if i > 0 && len(s) > 0 && len(s) == len(shards[i-1]) && &s[0] == &shards[i-1][0] {
+			sums[i] = sums[i-1]
+			continue
+		}
 		sums[i] = replSum(s)
 	}
 	return sums
@@ -1259,11 +1249,7 @@ func reassembleBlob(rec replCommitRec, shards [][]byte) (blob []byte, held bool,
 		}
 		shards = shards[:rec.frags]
 	}
-	codec, err := rec.codecOf()
-	if err != nil {
-		return nil, false, err
-	}
-	blob, err = codec.Decode(shards, rec.total)
+	blob, err = rec.codec().Decode(shards, rec.total)
 	if err != nil {
 		return nil, false, err
 	}

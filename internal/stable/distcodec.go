@@ -37,9 +37,9 @@ type replCommitKey struct {
 
 // replCommitRec is the commit marker replicated alongside the fragments:
 // the shard geometry and digests recovery validates reassembly against.
+// The geometry is the whole codec: (k, m) = (data, frags-data).
 type replCommitRec struct {
-	codec uint8    // CodecDup, CodecXOR, CodecRS
-	frags int      // total shard count (k+m; k for dup)
+	frags int      // total shard count (k+m)
 	data  int      // shards required to reconstruct (k)
 	total int      // original blob length
 	sum   uint64   // replSum of the whole blob
@@ -58,59 +58,44 @@ func (rec replCommitRec) crossHolder() (int, bool) {
 	return rec.cross - 1, rec.cross > 0
 }
 
-// need is the number of distinct valid shards reassembly requires.
-func (rec replCommitRec) need() int {
-	if rec.data > 0 {
-		return rec.data
-	}
-	return rec.frags
-}
+// maxWireRank bounds the cross-group holder a wire-supplied commit marker
+// may name. The marker arrives off a socket: an insane value must be
+// rejected at decode, not trusted.
+const maxWireRank = 4096
 
-// maxWireShards bounds the shard count a wire-supplied commit marker may
-// claim. Recovery loops and allocations scale with rec.frags, and the
-// marker arrives off a socket — an insane value must be rejected at
-// decode, not trusted.
-const maxWireShards = 4096
-
-// sane validates marker geometry read off the wire.
+// sane validates marker geometry read off the wire: a codec NewCodec could
+// have built (1 <= data <= frags <= maxShards; recovery loops and
+// allocations scale with frags) and one digest per shard.
 func (rec replCommitRec) sane() bool {
-	if rec.frags < 1 || rec.frags > maxWireShards {
-		return false
-	}
-	if rec.data < 0 || rec.data > rec.frags {
+	if rec.data < 1 || rec.data > rec.frags || rec.frags > maxShards {
 		return false
 	}
 	if rec.total < 0 || rec.total > wire.MaxLen {
 		return false
 	}
-	if len(rec.sums) != 0 && len(rec.sums) != rec.frags {
+	if len(rec.sums) != rec.frags {
 		return false
 	}
-	if rec.cross < 0 || rec.cross > maxWireShards {
+	if rec.cross < 0 || rec.cross > maxWireRank {
 		return false
 	}
 	return true
 }
 
-// codecOf reconstructs the codec that produced the marker's shards.
-func (rec replCommitRec) codecOf() (Codec, error) {
-	return codecFor(rec.codec, rec.need(), rec.frags-rec.need())
+// codec returns the codec that produced the marker's shards.
+func (rec replCommitRec) codec() Codec {
+	return rsCodec{k: rec.data, m: rec.frags - rec.data}
 }
 
 // shardValid reports whether a held fragment matches the marker's per-shard
-// digest; markers from the pre-digest era (empty sums) accept any bytes and
-// rely on the whole-blob digest alone. Index frags is the cross-group
-// parity shard (when the marker records one): the full blob, validated
-// against the whole-blob digest.
+// digest. Index frags is the cross-group parity shard (when the marker
+// records one): the full blob, validated against the whole-blob digest.
 func (rec replCommitRec) shardValid(idx int, frag []byte) bool {
 	if _, ok := rec.crossHolder(); ok && idx == rec.frags {
 		return len(frag) == rec.total && replSum(frag) == rec.sum
 	}
 	if idx < 0 || idx >= rec.frags {
 		return false
-	}
-	if len(rec.sums) != rec.frags {
-		return true
 	}
 	return replSum(frag) == rec.sums[idx]
 }
@@ -168,47 +153,41 @@ func init() {
 	})
 }
 
-// The fragment header names the codec and shard geometry so a holder can
-// attribute a shard without its marker; the marker remains the
-// authoritative record reassembly validates against. The incarnation
-// field is kept for layout and always sent as zero.
+// The fragment header names the line and the shard index; the geometry
+// travels in the marker alone, which reassembly validates against. The
+// incarnation field is kept for layout and always sent as zero.
 //
 // The payload is the fragment's own copy — what a holder stores never pins
 // the owner's blob. The Writer is sized for the header alone on purpose:
 // appending the fragment then allocates the payload at its final size
 // without zeroing bytes the append is about to overwrite, which a Writer
 // pre-sized for the whole payload would do first.
-func encodeReplFrag(owner, version int, inc uint64, codecID uint8, shards, idx int, frag []byte) replPayload {
+func encodeReplFrag(owner, version int, inc uint64, idx int, frag []byte) replPayload {
 	w := wire.NewWriter(replFragHeader)
 	w.U8(replMsgFrag)
 	w.Int(owner)
 	w.Int(version)
 	w.U64(inc)
-	w.U8(codecID)
-	w.Int(shards)
 	w.Int(idx)
 	w.Bytes32(frag)
 	return replPayload(w.Bytes())
 }
 
 // replFragHeader is the encoded size of a fragment payload's fixed fields.
-const replFragHeader = 1 + 8 + 8 + 8 + 1 + 8 + 8 + 4
+const replFragHeader = 1 + 8 + 8 + 8 + 8 + 4
 
-func decodeReplFrag(data replPayload) (owner, version int, inc uint64, codecID uint8, shards, idx int, frag []byte, err error) {
+func decodeReplFrag(data replPayload) (owner, version int, inc uint64, idx int, frag []byte, err error) {
 	r := wire.NewReader(data[1:])
 	owner, version = r.Int(), r.Int()
 	inc = r.U64()
-	codecID = r.U8()
-	shards = r.Int()
 	idx = r.Int()
 	frag = r.View32() // aliases data: one fragment per payload, so it pins only itself
-	return owner, version, inc, codecID, shards, idx, frag, r.Err()
+	return owner, version, inc, idx, frag, r.Err()
 }
 
 // writeReplRec and readReplRec (de)serialize a commit marker's record; the
 // same layout is embedded in the last-committed query responses.
 func writeReplRec(w *wire.Writer, rec replCommitRec) {
-	w.U8(rec.codec)
 	w.Int(rec.frags)
 	w.Int(rec.data)
 	w.Int(rec.total)
@@ -219,7 +198,6 @@ func writeReplRec(w *wire.Writer, rec replCommitRec) {
 
 func readReplRec(r *wire.Reader) replCommitRec {
 	return replCommitRec{
-		codec: r.U8(),
 		frags: r.Int(),
 		data:  r.Int(),
 		total: r.Int(),
@@ -231,7 +209,7 @@ func readReplRec(r *wire.Reader) replCommitRec {
 
 // replRecWireMin is the minimum serialized size of a replCommitRec, for
 // count clamping in repeated decoders.
-const replRecWireMin = 1 + 8 + 8 + 8 + 8 + 4 + 8
+const replRecWireMin = 8 + 8 + 8 + 8 + 4 + 8
 
 func encodeReplCommit(owner, version int, inc uint64, rec replCommitRec) replPayload {
 	w := wire.NewWriter(64 + 8*len(rec.sums))

@@ -119,16 +119,16 @@ func TestFailNodeDropsFragmentsQueuedToIt(t *testing.T) {
 	inbox := s.net.Endpoint(1)
 	holder.mu.Lock() // stall holder 1's daemon on the first message it takes
 	go func() { _ = commitApp(s, 0, 1, "queued") }()
-	// Holder 2's ack follows the commit's traffic to holder 1: two
-	// fragments and the marker, of which the stalled daemon took one.
+	// Holder 2's ack follows the commit's traffic to holder 1: its copy of
+	// the line and the marker, of which the stalled daemon took one.
 	waitFor(t, "holder 2 acked", func() bool { return acks(s.nodes[0], ackDone, 2) })
-	waitFor(t, "the daemon of holder 1 stalled", func() bool { return inbox.Pending() == 2 })
+	waitFor(t, "the daemon of holder 1 stalled", func() bool { return inbox.Pending() == 1 })
 	failed := make(chan struct{})
 	go func() {
 		s.FailNode(1)
 		close(failed)
 	}()
-	waitFor(t, "the wipe is queued behind it", func() bool { return inbox.Pending() == 3 })
+	waitFor(t, "the wipe is queued behind it", func() bool { return inbox.Pending() == 2 })
 	holder.mu.Unlock()
 	<-failed
 

@@ -21,18 +21,17 @@ func FuzzReplDecode(f *testing.F) {
 	w.Bytes32([]byte{1, 2, 3, 4})
 	blob := w.Bytes()
 	f.Add(blob)
-	frags := splitFragments(blob, 2)
-	f.Add([]byte(encodeReplFrag(1, 3, 0, CodecDup, 2, 0, frags[0])))
-	f.Add([]byte(encodeReplCommit(1, 3, 0, replCommitRec{codec: CodecDup, frags: 2, data: 2, total: len(blob), sum: replSum(blob), sums: shardSums(frags)})))
-	rs, _ := NewCodec("rs", 4, 2)
-	rsShards, _ := rs.Encode(blob)
-	f.Add([]byte(encodeReplFrag(1, 3, 0, CodecRS, 6, 5, rsShards[5])))
-	f.Add([]byte(encodeReplCommit(1, 3, 0, replCommitRec{codec: CodecRS, frags: 6, data: 4, total: len(blob), sum: replSum(blob), sums: shardSums(rsShards)})))
+	for _, g := range [][2]int{{1, 2}, {4, 2}} {
+		shards, _ := rsCodec{k: g[0], m: g[1]}.Encode(blob)
+		rec := replCommitRec{frags: len(shards), data: g[0], total: len(blob), sum: replSum(blob), sums: shardSums(shards)}
+		f.Add([]byte(encodeReplFrag(1, 3, 0, len(shards)-1, shards[len(shards)-1])))
+		f.Add([]byte(encodeReplCommit(1, 3, 0, rec)))
+		f.Add([]byte(encodeDistRespLast(9, []distLastEntry{{version: 3, rec: rec, held: []int{1, 2}}})))
+		f.Add([]byte(encodeDistRespFrag(10, true, shards[1])))
+	}
 	f.Add([]byte(encodeReplAck(1, 3, 2)))
 	f.Add([]byte(encodeDistQueryLast(9, 1)))
-	f.Add([]byte(encodeDistRespLast(9, []distLastEntry{{version: 3, rec: replCommitRec{frags: 2, total: 10, sum: 42}, held: []int{0, 1}}})))
 	f.Add([]byte(encodeDistQueryFrag(10, 1, 3, 0)))
-	f.Add([]byte(encodeDistRespFrag(10, true, frags[1])))
 	f.Add([]byte(encodeDistPrune(1, 3, true)))
 	f.Add(blob[:len(blob)/2])
 
@@ -42,7 +41,7 @@ func FuzzReplDecode(f *testing.F) {
 			return
 		}
 		p := replPayload(data)
-		_, _, _, _, _, _, _, _ = decodeReplFrag(p)
+		_, _, _, _, _, _ = decodeReplFrag(p)
 		_, _, _, _, _ = decodeReplCommit(p)
 		_, _, _, _ = decodeReplAck(p)
 		_, _, _ = decodeDistQueryLast(p)

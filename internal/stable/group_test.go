@@ -12,16 +12,9 @@ import (
 // on a group-local successor and exactly one parity shard (index k+m)
 // lands in the next group.
 func TestCommitPlanGrouped(t *testing.T) {
-	rs, err := NewCodec("rs", 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	topo := member.NewTopology(member.Launch(12), 6)
 	for owner := 0; owner < 12; owner++ {
-		sendPlan, holders, keepLocal, parity := commitPlan(rs, owner, 4, topo)
-		if keepLocal {
-			t.Fatalf("owner %d: erasure plan kept a local copy", owner)
-		}
+		sendPlan, holders, parity := commitPlan(false, owner, 4, topo)
 		if parity < 0 {
 			t.Fatalf("owner %d: no parity holder", owner)
 		}

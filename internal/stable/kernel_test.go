@@ -58,10 +58,10 @@ func TestGFMulRowsSplitsExactly(t *testing.T) {
 	}
 }
 
-// refEncode is the encoder as it was before the table kernel and the
-// aliasing data shards: every data shard a zero-padded copy, every parity
-// byte a scalar gfMul. Encode must stay byte-identical to it, or lines
-// committed by one build could not be decoded by the other.
+// refEncode is the encoder in its plainest form: every data shard a
+// zero-padded copy, every parity byte a scalar gfMul over the Cauchy rows
+// (or, for xor, a plain XOR). Encode's table kernel, aliasing data shards
+// and k = 1 whole copies must stay byte-identical to it.
 func refEncode(blob []byte, k, m int, xor bool) [][]byte {
 	sz := shardSize(len(blob), k)
 	shards := make([][]byte, k)
@@ -80,12 +80,11 @@ func refEncode(blob []byte, k, m int, xor bool) [][]byte {
 		}
 		return append(shards, parity)
 	}
-	enc := rsEncodeMatrix(k, m)
 	for p := 0; p < m; p++ {
 		parity := make([]byte, sz)
 		for j := 0; j < k; j++ {
 			for i := 0; i < sz; i++ {
-				parity[i] ^= gfMul(enc[k+p][j], shards[j][i])
+				parity[i] ^= gfMul(cauchyParity[p][j], shards[j][i])
 			}
 		}
 		shards = append(shards, parity)
@@ -97,7 +96,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		k, m int
-	}{{"rs", 4, 2}, {"rs", 3, 2}, {"rs", 2, 1}, {"xor", 4, 1}} {
+	}{{"rs", 4, 2}, {"rs", 3, 2}, {"rs", 2, 1}, {"xor", 4, 1}, {"rs", 1, 2}} {
 		codec := mustCodec(t, c.name, c.k, c.m)
 		for _, size := range []int{0, 1, c.k - 1, c.k, c.k + 1, 8<<20 + 5} {
 			t.Run(fmt.Sprintf("%s-%d-%d/%d", c.name, c.k, c.m, size), func(t *testing.T) {

@@ -9,9 +9,9 @@ import (
 	"c3/internal/wire"
 )
 
-// CommitMeta is the structured content of a DiskStore commit marker: what
-// produced the checkpoint (codec geometry, membership epoch at commit) and
-// what it contains (per-section sizes and digests). The marker's presence
+// CommitMeta is the structured content of a DiskStore commit marker: when
+// the checkpoint was taken (membership epoch at commit) and what it
+// contains (per-section sizes and digests). The marker's presence
 // is still what makes a version committed — LastCommitted and Open only
 // stat the file — so the structured content is pure metadata that tooling
 // (c3inspect) decodes.
@@ -24,13 +24,6 @@ type CommitMeta struct {
 	// DiskStore writes 0: elastic membership runs only over the diskless
 	// store.
 	MembershipEpoch uint64
-	// Codec, Data, Parity name the fragment-codec geometry the world's
-	// replicated plane was configured with (CodecDup/CodecXOR/CodecRS and
-	// k+m). The disk store itself stores whole sections; the geometry is
-	// recorded so an operator inspecting a node's disk sees the same
-	// configuration the diskless planes used.
-	Codec        uint8
-	Data, Parity int
 	// Sections lists each stored section with its byte size and digest
 	// (SectionSum under format 2), in the order written.
 	Sections []SectionMeta
@@ -43,27 +36,17 @@ type SectionMeta struct {
 	Sum   uint64
 }
 
-// CodecName renders the marker's codec geometry for humans.
-func (m CommitMeta) CodecName() string {
-	switch m.Codec {
-	case CodecDup:
-		return fmt.Sprintf("dup(k=%d)", m.Data)
-	case CodecXOR:
-		return fmt.Sprintf("xor(k=%d,m=%d)", m.Data, m.Parity)
-	case CodecRS:
-		return fmt.Sprintf("rs(k=%d,m=%d)", m.Data, m.Parity)
-	default:
-		return fmt.Sprintf("codec(%d,k=%d,m=%d)", m.Codec, m.Data, m.Parity)
-	}
-}
-
 // SectionSum is the digest stamped into SectionMeta entries (the
 // replication plane's replSum: CRC-32C carried in a u64), exported so
 // tooling (c3inspect) can re-verify stored bytes against a format-2 commit
 // marker.
 func SectionSum(b []byte) uint64 { return replSum(b) }
 
-// Marker wire format: magic, format version, then the meta fields.
+// Marker wire format: magic, format version, then the meta fields. Three
+// fields after the membership epoch (a u8 and two ints) once stamped a
+// replication-codec geometry a disk world does not have; they are written
+// as zero and skipped on read, so the layout — and every marker an older
+// binary wrote — stays readable.
 var markerMagic = []byte("C3MK")
 
 // markerFormat is the format written. 2 differs from 1 only in the digest
@@ -71,7 +54,7 @@ var markerMagic = []byte("C3MK")
 const markerFormat = 2
 
 // maxMarkerSections clamps attacker- or corruption-supplied section counts
-// before allocation, mirroring maxWireShards on the replication plane.
+// before allocation, as sane() bounds a replication marker.
 const maxMarkerSections = 4096
 
 func encodeCommitMeta(m CommitMeta) []byte {
@@ -81,9 +64,9 @@ func encodeCommitMeta(m CommitMeta) []byte {
 	}
 	w.U8(markerFormat)
 	w.U64(m.MembershipEpoch)
-	w.U8(m.Codec)
-	w.Int(m.Data)
-	w.Int(m.Parity)
+	w.U8(0)
+	w.Int(0)
+	w.Int(0)
 	w.U32(uint32(len(m.Sections)))
 	for _, s := range m.Sections {
 		w.String(s.Name)
@@ -102,13 +85,10 @@ func decodeCommitMeta(data []byte) (CommitMeta, error) {
 	if format != 1 && format != markerFormat {
 		return CommitMeta{}, fmt.Errorf("stable: unknown marker format %d", format)
 	}
-	m := CommitMeta{
-		Format:          format,
-		MembershipEpoch: r.U64(),
-		Codec:           r.U8(),
-		Data:            r.Int(),
-		Parity:          r.Int(),
-	}
+	m := CommitMeta{Format: format, MembershipEpoch: r.U64()}
+	r.U8()
+	r.Int()
+	r.Int()
 	// Each section occupies at least 20 bytes (name length prefix + size +
 	// digest), so Count rejects counts the input cannot possibly back.
 	n := r.Count(20)
@@ -126,21 +106,6 @@ func decodeCommitMeta(data []byte) (CommitMeta, error) {
 		return CommitMeta{}, fmt.Errorf("stable: corrupt commit marker: %w", err)
 	}
 	return m, nil
-}
-
-// SetMarkerInfo installs the replication codec geometry (fixed per run)
-// stamped into every subsequent commit marker.
-func (s *DiskStore) SetMarkerInfo(codec uint8, data, parity int) {
-	s.metaMu.Lock()
-	s.codec, s.data, s.parity = codec, data, parity
-	s.metaMu.Unlock()
-}
-
-// markerMeta snapshots the store-level marker fields for one commit.
-func (s *DiskStore) markerMeta() CommitMeta {
-	s.metaMu.Lock()
-	defer s.metaMu.Unlock()
-	return CommitMeta{Codec: s.codec, Data: s.data, Parity: s.parity}
 }
 
 // Meta decodes the commit marker of (rank, version).

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"c3/internal/wire"
 )
 
 // fnv1a is the digest format-1 markers carried (the pre-crc32c replSum),
@@ -28,25 +30,49 @@ func TestDigestGoldenVector(t *testing.T) {
 	}
 }
 
-// TestCommitMetaFormats: markers of format 2 (written now) and format 1
-// (same layout, FNV-1a digests) both decode and report their format; any
-// other format is an error, and so is a marker without the magic (the
-// retired "ok\n" content).
+// oldMarker is a marker as an older binary wrote it: the same layout, with
+// a replication-codec geometry (dup, k=2, as every disk world stamped)
+// where the current encoder writes zeros.
+func oldMarker(format uint8, epoch uint64, s SectionMeta) []byte {
+	w := wire.NewWriter(64)
+	for _, b := range markerMagic {
+		w.U8(b)
+	}
+	w.U8(format)
+	w.U64(epoch)
+	w.U8(0)
+	w.Int(2)
+	w.Int(0)
+	w.U32(1)
+	w.String(s.Name)
+	w.Int(s.Bytes)
+	w.U64(s.Sum)
+	return w.Bytes()
+}
+
+// TestCommitMetaFormats: markers of format 2 (written now, and as older
+// binaries wrote them with a codec geometry stamped) and format 1 (same
+// layout, FNV-1a digests) all decode and report their format; any other
+// format is an error, and so is a marker without the magic (the retired
+// "ok\n" content).
 func TestCommitMetaFormats(t *testing.T) {
 	data := []byte("section bytes")
-	meta := CommitMeta{MembershipEpoch: 7, Codec: CodecRS, Data: 4, Parity: 2,
+	meta := CommitMeta{MembershipEpoch: 7,
 		Sections: []SectionMeta{{Name: "app", Bytes: len(data), Sum: SectionSum(data)}}}
 
 	enc := encodeCommitMeta(meta)
 	got, err := decodeCommitMeta(enc)
-	if err != nil || got.Format != 2 || got.MembershipEpoch != 7 || got.CodecName() != "rs(k=4,m=2)" ||
+	if err != nil || got.Format != 2 || got.MembershipEpoch != 7 ||
 		len(got.Sections) != 1 || got.Sections[0] != meta.Sections[0] {
 		t.Fatalf("format 2 roundtrip: %+v, %v", got, err)
 	}
+	got, err = decodeCommitMeta(oldMarker(2, 7, meta.Sections[0]))
+	if err != nil || got.Format != 2 || got.MembershipEpoch != 7 ||
+		len(got.Sections) != 1 || got.Sections[0] != meta.Sections[0] {
+		t.Fatalf("older binary's format 2 marker: %+v, %v", got, err)
+	}
 
-	meta.Sections[0].Sum = fnv1a(data)
-	v1 := encodeCommitMeta(meta)
-	v1[len(markerMagic)] = 1
+	v1 := oldMarker(1, 7, SectionMeta{Name: "app", Bytes: len(data), Sum: fnv1a(data)})
 	got, err = decodeCommitMeta(v1)
 	if err != nil || got.Format != 1 || got.Sections[0].Sum != fnv1a(data) {
 		t.Fatalf("format 1 decode: %+v, %v", got, err)

@@ -170,8 +170,8 @@ func TestFragmentPayloadOwnsItsBytes(t *testing.T) {
 	frags := make([][]byte, len(shards))
 	for idx, s := range shards {
 		want[idx] = append([]byte(nil), s...)
-		payload := encodeReplFrag(1, 1, 0, CodecRS, len(shards), idx, s)
-		if _, _, _, _, _, gotIdx, frag, err := decodeReplFrag(payload); err != nil || gotIdx != idx {
+		payload := encodeReplFrag(1, 1, 0, idx, s)
+		if _, _, _, gotIdx, frag, err := decodeReplFrag(payload); err != nil || gotIdx != idx {
 			t.Fatalf("fragment %d roundtrip: idx %d, %v", idx, gotIdx, err)
 		} else {
 			frags[idx] = frag

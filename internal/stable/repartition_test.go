@@ -10,27 +10,22 @@ import (
 )
 
 // repartitionCodecs is the codec-geometry sweep of the elastic re-partition
-// matrix: the default dup scheme plus one representative of every erasure
-// family/parity budget the store supports.
-func repartitionCodecs(t *testing.T) []Codec {
+// matrix: the default dup geometry plus one representative of every
+// parity budget the store supports, keyed by a label of the preset's
+// position in (dup, xor, rs) and its NewCodec arguments.
+func repartitionCodecs(t *testing.T) map[string]Codec {
 	t.Helper()
 	specs := []struct {
-		name string
-		k, m int
-	}{
-		{"dup", 2, 0},
-		{"xor", 2, 1},
-		{"xor", 4, 1},
-		{"rs", 2, 2},
-		{"rs", 4, 2},
-	}
-	codecs := make([]Codec, 0, len(specs))
+		preset int
+		k, m   int
+	}{{0, 2, 0}, {1, 2, 1}, {1, 4, 1}, {2, 2, 2}, {2, 4, 2}}
+	codecs := make(map[string]Codec, len(specs))
 	for _, sp := range specs {
-		c, err := NewCodec(sp.name, sp.k, sp.m)
+		c, err := NewCodec([]string{"dup", "xor", "rs"}[sp.preset], sp.k, sp.m)
 		if err != nil {
-			t.Fatalf("codec %s(%d,%d): %v", sp.name, sp.k, sp.m, err)
+			t.Fatalf("codec %d(%d,%d): %v", sp.preset, sp.k, sp.m, err)
 		}
-		codecs = append(codecs, c)
+		codecs[fmt.Sprintf("codec%d-k%d-m%d", sp.preset, sp.k, sp.m)] = c
 	}
 	return codecs
 }
@@ -127,11 +122,7 @@ func assertPlacement(t *testing.T, s *ReplicatedStore, m member.Set, owner, vers
 	if !ok {
 		t.Fatalf("owner %d version %d: no commit marker", owner, version)
 	}
-	codec, err := rec.codecOf()
-	if err != nil {
-		t.Fatalf("owner %d: marker codec: %v", owner, err)
-	}
-	sendPlan, holders, _, _ := commitPlan(codec, owner, rec.frags, member.NewTopology(m, 0))
+	sendPlan, holders, _ := commitPlan(rec.data == 1, owner, rec.frags, member.NewTopology(m, 0))
 	for _, h := range holders {
 		node := s.nodes[h]
 		node.mu.Lock()
@@ -161,7 +152,7 @@ func decodable(rec replCommitRec, sendPlan map[int][]int, stay, lost []int) bool
 			}
 		}
 	}
-	return len(have) >= rec.need()
+	return len(have) >= rec.data
 }
 
 // TestRepartitionMatrix is the exhaustive elastic re-partition sweep: for
@@ -181,8 +172,8 @@ func TestRepartitionMatrix(t *testing.T) {
 			if n+delta < 2 {
 				continue // a one-member world has no replication ring
 			}
-			for _, codec := range repartitionCodecs(t) {
-				name := fmt.Sprintf("n=%d/delta=%+d/%s", n, delta, codecName(codec))
+			for label, codec := range repartitionCodecs(t) {
+				name := fmt.Sprintf("n=%d/delta=%+d/%s", n, delta, label)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					runRepartition(t, n, delta, codec)
@@ -190,10 +181,6 @@ func TestRepartitionMatrix(t *testing.T) {
 			}
 		}
 	}
-}
-
-func codecName(c Codec) string {
-	return fmt.Sprintf("codec%d-k%d-m%d", c.ID(), c.DataShards(), c.ParityShards())
 }
 
 func runRepartition(t *testing.T, n, delta int, codec Codec) {
@@ -237,7 +224,7 @@ func runRepartition(t *testing.T, n, delta int, codec Codec) {
 		if !ok {
 			t.Fatalf("owner %d: old line has no marker", owner)
 		}
-		sendPlan, holders, _, _ := commitPlan(codec, owner, rec.frags, member.NewTopology(boot, 0))
+		sendPlan, holders, _ := commitPlan(rec.data == 1, owner, rec.frags, member.NewTopology(boot, 0))
 		var stay []int // old holders still members: the only ones recovery asks
 		for _, h := range holders {
 			if next.Contains(h) {

@@ -32,9 +32,8 @@ type ReplicatedStore struct {
 }
 
 // NewReplicatedStore creates the store for a world of n ranks. Every node
-// gets the same options (WithDistCodec, WithDistFragments,
-// WithDistGroupSize, ...). The store owns n replication daemons; call
-// Close when done with it.
+// gets the same options (WithDistCodec, WithDistGroupSize, ...). The store
+// owns n replication daemons; call Close when done with it.
 func NewReplicatedStore(n int, opts ...DistOption) *ReplicatedStore {
 	return newReplicatedStore(transport.NewNetwork(n), opts...)
 }

@@ -1,7 +1,6 @@
 package stable
 
 import (
-	"bytes"
 	"errors"
 	"runtime"
 	"testing"
@@ -197,31 +196,6 @@ func TestReplicatedWithLatencyModelCommitIsDurable(t *testing.T) {
 	snap.Close()
 }
 
-func TestReplicatedManyFragments(t *testing.T) {
-	s := NewReplicatedStore(5, WithDistFragments(7))
-	defer s.Close()
-	big := make([]byte, 10_000)
-	for i := range big {
-		big[i] = byte(i * 31)
-	}
-	writeCommitted(t, s, 3, 9, map[string][]byte{"heap": big, "tiny": {1}})
-	s.FailNode(3)
-	snap, err := s.Open(3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Close()
-	got, err := snap.ReadSection("heap")
-	if err != nil || len(got) != len(big) {
-		t.Fatalf("heap = %d bytes, %v", len(got), err)
-	}
-	for i := range got {
-		if got[i] != big[i] {
-			t.Fatalf("byte %d differs", i)
-		}
-	}
-}
-
 // --- Erasure-codec store behavior ---
 
 func mustCodec(t *testing.T, name string, k, m int) Codec {
@@ -361,34 +335,6 @@ func TestReplicatedCodecStoredBytesRatio(t *testing.T) {
 	t.Logf("stored bytes: dup=%d rs=%d ratio=%.3f", dup, rs, ratio)
 	if ratio > 0.6 {
 		t.Fatalf("rs/dup stored-bytes ratio = %.3f, want <= 0.6", ratio)
-	}
-}
-
-// TestSplitFragmentsDoNotAlias: fragments must be independent copies — a
-// sub-slice would pin the entire blob for as long as any fragment lives.
-func TestSplitFragmentsDoNotAlias(t *testing.T) {
-	blob := make([]byte, 1000)
-	for i := range blob {
-		blob[i] = byte(i)
-	}
-	frags := splitFragments(blob, 4)
-	for i, f := range frags {
-		if len(f) == 0 {
-			continue
-		}
-		if &f[0] == &blob[i*len(blob)/4] {
-			t.Fatalf("fragment %d aliases the blob", i)
-		}
-		if len(f) != cap(f) {
-			t.Fatalf("fragment %d has spare capacity %d (len %d) reaching into the blob", i, cap(f), len(f))
-		}
-	}
-	orig := append([]byte(nil), frags[1]...)
-	for i := range blob {
-		blob[i] = 0xee
-	}
-	if !bytes.Equal(frags[1], orig) {
-		t.Fatal("mutating the blob changed a fragment")
 	}
 }
 

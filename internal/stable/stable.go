@@ -338,15 +338,11 @@ func (s *NullStore) Truncate(rank, version int) error { return nil }
 
 // DiskStore writes checkpoints under root/rank<r>/v<version>/, one file per
 // section, with a "COMMITTED" marker file created by atomic rename. The
-// marker's contents are a structured CommitMeta record (codec geometry,
-// membership epoch, per-section digests — see marker.go); its presence
-// alone is what marks the version committed.
+// marker's contents are a structured CommitMeta record (membership epoch,
+// per-section digests — see marker.go); its presence alone is what marks
+// the version committed.
 type DiskStore struct {
 	root string
-
-	metaMu       sync.Mutex
-	codec        uint8
-	data, parity int
 }
 
 // NewDiskStore creates (if needed) and opens a store rooted at dir.
@@ -546,10 +542,8 @@ func (h *diskHandle) Commit() error {
 	if h.crashAt("marker-write") {
 		return errSimulatedCrash
 	}
-	meta := h.store.markerMeta()
-	meta.Sections = h.sections
 	tmp := filepath.Join(h.dir, ".committing")
-	if err := writeFileSync(tmp, encodeCommitMeta(meta)); err != nil {
+	if err := writeFileSync(tmp, encodeCommitMeta(CommitMeta{Sections: h.sections})); err != nil {
 		return fmt.Errorf("stable: write commit marker: %w", err)
 	}
 	if h.crashAt("marker-rename") {
