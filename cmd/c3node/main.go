@@ -32,8 +32,9 @@
 //	c3node -ranks 5 -kernel CG -class S -every 3 \
 //	       -partition a=3+4,after=2,heal=3s
 //	    partition-tolerance demo: once ranks 3+4 have committed 2
-//	    checkpoints, the launcher severs them from the rest (symmetric
-//	    blackhole on every TCP mesh). The majority side commits an epoch
+//	    checkpoints and every rank has committed a line, the launcher
+//	    severs them from the rest (frames held on every node mesh until
+//	    the heal). The majority side commits an epoch
 //	    declaring them dead and keeps computing; the severed minority
 //	    fences — zero checkpoint commits while split, because the quorum
 //	    rule proves it cannot hold a majority. 3s later the launcher heals
@@ -174,7 +175,7 @@ func launcherMain() {
 		opsDebug = flag.Bool("ops-debug", false, "expose net/http/pprof and runtime/trace start/stop verbs on the ops servers (requires -ops-base)")
 		traceDir = flag.String("trace-dir", "", "flight-recorder dump directory: each rank writes rank<N>.c3tr on epoch/fence/restore/exit (merge with c3trace)")
 		extKill  = flag.String("external-kill", "", "operator SIGKILL rank=R[,after=K committed checkpoints][,joins=J spare admissions]")
-		part     = flag.String("partition", "", "network split a=R+R..[,after=K committed checkpoints][,heal=DURATION]")
+		part     = flag.String("partition", "", "network split a=R+R..[,after=K checkpoints committed by the group, and a line by every rank][,heal=DURATION]")
 		hb       = flag.Duration("heartbeat", 25*time.Millisecond, "failure-detector heartbeat interval")
 		phi      = flag.Float64("phi", 5, "failure-detector accrual suspicion threshold")
 		ackTO    = flag.Duration("ack-timeout", 0, "replicated store: neighbor ack timeout (0 = default 5s)")
@@ -237,13 +238,12 @@ func launcherMain() {
 		Capacity:          capacity,
 		ExternalKill:      extKillSpec,
 		ExternalPartition: partSpec,
-		Args: func(rank int, mpiAddrs, replAddrs []string) []string {
+		Args: func(rank int, _, replAddrs []string) []string {
 			args := []string{
 				"-worker",
 				"-rank", strconv.Itoa(rank),
 				"-ranks", strconv.Itoa(*ranks),
 				"-capacity", strconv.Itoa(capacity),
-				"-peers", strings.Join(mpiAddrs, ","),
 				"-repl-peers", strings.Join(replAddrs, ","),
 				"-kernel", *kernel,
 				"-heartbeat", hb.String(),
@@ -442,8 +442,7 @@ func workerMain() {
 		opsAddr   = fs.String("ops-addr", "", "embedded ops/metrics HTTP listen address")
 		opsDebug  = fs.Bool("ops-debug", false, "expose pprof and runtime/trace verbs on the ops server")
 		traceDir  = fs.String("trace-dir", "", "flight-recorder dump directory")
-		peers     = fs.String("peers", "", "comma-separated MPI-plane addresses, one per rank")
-		replPeers = fs.String("repl-peers", "", "comma-separated replication-plane addresses")
+		replPeers = fs.String("repl-peers", "", "comma-separated node-mesh addresses, one per slot")
 		kernel    = fs.String("kernel", "CG", "kernel to run")
 		class     = fs.String("class", "S", "problem class")
 		every     = fs.Int("every", 3, "checkpoint every N pragmas")
@@ -481,8 +480,7 @@ func workerMain() {
 		OpsAddr:      *opsAddr,
 		OpsDebug:     *opsDebug,
 		TraceDir:     *traceDir,
-		MPIAddrs:     splitAddrs(*peers),
-		ReplAddrs:    splitAddrs(*replPeers),
+		ReplAddrs:    strings.Split(*replPeers, ","),
 		App:          k.App(p, out),
 		Policy:       ckpt.Policy{EveryNthPragma: *every, AsyncCommit: *async},
 		Kill:         killSpec,
@@ -519,13 +517,6 @@ func workerMain() {
 	if err := cluster.RunNode(nc); err != nil {
 		fatalf("worker rank %d: %v", *rank, err)
 	}
-}
-
-func splitAddrs(s string) []string {
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, ",")
 }
 
 func fatalf(format string, args ...any) {

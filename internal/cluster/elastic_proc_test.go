@@ -172,12 +172,11 @@ func TestMultiProcessElasticResize(t *testing.T) {
 		// the resized 6-member world, not the launch world.
 		ExternalKill: &cluster.ExternalKillSpec{Rank: 1, AfterCheckpoints: 2, AfterJoins: 2},
 		Timeout:      120 * time.Second,
-		Args: func(rank int, mpiAddrs, replAddrs []string) []string {
+		Args: func(rank int, _, replAddrs []string) []string {
 			return []string{
 				"-rank", strconv.Itoa(rank),
 				"-ranks", strconv.Itoa(ranks),
 				"-capacity", strconv.Itoa(capacity),
-				"-peers", strings.Join(mpiAddrs, ","),
 				"-repl-peers", strings.Join(replAddrs, ","),
 				"-every", "4",
 				"-app", "elastic",

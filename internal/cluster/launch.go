@@ -41,9 +41,9 @@ type LaunchConfig struct {
 	// Exe is the worker executable; empty means this executable
 	// (os.Executable), the re-exec idiom c3node uses.
 	Exe string
-	// Args builds the argument list for one rank's worker process; the
-	// launcher passes the freshly allocated MPI-plane and replication-plane
-	// address lists. Workers must speak the RunNode pipe protocol.
+	// Args builds the argument list for one rank's worker process from the
+	// freshly allocated node-mesh addresses, one per slot (replAddrs;
+	// mpiAddrs is always nil). Workers must speak the RunNode pipe protocol.
 	Args func(rank int, mpiAddrs, replAddrs []string) []string
 	// Env is extra environment for the workers, appended to os.Environ().
 	Env []string
@@ -143,7 +143,6 @@ func (w *workerProc) command(format string, args ...any) {
 
 type launcher struct {
 	cfg       LaunchConfig
-	mpiAddrs  []string
 	replAddrs []string
 	workers   []*workerProc
 	events    chan launchEvent
@@ -218,17 +217,14 @@ func Launch(cfg LaunchConfig) (*LaunchResult, error) {
 		return nil, fmt.Errorf("cluster: capacity %d below the %d-rank compute world", cfg.Capacity, cfg.Ranks)
 	}
 
-	// The MPI plane spans only the fixed compute world; the node mesh
-	// (detector + diskless store) spans every slot membership can grow
-	// into. One reservation keeps the two planes' ports distinct.
-	addrs, err := freeAddrs(cfg.Ranks + cfg.Capacity)
+	// One node mesh per slot membership can grow into: it carries the
+	// detector, the diskless store and every attempt's MPI world.
+	replAddrs, err := freeAddrs(cfg.Capacity)
 	if err != nil {
 		return nil, err
 	}
-	mpiAddrs, replAddrs := addrs[:cfg.Ranks:cfg.Ranks], addrs[cfg.Ranks:]
 	l := &launcher{
 		cfg:       cfg,
-		mpiAddrs:  mpiAddrs,
 		replAddrs: replAddrs,
 		workers:   make([]*workerProc, cfg.Capacity),
 		events:    make(chan launchEvent, 64),
@@ -276,7 +272,7 @@ func (l *launcher) allRanks() map[int]bool {
 
 // spawn starts (or re-executes) one rank's worker process.
 func (l *launcher) spawn(rank int) error {
-	cmd := exec.Command(l.cfg.Exe, l.cfg.Args(rank, l.mpiAddrs, l.replAddrs)...)
+	cmd := exec.Command(l.cfg.Exe, l.cfg.Args(rank, nil, l.replAddrs)...)
 	cmd.Env = append(os.Environ(), l.cfg.Env...)
 	cmd.Stderr = l.cfg.Stderr
 	stdin, err := cmd.StdinPipe()
@@ -498,11 +494,11 @@ func (l *launcher) drive() (*LaunchResult, error) {
 				if split[ev.rank] {
 					res.SplitCkpts[ev.rank]++
 				}
-				if !parted && inGroupA[ev.rank] {
+				if inGroupA[ev.rank] {
 					groupCkpts++
-					if groupCkpts >= ep.AfterCheckpoints {
-						part()
-					}
+				}
+				if !parted && groupCkpts >= ep.AfterCheckpoints && len(newest) == l.cfg.Ranks {
+					part()
 				}
 			}
 		case "respawn":

@@ -11,7 +11,7 @@ package cluster
 //	                                             spare slot's first admission)
 //	                   part <group> / heal       install / remove partition rules
 //	                   quit                      exit
-//	node -> launcher:  ready                     store + meshes are up
+//	node -> launcher:  ready                     store + node mesh are up
 //	                   victim                    failure spec fired; awaiting SIGKILL
 //	                   ckpt <attempt> <version>  a checkpoint committed (diskless store)
 //	                   respawn <rank>            coordinator requests a re-exec
@@ -26,27 +26,30 @@ package cluster
 //	                   done <attempt> <result>   attempt completed
 //	                   error <msg>               fatal node error
 //
-// A node outlives its attempts: the replicated store's memory (and its
-// replication TCP mesh) persists across world restarts, exactly like a
-// cluster node whose surviving RAM holds checkpoint replicas while the MPI
-// job is relaunched. Only a node that really dies — the SIGKILLed victim —
-// loses its memory, and its re-executed replacement reassembles its
-// checkpoints from peers over the wire.
+// A node outlives its attempts: the replicated store's memory and the node
+// mesh, its one listener and connection set, persist across world
+// restarts, exactly like a cluster node whose surviving RAM holds
+// checkpoint replicas while the MPI job is relaunched. Only a node that
+// really dies — the SIGKILLed victim — loses its memory, and its
+// re-executed replacement reassembles its checkpoints from peers over the
+// wire.
 //
-// Recovery has one driver, the workers themselves. The node shares a
-// long-lived mesh (ReplAddrs) between a failure detector (internal/detect)
-// and, unless StorePath picks a shared DiskStore, the diskless store's
-// replication plane, through a transport.Demux. Survivors detect a death
-// from the mesh's loss report (a crashed process's connection ends without
-// a goodbye) or, for failures that leave no such trace, from phi-accrual
-// heartbeat silence. They agree on an epoch-numbered dead set and elect the
-// lowest-ranked survivor to ask the launcher for replacement processes.
-// Each survivor then abandons its attempt — the store advances to the
-// agreed epoch, which releases any commit blocked on a dead holder, and the
-// attempt's MPI mesh is shut down — and enters the restore attempt of that
-// epoch (attempt = epoch - 1) on a mesh tagged with its generation. Every
-// process, a freshly joined replacement included, converges on the same
-// MPI-mesh generation without a central sequencer.
+// Recovery has one driver, the workers themselves. A transport.Demux
+// shares the node mesh (ReplAddrs) between a failure detector
+// (internal/detect), each attempt's MPI world and, unless StorePath picks
+// a shared DiskStore, the diskless store's replication plane. Survivors
+// detect a death from the mesh's loss report (a crashed process's
+// connection ends without a goodbye) or, for failures that leave no such
+// trace, from phi-accrual heartbeat silence. They agree on an
+// epoch-numbered dead set and elect the lowest-ranked survivor to ask the
+// launcher for replacement processes. Each survivor then abandons its
+// attempt — the store advances to the agreed epoch, which releases any
+// commit blocked on a dead holder, and the attempt's MPI view is shut down
+// — and enters the restore attempt of that epoch (attempt = epoch - 1) in
+// the mesh's view of generation epoch. A view drops older generations'
+// frames and holds newer ones, so every process, a freshly joined
+// replacement included, converges on the same MPI generation without a
+// central sequencer.
 //
 // Elastic membership (NodeConfig.Capacity > Ranks) decouples the two
 // meanings "rank" used to conflate: the MPI world that runs the
@@ -119,12 +122,12 @@ type NodeConfig struct {
 	// fencing change, restore entry, and at node exit, plus on demand via
 	// the ops POST /trace/dump verb. cmd/c3trace merges the per-rank files.
 	TraceDir string
-	// MPIAddrs are the per-rank addresses of the MPI-plane TCP meshes (one
-	// fresh mesh per attempt, tagged with the attempt's generation).
+	// MPIAddrs is ignored: every attempt's MPI world runs over the node
+	// mesh. It remains only for callers that still set it.
 	MPIAddrs []string
 	// ReplAddrs are the per-slot addresses (Capacity of them) of the
-	// long-lived node mesh: it carries the failure detector and, unless
-	// StorePath is set, the diskless stable.DistStore's replication plane.
+	// long-lived node mesh: the failure detector, every attempt's MPI world
+	// and, unless StorePath is set, the diskless store's replication plane.
 	ReplAddrs []string
 	// StorePath, when non-empty, selects a shared-filesystem DiskStore
 	// rooted there instead of the DistStore.
@@ -172,7 +175,8 @@ type NodeConfig struct {
 	AckTimeout   time.Duration
 	QueryTimeout time.Duration
 	QueryRetries int
-	// DialWindow bounds first-connection retries (start-up ordering).
+	// DialWindow bounds first-connection retries (start-up ordering) and
+	// how long an attempt's frames wait for a peer being replaced.
 	DialWindow time.Duration
 	// In and Out are the control pipes (the launcher's end of stdin/stdout).
 	In  io.Reader
@@ -359,8 +363,8 @@ func (w *node) emitSuccess(attempt int) {
 // attemptBody is one rank's share of one world launch — the multi-process
 // analogue of runAttempt in run.go, reusing the same per-rank protocol
 // bring-up (runRank).
-func (w *node) attemptBody(mesh *tcp.Mesh, attempt int, restore bool) error {
-	world := mpi.NewWorld(w.cfg.Ranks, mpi.WithInterconnect(mesh))
+func (w *node) attemptBody(ic transport.Interconnect, attempt int, restore bool) error {
+	world := mpi.NewWorld(w.cfg.Ranks, mpi.WithInterconnect(ic))
 	cfg := Config{
 		Ranks:               w.cfg.Ranks,
 		App:                 w.cfg.App,
@@ -420,9 +424,11 @@ func (w *node) run() error {
 	if err != nil {
 		return err
 	}
-	// The long-lived mesh is demultiplexed: the failure detector and the
-	// diskless store's replication plane share its connections.
+	// The long-lived mesh is demultiplexed: the failure detector, the
+	// diskless store's replication plane and the attempts' MPI worlds share
+	// its connections.
 	demux := transport.NewDemux(rmesh, cfg.Rank)
+	attempts := demux.Generations(transport.WireKindEnvelope, cfg.Ranks)
 	if cfg.StorePath != "" {
 		disk, err := stable.NewDiskStore(cfg.StorePath)
 		if err != nil {
@@ -455,11 +461,11 @@ func (w *node) run() error {
 	w.emit("ready")
 
 	var (
-		mesh      *tcp.Mesh
+		view      transport.Interconnect // the running attempt's MPI world
+		stop      chan struct{}          // closed when that attempt ends
 		done      chan error
 		attempt   = -1
 		seenEpoch = uint64(1)
-		partPairs [][2]int // active partition rules (nil when healed)
 	)
 	start := func(a int, restore bool) {
 		attempt = a
@@ -469,35 +475,33 @@ func (w *node) run() error {
 			// the application is the fixed compute ranks [0, Ranks).
 			return
 		}
-		m, err := tcp.New(cfg.Rank, cfg.MPIAddrs,
-			tcp.WithGeneration(uint64(a+1)), tcp.WithDialWindow(cfg.DialWindow))
-		if err != nil {
-			w.emit("error %v", err)
-			return
+		view, stop, done = attempts.Open(uint64(a+1)), make(chan struct{}), make(chan error, 1)
+		// Connect every compute peer patiently: a frame for a peer that is
+		// being replaced waits for the replacement's arrival instead of
+		// being dropped after the short redial window.
+		for r := 0; r < cfg.Ranks; r++ {
+			rmesh.Connect(r, stop)
 		}
-		if partPairs != nil {
-			// An attempt born during an active partition inherits the rules:
-			// its traffic toward the far side is held until the heal.
-			m.SetPartition(partPairs, true)
-		}
-		mesh = m
-		done = make(chan error, 1)
-		go func(m *tcp.Mesh) { done <- w.attemptBody(m, a, restore) }(m)
+		go func(ic transport.Interconnect) { done <- w.attemptBody(ic, a, restore) }(view)
+	}
+	// end retires the attempt's MPI view: every MPI call fails with ErrDown,
+	// and frames still waiting for a peer are dropped.
+	end := func() {
+		view.Shutdown()
+		close(stop)
 	}
 	// abandon ends the running attempt. Advancing the diskless store to a
 	// newer epoch first releases any commit blocked on a dead holder's
-	// acknowledgment; the mesh shutdown then fails every MPI call.
+	// acknowledgment.
 	abandon := func(epoch uint64) {
 		if w.dist != nil {
 			w.dist.AdvanceEpoch(epoch)
 		}
-		if done == nil {
-			return
+		if done != nil {
+			end()
+			<-done
+			done = nil
 		}
-		mesh.Shutdown()
-		<-done
-		mesh.Close()
-		mesh, done = nil, nil
 	}
 	// Leaving for any reason abandons the attempt into the next attempt's
 	// epoch (attempt = epoch - 1).
@@ -545,9 +549,8 @@ func (w *node) run() error {
 				w.dumpTrace("restore")
 				start(int(epoch)-1, true)
 			case "part":
-				// part a+b+... — sever the listed group from the rest on every
-				// mesh this process owns (replication plane and the current
-				// MPI attempt), in hold mode: frames toward the far side are
+				// part a+b+... — sever the listed group from the rest on the
+				// node mesh, in hold mode: frames toward the far side are
 				// buffered and delivered at the heal, modeling a partition
 				// shorter than TCP's retransmission patience.
 				if len(cmd) < 2 {
@@ -559,11 +562,7 @@ func (w *node) run() error {
 					w.emit("error part: %v", err)
 					continue
 				}
-				partPairs = SplitPairs(groupA, cfg.Ranks, false)
-				rmesh.SetPartition(partPairs, true)
-				if mesh != nil {
-					mesh.SetPartition(partPairs, true)
-				}
+				rmesh.SetPartition(SplitPairs(groupA, cfg.Ranks, false), true)
 				w.emit("parted")
 			case "heal":
 				// Reported before the rules go: in hold mode no commit can
@@ -571,11 +570,7 @@ func (w *node) run() error {
 				// frames, so every commit the flush completes is reported
 				// after "healed".
 				w.emit("healed")
-				partPairs = nil
 				rmesh.Heal()
-				if mesh != nil {
-					mesh.Heal()
-				}
 			case "quit":
 				return nil
 			}
@@ -624,15 +619,15 @@ func (w *node) run() error {
 			start(int(ev.epoch)-1, true)
 
 		case err := <-done:
-			mesh.Close()
-			mesh, done = nil, nil
+			end()
+			done = nil
 			switch {
 			case err == nil:
 				w.emitSuccess(attempt)
 				// Stay alive: a later failure elsewhere can still roll the
 				// world back, in which case the driver restarts us.
 			case errors.Is(err, mpi.ErrDown), errors.Is(err, stable.ErrFenced):
-				// The mesh died under us — a peer's death stalling the world
+				// The view died under us — a peer's death stalling the world
 				// until the detector's epoch restarts it — or, on the minority
 				// side of a partition, the store refused a commit and the
 				// heal's newer epoch restarts the attempt.

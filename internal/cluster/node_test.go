@@ -98,12 +98,12 @@ func TestReplacementJoinsAfterLateJoinCommand(t *testing.T) {
 		t.Skip("multi-node test in -short mode")
 	}
 	const ranks = 3
-	addrs := freeTestAddrs(t, 2*ranks)
+	addrs := freeTestAddrs(t, ranks)
 	var sums sync.Map
 	cfg := func(rank int) cluster.NodeConfig {
 		return cluster.NodeConfig{
 			Rank: rank, Ranks: ranks,
-			MPIAddrs: addrs[:ranks], ReplAddrs: addrs[ranks:],
+			ReplAddrs:  addrs,
 			App:        sched.StressApp(procIters, &sums),
 			Policy:     ckpt.Policy{EveryNthPragma: 4},
 			SelfHeal:   &cluster.SelfHealConfig{HeartbeatInterval: 15 * time.Millisecond, JoinTimeout: 2 * time.Second},

@@ -75,8 +75,10 @@ type ExternalPartitionSpec struct {
 	// GroupA is the rank set severed from the rest (symmetric split).
 	GroupA []int
 	// AfterCheckpoints installs the partition once the GroupA ranks have
-	// reported this many checkpoint commits in total (the split lands
-	// mid-logging-phase, not at a quiet boundary).
+	// reported this many checkpoint commits in total and every compute
+	// rank has reported a committed line (the split lands mid-logging-phase,
+	// not at a quiet boundary, and a complete recovery line exists for the
+	// heal to restore). 0 installs it as soon as the run starts.
 	AfterCheckpoints int
 	// HealAfter heals the split this long after installing it.
 	HealAfter time.Duration

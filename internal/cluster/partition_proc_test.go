@@ -27,11 +27,10 @@ func launchPartition(t *testing.T, ranks int, part *cluster.ExternalPartitionSpe
 		Env:               []string{procWorkerEnv + "=1", "GOTRACEBACK=all"},
 		Timeout:           90 * time.Second,
 		ExternalPartition: part,
-		Args: func(rank int, mpiAddrs, replAddrs []string) []string {
+		Args: func(rank int, _, replAddrs []string) []string {
 			args := []string{
 				"-rank", strconv.Itoa(rank),
 				"-ranks", strconv.Itoa(ranks),
-				"-peers", strings.Join(mpiAddrs, ","),
 				"-repl-peers", strings.Join(replAddrs, ","),
 				"-heartbeat", "15ms",
 				"-phi", "6",

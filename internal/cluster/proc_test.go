@@ -49,7 +49,6 @@ func runProcWorker() {
 	var (
 		rank      = fs.Int("rank", 0, "")
 		ranks     = fs.Int("ranks", 0, "")
-		peers     = fs.String("peers", "", "")
 		replPeers = fs.String("repl-peers", "", "")
 		every     = fs.Int("every", 4, "")
 		async     = fs.Bool("async", false, "")
@@ -91,7 +90,6 @@ func runProcWorker() {
 		Capacity:  *capacity,
 		OpsAddr:   *opsAddr,
 		TraceDir:  *traceDir,
-		MPIAddrs:  strings.Split(*peers, ","),
 		ReplAddrs: strings.Split(*replPeers, ","),
 		StorePath: *storeDir,
 		App:       workload,
@@ -226,11 +224,10 @@ func procLaunchConfig(t *testing.T, ranks int, extra ...string) cluster.LaunchCo
 		Exe:     os.Args[0],
 		Env:     []string{procWorkerEnv + "=1", "GOTRACEBACK=all"},
 		Timeout: 90 * time.Second,
-		Args: func(rank int, mpiAddrs, replAddrs []string) []string {
+		Args: func(rank int, _, replAddrs []string) []string {
 			args := []string{
 				"-rank", strconv.Itoa(rank),
 				"-ranks", strconv.Itoa(ranks),
-				"-peers", strings.Join(mpiAddrs, ","),
 				"-repl-peers", strings.Join(replAddrs, ","),
 			}
 			return append(args, extra...)

@@ -30,11 +30,10 @@ func launchSelfHeal(t *testing.T, ranks int, kill *cluster.ExternalKillSpec, ext
 		Env:          []string{procWorkerEnv + "=1", "GOTRACEBACK=all"},
 		Timeout:      90 * time.Second,
 		ExternalKill: kill,
-		Args: func(rank int, mpiAddrs, replAddrs []string) []string {
+		Args: func(rank int, _, replAddrs []string) []string {
 			args := []string{
 				"-rank", strconv.Itoa(rank),
 				"-ranks", strconv.Itoa(ranks),
-				"-peers", strings.Join(mpiAddrs, ","),
 				"-repl-peers", strings.Join(replAddrs, ","),
 				"-heartbeat", selfHealHeartbeat.String(),
 				"-phi", "6",
@@ -297,10 +296,10 @@ func TestMultiProcessRestartFromScratch(t *testing.T) {
 
 // TestSelfHealingFailureFree: the detector plane must be pure overhead in
 // a failure-free run — one attempt, epoch 1, no detections. The attempt
-// also ends together: each rank's MPI mesh says goodbye as it closes, so
-// a rank still finishing drops its last sends toward a closed peer at once
-// instead of redialing it for the 250 ms window, one closed peer after
-// another.
+// also ends together: a finished rank's node mesh stays up, so a rank
+// still finishing hands its last sends to live connections, whose far
+// end drops them, instead of redialing a closed peer for the 250 ms
+// window, one closed peer after another.
 func TestSelfHealingFailureFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test in -short mode")

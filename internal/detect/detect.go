@@ -183,7 +183,9 @@ type Detector struct {
 	pendSuspect  time.Time // earliest suspicion since the last commit
 	pendCause    Cause     // the path that raised it
 	times        Times
-	fenced       bool // live contact < strict majority of the membership
+	fenced       bool       // live contact < strict majority of the membership
+	fenceMu      sync.Mutex // orders OnFence deliveries (refenceLocked)
+	fenceSent    bool       // the state OnFence last received; guarded by fenceMu
 	closed       bool
 	// changed is closed, and replaced, whenever epoch or members change:
 	// a joiner waiting for admission wakes on it instead of a tick.

@@ -17,7 +17,8 @@ import (
 // counts as reachable only on positive receive evidence within the lease —
 // suspicion alone cannot drive fencing, because the ring monitors of a
 // small minority never cover the whole far side of a split. Callers hold
-// d.mu and must invoke the returned func, if any, after releasing it.
+// d.mu and must invoke the returned func, if any, after releasing it; it
+// delivers the state current when it runs, as funcs may run out of order.
 func (d *Detector) refenceLocked() func() {
 	now := d.clock()
 	live := 0
@@ -50,6 +51,12 @@ func (d *Detector) refenceLocked() func() {
 	d.fenced = fenced
 	cb := d.opts.OnFence
 	return func() {
+		d.fenceMu.Lock()
+		defer d.fenceMu.Unlock()
+		if fenced = d.Fenced(); fenced == d.fenceSent {
+			return // a later transition's delivery already sent this state
+		}
+		d.fenceSent = fenced
 		d.logf("rank %d: fencing -> %v (live view %d of %d members, quorum %d)",
 			d.self, fenced, live, size, quorum)
 		arg := uint64(0)

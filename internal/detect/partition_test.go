@@ -348,3 +348,37 @@ func TestStaleSuspectGossipDropped(t *testing.T) {
 		}
 	}
 }
+
+// TestFenceDeliveriesSettleOnCurrentState: fencing transitions are
+// computed under the detector's lock on several goroutines and delivered
+// after it is released, so they can be delivered in reverse order. The
+// store must end up with the detector's current state, not with whichever
+// delivery ran last: a store left fenced after the heal refuses every
+// commit of the restored attempt, and the world waits for an epoch that
+// never comes.
+func TestFenceDeliveriesSettleOnCurrentState(t *testing.T) {
+	var (
+		delivered []bool
+		store     bool
+	)
+	d, err := New(Options{Self: 0, Ranks: 3, Net: transport.NewNetwork(3),
+		OnFence: func(fenced bool) { delivered, store = append(delivered, fenced), fenced }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.mu.Lock()
+	d.lastHeard[1], d.lastHeard[2] = time.Time{}, time.Time{} // silence: fence
+	fence := d.refenceLocked()
+	d.lastHeard[1], d.lastHeard[2] = d.clock(), d.clock() // contact again: unfence
+	unfence := d.refenceLocked()
+	d.mu.Unlock()
+	if fence == nil || unfence == nil {
+		t.Fatal("want two fencing transitions")
+	}
+	unfence()
+	fence()
+	if store != d.Fenced() {
+		t.Fatalf("store fenced=%v after deliveries %v, detector fenced=%v", store, delivered, d.Fenced())
+	}
+}

@@ -166,3 +166,89 @@ func TestDemuxPlaneShutdownIsLocal(t *testing.T) {
 		t.Fatal("plane still receives after Demux.Close")
 	}
 }
+
+// TestDemuxGenerations: a generation class over an in-memory network. A
+// newer generation's messages are held until its view opens and then
+// arrive in FIFO order, an older generation's are dropped, and shutting a
+// view down fails its receives and sends while a sibling plane keeps
+// running.
+func TestDemuxGenerations(t *testing.T) {
+	nw := NewNetwork(3)
+	d0, d1 := NewDemux(nw, 0), NewDemux(nw, 1)
+	g0, g1 := d0.Generations(testKindA, 2), d1.Generations(testKindA, 2)
+	b0, b1 := d0.Plane(testKindB), d1.Plane(testKindB)
+	d0.Start()
+	d1.Start()
+	defer d0.Close()
+	defer d1.Close()
+	send := func(ic Interconnect, data byte) {
+		t.Helper()
+		if err := ic.Send(Message{From: 0, To: 1, Payload: kindedPayload{kind: testKindA, data: data}}); err != nil {
+			t.Fatalf("send %d: %v", data, err)
+		}
+	}
+	recv := func(ic Interconnect, want byte) {
+		t.Helper()
+		msg, err := ic.Endpoint(1).Recv()
+		if err != nil || msg.Payload.(kindedPayload).data != want {
+			t.Fatalf("recv = %+v, %v; want data %d", msg, err, want)
+		}
+	}
+
+	v1 := g1.Open(1)
+	if v1.Size() != 2 {
+		t.Fatalf("view size = %d, want 2", v1.Size())
+	}
+	// Rank 0 is one attempt ahead: its frames wait at rank 1.
+	ahead := g0.Open(2)
+	for i := byte(1); i <= 3; i++ {
+		send(ahead, i)
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		g1.mu.Lock()
+		n := len(g1.held)
+		g1.mu.Unlock()
+		if n == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 3 newer-generation frames held", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if msg, ok, _ := v1.Endpoint(1).TryRecv(); ok {
+		t.Fatalf("generation 1 received a generation 2 frame: %+v", msg)
+	}
+	v2 := g1.Open(2)
+	if _, err := v1.Endpoint(1).Recv(); err != ErrDown {
+		t.Fatalf("retired view recv error = %v, want ErrDown", err)
+	}
+	for i := byte(1); i <= 3; i++ {
+		recv(v2, i)
+	}
+
+	// A frame of generation 1, still in flight, is dropped at rank 1; the
+	// generation 2 frame behind it is delivered.
+	if err := nw.Send(Message{From: 0, To: 1, Gen: 1, Payload: kindedPayload{kind: testKindA, data: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	send(ahead, 4)
+	recv(v2, 4)
+
+	v2.Shutdown()
+	if _, err := v2.Endpoint(1).Recv(); err != ErrDown {
+		t.Fatalf("recv after Shutdown = %v, want ErrDown", err)
+	}
+	if err := v2.Send(Message{From: 1, To: 0, Payload: kindedPayload{kind: testKindA}}); err != ErrDown {
+		t.Fatalf("send after Shutdown = %v, want ErrDown", err)
+	}
+	if err := b0.Send(Message{From: 0, To: 1, Payload: kindedPayload{kind: testKindB, data: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := b1.Endpoint(1).Recv(); err != nil || msg.Payload.(kindedPayload).data != 5 {
+		t.Fatalf("sibling plane recv = %+v, %v", msg, err)
+	}
+	if stale := g1.Open(2); stale.Send(Message{From: 1, To: 0, Payload: kindedPayload{kind: testKindA}}) != ErrDown {
+		t.Fatal("reopening the current generation gave a live view")
+	}
+}

@@ -18,11 +18,12 @@ type Inbox struct {
 	// undelivered messages, or -1 once killed. It is written only under mu.
 	ready atomic.Int32
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Message
-	head   int // queue[head:] is undelivered; the slice is reused once drained
-	killed bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	queue   []Message
+	head    int // queue[head:] is undelivered; the slice is reused once drained
+	killed  bool
+	forward func(Message) // Forward's target: pushes bypass the queue
 }
 
 // NewInbox returns an empty, live inbox for rank.
@@ -43,6 +44,11 @@ func (q *Inbox) Push(msg Message) bool {
 		q.mu.Unlock()
 		return false
 	}
+	if q.forward != nil {
+		q.forward(msg)
+		q.mu.Unlock()
+		return true
+	}
 	if q.head > 0 && len(q.queue) == cap(q.queue) {
 		// Reclaim the delivered prefix before append grows the slice, so a
 		// queue that never drains stays within twice its backlog.
@@ -55,6 +61,19 @@ func (q *Inbox) Push(msg Message) bool {
 	q.mu.Unlock()
 	q.cond.Signal()
 	return true
+}
+
+// Forward makes the inbox a pass-through: fn gets every queued message in
+// order, then each pushed one on the pusher's goroutine instead of the
+// queue, under the inbox lock, so the calls stay serialized in push order
+// as a single reader would make them. fn must not push into this inbox.
+func (q *Inbox) Forward(fn func(Message)) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.head < len(q.queue) {
+		fn(q.popLocked())
+	}
+	q.forward = fn
 }
 
 // Kill discards every queued message, refuses later pushes and makes

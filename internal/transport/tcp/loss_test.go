@@ -157,3 +157,86 @@ func TestMeshNoLossReport(t *testing.T) {
 		assertNoLoss(t, meshes[1], 300*time.Millisecond)
 	})
 }
+
+// awaitLoss waits for m's PeerLost marker for rank.
+func awaitLoss(t *testing.T, m *Mesh, rank int) {
+	t.Helper()
+	msg, ok := awaitMsg(t, m, 5*time.Second)
+	if _, lost := msg.Payload.(transport.PeerLost); !ok || !lost || msg.From != rank {
+		t.Fatalf("got %#v from %d (ok=%v), want PeerLost from %d", msg.Payload, msg.From, ok, rank)
+	}
+}
+
+// TestMeshSendAfterLossDoesNotDial: a confirmed loss marks the peer
+// departed, as a goodbye does. A send to a crashed peer drops at once
+// instead of redialing it for the 250 ms "reachable before" window.
+func TestMeshSendAfterLossDoesNotDial(t *testing.T) {
+	meshes := newTestMeshes(t, 2)
+	meshes[0].ReportLosses()
+	warmPair(t, meshes[0], meshes[1])
+	meshes[1].crash()
+	awaitLoss(t, meshes[0], 1)
+	if d := timedSend(t, meshes[0], 1, "late"); d > 50*time.Millisecond {
+		t.Fatalf("send to a crashed peer took %v: it redialed", d)
+	}
+	if got := meshes[0].Stats().MessagesDropped; got != 1 {
+		t.Fatalf("dropped = %d, want 1", got)
+	}
+}
+
+// connectDone reports whether m has no Connect to rank in flight.
+func connectDone(m *Mesh, rank int) bool { return m.peer(rank).connecting.Load() == nil }
+
+// TestMeshConnectWaitsForDepartedPeer: Connect toward a peer marked
+// departed by a loss waits for the replacement's arrival, and a send
+// issued meanwhile waits with it and reaches the replacement. Closing the
+// stop channel instead ends the wait and drops the waiting send.
+func TestMeshConnectWaitsForDepartedPeer(t *testing.T) {
+	for _, stopped := range []bool{false, true} {
+		meshes := newTestMeshes(t, 2)
+		addrs := append([]string(nil), meshes[0].addrs...)
+		meshes[0].ReportLosses()
+		warmPair(t, meshes[0], meshes[1])
+		meshes[1].crash()
+		awaitLoss(t, meshes[0], 1)
+
+		stop := make(chan struct{})
+		meshes[0].Connect(1, stop)
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			_ = meshes[0].Send(transport.Message{From: 0, To: 1, Payload: testPayload("kept")})
+		}()
+		time.Sleep(100 * time.Millisecond)
+		if connectDone(meshes[0], 1) {
+			t.Fatal("connect to a departed peer returned before its arrival")
+		}
+		select {
+		case <-sent:
+			t.Fatal("a send to a departed peer did not wait for the pending connect")
+		default:
+		}
+		if stopped {
+			close(stop)
+			<-sent
+			if got := meshes[0].Stats().MessagesDropped; got != 1 {
+				t.Fatalf("dropped = %d after stop, want 1", got)
+			}
+			continue
+		}
+		replacement := rebind(t, 1, addrs)
+		replacement.Connect(0, nil) // the replacement's arrival
+		<-sent
+		expectBody(t, replacement, "kept")
+		for deadline := time.Now().Add(5 * time.Second); !connectDone(meshes[0], 1); {
+			if time.Now().After(deadline) {
+				t.Fatal("connect still pending after the replacement arrived")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if got := meshes[0].Stats().MessagesDropped; got != 0 {
+			t.Fatalf("dropped = %d, want 0", got)
+		}
+		close(stop)
+	}
+}

@@ -18,21 +18,15 @@
 // outbound connection, so an inbound connection that ends without one is
 // confirmed with a fresh dial and, if the peer's process is gone, answered
 // with a transport.PeerLost marker queued behind its last frame.
-// Short-lived meshes (one per MPI attempt) carry a generation number in
-// every frame; frames from another generation are discarded, so a stale
-// in-flight message from a dead attempt can never leak into its
-// successor. Connection establishment performs a generation handshake so
-// a dialer that reaches the previous generation's still-bound listener is
-// refused and retries, rather than having its first frames silently
-// discarded mid-transition.
+// Every frame carries its message's generation (transport.Message.Gen)
+// untouched: keeping a node's attempts apart is its demux's job.
 //
 // Waiting is driven by events rather than by ticks. The handshake names
 // the dialer's rank, so an accepted connection from rank r wakes any dial
 // loop of this mesh that is waiting on r and lifts r's redial backoff. A
-// goodbye from r marks r departed: sends to it drop at once, with no
-// redial, until r connects again. A generation-tagged mesh dials every
-// peer as soon as it is created, so its arrival wakes every peer that is
-// waiting for it, and every pair carries a goodbye at teardown.
+// goodbye from r, or a confirmed loss of r, marks r departed: sends to it
+// drop at once, with no redial, until r connects again, unless a patient
+// Connect waits for that.
 package tcp
 
 import (
@@ -62,32 +56,23 @@ const maxFrame = 1 << 28
 const readBuffer = 64 << 10
 
 // frameHeaderLen is gen(8) + from(4) + to(4) + class(1) + kind(1) +
-// trace span(8) + trace lamport clock(8). The last 16 bytes are the
-// causal tracing context (trace.Ctx): the receive path merges the
-// sender's Lamport clock and records a recv event sharing the edge's
-// span id, which is what lets cmd/c3trace stitch per-process flight
-// recordings into one cross-rank happens-before timeline. All ranks of
-// a world run the same build, so the header change needs no
-// negotiation (cross-generation frames are already filtered).
+// trace span(8) + trace lamport clock(8); gen is transport.Message.Gen.
+// The last 16 bytes are the causal tracing context (trace.Ctx): the
+// receive path merges the sender's Lamport clock and records a recv event
+// sharing the edge's span id, which is what lets cmd/c3trace stitch
+// per-process flight recordings into one cross-rank happens-before
+// timeline. All ranks of a world run the same build, so the header needs
+// no negotiation.
 const frameHeaderLen = 34
 
-// Connection-establishment handshake. Every attempt's mesh binds the same
-// per-rank address and relies on the generation tag to keep attempts apart,
-// so during an attempt transition a dialer can reach a listener that is
-// still serving the PREVIOUS generation. Without a handshake the first
-// frames written there are silently discarded by the receiver's generation
-// filter — fatal for fire-and-forget collective traffic (a lost bcast frame
-// hangs the new attempt). The dialer therefore announces its generation
-// up front and the acceptor acks only on an exact match; a refused dial is
-// retried within the dial window until the peer's same-generation listener
-// takes over the address. The announcement is magic(4) + generation(8) +
-// the dialer's rank(4); the rank is what lets an accepted handshake count
-// as the dialer's arrival. All ranks of a world run the same build.
+// Connection-establishment handshake: the dialer announces magic(4) + its
+// rank(4), and the acceptor answers one byte. The rank is what lets an
+// accepted connection count as the dialer's arrival; the answer is what
+// tells a live process from a dying one's backlog (peerGone).
 const (
-	hsLen    = 16
+	hsLen    = 8
 	hsMagic  = 0x43334853 // "C3HS"
-	hsAccept = 0x06       // acceptor runs the same generation
-	hsRefuse = 0x15       // generation mismatch: retry after the peer rebinds
+	hsAccept = 0x06
 	// hsTimeout bounds each side's wait for the other's handshake bytes so
 	// a wedged or foreign peer cannot pin the connection forever.
 	hsTimeout = 2 * time.Second
@@ -95,16 +80,6 @@ const (
 
 // Option configures a Mesh.
 type Option func(*Mesh)
-
-// WithGeneration tags every frame with gen; incoming frames from another
-// generation are dropped. Per-attempt meshes use the attempt number so a
-// restarted world never observes its predecessor's in-flight traffic. A
-// mesh with a non-zero generation connects to every peer when it is
-// created instead of on first send: each peer learns of its arrival at
-// once, and each pair has a connection to carry the goodbye.
-func WithGeneration(gen uint64) Option {
-	return func(m *Mesh) { m.gen = gen }
-}
 
 // WithDialWindow sets how long the first connection attempt to a peer keeps
 // retrying (covers start-up ordering: a peer's listener may not be up yet).
@@ -120,7 +95,6 @@ type Mesh struct {
 	self       int
 	n          int
 	addrs      []string
-	gen        uint64
 	dialWindow time.Duration
 
 	ln    net.Listener
@@ -189,8 +163,8 @@ func (f wireFrame) writeTo(c net.Conn) error {
 
 // peerConn is the outbound connection to one peer. mu is its write lock
 // and guards conn, connected and the backoff. The peer's events (arrival,
-// departure) are recorded without mu, by the accept and read paths, which
-// must not wait behind a dial that holds it.
+// departure) are recorded without mu, by the read paths, which must not
+// wait behind a dial that holds it.
 type peerConn struct {
 	mu        sync.Mutex
 	conn      net.Conn
@@ -198,8 +172,10 @@ type peerConn struct {
 	downUntil time.Time // failed-dial backoff: drop sends without redialing
 	downSeen  uint64    // arrivals when the backoff began; a later one lifts it
 
+	connecting atomic.Pointer[<-chan struct{}] // the stop of the Connect in flight (nil: none)
+
 	arrivals atomic.Uint64 // handshakes accepted from the peer
-	byeAt    atomic.Uint64 // the arrival whose connection said goodbye (0: none)
+	byeAt    atomic.Uint64 // the arrival whose connection said goodbye or was lost (0: none)
 	wake     chan struct{} // capacity 1: an arrival or departure wakes the dial loop
 }
 
@@ -210,9 +186,9 @@ func (p *peerConn) backedOff() bool {
 	return time.Now().Before(p.downUntil) && p.arrivals.Load() == p.downSeen
 }
 
-// departed reports whether the peer said goodbye on its latest connection
-// and has not connected since. A goodbye read late from an older
-// connection, after the peer connected again, does not count.
+// departed reports whether the peer's latest connection said goodbye or
+// was confirmed lost. A mark from an older connection, read after the peer
+// connected again, does not count.
 func (p *peerConn) departed() bool {
 	bye := p.byeAt.Load()
 	return bye != 0 && bye == p.arrivals.Load()
@@ -275,19 +251,26 @@ func New(self int, addrs []string, opts ...Option) (*Mesh, error) {
 	}
 	m.wg.Add(1)
 	go m.acceptLoop()
-	if m.gen != 0 {
-		for r := 0; r < m.n; r++ {
-			if r == self {
-				continue
-			}
-			m.wg.Add(1)
-			go func(r int) {
-				defer m.wg.Done()
-				m.write(r, wireFrame{}) // connect only: one dial loop per peer, shared with sends
-			}(r)
-		}
-	}
 	return m, nil
+}
+
+// Connect dials rank in the background, patiently: with the full dial
+// window even if rank was reachable before and, if rank is departed, once
+// it has connected here again. Until then every send to rank waits too, so
+// frames for a peer being replaced reach the replacement. Closing stop
+// (nil: never) ends the wait and drops the waiting frames.
+func (m *Mesh) Connect(rank int, stop <-chan struct{}) {
+	if rank == m.self || rank < 0 || rank >= m.n || m.down.Load() {
+		return
+	}
+	p := m.peer(rank)
+	p.connecting.Store(&stop)
+	m.wg.Add(1)
+	go func() {
+		defer m.wg.Done()
+		m.write(rank, wireFrame{}) // connect only: one dial loop per peer, shared with sends
+		p.connecting.CompareAndSwap(&stop, nil)
+	}()
 }
 
 // Addr returns the mesh's bound listen address.
@@ -366,21 +349,6 @@ func (m *Mesh) holdIfActive(to int, frame wireFrame) bool {
 	}
 	m.partHeld = append(m.partHeld, heldFrame{to: to, frame: frame})
 	return true
-}
-
-// openOutbound counts established outbound peer connections (leak checks).
-func (m *Mesh) openOutbound() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	open := 0
-	for _, p := range m.peers {
-		p.mu.Lock()
-		if p.conn != nil {
-			open++
-		}
-		p.mu.Unlock()
-	}
-	return open
 }
 
 // Self returns the local rank.
@@ -501,7 +469,7 @@ func (m *Mesh) Send(msg transport.Message) error {
 		}
 		return nil
 	}
-	frame := encodeFrame(m.gen, msg, kind, body)
+	frame := encodeFrame(msg, kind, body)
 	if m.dropRule(m.self, msg.To) {
 		// Partitioned pair: in hold mode the frame is buffered for the next
 		// Heal; in drop mode it vanishes and the sender never errors (the
@@ -544,12 +512,12 @@ func marshalBody(payload any) (uint8, []byte, error) {
 
 // encodeFrame puts msg's length prefix and header in front of a body that
 // marshalBody accepted.
-func encodeFrame(gen uint64, msg transport.Message, kind uint8, body []byte) wireFrame {
+func encodeFrame(msg transport.Message, kind uint8, body []byte) wireFrame {
 	inline := len(body)
 	if inline >= bulkBody {
 		inline = 0
 	}
-	head := frameHead(4+frameHeaderLen+inline, len(body), gen, msg, kind)
+	head := frameHead(4+frameHeaderLen+inline, len(body), msg, kind)
 	if len(body) >= bulkBody {
 		return wireFrame{head: head, body: body}
 	}
@@ -558,10 +526,10 @@ func encodeFrame(gen uint64, msg transport.Message, kind uint8, body []byte) wir
 
 // frameHead writes a frame's length prefix and header for a body of
 // bodyLen bytes into a buffer with room for capacity bytes.
-func frameHead(capacity, bodyLen int, gen uint64, msg transport.Message, kind uint8) []byte {
+func frameHead(capacity, bodyLen int, msg transport.Message, kind uint8) []byte {
 	w := wire.NewWriter(capacity)
 	w.U32(uint32(frameHeaderLen + bodyLen))
-	w.U64(gen)
+	w.U64(msg.Gen)
 	w.U32(uint32(msg.From))
 	w.U32(uint32(msg.To))
 	w.U8(uint8(msg.Class))
@@ -574,7 +542,7 @@ func frameHead(capacity, bodyLen int, gen uint64, msg transport.Message, kind ui
 // goodbyeFrame is the empty frame an orderly Shutdown sends toward rank.
 func (m *Mesh) goodbyeFrame(rank int) []byte {
 	msg := transport.Message{From: m.self, To: rank, Class: transport.Control}
-	return frameHead(4+frameHeaderLen, 0, m.gen, msg, transport.WireKindGoodbye)
+	return frameHead(4+frameHeaderLen, 0, msg, transport.WireKindGoodbye)
 }
 
 // peer returns (creating if needed) the connection slot for a rank.
@@ -587,32 +555,6 @@ func (m *Mesh) peer(rank int) *peerConn {
 		m.peers[rank] = p
 	}
 	return p
-}
-
-// noteArrival records an accepted handshake from rank and returns its
-// number: the peer is up, so it is no longer departed, its redial backoff
-// no longer applies, and a dial loop waiting on it retries now.
-func (m *Mesh) noteArrival(rank int) uint64 {
-	p := m.peer(rank)
-	arrival := p.arrivals.Add(1)
-	p.signal()
-	return arrival
-}
-
-// noteGoodbye records rank's goodbye on the connection of the given
-// arrival: sends to it drop from now on without a dial, a dial loop
-// waiting on it gives up, and the outbound connection to it is closed.
-// The mark lasts until rank connects again.
-func (m *Mesh) noteGoodbye(rank int, arrival uint64) {
-	p := m.peer(rank)
-	p.byeAt.Store(arrival)
-	p.signal()
-	p.mu.Lock()
-	if p.conn != nil {
-		_ = p.conn.Close()
-		p.conn = nil
-	}
-	p.mu.Unlock()
 }
 
 // connDead probes an outbound connection for a buffered FIN or RST with a
@@ -654,43 +596,50 @@ func connDead(c net.Conn) bool {
 
 // write delivers one frame to a peer, dialing or re-dialing as needed. It
 // reports false when the frame could not be handed to the kernel (the peer
-// is down or said goodbye); the message is then dropped, never queued. An
-// empty frame only connects: a generation-tagged mesh's creation uses it,
-// so creation and sends share one dial loop per peer.
+// is down or departed); the message is then dropped, never queued. An
+// empty frame only connects (Connect); it and every write while it is in
+// flight dial patiently, sharing one dial loop per peer.
 func (m *Mesh) write(rank int, frame wireFrame) bool {
 	debug := m.debug
+	connect := frame.head == nil
 	p := m.peer(rank)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.departed() {
-		return false // said goodbye: nothing to dial until it connects again
+	var stop <-chan struct{}
+	pending := p.connecting.Load()
+	if pending != nil {
+		stop = *pending
 	}
-	if p.conn != nil && connDead(p.conn) {
-		if debug {
+	patient := connect || pending != nil
+	departed := p.departed()
+	if p.conn != nil && (departed || connDead(p.conn)) {
+		if debug && !departed {
 			fmt.Fprintf(os.Stderr, "tcp[%d]: probe found dead conn to %d, redialing\n", m.self, rank)
 		}
 		_ = p.conn.Close()
 		p.conn = nil
 	}
+	if departed && !patient {
+		return false // gone: nothing to dial until it connects again
+	}
 	for attempt := 0; attempt < 2; attempt++ {
 		if p.conn == nil {
-			if p.backedOff() {
+			if !patient && p.backedOff() {
 				return false // recent dial failure: drop without redialing
 			}
 			window := m.dialWindow
-			if p.connected {
+			if p.connected && !patient {
 				// The peer was reachable before and vanished without a
 				// goodbye — likely dead. Don't stall the sender; a restarted
 				// peer is retried on the next send, or at once when it
 				// connects here.
 				window = 250 * time.Millisecond
 			}
-			// Dialing under p.mu is deliberate post-PR4: the lock is
-			// per-peer, so a dead peer stalls only its own frames, and the
-			// redial window after a loss is bounded to 250ms (the 30s-stall
-			// bug was the unbounded window, not the lock itself).
+			// Dialing under p.mu is deliberate: the lock is per-peer, so a
+			// dead peer stalls only its own frames. A redial after a loss is
+			// bounded to 250ms, and a patient dial ends with its attempt.
 			seen := p.arrivals.Load()
-			conn := m.dial(rank, p, window) //c3lint:allow lockblock per-peer lock; redial window bounded to 250ms
+			conn := m.dial(rank, p, window, patient, stop) //c3lint:allow lockblock per-peer lock; redial bounded to 250ms, a patient dial by its stop
 			if conn == nil {
 				if debug {
 					fmt.Fprintf(os.Stderr, "tcp[%d]: dial %d failed\n", m.self, rank)
@@ -710,10 +659,10 @@ func (m *Mesh) write(rank int, frame wireFrame) bool {
 			// hold rule the frame is re-queued for the Heal flush.
 			_ = p.conn.Close()
 			p.conn = nil
-			return frame.head != nil && m.holdIfActive(rank, frame)
+			return !connect && m.holdIfActive(rank, frame)
 		}
-		if frame.head == nil {
-			return true // connect only
+		if connect {
+			return true
 		}
 		// Frames must hit the kernel atomically per connection to keep the
 		// per-(src,dst) FIFO guarantee; p.mu is that per-peer write lock.
@@ -728,30 +677,30 @@ func (m *Mesh) write(rank int, frame wireFrame) bool {
 	return false
 }
 
-// dial connects to a peer and completes the generation handshake, retrying
-// within the window. Retries cover both startup ordering (the peer's
-// listener may not be up yet during world start or rank re-execution) and
-// attempt transitions (the address is temporarily owned by the previous
-// generation's listener, which refuses the handshake until the peer's new
-// mesh rebinds). Between attempts the loop waits for the peer's arrival
-// (its handshake reaching this mesh), for its goodbye, or for Shutdown,
-// whichever comes first; the 20 ms retry only covers a peer that comes up
-// without connecting here.
-func (m *Mesh) dial(rank int, p *peerConn, window time.Duration) net.Conn {
+// dial connects to a peer and completes the handshake, retrying within the
+// window: the peer's listener may not be up yet during world start or rank
+// re-execution. Between attempts the loop waits for the peer's arrival
+// (its handshake reaching this mesh), for its departure, or for Shutdown;
+// the 20 ms retry only covers a peer that comes up without connecting
+// here. A departure ends the dial unless it is patient: a patient dial
+// waits for the peer's next arrival, and gives up when stop closes.
+func (m *Mesh) dial(rank int, p *peerConn, window time.Duration, patient bool, stop <-chan struct{}) net.Conn {
 	deadline := time.Now().Add(window)
 	for {
-		if m.down.Load() || p.departed() {
+		if m.down.Load() || (p.departed() && !patient) {
 			return nil
 		}
-		conn, err := net.DialTimeout("tcp", m.addrs[rank], window)
-		if err == nil {
-			if tc, ok := conn.(*net.TCPConn); ok {
-				_ = tc.SetNoDelay(true)
+		if !p.departed() {
+			conn, err := net.DialTimeout("tcp", m.addrs[rank], window)
+			if err == nil {
+				if tc, ok := conn.(*net.TCPConn); ok {
+					_ = tc.SetNoDelay(true)
+				}
+				if reply, err := m.handshakeReply(conn, hsTimeout); err == nil && reply == hsAccept {
+					return conn
+				}
+				_ = conn.Close()
 			}
-			if m.handshake(conn) {
-				return conn
-			}
-			_ = conn.Close()
 		}
 		if time.Now().After(deadline) {
 			return nil
@@ -759,25 +708,19 @@ func (m *Mesh) dial(rank int, p *peerConn, window time.Duration) net.Conn {
 		select {
 		case <-p.wake:
 		case <-m.closed:
+		case <-stop:
+			return nil
 		case <-time.After(20 * time.Millisecond):
 		}
 	}
 }
 
-// handshake announces this mesh's generation on a fresh outbound connection
-// and waits for the acceptor's verdict. False means the far side is not (or
-// not yet) running the same generation.
-func (m *Mesh) handshake(conn net.Conn) bool {
-	reply, err := m.handshakeReply(conn, hsTimeout)
-	return err == nil && reply == hsAccept
-}
-
-// handshakeReply sends the generation announcement and returns the
-// acceptor's one-byte verdict, or the error that kept it from arriving.
+// handshakeReply announces this mesh's rank on a fresh outbound connection
+// and returns the acceptor's one-byte answer, or the error that kept it
+// from arriving.
 func (m *Mesh) handshakeReply(conn net.Conn, timeout time.Duration) (byte, error) {
 	w := wire.NewWriter(hsLen)
 	w.U32(hsMagic)
-	w.U64(m.gen)
 	w.U32(uint32(m.self))
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	defer func() { _ = conn.SetDeadline(time.Time{}) }()
@@ -793,12 +736,12 @@ func (m *Mesh) handshakeReply(conn net.Conn, timeout time.Duration) (byte, error
 
 // peerGone confirms a loss: rank's inbound connection ended without a
 // goodbye, which a crash does but so do a write error, a partition rule or
-// a redial on the peer's side. One fresh dial plus the generation
-// handshake tells them apart. A refused or reset connect means the process
-// is gone, and so does a connection reset or closed before the handshake
-// reply: a dying process's listener still completes connects from its
-// backlog for about 100 µs after its connections close. A reply, accept or
-// refuse, proves a live process, and a timeout proves nothing. A pair
+// a redial on the peer's side. One fresh dial plus the handshake tells
+// them apart. A refused or reset connect means the process is gone, and so
+// does a connection reset or closed before the handshake reply: a dying
+// process's listener still completes connects from its backlog for about
+// 100 µs after its connections close. A reply proves a live process, and
+// a timeout proves nothing. A pair
 // covered by a partition rule never confirms: the rule, not a death, may
 // be what cut it.
 func (m *Mesh) peerGone(rank int) bool {
@@ -838,51 +781,48 @@ func (m *Mesh) acceptLoop() {
 
 // readLoop decodes frames from one inbound connection into the local port
 // and, when loss reports are on, answers a confirmed crash of the peer with
-// a PeerLost marker behind the connection's last frame.
+// a PeerLost marker behind the connection's last frame. A confirmed loss
+// marks the peer departed, as a goodbye does.
 func (m *Mesh) readLoop(conn net.Conn) {
 	defer m.wg.Done()
-	peer, err := m.readFrames(conn)
+	peer, arrival, err := m.readFrames(conn)
 	_ = conn.Close()
 	m.mu.Lock()
 	delete(m.inbound, conn)
 	m.mu.Unlock()
 	if peer >= 0 && connEnded(err) && m.lossReports.Load() && m.peerGone(peer) {
+		p := m.peer(peer)
+		p.byeAt.Store(arrival) // departed until its next arrival
+		p.signal()
 		m.port.Push(transport.Message{From: peer, To: m.self, Class: transport.Control, Payload: transport.PeerLost{}})
 	}
 }
 
-// readFrames runs one inbound connection until it ends. It returns the rank
-// the connection's frames came from (-1 before the first) and the read
-// error that ended it; nil means the connection ended for a reason of its
-// own (a goodbye, a foreign or corrupt stream, a refused generation). A
-// goodbye marks the peer departed.
-func (m *Mesh) readFrames(conn net.Conn) (int, error) {
-	peer := -1
-	// Generation handshake: refuse dialers from another generation so they
-	// retry after this address changes hands, instead of writing frames the
-	// generation filter below would silently discard. An accepted dialer
-	// has arrived: a dial loop of this mesh waiting on it retries now.
+// readFrames runs one inbound connection until it ends. It returns the
+// dialer's rank (-1 for a foreign dialer), its arrival number for this
+// connection, and the read error that ended the connection; nil means it
+// ended for a reason of its own (a goodbye, a foreign or corrupt stream).
+// A goodbye marks the peer departed.
+func (m *Mesh) readFrames(conn net.Conn) (int, uint64, error) {
 	var pre [hsLen]byte
 	_ = conn.SetReadDeadline(time.Now().Add(hsTimeout))
 	if _, err := io.ReadFull(conn, pre[:]); err != nil {
-		return peer, nil
+		return -1, 0, nil
 	}
 	_ = conn.SetReadDeadline(time.Time{})
 	pr := wire.NewReader(pre[:])
-	magic, gen, dialer := pr.U32(), pr.U64(), int(pr.U32())
-	if magic != hsMagic {
-		return peer, nil // not a c3 peer; drop without replying
-	} else if gen != m.gen {
-		_, _ = conn.Write([]byte{hsRefuse})
-		return peer, nil
+	magic, peer := pr.U32(), int(pr.U32())
+	if magic != hsMagic || peer < 0 || peer >= m.n || peer == m.self {
+		return -1, 0, nil // not a c3 peer; drop without replying
 	}
 	if _, err := conn.Write([]byte{hsAccept}); err != nil {
-		return peer, nil
+		return -1, 0, nil
 	}
-	var arrival uint64
-	if dialer >= 0 && dialer < m.n && dialer != m.self {
-		arrival = m.noteArrival(dialer)
-	}
+	// The dialer has arrived: it is no longer departed, its redial backoff
+	// no longer applies, and a dial loop waiting on it retries now.
+	p := m.peer(peer)
+	arrival := p.arrivals.Add(1)
+	p.signal()
 	// One buffered reader per connection: a small frame costs one read,
 	// not two, and frames queued behind each other share one. Each body
 	// is still its own allocation, because decoded payloads alias it and
@@ -894,15 +834,15 @@ func (m *Mesh) readFrames(conn net.Conn) (int, error) {
 	var lenBuf [4]byte
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-			return peer, err
+			return peer, arrival, err
 		}
 		n := binary.LittleEndian.Uint32(lenBuf[:])
 		if n < frameHeaderLen || n > maxFrame {
-			return peer, nil // corrupt stream; drop the connection
+			return peer, arrival, nil // corrupt stream; drop the connection
 		}
 		body := make([]byte, n)
 		if _, err := io.ReadFull(br, body); err != nil {
-			return peer, err
+			return peer, arrival, err
 		}
 		r := wire.NewReader(body)
 		gen := r.U64()
@@ -912,17 +852,15 @@ func (m *Mesh) readFrames(conn net.Conn) (int, error) {
 		kind := r.U8()
 		tctx := trace.Ctx{Span: r.U64(), Clock: r.U64()}
 		if r.Err() != nil {
-			return peer, nil
+			return peer, arrival, nil
 		}
-		if gen != m.gen || to != m.self || from < 0 || from >= m.n {
-			continue // stale generation or misrouted frame
+		if to != m.self || from != peer {
+			continue // misrouted frame
 		}
-		peer = from
 		if kind == transport.WireKindGoodbye {
-			if from == dialer {
-				m.noteGoodbye(from, arrival)
-			}
-			return peer, nil // orderly exit: no loss to report
+			p.byeAt.Store(arrival)
+			p.signal()
+			return peer, arrival, nil // orderly exit: no loss to report
 		}
 		if m.dropInbound(from, m.self) {
 			continue // blackholed pair: filter frames already in flight
@@ -931,7 +869,7 @@ func (m *Mesh) readFrames(conn net.Conn) (int, error) {
 		if err != nil {
 			continue // unknown or corrupt payload: drop the frame, keep the conn
 		}
-		if !m.port.Push(transport.Message{From: from, To: to, Class: class, Payload: payload, Trace: tctx}) {
+		if !m.port.Push(transport.Message{From: from, To: to, Class: class, Payload: payload, Trace: tctx, Gen: gen}) {
 			m.noteDropped()
 		}
 	}
@@ -942,29 +880,17 @@ var _ transport.Interconnect = (*Mesh)(nil)
 // --- Local port ---
 
 // port is the local rank's receive queue: a transport.Inbox whose receives
-// are traced. It parks at once on an empty queue, never polls: its
-// producers are reader goroutines woken by the netpoller, and a receiver
-// yielding in a loop keeps its P from reaching the netpoller.
+// are traced (a demux that takes its messages through Forward traces them
+// itself). It parks at once on an empty queue, never polls: its producers
+// are reader goroutines woken by the netpoller, and a receiver yielding in
+// a loop keeps its P from reaching the netpoller.
 type port struct{ *transport.Inbox }
-
-// traceRecv records the message-edge delivery on the local recorder. A
-// loss report is not an edge: no send matches it.
-func traceRecv(rank int, msg transport.Message) {
-	if _, lost := msg.Payload.(transport.PeerLost); lost {
-		return
-	}
-	size := 0
-	if s, ok := msg.Payload.(transport.Sizer); ok {
-		size = s.TransportSize()
-	}
-	trace.Default().Recv(int32(rank), int32(msg.From), msg.Trace, uint64(size))
-}
 
 // Recv implements transport.Port.
 func (p port) Recv() (transport.Message, error) {
 	msg, err := p.Inbox.Recv()
 	if err == nil {
-		traceRecv(p.Rank(), msg)
+		transport.TraceRecv(p.Rank(), msg)
 	}
 	return msg, err
 }
@@ -973,7 +899,7 @@ func (p port) Recv() (transport.Message, error) {
 func (p port) TryRecv() (transport.Message, bool, error) {
 	msg, ok, err := p.Inbox.TryRecv()
 	if ok {
-		traceRecv(p.Rank(), msg)
+		transport.TraceRecv(p.Rank(), msg)
 	}
 	return msg, ok, err
 }

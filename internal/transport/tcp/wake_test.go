@@ -75,9 +75,9 @@ func expectBody(t *testing.T, m *Mesh, want string) {
 	}
 }
 
-// rawHandshake connects to addr as rank `from` of generation gen and
-// completes the handshake, returning the connection.
-func rawHandshake(t *testing.T, addr string, gen uint64, from int) net.Conn {
+// rawHandshake connects to addr as rank `from` and completes the
+// handshake, returning the connection.
+func rawHandshake(t *testing.T, addr string, from int) net.Conn {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -85,7 +85,6 @@ func rawHandshake(t *testing.T, addr string, gen uint64, from int) net.Conn {
 	}
 	w := wire.NewWriter(hsLen)
 	w.U32(hsMagic)
-	w.U64(gen)
 	w.U32(uint32(from))
 	var reply [1]byte
 	if _, err := c.Write(w.Bytes()); err != nil {
@@ -97,8 +96,9 @@ func rawHandshake(t *testing.T, addr string, gen uint64, from int) net.Conn {
 	return c
 }
 
-// refuser listens on an ephemeral port like a previous generation's
-// listener: it refuses every handshake, reporting the time of each refusal.
+// refuser listens on an ephemeral port but answers no handshake: it closes
+// each connection after the dialer's announcement, reporting the time of
+// each refusal. A dial loop aimed at it keeps retrying.
 func refuser(t *testing.T) (net.Listener, <-chan time.Time) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -112,9 +112,8 @@ func refuser(t *testing.T) (net.Listener, <-chan time.Time) {
 			if err != nil {
 				return
 			}
-			var pre [4]byte
+			var pre [hsLen]byte
 			_, _ = io.ReadFull(c, pre[:])
-			_, _ = c.Write([]byte{hsRefuse})
 			refused <- time.Now()
 			_ = c.Close()
 		}
@@ -154,10 +153,10 @@ func TestMeshSendAfterGoodbyeDoesNotDial(t *testing.T) {
 		go func() { sent <- m0.Send(transport.Message{From: 0, To: 1, Payload: testPayload("never")}) }()
 		<-refused
 		// Rank 1 connects from elsewhere and says goodbye.
-		c := rawHandshake(t, m0.Addr(), 0, 1)
+		c := rawHandshake(t, m0.Addr(), 1)
 		defer c.Close()
 		bye := time.Now()
-		if _, err := c.Write(frameHead(4+frameHeaderLen, 0, 0, transport.Message{From: 1, To: 0, Class: transport.Control}, transport.WireKindGoodbye)); err != nil {
+		if _, err := c.Write(frameHead(4+frameHeaderLen, 0, transport.Message{From: 1, To: 0, Class: transport.Control}, transport.WireKindGoodbye)); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -177,7 +176,7 @@ func TestMeshSendAfterGoodbyeDoesNotDial(t *testing.T) {
 // latest connection does.
 func TestMeshStaleGoodbyeIgnored(t *testing.T) {
 	m := newTestMeshes(t, 2)[0]
-	bye := frameHead(4+frameHeaderLen, 0, 0, transport.Message{From: 1, To: 0, Class: transport.Control}, transport.WireKindGoodbye)
+	bye := frameHead(4+frameHeaderLen, 0, transport.Message{From: 1, To: 0, Class: transport.Control}, transport.WireKindGoodbye)
 	sayGoodbye := func(c net.Conn) {
 		if _, err := c.Write(bye); err != nil {
 			t.Fatal(err)
@@ -190,7 +189,7 @@ func TestMeshStaleGoodbyeIgnored(t *testing.T) {
 	// connect completes the nth handshake as rank 1 and waits until the
 	// mesh has counted it, so the two arrivals are numbered in order.
 	connect := func(n uint64) net.Conn {
-		c := rawHandshake(t, m.Addr(), 0, 1)
+		c := rawHandshake(t, m.Addr(), 1)
 		t.Cleanup(func() { _ = c.Close() })
 		for deadline := time.Now().Add(5 * time.Second); m.peer(1).arrivals.Load() < n; {
 			if time.Now().After(deadline) {
@@ -212,14 +211,14 @@ func TestMeshStaleGoodbyeIgnored(t *testing.T) {
 }
 
 // TestMeshDialWakesOnArrival: a dial loop waiting on a peer whose address
-// still belongs to the previous generation retries the moment the peer's
-// new mesh connects here, not on its next 20 ms retry.
+// still belongs to a listener that answers no handshake retries the moment
+// the peer's own mesh connects here, not on its next 20 ms retry.
 func TestMeshDialWakesOnArrival(t *testing.T) {
 	best := time.Hour
 	for trial := 0; trial < 3; trial++ {
 		ln, refused := refuser(t)
 		addrs := []string{"127.0.0.1:0", ln.Addr().String()}
-		m0, err := New(0, addrs, WithGeneration(1))
+		m0, err := New(0, addrs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +227,8 @@ func TestMeshDialWakesOnArrival(t *testing.T) {
 		go func() { sent <- m0.Send(transport.Message{From: 0, To: 1, Payload: testPayload("hello")}) }()
 		<-refused // the dial loop now waits
 		_ = ln.Close()
-		m1 := rebind(t, 1, addrs, WithGeneration(1))
+		m1 := rebind(t, 1, addrs)
+		m1.Connect(0, nil)
 		up := time.Now()
 		select {
 		case <-sent:
@@ -266,9 +266,8 @@ func TestMeshArrivalLiftsRedialBackoff(t *testing.T) {
 }
 
 // TestMeshReachableAfterGoodbyeAndRebind: the departed mark lasts only
-// until the peer connects again. A gen-0 peer (the long-lived replication
-// mesh) that said goodbye and comes back on the same address is reachable
-// once it has connected.
+// until the peer connects again. A peer that said goodbye and comes back
+// on the same address is reachable once it has connected.
 func TestMeshReachableAfterGoodbyeAndRebind(t *testing.T) {
 	meshes := newTestMeshes(t, 2)
 	addrs := append([]string(nil), meshes[0].addrs...)

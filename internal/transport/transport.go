@@ -60,12 +60,17 @@ func (c Class) String() string {
 // It travels with the message (in memory by value, on TCP frames as 16
 // extra header bytes) so the receive path can merge the Lamport clock and
 // record a recv event that cmd/c3trace stitches to the matching send.
+//
+// Gen is the sending attempt's generation: a Demux generation view stamps
+// it and interconnects carry it untouched, so the receiving node's view can
+// drop an older attempt's frames and hold a newer one's.
 type Message struct {
 	From    int
 	To      int
 	Class   Class
 	Payload any
 	Trace   trace.Ctx
+	Gen     uint64
 }
 
 // payloadSize reports the payload's transport size when it exposes one.
@@ -76,9 +81,12 @@ func payloadSize(msg Message) int {
 	return 0
 }
 
-// traceRecv records the message-edge delivery on the local recorder.
-func traceRecv(rank int, msg Message) {
-	trace.Default().Recv(int32(rank), int32(msg.From), msg.Trace, uint64(payloadSize(msg)))
+// TraceRecv records the message-edge delivery on the local recorder. A
+// loss report is not an edge: no send matches it.
+func TraceRecv(rank int, msg Message) {
+	if _, lost := msg.Payload.(PeerLost); !lost {
+		trace.Default().Recv(int32(rank), int32(msg.From), msg.Trace, uint64(payloadSize(msg)))
+	}
 }
 
 // LatencyModel computes the artificial delivery delay for a message of the
@@ -473,7 +481,7 @@ func (ep *Endpoint) Recv() (Message, error) {
 	ep.in.poll()
 	msg, err := ep.in.Recv()
 	if err == nil {
-		traceRecv(ep.in.rank, msg)
+		TraceRecv(ep.in.rank, msg)
 	}
 	return msg, err
 }
@@ -486,7 +494,7 @@ func (ep *Endpoint) recvVirtual(s *Scheduler) (Message, error) {
 	for {
 		msg, ok, err := ep.in.TryRecv()
 		if ok {
-			traceRecv(ep.in.rank, msg)
+			TraceRecv(ep.in.rank, msg)
 			return msg, nil
 		}
 		if err != nil {
@@ -506,10 +514,13 @@ func (ep *Endpoint) TryRecv() (msg Message, ok bool, err error) {
 	}
 	msg, ok, err = ep.in.TryRecv()
 	if ok {
-		traceRecv(ep.in.rank, msg)
+		TraceRecv(ep.in.rank, msg)
 	}
 	return msg, ok, err
 }
+
+// Forward implements the demux's pass-through (Inbox.Forward).
+func (ep *Endpoint) Forward(fn func(Message)) { ep.in.Forward(fn) }
 
 func (ep *Endpoint) kill() {
 	ep.in.Kill()
