@@ -76,7 +76,7 @@ func TestTopologyParityHolderCrossesGroups(t *testing.T) {
 		t.Fatalf("ParityHolder(1)=%d want 5", h)
 	}
 	// Ragged last group wraps by the holder group's own size.
-	ragged := NewTopology(Launch(10), 4) // holder group {8 9} for group 1
+	ragged := NewTopology(Launch(10), 4)     // holder group {8 9} for group 1
 	if h := ragged.ParityHolder(7); h != 9 { // pos 3 % 2 = 1 -> slot 9
 		t.Fatalf("ragged ParityHolder(7)=%d want 9", h)
 	}

@@ -33,8 +33,8 @@ package stable
 import (
 	"bytes"
 	"crypto/subtle"
-	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 )
@@ -44,14 +44,18 @@ import (
 // DataShards() of them (nil entries mark missing or checksum-rejected
 // shards).
 //
-// Ownership: the caller hands the blob over to Encode. The returned shards
-// may alias it (the data shards are sub-slices of the blob, and with k = 1
-// every parity shard is the one data shard, so encoding touches each data
-// byte at most once instead of copying it first), and the caller must not
-// modify the blob while it still uses the shards. A store that retains a
-// shard beyond the commit copies it into a buffer of its own
-// (encodeReplFrag does), so nothing stored ever pins the blob. Decode only
-// reads its input shards and returns a fresh blob.
+// Ownership: the caller hands the blob over to Encode, its spare capacity
+// included. The returned shards may alias it: the data shards are
+// sub-slices of the blob, the zero-padded tail shard reaches into the
+// blob's spare capacity when those bytes are already zero (as an append
+// that grew the blob leaves them), and with k = 1 every parity shard is
+// the one data shard, so encoding touches each data byte at most once
+// instead of copying it first. The caller must not modify the blob or its
+// spare capacity while it still uses the shards. Nothing stored pins the
+// blob: a fragment message carries a view of its shard, and whoever
+// receives it keeps bytes of its own (a frame the TCP mesh read, or the
+// copy the in-memory receiver makes). Decode only reads its input shards
+// and returns a fresh blob.
 type Codec interface {
 	// DataShards is k: the number of shards that suffice to reconstruct.
 	DataShards() int
@@ -62,7 +66,7 @@ type Codec interface {
 	Encode(blob []byte) ([][]byte, error)
 	// Decode reconstructs the original blob of length total from shards
 	// (indexed as produced by Encode; nil = lost). It fails cleanly when
-	// fewer than k shards survive.
+	// fewer than k shards survive or their lengths do not fit the code.
 	Decode(shards [][]byte, total int) ([]byte, error)
 }
 
@@ -106,24 +110,30 @@ func NewCodec(name string, k, m int) (Codec, error) {
 	if k+m > maxShards {
 		return nil, fmt.Errorf("stable: %s codec k+m = %d exceeds %d", name, k+m, maxShards)
 	}
-	return rsCodec{k: k, m: m}, nil
+	return newRSCodec(k, m), nil
 }
 
 // shardSize is the padded per-shard length for a blob of the given size
 // split into k data shards. Always at least 1 so parity math has bytes to
-// work on even for empty blobs.
+// work on even for empty blobs; with k > 1 a multiple of 8, because the
+// parity kernel cuts every stripe into eight packets.
 func shardSize(total, k int) int {
-	sz := (total + k - 1) / k
-	if sz < 1 {
-		sz = 1
+	sz := max((total+k-1)/k, 1)
+	if k > 1 {
+		sz = (sz + 7) &^ 7
 	}
 	return sz
 }
 
-// dataShards cuts blob into k shards of sz bytes. A shard that lies wholly
-// inside the blob aliases it (capacity clipped, so an append cannot reach
-// the next shard); only the tail, where zero padding is needed, is a copy.
+// dataShards cuts blob into k shards of sz bytes, each a sub-slice of the
+// blob (capacity clipped, so an append cannot reach the next shard). The
+// zero padding past the blob's end is the blob's own spare capacity when
+// that is long enough and already zero — at most 8k bytes to check —
+// and only otherwise a copy of the tail.
 func dataShards(blob []byte, k, sz int) [][]byte {
+	if pad := blob[len(blob):cap(blob)]; len(pad) >= k*sz-len(blob) && allZero(pad[:k*sz-len(blob)]) {
+		blob = blob[:k*sz]
+	}
 	shards := make([][]byte, k)
 	for i := range shards {
 		lo := i * sz
@@ -138,6 +148,15 @@ func dataShards(blob []byte, k, sz int) [][]byte {
 		shards[i] = s
 	}
 	return shards
+}
+
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // joinShards concatenates k reconstructed data shards into a new buffer and
@@ -156,11 +175,10 @@ func joinShards(shards [][]byte, k, total int) []byte {
 var gfExp [512]byte
 var gfLog [256]byte
 
-// gfMulTable[c][b] = c·b: the per-coefficient product tables the shard
-// kernel (gfMulAdd) indexes, one 256-byte row per coefficient (64 KiB in
-// all; a row fits in four cache lines). Scalar gfMul builds it and remains
-// the arithmetic for matrix construction and the tests' oracle.
-var gfMulTable [256][256]byte
+// gfBits[c] is multiplication by c as an 8×8 matrix over GF(2), one byte
+// per row: bit b of gfBits[c][r] is bit r of c·2^b. It is all the parity
+// kernel (gfMulAdd) needs to know about a coefficient: 2 KiB in all.
+var gfBits [256][8]byte
 
 func init() {
 	x := 1
@@ -175,12 +193,14 @@ func init() {
 	for i := 255; i < 512; i++ {
 		gfExp[i] = gfExp[i-255]
 	}
-	for c := range gfMulTable {
-		for b := range gfMulTable[c] {
-			gfMulTable[c][b] = gfMul(byte(c), byte(b))
+	for c := range gfBits {
+		for b := 0; b < 8; b++ {
+			p := gfMul(byte(c), 1<<b)
+			for r := range gfBits[c] {
+				gfBits[c][r] |= (p >> r & 1) << b
+			}
 		}
 	}
-	cauchyParity = buildCauchyParity()
 }
 
 func gfMul(a, b byte) byte {
@@ -200,10 +220,20 @@ func gfDiv(a, b byte) byte {
 	return gfExp[int(gfLog[a])+255-int(gfLog[b])]
 }
 
-// gfMulAdd is the parity kernel: dst[i] ^= coef·src[i] for every i. It is
-// the one loop every checkpoint byte passes through per parity row, so it
-// is a table lookup with no zero tests and no bounds checks, eight bytes
-// per iteration; a coefficient of 1 is a plain XOR at memory speed.
+// gfStripe is how many bytes of every shard gfMulRows works on at a time:
+// one input stripe feeds all output rows while it is still in cache, so
+// each input shard is read from memory once however many rows there are.
+const gfStripe = 32 << 10
+
+// gfMulAdd is the parity kernel: dst ^= coef·src, where the symbols are
+// bit-sliced. Each gfStripe-byte stripe of a shard (the last one may be
+// shorter) is eight packets of a stripe's eighth, and symbol t of the
+// stripe has its bit b at bit t of packet b. Multiplying every symbol by
+// coef is then the 8×8 bit matrix gfBits[coef] applied to whole packets:
+// output packet r is the XOR of the input packets its row names, one
+// crypto/subtle.XORBytes each. Coefficient 1 is the identity, a plain XOR
+// of the whole range that needs no packet structure; every other nonzero
+// coefficient needs a length that is a multiple of 8.
 func gfMulAdd(dst, src []byte, coef byte) {
 	switch coef {
 	case 0:
@@ -212,41 +242,36 @@ func gfMulAdd(dst, src []byte, coef byte) {
 		subtle.XORBytes(dst, dst, src[:len(dst)])
 		return
 	}
-	t := &gfMulTable[coef]
-	n := len(dst)
-	src = src[:n]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		sw, dw := src[i:i+8:i+8], dst[i:i+8:i+8]
-		s := binary.LittleEndian.Uint64(sw)
-		p := uint64(t[byte(s)]) | uint64(t[byte(s>>8)])<<8 | uint64(t[byte(s>>16)])<<16 | uint64(t[byte(s>>24)])<<24 |
-			uint64(t[byte(s>>32)])<<32 | uint64(t[byte(s>>40)])<<40 | uint64(t[byte(s>>48)])<<48 | uint64(t[byte(s>>56)])<<56
-		binary.LittleEndian.PutUint64(dw, binary.LittleEndian.Uint64(dw)^p)
-	}
-	for ; i < n; i++ {
-		dst[i] ^= t[src[i]]
+	m := &gfBits[coef]
+	for lo := 0; lo < len(dst); lo += gfStripe {
+		hi := min(lo+gfStripe, len(dst))
+		d, s, p := dst[lo:hi], src[lo:hi], (hi-lo)/8
+		for r, row := range m {
+			out := d[r*p : (r+1)*p]
+			for ; row != 0; row &= row - 1 {
+				b := bits.TrailingZeros8(row)
+				subtle.XORBytes(out, out, s[b*p:(b+1)*p])
+			}
+		}
 	}
 }
 
-// gfStripe is how many bytes of every shard gfMulRows works on at a time:
-// one input stripe feeds all output rows while it is still in cache, so
-// each input shard is read from memory once however many rows there are.
-const gfStripe = 32 << 10
-
-// gfMulRows computes out[r] = Σ_j coef[r][j]·in[j] over shards of sz bytes
-// (out rows must start zeroed). It serves Encode (coef = the parity rows of
-// the encoding matrix) and Decode (coef = the inverted rows of the missing
-// shards) alike. Large shards are split by byte range across GOMAXPROCS
-// goroutines; the ranges are disjoint, so the workers share nothing.
+// gfMulRows adds Σ_j coef[r][j]·in[j] into out[r] over shards of sz bytes.
+// It serves Encode (coef = the parity rows of the encoding matrix) and
+// Decode (coef = the inverted rows of the missing shards, into zeroed
+// rows) alike. Large shards are split across GOMAXPROCS goroutines on
+// stripe boundaries, which the bit-sliced layout needs; the ranges are
+// disjoint, so the workers share nothing.
 func gfMulRows(coef [][]byte, in, out [][]byte, sz int) {
 	workers := min(runtime.GOMAXPROCS(0), sz/(4*gfStripe))
 	if workers <= 1 {
 		gfMulRange(coef, in, out, 0, sz)
 		return
 	}
+	stripes := (sz + gfStripe - 1) / gfStripe
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo, hi := w*sz/workers, (w+1)*sz/workers
+		lo, hi := w*stripes/workers*gfStripe, min((w+1)*stripes/workers*gfStripe, sz)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -322,35 +347,44 @@ func (a gfMatrix) invert() (gfMatrix, error) {
 	return out, nil
 }
 
-// cauchyParity holds the parity rows of every geometry at once: (k, m)'s
-// m×k parity matrix P is its top-left block, P[i][j] = cauchyParity[i][j].
-// It is the Cauchy matrix c[i][j] = 1/(x_i + y_j) over the points
-// x_i = 255-i and y_j = j, which are distinct wherever k+m <= 255. Every
-// square submatrix of a Cauchy matrix is nonsingular, so every k×k row
-// subset of [I; P] is invertible and ANY k surviving shards reconstruct
-// the data. Scaling a row or a column by a nonzero constant keeps that
-// property, so the columns are scaled until row 0 is all ones and then the
-// rows until column 0 is: c[i][j]·c[0][0] / (c[0][j]·c[i][0]). Hence (k, 1)
-// is plain XOR parity, every (1, m) parity row is [1] (a whole copy), and
-// the ones elsewhere are coefficients gfMulAdd turns into a plain XOR.
-// Row i is as long as any geometry with m > i needs: 254-i columns.
-var cauchyParity [][]byte
-
-func buildCauchyParity() [][]byte {
+// cauchy is entry (i, j) of the parity matrix P of every geometry: (k,
+// m)'s P is the m×k block i < m, j < k. It is the Cauchy matrix
+// c[i][j] = 1/(x_i + y_j) over the points x_i = 255-i and y_j = j, which
+// are distinct wherever k+m <= 255. Every square submatrix of a Cauchy
+// matrix is nonsingular, so every k×k row subset of [I; P] is invertible
+// and ANY k surviving shards reconstruct the data. Scaling a row or a
+// column by a nonzero constant keeps that property, so the columns are
+// scaled until row 0 is all ones and then the rows until column 0 is:
+// c[i][j]·c[0][0] / (c[0][j]·c[i][0]). Hence (k, 1) is plain XOR parity,
+// every (1, m) parity row is [1] (a whole copy), and the ones elsewhere
+// are coefficients gfMulAdd runs as a plain XOR.
+func cauchy(i, j int) byte {
 	c := func(i, j int) byte { return gfDiv(1, byte(maxShards-i)^byte(j)) }
-	rows := make([][]byte, maxShards-1)
-	for i := range rows {
-		rows[i] = make([]byte, maxShards-1-i)
-		for j := range rows[i] {
-			rows[i][j] = gfDiv(gfMul(c(i, j), c(0, 0)), gfMul(c(0, j), c(i, 0)))
-		}
-	}
-	return rows
+	return gfDiv(gfMul(c(i, j), c(0, 0)), gfMul(c(0, j), c(i, 0)))
 }
 
 // rsCodec is the one codec: systematic Reed-Solomon with k data and m
-// parity shards.
-type rsCodec struct{ k, m int }
+// parity shards, and its parity matrix P.
+type rsCodec struct {
+	k, m   int
+	parity gfMatrix // m×k
+	// rest is parity without column 0, which is all ones: Encode starts
+	// every parity shard as a copy of data shard 0 and adds the rest.
+	rest gfMatrix
+}
+
+// newRSCodec builds the (k, m) codec and its m×k block of the Cauchy
+// matrix, k·m entries from the formula.
+func newRSCodec(k, m int) rsCodec {
+	c := rsCodec{k: k, m: m, parity: newGFMatrix(m, k), rest: make(gfMatrix, m)}
+	for i, row := range c.parity {
+		for j := range row {
+			row[j] = cauchy(i, j)
+		}
+		c.rest[i] = row[1:]
+	}
+	return c
+}
 
 func (c rsCodec) DataShards() int   { return c.k }
 func (c rsCodec) ParityShards() int { return c.m }
@@ -364,62 +398,63 @@ func (c rsCodec) rows(idxs []int) gfMatrix {
 		if idx < c.k {
 			out[r][idx] = 1
 		} else {
-			copy(out[r], cauchyParity[idx-c.k])
+			copy(out[r], c.parity[idx-c.k])
 		}
 	}
 	return out
 }
 
 func (c rsCodec) Encode(blob []byte) ([][]byte, error) {
-	sz := shardSize(len(blob), c.k)
-	shards := dataShards(blob, c.k, sz)
+	shards := dataShards(blob, c.k, shardSize(len(blob), c.k))
+	return append(shards, c.encodeParity(shards)...), nil
+}
+
+// encodeParity computes the m parity shards of the k data shards
+// dataShards cut. With k = 1 every parity row is [1]: each parity shard
+// is the data shard itself.
+func (c rsCodec) encodeParity(data [][]byte) [][]byte {
 	parity := make([][]byte, c.m)
 	if c.k == 1 {
-		// Every parity row is [1]: each parity shard is the data shard.
 		for p := range parity {
-			parity[p] = shards[0]
+			parity[p] = data[0]
 		}
-		return append(shards, parity...), nil
+		return parity
 	}
+	// Starting from a copy of data shard 0 also spares zeroing the shard.
 	for p := range parity {
-		parity[p] = make([]byte, sz)
+		parity[p] = bytes.Clone(data[0])
 	}
-	gfMulRows(cauchyParity[:c.m], shards, parity, sz)
-	return append(shards, parity...), nil
+	gfMulRows(c.rest, data[1:], parity, len(data[0]))
+	return parity
 }
 
 func (c rsCodec) Decode(shards [][]byte, total int) ([]byte, error) {
 	if len(shards) != c.k+c.m {
 		return nil, fmt.Errorf("stable: rs expects %d shards, got %d", c.k+c.m, len(shards))
 	}
-	// Fast path: all data shards survived.
-	allData := true
-	for i := 0; i < c.k; i++ {
-		if shards[i] == nil {
-			allData = false
-			break
+	var have []int // the first k surviving shards
+	sz, allData := -1, true
+	for i, s := range shards {
+		if s == nil {
+			allData = allData && i >= c.k
+			continue
 		}
-	}
-	if !allData {
-		var have []int
-		sz := -1
-		for i, s := range shards {
-			if s == nil {
-				continue
-			}
-			if sz < 0 {
-				sz = len(s)
-			} else if len(s) != sz {
-				return nil, fmt.Errorf("stable: rs shard %d length %d != %d", i, len(s), sz)
-			}
-			have = append(have, i)
-			if len(have) == c.k {
-				break
-			}
+		if sz < 0 {
+			sz = len(s)
+		} else if len(s) != sz {
+			return nil, fmt.Errorf("stable: rs shard %d length %d != %d", i, len(s), sz)
 		}
 		if len(have) < c.k {
-			return nil, fmt.Errorf("stable: rs has %d of %d required shards", len(have), c.k)
+			have = append(have, i)
 		}
+	}
+	if len(have) < c.k {
+		return nil, fmt.Errorf("stable: rs has %d of %d required shards", len(have), c.k)
+	}
+	if c.k > 1 && sz%8 != 0 {
+		return nil, fmt.Errorf("stable: rs shard length %d is not a multiple of 8", sz)
+	}
+	if !allData {
 		inv, err := c.rows(have).invert()
 		if err != nil {
 			return nil, err

@@ -185,7 +185,7 @@ func TestCodecRecRoundtrip(t *testing.T) {
 // commit message and the last-committed response refuse it.
 func TestMarkerRequiresGeometryAndDigests(t *testing.T) {
 	blob := testBlob(300, 7)
-	shards, _ := rsCodec{k: 2, m: 1}.Encode(blob)
+	shards, _ := newRSCodec(2, 1).Encode(blob)
 	good := replCommitRec{frags: 3, data: 2, total: len(blob), sum: replSum(blob), sums: shardSums(shards)}
 	noSums, noData := good, good
 	noSums.sums = nil
@@ -208,6 +208,15 @@ func TestMarkerRequiresGeometryAndDigests(t *testing.T) {
 	}
 }
 
+// shardSums digests every shard, as a commit marker records them.
+func shardSums(shards [][]byte) []uint64 {
+	sums := make([]uint64, len(shards))
+	for i, s := range shards {
+		sums[i] = replSum(s)
+	}
+	return sums
+}
+
 // FuzzCodecDecode drives the reassembly entry point with arbitrary shard
 // bytes and geometry — the exact surface a malicious or corrupt peer
 // response reaches. No input may panic; a successful decode must satisfy
@@ -215,24 +224,38 @@ func TestMarkerRequiresGeometryAndDigests(t *testing.T) {
 func FuzzCodecDecode(f *testing.F) {
 	blob := testBlob(300, 5)
 	for _, g := range [][2]int{{1, 2}, {3, 1}, {3, 2}} {
-		shards, _ := rsCodec{k: g[0], m: g[1]}.Encode(blob)
+		shards, _ := newRSCodec(g[0], g[1]).Encode(blob)
 		f.Add(g[0], g[1], len(blob), shards[0], shards[1], []byte(nil))
 	}
 	f.Add(200, 100, 1<<20, []byte{1}, []byte{}, []byte{2, 3})
+	// Shard sets the codec must refuse: unequal lengths, and (k > 1) a
+	// length that is not a multiple of the kernel's eight packets.
+	shards, _ := newRSCodec(3, 2).Encode(blob)
+	f.Add(3, 2, len(blob), shards[0], shards[1][:len(shards[1])-8], shards[2])
+	f.Add(3, 2, 99*3, shards[0][:99], shards[1][:99], shards[2][:99])
+	f.Add(2, 1, 13, []byte("0123456789abc"), []byte("0123456789abc"), []byte(nil))
 
 	f.Fuzz(func(t *testing.T, k, m, total int, s0, s1, s2 []byte) {
 		if k < 1 || m < 0 || k > 64 || m > 64 || total < 0 || total > 1<<20 {
 			return
 		}
-		codec := rsCodec{k: k, m: m}
+		codec := newRSCodec(k, m)
 		shards := make([][]byte, k+m)
 		pool := [][]byte{s0, s1, s2, nil}
+		lens := map[int]bool{}
 		for i := range shards {
-			shards[i] = pool[i%len(pool)]
+			if shards[i] = pool[i%len(pool)]; shards[i] != nil {
+				lens[len(shards[i])] = true
+			}
 		}
 		got, err := codec.Decode(shards, total)
 		if err == nil && len(got) != total {
 			t.Fatalf("decode returned %d bytes, want %d", len(got), total)
+		}
+		for n := range lens {
+			if err == nil && (len(lens) > 1 || k > 1 && n%8 != 0) {
+				t.Fatalf("decode accepted shard lengths %v with k=%d", lens, k)
+			}
 		}
 		// Encode of arbitrary bytes must roundtrip through a full decode.
 		if k >= 1 && total <= 1<<16 {
@@ -294,7 +317,7 @@ func TestCodecNames(t *testing.T) {
 func TestCauchyAnyKShardsInvert(t *testing.T) {
 	for k := 1; k <= 12; k++ {
 		for m := 1; m <= 4; m++ {
-			c := rsCodec{k: k, m: m}
+			c := newRSCodec(k, m)
 			combinations(k+m, k, func(rows []int) {
 				if _, err := c.rows(rows).invert(); err != nil {
 					t.Fatalf("k=%d m=%d: rows %v of [I; P] are singular", k, m, rows)
@@ -306,19 +329,24 @@ func TestCauchyAnyKShardsInvert(t *testing.T) {
 
 // TestCauchyParityNormalized: for every geometry P's first row and first
 // column are all ones, so (k, 1) is plain XOR parity and every (1, m)
-// parity shard is a whole copy of the blob.
+// parity shard is a whole copy of the blob. Every geometry's P is a block
+// of the one formula, so its row 0 and column 0 over the whole range
+// cover them all; a few codecs check that NewCodec builds that block.
 func TestCauchyParityNormalized(t *testing.T) {
-	for k := 1; k < maxShards; k++ {
-		for m := 1; k+m <= maxShards; m++ {
-			p := rsCodec{k: k, m: m}.rows([]int{k})[0] // P's first row
-			for j, v := range p {
-				if v != 1 {
-					t.Fatalf("k=%d m=%d: P[0][%d] = %d, want 1", k, m, j, v)
-				}
-			}
-			for i := 0; i < m; i++ {
-				if v := cauchyParity[i][0]; v != 1 {
-					t.Fatalf("k=%d m=%d: P[%d][0] = %d, want 1", k, m, i, v)
+	for x := 0; x < maxShards-1; x++ {
+		if v := cauchy(0, x); v != 1 {
+			t.Fatalf("P[0][%d] = %d, want 1", x, v)
+		}
+		if v := cauchy(x, 0); v != 1 {
+			t.Fatalf("P[%d][0] = %d, want 1", x, v)
+		}
+	}
+	for _, g := range [][2]int{{1, 2}, {4, 1}, {4, 2}, {12, 4}, {200, 55}, {1, 254}, {254, 1}} {
+		c := newRSCodec(g[0], g[1])
+		for i := range c.parity {
+			for j, v := range c.parity[i] {
+				if v != cauchy(i, j) {
+					t.Fatalf("k=%d m=%d: P[%d][%d] = %d, want %d", g[0], g[1], i, j, v, cauchy(i, j))
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package stable
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"sync"
 	"time"
@@ -34,7 +35,7 @@ import (
 type DistStore struct {
 	self      int
 	n         int
-	codec     Codec
+	codec     rsCodec
 	groupSize int // checkpoint group size g; 0 = flat world
 	net       transport.Interconnect
 
@@ -88,11 +89,12 @@ const (
 // DistOption configures a DistStore.
 type DistOption func(*DistStore)
 
-// WithDistCodec sets the store's codec (default dup: NewCodec("dup", 0,
-// 0), whole copies on two ring successors). See commitPlan for where its
-// shards land.
+// WithDistCodec sets the store's codec geometry (default dup:
+// NewCodec("dup", 0, 0), whole copies on two ring successors). The store
+// encodes and decodes with the one codec of that (k, m), which is what a
+// commit marker records. See commitPlan for where its shards land.
 func WithDistCodec(codec Codec) DistOption {
-	return func(s *DistStore) { s.codec = codec }
+	return func(s *DistStore) { s.codec = newRSCodec(codec.DataShards(), codec.ParityShards()) }
 }
 
 // WithDistGroupSize partitions the world into checkpoint groups of g
@@ -175,7 +177,7 @@ func NewDistStore(self, n int, net transport.Interconnect, opts ...DistOption) *
 		self:         self,
 		n:            n,
 		members:      member.Launch(n),
-		codec:        rsCodec{k: 1, m: 2},
+		codec:        newRSCodec(1, 2),
 		net:          net,
 		ackTimeout:   5 * time.Second,
 		queryTimeout: 3 * time.Second,
@@ -351,7 +353,7 @@ func (s *DistStore) StoredBytes() int64 {
 	return t
 }
 
-func (s *DistStore) send(to int, class transport.Class, p replPayload) {
+func (s *DistStore) send(to int, class transport.Class, p transport.WirePayload) {
 	_ = s.net.Send(transport.Message{From: s.self, To: to, Class: class, Payload: p})
 }
 
@@ -469,37 +471,29 @@ func (h *distHandle) Commit() error {
 	}
 	s.mu.Unlock()
 
-	// The encode span covers everything that reads the checkpoint bytes
-	// before they ship — shard, parity, digests — so that encode, ship and
-	// ack tile the whole commit. WriteSection already flattened the blob.
-	encSp := trace.Default().Begin(int32(s.self), trace.KindEncode, 0, uint64(h.version))
+	// The send plan needs only the geometry, so it is made first, and the
+	// line ships while it is encoded: one sender per holder starts on the
+	// units it can send at once — data shards, which are views of the blob,
+	// and the cross-group parity unit, the blob itself — sends its parity
+	// shards once the encoder has them, and the commit marker last, once
+	// the digests are in. A holder's frames thus still precede its marker
+	// on their FIFO pair. The encode span covers everything that reads the
+	// checkpoint bytes — parity, digests — and overlaps the ship span.
 	h.blob.PatchU32(0, uint32(len(h.sections)))
 	blob := h.blob.Bytes()
-	shards, err := s.codec.Encode(blob)
-	if err != nil {
-		encSp.End(0)
-		return fmt.Errorf("stable: encode checkpoint (%d,%d): %w", h.rank, h.version, err)
-	}
-	sum, sums := replSum(blob), shardSums(shards)
-	encSp.End(uint64(len(blob)))
+	codec := s.codec
+	frags, sz := codec.k+codec.m, shardSize(len(blob), codec.k)
 	s.mu.Lock()
-	keepLocal := s.codec.DataShards() == 1
-	sendPlan, targets, parity := commitPlan(keepLocal, h.rank, len(shards), member.NewTopology(s.members, s.groupSize))
-	// units extends the codec shards with the cross-group parity shard
-	// (the whole blob, at index len(shards)) when the topology assigns one.
-	units := shards
-	if parity >= 0 {
-		units = append(append(make([][]byte, 0, len(shards)+1), shards...), blob)
-	}
-	rec := replCommitRec{
-		frags: len(shards),
-		data:  s.codec.DataShards(),
-		total: len(blob),
-		sum:   sum,
-		sums:  sums,
-		cross: parity + 1,
+	keepLocal := codec.k == 1
+	sendPlan, targets, parity := commitPlan(keepLocal, h.rank, frags, member.NewTopology(s.members, s.groupSize))
+	unitLen := func(idx int) int {
+		if idx == frags {
+			return len(blob) // the cross-group parity unit
+		}
+		return sz
 	}
 	startEpoch, startWipes := h.epoch, s.wipes
+	var shippedBytes uint64
 	for _, nb := range targets {
 		st := ackPending
 		if s.wiping[nb] {
@@ -507,8 +501,9 @@ func (h *distHandle) Commit() error {
 		}
 		s.awaiting[replAckKey{owner: h.rank, version: h.version, from: nb}] = st
 		for _, idx := range sendPlan[nb] {
-			s.replicatedBytes += int64(len(units[idx]))
-			h.stored += int64(len(units[idx]))
+			s.replicatedBytes += int64(unitLen(idx))
+			h.stored += int64(unitLen(idx))
+			shippedBytes += uint64(unitLen(idx))
 		}
 	}
 	s.mu.Unlock()
@@ -516,17 +511,34 @@ func (h *distHandle) Commit() error {
 		h.stored += h.rawBytes()
 	}
 
+	encSp := trace.Default().Begin(int32(s.self), trace.KindEncode, 0, uint64(h.version))
 	shipSp := trace.Default().Begin(int32(s.self), trace.KindShip, 0, uint64(h.version))
-	var shippedBytes uint64
+	// units are the codec shards, then the cross-group parity unit.
+	units := append(dataShards(blob, codec.k, sz), make([][]byte, codec.m+1)...)
+	units[frags] = blob
+	encoded, sealed := make(chan struct{}), make(chan struct{})
+	var marker replPayload
+	var senders sync.WaitGroup
 	for _, nb := range targets {
-		for _, idx := range sendPlan[nb] {
-			s.send(nb, transport.Data, encodeReplFrag(h.rank, h.version, 0, idx, units[idx]))
-			shippedBytes += uint64(len(units[idx]))
-		}
-		// The marker travels after the fragments on the same FIFO pair, so
-		// a stored marker implies the fragments preceding it arrived.
-		s.send(nb, transport.Control, encodeReplCommit(h.rank, h.version, 0, rec))
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for _, idx := range sendPlan[nb] {
+				if idx >= codec.k && idx < frags {
+					<-encoded
+				}
+				s.send(nb, transport.Data, encodeReplFrag(h.rank, h.version, 0, idx, units[idx]))
+			}
+			<-sealed
+			s.send(nb, transport.Control, marker)
+		}()
 	}
+	rec := replCommitRec{frags: frags, data: codec.k, total: len(blob), cross: parity + 1}
+	rec.sum, rec.sums = encodeLine(codec, blob, units[:frags], encoded)
+	marker = encodeReplCommit(h.rank, h.version, 0, rec)
+	close(sealed)
+	encSp.End(uint64(len(blob)))
+	senders.Wait()
 	shipSp.End(shippedBytes)
 
 	ackSp := trace.Default().Begin(int32(s.self), trace.KindAck, 0, uint64(h.version))
@@ -552,7 +564,7 @@ func (h *distHandle) Commit() error {
 					pending++
 				}
 				for _, idx := range sendPlan[nb] {
-					if idx >= len(shards) {
+					if idx >= frags {
 						parityLost = true
 					} else {
 						lostShards++
@@ -616,9 +628,9 @@ func (h *distHandle) Commit() error {
 	// shutdown) keep their legacy semantics — recovery truncates and
 	// re-executes those lines.
 	parityAcked := parity >= 0 && !parityLost
-	if !tornDown && len(shards)-lostShards < s.codec.DataShards() && !parityAcked {
+	if !tornDown && frags-lostShards < codec.k && !parityAcked {
 		return fmt.Errorf("stable: commit (%d,%d) missing acknowledgments for %d of %d shards (codec needs %d)",
-			h.rank, h.version, lostShards, len(shards), s.codec.DataShards())
+			h.rank, h.version, lostShards, frags, codec.k)
 	}
 	s.mu.Lock()
 	s.commits++
@@ -653,8 +665,16 @@ func (s *DistStore) daemon() {
 			close(w)
 			continue
 		}
-		data, ok := msg.Payload.(replPayload)
-		if !ok || len(data) == 0 {
+		var data replPayload
+		switch p := msg.Payload.(type) {
+		case replPayload:
+			data = p
+		case fragPayload:
+			// The in-memory interconnect delivers the sender's views: the
+			// bytes become this node's own here, as off a socket.
+			data = p.MarshalWire()
+		}
+		if len(data) == 0 {
 			continue
 		}
 		switch data[0] {
@@ -1218,20 +1238,45 @@ func commitPlan(keepLocal bool, owner, shards int, topo member.Topology) (sendPl
 	return sendPlan, holders, parity
 }
 
-// shardSums digests every shard for the commit marker, so recovery can
-// reject a corrupt shard and repair it from parity instead of failing the
-// whole-blob digest check. A shard that is the previous one (k = 1: every
-// parity shard is the data shard) reuses its digest.
-func shardSums(shards [][]byte) []uint64 {
-	sums := make([]uint64, len(shards))
-	for i, s := range shards {
-		if i > 0 && len(s) > 0 && len(s) == len(shards[i-1]) && &s[0] == &shards[i-1][0] {
-			sums[i] = sums[i-1]
-			continue
+// encodeLine computes the parity shards of the data shards units[:k],
+// which dataShards cut from blob, into units[k:], closing encoded as soon
+// as they are in. It returns the digests the commit marker carries: the
+// whole blob's, and every shard's, so recovery can reject a corrupt shard
+// and repair it from parity instead of failing the whole-blob check. Each
+// byte is digested once. The data shards are digested beside the encoder,
+// a tail shard over its bytes in the blob and then over its zero padding;
+// the whole-blob digest is combined from those in-blob digests; the parity
+// shards are digested once encoded (with k = 1 each is the data shard).
+func encodeLine(codec rsCodec, blob []byte, units [][]byte, encoded chan<- struct{}) (sum uint64, sums []uint64) {
+	k, sz := codec.k, len(units[0])
+	inBlob := func(i int) []byte { return blob[min(i*sz, len(blob)):min((i+1)*sz, len(blob))] }
+	crcs := make([]uint32, k)
+	var digested sync.WaitGroup
+	digested.Add(1)
+	go func() {
+		defer digested.Done()
+		for i := range crcs {
+			crcs[i] = crc32.Checksum(inBlob(i), castagnoli)
 		}
-		sums[i] = replSum(s)
+	}()
+	copy(units[k:], codec.encodeParity(units[:k]))
+	close(encoded)
+	digested.Wait()
+	sums = make([]uint64, len(units))
+	var whole uint32
+	for i, c := range crcs {
+		n := len(inBlob(i))
+		whole = crcCombine(whole, c, n)
+		sums[i] = uint64(crcZeros(c, sz-n))
 	}
-	return sums
+	for i := k; i < len(units); i++ {
+		if k == 1 {
+			sums[i] = sums[0]
+		} else {
+			sums[i] = replSum(units[i])
+		}
+	}
+	return uint64(whole), sums
 }
 
 // reassembleBlob decodes a shard set against its commit marker: codec

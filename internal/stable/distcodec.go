@@ -84,7 +84,7 @@ func (rec replCommitRec) sane() bool {
 
 // codec returns the codec that produced the marker's shards.
 func (rec replCommitRec) codec() Codec {
-	return rsCodec{k: rec.data, m: rec.frags - rec.data}
+	return newRSCodec(rec.data, rec.frags-rec.data)
 }
 
 // shardValid reports whether a held fragment matches the marker's per-shard
@@ -112,6 +112,51 @@ type replAckKey struct {
 func replSum(b []byte) uint64 { return uint64(crc32.Checksum(b, castagnoli)) }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// crcCombine returns the CRC-32C of a||b from crcA = crc(a), crcB = crc(b)
+// and lenB = len(b), without reading either: zlib's crc32_combine. Feeding
+// lenB zero bytes through the CRC register multiplies it by x^(8·lenB)
+// modulo the polynomial, and that power is a product of O(log lenB)
+// repeated squares of x^8.
+func crcCombine(crcA, crcB uint32, lenB int) uint32 {
+	xn := uint32(1) << 31 // x^0: bit 31-i holds the coefficient of x^i
+	sq := uint32(1) << 23 // x^8, one zero byte
+	for n := lenB; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			xn = crcMulModP(sq, xn)
+		}
+		sq = crcMulModP(sq, sq)
+	}
+	return crcMulModP(xn, crcA) ^ crcB
+}
+
+// crcMulModP returns a·b modulo the Castagnoli polynomial, both in the
+// CRC's reflected bit order; a must be nonzero (zlib's multmodp).
+func crcMulModP(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; ; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+			if a&(m-1) == 0 {
+				return p
+			}
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ 0x82f63b78
+		} else {
+			b >>= 1
+		}
+	}
+}
+
+// crcZeros extends crc, the CRC-32C of some bytes, by n zero bytes.
+func crcZeros(crc uint32, n int) uint32 {
+	var zeros [512]byte
+	for ; n > 0; n -= len(zeros) {
+		crc = crc32.Update(crc, castagnoli, zeros[:min(n, len(zeros))])
+	}
+	return crc
+}
 
 // Message kinds: the replication write path, then the recovery queries.
 const (
@@ -153,24 +198,46 @@ func init() {
 	})
 }
 
+// fragPayload is a message that carries one fragment — a commit's shard on
+// its way to a holder, or a holder's answer to a fragment query — without
+// copying it: the encoded header, whose last field is the fragment's
+// length, and a view of the fragment where it lies, in the owner's blob or
+// in the holder's memory. Neither is written while the message is in
+// flight. The TCP mesh writes the two in one writev; the in-memory
+// interconnect hands the value itself to the receiving daemon, which
+// copies it into one buffer of its own (MarshalWire), so the fragment a holder
+// stores never pins the owner's blob.
+type fragPayload struct{ head, body []byte }
+
+// TransportSize implements transport.Sizer.
+func (p fragPayload) TransportSize() int { return len(p.head) + len(p.body) }
+
+// WireKind implements transport.WirePayload.
+func (p fragPayload) WireKind() uint8 { return transport.WireKindRepl }
+
+// WireParts implements transport.SplitPayload.
+func (p fragPayload) WireParts() (head, body []byte) { return p.head, p.body }
+
+// MarshalWire implements transport.WirePayload: head and body joined in a
+// new buffer, the payload as it arrives off a socket, which is also the
+// in-memory receiver's own copy. append allocates at the final size
+// without zeroing the bytes it is about to overwrite.
+func (p fragPayload) MarshalWire() []byte {
+	return append(append(make([]byte, 0, len(p.head)+len(p.body)), p.head...), p.body...)
+}
+
 // The fragment header names the line and the shard index; the geometry
 // travels in the marker alone, which reassembly validates against. The
 // incarnation field is kept for layout and always sent as zero.
-//
-// The payload is the fragment's own copy — what a holder stores never pins
-// the owner's blob. The Writer is sized for the header alone on purpose:
-// appending the fragment then allocates the payload at its final size
-// without zeroing bytes the append is about to overwrite, which a Writer
-// pre-sized for the whole payload would do first.
-func encodeReplFrag(owner, version int, inc uint64, idx int, frag []byte) replPayload {
+func encodeReplFrag(owner, version int, inc uint64, idx int, frag []byte) fragPayload {
 	w := wire.NewWriter(replFragHeader)
 	w.U8(replMsgFrag)
 	w.Int(owner)
 	w.Int(version)
 	w.U64(inc)
 	w.Int(idx)
-	w.Bytes32(frag)
-	return replPayload(w.Bytes())
+	w.U32(uint32(len(frag)))
+	return fragPayload{head: w.Bytes(), body: frag}
 }
 
 // replFragHeader is the encoded size of a fragment payload's fixed fields.
@@ -318,13 +385,15 @@ func decodeDistQueryFrag(data replPayload) (reqID uint64, owner, version, idx in
 	return reqID, owner, version, idx, r.Err()
 }
 
-func encodeDistRespFrag(reqID uint64, found bool, frag []byte) replPayload {
-	w := wire.NewWriter(1 + 8 + 1 + 4) // header only, as in encodeReplFrag
+// encodeDistRespFrag answers a fragment query with a view of the stored
+// fragment, which no holder ever modifies.
+func encodeDistRespFrag(reqID uint64, found bool, frag []byte) fragPayload {
+	w := wire.NewWriter(1 + 8 + 1 + 4)
 	w.U8(distMsgRespFrag)
 	w.U64(reqID)
 	w.Bool(found)
-	w.Bytes32(frag)
-	return replPayload(w.Bytes())
+	w.U32(uint32(len(frag)))
+	return fragPayload{head: w.Bytes(), body: frag}
 }
 
 func decodeDistRespFrag(data replPayload) (reqID uint64, found bool, frag []byte, err error) {

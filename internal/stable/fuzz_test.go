@@ -22,12 +22,12 @@ func FuzzReplDecode(f *testing.F) {
 	blob := w.Bytes()
 	f.Add(blob)
 	for _, g := range [][2]int{{1, 2}, {4, 2}} {
-		shards, _ := rsCodec{k: g[0], m: g[1]}.Encode(blob)
+		shards, _ := newRSCodec(g[0], g[1]).Encode(blob)
 		rec := replCommitRec{frags: len(shards), data: g[0], total: len(blob), sum: replSum(blob), sums: shardSums(shards)}
-		f.Add([]byte(encodeReplFrag(1, 3, 0, len(shards)-1, shards[len(shards)-1])))
+		f.Add([]byte(encodeReplFrag(1, 3, 0, len(shards)-1, shards[len(shards)-1]).MarshalWire()))
 		f.Add([]byte(encodeReplCommit(1, 3, 0, rec)))
 		f.Add([]byte(encodeDistRespLast(9, []distLastEntry{{version: 3, rec: rec, held: []int{1, 2}}})))
-		f.Add([]byte(encodeDistRespFrag(10, true, shards[1])))
+		f.Add([]byte(encodeDistRespFrag(10, true, shards[1]).MarshalWire()))
 	}
 	f.Add([]byte(encodeReplAck(1, 3, 2)))
 	f.Add([]byte(encodeDistQueryLast(9, 1)))

@@ -1,6 +1,8 @@
 package stable
 
 import (
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,6 +29,40 @@ func TestDigestGoldenVector(t *testing.T) {
 	}
 	if replSum(nil) != 0 {
 		t.Fatalf("replSum(nil) = %#x, want 0", replSum(nil))
+	}
+}
+
+// TestCRCCombineMatchesChecksum: the digest a commit combines from its
+// data shards' digests is the one crc32.Checksum computes over the whole
+// blob — over random splits, with either half empty, and for every tail
+// length from 0 to 63 — and crcZeros is a digest over appended zeros.
+func TestCRCCombineMatchesChecksum(t *testing.T) {
+	data := testBlob(1<<20+77, 13)
+	rng := rand.New(rand.NewSource(5))
+	check := func(n, at int) {
+		a, b := data[:at], data[at:n]
+		want := crc32.Checksum(data[:n], castagnoli)
+		if got := crcCombine(crc32.Checksum(a, castagnoli), crc32.Checksum(b, castagnoli), len(b)); got != want {
+			t.Fatalf("combine of a %d- and a %d-byte half = %#x, want %#x", len(a), len(b), got, want)
+		}
+	}
+	for n := 0; n < 64; n++ {
+		for at := 0; at <= n; at++ {
+			check(n, at) // every tail length of every short blob, both halves empty in turn
+		}
+		check(len(data), len(data)-n)
+	}
+	for i := 0; i < 300; i++ {
+		n := rng.Intn(len(data) + 1)
+		check(n, rng.Intn(n+1))
+		check(n, 0)
+		check(n, n)
+	}
+	for _, n := range []int{0, 1, 7, 511, 512, 513, 5000} {
+		blob := append(append([]byte(nil), data[:100]...), make([]byte, n)...)
+		if got, want := crcZeros(crc32.Checksum(data[:100], castagnoli), n), crc32.Checksum(blob, castagnoli); got != want {
+			t.Fatalf("crcZeros(%d) = %#x, want %#x", n, got, want)
+		}
 	}
 }
 

@@ -64,18 +64,6 @@ func tcpDistWorld(t *testing.T, n int, opts ...DistOption) []*DistStore {
 	return stores
 }
 
-// spyCodec records the blob handed to Encode — the buffer the erasure
-// codecs' data shards alias.
-type spyCodec struct {
-	Codec
-	blob []byte
-}
-
-func (c *spyCodec) Encode(blob []byte) ([][]byte, error) {
-	c.blob = blob
-	return c.Codec.Encode(blob)
-}
-
 func scribble(b []byte) {
 	for i := range b {
 		b[i] ^= 0xa5
@@ -98,7 +86,8 @@ func readApp(t *testing.T, s Store, rank, version int) []byte {
 
 // TestCommittedBytesAreNotShared: after Commit returns, scribbling over the
 // slice that was passed to WriteSection, over the blob the codec's shards
-// aliased, and over what ReadSection returned changes nothing a later Open
+// aliased (its spare capacity included, where a padded tail shard may
+// lie), and over what ReadSection returned changes nothing a later Open
 // yields — on every diskless store and wiring, the in-memory interconnect
 // (which passes payloads by reference) included.
 func TestCommittedBytesAreNotShared(t *testing.T) {
@@ -124,8 +113,7 @@ func TestCommittedBytesAreNotShared(t *testing.T) {
 			k, m  int
 		}{{"rs", 4, 2}, {"xor", 4, 1}, {"dup", 2, 0}} {
 			t.Run(name+"/"+spec.codec, func(t *testing.T) {
-				spy := &spyCodec{Codec: mustCodec(t, spec.codec, spec.k, spec.m)}
-				store, forget := build(t, spy)
+				store, forget := build(t, mustCodec(t, spec.codec, spec.k, spec.m))
 				want := testBlob(300_001, 5)
 				data := append([]byte(nil), want...)
 				ck, err := store.Begin(owner, 1)
@@ -135,11 +123,12 @@ func TestCommittedBytesAreNotShared(t *testing.T) {
 				if err := ck.WriteSection("app", data); err != nil {
 					t.Fatal(err)
 				}
+				blob := ck.(*distHandle).blob.Bytes()
 				if err := ck.Commit(); err != nil {
 					t.Fatal(err)
 				}
 				scribble(data)
-				scribble(spy.blob)
+				scribble(blob[:cap(blob)])
 				// Drop the owner's memory, so Open must reassemble from what the
 				// holders stored.
 				forget()
@@ -157,9 +146,11 @@ func TestCommittedBytesAreNotShared(t *testing.T) {
 	}
 }
 
-// TestFragmentPayloadOwnsItsBytes: the payload encodeReplFrag builds is a
-// copy of the shard, and decodeReplFrag's fragment is a view of exactly
-// that payload — so what a holder stores never aliases the owner's blob.
+// TestFragmentPayloadOwnsItsBytes: a fragment payload carries a view of
+// its shard, not a copy — the TCP mesh writes it from where it lies — and
+// what a holder decodes from it, off a socket or as the in-memory
+// receiver's own copy, is a view of exactly that payload's bytes, so what
+// a holder stores never aliases the owner's blob.
 func TestFragmentPayloadOwnsItsBytes(t *testing.T) {
 	blob := testBlob(4096+3, 9)
 	shards, err := mustCodec(t, "rs", 4, 2).Encode(blob)
@@ -171,7 +162,10 @@ func TestFragmentPayloadOwnsItsBytes(t *testing.T) {
 	for idx, s := range shards {
 		want[idx] = append([]byte(nil), s...)
 		payload := encodeReplFrag(1, 1, 0, idx, s)
-		if _, _, _, gotIdx, frag, err := decodeReplFrag(payload); err != nil || gotIdx != idx {
+		if head, body := payload.WireParts(); len(head) != replFragHeader || &body[0] != &s[0] || len(body) != len(s) {
+			t.Fatalf("fragment %d: payload is not the header and a view of the shard", idx)
+		}
+		if _, _, _, gotIdx, frag, err := decodeReplFrag(payload.MarshalWire()); err != nil || gotIdx != idx {
 			t.Fatalf("fragment %d roundtrip: idx %d, %v", idx, gotIdx, err)
 		} else {
 			frags[idx] = frag
@@ -180,11 +174,53 @@ func TestFragmentPayloadOwnsItsBytes(t *testing.T) {
 			t.Fatalf("fragment %d: cap %d > len %d — an append could reach past it", idx, cap(frags[idx]), len(frags[idx]))
 		}
 	}
-	scribble(blob)
+	scribble(blob[:cap(blob)])
 	for idx := range frags {
 		if !bytes.Equal(frags[idx], want[idx]) {
 			t.Fatalf("fragment %d changed when the owner's blob did: it aliases the blob", idx)
 		}
+	}
+}
+
+// TestInMemoryStoredFragmentsOwnTheirBytes: the in-memory interconnect
+// hands the holders the owner's views, and each holder's daemon copies
+// what it stores — scribbling over the owner's whole blob after Commit,
+// spare capacity included, changes no stored fragment, the ones for the
+// cross-group unit included.
+func TestInMemoryStoredFragmentsOwnTheirBytes(t *testing.T) {
+	const n, owner = 8, 2
+	stores := distWorld(t, n, WithDistCodec(mustCodec(t, "rs", 4, 2)), WithDistGroupSize(4))
+	data := testBlob(1<<20+11, 3)
+	ck, err := stores[owner].Begin(owner, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.WriteSection("app", data); err != nil {
+		t.Fatal(err)
+	}
+	blob := ck.(*distHandle).blob.Bytes()
+	if err := ck.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	units, err := mustCodec(t, "rs", 4, 2).Encode(append([]byte(nil), blob...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	units = append(units, append([]byte(nil), blob...))
+	scribble(blob[:cap(blob)])
+	held := 0
+	for _, s := range stores {
+		s.mu.Lock()
+		for key, frag := range s.node.frags {
+			held++
+			if !bytes.Equal(frag, units[key.idx]) {
+				t.Errorf("holder %d: fragment %d changed with the owner's blob", s.self, key.idx)
+			}
+		}
+		s.mu.Unlock()
+	}
+	if held != len(units) {
+		t.Fatalf("%d fragments held, want %d", held, len(units))
 	}
 }
 
@@ -267,9 +303,9 @@ func TestFlippedBitRejectedAndDecodedAround(t *testing.T) {
 }
 
 // TestCommitSpansTileTheCommit: encode, ship and ack are the commit's only
-// stages, so their spans must add up to the time Commit took. A stage that
-// reads the checkpoint bytes outside every span (the digests once did)
-// shows up here as a hole.
+// stages, so their spans must cover the time Commit took (encode and ship
+// overlap, so they may add up to more). A stage that reads the checkpoint
+// bytes outside every span (the digests once did) shows up here as a hole.
 func TestCommitSpansTileTheCommit(t *testing.T) {
 	stores := distWorld(t, 8, WithDistCodec(mustCodec(t, "rs", 4, 2)))
 	data := testBlob(8<<20, 8)

@@ -149,11 +149,11 @@ func TestMeshPartitionHoldFlushesInOrder(t *testing.T) {
 func TestMeshWriteUnderRuleClosesProbeConn(t *testing.T) {
 	meshes := newTestMeshes(t, 2)
 	msg := transport.Message{From: 0, To: 1, Payload: testPayload("late")}
-	kind, body, err := marshalBody(msg.Payload)
+	kind, head, body, err := marshalBody(msg.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := encodeFrame(msg, kind, body)
+	frame := encodeFrame(msg, kind, head, body)
 
 	// Drop mode: the frame vanishes and so must the probe connection.
 	setPartitionAll(meshes, [][2]int{{0, 1}}, false)

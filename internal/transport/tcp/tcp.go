@@ -439,10 +439,10 @@ func (m *Mesh) Send(msg transport.Message) error {
 		return fmt.Errorf("tcp: destination %d out of range [0,%d)", msg.To, m.n)
 	}
 	var kind uint8
-	var body []byte
+	var head, body []byte
 	if msg.To != m.self {
 		var err error
-		if kind, body, err = marshalBody(msg.Payload); err != nil {
+		if kind, head, body, err = marshalBody(msg.Payload); err != nil {
 			return err
 		}
 	}
@@ -469,7 +469,7 @@ func (m *Mesh) Send(msg transport.Message) error {
 		}
 		return nil
 	}
-	frame := encodeFrame(msg, kind, body)
+	frame := encodeFrame(msg, kind, head, body)
 	if m.dropRule(m.self, msg.To) {
 		// Partitioned pair: in hold mode the frame is buffered for the next
 		// Heal; in drop mode it vanishes and the sender never errors (the
@@ -493,35 +493,41 @@ func (m *Mesh) noteDropped() {
 	m.statMu.Unlock()
 }
 
-// marshalBody returns a payload's wire kind and encoded body, or the error
-// that refuses it: no wire encoding, or a body over the frame limit.
-func marshalBody(payload any) (uint8, []byte, error) {
+// marshalBody returns a payload's wire kind and encoding, or the error
+// that refuses it: no wire encoding, or an encoding over the frame limit.
+// The encoding is head followed by body; head is empty unless the payload
+// is a transport.SplitPayload, whose body is not joined to its head here.
+func marshalBody(payload any) (kind uint8, head, body []byte, err error) {
 	wp, ok := payload.(transport.WirePayload)
 	if !ok {
-		return 0, nil, fmt.Errorf("tcp: payload %T cannot cross a wire (no WirePayload)", payload)
+		return 0, nil, nil, fmt.Errorf("tcp: payload %T cannot cross a wire (no WirePayload)", payload)
 	}
-	body := wp.MarshalWire()
-	if len(body) > maxFrame-frameHeaderLen {
+	if sp, ok := wp.(transport.SplitPayload); ok {
+		head, body = sp.WireParts()
+	} else {
+		body = wp.MarshalWire()
+	}
+	if n := len(head) + len(body); n > maxFrame-frameHeaderLen {
 		// The receiver treats an oversized length prefix as stream
 		// corruption and drops the connection (losing queued frames behind
 		// it); refuse on the send side instead.
-		return 0, nil, fmt.Errorf("tcp: %d-byte payload exceeds the %d-byte frame limit", len(body), maxFrame)
+		return 0, nil, nil, fmt.Errorf("tcp: %d-byte payload exceeds the %d-byte frame limit", n, maxFrame)
 	}
-	return wp.WireKind(), body, nil
+	return wp.WireKind(), head, body, nil
 }
 
-// encodeFrame puts msg's length prefix and header in front of a body that
-// marshalBody accepted.
-func encodeFrame(msg transport.Message, kind uint8, body []byte) wireFrame {
-	inline := len(body)
-	if inline >= bulkBody {
-		inline = 0
-	}
-	head := frameHead(4+frameHeaderLen+inline, len(body), msg, kind)
+// encodeFrame puts msg's length prefix and header in front of an encoding
+// that marshalBody accepted. A bulk body stays where it lies and goes out
+// behind the rest in one writev; anything shorter is copied into the one
+// buffer.
+func encodeFrame(msg transport.Message, kind uint8, head, body []byte) wireFrame {
+	n := len(head) + len(body)
 	if len(body) >= bulkBody {
-		return wireFrame{head: head, body: body}
+		h := frameHead(4+frameHeaderLen+len(head), n, msg, kind)
+		return wireFrame{head: append(h, head...), body: body}
 	}
-	return wireFrame{head: append(head, body...)}
+	h := frameHead(4+frameHeaderLen+n, n, msg, kind)
+	return wireFrame{head: append(append(h, head...), body...)}
 }
 
 // frameHead writes a frame's length prefix and header for a body of

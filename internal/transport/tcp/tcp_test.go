@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"testing"
@@ -269,5 +270,62 @@ func benchWindow(b *testing.B, window, frame int) {
 	b.StopTimer()
 	if err := <-served; err != nil {
 		b.Fatal(err)
+	}
+}
+
+// splitPayload is testPayload's encoding as a transport.SplitPayload: the
+// length prefix as head, the bytes where they lie as body.
+type splitPayload []byte
+
+func (p splitPayload) WireKind() uint8     { return 0xEE }
+func (p splitPayload) MarshalWire() []byte { return testPayload(p).MarshalWire() }
+func (p splitPayload) WireParts() (head, body []byte) {
+	w := wire.NewWriter(4)
+	w.U32(uint32(len(p)))
+	return w.Bytes(), p
+}
+
+// TestMeshWritesSplitBodyInPlace: a bulk split payload's frame carries the
+// body slice itself behind the frame and payload heads — one writev, no
+// copy — and the peer decodes the same bytes as from the joined encoding.
+// A short body is copied into the one buffer.
+func TestMeshWritesSplitBodyInPlace(t *testing.T) {
+	for _, n := range []int{bulkBody - 5, bulkBody, 1<<20 + 3} {
+		body := make(splitPayload, n)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		msg := transport.Message{From: 0, To: 1, Class: transport.Data, Payload: body}
+		kind, head, b, err := marshalBody(msg.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := encodeFrame(msg, kind, head, b)
+		joined := append(append([]byte(nil), frame.head...), frame.body...)
+		want := append(frameHead(0, n+4, msg, kind), body.MarshalWire()...)
+		if !bytes.Equal(joined, want) {
+			t.Fatalf("%d-byte body: frame bytes differ from the joined encoding's", n)
+		}
+		switch {
+		case n < bulkBody && frame.body != nil:
+			t.Fatalf("%d-byte body: a short body is not copied into the frame's one buffer", n)
+		case n >= bulkBody && (len(frame.body) != n || &frame.body[0] != &body[0]):
+			t.Fatalf("%d-byte body: the frame's body is not the payload's body slice", n)
+		}
+	}
+	meshes := newTestMeshes(t, 2)
+	body := make(splitPayload, 1<<20+3)
+	for i := range body {
+		body[i] = byte(i * 13)
+	}
+	if err := meshes[0].Send(transport.Message{From: 0, To: 1, Class: transport.Data, Payload: body}); err != nil {
+		t.Fatal(err)
+	}
+	msg, ok := recvOne(t, meshes[1], 5*time.Second)
+	if !ok {
+		t.Fatal("split payload not delivered")
+	}
+	if got := msg.Payload.(testPayload); !bytes.Equal(got, body) {
+		t.Fatal("split payload arrived with other bytes")
 	}
 }

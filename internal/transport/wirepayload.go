@@ -45,6 +45,18 @@ type WirePayload interface {
 	MarshalWire() []byte
 }
 
+// SplitPayload is a WirePayload whose encoding is a short head followed by
+// a body that lies elsewhere, such as a view of a checkpoint shard. A wire
+// that writes a frame in segments sends the body from where it lies
+// instead of copying it behind the head; MarshalWire still returns the
+// joined encoding, for a path that needs it in one buffer. Nobody modifies
+// the body while the message may still be written.
+type SplitPayload interface {
+	WirePayload
+	// WireParts returns the encoding as head followed by body.
+	WireParts() (head, body []byte)
+}
+
 var (
 	wireDecMu    sync.RWMutex
 	wireDecoders = map[uint8]func(data []byte) (any, error){}
