@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -98,10 +99,12 @@ type LaunchResult struct {
 	KillTime time.Time
 	// PartTime and HealTime bracket the external partition (zero if none).
 	PartTime, HealTime time.Time
-	// SplitCkpts counts the checkpoint commits each rank reported while
-	// its own partition rules were installed (between its "parted" and
-	// "healed" events) — the fencing contract says the minority side's
-	// entries must be zero.
+	// SplitCkpts counts the checkpoint commits each rank made while its
+	// own partition rules were installed: those it reported between its
+	// "parted" and "healed" events with a commit count above the one its
+	// "parted" event carried. A commit whose acknowledgments landed before
+	// the rules went in does not count, however late its event arrives.
+	// The fencing contract says the minority side's entries must be zero.
 	SplitCkpts map[int]int
 	// PartLines holds each rank's newest committed version, as its ckpt
 	// events reported it, when its "parted" event arrived (-1: none yet).
@@ -327,6 +330,17 @@ func (l *launcher) cleanup() {
 	}
 }
 
+// eventCount parses the event's field i as a count, or returns def when
+// the field is absent or malformed.
+func eventCount(ev launchEvent, i int, def int64) int64 {
+	if i < len(ev.fields) {
+		if n, err := strconv.ParseInt(ev.fields[i], 10, 64); err == nil {
+			return n
+		}
+	}
+	return def
+}
+
 // nextEvent waits for the next worker event, killing the run at the global
 // deadline.
 func (l *launcher) nextEvent() (launchEvent, error) {
@@ -408,11 +422,12 @@ func (l *launcher) drive() (*LaunchResult, error) {
 
 	ep := l.cfg.ExternalPartition
 	parted, healed := false, false
-	var inGroupA, split map[int]bool
+	var inGroupA map[int]bool
+	var split map[int]int64 // rank -> its commit count when its rules went in
 	if ep != nil {
 		res.SplitCkpts = make(map[int]int)
 		res.PartLines = make(map[int]int)
-		split = make(map[int]bool)
+		split = make(map[int]int64)
 		inGroupA = make(map[int]bool, len(ep.GroupA))
 		for _, r := range ep.GroupA {
 			inGroupA[r] = true
@@ -467,8 +482,9 @@ func (l *launcher) drive() (*LaunchResult, error) {
 			}
 		case "parted":
 			// The rank's partition rules are installed: from here until its
-			// "healed", each commit it reports was made while split.
-			split[ev.rank] = true
+			// "healed", each commit it reports with a higher count than the
+			// one given here was made while split.
+			split[ev.rank] = eventCount(ev, 1, -1)
 			v, ok := newest[ev.rank]
 			if !ok {
 				v = -1
@@ -491,8 +507,12 @@ func (l *launcher) drive() (*LaunchResult, error) {
 				}
 			}
 			if ep != nil {
-				if split[ev.rank] {
-					res.SplitCkpts[ev.rank]++
+				if n, ok := split[ev.rank]; ok {
+					if eventCount(ev, 3, math.MaxInt64) > n {
+						res.SplitCkpts[ev.rank]++
+					} else if v := newest[ev.rank]; v > res.PartLines[ev.rank] {
+						res.PartLines[ev.rank] = v // committed before the rules, reported after
+					}
 				}
 				if inGroupA[ev.rank] {
 					groupCkpts++

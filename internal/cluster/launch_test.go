@@ -74,8 +74,11 @@ func TestLaunchErrorWhileWorkerFloods(t *testing.T) {
 }
 
 // runPartWorker is a scripted worker for the split-time commit count. On
-// "part" it reports a commit before its rules are in ("parted"), and rank 0
-// one more while split; on "heal" it reports a commit after "healed" and
+// "part" each rank reports a commit before its rules are in ("parted") and
+// one more after them: rank 0's is its second commit, made while split;
+// rank 1's is its second commit too, but "parted" already counted it (its
+// acknowledgments landed before the rules went in, and its event was
+// emitted late). On "heal" it reports a commit after "healed" and
 // finishes the attempt.
 func runPartWorker() {
 	fs := flag.NewFlagSet("part-worker", flag.ExitOnError)
@@ -86,14 +89,16 @@ func runPartWorker() {
 	for sc.Scan() {
 		switch cmd, _, _ := strings.Cut(sc.Text(), " "); cmd {
 		case "part":
-			fmt.Println("ckpt 0 1")
-			fmt.Println("parted")
+			fmt.Println("ckpt 0 1 1")
 			if *rank == 0 {
-				fmt.Println("ckpt 0 2")
+				fmt.Println("parted 1")
+			} else {
+				fmt.Println("parted 2")
 			}
+			fmt.Println("ckpt 0 2 2")
 		case "heal":
 			fmt.Println("healed")
-			fmt.Println("ckpt 0 3")
+			fmt.Println("ckpt 0 3 3")
 			fmt.Println("done 0 ok")
 		case "quit":
 			return
@@ -102,9 +107,10 @@ func runPartWorker() {
 }
 
 // TestSplitCkptsBracketedByWorker: a rank's split-time commits are the ones
-// it reports between its own "parted" and "healed". A commit it reported
-// after the launcher sent "part", but before it installed the rules, was
-// not made while split.
+// it reports between its own "parted" and "healed" with a count above the
+// one "parted" carried. A commit it reported after the launcher sent
+// "part", but before it installed the rules, was not made while split, and
+// neither was one its "parted" count already included.
 func TestSplitCkptsBracketedByWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test in -short mode")
@@ -123,7 +129,10 @@ func TestSplitCkptsBracketedByWorker(t *testing.T) {
 		t.Fatalf("launch: %v", err)
 	}
 	if n := res.SplitCkpts[1]; n != 0 {
-		t.Errorf("minority rank 1: SplitCkpts = %d, want 0 (its only commits fell outside parted..healed)", n)
+		t.Errorf("minority rank 1: SplitCkpts = %d, want 0 (its commits fell outside parted..healed or were counted by parted)", n)
+	}
+	if v := res.PartLines[1]; v != 2 {
+		t.Errorf("minority rank 1: PartLines = %d, want 2 (the line its parted count included)", v)
 	}
 	if n := res.SplitCkpts[0]; n != 1 {
 		t.Errorf("rank 0: SplitCkpts = %d, want 1", n)

@@ -13,14 +13,17 @@ package cluster
 //	                   quit                      exit
 //	node -> launcher:  ready                     store + node mesh are up
 //	                   victim                    failure spec fired; awaiting SIGKILL
-//	                   ckpt <attempt> <version>  a checkpoint committed (diskless store)
+//	                   ckpt <attempt> <version> <n>
+//	                                             a checkpoint committed (diskless
+//	                                             store), the store's n-th
 //	                   respawn <rank>            coordinator requests a re-exec
 //	                   wantjoin <slot>           ops plane asks for a new member
 //	                                             (slot -1: launcher picks a spare)
 //	                   joined <epoch>            membership agreement admitted us
 //	                   drained <epoch>           membership agreement removed us;
 //	                                             exiting cleanly
-//	                   parted / healed           partition rules installed /
+//	                   parted <n> / healed       partition rules installed, with
+//	                                             the store's commit count then /
 //	                                             about to be removed
 //	                   stat <attempt> <k=v...>   store statistics for the attempt
 //	                   done <attempt> <result>   attempt completed
@@ -441,9 +444,9 @@ func (w *node) run() error {
 			return err
 		}
 		dopts = append(dopts, stable.WithDistMembers(member.Launch(cfg.Ranks)),
-			stable.WithCommitHook(func(version int) {
+			stable.WithCommitHook(func(version int, commits int64) {
 				w.lastLine.Store(int64(version))
-				w.emit("ckpt %d %d", w.curAttempt.Load(), version)
+				w.emit("ckpt %d %d %d", w.curAttempt.Load(), version, commits)
 			}))
 		w.dist = stable.NewDistStore(cfg.Rank, cfg.Capacity, demux.Plane(transport.WireKindRepl), dopts...)
 		w.store = w.dist
@@ -563,7 +566,14 @@ func (w *node) run() error {
 					continue
 				}
 				rmesh.SetPartition(SplitPairs(groupA, cfg.Ranks, false), true)
-				w.emit("parted")
+				// The store's commit count once the rules are in: a commit
+				// whose acknowledgments landed before them has a count no
+				// larger, even if its ckpt event is emitted after this one.
+				var commits int64
+				if w.dist != nil {
+					commits, _ = w.dist.CommitStats()
+				}
+				w.emit("parted %d", commits)
 			case "heal":
 				// Reported before the rules go: in hold mode no commit can
 				// complete across the split until Heal flushes the held

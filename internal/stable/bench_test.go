@@ -3,6 +3,8 @@ package stable
 import (
 	"fmt"
 	"testing"
+
+	"c3/internal/transport"
 )
 
 // Layer micro-benchmarks for the stages a diskless checkpoint byte passes
@@ -80,6 +82,69 @@ func BenchmarkRSDecodeRepair(b *testing.B) {
 			benchSink = blob
 		}
 	})
+}
+
+// BenchmarkDistRestore is one restore of an 8 MiB rs 4+2 line on its
+// owner, over the in-memory interconnect of 8 DistStores: Open, which
+// queries the peers, fetches k shards and lands them in place, then
+// ReadSection. The owner keeps no local copy of an rs line, and the one
+// Open re-installs is dropped before each round. With one data shard
+// missing, its holder has lost it: the restore fetches a parity shard
+// instead and rebuilds the data shard into its offset.
+func BenchmarkDistRestore(b *testing.B) {
+	const n, owner, size = 8, 3, 8 << 20
+	nw := transport.NewNetwork(n)
+	stores := make([]*DistStore, n)
+	for r := range stores {
+		stores[r] = NewDistStore(r, n, nw, WithDistCodec(newRSCodec(4, 2)))
+	}
+	defer func() {
+		for _, s := range stores {
+			s.Close()
+		}
+	}()
+	app := testBlob(size, 6)
+	for _, c := range []struct {
+		name string
+		drop int // a data shard lost before the restores, or -1
+	}{{"all-shards", -1}, {"one-missing", 0}} {
+		version := c.drop + 2
+		ck, err := stores[owner].Begin(owner, version)
+		if err == nil {
+			err = ck.WriteSection("app", app)
+		}
+		if err == nil {
+			err = ck.Commit()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c.drop >= 0 {
+			for _, s := range stores {
+				s.mu.Lock()
+				delete(s.node.frags, replFragKey{owner: owner, version: version, idx: c.drop})
+				s.mu.Unlock()
+			}
+		}
+		b.Run(sizeName(size)+"/"+c.name, func(b *testing.B) {
+			b.SetBytes(size)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				stores[owner].mu.Lock()
+				delete(stores[owner].node.local, version)
+				stores[owner].mu.Unlock()
+				snap, err := stores[owner].Open(owner, version)
+				if err != nil {
+					b.Fatal(err)
+				}
+				data, err := snap.ReadSection("app")
+				if err != nil || len(data) != size {
+					b.Fatalf("ReadSection: %d bytes, %v", len(data), err)
+				}
+				benchSink = data
+			}
+		})
+	}
 }
 
 // BenchmarkDiskCommit is one line of DiskStore's Configuration #3 write

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -159,17 +160,6 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// joinShards concatenates k reconstructed data shards into a new buffer and
-// trims the padding. bytes.Join allocates without zeroing the bytes it is
-// about to overwrite, which make would do first.
-func joinShards(shards [][]byte, k, total int) []byte {
-	blob := bytes.Join(shards[:k], nil)
-	if len(blob) < total {
-		return nil
-	}
-	return blob[:total]
-}
-
 // GF(2^8) arithmetic with the 0x11d polynomial (the classic RS field).
 // Exp table is doubled so mul can index exp[logA+logB] without a mod.
 var gfExp [512]byte
@@ -256,26 +246,37 @@ func gfMulAdd(dst, src []byte, coef byte) {
 	}
 }
 
-// gfMulRows adds Σ_j coef[r][j]·in[j] into out[r] over shards of sz bytes.
-// It serves Encode (coef = the parity rows of the encoding matrix) and
-// Decode (coef = the inverted rows of the missing shards, into zeroed
-// rows) alike. Large shards are split across GOMAXPROCS goroutines on
-// stripe boundaries, which the bit-sliced layout needs; the ranges are
-// disjoint, so the workers share nothing.
+// gfMulRows adds Σ_j coef[r][j]·in[j] into out[r] over shards of sz bytes,
+// split across goroutines by gfParallel. It serves Encode (coef = the
+// parity rows of the encoding matrix) and rebuild (coef = the inverted
+// rows of the missing shards, into zeroed rows) alike.
 func gfMulRows(coef [][]byte, in, out [][]byte, sz int) {
-	workers := min(runtime.GOMAXPROCS(0), sz/(4*gfStripe))
-	if workers <= 1 {
-		gfMulRange(coef, in, out, 0, sz)
+	gfParallel(sz, gfParts(sz), func(_, lo, hi int) { gfMulRange(coef, in, out, lo, hi) })
+}
+
+// gfParts is how many goroutines gfParallel spreads sz bytes of shard
+// over: up to GOMAXPROCS, at least four stripes each.
+func gfParts(sz int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), sz/(4*gfStripe)))
+}
+
+// gfParallel cuts [0, sz) into parts ranges on stripe boundaries, which
+// the bit-sliced layout needs, and runs fn on each, part p on the p-th
+// range in order, each on its own goroutine when there are several. The
+// ranges are disjoint, so the workers share nothing.
+func gfParallel(sz, parts int, fn func(part, lo, hi int)) {
+	if parts <= 1 {
+		fn(0, 0, sz)
 		return
 	}
 	stripes := (sz + gfStripe - 1) / gfStripe
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*stripes/workers*gfStripe, min((w+1)*stripes/workers*gfStripe, sz)
+	for p := 0; p < parts; p++ {
+		lo, hi := p*stripes/parts*gfStripe, min((p+1)*stripes/parts*gfStripe, sz)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			gfMulRange(coef, in, out, lo, hi)
+			fn(p, lo, hi)
 		}()
 	}
 	wg.Wait()
@@ -428,15 +429,16 @@ func (c rsCodec) encodeParity(data [][]byte) [][]byte {
 	return parity
 }
 
+// Decode copies the data shards it is given to their offsets in a new
+// blob and rebuilds the missing ones there: the decode path the store's
+// restore shares (rebuild).
 func (c rsCodec) Decode(shards [][]byte, total int) ([]byte, error) {
 	if len(shards) != c.k+c.m {
 		return nil, fmt.Errorf("stable: rs expects %d shards, got %d", c.k+c.m, len(shards))
 	}
-	var have []int // the first k surviving shards
-	sz, allData := -1, true
+	sz, have := -1, 0
 	for i, s := range shards {
 		if s == nil {
-			allData = allData && i >= c.k
 			continue
 		}
 		if sz < 0 {
@@ -444,41 +446,100 @@ func (c rsCodec) Decode(shards [][]byte, total int) ([]byte, error) {
 		} else if len(s) != sz {
 			return nil, fmt.Errorf("stable: rs shard %d length %d != %d", i, len(s), sz)
 		}
-		if len(have) < c.k {
-			have = append(have, i)
-		}
+		have++
 	}
-	if len(have) < c.k {
-		return nil, fmt.Errorf("stable: rs has %d of %d required shards", len(have), c.k)
+	if have < c.k {
+		return nil, fmt.Errorf("stable: rs has %d of %d required shards", have, c.k)
 	}
 	if c.k > 1 && sz%8 != 0 {
 		return nil, fmt.Errorf("stable: rs shard length %d is not a multiple of 8", sz)
 	}
-	if !allData {
-		inv, err := c.rows(have).invert()
-		if err != nil {
-			return nil, err
-		}
-		// Only the missing data shards are recomputed: row d of the
-		// inverse rebuilds data shard d from the k survivors.
-		repaired := append([][]byte(nil), shards...)
-		in := make([][]byte, c.k)
-		for r, idx := range have {
-			in[r] = shards[idx]
-		}
-		var rows, out [][]byte
-		for d := 0; d < c.k; d++ {
-			if repaired[d] == nil {
-				repaired[d] = make([]byte, sz)
-				rows, out = append(rows, inv[d]), append(out, repaired[d])
-			}
-		}
-		gfMulRows(rows, in, out, sz)
-		shards = repaired
-	}
-	blob := joinShards(shards, c.k, total)
-	if blob == nil {
+	if total > c.k*sz {
 		return nil, fmt.Errorf("stable: rs reassembly shorter than %d bytes", total)
 	}
+	blob := make([]byte, total, c.k*sz)
+	in := slices.Clone(shards)
+	for d, s := range shards[:c.k] {
+		if s != nil {
+			in[d] = dataRange(blob, d, sz)
+			copy(in[d], s)
+		}
+	}
+	if err := c.rebuild(blob, sz, in, nil); err != nil {
+		return nil, err
+	}
 	return blob, nil
+}
+
+// dataRange is data shard d's place in a blob laid out in place: its sz
+// bytes at offset d·sz, which reach into the blob's spare capacity past
+// its end (capacity clipped, so the ranges stay disjoint).
+func dataRange(blob []byte, d, sz int) []byte {
+	return blob[d*sz : (d+1)*sz : (d+1)*sz]
+}
+
+// rebuild writes the missing data shards of a blob laid out in place —
+// data shard d at dataRange(blob, d, sz), the tail shard's padding in the
+// blob's capacity of k·sz — from the first k shards present in shards
+// (indexed as Encode produced them; data shards are views of their
+// ranges, parity shards lie anywhere; nil = absent). The ranges of the
+// missing shards must be zero. Row d of the inverse of the survivors'
+// encoding rows rebuilds data shard d straight into its range: only the
+// missing shards are computed, and nothing is joined. With sums, each
+// rebuilt shard is digested as it is written, stripe by stripe while the
+// stripe is still in cache, into sums[d].
+func (c rsCodec) rebuild(blob []byte, sz int, shards [][]byte, sums []shardCRC) error {
+	var have, missing []int
+	for i, s := range shards {
+		switch {
+		case s == nil && i < c.k:
+			missing = append(missing, i)
+		case s != nil && len(have) < c.k:
+			have = append(have, i)
+		}
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	if len(have) < c.k {
+		return fmt.Errorf("stable: rs has %d of %d required shards", len(have), c.k)
+	}
+	inv, err := c.rows(have).invert()
+	if err != nil {
+		return err
+	}
+	in := make([][]byte, c.k)
+	for r, idx := range have {
+		in[r] = shards[idx]
+	}
+	rows, out := make([][]byte, len(missing)), make([][]byte, len(missing))
+	for r, d := range missing {
+		rows[r], out[r] = inv[d], dataRange(blob, d, sz)
+	}
+	if sums == nil {
+		gfMulRows(rows, in, out, sz)
+		return nil
+	}
+	// Each part digests its range of every rebuilt shard; the parts' runs
+	// are then chained in order.
+	parts := gfParts(sz)
+	runs := make([][]shardCRC, parts)
+	gfParallel(sz, parts, func(p, lo, hi int) {
+		runs[p] = make([]shardCRC, len(out))
+		for ; lo < hi; lo += gfStripe {
+			end := min(lo+gfStripe, hi)
+			gfMulRange(rows, in, out, lo, end)
+			for r, o := range out {
+				runs[p][r].update(o[lo:end], lo, len(blobPart(blob, missing[r], sz)))
+			}
+		}
+	})
+	for r, d := range missing {
+		var sum shardCRC
+		for _, run := range runs {
+			sum = sum.then(run[r])
+		}
+		sums[d] = sum
+	}
+	return nil
 }

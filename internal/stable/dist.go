@@ -1,7 +1,6 @@
 package stable
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"slices"
@@ -42,7 +41,7 @@ type DistStore struct {
 	ackTimeout   time.Duration
 	queryTimeout time.Duration
 	queryRetries int
-	commitHook   func(version int)
+	commitHook   func(version int, commits int64)
 	logf         func(format string, args ...any)
 
 	mu       sync.Mutex
@@ -137,12 +136,15 @@ func WithQueryRetries(k int) DistOption {
 }
 
 // WithCommitHook installs a callback invoked after each locally committed
-// version. The acknowledgment wait that precedes the local commit may
-// have ended early — epoch advance, shutdown, ack timeout excusing a
-// dead neighbor — so the hook reports local durability, not replication
-// completion. The multi-process node uses it to report checkpoint
-// progress to the launcher, which drives the external-kill demo mode.
-func WithCommitHook(fn func(version int)) DistOption {
+// version, with the store's commit count including it (CommitStats'
+// count as of the moment its acknowledgment wait ended). The
+// acknowledgment wait that precedes the local commit may have ended early
+// — epoch advance, shutdown, ack timeout excusing a dead neighbor — so
+// the hook reports local durability, not replication completion. The
+// multi-process node uses it to report checkpoint progress to the
+// launcher, which drives the external-kill demo mode and counts the
+// commits made while partitioned.
+func WithCommitHook(fn func(version int, commits int64)) DistOption {
 	return func(s *DistStore) { s.commitHook = fn }
 }
 
@@ -599,22 +601,6 @@ func (h *distHandle) Commit() error {
 	}
 	fenced := s.fenced
 	tornDown := s.closed || s.epoch != startEpoch
-	for _, nb := range targets {
-		delete(s.awaiting, replAckKey{owner: h.rank, version: h.version, from: nb})
-	}
-	if keepLocal && !fenced && s.wipes == startWipes {
-		// The local copy is the blob itself: its sections are views of it.
-		// A node wiped mid-commit keeps none: the line lives on its holders.
-		s.node.local[h.version] = &memCkpt{sections: h.views(blob), commit: true}
-	}
-	hook := s.commitHook
-	s.mu.Unlock()
-	ackSp.End(uint64(lostShards))
-	if fenced {
-		// Torn down while still fenced: refuse outright. No local copy was
-		// installed and no hook fires — a fenced rank reports zero commits.
-		return fmt.Errorf("stable: commit (%d,%d) torn down while fenced: %w", h.rank, h.version, ErrFenced)
-	}
 	// The ack-timeout excusal has a floor: if the unacknowledged or wiped
 	// holders account for more shards than the parity budget, the line
 	// cannot be reconstructed and success would let the protocol retire the
@@ -628,16 +614,39 @@ func (h *distHandle) Commit() error {
 	// shutdown) keep their legacy semantics — recovery truncates and
 	// re-executes those lines.
 	parityAcked := parity >= 0 && !parityLost
-	if !tornDown && frags-lostShards < codec.k && !parityAcked {
+	floorMissed := !tornDown && frags-lostShards < codec.k && !parityAcked
+	for _, nb := range targets {
+		delete(s.awaiting, replAckKey{owner: h.rank, version: h.version, from: nb})
+	}
+	if keepLocal && !fenced && s.wipes == startWipes {
+		// The local copy is the blob itself: its sections are views of it.
+		// A node wiped mid-commit keeps none: the line lives on its holders.
+		s.node.local[h.version] = &memCkpt{sections: h.views(blob), commit: true}
+	}
+	// A commit is counted here, in the section that ends its ack wait, so
+	// its count orders it against whatever else reads CommitStats: a
+	// commit whose acks landed before a reader looked has a count the
+	// reader saw, however late its hook runs.
+	var count int64
+	if !fenced && !floorMissed {
+		s.commits++
+		s.commitNanos += time.Since(begin).Nanoseconds()
+		count = s.commits
+	}
+	hook := s.commitHook
+	s.mu.Unlock()
+	ackSp.End(uint64(lostShards))
+	if fenced {
+		// Torn down while still fenced: refuse outright. No local copy was
+		// installed and no hook fires — a fenced rank reports zero commits.
+		return fmt.Errorf("stable: commit (%d,%d) torn down while fenced: %w", h.rank, h.version, ErrFenced)
+	}
+	if floorMissed {
 		return fmt.Errorf("stable: commit (%d,%d) missing acknowledgments for %d of %d shards (codec needs %d)",
 			h.rank, h.version, lostShards, frags, codec.k)
 	}
-	s.mu.Lock()
-	s.commits++
-	s.commitNanos += time.Since(begin).Nanoseconds()
-	s.mu.Unlock()
 	if hook != nil {
-		hook(h.version)
+		hook(h.version, count)
 	}
 	return nil
 }
@@ -865,28 +874,40 @@ func (s *DistStore) dropRequest(id uint64) {
 }
 
 // queryPeers asks every peer what it holds for owner and merges the
-// responses, waiting until all peers answered or the query timeout passed.
-func (s *DistStore) queryPeers(owner int) map[int]*remoteLine {
-	ch := make(chan distResp, s.n)
+// answers. It waits until every peer answered or the query timeout
+// passed, or, with enough, until enough says the merged answers suffice;
+// late tells enough whether the first backoff has passed. A peer still
+// silent after that backoff gets the query again, so one lost frame costs
+// a fraction of the timeout: the first re-send goes out after
+// queryTimeout/queryBackoffDiv, and each later one after twice the
+// previous wait.
+func (s *DistStore) queryPeers(owner int, enough func(lines map[int]*remoteLine, late bool) bool) map[int]*remoteLine {
+	sweep := s.peerList()
+	ch := make(chan distResp, queryRounds*len(sweep))
 	reqID := s.newRequest(ch)
 	defer s.dropRequest(reqID)
-	sweep := s.peerList()
-	for _, q := range sweep {
-		s.send(q, transport.Control, encodeDistQueryLast(reqID, owner))
+	q := encodeDistQueryLast(reqID, owner)
+	for _, p := range sweep {
+		s.send(p, transport.Control, q)
 	}
-	peers := len(sweep)
 	lines := make(map[int]*remoteLine)
-	deadline := time.After(s.queryTimeout)
-	for answered := 0; answered < peers; {
+	answered := make(map[int]bool, len(sweep))
+	deadline := time.NewTimer(s.queryTimeout)
+	defer deadline.Stop()
+	backoff, late := s.queryTimeout/queryBackoffDiv, false
+	resend := time.NewTimer(backoff)
+	defer resend.Stop()
+	for len(answered) < len(sweep) {
 		select {
 		case resp := <-ch:
-			if len(resp.data) == 0 || resp.data[0] != distMsgRespLast {
+			if answered[resp.from] || len(resp.data) == 0 || resp.data[0] != distMsgRespLast {
 				continue
 			}
 			_, entries, err := decodeDistRespLast(resp.data)
 			if err != nil {
 				continue
 			}
+			answered[resp.from] = true
 			if s.logf != nil {
 				s.logf("dist: rank %d query owner=%d: rank %d holds %d entries", s.self, owner, resp.from, len(entries))
 			}
@@ -900,15 +921,56 @@ func (s *DistStore) queryPeers(owner int) map[int]*remoteLine {
 					rl.holders[idx] = append(rl.holders[idx], resp.from)
 				}
 			}
-			answered++
-		case <-deadline:
+			if enough != nil && enough(lines, late) {
+				return lines
+			}
+		case <-resend.C:
+			late = true
+			if enough != nil && enough(lines, late) {
+				return lines
+			}
+			for _, p := range sweep {
+				if !answered[p] {
+					s.send(p, transport.Control, q)
+				}
+			}
+			backoff *= 2
+			resend.Reset(backoff)
+		case <-deadline.C:
 			if s.logf != nil {
-				s.logf("dist: rank %d query owner=%d timed out with %d/%d peers answered", s.self, owner, answered, peers)
+				s.logf("dist: rank %d query owner=%d timed out with %d/%d peers answered", s.self, owner, len(answered), len(sweep))
 			}
 			return lines
 		}
 	}
 	return lines
+}
+
+// A recovery query re-sends to silent peers after queryTimeout /
+// queryBackoffDiv, then after doubling waits, so it makes at most
+// queryRounds rounds inside its deadline (1/16 + 2/16 + 4/16 + 8/16 < 1).
+const queryBackoffDiv, queryRounds = 16, 5
+
+// reported is how many of the line's first n codec shards some peer
+// reported holding.
+func (rl *remoteLine) reported(n int) int {
+	held := 0
+	for idx := 0; idx < min(n, rl.rec.frags); idx++ {
+		if len(rl.holders[idx]) > 0 {
+			held++
+		}
+	}
+	return held
+}
+
+// intact reports whether some peer reported holding every data shard of
+// the line, so that it lands with nothing to rebuild. With k = 1 every
+// shard is the data shard.
+func (rl *remoteLine) intact() bool {
+	if rl.rec.data == 1 {
+		return rl.reported(rl.rec.frags) > 0
+	}
+	return rl.reported(rl.rec.data) == rl.rec.data
 }
 
 // complete reports whether enough distinct shards of the line were seen
@@ -918,14 +980,7 @@ func (rl *remoteLine) complete() bool {
 	if _, ok := rl.rec.crossHolder(); ok && len(rl.holders[rl.rec.frags]) > 0 {
 		return true
 	}
-	need := rl.rec.data
-	avail := 0
-	for idx := 0; idx < rl.rec.frags && avail < need; idx++ {
-		if len(rl.holders[idx]) > 0 {
-			avail++
-		}
-	}
-	return avail >= need
+	return rl.reported(rl.rec.frags) >= rl.rec.data
 }
 
 // LastCommitted implements Store: the newest version this node holds a
@@ -948,7 +1003,7 @@ func (s *DistStore) LastCommitted(rank int) (int, bool, error) {
 			return best, true, nil // k = 1: each line committed here is held here as shard 0
 		}
 	}
-	lines := s.queryPeers(rank)
+	lines := s.queryPeers(rank, nil)
 	for v, rl := range lines {
 		if (!ok || v > best) && rl.complete() {
 			best, ok = v, true
@@ -962,12 +1017,17 @@ func (s *DistStore) LastCommitted(rank int) (int, bool, error) {
 	return best, ok, nil
 }
 
-// Open implements Store. A missing local copy is reassembled from peer
-// fragments fetched over the wire, validated against the commit marker,
-// and re-installed locally (the restarted node re-hosting its line). The
-// holders come from the answer LastCommitted kept when it has the version;
-// they are hints only, since every fetched shard is validated and missing
-// ones are swept for.
+// Open implements Store. A missing local copy is restored from peer
+// fragments fetched over the wire, landed in place and validated against
+// the commit marker, and re-installed locally (the restarted node
+// re-hosting its line); its sections are views of the one restored blob.
+// The holders come from the answer LastCommitted kept when it has the
+// version, or else from a query of Open's own. That query stops waiting
+// once peers have reported a holder for every data shard of the version,
+// or, once its first backoff has passed, for any k distinct shards (or
+// the cross-group one): a silent peer costs a fraction of the query
+// timeout, not all of it. The holders are hints only, since every fetched
+// shard is validated and missing ones are swept for.
 func (s *DistStore) Open(rank, version int) (Snapshot, error) {
 	var rl *remoteLine
 	s.mu.Lock()
@@ -985,20 +1045,21 @@ func (s *DistStore) Open(rank, version int) (Snapshot, error) {
 
 	reSp := trace.Default().Begin(int32(s.self), trace.KindReassemble, 0, uint64(version))
 	if rl == nil {
-		rl = s.queryPeers(rank)[version]
+		// Every data shard reported: the line lands with nothing to
+		// rebuild. After the first backoff, any complete line will do.
+		rl = s.queryPeers(rank, func(lines map[int]*remoteLine, late bool) bool {
+			l := lines[version]
+			return l != nil && (l.intact() || late && l.complete())
+		})[version]
 	}
 	if rl == nil {
 		reSp.End(0)
 		return nil, fmt.Errorf("%w: rank %d version %d (no local copy, no peer commit marker)", ErrNotFound, rank, version)
 	}
-	shards := s.fetchShards(rank, version, rl)
-	blob, held, err := reassembleBlob(rl.rec, shards)
+	blob, err := s.fetchLine(rank, version, rl).finish()
 	var sections map[string][]byte
 	if err == nil {
-		// A blob the codec just built belongs to this restore, so the
-		// sections are views of it; the cross-group parity shard is a
-		// fetched fragment, so its sections are copies.
-		sections, err = decodeReplSections(blob, !held)
+		sections, err = decodeReplSections(blob)
 	}
 	if err != nil {
 		reSp.End(0)
@@ -1015,71 +1076,59 @@ func (s *DistStore) Open(rank, version int) (Snapshot, error) {
 	return &memSnap{ck: ck}, nil
 }
 
-// fetchShards fetches shards of the line until the codec can reconstruct
-// it, into a slice with room for the cross-group parity shard when the
-// line has one. The first k shards some peer reported holding are
-// fetched at once, each from the first peer that reported it: with every
-// holder live, a restore is one round of exactly k requests. Only the
-// shards that round did not yield are swept for (fetchFrag), those with a
-// reported holder first. A shard unreachable or digest-mismatched on every
-// peer counts as lost, which the codec tolerates up to its parity count.
-// When group-local shards fall short (a whole group died together), the
-// cross-group parity shard — the whole blob, one group over — is fetched
-// instead, from its reported holder before any sweep for shards nobody
-// reported.
-func (s *DistStore) fetchShards(owner, version int, rl *remoteLine) [][]byte {
+// fetchLine fetches shards of the line, landing each as it arrives, until
+// the codec can reconstruct it. The first k shards some peer reported
+// holding are fetched at once, each from the first peer that reported it:
+// with every holder live, a restore is one round of exactly k requests.
+// Only the shards that round did not yield are swept for (fetchFrag),
+// those with a reported holder first. A shard unreachable or
+// digest-mismatched on every peer counts as lost, which the codec
+// tolerates up to its parity count. When group-local shards fall short (a
+// whole group died together), the cross-group parity shard — the whole
+// blob, one group over — is fetched instead, from its reported holder
+// before any sweep for shards nobody reported.
+func (s *DistStore) fetchLine(owner, version int, rl *remoteLine) *landing {
 	rec := rl.rec
-	_, hasCross := rec.crossHolder()
-	units := rec.frags
-	if hasCross {
-		units++ // the cross-group parity shard at index rec.frags
-	}
-	shards := make([][]byte, units)
-	need := rec.data
+	l := newLanding(rec)
 	var plan []shardAsk
-	for idx := 0; idx < rec.frags && len(plan) < need; idx++ {
+	for idx := 0; idx < rec.frags && len(plan) < rec.data; idx++ {
 		if hs := rl.holders[idx]; len(hs) > 0 {
 			plan = append(plan, shardAsk{idx: idx, peer: hs[0]})
 		}
 	}
-	valid := s.fetchFrom(owner, version, rec, plan, shards)
+	s.fetchFrom(owner, version, plan, l)
 	sweep := func(reported bool) {
-		for idx := 0; idx < rec.frags && valid < need; idx++ {
-			if shards[idx] == nil && (len(rl.holders[idx]) > 0) == reported {
-				if frag, ok := s.fetchFrag(owner, version, idx, rec); ok {
-					shards[idx] = frag
-					valid++
-				}
+		for idx := 0; idx < rec.frags && !l.done(); idx++ {
+			if l.shards[idx] == nil && (len(rl.holders[idx]) > 0) == reported {
+				s.fetchFrag(owner, version, idx, l)
 			}
 		}
 	}
 	sweep(true)
-	if hasCross && valid < need {
+	_, hasCross := rec.crossHolder()
+	if hasCross && !l.done() {
 		// The parity shard alone reconstructs the line: ask its reported
 		// holder before sweeping for shards nobody reported.
-		idx := rec.frags
-		if hs := rl.holders[idx]; len(hs) > 0 && s.fetchFrom(owner, version, rec, []shardAsk{{idx: idx, peer: hs[0]}}, shards) == 1 {
-			return shards
+		if hs := rl.holders[rec.frags]; len(hs) > 0 {
+			s.fetchFrom(owner, version, []shardAsk{{idx: rec.frags, peer: hs[0]}}, l)
 		}
 	}
 	sweep(false)
-	if hasCross && valid < need {
-		if frag, ok := s.fetchFrag(owner, version, rec.frags, rec); ok {
-			shards[rec.frags] = frag
-		}
+	if hasCross && !l.done() {
+		s.fetchFrag(owner, version, rec.frags, l)
 	}
-	return shards
+	return l
 }
 
 // shardAsk is one planned fragment request: shard idx from peer.
 type shardAsk struct{ idx, peer int }
 
-// fetchFrom sends every planned request at once, then collects the answers
-// until all arrived or the query timeout passed. Each digest-valid shard
-// lands in shards; the count of those is returned.
-func (s *DistStore) fetchFrom(owner, version int, rec replCommitRec, plan []shardAsk, shards [][]byte) int {
+// fetchFrom sends every planned request at once, then offers each answer
+// to the landing as it arrives, until all arrived or the query timeout
+// passed.
+func (s *DistStore) fetchFrom(owner, version int, plan []shardAsk, l *landing) {
 	if len(plan) == 0 {
-		return 0
+		return
 	}
 	ch := make(chan distResp, len(plan))
 	idxOf := make(map[uint64]int, len(plan))
@@ -1088,35 +1137,33 @@ func (s *DistStore) fetchFrom(owner, version int, rec replCommitRec, plan []shar
 		idxOf[reqID] = a.idx
 		s.send(a.peer, transport.Control, encodeDistQueryFrag(reqID, owner, version, a.idx))
 	}
+	l.allocate()
 	defer func() {
 		for reqID := range idxOf {
 			s.dropRequest(reqID)
 		}
 	}()
-	got := 0
 	deadline := time.After(s.queryTimeout)
 	for range plan {
 		select {
 		case resp := <-ch:
 			reqID, found, frag, err := decodeDistRespFrag(resp.data)
-			idx, ok := idxOf[reqID]
-			if err == nil && ok && found && shards[idx] == nil && rec.shardValid(idx, frag) {
-				shards[idx] = frag
-				got++
+			if idx, ok := idxOf[reqID]; err == nil && ok && found {
+				l.offer(idx, frag)
 			}
 		case <-deadline:
-			return got
+			return
 		}
 	}
-	return got
 }
 
-// fetchFrag asks each peer in turn for one fragment, repeating the sweep
-// up to the configured retry count (a peer may still be re-dialing this
-// process's freshly bound mesh when the first round goes out). A fetched
-// copy that fails the marker's per-shard digest is rejected and the sweep
-// continues — a corrupt replica must not mask a valid one elsewhere.
-func (s *DistStore) fetchFrag(owner, version, idx int, rec replCommitRec) ([]byte, bool) {
+// fetchFrag asks each peer in turn for one fragment until the landing
+// takes a copy, repeating the sweep up to the configured retry count (a
+// peer may still be re-dialing this process's freshly bound mesh when the
+// first round goes out). A fetched copy that fails the marker's per-shard
+// digest is rejected and the sweep continues — a corrupt replica must not
+// mask a valid one elsewhere.
+func (s *DistStore) fetchFrag(owner, version, idx int, l *landing) {
 	for round := 0; round < s.queryRetries; round++ {
 		for _, q := range s.peerList() {
 			ch := make(chan distResp, 1)
@@ -1126,15 +1173,14 @@ func (s *DistStore) fetchFrag(owner, version, idx int, rec replCommitRec) ([]byt
 			case resp := <-ch:
 				s.dropRequest(reqID)
 				_, found, frag, err := decodeDistRespFrag(resp.data)
-				if err == nil && found && rec.shardValid(idx, frag) {
-					return frag, true
+				if err == nil && found && l.offer(idx, frag) {
+					return
 				}
 			case <-time.After(s.queryTimeout):
 				s.dropRequest(reqID)
 			}
 		}
 	}
-	return nil, false
 }
 
 // Retire implements Store: prune old local versions and tell peers to drop
@@ -1249,14 +1295,13 @@ func commitPlan(keepLocal bool, owner, shards int, topo member.Topology) (sendPl
 // shards are digested once encoded (with k = 1 each is the data shard).
 func encodeLine(codec rsCodec, blob []byte, units [][]byte, encoded chan<- struct{}) (sum uint64, sums []uint64) {
 	k, sz := codec.k, len(units[0])
-	inBlob := func(i int) []byte { return blob[min(i*sz, len(blob)):min((i+1)*sz, len(blob))] }
 	crcs := make([]uint32, k)
 	var digested sync.WaitGroup
 	digested.Add(1)
 	go func() {
 		defer digested.Done()
 		for i := range crcs {
-			crcs[i] = crc32.Checksum(inBlob(i), castagnoli)
+			crcs[i] = crc32.Checksum(blobPart(blob, i, sz), castagnoli)
 		}
 	}()
 	copy(units[k:], codec.encodeParity(units[:k]))
@@ -1265,7 +1310,7 @@ func encodeLine(codec rsCodec, blob []byte, units [][]byte, encoded chan<- struc
 	sums = make([]uint64, len(units))
 	var whole uint32
 	for i, c := range crcs {
-		n := len(inBlob(i))
+		n := len(blobPart(blob, i, sz))
 		whole = crcCombine(whole, c, n)
 		sums[i] = uint64(crcZeros(c, sz-n))
 	}
@@ -1279,37 +1324,11 @@ func encodeLine(codec rsCodec, blob []byte, units [][]byte, encoded chan<- struc
 	return uint64(whole), sums
 }
 
-// reassembleBlob decodes a shard set against its commit marker: codec
-// reconstruction and whole-blob digest validation. The slice may carry the
-// cross-group parity shard at index rec.frags; a valid one is the blob
-// itself and short-circuits the codec — the whole-group-loss path, where
-// zero group-local shards survive. held then reports that the blob is that
-// fragment rather than a buffer the codec just built. Decode-around of up
-// to m lost or corrupt group-local shards is unchanged when no parity
-// shard was fetched.
-func reassembleBlob(rec replCommitRec, shards [][]byte) (blob []byte, held bool, err error) {
-	if len(shards) > rec.frags {
-		if g := shards[rec.frags]; g != nil && rec.shardValid(rec.frags, g) {
-			return g, true, nil
-		}
-		shards = shards[:rec.frags]
-	}
-	blob, err = rec.codec().Decode(shards, rec.total)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(blob) != rec.total || replSum(blob) != rec.sum {
-		return nil, false, fmt.Errorf("stable: reassembly digest mismatch (%d/%d bytes)", len(blob), rec.total)
-	}
-	return blob, false, nil
-}
-
 // decodeReplSections parses a replication blob — a section count, then
-// (name, length, bytes) per section — into its sections. With view they
-// are sub-slices of blob (capacity clipped): for a blob nothing else holds,
-// such as one the codec just built. Without it they are copies, for a blob
-// that is a fragment some response carried.
-func decodeReplSections(blob []byte, view bool) (map[string][]byte, error) {
+// (name, length, bytes) per section — into its sections, each a view of
+// the blob (capacity clipped). The blob must be one nothing else holds:
+// the one a restore landed, or a fetched frame of its own.
+func decodeReplSections(blob []byte) (map[string][]byte, error) {
 	r := wire.NewReader(blob)
 	n := r.Count(8) // minimum bytes per serialized section
 	sections := make(map[string][]byte, n)
@@ -1318,9 +1337,6 @@ func decodeReplSections(blob []byte, view bool) (map[string][]byte, error) {
 		data := r.View32()
 		if r.Err() != nil {
 			break
-		}
-		if !view {
-			data = bytes.Clone(data)
 		}
 		sections[name] = data
 	}

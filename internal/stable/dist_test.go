@@ -233,13 +233,15 @@ func TestDistStoreAdvanceEpochMonotonic(t *testing.T) {
 }
 
 // TestDistStoreCommitHook: the hook fires once per committed version with
-// the version number.
+// the version number and the store's commit count including it.
 func TestDistStoreCommitHook(t *testing.T) {
 	var mu sync.Mutex
 	var got []int
-	hook := func(v int) {
+	var counts []int64
+	hook := func(v int, commits int64) {
 		mu.Lock()
 		got = append(got, v)
+		counts = append(counts, commits)
 		mu.Unlock()
 	}
 	// Only rank 0 commits, so only its hook fires.
@@ -250,6 +252,12 @@ func TestDistStoreCommitHook(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("commit hook saw %v, want [1 2]", got)
+	}
+	if len(counts) != 2 || counts[0] != 1 || counts[1] != 2 {
+		t.Fatalf("commit hook counts %v, want [1 2]", counts)
+	}
+	if n, _ := stores[0].CommitStats(); n != 2 {
+		t.Fatalf("CommitStats count %d, want 2", n)
 	}
 }
 

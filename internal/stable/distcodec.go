@@ -83,7 +83,7 @@ func (rec replCommitRec) sane() bool {
 }
 
 // codec returns the codec that produced the marker's shards.
-func (rec replCommitRec) codec() Codec {
+func (rec replCommitRec) codec() rsCodec {
 	return newRSCodec(rec.data, rec.frags-rec.data)
 }
 
@@ -98,6 +98,120 @@ func (rec replCommitRec) shardValid(idx int, frag []byte) bool {
 		return false
 	}
 	return replSum(frag) == rec.sums[idx]
+}
+
+// landing is one line being restored in place. The blob is allocated once
+// from the marker, with capacity for the tail shard's padding, and every
+// valid data shard is copied to its offset as it arrives; the missing ones
+// are rebuilt there from parity (finish). Each data byte is digested once,
+// as it lands or as it is rebuilt, and the whole-blob digest is combined
+// from those digests. A valid cross-group parity shard is the blob itself.
+type landing struct {
+	rec    replCommitRec
+	sz     int
+	blob   []byte     // rec.total bytes, capacity k·sz, once allocated
+	shards [][]byte   // the valid shards in hand, by index: data shards as their ranges of blob
+	sums   []shardCRC // the data shards' digests
+	valid  int        // how many shards are in hand
+	whole  []byte     // a valid cross-group parity shard
+}
+
+// landChunk is how many bytes of a landing shard are digested and then
+// copied at a time, so the copy reads them from cache.
+const landChunk = 64 << 10
+
+func newLanding(rec replCommitRec) *landing {
+	return &landing{
+		rec:    rec,
+		sz:     shardSize(rec.total, rec.data),
+		shards: make([][]byte, rec.frags),
+		sums:   make([]shardCRC, rec.data),
+	}
+}
+
+// allocate allocates the blob if it is not yet. The first fetch calls it
+// once its requests are out, so that first touching the blob's memory
+// overlaps the shards' transfer instead of delaying it.
+func (l *landing) allocate() {
+	if l.blob == nil {
+		l.blob = make([]byte, l.rec.total, l.rec.data*l.sz)
+	}
+}
+
+// done reports whether the shards in hand reconstruct the line.
+func (l *landing) done() bool { return l.whole != nil || l.valid >= l.rec.data }
+
+// offer takes a fetched copy of shard idx if it matches the marker's
+// digest for that shard, and reports whether it did. A data shard — with
+// k = 1 every shard is one, the blob itself — is digested and copied to
+// its offset in one pass, 64 KiB at a time, and its range is cleared again
+// if the digest disagrees. A parity shard is kept where it lies, for
+// finish to rebuild from. A fragment whose length does not fit the marker
+// is refused before any of it is read.
+func (l *landing) offer(idx int, frag []byte) bool {
+	rec, k := l.rec, l.rec.data
+	if _, ok := rec.crossHolder(); ok && idx == rec.frags {
+		if l.whole == nil && rec.shardValid(idx, frag) {
+			l.whole = frag
+			return true
+		}
+		return false
+	}
+	slot := idx
+	if k == 1 {
+		slot = 0
+	}
+	if idx < 0 || idx >= rec.frags || len(frag) != l.sz || l.shards[slot] != nil {
+		return false
+	}
+	if slot >= k {
+		if !rec.shardValid(idx, frag) {
+			return false
+		}
+		l.shards[slot] = frag
+		l.valid++
+		return true
+	}
+	l.allocate()
+	dst, n := dataRange(l.blob, slot, l.sz), len(blobPart(l.blob, slot, l.sz))
+	var sum shardCRC
+	for lo := 0; lo < len(frag); lo += landChunk {
+		hi := min(lo+landChunk, len(frag))
+		sum.update(frag[lo:hi], lo, n)
+		copy(dst[lo:hi], frag[lo:hi])
+	}
+	if sum.padded() != rec.sums[idx] {
+		clear(dst)
+		return false
+	}
+	l.shards[slot], l.sums[slot] = dst, sum
+	l.valid++
+	return true
+}
+
+// finish rebuilds the missing data shards into their offsets and checks
+// the line against its marker: every rebuilt shard against its own
+// digest, and the whole blob against the marker's sum, combined from the
+// data shards' in-blob digests rather than read again.
+func (l *landing) finish() ([]byte, error) {
+	if l.whole != nil {
+		return l.whole, nil
+	}
+	l.allocate()
+	if err := l.rec.codec().rebuild(l.blob, l.sz, l.shards, l.sums); err != nil {
+		return nil, err
+	}
+	var whole uint32
+	for d, sum := range l.sums {
+		if l.shards[d] == nil && sum.padded() != l.rec.sums[d] {
+			return nil, fmt.Errorf("stable: rebuilt shard %d fails its digest", d)
+		}
+		whole = crcCombine(whole, sum.in, sum.inLen)
+	}
+	if uint64(whole) != l.rec.sum {
+		return nil, fmt.Errorf("stable: reassembly digest mismatch (%d bytes)", l.rec.total)
+	}
+	return l.blob, nil
 }
 
 type replAckKey struct {
@@ -147,6 +261,43 @@ func crcMulModP(a, b uint32) uint32 {
 			b >>= 1
 		}
 	}
+}
+
+// shardCRC is the CRC-32C of a run of one data shard's bytes, kept in two
+// parts: the bytes that lie in the blob, and the zero padding past the
+// blob's end that only the tail shard has. The marker's per-shard digest
+// covers both; the whole-blob digest is combined from the first.
+type shardCRC struct {
+	in, pad       uint32
+	inLen, padLen int
+}
+
+// update digests b, the bytes at offset at of a shard whose first n bytes
+// lie in the blob, appending them to the run.
+func (c *shardCRC) update(b []byte, at, n int) {
+	cut := min(max(n-at, 0), len(b))
+	c.in = crc32.Update(c.in, castagnoli, b[:cut])
+	c.pad = crc32.Update(c.pad, castagnoli, b[cut:])
+	c.inLen += cut
+	c.padLen += len(b) - cut
+}
+
+// then is the run c followed by the run d of the same shard.
+func (c shardCRC) then(d shardCRC) shardCRC {
+	return shardCRC{
+		in: crcCombine(c.in, d.in, d.inLen), pad: crcCombine(c.pad, d.pad, d.padLen),
+		inLen: c.inLen + d.inLen, padLen: c.padLen + d.padLen,
+	}
+}
+
+// padded is the digest of the whole run, padding included: what the
+// marker records for the shard.
+func (c shardCRC) padded() uint64 { return uint64(crcCombine(c.in, c.pad, c.padLen)) }
+
+// blobPart is the part of data shard d that lies in the blob: its sz bytes
+// at offset d·sz, cut at the blob's end.
+func blobPart(blob []byte, d, sz int) []byte {
+	return blob[min(d*sz, len(blob)):min((d+1)*sz, len(blob))]
 }
 
 // crcZeros extends crc, the CRC-32C of some bytes, by n zero bytes.

@@ -190,7 +190,7 @@ func TestDistRestoreFetchesKShardsAtOnce(t *testing.T) {
 	stores[owner].wipe()
 
 	holderOf, _ := member.Launch(n).ShardPlan(owner, k+m)
-	rl := stores[owner].queryPeers(owner)[1]
+	rl := stores[owner].queryPeers(owner, nil)[1]
 	if rl == nil {
 		t.Fatal("no peer reported the line")
 	}

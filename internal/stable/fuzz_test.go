@@ -36,7 +36,7 @@ func FuzzReplDecode(f *testing.F) {
 	f.Add(blob[:len(blob)/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = decodeReplSections(data, false)
+		_, _ = decodeReplSections(data)
 		if len(data) == 0 {
 			return
 		}

@@ -142,7 +142,7 @@ func (s *ReplicatedStore) sum(counter func(*DistStore) int64) (total int64) {
 // traffic down every FIFO pair.
 func (s *ReplicatedStore) settle() {
 	for r, node := range s.nodes {
-		node.queryPeers(r)
+		node.queryPeers(r, nil)
 	}
 }
 

@@ -104,7 +104,10 @@ type Checkpoint interface {
 
 // Snapshot is a committed checkpoint being read.
 type Snapshot interface {
-	// ReadSection returns a section's contents.
+	// ReadSection returns a section's contents as a read-only view,
+	// valid until the line is retired: the in-memory stores hand out the
+	// bytes they hold, not a copy. The caller must not modify them, and
+	// must copy whatever it keeps past the line's retirement.
 	ReadSection(name string) ([]byte, error)
 	// Sections lists the section names, sorted.
 	Sections() ([]string, error)
@@ -257,7 +260,7 @@ func (m *memSnap) ReadSection(name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: section %q", ErrNotFound, name)
 	}
-	return append([]byte(nil), data...), nil
+	return data, nil
 }
 
 func (m *memSnap) Sections() ([]string, error) {
