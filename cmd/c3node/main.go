@@ -19,10 +19,11 @@
 //	    launcher — which only spawns and kills — to re-execute the dead
 //	    rank. It reassembles its checkpoints from its +1/+2 neighbors over
 //	    TCP, and the world recovers from the last committed recovery line.
-//	    The summary's detect-cause= names the path that caught the death.
-//	    Heartbeat cadence and suspicion threshold are tuned with
-//	    -heartbeat and -phi; the store's recovery-query behavior with
-//	    -ack-timeout, -query-timeout and -query-retries.
+//	    The summary's detect-cause= names the path that caught the death:
+//	    loss (the socket), lease (ten heartbeats of silence) or report (a
+//	    whole group's reports went stale). The heartbeat cadence, and with
+//	    it the lease, is tuned with -heartbeat; the store's recovery-query
+//	    behavior with -ack-timeout, -query-timeout and -query-retries.
 //
 //	c3node -ranks 4 -kernel CG -class S -every 3 -external-kill rank=1,after=2
 //	    the same recovery with no failure spec inside any worker: the
@@ -169,15 +170,14 @@ func launcherMain() {
 		codec    = flag.String("codec", "dup", "diskless-store (k, m) erasure-code preset: dup (1, c: a local copy plus c whole copies on ring successors), xor (k, 1: XOR parity), rs (Reed-Solomon k, m)")
 		shards   = flag.Int("shards", 0, "dup: whole copies c (0 = 2); xor, rs: data shards k (0 = 4)")
 		parity   = flag.Int("parity", 0, "rs: parity shards m (0 = 2); xor always 1; dup none")
-		groupSz  = flag.Int("group-size", 0, "two-level topology: partition ranks into checkpoint groups of this many slots (group-local shards + cross-group parity, group heartbeat rings and delegate relays; 0 = flat)")
+		groupSz  = flag.Int("group-size", 0, "two-level topology: partition ranks into checkpoint groups of this many slots (group-local shards + cross-group parity, group-local contact leases and delegate relays; 0 = flat)")
 		spare    = flag.Int("spare", 0, "spare storage-member slots beyond the compute world (elastic membership)")
 		opsBase  = flag.Int("ops-base", 0, "embedded ops/metrics HTTP server base port: rank r serves on 127.0.0.1:(base+r); 0 disables")
 		opsDebug = flag.Bool("ops-debug", false, "expose net/http/pprof and runtime/trace start/stop verbs on the ops servers (requires -ops-base)")
 		traceDir = flag.String("trace-dir", "", "flight-recorder dump directory: each rank writes rank<N>.c3tr on epoch/fence/restore/exit (merge with c3trace)")
 		extKill  = flag.String("external-kill", "", "operator SIGKILL rank=R[,after=K committed checkpoints][,joins=J spare admissions]")
 		part     = flag.String("partition", "", "network split a=R+R..[,after=K checkpoints committed by the group, and a line by every rank][,heal=DURATION]")
-		hb       = flag.Duration("heartbeat", 25*time.Millisecond, "failure-detector heartbeat interval")
-		phi      = flag.Float64("phi", 5, "failure-detector accrual suspicion threshold")
+		hb       = flag.Duration("heartbeat", 25*time.Millisecond, "failure-detector heartbeat interval (the contact lease is 10 of them)")
 		ackTO    = flag.Duration("ack-timeout", 0, "replicated store: neighbor ack timeout (0 = default 5s)")
 		queryTO  = flag.Duration("query-timeout", 0, "replicated store: recovery query timeout (0 = default 3s)")
 		queryN   = flag.Int("query-retries", 0, "replicated store: recovery query sweeps (0 = default 1)")
@@ -247,7 +247,6 @@ func launcherMain() {
 				"-repl-peers", strings.Join(replAddrs, ","),
 				"-kernel", *kernel,
 				"-heartbeat", hb.String(),
-				"-phi", strconv.FormatFloat(*phi, 'g', -1, 64),
 				"-class", *class,
 				"-every", strconv.Itoa(*every),
 			}
@@ -454,7 +453,6 @@ func workerMain() {
 		parity    = fs.Int("parity", 0, "codec parity shards m")
 		groupSz   = fs.Int("group-size", 0, "checkpoint-group width (0 = flat world)")
 		hb        = fs.Duration("heartbeat", 25*time.Millisecond, "detector heartbeat interval")
-		phi       = fs.Float64("phi", 5, "accrual suspicion threshold")
 		ackTO     = fs.Duration("ack-timeout", 0, "store neighbor ack timeout")
 		queryTO   = fs.Duration("query-timeout", 0, "store recovery query timeout")
 		queryN    = fs.Int("query-retries", 0, "store recovery query sweeps")
@@ -487,7 +485,7 @@ func workerMain() {
 		AckTimeout:   *ackTO,
 		QueryTimeout: *queryTO,
 		QueryRetries: *queryN,
-		SelfHeal:     &cluster.SelfHealConfig{HeartbeatInterval: *hb, PhiThreshold: *phi},
+		SelfHeal:     &cluster.SelfHealConfig{HeartbeatInterval: *hb},
 		In:           os.Stdin,
 		Out:          os.Stdout,
 		Result: func() string {

@@ -105,8 +105,8 @@ func scaleHeartbeat(n, groupSize int) time.Duration {
 	// Past ~500 ranks the binding constraint stops being message
 	// throughput: a 1024-rank world runs tens of thousands of goroutines
 	// (n detectors x group-width send workers), and on a small host the
-	// scheduling tail latency of a delayed tick eats into the phi and
-	// lease windows — false suspicions, then a gossip storm. Doubling the
+	// scheduling tail latency of a delayed tick eats into the lease
+	// window — false suspicions, then a gossip storm. Doubling the
 	// interval doubles every real-time window relative to that fixed tail.
 	if n >= 512 {
 		hb *= 2
@@ -150,7 +150,6 @@ func scaleRun(n, groupSize int) ([]string, error) {
 	// heap floor a standalone run would see.
 	runtime.GC()
 	debug.FreeOSMemory()
-	const phi = 8.0
 	hb := scaleHeartbeat(n, groupSize)
 	window := time.Second
 	if window < 10*hb {
@@ -172,8 +171,8 @@ func scaleRun(n, groupSize int) ([]string, error) {
 	for r := 0; r < n; r++ {
 		d, err := detect.New(detect.Options{
 			Self: r, Ranks: n, Net: nw,
-			HeartbeatInterval: hb, PhiThreshold: phi,
-			GroupSize: groupSize,
+			HeartbeatInterval: hb,
+			GroupSize:         groupSize,
 		})
 		if err != nil {
 			return nil, err
@@ -184,7 +183,7 @@ func scaleRun(n, groupSize int) ([]string, error) {
 		d.Start()
 	}
 
-	time.Sleep(20 * hb) // settle: monitors need arrival history before phi means anything
+	time.Sleep(20 * hb) // settle: past the start-up dials and two lease horizons
 	before := nw.Stats()
 	time.Sleep(window)
 	after := nw.Stats()

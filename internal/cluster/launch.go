@@ -90,8 +90,8 @@ type LaunchResult struct {
 	// re-executed from the start; for the diskless store "reassemblies=<n>",
 	// counting checkpoints rebuilt from peer fragments over the wire; and
 	// detections=, epochs=, suspect_us=, agree_us=, restore_us= and cause=,
-	// the detection path behind the first suspicion: loss, phi, lease,
-	// report, or none).
+	// the detection path behind the first suspicion: loss, lease, report,
+	// or none).
 	Stats map[int]string
 	// KillTime is when the external SIGKILL was delivered (zero if none).
 	// Compared against the workers' reported suspect_us timestamps it
@@ -539,7 +539,7 @@ func (l *launcher) drive() (*LaunchResult, error) {
 			if ep != nil && !w.dead {
 				// The "dead" rank is a partition casualty that is very much
 				// alive: a severed minority process the majority's agreement
-				// declared dead, or (after the heal, while monitors resettle)
+				// declared dead, or (after the heal, while leases resettle)
 				// a falsely suspected rank on either side. Spawning a
 				// duplicate would collide on its listen addresses; the
 				// original rejoins by itself through the epoch-state exchange.

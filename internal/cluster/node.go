@@ -43,7 +43,7 @@ package cluster
 // a shared DiskStore, the diskless store's replication plane. Survivors
 // detect a death from the mesh's loss report (a crashed process's
 // connection ends without a goodbye) or, for failures that leave no such
-// trace, from phi-accrual heartbeat silence. They agree on an
+// trace, from an expired contact lease. They agree on an
 // epoch-numbered dead set and elect the lowest-ranked survivor to ask the
 // launcher for replacement processes. Each survivor then abandons its
 // attempt — the store advances to the agreed epoch, which releases any
@@ -94,10 +94,11 @@ import (
 // SelfHealConfig tunes the failure detector every node runs; zero fields
 // keep the defaults.
 type SelfHealConfig struct {
-	// HeartbeatInterval is the detector's ping period (default 25ms).
+	// HeartbeatInterval is the detector's tick period (default 25ms); the
+	// contact lease that suspects a silent peer is 10 of them.
 	HeartbeatInterval time.Duration
-	// PhiThreshold is the accrued suspicion level that declares a peer
-	// suspect (default 5).
+	// PhiThreshold is ignored: the contact lease is the detector's only
+	// silence rule. The field remains for callers that still set it.
 	PhiThreshold float64
 	// JoinTimeout bounds how long a respawned replacement waits for a
 	// survivor to answer its hello (default 15s).
@@ -150,7 +151,7 @@ type NodeConfig struct {
 	// ring slots (0: flat world). Grouping confines the store's shard
 	// fan-out to group-local successors plus one cross-group parity
 	// holder, and switches the failure detector to the two-level
-	// topology: group-local heartbeat rings, per-group delegate report
+	// topology: group-local contact leases, per-group delegate report
 	// trees, and inter-group agreement relayed through delegates over the
 	// transport relay plane.
 	GroupSize int
@@ -173,8 +174,8 @@ type NodeConfig struct {
 	SelfHeal *SelfHealConfig
 	// AckTimeout, QueryTimeout and QueryRetries tune the distributed
 	// store's neighbor-acknowledgment and recovery-query behavior; zero
-	// values keep the store defaults. The detector's suspicion threshold
-	// and these timeouts should be tuned together (see cmd/c3node).
+	// values keep the store defaults. The detector's heartbeat (and so its
+	// lease) and these timeouts should be tuned together (see cmd/c3node).
 	AckTimeout   time.Duration
 	QueryTimeout time.Duration
 	QueryRetries int
@@ -684,7 +685,6 @@ func (w *node) startDetector(demux *transport.Demux, epochCh chan<- epochEvent, 
 		Members:           member.Launch(cfg.Ranks),
 		Net:               demux.Plane(transport.WireKindDetect),
 		HeartbeatInterval: cfg.SelfHeal.HeartbeatInterval,
-		PhiThreshold:      cfg.SelfHeal.PhiThreshold,
 		GroupSize:         cfg.GroupSize,
 		Relay:             relay,
 		OnEpoch: func(epoch uint64, members member.Set, dead, newDead []int) {

@@ -33,7 +33,6 @@ func launchPartition(t *testing.T, ranks int, part *cluster.ExternalPartitionSpe
 				"-ranks", strconv.Itoa(ranks),
 				"-repl-peers", strings.Join(replAddrs, ","),
 				"-heartbeat", "15ms",
-				"-phi", "6",
 				"-query-timeout", "1s",
 				"-query-retries", "2",
 			}

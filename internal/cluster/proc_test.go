@@ -61,7 +61,6 @@ func runProcWorker() {
 		parity    = fs.Int("parity", 0, "")
 		groupSz   = fs.Int("group-size", 0, "")
 		heartbeat = fs.Duration("heartbeat", 15*time.Millisecond, "")
-		phi       = fs.Float64("phi", 6, "")
 		ackTO     = fs.Duration("ack-timeout", 0, "")
 		queryTO   = fs.Duration("query-timeout", 0, "")
 		queryN    = fs.Int("query-retries", 0, "")
@@ -94,7 +93,7 @@ func runProcWorker() {
 		StorePath: *storeDir,
 		App:       workload,
 		Policy:    ckpt.Policy{EveryNthPragma: *every, AsyncCommit: *async},
-		SelfHeal:  &cluster.SelfHealConfig{HeartbeatInterval: *heartbeat, PhiThreshold: *phi},
+		SelfHeal:  &cluster.SelfHealConfig{HeartbeatInterval: *heartbeat},
 		In:        os.Stdin,
 		Out:       os.Stdout,
 		Result: func() string {

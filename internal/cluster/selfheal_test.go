@@ -36,8 +36,7 @@ func launchSelfHeal(t *testing.T, ranks int, kill *cluster.ExternalKillSpec, ext
 				"-ranks", strconv.Itoa(ranks),
 				"-repl-peers", strings.Join(replAddrs, ","),
 				"-heartbeat", selfHealHeartbeat.String(),
-				"-phi", "6",
-				// Tuned with the suspicion threshold: recovery reads give a
+				// Tuned with the heartbeat: recovery reads give a
 				// still-rejoining peer a second sweep instead of one long wait.
 				"-query-timeout", "1s",
 				"-query-retries", "2",
@@ -77,7 +76,7 @@ func statField(t *testing.T, stat, key string) int64 {
 // interrupt in-flight commits, negotiate the restore line, and converge to
 // the failure-free checksums. Detection must not wait for heartbeat
 // silence: kill -> first suspicion stays within 5 heartbeat intervals,
-// where phi accrual alone needs about 14.
+// where the contact lease needs 10.
 func TestSelfHealingExternalSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process test in -short mode")
@@ -192,7 +191,7 @@ func checkSIGKILLTrace(t *testing.T, traceDir string) {
 // TestSelfHealingGroupedSIGKILL drives the external-kill scenario through
 // the two-level topology over real TCP: 8 processes in two checkpoint
 // groups of 4, group-local rs shards plus a cross-group parity shard, the
-// detector running group heartbeat rings with delegate reports and the
+// detector running group-local contact leases with delegate reports and the
 // inter-group relay plane. An operator SIGKILL of a non-delegate interior
 // rank must be detected by its group, agreed world-wide through the
 // delegates, and recovered to the failure-free checksums.

@@ -238,7 +238,7 @@ func (d *Detector) commitProposal(p *proposal) {
 
 // applyEpoch installs a committed epoch transition (from our own agreement,
 // a peer's commit, or a state snapshot) — the new membership, the dead set
-// — rebuilds the heartbeat ring for the new member set, and fires OnEpoch
+// — re-derives the group topology for the new member set, and fires OnEpoch
 // (or OnDrained/OnEvicted when the transition removes this very rank). It
 // reports whether the epoch was new here.
 func (d *Detector) applyEpoch(epoch uint64, dead, members []int, via string) bool {
@@ -309,24 +309,6 @@ func (d *Detector) applyEpoch(epoch uint64, dead, members []int, via string) boo
 	for k := range d.relayAgg {
 		if k.epoch <= epoch {
 			delete(d.relayAgg, k)
-		}
-	}
-	// Rebuild the monitor ring for the new membership: keep the arrival
-	// history of successors we already watched, start fresh monitors for
-	// new ones, drop the rest.
-	wanted := d.monitorWantedLocked()
-	next := make(map[int]*Monitor, len(wanted))
-	for _, m := range wanted {
-		if mon := d.monitors[m]; mon != nil {
-			next[m] = mon
-		} else {
-			next[m] = newMonitor(d.interval, now)
-		}
-	}
-	d.monitors = next
-	for r := range newSet {
-		if m := d.monitors[r]; m != nil {
-			m.Reset(now) // suspended while dead; fresh history on rejoin
 		}
 	}
 	if d.prop != nil {

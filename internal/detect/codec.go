@@ -9,7 +9,7 @@ import (
 
 // Detector message kinds (first payload byte).
 const (
-	msgPing    uint8 = iota + 1 // heartbeat, carries the sender's epoch
+	msgPing    uint8 = iota + 1 // lease ping, carries the sender's epoch
 	msgSuspect                  // gossip: sender suspects target dead
 	msgPropose                  // agreement phase 1: (epoch, seq, origin, hops, dead set)
 	msgAck                      // agreement phase 1 response: votes for origin's proposal
@@ -68,10 +68,7 @@ func decodeSuspect(data payload) (epoch uint64, target int, cause Cause, err err
 	r := wire.NewReader(data[1:])
 	epoch = r.U64()
 	target = r.Int()
-	cause = Cause(r.U8())
-	if cause >= numCauses {
-		cause = CauseNone
-	}
+	cause = Cause(r.U8()).known()
 	return epoch, target, cause, r.Err()
 }
 

@@ -1,15 +1,14 @@
 // Package detect is the self-healing cluster's membership layer: a
-// heartbeat failure detector plus an epoch-numbered recovery agreement,
-// running on the long-lived replication mesh next to the distributed
-// stable store.
+// failure detector plus an epoch-numbered recovery agreement, running on
+// the long-lived replication mesh next to the distributed stable store.
 //
-// Each rank runs one Detector. It emits heartbeats to the ring predecessors
-// that monitor it (piggybacking on any other traffic already flowing to
-// them) and runs a phi-accrual Monitor over its ring successors. When a
-// monitor's suspicion crosses the threshold — or, without waiting for any
-// silence, when the transport reports that a peer's process is gone
-// (ObserveLost) — the rank gossips the suspicion to the survivors; the
-// coordinator — the lowest-ranked process not itself
+// Each rank runs one Detector. It holds a contact lease on every other
+// member of its group, renewed by any message from that peer; it sends
+// each group member a low-rate lease ping, skipped when other traffic
+// already went that way (piggybacking). When a lease expires — or, without
+// waiting for any silence, when the transport reports that a peer's
+// process is gone (ObserveLost) — the rank gossips the suspicion to the
+// survivors; the coordinator — the lowest-ranked process not itself
 // suspected — then drives a small two-phase agreement: it proposes
 // (epoch+1, dead set) to every survivor, collects acknowledgments, and
 // commits the transition. A committed epoch is the survivors' contract
@@ -27,7 +26,7 @@
 // restarts the proposal with the union dead set; near-simultaneous deaths
 // either merge into one proposal or commit as consecutive epochs. A
 // replacement process rejoins by broadcasting hello: survivors mark the
-// rank alive again, reset its monitor, and answer with the current
+// rank alive again, renew its lease, and answer with the current
 // (epoch, dead set) so the newcomer can adopt the world's state.
 package detect
 
@@ -57,25 +56,21 @@ type Options struct {
 	// Net is the detection plane (usually a transport.Demux plane sharing
 	// the replication mesh).
 	Net transport.Interconnect
-	// HeartbeatInterval is the ping period (default 25ms).
+	// HeartbeatInterval is the detector's tick period (default 25ms): lease
+	// evaluation, gossip and agreement retransmission run once per tick.
 	HeartbeatInterval time.Duration
-	// PhiThreshold is the accrued suspicion level at which a peer is
-	// declared suspect (default 5: the observed silence had probability
-	// 1e-5 under the peer's arrival history).
-	PhiThreshold float64
-	// LeaseTimeout is the contact-lease horizon for the fencing rule: a
-	// peer counts toward this rank's live view only while some message
-	// from it arrived within the lease. The ring monitors cannot serve
-	// here — a 2-rank minority monitors at most 3 distinct ranks, so it
-	// could never prove the rest of the world unreachable. Instead every
-	// rank sends low-rate lease pings to all peers outside its heartbeat
-	// ring, and fencing is computed from actual receive evidence. Default
-	// 10 heartbeat intervals.
+	// LeaseTimeout is the contact-lease horizon, the detector's one
+	// silence rule: a group member from which no message arrived within
+	// the lease is suspected, and a peer counts toward this rank's live
+	// view (the fencing rule) only while its lease is fresh. Every rank
+	// lease-pings each group member at a third of the lease, so a live
+	// peer renews it a few times per horizon. Default 10 heartbeat
+	// intervals.
 	LeaseTimeout time.Duration
 	// GroupSize sets the two-level topology: the membership is partitioned
-	// into member.Topology groups of g consecutive ring slots, heartbeats
-	// and lease pings stay inside the group, and one runtime delegate per
-	// group carries cross-group liveness reports and agreement relays (see
+	// into member.Topology groups of g consecutive ring slots, leases and
+	// lease pings stay inside the group, and one runtime delegate per group
+	// carries cross-group liveness reports and agreement relays (see
 	// group.go). 0 (or >= world) makes the whole world one group.
 	GroupSize int
 	// Relay, when non-nil, routes detector unicasts to cross-group
@@ -125,36 +120,42 @@ type Times struct {
 // that actually detected the failure.
 type Cause uint8
 
+// The values travel in suspect gossip and trace events, so they are
+// stable. Value 2 is retired: it decodes as CauseNone, as any unknown
+// value does.
 const (
 	// CauseNone: the suspicion was adopted from a proposal, which does not
 	// say how the proposer came by it.
-	CauseNone   Cause = iota
-	CauseLoss         // the transport confirmed the peer's process gone
-	CausePhi          // phi-accrual heartbeat silence crossed the threshold
-	CauseLease        // the contact lease expired
-	CauseReport       // the peer's group report went stale (grouped worlds)
-	numCauses
+	CauseNone   Cause = 0
+	CauseLoss   Cause = 1 // the transport confirmed the peer's process gone
+	CauseLease  Cause = 3 // the contact lease expired
+	CauseReport Cause = 4 // the peer's group report went stale (grouped worlds)
+	numCauses   Cause = 5
 )
 
-var causeNames = [numCauses]string{"none", "loss", "phi", "lease", "report"}
+var causeNames = [numCauses]string{CauseNone: "none", CauseLoss: "loss", CauseLease: "lease", CauseReport: "report"}
 
-// String returns the cause's name ("loss", "phi", ...).
-func (c Cause) String() string {
-	if c < numCauses {
-		return causeNames[c]
+// known returns c, or CauseNone for a retired or unknown value.
+func (c Cause) known() Cause {
+	if c >= numCauses || causeNames[c] == "" {
+		return CauseNone
 	}
-	return "invalid"
+	return c
+}
+
+// String returns the cause's name ("loss", "lease", ...).
+func (c Cause) String() string {
+	return causeNames[c.known()]
 }
 
 // Detector is one rank's failure-detection and membership endpoint.
 type Detector struct {
-	opts      Options
-	self      int
-	n         int
-	net       transport.Interconnect
-	interval  time.Duration
-	threshold float64
-	clock     func() time.Time
+	opts     Options
+	self     int
+	n        int
+	net      transport.Interconnect
+	interval time.Duration
+	clock    func() time.Time
 
 	groupSize int              // configured checkpoint-group size (0: one group)
 	relay     *transport.Relay // optional two-hop router for cross-group sends
@@ -173,7 +174,6 @@ type Detector struct {
 	suspicions   [numCauses]uint64 // suspicions raised, by cause
 	pendingJoin  map[int]bool      // non-member slots asking to join
 	pendingLeave map[int]bool      // members asked to drain out
-	monitors     map[int]*Monitor  // ring successors this rank watches
 	lastSent     map[int]time.Time // piggyback: last outbound traffic per peer
 	lastHeard    []time.Time       // contact lease: last inbound traffic per peer
 	lease        time.Duration     // fencing contact-lease horizon
@@ -218,9 +218,6 @@ func New(opts Options) (*Detector, error) {
 	if opts.HeartbeatInterval <= 0 {
 		opts.HeartbeatInterval = 25 * time.Millisecond
 	}
-	if opts.PhiThreshold <= 0 {
-		opts.PhiThreshold = 5
-	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
@@ -242,7 +239,6 @@ func New(opts Options) (*Detector, error) {
 		n:            opts.Ranks,
 		net:          opts.Net,
 		interval:     opts.HeartbeatInterval,
-		threshold:    opts.PhiThreshold,
 		clock:        opts.Clock,
 		epoch:        opts.Members.Epoch(),
 		members:      opts.Members,
@@ -253,7 +249,6 @@ func New(opts Options) (*Detector, error) {
 		suspected:    make(map[int]Cause),
 		pendingJoin:  make(map[int]bool),
 		pendingLeave: make(map[int]bool),
-		monitors:     make(map[int]*Monitor),
 		lastSent:     make(map[int]time.Time),
 		relayAgg:     make(map[aggKey]map[int]bool),
 		senders:      make(map[int]chan outFrame),
@@ -266,9 +261,6 @@ func New(opts Options) (*Detector, error) {
 	d.lease = opts.LeaseTimeout
 	now := d.clock()
 	d.retopoLocked(now)
-	for _, m := range d.monitorWantedLocked() {
-		d.monitors[m] = newMonitor(d.interval, now)
-	}
 	// Startup grace: every peer begins with a fresh lease, so a world that
 	// is still dialing does not fence itself at launch.
 	d.lastHeard = make([]time.Time, d.n)
@@ -278,23 +270,13 @@ func New(opts Options) (*Detector, error) {
 	return d, nil
 }
 
-// The heartbeat neighborhood is the group-local ring's ±1/±2: each rank
-// monitors its two ring successors (member.Topology.GroupSuccessors) and
-// heartbeats toward the two predecessors that monitor it. With one group
-// and the launch membership 0..n-1 this is exactly the fixed-world
-// (rank±d)%n ring the detector shipped with.
-
-// Start launches the heartbeat/evaluation ticker and the receive loop. The
-// silence clocks (phi monitors and contact leases) restart here, so the
-// time between New and Start counts against no peer.
+// Start launches the ticker and the receive loop. The contact leases
+// restart here, so the time between New and Start counts against no peer.
 func (d *Detector) Start() {
 	now := d.clock()
 	d.mu.Lock()
 	for r := range d.lastHeard {
 		d.lastHeard[r] = now
-	}
-	for _, m := range d.monitors {
-		m.Reset(now)
 	}
 	d.mu.Unlock()
 	d.wg.Add(2)
@@ -360,7 +342,9 @@ func (d *Detector) Suspicions() map[Cause]uint64 {
 	defer d.mu.Unlock()
 	out := make(map[Cause]uint64, numCauses-1)
 	for c := CauseLoss; c < numCauses; c++ {
-		out[c] = d.suspicions[c]
+		if c.known() == c {
+			out[c] = d.suspicions[c]
+		}
 	}
 	return out
 }
@@ -426,7 +410,7 @@ type outFrame struct {
 }
 
 // send enqueues a payload toward a peer on its dedicated worker, so a dead
-// peer's connection stalls never delay heartbeats to live peers. With a
+// peer's connection stalls never delay lease pings to live peers. With a
 // relay wired, sends to cross-group non-delegates route through the
 // destination group's runtime delegate.
 func (d *Detector) send(to int, p payload) {
@@ -450,7 +434,7 @@ func (d *Detector) send(to int, p payload) {
 	d.sendMu.Unlock()
 	select {
 	case ch <- outFrame{p: p, via: via}:
-	default: // worker stalled on a dead peer: drop, heartbeats are periodic
+	default: // worker stalled on a dead peer: drop, pings are periodic
 	}
 }
 
@@ -593,7 +577,7 @@ func (d *Detector) handle(from int, data payload) {
 			// The snapshot declared this very rank dead: a majority
 			// committed an epoch while we were fenced off. We adopted the
 			// majority's view (minus ourselves); now broadcast hello so the
-			// survivors mark us alive again and reset our monitors — the
+			// survivors mark us alive again and renew our leases — the
 			// heal half of the fencing state machine.
 			d.helloAll()
 			d.logf("rank %d: rejoining — epoch %d had declared us dead", d.self, epoch)

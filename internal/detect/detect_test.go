@@ -10,64 +10,6 @@ import (
 	"c3/internal/transport"
 )
 
-// TestRingSets pins the full-world monitor ring the detector boots with:
-// two successors watched, two predecessors watching. The ring math itself
-// now lives in member.Set; this asserts the detector's use of it.
-func TestRingSets(t *testing.T) {
-	cases := []struct {
-		rank, n    int
-		succ, pred []int
-	}{
-		{0, 4, []int{1, 2}, []int{3, 2}},
-		{3, 4, []int{0, 1}, []int{2, 1}},
-		{1, 2, []int{0}, []int{0}},
-		{0, 1, nil, nil},
-	}
-	for _, c := range cases {
-		m := member.Launch(c.n)
-		if got := m.Successors(c.rank, 2); !equalInts(got, c.succ) {
-			t.Errorf("Successors(%d) in world %d = %v, want %v", c.rank, c.n, got, c.succ)
-		}
-		if got := m.Predecessors(c.rank, 2); !equalInts(got, c.pred) {
-			t.Errorf("Predecessors(%d) in world %d = %v, want %v", c.rank, c.n, got, c.pred)
-		}
-	}
-}
-
-func TestMonitorPhiAccrual(t *testing.T) {
-	t0 := time.Unix(1000, 0)
-	m := newMonitor(10*time.Millisecond, t0)
-
-	// Regular arrivals every 10ms: phi right after an arrival is ~0 and
-	// stays small one interval later.
-	now := t0
-	for i := 0; i < 20; i++ {
-		now = now.Add(10 * time.Millisecond)
-		m.Observe(now)
-	}
-	if phi := m.Phi(now.Add(10 * time.Millisecond)); phi > 1 {
-		t.Fatalf("phi one interval after arrival = %.2f, want < 1", phi)
-	}
-	// Silence accrues: ~11.5 intervals of silence crosses phi 5.
-	if phi := m.Phi(now.Add(150 * time.Millisecond)); phi < 5 {
-		t.Fatalf("phi after 15 silent intervals = %.2f, want >= 5", phi)
-	}
-	// A burst of near-simultaneous piggybacked arrivals must not collapse
-	// the mean below the heartbeat floor.
-	for i := 0; i < 50; i++ {
-		now = now.Add(10 * time.Microsecond)
-		m.Observe(now)
-	}
-	if phi := m.Phi(now.Add(15 * time.Millisecond)); phi > 2 {
-		t.Fatalf("phi after burst + 1.5 intervals = %.2f, want <= 2 (mean floored)", phi)
-	}
-	// Reset restarts the silence clock.
-	m.Reset(now.Add(time.Second))
-	if phi := m.Phi(now.Add(time.Second + 5*time.Millisecond)); phi > 1 {
-		t.Fatalf("phi right after reset = %.2f, want ~0", phi)
-	}
-}
-
 func TestCodecRoundtrips(t *testing.T) {
 	if e, err := decodePing(encodePing(7)); err != nil || e != 7 {
 		t.Fatalf("ping roundtrip: epoch=%d err=%v", e, err)
@@ -131,20 +73,35 @@ func TestCodecRoundtrips(t *testing.T) {
 	}
 }
 
-// tuned widens the failure-detection margins that real time.Sleep-based
-// tests depend on. The phi thresholds and heartbeat cadences below assume
-// goroutines get scheduled within a couple of heartbeat intervals; under
-// the race detector (or a heavily loaded CI runner) a starved emitter can
-// fall silent long enough to cross the threshold and misfire a false
-// suspicion. Slower heartbeats make a fixed scheduler stall span fewer
-// intervals, and a higher threshold demands proportionally more silence —
-// the detection-latency assertions all poll with generous deadlines, so
-// widening costs nothing but wall time.
-func tuned(hb time.Duration, phi float64) (time.Duration, float64) {
-	if raceEnabled {
-		return 3 * hb, phi + 3
+// TestRetiredCauseDecodesAsNone: cause numbers are stable on the wire and
+// in trace dumps. Value 2 is retired and, like any unknown value, decodes
+// and prints as none; the live causes keep their numbers.
+func TestRetiredCauseDecodesAsNone(t *testing.T) {
+	for c, want := range map[Cause]string{0: "none", 1: "loss", 2: "none", 3: "lease", 4: "report", 9: "none"} {
+		if got := c.String(); got != want {
+			t.Errorf("Cause(%d) = %q, want %q", c, got, want)
+		}
 	}
-	return 2 * hb, phi + 1
+	g := encodeSuspect(3, 12, CauseLease)
+	g[len(g)-1] = 2
+	if _, _, c, err := decodeSuspect(g); err != nil || c != CauseNone {
+		t.Fatalf("suspect with retired cause 2 decoded as %s (err %v), want none", c, err)
+	}
+}
+
+// tuned widens the failure-detection margins that real time.Sleep-based
+// tests depend on. The heartbeat cadences below assume goroutines get
+// scheduled within a couple of heartbeat intervals; under the race
+// detector (or a heavily loaded CI runner) a starved emitter can fall
+// silent long enough to outlast the contact lease and misfire a false
+// suspicion. Slower heartbeats make a fixed scheduler stall span fewer
+// intervals of the lease — the detection-latency assertions all poll with
+// generous deadlines, so widening costs nothing but wall time.
+func tuned(hb time.Duration) time.Duration {
+	if raceEnabled {
+		return 3 * hb
+	}
+	return 2 * hb
 }
 
 // world spins up one detector per rank on a shared in-memory network.
@@ -153,11 +110,11 @@ type world struct {
 	dets []*Detector
 }
 
-func newWorld(t *testing.T, n int, hb time.Duration, phi float64, opts ...transport.Option) *world {
+func newWorld(t *testing.T, n int, hb time.Duration, opts ...transport.Option) *world {
 	t.Helper()
 	w := &world{nw: transport.NewNetwork(n, opts...), dets: make([]*Detector, n)}
 	for r := 0; r < n; r++ {
-		w.startRank(t, r, n, hb, phi)
+		w.startRank(t, r, n, hb)
 	}
 	t.Cleanup(func() {
 		for _, d := range w.dets {
@@ -169,12 +126,12 @@ func newWorld(t *testing.T, n int, hb time.Duration, phi float64, opts ...transp
 	return w
 }
 
-func (w *world) startRank(t *testing.T, r, n int, hb time.Duration, phi float64) *Detector {
+func (w *world) startRank(t *testing.T, r, n int, hb time.Duration) *Detector {
 	t.Helper()
 	d, err := New(Options{
 		Self: r, Ranks: n, Net: w.nw,
-		HeartbeatInterval: hb, PhiThreshold: phi,
-		Logf: func(format string, args ...any) { t.Logf("detect: "+format, args...) },
+		HeartbeatInterval: hb,
+		Logf:              func(format string, args ...any) { t.Logf("detect: "+format, args...) },
 	})
 	if err != nil {
 		t.Fatalf("rank %d: %v", r, err)
@@ -221,8 +178,8 @@ func (w *world) awaitEpoch(t *testing.T, ranks []int, e uint64, within time.Dura
 // TestFailureFreeStaysAtEpochOne: with every rank heartbeating, no epoch
 // transition and no suspicion survives a settling window.
 func TestFailureFreeStaysAtEpochOne(t *testing.T) {
-	hb, phi := tuned(5*time.Millisecond, 8)
-	w := newWorld(t, 4, hb, phi)
+	hb := tuned(5 * time.Millisecond)
+	w := newWorld(t, 4, hb)
 	time.Sleep(80 * hb)
 	for r, d := range w.dets {
 		if e := d.Epoch(); e != 1 {
@@ -237,16 +194,55 @@ func TestFailureFreeStaysAtEpochOne(t *testing.T) {
 	}
 }
 
+// TestLeaseSuspectsSilentRingNeighbour: the contact lease is the one
+// silence rule, and it fires at the lease for every group member, ring
+// neighbours included. In a 3-member world each peer is a ring neighbour
+// of rank 0. Driven by a fake clock and direct ticks, no sleeping.
+func TestLeaseSuspectsSilentRingNeighbour(t *testing.T) {
+	const hb = 10 * time.Millisecond
+	nw := transport.NewNetwork(3)
+	defer nw.Shutdown()
+	t0 := time.Unix(1000, 0)
+	now := t0
+	d, err := New(Options{Self: 0, Ranks: 3, Net: nw, HeartbeatInterval: hb,
+		Clock: func() time.Time { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	lease := 10 * hb // the default: ten heartbeat intervals
+
+	now = t0.Add(lease - time.Millisecond)
+	d.ObserveRecv(2) // rank 2 speaks; rank 1 stays silent
+	d.tick()
+	if s := d.Suspected(); len(s) != 0 {
+		t.Fatalf("suspected %v with every lease still fresh", s)
+	}
+
+	now = t0.Add(lease + hb)
+	d.tick()
+	if s := d.Suspected(); !equalInts(s, []int{1}) {
+		t.Fatalf("suspected %v one interval past rank 1's lease, want [1]", s)
+	}
+	if n := d.Suspicions()[CauseLease]; n != 1 {
+		t.Fatalf("lease suspicions = %d, want 1 (%v)", n, d.Suspicions())
+	}
+
+	d.ObserveRecv(1)
+	if s := d.Suspected(); len(s) != 0 {
+		t.Fatalf("suspected %v after rank 1 spoke, want none", s)
+	}
+}
+
 // TestNoFalseSuspicionUnderScheduledDelay: heartbeats delivered through a
 // constant scheduled delay (5x the heartbeat interval) keep flowing with
-// their inter-arrival spacing intact, so the accrual detector must not
-// suspect anyone — the classic timeout-detector false positive. When a rank
-// then really dies, detection and agreement must still fire through the
-// same delayed plane.
+// their inter-arrival spacing intact, so no contact lease may expire — the
+// classic timeout-detector false positive. When a rank then really dies,
+// detection and agreement must still fire through the same delayed plane.
 func TestNoFalseSuspicionUnderScheduledDelay(t *testing.T) {
-	hb, phi := tuned(10*time.Millisecond, 8)
+	hb := tuned(10 * time.Millisecond)
 	delay := transport.ConstantLatency(5*hb, 0)
-	w := newWorld(t, 4, hb, phi, transport.WithLatency(delay))
+	w := newWorld(t, 4, hb, transport.WithLatency(delay))
 	time.Sleep(60 * hb)
 	for r, d := range w.dets {
 		if e := d.Epoch(); e != 1 {
@@ -278,8 +274,8 @@ func TestNoFalseSuspicionUnderScheduledDelay(t *testing.T) {
 // each other; the survivors must converge on both deaths, either as one
 // merged agreement or two consecutive epochs.
 func TestTwoNearSimultaneousFailures(t *testing.T) {
-	hb, phi := tuned(5*time.Millisecond, 6)
-	w := newWorld(t, 5, hb, phi)
+	hb := tuned(5 * time.Millisecond)
+	w := newWorld(t, 5, hb)
 	time.Sleep(20 * hb) // settle
 	w.kill(1)
 	time.Sleep(hb / 2)
@@ -318,8 +314,8 @@ func TestTwoNearSimultaneousFailures(t *testing.T) {
 // for that agreement — dies moments later (possibly mid-proposal). Rank 2
 // must take over and finish both agreements.
 func TestCoordinatorDiesDuringRecovery(t *testing.T) {
-	hb, phi := tuned(5*time.Millisecond, 6)
-	w := newWorld(t, 5, hb, phi)
+	hb := tuned(5 * time.Millisecond)
+	w := newWorld(t, 5, hb)
 	time.Sleep(20 * hb)
 	w.kill(0)
 	time.Sleep(6 * hb)
@@ -364,9 +360,9 @@ func TestLateRankJoins(t *testing.T) {
 			}
 		}
 	})
-	hb, phi := tuned(5*time.Millisecond, 6)
+	hb := tuned(5 * time.Millisecond)
 	for r := 0; r < 3; r++ {
-		w.startRank(t, r, n, hb, phi)
+		w.startRank(t, r, n, hb)
 	}
 	w.awaitEpoch(t, []int{0, 1, 2}, 2, 10*time.Second)
 	for _, r := range []int{0, 1, 2} {
@@ -375,7 +371,7 @@ func TestLateRankJoins(t *testing.T) {
 		}
 	}
 
-	late := w.startRank(t, 3, n, hb, phi)
+	late := w.startRank(t, 3, n, hb)
 	epoch, err := late.Join(5 * time.Second)
 	if err != nil {
 		t.Fatalf("join: %v", err)
@@ -458,7 +454,7 @@ func TestJoinWakesOnStateSnapshot(t *testing.T) {
 // once per epoch with the newly dead ranks.
 func TestOnEpochCallback(t *testing.T) {
 	n := 4
-	hb, phi := tuned(5*time.Millisecond, 6)
+	hb := tuned(5 * time.Millisecond)
 	nw := transport.NewNetwork(n)
 	type event struct {
 		epoch   uint64
@@ -471,7 +467,7 @@ func TestOnEpochCallback(t *testing.T) {
 		r := r
 		d, err := New(Options{
 			Self: r, Ranks: n, Net: nw,
-			HeartbeatInterval: hb, PhiThreshold: phi,
+			HeartbeatInterval: hb,
 			OnEpoch: func(epoch uint64, members member.Set, dead, newDead []int) {
 				mu.Lock()
 				events[r] = append(events[r], event{epoch, append([]int(nil), newDead...)})
@@ -530,16 +526,16 @@ func TestOnEpochCallback(t *testing.T) {
 // membership, member list carried in the commit.
 func TestGrowThenDrain(t *testing.T) {
 	const capacity, boot = 6, 4
-	hb, phi := tuned(5*time.Millisecond, 8)
+	hb := tuned(5 * time.Millisecond)
 	nw := transport.NewNetwork(capacity)
 	dets := make([]*Detector, capacity)
 	drained := make(chan uint64, 1)
 	start := func(r int, members member.Set, onDrained func(uint64)) *Detector {
 		d, err := New(Options{
 			Self: r, Ranks: capacity, Members: members, Net: nw,
-			HeartbeatInterval: hb, PhiThreshold: phi,
-			OnDrained: onDrained,
-			Logf:      func(format string, args ...any) { t.Logf("detect: "+format, args...) },
+			HeartbeatInterval: hb,
+			OnDrained:         onDrained,
+			Logf:              func(format string, args ...any) { t.Logf("detect: "+format, args...) },
 		})
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -645,8 +641,8 @@ func TestGrowThenDrain(t *testing.T) {
 // TestDrainTargetMustBeMember: draining a slot outside the membership is
 // an immediate error, not a stuck proposal.
 func TestDrainTargetMustBeMember(t *testing.T) {
-	hb, phi := tuned(5*time.Millisecond, 8)
-	w := newWorld(t, 3, hb, phi)
+	hb := tuned(5 * time.Millisecond)
+	w := newWorld(t, 3, hb)
 	if err := w.dets[0].Drain(7); err == nil {
 		t.Fatal("Drain(7) on a 3-member world should error")
 	}

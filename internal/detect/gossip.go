@@ -1,8 +1,8 @@
 package detect
 
 // Liveness inputs and suspicion: the transport observers, the per-tick
-// heartbeats, lease pings, monitor and lease evaluation, suspicion gossip,
-// and the contact-lease fencing rule.
+// lease pings and lease evaluation, suspicion gossip, and the
+// contact-lease fencing rule.
 
 import (
 	"sort"
@@ -15,8 +15,8 @@ import (
 // refenceLocked recomputes the fencing state from the contact leases and
 // returns the OnFence callback to fire (nil if no transition). A peer
 // counts as reachable only on positive receive evidence within the lease —
-// suspicion alone cannot drive fencing, because the ring monitors of a
-// small minority never cover the whole far side of a split. Callers hold
+// suspicion alone cannot drive fencing: a non-delegate holds no suspicion
+// of another group, whose strength it learns from reports. Callers hold
 // d.mu and must invoke the returned func, if any, after releasing it; it
 // delivers the state current when it runs, as funcs may run out of order.
 func (d *Detector) refenceLocked() func() {
@@ -131,7 +131,7 @@ func (d *Detector) contradictedLocked(r int, now time.Time) bool {
 
 // ObserveRecv records liveness evidence: a message from peer `from` arrived
 // on any plane of the shared mesh. The demux calls this for every inbound
-// message, so replication traffic doubles as heartbeats.
+// message, so replication traffic renews the contact lease.
 func (d *Detector) ObserveRecv(from int) {
 	if from == d.self || from < 0 || from >= d.n {
 		return
@@ -144,9 +144,6 @@ func (d *Detector) ObserveRecv(from int) {
 	// speaking proves the group is not wholesale dead.
 	if gid := d.topo.GroupOf(from); gid != d.topo.GroupOf(d.self) && gid < len(d.gHeard) {
 		d.gHeard[gid] = now
-	}
-	if m := d.monitors[from]; m != nil {
-		m.Observe(now)
 	}
 	_, wasSuspected := d.suspected[from]
 	if wasSuspected && !d.dead[from] {
@@ -166,7 +163,7 @@ func (d *Detector) ObserveRecv(from int) {
 }
 
 // ObserveSend records outbound traffic toward a peer, letting the emitter
-// skip the next explicit ping (heartbeat piggybacking).
+// skip the next lease ping (piggybacking).
 func (d *Detector) ObserveSend(to int) {
 	if to == d.self {
 		return
@@ -177,7 +174,7 @@ func (d *Detector) ObserveSend(to int) {
 	d.mu.Unlock()
 }
 
-// --- Ticker: heartbeats, monitor evaluation, proposal driving ---
+// --- Ticker: lease pings, lease evaluation, proposal driving ---
 
 func (d *Detector) tickLoop() {
 	defer d.wg.Done()
@@ -198,73 +195,23 @@ func (d *Detector) tick() {
 
 	d.mu.Lock()
 	if !d.members.Contains(d.self) {
-		// Not (yet, or no longer) a member: no heartbeats, no suspicions,
+		// Not (yet, or no longer) a member: no pings, no suspicions,
 		// no proposals. A joining slot only listens and hellos (JoinNew);
 		// a drained slot is on its way out.
 		d.mu.Unlock()
 		return
 	}
 	epoch := d.epoch
-	// Heartbeats to the predecessors that monitor this rank (every
-	// interval), and low-rate lease pings to every other live group member
-	// so the group keeps receiving positive contact evidence for the
-	// fencing rule. Both are skipped when other traffic already reached the
-	// peer within the window (piggybacking). Both stay inside the group —
-	// cross-group liveness travels in delegate reports instead, which is
-	// what caps the steady-state send rate at O(g + world/g).
-	isPred := make(map[int]bool, 2)
-	for _, t := range d.hbTargetsLocked() {
-		isPred[t] = true
-	}
-	groupPool := d.topo.GroupMembers(d.topo.GroupOf(d.self))
-	var pings []int
-	for _, t := range groupPool {
-		if t == d.self || d.dead[t] {
-			continue
-		}
-		// Suspected peers are pinged too. A live one may be silent toward
-		// us because it holds us dead — the majority side of a healed
-		// partition, or a same-epoch peer that adopted our death after our
-		// rejoin hello reached it — and the probe's epoch reconciliation is
-		// how the two sides find each other again.
-		window := d.interval
-		if !isPred[t] {
-			window = d.lease / 3 // lease pings: a few per lease horizon
-		}
-		if last, ok := d.lastSent[t]; ok && now.Sub(last) < window {
-			continue // piggybacked: recent traffic already proved liveness
-		}
-		d.lastSent[t] = now
-		pings = append(pings, t)
-	}
+	pings := d.leasePingsLocked(now)
 
-	// Monitor evaluation: accrued suspicion past the threshold raises a
-	// suspicion and gossips it.
-	var newSuspects []int
-	for m, mon := range d.monitors {
-		if d.dead[m] {
-			continue
-		}
-		if _, already := d.suspected[m]; already {
-			continue
-		}
-		if mon.Phi(now) >= d.threshold {
-			d.suspectLocked(m, now, CausePhi)
-			newSuspects = append(newSuspects, m)
-		}
-	}
-	// Lease evaluation for the group members outside this rank's monitor
-	// set. The ±1/±2 ring cannot see into a contiguous far side of a
-	// partition — its interior ranks are heartbeat-monitored only by their
-	// own severed neighbors — but the contact lease covers every pair in the
-	// group: a live peer keeps lease-pinging us, so a peer silent past the
-	// full lease is as suspect as a monitored one crossing the phi
-	// threshold. A false positive clears the same way monitor suspicions do
-	// (ObserveRecv on the peer's next ping). Remote groups are covered by
-	// report staleness at the delegates.
+	// Lease evaluation, the one silence rule: a live peer keeps
+	// lease-pinging us, so a group member silent past the full lease is
+	// suspected. A false positive clears on the peer's next message
+	// (ObserveRecv). Remote groups are covered by report staleness at the
+	// delegates.
 	var leaseSuspects []int
-	for _, r := range groupPool {
-		if r == d.self || d.dead[r] || d.monitors[r] != nil {
+	for _, r := range d.topo.GroupMembers(d.topo.GroupOf(d.self)) {
+		if r == d.self || d.dead[r] {
 			continue
 		}
 		if _, already := d.suspected[r]; already {
@@ -281,8 +228,8 @@ func (d *Detector) tick() {
 	leaseSuspects = append(leaseSuspects, groupSuspects...)
 	// Gossip every outstanding suspicion, not just the fresh ones: the send
 	// path is lossy (full worker queue, redial backoff), and the would-be
-	// coordinator may not monitor the victim itself — a one-shot gossip that
-	// gets dropped would stall recovery forever. Suspicion windows are
+	// coordinator may not suspect the victim itself — a one-shot gossip
+	// that gets dropped would stall recovery forever. Suspicion windows are
 	// short, so the per-tick retransmission is a handful of tiny frames.
 	gossip := make([]int, 0, len(d.suspected))
 	for s := range d.suspected {
@@ -315,13 +262,10 @@ func (d *Detector) tick() {
 	for _, t := range pings {
 		d.send(t, ping)
 	}
-	for _, s := range newSuspects {
-		d.logf("rank %d: suspects rank %d dead (phi >= %.1f)", d.self, s, d.threshold)
-	}
 	for _, s := range leaseSuspects {
 		d.logf("rank %d: suspects rank %d dead (contact lease expired)", d.self, s)
 	}
-	if fresh := len(newSuspects) + len(leaseSuspects); fresh > 0 && len(gossip) > 0 {
+	if len(leaseSuspects) > 0 && len(gossip) > 0 {
 		// One gossip event per fresh round, not per retransmission tick —
 		// the per-tick re-gossip would otherwise dominate the ring.
 		trace.Default().Emit(int32(d.self), trace.KindGossip, 0, uint64(len(gossip)))
@@ -340,6 +284,33 @@ func (d *Detector) tick() {
 	}
 
 	d.driveProposal()
+}
+
+// leasePingsLocked returns the group members to lease-ping at now, and
+// books them as sent: every live member, a few times per lease horizon,
+// so that each peer's lease on this rank stays fresh. A ping is skipped
+// when other traffic already reached the peer within the window
+// (piggybacking). Pings stay inside the group — cross-group liveness
+// travels in delegate reports instead, which is what caps the
+// steady-state send rate at O(g + world/g). Callers hold d.mu.
+func (d *Detector) leasePingsLocked(now time.Time) []int {
+	var pings []int
+	for _, t := range d.topo.GroupMembers(d.topo.GroupOf(d.self)) {
+		if t == d.self || d.dead[t] {
+			continue
+		}
+		// Suspected peers are pinged too. A live one may be silent toward
+		// us because it holds us dead — the majority side of a healed
+		// partition, or a same-epoch peer that adopted our death after our
+		// rejoin hello reached it — and the probe's epoch reconciliation is
+		// how the two sides find each other again.
+		if last, ok := d.lastSent[t]; ok && now.Sub(last) < d.lease/3 {
+			continue // piggybacked: recent traffic already proved liveness
+		}
+		d.lastSent[t] = now
+		pings = append(pings, t)
+	}
+	return pings
 }
 
 // suspectLocked records a (new) suspicion of rank r at time now, raised by

@@ -4,9 +4,8 @@ package detect
 // membership into member.Topology's checkpoint groups, and the detector
 // runs over them:
 //
-//   - Heartbeats and phi monitors run on the intra-group ring (±1/±2 of the
-//     group-local member set), and lease pings stay inside the group — the
-//     per-rank steady-state send rate is O(g), not O(world).
+//   - Contact leases and lease pings stay inside the group — the per-rank
+//     steady-state send rate is O(g), not O(world).
 //   - Each group has a runtime delegate: its lowest live, non-suspected
 //     member, computed locally by every rank from its own view (the
 //     epoch-static designation is Topology.Delegate; the runtime rule skips
@@ -34,8 +33,8 @@ package detect
 //     redirects the relay.
 //
 // A flat world (GroupSize <= 1, or >= world) is the one-group case of the
-// same code: the group is the whole ring, so heartbeats, leases, gossip and
-// agreement all reach every member directly. The one guard is
+// same code: the group is the whole ring, so leases, gossip and agreement
+// all reach every member directly. The one guard is
 // groupTickLocked's: with a single group there is no cross-group evidence
 // to carry, so a one-group world sends no reports and emits no delegate
 // role events.
@@ -75,18 +74,6 @@ func (d *Detector) retopoLocked(now time.Time) {
 		}
 		d.gCount[gid] = n
 	}
-}
-
-// monitorWantedLocked returns the ranks this rank phi-monitors: its two
-// successors on the group-local ring. Callers hold d.mu.
-func (d *Detector) monitorWantedLocked() []int {
-	return d.topo.GroupSuccessors(d.self, 2)
-}
-
-// hbTargetsLocked returns the group-local predecessors that monitor this
-// rank (the heartbeat targets). Callers hold d.mu.
-func (d *Detector) hbTargetsLocked() []int {
-	return d.topo.GroupPredecessors(d.self, 2)
 }
 
 // delegateOfLocked returns group gid's runtime delegate — its lowest
@@ -192,9 +179,9 @@ func (d *Detector) groupTickLocked(now time.Time) (report payload, targets []int
 	ownGid := d.topo.GroupOf(d.self)
 	ng := d.topo.NumGroups()
 	// Whole-group suspicion: a remote group silent past the lease — no
-	// report from any of its members — is suspected wholesale. Its interior
-	// ranks have no surviving monitors (their own group died with them), so
-	// report staleness is the only evidence that covers them.
+	// report from any of its members — is suspected wholesale. Leases stay
+	// inside a group, and its own group died with them, so report
+	// staleness is the only evidence that covers its ranks.
 	for gid := 0; gid < ng; gid++ {
 		if gid == ownGid || now.Sub(d.gHeard[gid]) <= d.lease {
 			continue

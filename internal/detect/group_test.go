@@ -11,15 +11,15 @@ import (
 // newGroupedWorld is newWorld with a two-level topology of the given group
 // size (and, optionally, a per-rank demux + relay wired under each
 // detector when relayed is true).
-func newGroupedWorld(t *testing.T, n, g int, hb time.Duration, phi float64, relayed bool) *world {
+func newGroupedWorld(t *testing.T, n, g int, hb time.Duration, relayed bool) *world {
 	t.Helper()
 	w := &world{nw: transport.NewNetwork(n), dets: make([]*Detector, n)}
 	var closers []func()
 	for r := 0; r < n; r++ {
 		opts := Options{
 			Self: r, Ranks: n, Net: w.nw, GroupSize: g,
-			HeartbeatInterval: hb, PhiThreshold: phi,
-			Logf: func(format string, args ...any) { t.Logf("detect: "+format, args...) },
+			HeartbeatInterval: hb,
+			Logf:              func(format string, args ...any) { t.Logf("detect: "+format, args...) },
 		}
 		if relayed {
 			dm := transport.NewDemux(w.nw, r)
@@ -80,8 +80,8 @@ func TestGroupedCodecRoundtrips(t *testing.T) {
 // alive commits no epochs and fences nobody — the report plumbing must be
 // as quiet as the flat detector's heartbeats.
 func TestGroupedFailureFreeStaysAtEpochOne(t *testing.T) {
-	hb, phi := tuned(5*time.Millisecond, 8)
-	w := newGroupedWorld(t, 9, 3, hb, phi, false)
+	hb := tuned(5 * time.Millisecond)
+	w := newGroupedWorld(t, 9, 3, hb, false)
 	time.Sleep(80 * hb)
 	for r, d := range w.dets {
 		if e := d.Epoch(); e != 1 {
@@ -100,8 +100,8 @@ func TestGroupedFailureFreeStaysAtEpochOne(t *testing.T) {
 // agreed by every survivor — the intra-group ring detects it, the delegate
 // relays carry the agreement.
 func TestGroupedFailureDetection(t *testing.T) {
-	hb, phi := tuned(5*time.Millisecond, 8)
-	w := newGroupedWorld(t, 9, 3, hb, phi, false)
+	hb := tuned(5 * time.Millisecond)
+	w := newGroupedWorld(t, 9, 3, hb, false)
 	time.Sleep(20 * hb)
 	w.kill(4)
 	survivors := []int{0, 1, 2, 3, 5, 6, 7, 8}
@@ -115,11 +115,11 @@ func TestGroupedFailureDetection(t *testing.T) {
 
 // TestGroupedWholeGroupLoss: a correlated whole-group failure (the fault
 // the cross-group parity shard exists for) is detected by the OTHER
-// groups' delegates via report staleness — no surviving rank monitored the
-// dead group's interior — and committed while quorum holds (6 of 9).
+// groups' delegates via report staleness — no surviving rank held a lease
+// on the dead group's interior — and committed while quorum holds (6 of 9).
 func TestGroupedWholeGroupLoss(t *testing.T) {
-	hb, phi := tuned(5*time.Millisecond, 8)
-	w := newGroupedWorld(t, 9, 3, hb, phi, false)
+	hb := tuned(5 * time.Millisecond)
+	w := newGroupedWorld(t, 9, 3, hb, false)
 	time.Sleep(20 * hb)
 	for _, r := range []int{3, 4, 5} {
 		w.kill(r)
@@ -157,8 +157,8 @@ func TestGroupedWholeGroupLoss(t *testing.T) {
 // delegates, so the group's next member takes over the relay and the
 // agreement still converges.
 func TestGroupedDelegateDeathDuringAgree(t *testing.T) {
-	hb, phi := tuned(5*time.Millisecond, 8)
-	w := newGroupedWorld(t, 12, 3, hb, phi, false)
+	hb := tuned(5 * time.Millisecond)
+	w := newGroupedWorld(t, 12, 3, hb, false)
 	time.Sleep(20 * hb)
 	// Group 2 is {6,7,8}; 6 is its designated delegate. Kill an interior
 	// member first, then the delegate while the agreement is in flight.
@@ -193,8 +193,8 @@ func TestGroupedDelegateDeathDuringAgree(t *testing.T) {
 // router, grouped detector — detects and agrees a failure, with the
 // detector's cross-group unicasts routed through delegates.
 func TestGroupedDetectionWithRelay(t *testing.T) {
-	hb, phi := tuned(5*time.Millisecond, 8)
-	w := newGroupedWorld(t, 9, 3, hb, phi, true)
+	hb := tuned(5 * time.Millisecond)
+	w := newGroupedWorld(t, 9, 3, hb, true)
 	time.Sleep(20 * hb)
 	w.kill(4)
 	survivors := []int{0, 1, 2, 3, 5, 6, 7, 8}
@@ -256,47 +256,50 @@ func TestGroupedGossipFanOutBounded(t *testing.T) {
 }
 
 // TestGroupedSteadyStateMessageBound pins the O(g) steady-state send rate:
-// a grouped rank's per-tick contact surface (heartbeat predecessors + its
-// lease-ping pool) stays within its own group regardless of world size.
+// over two lease horizons of ticks, every lease ping a grouped rank sends
+// goes to its own group regardless of world size, no peer is pinged twice
+// within a third of the lease, and every group peer is pinged.
 func TestGroupedSteadyStateMessageBound(t *testing.T) {
-	const n, g = 128, 8
+	const n, g, self = 128, 8, 17
 	nw := transport.NewNetwork(n)
 	defer nw.Shutdown()
-	d, err := New(Options{Self: 17, Ranks: n, Net: nw, GroupSize: g})
+	now := time.Unix(1000, 0)
+	d, err := New(Options{Self: self, Ranks: n, Net: nw, GroupSize: g,
+		Clock: func() time.Time { return now }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	own := d.topo.GroupOf(17)
 	inGroup := make(map[int]bool)
-	for _, r := range d.topo.GroupMembers(own) {
+	for _, r := range d.topo.GroupMembers(d.topo.GroupOf(self)) {
 		inGroup[r] = true
 	}
 	if len(inGroup) != g {
 		t.Fatalf("group size = %d, want %d", len(inGroup), g)
 	}
-	hb := d.hbTargetsLocked()
-	if len(hb) != 2 {
-		t.Fatalf("heartbeat targets = %v, want 2", hb)
-	}
-	for _, r := range hb {
-		if !inGroup[r] {
-			t.Errorf("heartbeat target %d outside own group", r)
+	last := make(map[int]time.Time)
+	for end := now.Add(2 * d.lease); now.Before(end); now = now.Add(d.interval) {
+		for _, r := range d.leasePingsLocked(now) {
+			if !inGroup[r] || r == self {
+				t.Fatalf("lease ping to rank %d outside own group", r)
+			}
+			if prev, ok := last[r]; ok && now.Sub(prev) < d.lease/3 {
+				t.Fatalf("rank %d pinged twice within %v (at %v and %v)", r, d.lease/3, prev, now)
+			}
+			last[r] = now
 		}
 	}
-	for _, r := range d.monitorWantedLocked() {
-		if !inGroup[r] {
-			t.Errorf("monitored rank %d outside own group", r)
-		}
+	if len(last) != g-1 {
+		t.Fatalf("pinged %d group peers over two leases, want all %d", len(last), g-1)
 	}
 }
 
 // TestGroupedTopologyAccessor: the detector exposes its current topology,
 // and re-derives it when an epoch changes the membership.
 func TestGroupedTopologyAccessor(t *testing.T) {
-	hb, phi := tuned(5*time.Millisecond, 8)
-	w := newGroupedWorld(t, 6, 3, hb, phi, false)
+	hb := tuned(5 * time.Millisecond)
+	w := newGroupedWorld(t, 6, 3, hb, false)
 	topo := w.dets[0].Topology()
 	if topo.NumGroups() != 2 || topo.GroupSize() != 3 {
 		t.Fatalf("boot topology = %s, want 2 groups of 3", topo.String())
@@ -366,15 +369,15 @@ func TestRelayedAckCountsOnlyForItsCoordinator(t *testing.T) {
 // same epoch and member list, and nobody may fence.
 func TestGroupedGrowOneGroupIntoTwo(t *testing.T) {
 	const capacity, g = 4, 3
-	hb, phi := tuned(5*time.Millisecond, 8)
+	hb := tuned(5 * time.Millisecond)
 	nw := transport.NewNetwork(capacity)
 	dets := make([]*Detector, capacity)
 	boot := member.Launch(3)
 	for r := 0; r < capacity; r++ {
 		d, err := New(Options{
 			Self: r, Ranks: capacity, Members: boot, Net: nw, GroupSize: g,
-			HeartbeatInterval: hb, PhiThreshold: phi,
-			Logf: func(format string, args ...any) { t.Logf("detect: "+format, args...) },
+			HeartbeatInterval: hb,
+			Logf:              func(format string, args ...any) { t.Logf("detect: "+format, args...) },
 		})
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)

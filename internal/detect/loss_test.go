@@ -14,15 +14,15 @@ import (
 
 // newDemuxWorld is newWorld with each detector behind its own demux, fed by
 // the demux observers (ObserveVia) as in the multi-process runtime.
-func newDemuxWorld(t *testing.T, n int, hb time.Duration, phi float64) *world {
+func newDemuxWorld(t *testing.T, n int, hb time.Duration) *world {
 	t.Helper()
 	w := &world{nw: transport.NewNetwork(n), dets: make([]*Detector, n)}
 	for r := 0; r < n; r++ {
 		dm := transport.NewDemux(w.nw, r)
 		d, err := New(Options{
 			Self: r, Ranks: n, Net: dm.Plane(transport.WireKindDetect),
-			HeartbeatInterval: hb, PhiThreshold: phi,
-			Logf: func(format string, args ...any) { t.Logf("detect: "+format, args...) },
+			HeartbeatInterval: hb,
+			Logf:              func(format string, args ...any) { t.Logf("detect: "+format, args...) },
 		})
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -45,12 +45,12 @@ func newDemuxWorld(t *testing.T, n int, hb time.Duration, phi float64) *world {
 
 // TestLossReportCommitsWithinTwoHeartbeats: a killed rank's last frames
 // followed by a loss report, delivered in band to every survivor, commit
-// the death within two heartbeat intervals — long before phi could. The
-// frames ahead of the report are observed before it, once, so they cannot
-// clear the suspicion it raises.
+// the death within two heartbeat intervals — long before the lease could.
+// The frames ahead of the report are observed before it, once, so they
+// cannot clear the suspicion it raises.
 func TestLossReportCommitsWithinTwoHeartbeats(t *testing.T) {
-	hb, phi := tuned(25*time.Millisecond, 8)
-	w := newDemuxWorld(t, 4, hb, phi)
+	hb := tuned(25 * time.Millisecond)
+	w := newDemuxWorld(t, 4, hb)
 	time.Sleep(20 * hb)
 
 	const victim = 2
@@ -94,8 +94,8 @@ func TestLossReportCommitsWithinTwoHeartbeats(t *testing.T) {
 // protest clears it; the other ranks, which keep hearing from it, neither
 // adopt it nor vote for it. Nobody is evicted and the epoch stays put.
 func TestLossReportOfLiveRankIsCleared(t *testing.T) {
-	hb, phi := tuned(5*time.Millisecond, 8)
-	w := newWorld(t, 4, hb, phi)
+	hb := tuned(5 * time.Millisecond)
+	w := newWorld(t, 4, hb)
 	time.Sleep(20 * hb)
 
 	w.dets[0].ObserveLost(1)
@@ -125,8 +125,8 @@ func TestLossReportOfLiveRankIsCleared(t *testing.T) {
 // another group (it could never receive the evidence that clears it); a
 // delegate adopts it and drives the agreement.
 func TestLossReportGroupedAdoption(t *testing.T) {
-	hb, phi := tuned(5*time.Millisecond, 8)
-	w := newGroupedWorld(t, 9, 3, hb, phi, false)
+	hb := tuned(5 * time.Millisecond)
+	w := newGroupedWorld(t, 9, 3, hb, false)
 	time.Sleep(20 * hb)
 	const victim = 4 // group 1 = {3,4,5}; group 0 = {0,1,2} with delegate 0
 	w.kill(victim)

@@ -82,9 +82,9 @@ func TestQuorumMatrix(t *testing.T) {
 				sem <- struct{}{}
 				defer func() { <-sem }()
 
-				hb, phi := tuned(5*time.Millisecond, 7)
-				w := newWorld(t, n, hb, phi)
-				time.Sleep(10 * hb) // settle monitors
+				hb := tuned(5 * time.Millisecond)
+				w := newWorld(t, n, hb)
+				time.Sleep(10 * hb) // settle
 				w.nw.Partition(splitPairs(groupA, n), false)
 
 				var majority, minority []int
@@ -182,8 +182,8 @@ func (w *world) awaitFenced(t *testing.T, ranks []int, within time.Duration) {
 // newer epoch through the fenced-probe/state exchange, and every rank
 // converges back to an empty dead set.
 func TestMinorityFencesAndHealsOnRejoin(t *testing.T) {
-	hb, phi := tuned(5*time.Millisecond, 8)
-	w := newWorld(t, 5, hb, phi)
+	hb := tuned(5 * time.Millisecond)
+	w := newWorld(t, 5, hb)
 	time.Sleep(10 * hb)
 	w.nw.Partition(splitPairs([]int{3, 4}, 5), false)
 
@@ -262,8 +262,8 @@ func TestMinorityFencesAndHealsOnRejoin(t *testing.T) {
 // 3. Pings used to skip dead and suspected peers, so neither sent the other
 // anything and the world never converged.
 func TestSameEpochDeadAndSuspectHeal(t *testing.T) {
-	hb, phi := tuned(5*time.Millisecond, 8)
-	w := newWorld(t, 5, hb, phi)
+	hb := tuned(5 * time.Millisecond)
+	w := newWorld(t, 5, hb)
 	time.Sleep(10 * hb)
 	members := []int{0, 1, 2, 3, 4}
 	for r, d := range w.dets {
@@ -301,14 +301,14 @@ func TestStaleSuspectGossipDropped(t *testing.T) {
 			}
 		}
 	})
-	hb, phi := tuned(5*time.Millisecond, 6)
+	hb := tuned(5 * time.Millisecond)
 	for r := 0; r < 3; r++ {
-		w.startRank(t, r, n, hb, phi)
+		w.startRank(t, r, n, hb)
 	}
 	// Boot without rank 3: epoch 2 commits it dead, then it joins and the
 	// survivors clear it — exactly the "cleared by a newer epoch" state.
 	w.awaitEpoch(t, []int{0, 1, 2}, 2, 10*time.Second)
-	late := w.startRank(t, 3, n, hb, phi)
+	late := w.startRank(t, 3, n, hb)
 	if _, err := late.Join(5 * time.Second); err != nil {
 		t.Fatalf("join: %v", err)
 	}
@@ -333,7 +333,7 @@ func TestStaleSuspectGossipDropped(t *testing.T) {
 	// reordered network would deliver it. The receiving coordinator must
 	// drop it instead of re-opening agreement on the cleared rank.
 	if err := w.nw.Send(transport.Message{
-		From: 2, To: 0, Class: transport.Control, Payload: encodeSuspect(1, 3, CausePhi),
+		From: 2, To: 0, Class: transport.Control, Payload: encodeSuspect(1, 3, CauseLease),
 	}); err != nil {
 		t.Fatalf("inject stale suspect: %v", err)
 	}

@@ -12,7 +12,7 @@ import (
 // still a member — death does not remove membership): it broadcasts hello
 // until a survivor's state response raises the local epoch past the boot
 // value, then returns the adopted epoch. Survivors react to the hello by
-// marking this rank alive again and resetting its monitor.
+// marking this rank alive again; the hello itself renews its lease.
 func (d *Detector) Join(timeout time.Duration) (uint64, error) {
 	boot := d.Epoch()
 	return d.helloUntil(timeout, func() bool { return d.Epoch() > boot },
@@ -95,7 +95,6 @@ func (d *Detector) Drain(target int) error {
 // next epoch agreement, and answered with the snapshot so the newcomer
 // can adopt the world's state while it waits for admission.
 func (d *Detector) handleHello(from int) {
-	now := d.clock()
 	d.mu.Lock()
 	wantJoin := false
 	if !d.members.Contains(from) {
@@ -110,9 +109,6 @@ func (d *Detector) handleHello(from int) {
 		d.logf("rank %d: rank %d rejoined (hello)", d.self, from)
 	}
 	delete(d.suspected, from)
-	if m := d.monitors[from]; m != nil {
-		m.Reset(now)
-	}
 	epoch := d.epoch
 	dead := setToSlice(d.dead)
 	members := d.members.Members()

@@ -101,44 +101,6 @@ func (s Set) ringIndex(r int) int {
 	return i % len(s.members)
 }
 
-// Successors returns up to k distinct members after r on the ring,
-// excluding r itself. For a non-member r the walk starts at r's insertion
-// point, so a joining slot can locate the members it must talk to.
-func (s Set) Successors(r, k int) []int {
-	return s.walk(r, k, +1)
-}
-
-// Predecessors returns up to k distinct members before r on the ring,
-// excluding r itself.
-func (s Set) Predecessors(r, k int) []int {
-	return s.walk(r, k, -1)
-}
-
-func (s Set) walk(r, k, dir int) []int {
-	n := len(s.members)
-	if n == 0 || k <= 0 {
-		return nil
-	}
-	start, isMember := s.Index(r)
-	if !isMember {
-		start = s.ringIndex(r)
-		if dir > 0 {
-			// The insertion point is already the first slot after r.
-			start--
-		}
-	}
-	out := make([]int, 0, k)
-	for d := 1; d <= n && len(out) < k; d++ {
-		i := ((start+d*dir)%n + n) % n
-		m := s.members[i]
-		if m == r {
-			continue
-		}
-		out = append(out, m)
-	}
-	return out
-}
-
 // ShardHolder places shard idx of owner's lines on the member ring: the
 // k+m shards land on distinct ring successors starting after the owner,
 // with the assignment rotated by the owner's ring position so parity

@@ -107,37 +107,6 @@ func TestShardPlanDistinctHolders(t *testing.T) {
 	}
 }
 
-func TestSuccessorsPredecessors(t *testing.T) {
-	s := New(1, []int{0, 2, 5, 7})
-	if got := s.Successors(2, 2); !reflect.DeepEqual(got, []int{5, 7}) {
-		t.Fatalf("Successors(2,2) = %v", got)
-	}
-	if got := s.Successors(7, 3); !reflect.DeepEqual(got, []int{0, 2, 5}) {
-		t.Fatalf("Successors(7,3) = %v", got)
-	}
-	if got := s.Predecessors(0, 2); !reflect.DeepEqual(got, []int{7, 5}) {
-		t.Fatalf("Predecessors(0,2) = %v", got)
-	}
-	// More than size-1 requested: capped, self excluded.
-	if got := s.Successors(0, 10); !reflect.DeepEqual(got, []int{2, 5, 7}) {
-		t.Fatalf("Successors(0,10) = %v", got)
-	}
-}
-
-func TestSuccessorsOfNonMember(t *testing.T) {
-	s := New(1, []int{0, 2, 5, 7})
-	// A joining slot 3 should start its walk at the first member after it.
-	if got := s.Successors(3, 2); !reflect.DeepEqual(got, []int{5, 7}) {
-		t.Fatalf("Successors(3,2) = %v", got)
-	}
-	if got := s.Successors(9, 2); !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Fatalf("Successors(9,2) = %v", got)
-	}
-	if got := s.Predecessors(3, 2); !reflect.DeepEqual(got, []int{2, 0}) {
-		t.Fatalf("Predecessors(3,2) = %v", got)
-	}
-}
-
 func TestJoinRemoveDerivation(t *testing.T) {
 	s := Launch(4)
 	g := s.WithJoined(3, 5, 4)
@@ -184,9 +153,6 @@ func TestMaxAndEmpty(t *testing.T) {
 	}
 	if got := New(1, []int{3, 9, 4}).Max(); got != 9 {
 		t.Fatalf("Max = %d", got)
-	}
-	if got := z.Successors(0, 2); got != nil {
-		t.Fatalf("empty successors = %v", got)
 	}
 }
 

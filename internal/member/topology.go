@@ -109,7 +109,7 @@ func (t Topology) GroupMembers(gid int) []int {
 }
 
 // GroupSet returns group gid's members as a Set stamped with the same
-// epoch, so the existing ring formulas (Successors, ShardPlan) run
+// epoch, so the existing ring formulas (ShardPlan) run
 // unchanged over the group-local ring.
 func (t Topology) GroupSet(gid int) Set {
 	lo, hi := t.groupBounds(gid)
@@ -142,18 +142,6 @@ func (t Topology) Delegates() []int {
 		out = append(out, t.Delegate(gid))
 	}
 	return out
-}
-
-// GroupSuccessors returns up to k distinct members after r on r's
-// group-local ring. In a flat topology this is exactly Set.Successors.
-func (t Topology) GroupSuccessors(r, k int) []int {
-	return t.GroupSetOf(r).Successors(r, k)
-}
-
-// GroupPredecessors returns up to k distinct members before r on r's
-// group-local ring. In a flat topology this is exactly Set.Predecessors.
-func (t Topology) GroupPredecessors(r, k int) []int {
-	return t.GroupSetOf(r).Predecessors(r, k)
 }
 
 // ParityHolder returns the member that holds owner's cross-group parity

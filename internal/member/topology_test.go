@@ -16,12 +16,6 @@ func TestTopologyFlatDegeneration(t *testing.T) {
 			if gid := topo.GroupOf(r); gid != 0 {
 				t.Fatalf("g=%d: GroupOf(%d)=%d", g, r, gid)
 			}
-			if got, want := topo.GroupSuccessors(r, 2), s.Successors(r, 2); !reflect.DeepEqual(got, want) {
-				t.Fatalf("g=%d: GroupSuccessors(%d)=%v want flat %v", g, r, got, want)
-			}
-			if got, want := topo.GroupPredecessors(r, 2), s.Predecessors(r, 2); !reflect.DeepEqual(got, want) {
-				t.Fatalf("g=%d: GroupPredecessors(%d)=%v want flat %v", g, r, got, want)
-			}
 			if h := topo.ParityHolder(r); h != -1 {
 				t.Fatalf("g=%d: flat topology must have no parity holder, got %d", g, h)
 			}
@@ -47,13 +41,6 @@ func TestTopologyAssignment(t *testing.T) {
 	}
 	if got := topo.Delegates(); !reflect.DeepEqual(got, []int{0, 4, 8}) {
 		t.Fatalf("Delegates=%v", got)
-	}
-	// Group-local ring wraps inside the group, never across.
-	if got := topo.GroupSuccessors(3, 2); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Fatalf("GroupSuccessors(3,2)=%v want [0 1]", got)
-	}
-	if got := topo.GroupSuccessors(9, 2); !reflect.DeepEqual(got, []int{8}) {
-		t.Fatalf("GroupSuccessors(9,2)=%v want [8]", got)
 	}
 }
 

@@ -100,7 +100,7 @@ type Metrics struct {
 	FromScratch     int64 // restore attempts that found no complete line and re-executed
 	Fenced          bool
 	// Suspicions counts suspicions raised, by the detection path that
-	// raised them ("loss", "phi", "lease", "report").
+	// raised them ("loss", "lease", "report").
 	Suspicions map[string]uint64
 }
 

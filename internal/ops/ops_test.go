@@ -107,7 +107,7 @@ func TestMetricsExposition(t *testing.T) {
 		Detections: 2, DetectLastSecs: 0.031, Epoch: 3, MembershipEpoch: 3,
 		Members: 5, StoredBytes: 1 << 20, ReplicatedBytes: 3 << 20,
 		Reassemblies: 1, FromScratch: 1, Fenced: true,
-		Suspicions: map[string]uint64{"loss": 2, "phi": 0, "lease": 1, "report": 0},
+		Suspicions: map[string]uint64{"loss": 2, "lease": 1, "report": 0},
 	}}
 	s := newTestServer(t, b)
 	code, body := get(t, "http://"+s.Addr()+"/metrics")
@@ -122,7 +122,7 @@ func TestMetricsExposition(t *testing.T) {
 		`c3_restores_from_scratch_total{rank="1"} 1`,
 		"# TYPE c3_suspicions_total counter",
 		`c3_suspicions_total{rank="1",cause="loss"} 2`,
-		`c3_suspicions_total{rank="1",cause="phi"} 0`,
+		`c3_suspicions_total{rank="1",cause="report"} 0`,
 		`c3_membership_epoch{rank="1"} 3`,
 		`c3_members{rank="1"} 5`,
 		`c3_fenced{rank="1"} 1`,

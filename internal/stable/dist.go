@@ -1080,27 +1080,37 @@ func (s *DistStore) Open(rank, version int) (Snapshot, error) {
 // the codec can reconstruct it. The first k shards some peer reported
 // holding are fetched at once, each from the first peer that reported it:
 // with every holder live, a restore is one round of exactly k requests.
-// Only the shards that round did not yield are swept for (fetchFrag),
-// those with a reported holder first. A shard unreachable or
-// digest-mismatched on every peer counts as lost, which the codec
-// tolerates up to its parity count. When group-local shards fall short (a
-// whole group died together), the cross-group parity shard — the whole
-// blob, one group over — is fetched instead, from its reported holder
-// before any sweep for shards nobody reported.
+// When that round leaves the line short (a holder silent, a copy
+// rejected), one more round asks for as many of the other reported shards
+// as are still missing. Only then are shards swept for (fetchFrag), those
+// with a reported holder first. A shard unreachable or digest-mismatched
+// on every peer counts as lost, which the codec tolerates up to its
+// parity count. When group-local shards fall short (a whole group died
+// together), the cross-group parity shard — the whole blob, one group
+// over — is fetched instead, from its reported holder before any sweep
+// for shards nobody reported.
 func (s *DistStore) fetchLine(owner, version int, rl *remoteLine) *landing {
 	rec := rl.rec
 	l := newLanding(rec)
-	var plan []shardAsk
-	for idx := 0; idx < rec.frags && len(plan) < rec.data; idx++ {
-		if hs := rl.holders[idx]; len(hs) > 0 {
-			plan = append(plan, shardAsk{idx: idx, peer: hs[0]})
+	asked := make([]bool, rec.frags)
+	round := func() {
+		var plan []shardAsk
+		for idx := 0; idx < rec.frags && l.valid+len(plan) < rec.data; idx++ {
+			if hs := rl.holders[idx]; len(hs) > 0 && !asked[idx] {
+				asked[idx] = true
+				plan = append(plan, shardAsk{idx: idx, peer: hs[0]})
+			}
 		}
+		s.fetchFrom(owner, version, plan, l)
 	}
-	s.fetchFrom(owner, version, plan, l)
+	round()
+	if !l.done() {
+		round()
+	}
 	sweep := func(reported bool) {
 		for idx := 0; idx < rec.frags && !l.done(); idx++ {
 			if l.shards[idx] == nil && (len(rl.holders[idx]) > 0) == reported {
-				s.fetchFrag(owner, version, idx, l)
+				s.fetchFrag(owner, version, idx, rl.holders[idx], l)
 			}
 		}
 	}
@@ -1115,7 +1125,7 @@ func (s *DistStore) fetchLine(owner, version int, rl *remoteLine) *landing {
 	}
 	sweep(false)
 	if hasCross && !l.done() {
-		s.fetchFrag(owner, version, rec.frags, l)
+		s.fetchFrag(owner, version, rec.frags, rl.holders[rec.frags], l)
 	}
 	return l
 }
@@ -1158,14 +1168,21 @@ func (s *DistStore) fetchFrom(owner, version int, plan []shardAsk, l *landing) {
 }
 
 // fetchFrag asks each peer in turn for one fragment until the landing
-// takes a copy, repeating the sweep up to the configured retry count (a
-// peer may still be re-dialing this process's freshly bound mesh when the
-// first round goes out). A fetched copy that fails the marker's per-shard
+// takes a copy — the shard's reported holders first, then every other
+// peer — repeating the sweep up to the configured retry count (a peer may
+// still be re-dialing this process's freshly bound mesh when the first
+// round goes out). A fetched copy that fails the marker's per-shard
 // digest is rejected and the sweep continues — a corrupt replica must not
 // mask a valid one elsewhere.
-func (s *DistStore) fetchFrag(owner, version, idx int, l *landing) {
+func (s *DistStore) fetchFrag(owner, version, idx int, holders []int, l *landing) {
+	peers := append([]int(nil), holders...)
+	for _, q := range s.peerList() {
+		if !slices.Contains(holders, q) {
+			peers = append(peers, q)
+		}
+	}
 	for round := 0; round < s.queryRetries; round++ {
-		for _, q := range s.peerList() {
+		for _, q := range peers {
 			ch := make(chan distResp, 1)
 			reqID := s.newRequest(ch)
 			s.send(q, transport.Control, encodeDistQueryFrag(reqID, owner, version, idx))

@@ -242,6 +242,66 @@ func TestRestoreRepairsCorruptDataShard(t *testing.T) {
 	}
 }
 
+// TestRestoreAsksReportedShardsBeforeSweeping: in the same geometry, a
+// restore that finds one data shard corrupt replaces it with another
+// reported shard in one more query — k+1 fragment queries in all — instead
+// of sweeping every peer for the rejected shard first. The restore runs
+// as a node's does, LastCommitted then Open, so every holder has answered.
+func TestRestoreAsksReportedShardsBeforeSweeping(t *testing.T) {
+	const n, owner, k, m = 8, 5, 4, 2
+	stores, counter := countingDistWorld(t, n, owner, WithDistCodec(mustCodec(t, "rs", k, m)))
+	want := map[string][]byte{"app": testBlob(100_001, 7)}
+	writeDistCommitted(t, stores[owner], owner, 1, want)
+	stores[owner].wipe()
+	frag, _ := heldShard(t, stores, owner, 1, 1)
+	frag[len(frag)/2] ^= 0x10
+
+	if v, ok, err := stores[owner].LastCommitted(owner); err != nil || !ok || v != 1 {
+		t.Fatalf("LastCommitted = %d, %v, %v; want 1", v, ok, err)
+	}
+	before := counter.count(distMsgQueryFrag)
+	if got := readSections(t, stores[owner], owner, 1); !sameSections(got, want) {
+		t.Fatal("restore around a corrupt data shard returned other sections")
+	}
+	if sent := counter.count(distMsgQueryFrag) - before; sent != k+1 {
+		t.Fatalf("restore sent %d fragment queries, want k+1 = %d", sent, k+1)
+	}
+}
+
+// TestFetchFragAsksReportedHolderFirst: a sweep for one shard asks the
+// peers that reported holding it before any other peer, so a live holder
+// answers the first query however late it sits in member order.
+func TestFetchFragAsksReportedHolderFirst(t *testing.T) {
+	const n, owner, k, m = 8, 5, 4, 2
+	stores, counter := countingDistWorld(t, n, owner, WithDistCodec(mustCodec(t, "rs", k, m)))
+	writeDistCommitted(t, stores[owner], owner, 1, map[string][]byte{"app": testBlob(100_001, 7)})
+	// The shard held by the peer that comes last in member order.
+	idx, holder := -1, -1
+	for i := 0; i < k+m; i++ {
+		for r, s := range stores {
+			s.mu.Lock()
+			_, ok := s.node.frags[replFragKey{owner: owner, version: 1, idx: i}]
+			s.mu.Unlock()
+			if ok && r > holder {
+				idx, holder = i, r
+			}
+		}
+	}
+	if last := stores[owner].peerList(); last[len(last)-1] != holder {
+		t.Fatalf("holder %d of shard %d is not the last peer of %v", holder, idx, last)
+	}
+	_, rec := heldShard(t, stores, owner, 1, idx)
+	l := newLanding(rec)
+	before := counter.count(distMsgQueryFrag)
+	stores[owner].fetchFrag(owner, 1, idx, []int{holder}, l)
+	if l.valid != 1 {
+		t.Fatalf("shard %d did not land from its holder %d", idx, holder)
+	}
+	if sent := counter.count(distMsgQueryFrag) - before; sent != 1 {
+		t.Fatalf("sweep for shard %d sent %d fragment queries, want 1 (its reported holder)", idx, sent)
+	}
+}
+
 // TestRestoreRejectsMarkerSumMismatch: a marker whose whole-blob digest
 // disagrees with its per-shard digests is rejected. Every shard passes its
 // own digest, so only the combined check can catch it, with every data
