@@ -10,324 +10,95 @@ import (
 //
 // The paper's approach is to "apply the base protocol to the start and end
 // points of each individual communication stream within a collective
-// operation". The wrapped collectives below realize that by running each
-// collective as a fixed, deterministic topology of protocol-wrapped
-// point-to-point streams on the communicator's collective plane: linear
-// gather/scatter (matching Figure 7's per-stream classification at the
-// root), a binomial tree for broadcast, dissemination for barrier, a rank
-// chain for scan, and pairwise exchange for all-to-all. Every hop gets the
-// full piggyback/classification/logging/suppression treatment, so a
-// collective crossing a recovery line recovers stream-by-stream: processes
-// whose call was before their line do not re-execute it, their outbound
-// streams replay from the Late-Message-Registry, and re-sends into their
-// pre-line state are suppressed via the Was-Early-Registry.
+// operation". Each collective is a fixed topology of point-to-point
+// streams, written once in package mpi against mpi.Plane; wplane runs that
+// engine over protocol-wrapped streams on the communicator's collective
+// context. Every hop gets the full piggyback/classification/logging/
+// suppression treatment, so a collective crossing a recovery line recovers
+// stream by stream: processes whose call was before their line do not
+// re-execute it, their outbound streams replay from the
+// Late-Message-Registry, and re-sends into their pre-line state are
+// suppressed via the Was-Early-Registry.
 //
 // The paper instead issues the native collective and reverts to
-// point-to-point emulation only during recovery; in this reproduction the
-// native collectives are built on the same point-to-point transport, so
-// using one topology at all times exercises identical protocol logic while
-// avoiding a native/emulated switch-over race (see DESIGN.md).
-//
-// Reduce follows the paper exactly: contributions travel to the root with
-// an independent gather and the reduction is applied locally, so per-sender
-// messages exist for the log ("we first send all data to the root node of
-// the reduction using an independent MPI_Gather and then perform the actual
-// reduction"). Allreduce reproduces the paper's result-logging mechanism:
-// the operation runs on the native (opaque) implementation and, when the
-// call crosses a recovery line, each post-line process logs the result and
-// replays it during recovery.
-
-// Reserved tags for the layer's collective streams (collective plane).
-const (
-	ctagBarrier = mpi.MaxUserTag + 101 + iota
-	ctagBcast
-	ctagGather
-	ctagScatter
-	ctagAllgather
-	ctagAlltoall
-	ctagReduce
-	ctagScan
-)
+// point-to-point emulation only during recovery. Here the native
+// collectives run the same engine over the same transport, so the wrapped
+// plane sends exactly the messages a Direct run sends, and there is no
+// switch-over to get wrong (DESIGN.md, "Collectives: one set of
+// topologies, two planes"). Reduce follows the paper: contributions reach
+// the root as independent streams and the reduction is applied locally.
+// Allreduce reproduces the paper's result logging: the operation runs on
+// the native (opaque) plane and, when the call crosses a recovery line,
+// each post-line process logs the result and replays it during recovery.
 
 // Result-log kinds.
 const (
 	rkAllreduce uint8 = 1
 )
 
-// Barrier blocks until all ranks enter it, via dissemination rounds of
-// wrapped point-to-point messages.
-func (w *WComm) Barrier() error {
-	l, c := w.l, w.c
-	n, r := w.Size(), w.Rank()
-	for k := 1; k < n; k <<= 1 {
-		dst := (r + k) % n
-		src := (r - k + n) % n
-		if err := l.sendUser(c, nil, dst, ctagBarrier, true); err != nil {
-			return err
-		}
-		if _, err := l.recvUser(c, 0, src, ctagBarrier, true); err != nil {
-			return err
-		}
-	}
-	return nil
+// wplane is the wrapped plane. Its tags sit 100 above the native plane's:
+// both share the collective context, where WComm.Allreduce runs the native
+// AllreduceAux.
+type wplane struct{ *WComm }
+
+func (p wplane) SendColl(packed []byte, dst, k int) error {
+	return p.l.sendUser(p.c, packed, dst, mpi.MaxUserTag+101+k, true)
 }
 
-// Bcast broadcasts count elements of dt from root along a binomial tree of
-// wrapped streams.
+func (p wplane) RecvColl(buf []byte, src, k int) ([]byte, error) {
+	res, err := p.l.recvUser(p.c, len(buf), src, mpi.MaxUserTag+101+k, true)
+	return res.payload, err
+}
+
+// Barrier blocks until all ranks enter it.
+func (w *WComm) Barrier() error { return mpi.Barrier(wplane{w}) }
+
+// Bcast broadcasts count elements of dt from root.
 func (w *WComm) Bcast(buf []byte, count int, dt *mpi.Datatype, root int) error {
-	l, c := w.l, w.c
-	n, r := w.Size(), w.Rank()
-	vr := (r - root + n) % n
-	var packed []byte
-	if vr == 0 {
-		var err error
-		packed, err = dt.Pack(buf, count)
-		if err != nil {
-			return err
-		}
-	} else {
-		parent := (parentOfVR(vr) + root) % n
-		res, err := l.recvUser(c, count*dt.Size(), parent, ctagBcast, true)
-		if err != nil {
-			return err
-		}
-		if err := deliverPayload(res.payload, buf, dt); err != nil {
-			return err
-		}
-		packed = append([]byte(nil), res.payload...)
-	}
-	for bit := 1; bit < n; bit <<= 1 {
-		if vr&bit != 0 {
-			break
-		}
-		child := vr | bit
-		if child >= n {
-			break
-		}
-		dst := (child + root) % n
-		if err := l.sendUser(c, packed, dst, ctagBcast, true); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func parentOfVR(vr int) int { return vr & (vr - 1) }
-
-// gatherStreams delivers each rank's packed contribution to root over
-// wrapped streams with the given tag. At the root it returns payloads
-// indexed by comm rank (the root's own contribution included); elsewhere it
-// returns nil.
-func (w *WComm) gatherStreams(packed []byte, root, tag int) ([][]byte, error) {
-	l, c := w.l, w.c
-	n, r := w.Size(), w.Rank()
-	if r != root {
-		return nil, l.sendUser(c, packed, root, tag, true)
-	}
-	out := make([][]byte, n)
-	for q := 0; q < n; q++ {
-		if q == r {
-			out[q] = packed
-			continue
-		}
-		res, err := l.recvUser(c, len(packed), q, tag, true)
-		if err != nil {
-			return nil, err
-		}
-		out[q] = res.payload
-	}
-	return out, nil
+	return mpi.Bcast(wplane{w}, buf, count, dt, root)
 }
 
 // Gather collects sendCount elements of dt from every rank into the root's
 // recvBuf, ordered by rank.
 func (w *WComm) Gather(sendBuf []byte, sendCount int, dt *mpi.Datatype, recvBuf []byte, root int) error {
-	packed, err := dt.Pack(sendBuf, sendCount)
-	if err != nil {
-		return err
-	}
-	chunks, err := w.gatherStreams(packed, root, ctagGather)
-	if err != nil || chunks == nil {
-		return err
-	}
-	span := sendCount * dt.Extent()
-	for q, chunk := range chunks {
-		if err := deliverPayload(chunk, recvBuf[q*span:], dt); err != nil {
-			return err
-		}
-	}
-	return nil
+	return mpi.Gather(wplane{w}, sendBuf, sendCount, dt, recvBuf, sendCount, dt, root)
 }
 
 // Scatter distributes per-rank chunks of count elements of dt from the
 // root's sendBuf.
 func (w *WComm) Scatter(sendBuf []byte, count int, dt *mpi.Datatype, recvBuf []byte, root int) error {
-	l, c := w.l, w.c
-	n, r := w.Size(), w.Rank()
-	span := count * dt.Extent()
-	if r == root {
-		for q := 0; q < n; q++ {
-			packed, err := dt.Pack(sendBuf[q*span:], count)
-			if err != nil {
-				return err
-			}
-			if q == r {
-				if err := deliverPayload(packed, recvBuf, dt); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := l.sendUser(c, packed, q, ctagScatter, true); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	res, err := l.recvUser(c, count*dt.Size(), root, ctagScatter, true)
-	if err != nil {
-		return err
-	}
-	return deliverPayload(res.payload, recvBuf, dt)
+	return mpi.Scatter(wplane{w}, sendBuf, count, dt, recvBuf, count, dt, root)
 }
 
-// Allgather collects count elements of dt from every rank into every rank's
-// recvBuf: a gather to rank 0 followed by a broadcast, all wrapped.
+// Allgather collects count elements of dt from every rank into every
+// rank's recvBuf.
 func (w *WComm) Allgather(sendBuf []byte, count int, dt *mpi.Datatype, recvBuf []byte) error {
-	l, c := w.l, w.c
-	n, r := w.Size(), w.Rank()
-	packed, err := dt.Pack(sendBuf, count)
-	if err != nil {
-		return err
-	}
-	chunk := count * dt.Size()
-	all := make([]byte, n*chunk)
-	chunks, err := w.gatherStreams(packed, 0, ctagAllgather)
-	if err != nil {
-		return err
-	}
-	if r == 0 {
-		for q, ch := range chunks {
-			copy(all[q*chunk:], ch)
-		}
-	}
-	// Broadcast the concatenation down the tree (root 0).
-	vr := r
-	if vr != 0 {
-		parent := parentOfVR(vr)
-		res, err := l.recvUser(c, len(all), parent, ctagAllgather, true)
-		if err != nil {
-			return err
-		}
-		copy(all, res.payload)
-	}
-	for bit := 1; bit < n; bit <<= 1 {
-		if vr&bit != 0 {
-			break
-		}
-		child := vr | bit
-		if child >= n {
-			break
-		}
-		if err := l.sendUser(c, all, child, ctagAllgather, true); err != nil {
-			return err
-		}
-	}
-	span := count * dt.Extent()
-	for q := 0; q < n; q++ {
-		if err := deliverPayload(all[q*chunk:(q+1)*chunk], recvBuf[q*span:], dt); err != nil {
-			return err
-		}
-	}
-	return nil
+	return mpi.Allgather(wplane{w}, sendBuf, count, dt, recvBuf)
 }
 
 // Alltoall exchanges fixed-size chunks of count elements of dt pairwise.
 func (w *WComm) Alltoall(sendBuf []byte, count int, dt *mpi.Datatype, recvBuf []byte) error {
-	l, c := w.l, w.c
-	n, r := w.Size(), w.Rank()
-	span := count * dt.Extent()
-	for k := 0; k < n; k++ {
-		dst := (r + k) % n
-		packed, err := dt.Pack(sendBuf[dst*span:], count)
-		if err != nil {
-			return err
-		}
-		if dst == r {
-			if err := deliverPayload(packed, recvBuf[dst*span:], dt); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := l.sendUser(c, packed, dst, ctagAlltoall, true); err != nil {
-			return err
-		}
-	}
-	for k := 1; k < n; k++ {
-		src := (r - k + n) % n
-		res, err := l.recvUser(c, count*dt.Size(), src, ctagAlltoall, true)
-		if err != nil {
-			return err
-		}
-		if err := deliverPayload(res.payload, recvBuf[src*span:], dt); err != nil {
-			return err
-		}
-	}
-	return nil
+	return mpi.Alltoall(wplane{w}, sendBuf, count, dt, recvBuf)
 }
 
 // Alltoallv exchanges variable-sized byte chunks; counts and displacements
 // are in bytes.
 func (w *WComm) Alltoallv(sendBuf []byte, sendCounts, sendDispls []int, recvBuf []byte, recvCounts, recvDispls []int) error {
-	l, c := w.l, w.c
-	n, r := w.Size(), w.Rank()
-	if len(sendCounts) != n || len(sendDispls) != n || len(recvCounts) != n || len(recvDispls) != n {
-		return fmt.Errorf("%w: alltoallv counts/displs length", mpi.ErrInvalid)
-	}
-	for k := 0; k < n; k++ {
-		dst := (r + k) % n
-		chunk := sendBuf[sendDispls[dst] : sendDispls[dst]+sendCounts[dst]]
-		if dst == r {
-			copy(recvBuf[recvDispls[dst]:recvDispls[dst]+recvCounts[dst]], chunk)
-			continue
-		}
-		if err := l.sendUser(c, chunk, dst, ctagAlltoall, true); err != nil {
-			return err
-		}
-	}
-	for k := 1; k < n; k++ {
-		src := (r - k + n) % n
-		res, err := l.recvUser(c, recvCounts[src], src, ctagAlltoall, true)
-		if err != nil {
-			return err
-		}
-		copy(recvBuf[recvDispls[src]:recvDispls[src]+recvCounts[src]], res.payload)
-	}
-	return nil
+	return mpi.Alltoallv(wplane{w}, sendBuf, sendCounts, sendDispls, recvBuf, recvCounts, recvDispls)
 }
 
-// Reduce combines contributions with op at the root. Following the paper's
-// Section 4.3, contributions are shipped to the root with an independent
-// gather (providing the per-sender messages the log requires) and the
-// reduction is performed locally, folding in ascending rank order.
+// Reduce combines contributions with op at the root, folding in ascending
+// rank order.
 func (w *WComm) Reduce(sendBuf, recvBuf []byte, count int, dt *mpi.Datatype, op *mpi.Op, root int) error {
-	packed, err := dt.Pack(sendBuf, count)
-	if err != nil {
-		return err
-	}
-	chunks, err := w.gatherStreams(packed, root, ctagReduce)
-	if err != nil || chunks == nil {
-		return err
-	}
-	acc := append([]byte(nil), chunks[0]...)
-	scratch := make([]byte, len(acc))
-	for q := 1; q < len(chunks); q++ {
-		copy(scratch, chunks[q])
-		if err := op.Apply(acc, scratch, dt, count); err != nil {
-			return err
-		}
-		acc, scratch = scratch, acc
-	}
-	return deliverPayload(acc, recvBuf, dt)
+	return mpi.Reduce(wplane{w}, sendBuf, recvBuf, count, dt, op, root)
+}
+
+// Scan computes the inclusive prefix reduction over a rank chain. The chain
+// realizes the paper's observation that scan results are "either stored in
+// the log or ... recomputed along this dependency chain based on the
+// logged data": each hop is logged or replayed by the base protocol.
+func (w *WComm) Scan(sendBuf, recvBuf []byte, count int, dt *mpi.Datatype, op *mpi.Op) error {
+	return mpi.Scan(wplane{w}, sendBuf, recvBuf, count, dt, op)
 }
 
 // Allreduce combines contributions with op and distributes the result. It
@@ -372,36 +143,4 @@ func (w *WComm) Allreduce(sendBuf, recvBuf []byte, count int, dt *mpi.Datatype, 
 		l.stats.ResultsLogged++
 	}
 	return nil
-}
-
-// Scan computes the inclusive prefix reduction over a rank chain of wrapped
-// streams. The chain realizes the paper's observation that scan results are
-// "either stored in the log or ... recomputed along this dependency chain
-// based on the logged data": each hop is logged or replayed individually by
-// the base protocol.
-func (w *WComm) Scan(sendBuf, recvBuf []byte, count int, dt *mpi.Datatype, op *mpi.Op) error {
-	l, c := w.l, w.c
-	n, r := w.Size(), w.Rank()
-	packed, err := dt.Pack(sendBuf, count)
-	if err != nil {
-		return err
-	}
-	acc := packed
-	if r > 0 {
-		res, err := l.recvUser(c, count*dt.Size(), r-1, ctagScan, true)
-		if err != nil {
-			return err
-		}
-		mine := append([]byte(nil), packed...)
-		if err := op.Apply(res.payload, mine, dt, count); err != nil {
-			return err
-		}
-		acc = mine
-	}
-	if r < n-1 {
-		if err := l.sendUser(c, acc, r+1, ctagScan, true); err != nil {
-			return err
-		}
-	}
-	return deliverPayload(acc, recvBuf, dt)
 }

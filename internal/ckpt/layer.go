@@ -55,14 +55,6 @@ type Config struct {
 	// when their contents changed, with a full snapshot anchoring every
 	// k-th line. 0 or 1 disables it (every checkpoint is full).
 	FullCheckpointEvery int
-	// Clock abstracts time for the timer policy; nil means time.Now.
-	Clock func() time.Time
-	// Deterministic declares that the layer runs under the virtual schedule
-	// engine (cluster.Config.Seed / trace replay): the async commit pipeline
-	// is driven inline from the rank's own protocol operations instead of a
-	// worker goroutine, so durability timing is a pure function of the
-	// schedule. Callers should also supply a logical Clock.
-	Deterministic bool
 }
 
 // Layer is the per-process coordination layer: the C3 runtime that sits
@@ -194,11 +186,19 @@ func New(p *mpi.Proc, cfg Config) (*Layer, error) {
 			cfg.State.Register(cfg.Heap.Section())
 		}
 	}
-	clock := cfg.Clock
-	if clock == nil {
+	// Under the virtual schedule engine (cluster.Config.Seed, trace replay)
+	// the timer policy reads the engine's logical clock, and the async
+	// commit pipeline is driven inline from the rank's own protocol
+	// operations instead of a worker goroutine, so durability timing is a
+	// pure function of the schedule.
+	sched := p.World().Scheduler()
+	var clock func() time.Time
+	if sched != nil {
+		clock = sched.Now
+	} else {
 		// The single sanctioned wall-clock injection point: every other use
 		// in governed code must flow through this clock.
-		clock = time.Now //c3lint:allow determinism cfg.Clock fallback; this IS the injection point
+		clock = time.Now //c3lint:allow determinism wall-clock fallback outside the virtual schedule; this IS the injection point
 	}
 	n := p.Size()
 	l := &Layer{
@@ -245,7 +245,7 @@ func New(p *mpi.Proc, cfg Config) (*Layer, error) {
 	l.comms = NewCommTable(p.CommWorld())
 	l.world = &WComm{l: l, c: p.CommWorld(), handle: HandleWorld}
 	if cfg.Policy.AsyncCommit {
-		if cfg.Deterministic {
+		if sched != nil {
 			l.committer = newVirtualCommitter(l.store, l.rank, clock)
 		} else {
 			l.committer = newCommitter(l.store, l.rank, clock)

@@ -316,21 +316,14 @@ func runRank(cfg Config, world *mpi.World, store stable.Store, rank int, restart
 		return cfg.App(env), ckpt.Stats{}
 	}
 	heap := statesave.NewHeap()
-	lcfg := ckpt.Config{
+	layer, err := ckpt.New(p, ckpt.Config{
 		Store:                 store,
 		Heap:                  heap,
 		Policy:                cfg.Policy,
 		WideHeaders:           cfg.WideHeaders,
 		LogAllIntraSignatures: cfg.LogAllIntraSignatures,
 		FullCheckpointEvery:   cfg.FullCheckpointEvery,
-	}
-	if s := world.Scheduler(); s != nil {
-		// Virtual schedule engine: logical time and an inline-driven commit
-		// pipeline keep the protocol a pure function of the schedule.
-		lcfg.Clock = s.Now
-		lcfg.Deterministic = true
-	}
-	layer, err := ckpt.New(p, lcfg)
+	})
 	if err != nil {
 		return err, ckpt.Stats{}
 	}

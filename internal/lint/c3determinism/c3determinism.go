@@ -6,8 +6,8 @@
 // scheduled code's behavior is a pure function of the schedule. A single
 // time.Now or global rand call re-introduces the ~40% stress flake the
 // schedule engine was built to kill. Governed code must take time from the
-// injected Clock (ckpt.Config.Clock, transport.Scheduler's logical clock)
-// and randomness from an explicitly seeded *rand.Rand.
+// injected Clock (transport.Scheduler's logical clock, which ckpt.New
+// picks up from the world) and randomness from an explicitly seeded *rand.Rand.
 //
 // Constructing a seeded generator (rand.New, rand.NewSource, ...) is
 // allowed — that IS the sanctioned pattern; only the package-level

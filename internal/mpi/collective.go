@@ -1,199 +1,190 @@
 package mpi
 
-import "fmt"
-
-// Internal tags for collective plumbing. They live on the communicator's
-// collective context plane, so they can never match user point-to-point
-// traffic; distinct tags per collective keep interleaved collectives of
-// different kinds from cross-matching.
-const (
-	tagBarrier = MaxUserTag + 1 + iota
-	tagBcast
-	tagGather
-	tagScatter
-	tagAllgather
-	tagAlltoall
-	tagReduce
-	tagScan
-	tagCtxAlloc
+import (
+	"encoding/binary"
+	"fmt"
 )
 
-// Barrier blocks until every rank in the communicator has entered it.
-// It uses the dissemination algorithm: log2(n) rounds of pairwise messages.
-func (c *Comm) Barrier() error {
-	n := c.Size()
-	var empty []byte
-	buf := make([]byte, 0)
+// Plane carries the point-to-point streams a collective is made of. Every
+// collective here is a fixed topology of such streams, written once against
+// this interface. Two planes implement it: a communicator's own collective
+// context (the native plane, Comm's collective methods) and the checkpoint
+// layer's protocol-wrapped streams. So a Direct run and a checkpointed run
+// send the same messages in the same order.
+//
+// Ownership: SendColl must not keep packed after it returns, so the engine
+// passes views of user buffers and reused scratch space without copying.
+// RecvColl receives one stream of kind k from src, at most len(buf) bytes,
+// and returns its bytes: either buf, filled, or bytes the plane already
+// holds, which the engine only reads. The engine checks the exact size.
+type Plane interface {
+	Rank() int
+	Size() int
+	SendColl(packed []byte, dst, k int) error
+	RecvColl(buf []byte, src, k int) ([]byte, error)
+}
+
+// Collective kinds. A plane maps each to a tag of its own; distinct tags
+// per kind keep interleaved collectives of different kinds from
+// cross-matching.
+const (
+	kBarrier = iota
+	kBcast
+	kGather
+	kScatter
+	kAllgather
+	kAlltoall
+	kReduce
+	kScan
+	kCtxAlloc
+)
+
+// nativePlane is a communicator's collective context, whose tags sit just
+// above the user range, so they never match user point-to-point traffic.
+type nativePlane struct{ *Comm }
+
+func (p nativePlane) SendColl(packed []byte, dst, k int) error {
+	return p.SendPackedColl(packed, dst, MaxUserTag+1+k)
+}
+
+func (p nativePlane) RecvColl(buf []byte, src, k int) ([]byte, error) {
+	st, err := p.RecvPackedColl(buf, src, MaxUserTag+1+k)
+	if err != nil {
+		return nil, err
+	}
+	return buf[:st.Bytes], nil
+}
+
+// recv receives a stream of exactly len(buf) bytes.
+func recv(p Plane, buf []byte, src, k int) ([]byte, error) {
+	got, err := p.RecvColl(buf, src, k)
+	if err == nil && len(got) != len(buf) {
+		err = fmt.Errorf("%w: collective stream from %d: %d bytes, want %d", ErrTruncate, src, len(got), len(buf))
+	}
+	return got, err
+}
+
+// land makes dst hold the received stream got, unless the plane filled dst
+// itself.
+func land(dst, got []byte) {
+	if len(got) > 0 && &dst[0] != &got[0] {
+		copy(dst, got)
+	}
+}
+
+// sendView returns count elements of dt from buf packed for sending. A
+// dense type's packed form is buf's own prefix, returned as is; any other
+// type is packed into *scratch, which a caller reuses across its streams.
+func sendView(dt *Datatype, buf []byte, count int, scratch *[]byte) ([]byte, error) {
+	if n := count * dt.size; dt.dense && count >= 0 && n <= len(buf) {
+		return buf[:n], nil
+	}
+	b, err := dt.appendPacked((*scratch)[:0], buf, count)
+	*scratch = b
+	return b, err
+}
+
+// Barrier blocks until every rank has entered it: log2(n) dissemination
+// rounds of empty messages.
+func Barrier(p Plane) error {
+	n, me := p.Size(), p.Rank()
 	for k := 1; k < n; k <<= 1 {
-		dst := (c.myRank + k) % n
-		src := (c.myRank - k + n) % n
-		wr := c.group[dst]
-		if err := c.proc.send(wr, tagBarrier, c.collCtx(), empty); err != nil {
+		if err := p.SendColl(nil, (me+k)%n, kBarrier); err != nil {
 			return err
 		}
-		if _, err := c.proc.recvInternal(buf, src, tagBarrier, c, c.collCtx()); err != nil {
+		if _, err := recv(p, nil, (me-k+n)%n, kBarrier); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// bcastBytes broadcasts buf (len fixed on all ranks) from root over the
-// collective plane using a binomial tree.
-func (c *Comm) bcastBytes(buf []byte, root, tag int) error {
-	n := c.Size()
-	vr := (c.myRank - root + n) % n // virtual rank: root becomes 0
-
-	// Receive from parent (all ranks except virtual 0).
+// bcast sends buf from root down a binomial tree over virtual ranks, root
+// being 0: a rank receives from vr with its lowest set bit cleared and
+// forwards to vr|bit for each bit below that one. It returns the bytes
+// this rank now holds.
+func bcast(p Plane, buf []byte, root, k int) ([]byte, error) {
+	n := p.Size()
+	vr := (p.Rank() - root + n) % n
 	if vr != 0 {
-		parent := (parentOf(vr) + root) % n
-		st, err := c.proc.recvInternal(buf, parent, tag, c, c.collCtx())
+		got, err := recv(p, buf, (vr&(vr-1)+root)%n, k)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if st.Bytes != len(buf) {
-			return fmt.Errorf("%w: bcast expected %d bytes, got %d", ErrTruncate, len(buf), st.Bytes)
+		buf = got
+	}
+	for bit := 1; vr&bit == 0 && vr|bit < n; bit <<= 1 {
+		if err := p.SendColl(buf, ((vr|bit)+root)%n, k); err != nil {
+			return nil, err
 		}
 	}
-	// Forward to children.
-	for _, child := range childrenOf(vr, n) {
-		dst := (child + root) % n
-		wr := c.group[dst]
-		if err := c.proc.send(wr, tag, c.collCtx(), append([]byte(nil), buf...)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// parentOf returns the binomial-tree parent of virtual rank vr (vr > 0):
-// clear the lowest set bit.
-func parentOf(vr int) int { return vr & (vr - 1) }
-
-// childrenOf returns the binomial-tree children of virtual rank vr in a tree
-// of n nodes: vr | (1<<k) for k above vr's lowest set bit boundary.
-func childrenOf(vr, n int) []int {
-	var kids []int
-	for bit := 1; ; bit <<= 1 {
-		if vr&bit != 0 {
-			break
-		}
-		child := vr | bit
-		if child >= n {
-			break
-		}
-		if child == vr {
-			break
-		}
-		kids = append(kids, child)
-	}
-	return kids
+	return buf, nil
 }
 
 // Bcast broadcasts count elements of dt from root's buf into every rank's
 // buf.
-func (c *Comm) Bcast(buf []byte, count int, dt *Datatype, root int) error {
-	var packed []byte
-	var err error
-	if c.myRank == root {
-		packed, err = dt.Pack(buf, count)
+func Bcast(p Plane, buf []byte, count int, dt *Datatype, root int) error {
+	if p.Rank() == root {
+		packed, err := sendView(dt, buf, count, new([]byte))
 		if err != nil {
 			return err
 		}
-	} else {
-		packed = make([]byte, count*dt.Size())
-	}
-	if err := c.bcastBytes(packed, root, tagBcast); err != nil {
+		_, err = bcast(p, packed, root, kBcast)
 		return err
 	}
-	if c.myRank != root {
-		if _, err := dt.Unpack(packed, buf, count); err != nil {
-			return err
-		}
+	got, err := bcast(p, make([]byte, count*dt.Size()), root, kBcast)
+	if err != nil {
+		return err
 	}
-	return nil
+	_, err = dt.Unpack(got, buf, count)
+	return err
 }
 
-// gatherBytes gathers fixed-size chunks from all ranks into all at root,
-// ordered by comm rank. len(mine) must be identical on all ranks and
-// len(all) = n*len(mine) at root.
-func (c *Comm) gatherBytes(mine []byte, all []byte, root, tag int) error {
-	n := c.Size()
+// gatherInto collects every rank's mine into all at root, in rank order.
+func gatherInto(p Plane, mine, all []byte, root, k int) error {
+	if p.Rank() != root {
+		return p.SendColl(mine, root, k)
+	}
 	chunk := len(mine)
-	if c.myRank != root {
-		wr := c.group[root]
-		return c.proc.send(wr, tag, c.collCtx(), append([]byte(nil), mine...))
-	}
-	if len(all) < n*chunk {
-		return fmt.Errorf("%w: gather buffer %d < %d", ErrInvalid, len(all), n*chunk)
-	}
-	copy(all[root*chunk:], mine)
-	for r := 0; r < n; r++ {
+	for r := 0; r < p.Size(); r++ {
+		slot := all[r*chunk : (r+1)*chunk]
 		if r == root {
+			copy(slot, mine)
 			continue
 		}
-		st, err := c.proc.recvInternal(all[r*chunk:(r+1)*chunk], r, tag, c, c.collCtx())
+		got, err := recv(p, slot, r, k)
 		if err != nil {
 			return err
 		}
-		if st.Bytes != chunk {
-			return fmt.Errorf("%w: gather chunk from %d: %d bytes, want %d", ErrTruncate, r, st.Bytes, chunk)
-		}
+		land(slot, got)
 	}
 	return nil
 }
 
 // Gather collects sendCount elements of sendType from every rank into
-// root's recvBuf, ordered by rank. recvCount is the per-rank element count
-// at the root (must equal sendCount in elements of recvType's size).
-func (c *Comm) Gather(sendBuf []byte, sendCount int, sendType *Datatype, recvBuf []byte, recvCount int, recvType *Datatype, root int) error {
-	packed, err := sendType.Pack(sendBuf, sendCount)
+// root's recvBuf, ordered by rank; recvCount elements of recvType must
+// hold the same bytes at the root.
+func Gather(p Plane, sendBuf []byte, sendCount int, sendType *Datatype, recvBuf []byte, recvCount int, recvType *Datatype, root int) error {
+	mine, err := sendView(sendType, sendBuf, sendCount, new([]byte))
 	if err != nil {
 		return err
 	}
-	chunk := sendCount * sendType.Size()
-	var all []byte
-	if c.myRank == root {
-		if recvCount*recvType.Size() != chunk {
-			return fmt.Errorf("%w: gather recv %d bytes/rank, send %d", ErrInvalid, recvCount*recvType.Size(), chunk)
-		}
-		all = make([]byte, c.Size()*chunk)
+	if p.Rank() != root {
+		return p.SendColl(mine, root, kGather)
 	}
-	if err := c.gatherBytes(packed, all, root, tagGather); err != nil {
-		return err
+	if recvCount*recvType.Size() != len(mine) {
+		return fmt.Errorf("%w: gather recv %d bytes/rank, send %d", ErrInvalid, recvCount*recvType.Size(), len(mine))
 	}
-	if c.myRank == root {
-		for r := 0; r < c.Size(); r++ {
-			if _, err := recvType.Unpack(all[r*chunk:(r+1)*chunk], recvBuf[r*recvCount*recvType.Extent():], recvCount); err != nil {
+	space := make([]byte, len(mine))
+	for r := 0; r < p.Size(); r++ {
+		got := mine
+		if r != root {
+			if got, err = recv(p, space, r, kGather); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// Gatherv collects variable-sized byte chunks at root. counts and displs are
-// in bytes and only consulted at the root.
-func (c *Comm) Gatherv(mine []byte, recvBuf []byte, counts, displs []int, root int) error {
-	n := c.Size()
-	if c.myRank != root {
-		wr := c.group[root]
-		return c.proc.send(wr, tagGather, c.collCtx(), append([]byte(nil), mine...))
-	}
-	if len(counts) != n || len(displs) != n {
-		return fmt.Errorf("%w: gatherv counts/displs length", ErrInvalid)
-	}
-	copy(recvBuf[displs[root]:displs[root]+counts[root]], mine)
-	for r := 0; r < n; r++ {
-		if r == root {
-			continue
-		}
-		st, err := c.proc.recvInternal(recvBuf[displs[r]:displs[r]+counts[r]], r, tagGather, c, c.collCtx())
-		if err != nil {
+		if _, err := recvType.Unpack(got, recvBuf[r*recvCount*recvType.Extent():], recvCount); err != nil {
 			return err
-		}
-		if st.Bytes != counts[r] {
-			return fmt.Errorf("%w: gatherv from %d: %d bytes, want %d", ErrTruncate, r, st.Bytes, counts[r])
 		}
 	}
 	return nil
@@ -201,59 +192,53 @@ func (c *Comm) Gatherv(mine []byte, recvBuf []byte, counts, displs []int, root i
 
 // Scatter distributes per-rank chunks from root's sendBuf: rank r receives
 // recvCount elements of recvType taken from root's slot r.
-func (c *Comm) Scatter(sendBuf []byte, sendCount int, sendType *Datatype, recvBuf []byte, recvCount int, recvType *Datatype, root int) error {
-	n := c.Size()
+func Scatter(p Plane, sendBuf []byte, sendCount int, sendType *Datatype, recvBuf []byte, recvCount int, recvType *Datatype, root int) error {
 	chunk := recvCount * recvType.Size()
-	if c.myRank == root {
-		if sendCount*sendType.Size() != chunk {
-			return fmt.Errorf("%w: scatter send %d bytes/rank, recv %d", ErrInvalid, sendCount*sendType.Size(), chunk)
+	if p.Rank() != root {
+		got, err := recv(p, make([]byte, chunk), root, kScatter)
+		if err != nil {
+			return err
 		}
-		for r := 0; r < n; r++ {
-			packed, err := sendType.Pack(sendBuf[r*sendCount*sendType.Extent():], sendCount)
-			if err != nil {
-				return err
-			}
-			if r == root {
-				if _, err := recvType.Unpack(packed, recvBuf, recvCount); err != nil {
-					return err
-				}
-				continue
-			}
-			wr := c.group[r]
-			if err := c.proc.send(wr, tagScatter, c.collCtx(), packed); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	packed := make([]byte, chunk)
-	st, err := c.proc.recvInternal(packed, root, tagScatter, c, c.collCtx())
-	if err != nil {
+		_, err = recvType.Unpack(got, recvBuf, recvCount)
 		return err
 	}
-	if st.Bytes != chunk {
-		return fmt.Errorf("%w: scatter chunk %d bytes, want %d", ErrTruncate, st.Bytes, chunk)
+	if sendCount*sendType.Size() != chunk {
+		return fmt.Errorf("%w: scatter send %d bytes/rank, recv %d", ErrInvalid, sendCount*sendType.Size(), chunk)
 	}
-	_, err = recvType.Unpack(packed, recvBuf, recvCount)
-	return err
+	var scratch []byte
+	for r := 0; r < p.Size(); r++ {
+		packed, err := sendView(sendType, sendBuf[r*sendCount*sendType.Extent():], sendCount, &scratch)
+		if err != nil {
+			return err
+		}
+		if r == root {
+			_, err = recvType.Unpack(packed, recvBuf, recvCount)
+		} else {
+			err = p.SendColl(packed, r, kScatter)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// Allgather collects count elements of dt from every rank into every rank's
-// recvBuf (rank-ordered). Implemented as gather to rank 0 plus broadcast.
-func (c *Comm) Allgather(sendBuf []byte, count int, dt *Datatype, recvBuf []byte) error {
-	packed, err := dt.Pack(sendBuf, count)
+// Allgather collects count elements of dt from every rank into every
+// rank's recvBuf, ordered by rank: a gather to rank 0 plus a broadcast.
+func Allgather(p Plane, sendBuf []byte, count int, dt *Datatype, recvBuf []byte) error {
+	mine, err := sendView(dt, sendBuf, count, new([]byte))
 	if err != nil {
 		return err
 	}
-	chunk := count * dt.Size()
-	all := make([]byte, c.Size()*chunk)
-	if err := c.gatherBytes(packed, all, 0, tagAllgather); err != nil {
+	chunk := len(mine)
+	all := make([]byte, p.Size()*chunk)
+	if err := gatherInto(p, mine, all, 0, kAllgather); err != nil {
 		return err
 	}
-	if err := c.bcastBytes(all, 0, tagAllgather); err != nil {
+	if all, err = bcast(p, all, 0, kAllgather); err != nil {
 		return err
 	}
-	for r := 0; r < c.Size(); r++ {
+	for r := 0; r < p.Size(); r++ {
 		if _, err := dt.Unpack(all[r*chunk:(r+1)*chunk], recvBuf[r*count*dt.Extent():], count); err != nil {
 			return err
 		}
@@ -261,123 +246,222 @@ func (c *Comm) Allgather(sendBuf []byte, count int, dt *Datatype, recvBuf []byte
 	return nil
 }
 
-// Alltoall exchanges fixed-size chunks: rank r's slot j of sendBuf goes to
-// rank j's slot r of recvBuf. count is elements of dt per chunk.
-func (c *Comm) Alltoall(sendBuf []byte, count int, dt *Datatype, recvBuf []byte) error {
-	n := c.Size()
+// Alltoall exchanges fixed-size chunks pairwise: rank r's slot j of
+// sendBuf goes to rank j's slot r of recvBuf. count is elements of dt per
+// chunk.
+func Alltoall(p Plane, sendBuf []byte, count int, dt *Datatype, recvBuf []byte) error {
+	n, me := p.Size(), p.Rank()
 	span := count * dt.Extent()
-	chunk := count * dt.Size()
+	var scratch []byte
 	for k := 0; k < n; k++ {
-		dst := (c.myRank + k) % n
-		packed, err := dt.Pack(sendBuf[dst*span:], count)
+		dst := (me + k) % n
+		packed, err := sendView(dt, sendBuf[dst*span:], count, &scratch)
 		if err != nil {
 			return err
 		}
-		if dst == c.myRank {
-			if _, err := dt.Unpack(packed, recvBuf[dst*span:], count); err != nil {
-				return err
-			}
-			continue
+		if dst == me {
+			_, err = dt.Unpack(packed, recvBuf[dst*span:], count)
+		} else {
+			err = p.SendColl(packed, dst, kAlltoall)
 		}
-		wr := c.group[dst]
-		if err := c.proc.send(wr, tagAlltoall, c.collCtx(), packed); err != nil {
+		if err != nil {
 			return err
 		}
 	}
-	tmp := make([]byte, chunk)
+	space := make([]byte, count*dt.Size())
 	for k := 1; k < n; k++ {
-		src := (c.myRank - k + n) % n
-		st, err := c.proc.recvInternal(tmp, src, tagAlltoall, c, c.collCtx())
+		src := (me - k + n) % n
+		got, err := recv(p, space, src, kAlltoall)
 		if err != nil {
 			return err
 		}
-		if st.Bytes != chunk {
-			return fmt.Errorf("%w: alltoall chunk from %d: %d bytes, want %d", ErrTruncate, src, st.Bytes, chunk)
-		}
-		if _, err := dt.Unpack(tmp, recvBuf[src*span:], count); err != nil {
+		if _, err := dt.Unpack(got, recvBuf[src*span:], count); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Alltoallv exchanges variable-sized byte chunks. sendCounts/sendDispls and
-// recvCounts/recvDispls are in bytes.
-func (c *Comm) Alltoallv(sendBuf []byte, sendCounts, sendDispls []int, recvBuf []byte, recvCounts, recvDispls []int) error {
-	n := c.Size()
+// Alltoallv exchanges variable-sized byte chunks pairwise; counts and
+// displacements are in bytes.
+func Alltoallv(p Plane, sendBuf []byte, sendCounts, sendDispls []int, recvBuf []byte, recvCounts, recvDispls []int) error {
+	n, me := p.Size(), p.Rank()
 	if len(sendCounts) != n || len(sendDispls) != n || len(recvCounts) != n || len(recvDispls) != n {
 		return fmt.Errorf("%w: alltoallv counts/displs length", ErrInvalid)
 	}
 	for k := 0; k < n; k++ {
-		dst := (c.myRank + k) % n
+		dst := (me + k) % n
 		chunk := sendBuf[sendDispls[dst] : sendDispls[dst]+sendCounts[dst]]
-		if dst == c.myRank {
-			if sendCounts[dst] != recvCounts[dst] {
-				return fmt.Errorf("%w: alltoallv self chunk %d != %d", ErrInvalid, sendCounts[dst], recvCounts[dst])
+		if dst != me {
+			if err := p.SendColl(chunk, dst, kAlltoall); err != nil {
+				return err
 			}
-			copy(recvBuf[recvDispls[dst]:recvDispls[dst]+recvCounts[dst]], chunk)
-			continue
-		}
-		wr := c.group[dst]
-		if err := c.proc.send(wr, tagAlltoall, c.collCtx(), append([]byte(nil), chunk...)); err != nil {
-			return err
+		} else if sendCounts[dst] != recvCounts[dst] {
+			return fmt.Errorf("%w: alltoallv self chunk %d != %d", ErrInvalid, sendCounts[dst], recvCounts[dst])
+		} else {
+			copy(recvBuf[recvDispls[dst]:], chunk)
 		}
 	}
 	for k := 1; k < n; k++ {
-		src := (c.myRank - k + n) % n
-		dst := recvBuf[recvDispls[src] : recvDispls[src]+recvCounts[src]]
-		st, err := c.proc.recvInternal(dst, src, tagAlltoall, c, c.collCtx())
+		src := (me - k + n) % n
+		slot := recvBuf[recvDispls[src] : recvDispls[src]+recvCounts[src]]
+		got, err := recv(p, slot, src, kAlltoall)
 		if err != nil {
 			return err
 		}
-		if st.Bytes != recvCounts[src] {
-			return fmt.Errorf("%w: alltoallv chunk from %d: %d bytes, want %d", ErrTruncate, src, st.Bytes, recvCounts[src])
-		}
+		land(slot, got)
 	}
 	return nil
 }
 
-// Reduce combines count elements of dt from every rank with op; the result
-// lands in root's recvBuf. Contributions are folded in ascending rank order,
-// so floating-point results are deterministic.
-func (c *Comm) Reduce(sendBuf []byte, recvBuf []byte, count int, dt *Datatype, op *Op, root int) error {
-	packed, err := dt.Pack(sendBuf, count)
-	if err != nil {
-		return err
+// fold sends every rank's mine to root, which folds the contributions in
+// ascending rank order, acc = op(acc, x_r), so floating-point results are
+// deterministic, and returns acc (nil elsewhere). With aux, each
+// contribution leads with an int64 folded by MIN. The root receives into
+// two buffers and swaps them as it folds: Op.Apply writes its second
+// operand, and bytes a plane holds are only read.
+func fold(p Plane, mine []byte, root, k int, op *Op, dt *Datatype, count int, aux bool) ([]byte, error) {
+	if p.Rank() != root {
+		return nil, p.SendColl(mine, root, k)
 	}
-	chunk := count * dt.Size()
-	if c.myRank != root {
-		wr := c.group[root]
-		return c.proc.send(wr, tagReduce, c.collCtx(), packed)
+	off := 0
+	if aux {
+		off = 8
 	}
-	n := c.Size()
-	acc := make([]byte, chunk)
-	contrib := make([]byte, chunk)
-	for r := 0; r < n; r++ {
-		if r == root {
-			copy(contrib, packed)
-		} else {
-			st, err := c.proc.recvInternal(contrib, r, tagReduce, c, c.collCtx())
-			if err != nil {
-				return err
-			}
-			if st.Bytes != chunk {
-				return fmt.Errorf("%w: reduce chunk from %d: %d bytes, want %d", ErrTruncate, r, st.Bytes, chunk)
+	acc, x := make([]byte, len(mine)), make([]byte, len(mine))
+	for r := 0; r < p.Size(); r++ {
+		got := mine
+		if r != root {
+			var err error
+			if got, err = recv(p, x, r, k); err != nil {
+				return nil, err
 			}
 		}
 		if r == 0 {
-			copy(acc, contrib)
+			copy(acc, got)
 			continue
 		}
-		// Left fold in rank order: acc = op(acc, x_r). Op.Apply computes
-		// inout = f(in, inout), so fold into the contribution and swap.
-		if err := op.Apply(acc, contrib, dt, count); err != nil {
-			return err
+		land(x, got)
+		if aux && int64(binary.LittleEndian.Uint64(acc)) < int64(binary.LittleEndian.Uint64(x)) {
+			copy(x[:8], acc[:8])
 		}
-		acc, contrib = contrib, acc
+		if err := op.Apply(acc[off:], x[off:], dt, count); err != nil {
+			return nil, err
+		}
+		acc, x = x, acc
+	}
+	return acc, nil
+}
+
+// Reduce combines count elements of dt from every rank with op into
+// root's recvBuf, folding in ascending rank order (see fold). The paper's
+// Section 4.3 reduce: the contributions travel to the root as independent
+// streams and the reduction is applied locally.
+func Reduce(p Plane, sendBuf, recvBuf []byte, count int, dt *Datatype, op *Op, root int) error {
+	mine, err := sendView(dt, sendBuf, count, new([]byte))
+	if err != nil {
+		return err
+	}
+	acc, err := fold(p, mine, root, kReduce, op, dt, count, false)
+	if err != nil || p.Rank() != root {
+		return err
 	}
 	_, err = dt.Unpack(acc, recvBuf, count)
 	return err
+}
+
+// allreduceAux combines count elements with op while reducing aux with MIN
+// in the same round: a fold to rank 0 plus a broadcast.
+func allreduceAux(p Plane, sendBuf, recvBuf []byte, count int, dt *Datatype, op *Op, aux int64) (int64, error) {
+	mine := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+count*dt.Size()), uint64(aux))
+	mine, err := dt.appendPacked(mine, sendBuf, count)
+	if err != nil {
+		return 0, err
+	}
+	acc, err := fold(p, mine, 0, kReduce, op, dt, count, true)
+	if err != nil {
+		return 0, err
+	}
+	if p.Rank() == 0 {
+		copy(mine, acc)
+	}
+	if mine, err = bcast(p, mine, 0, kBcast); err != nil {
+		return 0, err
+	}
+	if _, err := dt.Unpack(mine[8:], recvBuf, count); err != nil {
+		return 0, err
+	}
+	return int64(binary.LittleEndian.Uint64(mine)), nil
+}
+
+// Scan computes the inclusive prefix reduction: rank r's recvBuf holds
+// op(x_0, ..., x_r). It runs as a rank-ordered chain, the strictly ordered
+// dependency structure the paper relies on in Section 4.3.
+func Scan(p Plane, sendBuf, recvBuf []byte, count int, dt *Datatype, op *Op) error {
+	acc, err := dt.Pack(sendBuf, count) // fresh: the prefix folds into it
+	if err != nil {
+		return err
+	}
+	n, me := p.Size(), p.Rank()
+	if me > 0 {
+		prefix, err := recv(p, make([]byte, len(acc)), me-1, kScan)
+		if err != nil {
+			return err
+		}
+		if err := op.Apply(prefix, acc, dt, count); err != nil {
+			return err
+		}
+	}
+	if me < n-1 {
+		if err := p.SendColl(acc, me+1, kScan); err != nil {
+			return err
+		}
+	}
+	_, err = dt.Unpack(acc, recvBuf, count)
+	return err
+}
+
+// Barrier runs Barrier on c's collective context.
+func (c *Comm) Barrier() error { return Barrier(nativePlane{c}) }
+
+// Bcast runs Bcast on c's collective context.
+func (c *Comm) Bcast(buf []byte, count int, dt *Datatype, root int) error {
+	return Bcast(nativePlane{c}, buf, count, dt, root)
+}
+
+// Gather runs Gather on c's collective context.
+func (c *Comm) Gather(sendBuf []byte, sendCount int, sendType *Datatype, recvBuf []byte, recvCount int, recvType *Datatype, root int) error {
+	return Gather(nativePlane{c}, sendBuf, sendCount, sendType, recvBuf, recvCount, recvType, root)
+}
+
+// Scatter runs Scatter on c's collective context.
+func (c *Comm) Scatter(sendBuf []byte, sendCount int, sendType *Datatype, recvBuf []byte, recvCount int, recvType *Datatype, root int) error {
+	return Scatter(nativePlane{c}, sendBuf, sendCount, sendType, recvBuf, recvCount, recvType, root)
+}
+
+// Allgather runs Allgather on c's collective context.
+func (c *Comm) Allgather(sendBuf []byte, count int, dt *Datatype, recvBuf []byte) error {
+	return Allgather(nativePlane{c}, sendBuf, count, dt, recvBuf)
+}
+
+// Alltoall runs Alltoall on c's collective context.
+func (c *Comm) Alltoall(sendBuf []byte, count int, dt *Datatype, recvBuf []byte) error {
+	return Alltoall(nativePlane{c}, sendBuf, count, dt, recvBuf)
+}
+
+// Alltoallv runs Alltoallv on c's collective context.
+func (c *Comm) Alltoallv(sendBuf []byte, sendCounts, sendDispls []int, recvBuf []byte, recvCounts, recvDispls []int) error {
+	return Alltoallv(nativePlane{c}, sendBuf, sendCounts, sendDispls, recvBuf, recvCounts, recvDispls)
+}
+
+// Reduce runs Reduce on c's collective context.
+func (c *Comm) Reduce(sendBuf []byte, recvBuf []byte, count int, dt *Datatype, op *Op, root int) error {
+	return Reduce(nativePlane{c}, sendBuf, recvBuf, count, dt, op, root)
+}
+
+// Scan runs Scan on c's collective context.
+func (c *Comm) Scan(sendBuf []byte, recvBuf []byte, count int, dt *Datatype, op *Op) error {
+	return Scan(nativePlane{c}, sendBuf, recvBuf, count, dt, op)
 }
 
 // Allreduce combines contributions with op and distributes the result to
@@ -395,94 +479,5 @@ func (c *Comm) Allreduce(sendBuf []byte, recvBuf []byte, count int, dt *Datatype
 // Allreduce crossed a recovery line (minimum participant epoch) without
 // paying for a second collective.
 func (c *Comm) AllreduceAux(sendBuf, recvBuf []byte, count int, dt *Datatype, op *Op, aux int64) (int64, error) {
-	packed, err := dt.Pack(sendBuf, count)
-	if err != nil {
-		return 0, err
-	}
-	chunk := 8 + count*dt.Size()
-	mine := make([]byte, chunk)
-	PutInt64s(mine[:8], []int64{aux})
-	copy(mine[8:], packed)
-
-	n := c.Size()
-	if c.myRank != 0 {
-		wr := c.group[0]
-		if err := c.proc.send(wr, tagReduce, c.collCtx(), mine); err != nil {
-			return 0, err
-		}
-	} else {
-		acc := make([]byte, chunk)
-		contrib := make([]byte, chunk)
-		for r := 0; r < n; r++ {
-			if r == 0 {
-				copy(contrib, mine)
-			} else {
-				st, err := c.proc.recvInternal(contrib, r, tagReduce, c, c.collCtx())
-				if err != nil {
-					return 0, err
-				}
-				if st.Bytes != chunk {
-					return 0, fmt.Errorf("%w: allreduce-aux chunk from %d: %d bytes, want %d", ErrTruncate, r, st.Bytes, chunk)
-				}
-			}
-			if r == 0 {
-				copy(acc, contrib)
-				continue
-			}
-			// Fold into contrib (op.Apply writes its inout), then swap so
-			// acc always holds the running result — aux included.
-			if BytesInt64s(acc[:8])[0] < BytesInt64s(contrib[:8])[0] {
-				copy(contrib[:8], acc[:8])
-			}
-			if err := op.Apply(acc[8:], contrib[8:], dt, count); err != nil {
-				return 0, err
-			}
-			acc, contrib = contrib, acc
-		}
-		copy(mine, acc)
-	}
-	if err := c.bcastBytes(mine, 0, tagBcast); err != nil {
-		return 0, err
-	}
-	if _, err := dt.Unpack(mine[8:], recvBuf, count); err != nil {
-		return 0, err
-	}
-	return BytesInt64s(mine[:8])[0], nil
-}
-
-// Scan computes the inclusive prefix reduction: rank r's recvBuf holds
-// op(x_0, ..., x_r). Implemented as a rank-ordered chain, matching the
-// strictly ordered dependency structure the paper relies on in Section 4.3.
-func (c *Comm) Scan(sendBuf []byte, recvBuf []byte, count int, dt *Datatype, op *Op) error {
-	packed, err := dt.Pack(sendBuf, count)
-	if err != nil {
-		return err
-	}
-	chunk := count * dt.Size()
-	acc := make([]byte, chunk)
-	if c.myRank == 0 {
-		copy(acc, packed)
-	} else {
-		st, err := c.proc.recvInternal(acc, c.myRank-1, tagScan, c, c.collCtx())
-		if err != nil {
-			return err
-		}
-		if st.Bytes != chunk {
-			return fmt.Errorf("%w: scan partial: %d bytes, want %d", ErrTruncate, st.Bytes, chunk)
-		}
-		// acc = op(prefix, mine): inout starts as mine.
-		mine := append([]byte(nil), packed...)
-		if err := op.Apply(acc, mine, dt, count); err != nil {
-			return err
-		}
-		acc = mine
-	}
-	if c.myRank < c.Size()-1 {
-		wr := c.group[c.myRank+1]
-		if err := c.proc.send(wr, tagScan, c.collCtx(), append([]byte(nil), acc...)); err != nil {
-			return err
-		}
-	}
-	_, err = dt.Unpack(acc, recvBuf, count)
-	return err
+	return allreduceAux(nativePlane{c}, sendBuf, recvBuf, count, dt, op, aux)
 }

@@ -73,7 +73,8 @@ func (c *Comm) allocCtx() (uint32, error) {
 		buf[2] = byte(id >> 16)
 		buf[3] = byte(id >> 24)
 	}
-	if err := c.bcastBytes(buf, 0, tagCtxAlloc); err != nil {
+	buf, err := bcast(nativePlane{c}, buf, 0, kCtxAlloc)
+	if err != nil {
 		return 0, err
 	}
 	id = uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24
@@ -103,13 +104,13 @@ func (c *Comm) Dup() (*Comm, error) {
 func (c *Comm) Split(color, key int) (*Comm, error) {
 	// Gather (color, key) pairs at rank 0 over the collective plane,
 	// compute the partition there, then scatter each member's new group.
-	n := c.Size()
+	n, p := c.Size(), nativePlane{c}
 	mine := []byte{
 		byte(color), byte(color >> 8), byte(color >> 16), byte(color >> 24),
 		byte(key), byte(key >> 8), byte(key >> 16), byte(key >> 24),
 	}
 	all := make([]byte, 8*n)
-	if err := c.gatherBytes(mine, all, 0, tagCtxAlloc); err != nil {
+	if err := gatherInto(p, mine, all, 0, kCtxAlloc); err != nil {
 		return nil, err
 	}
 
@@ -168,18 +169,15 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	if c.myRank == 0 {
 		myEnc = groupsEncoded[0]
 		for dst := 1; dst < n; dst++ {
-			wr := c.group[dst]
-			if err := c.proc.send(wr, tagCtxAlloc, c.collCtx(), groupsEncoded[dst]); err != nil {
+			if err := p.SendColl(groupsEncoded[dst], dst, kCtxAlloc); err != nil {
 				return nil, err
 			}
 		}
 	} else {
-		buf := make([]byte, 8+8*n+64)
-		st, err := c.proc.recvInternal(buf, 0, tagCtxAlloc, c, c.collCtx())
-		if err != nil {
+		var err error
+		if myEnc, err = p.RecvColl(make([]byte, 8+8*n+64), 0, kCtxAlloc); err != nil {
 			return nil, err
 		}
-		myEnc = buf[:st.Bytes]
 	}
 
 	if len(myEnc) == 0 {

@@ -210,6 +210,12 @@ func Struct(blockLens, byteDispls []int, types []*Datatype) (*Datatype, error) {
 // reuse src as soon as Send returns while the receiver still holds the
 // packed bytes.
 func (d *Datatype) Pack(src []byte, count int) ([]byte, error) {
+	return d.appendPacked(nil, src, count)
+}
+
+// appendPacked appends the packed form of count elements of src to dst. A
+// nil dst gets a fresh buffer of exactly the packed size.
+func (d *Datatype) appendPacked(dst, src []byte, count int) ([]byte, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("%w: pack count %d", ErrInvalid, count)
 	}
@@ -217,10 +223,12 @@ func (d *Datatype) Pack(src []byte, count int) ([]byte, error) {
 	if need > len(src) {
 		return nil, fmt.Errorf("%w: pack needs %d bytes, buffer has %d", ErrInvalid, need, len(src))
 	}
-	if d.dense {
-		return append(make([]byte, 0, need), src[:need]...), nil
+	if dst == nil {
+		dst = make([]byte, 0, count*d.size)
 	}
-	dst := make([]byte, 0, count*d.size)
+	if d.dense {
+		return append(dst, src[:need]...), nil
+	}
 	for i := 0; i < count; i++ {
 		dst = d.packOne(dst, src[i*d.extent:])
 	}

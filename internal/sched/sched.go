@@ -107,6 +107,15 @@ var Scenarios = []Scenario{
 	{Name: "collective-straddle-async", Ranks: 5, Iters: 12, App: CollectiveStraddleApp,
 		Failures: []cluster.FailureSpec{{Rank: 2, AtPragma: 5}, {Rank: 4, AtPragma: 4}},
 		Policy:   ckpt.Policy{EveryNthPragma: 2, AsyncCommit: true}},
+	// The same straddle with the rest of the wrapped collectives in the
+	// train: Barrier, Gather, Scatter, Allgather, Alltoall, Alltoallv and
+	// Reduce, every one of them cut by recovery lines.
+	{Name: "collective-train-sync", Ranks: 5, Iters: 12, App: CollectiveTrainApp,
+		Failures: []cluster.FailureSpec{{Rank: 2, AtPragma: 5}, {Rank: 4, AtPragma: 4}},
+		Policy:   ckpt.Policy{EveryNthPragma: 2}},
+	{Name: "collective-train-async", Ranks: 5, Iters: 12, App: CollectiveTrainApp,
+		Failures: []cluster.FailureSpec{{Rank: 2, AtPragma: 5}, {Rank: 4, AtPragma: 4}},
+		Policy:   ckpt.Policy{EveryNthPragma: 2, AsyncCommit: true}},
 	// Two near-simultaneous failures inside one attempt (the self-healing
 	// detector's hardest agreement case, here driven through the virtual
 	// scheduler): whichever victim's pragma the schedule reaches first
@@ -382,6 +391,20 @@ func StraddleApp(iters int, sums *sync.Map) func(cluster.Env) error {
 // Irecv-straddle workload cannot — its crossings live on the
 // point-to-point context only.
 func CollectiveStraddleApp(iters int, sums *sync.Map) func(cluster.Env) error {
+	return collectiveStraddle(iters, sums, straddleTrain)
+}
+
+// CollectiveTrainApp is CollectiveStraddleApp with the other wrapped
+// collectives in the train (see trainRest).
+func CollectiveTrainApp(iters int, sums *sync.Map) func(cluster.Env) error {
+	return collectiveStraddle(iters, sums, trainRest)
+}
+
+// A collTrain runs iteration i's collectives on rank r of n, whose
+// checksum is sum, and returns what they add to the checksum.
+type collTrain func(w cluster.Comm, r, n, i, sum int) (int, error)
+
+func collectiveStraddle(iters int, sums *sync.Map, train collTrain) func(cluster.Env) error {
 	return func(env cluster.Env) error {
 		st := env.State()
 		it := st.Int("it")
@@ -393,7 +416,6 @@ func CollectiveStraddleApp(iters int, sums *sync.Map) func(cluster.Env) error {
 		}
 		w := env.World()
 		r, n := env.Rank(), env.Size()
-		scratch8 := make([]byte, 8)
 		// The pragma sits between an iteration's point-to-point phase and its
 		// collective phase, so every recovery line restores to inColl=true:
 		// the re-execution must skip the already-counted pre-pragma exchange
@@ -431,31 +453,81 @@ func CollectiveStraddleApp(iters int, sums *sync.Map) func(cluster.Env) error {
 			resume = false
 			// The collective train right after the pragma: its messages
 			// straddle the line whenever peers are still pre-pragma.
-			in := mpi.Int64Bytes([]int64{int64(sum.Get())})
-			if err := w.Allreduce(in, scratch8, 1, mpi.TypeInt64, mpi.OpBXor); err != nil {
+			v, err := train(w, r, n, i, sum.Get())
+			if err != nil {
 				return err
 			}
-			allred := int(mpi.BytesInt64s(scratch8)[0])
-			if err := w.Scan(in, scratch8, 1, mpi.TypeInt64, mpi.OpSum); err != nil {
-				return err
-			}
-			scanned := int(mpi.BytesInt64s(scratch8)[0])
-			root := i % n
-			bcast := mpi.Int64Bytes([]int64{-1})
-			if r == root {
-				bcast = mpi.Int64Bytes([]int64{int64(root*7919 + i)}) // pure function of (root, i)
-			}
-			if err := w.Bcast(bcast, 1, mpi.TypeInt64, root); err != nil {
-				return err
-			}
-			rooted := int(mpi.BytesInt64s(bcast)[0])
-			sum.Set((sum.Get()*37 + allred*5 + scanned*3 + rooted) & 0xffffffff)
+			sum.Set((sum.Get()*37 + v) & 0xffffffff)
 			inColl.Set(false)
 			it.Add(1)
 		}
 		sums.Store(r, sum.Get())
 		return nil
 	}
+}
+
+// straddleTrain is an Allreduce, a Scan and a Bcast from a rotating root.
+func straddleTrain(w cluster.Comm, r, n, i, sum int) (int, error) {
+	scratch8 := make([]byte, 8)
+	in := mpi.Int64Bytes([]int64{int64(sum)})
+	if err := w.Allreduce(in, scratch8, 1, mpi.TypeInt64, mpi.OpBXor); err != nil {
+		return 0, err
+	}
+	allred := int(mpi.BytesInt64s(scratch8)[0])
+	if err := w.Scan(in, scratch8, 1, mpi.TypeInt64, mpi.OpSum); err != nil {
+		return 0, err
+	}
+	scanned := int(mpi.BytesInt64s(scratch8)[0])
+	root := i % n
+	bcast := mpi.Int64Bytes([]int64{-1})
+	if r == root {
+		bcast = mpi.Int64Bytes([]int64{int64(root*7919 + i)}) // pure function of (root, i)
+	}
+	if err := w.Bcast(bcast, 1, mpi.TypeInt64, root); err != nil {
+		return 0, err
+	}
+	rooted := int(mpi.BytesInt64s(bcast)[0])
+	return allred*5 + scanned*3 + rooted, nil
+}
+
+// trainRest is every other wrapped collective, rooted at a rotating rank:
+// Barrier, Gather, Scatter (the gathered pairs go back to their senders),
+// Allgather, Alltoall, Alltoallv (rank j sends 8 or 16 bytes to k by the
+// parity of j+k) and Reduce. Every buffer any rank reads back is folded
+// into the result, which is a pure function of (r, i, sum).
+func trainRest(w cluster.Comm, r, n, i, sum int) (int, error) {
+	root := i % n
+	v := 0
+	mix := func(b []byte) {
+		for _, x := range mpi.BytesInt64s(b) {
+			v = (v*31 + int(x)) & 0xffffffff
+		}
+	}
+	mine := mpi.Int64Bytes([]int64{int64(sum), int64(r*10 + i)})
+	all, pair, x := make([]byte, 16*n), make([]byte, 16), make([]byte, 16*n)
+	cnts, displs := make([]int, n), make([]int, n)
+	for j := range cnts {
+		cnts[j] = 8 * ((r+j)%2 + 1)
+		if j > 0 {
+			displs[j] = displs[j-1] + cnts[j-1]
+		}
+	}
+	for _, step := range []func() ([]byte, error){
+		func() ([]byte, error) { return nil, w.Barrier() },
+		func() ([]byte, error) { return all, w.Gather(mine, 2, mpi.TypeInt64, all, root) },
+		func() ([]byte, error) { return pair, w.Scatter(all, 2, mpi.TypeInt64, pair, root) },
+		func() ([]byte, error) { return all, w.Allgather(pair, 2, mpi.TypeInt64, all) },
+		func() ([]byte, error) { return x, w.Alltoall(all, 2, mpi.TypeInt64, x) },
+		func() ([]byte, error) { return all, w.Alltoallv(x, cnts, displs, all, cnts, displs) },
+		func() ([]byte, error) { return pair, w.Reduce(mine, pair, 2, mpi.TypeInt64, mpi.OpSum, root) },
+	} {
+		b, err := step()
+		if err != nil {
+			return 0, err
+		}
+		mix(b)
+	}
+	return v, nil
 }
 
 // Reference computes the scenario's failure-free per-rank checksums. The
