@@ -45,8 +45,8 @@ func (p wplane) SendColl(packed []byte, dst, k int) error {
 	return p.l.sendUser(p.c, packed, dst, mpi.MaxUserTag+101+k, true)
 }
 
-func (p wplane) RecvColl(buf []byte, src, k int) ([]byte, error) {
-	res, err := p.l.recvUser(p.c, len(buf), src, mpi.MaxUserTag+101+k, true)
+func (p wplane) RecvColl(_ []byte, n, src, k int) ([]byte, error) {
+	res, err := p.l.recvUser(p.c, n, src, mpi.MaxUserTag+101+k, true)
 	return res.payload, err
 }
 

@@ -14,14 +14,17 @@ import (
 //
 // Ownership: SendColl must not keep packed after it returns, so the engine
 // passes views of user buffers and reused scratch space without copying.
-// RecvColl receives one stream of kind k from src, at most len(buf) bytes,
-// and returns its bytes: either buf, filled, or bytes the plane already
-// holds, which the engine only reads. The engine checks the exact size.
+// RecvColl receives one stream of kind k from src, at most n bytes, and
+// returns its bytes: either buf, filled, or bytes the plane already holds,
+// which the engine only reads. buf is nil or n bytes long; a plane that
+// fills a buffer allocates one when buf is nil, and a plane that holds the
+// bytes ignores buf, so the engine allocates nothing for it. The engine
+// checks the exact size.
 type Plane interface {
 	Rank() int
 	Size() int
 	SendColl(packed []byte, dst, k int) error
-	RecvColl(buf []byte, src, k int) ([]byte, error)
+	RecvColl(buf []byte, n, src, k int) ([]byte, error)
 }
 
 // Collective kinds. A plane maps each to a tag of its own; distinct tags
@@ -47,7 +50,10 @@ func (p nativePlane) SendColl(packed []byte, dst, k int) error {
 	return p.SendPackedColl(packed, dst, MaxUserTag+1+k)
 }
 
-func (p nativePlane) RecvColl(buf []byte, src, k int) ([]byte, error) {
+func (p nativePlane) RecvColl(buf []byte, n, src, k int) ([]byte, error) {
+	if buf == nil {
+		buf = make([]byte, n)
+	}
 	st, err := p.RecvPackedColl(buf, src, MaxUserTag+1+k)
 	if err != nil {
 		return nil, err
@@ -55,11 +61,11 @@ func (p nativePlane) RecvColl(buf []byte, src, k int) ([]byte, error) {
 	return buf[:st.Bytes], nil
 }
 
-// recv receives a stream of exactly len(buf) bytes.
-func recv(p Plane, buf []byte, src, k int) ([]byte, error) {
-	got, err := p.RecvColl(buf, src, k)
-	if err == nil && len(got) != len(buf) {
-		err = fmt.Errorf("%w: collective stream from %d: %d bytes, want %d", ErrTruncate, src, len(got), len(buf))
+// recv receives a stream of exactly n bytes into buf (see Plane).
+func recv(p Plane, buf []byte, n, src, k int) ([]byte, error) {
+	got, err := p.RecvColl(buf, n, src, k)
+	if err == nil && len(got) != n {
+		err = fmt.Errorf("%w: collective stream from %d: %d bytes, want %d", ErrTruncate, src, len(got), n)
 	}
 	return got, err
 }
@@ -92,22 +98,23 @@ func Barrier(p Plane) error {
 		if err := p.SendColl(nil, (me+k)%n, kBarrier); err != nil {
 			return err
 		}
-		if _, err := recv(p, nil, (me-k+n)%n, kBarrier); err != nil {
+		if _, err := recv(p, nil, 0, (me-k+n)%n, kBarrier); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// bcast sends buf from root down a binomial tree over virtual ranks, root
-// being 0: a rank receives from vr with its lowest set bit cleared and
-// forwards to vr|bit for each bit below that one. It returns the bytes
-// this rank now holds.
-func bcast(p Plane, buf []byte, root, k int) ([]byte, error) {
+// bcast sends the size bytes of root's buf down a binomial tree over
+// virtual ranks, root being 0: a rank receives from vr with its lowest set
+// bit cleared and forwards to vr|bit for each bit below that one. It
+// returns the bytes this rank now holds; elsewhere than at root, buf is
+// the receive buffer, or nil (see Plane).
+func bcast(p Plane, buf []byte, size, root, k int) ([]byte, error) {
 	n := p.Size()
 	vr := (p.Rank() - root + n) % n
 	if vr != 0 {
-		got, err := recv(p, buf, (vr&(vr-1)+root)%n, k)
+		got, err := recv(p, buf, size, (vr&(vr-1)+root)%n, k)
 		if err != nil {
 			return nil, err
 		}
@@ -129,10 +136,10 @@ func Bcast(p Plane, buf []byte, count int, dt *Datatype, root int) error {
 		if err != nil {
 			return err
 		}
-		_, err = bcast(p, packed, root, kBcast)
+		_, err = bcast(p, packed, len(packed), root, kBcast)
 		return err
 	}
-	got, err := bcast(p, make([]byte, count*dt.Size()), root, kBcast)
+	got, err := bcast(p, nil, count*dt.Size(), root, kBcast)
 	if err != nil {
 		return err
 	}
@@ -152,7 +159,7 @@ func gatherInto(p Plane, mine, all []byte, root, k int) error {
 			copy(slot, mine)
 			continue
 		}
-		got, err := recv(p, slot, r, k)
+		got, err := recv(p, slot, chunk, r, k)
 		if err != nil {
 			return err
 		}
@@ -175,13 +182,14 @@ func Gather(p Plane, sendBuf []byte, sendCount int, sendType *Datatype, recvBuf 
 	if recvCount*recvType.Size() != len(mine) {
 		return fmt.Errorf("%w: gather recv %d bytes/rank, send %d", ErrInvalid, recvCount*recvType.Size(), len(mine))
 	}
-	space := make([]byte, len(mine))
+	var space []byte // a filling plane's buffer, reused for every stream
 	for r := 0; r < p.Size(); r++ {
 		got := mine
 		if r != root {
-			if got, err = recv(p, space, r, kGather); err != nil {
+			if got, err = recv(p, space, len(mine), r, kGather); err != nil {
 				return err
 			}
+			space = got
 		}
 		if _, err := recvType.Unpack(got, recvBuf[r*recvCount*recvType.Extent():], recvCount); err != nil {
 			return err
@@ -195,7 +203,7 @@ func Gather(p Plane, sendBuf []byte, sendCount int, sendType *Datatype, recvBuf 
 func Scatter(p Plane, sendBuf []byte, sendCount int, sendType *Datatype, recvBuf []byte, recvCount int, recvType *Datatype, root int) error {
 	chunk := recvCount * recvType.Size()
 	if p.Rank() != root {
-		got, err := recv(p, make([]byte, chunk), root, kScatter)
+		got, err := recv(p, nil, chunk, root, kScatter)
 		if err != nil {
 			return err
 		}
@@ -231,11 +239,14 @@ func Allgather(p Plane, sendBuf []byte, count int, dt *Datatype, recvBuf []byte)
 		return err
 	}
 	chunk := len(mine)
-	all := make([]byte, p.Size()*chunk)
+	var all []byte
+	if p.Rank() == 0 {
+		all = make([]byte, p.Size()*chunk)
+	}
 	if err := gatherInto(p, mine, all, 0, kAllgather); err != nil {
 		return err
 	}
-	if all, err = bcast(p, all, 0, kAllgather); err != nil {
+	if all, err = bcast(p, all, p.Size()*chunk, 0, kAllgather); err != nil {
 		return err
 	}
 	for r := 0; r < p.Size(); r++ {
@@ -268,13 +279,14 @@ func Alltoall(p Plane, sendBuf []byte, count int, dt *Datatype, recvBuf []byte) 
 			return err
 		}
 	}
-	space := make([]byte, count*dt.Size())
+	var space []byte // a filling plane's buffer, reused for every stream
 	for k := 1; k < n; k++ {
 		src := (me - k + n) % n
-		got, err := recv(p, space, src, kAlltoall)
+		got, err := recv(p, space, count*dt.Size(), src, kAlltoall)
 		if err != nil {
 			return err
 		}
+		space = got
 		if _, err := dt.Unpack(got, recvBuf[src*span:], count); err != nil {
 			return err
 		}
@@ -305,7 +317,7 @@ func Alltoallv(p Plane, sendBuf []byte, sendCounts, sendDispls []int, recvBuf []
 	for k := 1; k < n; k++ {
 		src := (me - k + n) % n
 		slot := recvBuf[recvDispls[src] : recvDispls[src]+recvCounts[src]]
-		got, err := recv(p, slot, src, kAlltoall)
+		got, err := recv(p, slot, len(slot), src, kAlltoall)
 		if err != nil {
 			return err
 		}
@@ -333,7 +345,7 @@ func fold(p Plane, mine []byte, root, k int, op *Op, dt *Datatype, count int, au
 		got := mine
 		if r != root {
 			var err error
-			if got, err = recv(p, x, r, k); err != nil {
+			if got, err = recv(p, x, len(x), r, k); err != nil {
 				return nil, err
 			}
 		}
@@ -385,7 +397,7 @@ func allreduceAux(p Plane, sendBuf, recvBuf []byte, count int, dt *Datatype, op 
 	if p.Rank() == 0 {
 		copy(mine, acc)
 	}
-	if mine, err = bcast(p, mine, 0, kBcast); err != nil {
+	if mine, err = bcast(p, mine, len(mine), 0, kBcast); err != nil {
 		return 0, err
 	}
 	if _, err := dt.Unpack(mine[8:], recvBuf, count); err != nil {
@@ -404,7 +416,7 @@ func Scan(p Plane, sendBuf, recvBuf []byte, count int, dt *Datatype, op *Op) err
 	}
 	n, me := p.Size(), p.Rank()
 	if me > 0 {
-		prefix, err := recv(p, make([]byte, len(acc)), me-1, kScan)
+		prefix, err := recv(p, nil, len(acc), me-1, kScan)
 		if err != nil {
 			return err
 		}

@@ -73,7 +73,7 @@ func (c *Comm) allocCtx() (uint32, error) {
 		buf[2] = byte(id >> 16)
 		buf[3] = byte(id >> 24)
 	}
-	buf, err := bcast(nativePlane{c}, buf, 0, kCtxAlloc)
+	buf, err := bcast(nativePlane{c}, buf, len(buf), 0, kCtxAlloc)
 	if err != nil {
 		return 0, err
 	}
@@ -175,7 +175,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		}
 	} else {
 		var err error
-		if myEnc, err = p.RecvColl(make([]byte, 8+8*n+64), 0, kCtxAlloc); err != nil {
+		if myEnc, err = p.RecvColl(nil, 8+8*n+64, 0, kCtxAlloc); err != nil {
 			return nil, err
 		}
 	}

@@ -85,24 +85,41 @@ func BenchmarkRSDecodeRepair(b *testing.B) {
 }
 
 // BenchmarkDistRestore is one restore of an 8 MiB rs 4+2 line on its
-// owner, over the in-memory interconnect of 8 DistStores: Open, which
-// queries the peers, fetches k shards and lands them in place, then
-// ReadSection. The owner keeps no local copy of an rs line, and the one
+// owner, among 8 DistStores: Open, which queries the peers, fetches k
+// shards and lands them in place, then ReadSection. The stores share the
+// in-memory interconnect (8MiB), where the owner copies each data shard
+// into its blob from the holder's memory, or each runs on its own loopback
+// tcp.Mesh (8MiB-tcp), which reads each data shard off the socket straight
+// into the blob. The owner keeps no local copy of an rs line, and the one
 // Open re-installs is dropped before each round. With one data shard
 // missing, its holder has lost it: the restore fetches a parity shard
 // instead and rebuilds the data shard into its offset.
 func BenchmarkDistRestore(b *testing.B) {
 	const n, owner, size = 8, 3, 8 << 20
-	nw := transport.NewNetwork(n)
-	stores := make([]*DistStore, n)
-	for r := range stores {
-		stores[r] = NewDistStore(r, n, nw, WithDistCodec(newRSCodec(4, 2)))
+	for _, w := range []struct {
+		name  string
+		world func(b *testing.B) []*DistStore
+	}{
+		{"", func(b *testing.B) []*DistStore {
+			nw := transport.NewNetwork(n)
+			stores := make([]*DistStore, n)
+			for r := range stores {
+				stores[r] = NewDistStore(r, n, nw, WithDistCodec(newRSCodec(4, 2)))
+			}
+			b.Cleanup(func() {
+				for _, s := range stores {
+					s.Close()
+				}
+			})
+			return stores
+		}},
+		{"-tcp", func(b *testing.B) []*DistStore { return tcpDistWorld(b, n, WithDistCodec(newRSCodec(4, 2))) }},
+	} {
+		b.Run(sizeName(size)+w.name, func(b *testing.B) { benchDistRestore(b, w.world(b), owner, size) })
 	}
-	defer func() {
-		for _, s := range stores {
-			s.Close()
-		}
-	}()
+}
+
+func benchDistRestore(b *testing.B, stores []*DistStore, owner, size int) {
 	app := testBlob(size, 6)
 	for _, c := range []struct {
 		name string
@@ -120,14 +137,10 @@ func BenchmarkDistRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 		if c.drop >= 0 {
-			for _, s := range stores {
-				s.mu.Lock()
-				delete(s.node.frags, replFragKey{owner: owner, version: version, idx: c.drop})
-				s.mu.Unlock()
-			}
+			dropShard(stores, owner, version, c.drop)
 		}
-		b.Run(sizeName(size)+"/"+c.name, func(b *testing.B) {
-			b.SetBytes(size)
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(size))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				stores[owner].mu.Lock()

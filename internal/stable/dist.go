@@ -675,13 +675,23 @@ func (s *DistStore) daemon() {
 			continue
 		}
 		var data replPayload
+		var body []byte
 		switch p := msg.Payload.(type) {
 		case replPayload:
 			data = p
 		case fragPayload:
-			// The in-memory interconnect delivers the sender's views: the
-			// bytes become this node's own here, as off a socket.
-			data = p.MarshalWire()
+			if p.head[0] == distMsgRespFrag {
+				// An answer goes to its restore as it is: its fragment is
+				// in the restore's blob already if a mesh landed it there,
+				// or else in the holder's memory, and the landing copies it
+				// from there once.
+				data, body = replPayload(p.head), p.body
+			} else {
+				// The in-memory interconnect delivers the sender's views:
+				// a fragment stored here becomes this node's own, as off a
+				// socket.
+				data = p.MarshalWire()
+			}
 		}
 		if len(data) == 0 {
 			continue
@@ -744,7 +754,7 @@ func (s *DistStore) daemon() {
 			s.reqMu.Unlock()
 			if ch != nil {
 				select {
-				case ch <- distResp{from: msg.From, data: data}:
+				case ch <- distResp{from: msg.From, data: data, body: body}:
 				default: // waiter gave up or buffer full; drop
 				}
 			}
@@ -851,10 +861,12 @@ type remoteLine struct {
 }
 
 // distResp is a query response as the daemon routes it to its waiter,
-// with the peer that sent it.
+// with the peer that sent it. A fragment answer that came split keeps its
+// fragment in body, apart from the head in data.
 type distResp struct {
 	from int
 	data replPayload
+	body []byte
 }
 
 // newRequest registers ch as the waiter for a fresh request id. Several
@@ -1133,38 +1145,52 @@ func (s *DistStore) fetchLine(owner, version int, rl *remoteLine) *landing {
 // shardAsk is one planned fragment request: shard idx from peer.
 type shardAsk struct{ idx, peer int }
 
-// fetchFrom sends every planned request at once, then offers each answer
-// to the landing as it arrives, until all arrived or the query timeout
-// passed.
+// fetchFrom sends every planned request at once, each data shard's answer
+// expected into its range of the blob, then offers each answer to the
+// landing as it arrives, until all arrived or the query timeout passed.
+// Every expectation is settled before its answer is offered or its
+// request given up.
 func (s *DistStore) fetchFrom(owner, version int, plan []shardAsk, l *landing) {
 	if len(plan) == 0 {
 		return
 	}
 	ch := make(chan distResp, len(plan))
-	idxOf := make(map[uint64]int, len(plan))
+	asks := make(map[uint64]fragAsk, len(plan))
 	for _, a := range plan {
 		reqID := s.newRequest(ch)
-		idxOf[reqID] = a.idx
+		asks[reqID] = fragAsk{idx: a.idx, e: l.expect(s.net, a.peer, reqID, a.idx)}
 		s.send(a.peer, transport.Control, encodeDistQueryFrag(reqID, owner, version, a.idx))
 	}
-	l.allocate()
 	defer func() {
-		for reqID := range idxOf {
+		for reqID, a := range asks {
 			s.dropRequest(reqID)
+			l.settle(a.e)
 		}
 	}()
 	deadline := time.After(s.queryTimeout)
 	for range plan {
 		select {
 		case resp := <-ch:
-			reqID, found, frag, err := decodeDistRespFrag(resp.data)
-			if idx, ok := idxOf[reqID]; err == nil && ok && found {
-				l.offer(idx, frag)
+			reqID, found, frag, err := decodeDistRespFrag(resp.data, resp.body)
+			if a, ok := asks[reqID]; ok {
+				s.dropRequest(reqID)
+				delete(asks, reqID)
+				l.settle(a.e)
+				if err == nil && found {
+					l.offer(a.idx, frag)
+				}
 			}
 		case <-deadline:
 			return
 		}
 	}
+}
+
+// fragAsk is one fragment request in flight: the shard asked for, and the
+// expectation its answer lands by (nil: none).
+type fragAsk struct {
+	idx int
+	e   *transport.Expectation
 }
 
 // fetchFrag asks each peer in turn for one fragment until the landing
@@ -1185,16 +1211,19 @@ func (s *DistStore) fetchFrag(owner, version, idx int, holders []int, l *landing
 		for _, q := range peers {
 			ch := make(chan distResp, 1)
 			reqID := s.newRequest(ch)
+			e := l.expect(s.net, q, reqID, idx)
 			s.send(q, transport.Control, encodeDistQueryFrag(reqID, owner, version, idx))
 			select {
 			case resp := <-ch:
 				s.dropRequest(reqID)
-				_, found, frag, err := decodeDistRespFrag(resp.data)
+				l.settle(e)
+				_, found, frag, err := decodeDistRespFrag(resp.data, resp.body)
 				if err == nil && found && l.offer(idx, frag) {
 					return
 				}
 			case <-time.After(s.queryTimeout):
 				s.dropRequest(reqID)
+				l.settle(e)
 			}
 		}
 	}

@@ -102,10 +102,12 @@ func (rec replCommitRec) shardValid(idx int, frag []byte) bool {
 
 // landing is one line being restored in place. The blob is allocated once
 // from the marker, with capacity for the tail shard's padding, and every
-// valid data shard is copied to its offset as it arrives; the missing ones
-// are rebuilt there from parity (finish). Each data byte is digested once,
-// as it lands or as it is rebuilt, and the whole-blob digest is combined
-// from those digests. A valid cross-group parity shard is the blob itself.
+// valid data shard lies at its offset once it is offered: read there
+// straight off the wire (expect), or copied there as it arrives. The
+// missing ones are rebuilt there from parity (finish). Each data byte is
+// digested once, as it lands or as it is rebuilt, and the whole-blob
+// digest is combined from those digests. A valid cross-group parity shard
+// is copied over the whole blob.
 type landing struct {
 	rec    replCommitRec
 	sz     int
@@ -113,7 +115,7 @@ type landing struct {
 	shards [][]byte   // the valid shards in hand, by index: data shards as their ranges of blob
 	sums   []shardCRC // the data shards' digests
 	valid  int        // how many shards are in hand
-	whole  []byte     // a valid cross-group parity shard
+	whole  bool       // a valid cross-group parity shard is the blob
 }
 
 // landChunk is how many bytes of a landing shard are digested and then
@@ -130,37 +132,84 @@ func newLanding(rec replCommitRec) *landing {
 }
 
 // allocate allocates the blob if it is not yet. The first fetch calls it
-// once its requests are out, so that first touching the blob's memory
-// overlaps the shards' transfer instead of delaying it.
+// before its requests go out, so that the answers can be expected into
+// their ranges of it.
 func (l *landing) allocate() {
 	if l.blob == nil {
 		l.blob = make([]byte, l.rec.total, l.rec.data*l.sz)
 	}
 }
 
+// slot is where shard idx lands: its own index for a data shard, 0 for
+// every shard when k = 1 (each is the blob itself), and an index at or
+// above k for a shard that only feeds the rebuild.
+func (l *landing) slot(idx int) int {
+	if l.rec.data == 1 {
+		return 0
+	}
+	return idx
+}
+
+// expect arms, on net, the answer peer gives to request reqID for shard
+// idx, to be read straight into the shard's range of the blob, and returns
+// the expectation, or nil when net lands nothing or the shard is not a
+// data shard still missing. The landing must settle it before the request
+// is given up.
+func (l *landing) expect(net transport.Interconnect, peer int, reqID uint64, idx int) *transport.Expectation {
+	lander, ok := net.(transport.Lander)
+	slot := l.slot(idx)
+	if !ok || idx >= l.rec.frags || slot >= l.rec.data || l.shards[slot] != nil {
+		return nil
+	}
+	l.allocate()
+	e := &transport.Expectation{From: peer, Reply: encodeDistRespFrag(reqID, true, dataRange(l.blob, slot, l.sz))}
+	if !lander.Expect(e) {
+		return nil
+	}
+	return e
+}
+
+// settle disarms e (nil: none). A range a reader may still be writing is
+// never read or handed out again: if e's is one, the landing moves to a
+// fresh blob, taking only the shards already in hand along.
+func (l *landing) settle(e *transport.Expectation) {
+	if e == nil || e.Cancel() {
+		return
+	}
+	l.blob = nil // left to the reader
+	l.allocate()
+	for d := range l.sums {
+		if src := l.shards[d]; src != nil {
+			l.shards[d] = dataRange(l.blob, d, l.sz)
+			copy(l.shards[d], src)
+		}
+	}
+}
+
 // done reports whether the shards in hand reconstruct the line.
-func (l *landing) done() bool { return l.whole != nil || l.valid >= l.rec.data }
+func (l *landing) done() bool { return l.whole || l.valid >= l.rec.data }
 
 // offer takes a fetched copy of shard idx if it matches the marker's
 // digest for that shard, and reports whether it did. A data shard — with
-// k = 1 every shard is one, the blob itself — is digested and copied to
-// its offset in one pass, 64 KiB at a time, and its range is cleared again
-// if the digest disagrees. A parity shard is kept where it lies, for
-// finish to rebuild from. A fragment whose length does not fit the marker
-// is refused before any of it is read.
+// k = 1 every shard is one, the blob itself — is digested in one pass, 64
+// KiB at a time: where it already lies at its offset, read there off the
+// wire, in place; anywhere else, copied to its offset chunk by chunk. Its
+// range is cleared again if the digest disagrees. A parity shard is kept
+// where it lies, for finish to rebuild from. A valid cross-group parity
+// shard is copied over the blob. A fragment whose length does not fit the
+// marker is refused before any of it is read.
 func (l *landing) offer(idx int, frag []byte) bool {
 	rec, k := l.rec, l.rec.data
 	if _, ok := rec.crossHolder(); ok && idx == rec.frags {
-		if l.whole == nil && rec.shardValid(idx, frag) {
-			l.whole = frag
-			return true
+		if l.whole || !rec.shardValid(idx, frag) {
+			return false
 		}
-		return false
+		l.allocate()
+		copy(l.blob, frag)
+		l.whole = true
+		return true
 	}
-	slot := idx
-	if k == 1 {
-		slot = 0
-	}
+	slot := l.slot(idx)
 	if idx < 0 || idx >= rec.frags || len(frag) != l.sz || l.shards[slot] != nil {
 		return false
 	}
@@ -174,11 +223,14 @@ func (l *landing) offer(idx int, frag []byte) bool {
 	}
 	l.allocate()
 	dst, n := dataRange(l.blob, slot, l.sz), len(blobPart(l.blob, slot, l.sz))
+	landed := &frag[0] == &dst[0]
 	var sum shardCRC
 	for lo := 0; lo < len(frag); lo += landChunk {
 		hi := min(lo+landChunk, len(frag))
 		sum.update(frag[lo:hi], lo, n)
-		copy(dst[lo:hi], frag[lo:hi])
+		if !landed {
+			copy(dst[lo:hi], frag[lo:hi])
+		}
 	}
 	if sum.padded() != rec.sums[idx] {
 		clear(dst)
@@ -194,8 +246,8 @@ func (l *landing) offer(idx int, frag []byte) bool {
 // digest, and the whole blob against the marker's sum, combined from the
 // data shards' in-blob digests rather than read again.
 func (l *landing) finish() ([]byte, error) {
-	if l.whole != nil {
-		return l.whole, nil
+	if l.whole {
+		return l.blob, nil
 	}
 	l.allocate()
 	if err := l.rec.codec().rebuild(l.blob, l.sz, l.shards, l.sums); err != nil {
@@ -339,10 +391,12 @@ func (p replPayload) WireKind() uint8 { return transport.WireKindRepl }
 func (p replPayload) MarshalWire() []byte { return p }
 
 // The decoder keeps the bytes it is handed (DecodeWirePayload's contract:
-// nobody modifies them afterwards; the TCP mesh reads every frame into an
-// allocation of its own). A fragment a daemon stores is then a sub-slice of
-// exactly one received frame — it pins that frame's few header bytes and
-// nothing larger.
+// nobody modifies them afterwards; the TCP mesh reads every frame it
+// decodes into an allocation of its own). A fragment a daemon stores is
+// then a sub-slice of exactly one received frame — it pins that frame's
+// few header bytes and nothing larger. A fragment answer a restore expects
+// is not decoded at all: it arrives as the fragPayload the restore armed,
+// its body already in the restore's blob.
 func init() {
 	transport.RegisterWireDecoder(transport.WireKindRepl, func(data []byte) (any, error) {
 		return replPayload(data), nil
@@ -354,10 +408,15 @@ func init() {
 // copying it: the encoded header, whose last field is the fragment's
 // length, and a view of the fragment where it lies, in the owner's blob or
 // in the holder's memory. Neither is written while the message is in
-// flight. The TCP mesh writes the two in one writev; the in-memory
-// interconnect hands the value itself to the receiving daemon, which
-// copies it into one buffer of its own (MarshalWire), so the fragment a holder
-// stores never pins the owner's blob.
+// flight. The TCP mesh writes the two in one writev. The in-memory
+// interconnect hands the value itself to the receiving daemon, which copies
+// a commit's fragment into one buffer of its own (MarshalWire), so the
+// fragment a holder stores never pins the owner's blob, and routes an
+// answer as it is to the restore, which copies the fragment once, into its
+// blob. A restore also arms a fragPayload as the answer it expects
+// (landing.expect): the head it will read and its blob's range for the
+// body. A mesh that lands a frame there delivers that value, and that
+// range is the one buffer the frame's body was read into.
 type fragPayload struct{ head, body []byte }
 
 // TransportSize implements transport.Sizer.
@@ -547,11 +606,20 @@ func encodeDistRespFrag(reqID uint64, found bool, frag []byte) fragPayload {
 	return fragPayload{head: w.Bytes(), body: frag}
 }
 
-func decodeDistRespFrag(data replPayload) (reqID uint64, found bool, frag []byte, err error) {
+// decodeDistRespFrag decodes a fragment answer: joined in data, or its
+// head in data and the fragment in body, which the head's length must
+// match.
+func decodeDistRespFrag(data replPayload, body []byte) (reqID uint64, found bool, frag []byte, err error) {
 	r := wire.NewReader(data[1:])
 	reqID = r.U64()
 	found = r.Bool()
-	frag = r.View32() // aliases the response, which carries this one fragment
+	if body == nil {
+		frag = r.View32() // aliases the response, which carries this one fragment
+	} else if n := r.U32(); r.Err() == nil && int(n) != len(body) {
+		return reqID, found, nil, fmt.Errorf("stable: fragment answer of %d bytes, head says %d", len(body), n)
+	} else {
+		frag = body
+	}
 	return reqID, found, frag, r.Err()
 }
 

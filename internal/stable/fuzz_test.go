@@ -47,7 +47,7 @@ func FuzzReplDecode(f *testing.F) {
 		_, _, _ = decodeDistQueryLast(p)
 		_, _, _ = decodeDistRespLast(p)
 		_, _, _, _, _ = decodeDistQueryFrag(p)
-		_, _, _, _ = decodeDistRespFrag(p)
+		_, _, _, _ = decodeDistRespFrag(p, nil)
 		_, _, _, _ = decodeDistPrune(p)
 		_, _ = peekDistReqID(p)
 	})

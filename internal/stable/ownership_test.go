@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"c3/internal/trace"
+	"c3/internal/transport"
 	"c3/internal/transport/tcp"
 )
 
@@ -17,7 +18,13 @@ import (
 
 // tcpDistWorld builds n DistStores, each on its own loopback tcp.Mesh: the
 // real multi-process wiring inside one test process.
-func tcpDistWorld(t *testing.T, n int, opts ...DistOption) []*DistStore {
+func tcpDistWorld(t testing.TB, n int, opts ...DistOption) []*DistStore {
+	t.Helper()
+	return tcpStores(t, tcpMeshes(t, n), nil, opts...)
+}
+
+// tcpMeshes brings up n loopback meshes, closed when the test ends.
+func tcpMeshes(t testing.TB, n int) []*tcp.Mesh {
 	t.Helper()
 	var meshes []*tcp.Mesh
 	for try := 0; ; try++ {
@@ -49,16 +56,28 @@ func tcpDistWorld(t *testing.T, n int, opts ...DistOption) []*DistStore {
 			t.Fatalf("tcp meshes: %v", err)
 		}
 	}
-	stores := make([]*DistStore, n)
+	t.Cleanup(func() {
+		for _, m := range meshes {
+			m.Close()
+		}
+	})
+	return meshes
+}
+
+// tcpStores puts one DistStore on each mesh, closed when the test ends
+// (before the meshes); a non-nil wrap chooses the interconnect of rank r.
+func tcpStores(t testing.TB, meshes []*tcp.Mesh, wrap func(r int, m *tcp.Mesh) transport.Interconnect, opts ...DistOption) []*DistStore {
+	stores := make([]*DistStore, len(meshes))
 	for r, m := range meshes {
-		stores[r] = NewDistStore(r, n, m, opts...)
+		var net transport.Interconnect = m
+		if wrap != nil {
+			net = wrap(r, m)
+		}
+		stores[r] = NewDistStore(r, len(meshes), net, opts...)
 	}
 	t.Cleanup(func() {
 		for _, s := range stores {
 			s.Close()
-		}
-		for _, m := range meshes {
-			m.Close()
 		}
 	})
 	return stores

@@ -258,6 +258,17 @@ func (v *view) Kill(rank int) {
 	}
 }
 
+// Expect implements Lander when the shared mesh does: the answer is
+// expected in the view's generation.
+func (v *view) Expect(e *Expectation) bool {
+	l, ok := v.d.inner.(Lander)
+	if !ok || v.port.ready.Load() < 0 {
+		return false
+	}
+	e.gen = v.gen
+	return l.Expect(e)
+}
+
 func (v *view) Shutdown()             { v.port.Kill() }
 func (v *view) Stats() Stats          { return v.d.inner.Stats() }
 func (v *view) Scheduler() *Scheduler { return v.d.inner.Scheduler() }

@@ -125,6 +125,10 @@ type Mesh struct {
 	statMu sync.Mutex
 	stats  transport.Stats
 
+	// expect holds the answers a local receiver awaits into buffers of its
+	// own (Expect); the readers land matching frames' bodies there.
+	expect transport.Expectations
+
 	wg sync.WaitGroup
 }
 
@@ -385,6 +389,16 @@ func (m *Mesh) Kill(rank int) {
 		m.port.Kill()
 	}
 }
+
+// Expect implements transport.Lander: a frame from e.From whose payload
+// is e.Reply's kind and head, followed by exactly as many bytes as its
+// body holds, is read with the body straight into that buffer.
+func (m *Mesh) Expect(e *transport.Expectation) bool {
+	return !m.down.Load() && m.expect.Arm(e)
+}
+
+// ArmedExpectations reports how many expectations wait for a frame.
+func (m *Mesh) ArmedExpectations() int { return m.expect.Armed() }
 
 // ReportLosses implements transport.LossReporter: from now on, an inbound
 // connection that ends without a goodbye and whose peer a fresh dial
@@ -830,12 +844,13 @@ func (m *Mesh) readFrames(conn net.Conn) (int, uint64, error) {
 	arrival := p.arrivals.Add(1)
 	p.signal()
 	// One buffered reader per connection: a small frame costs one read,
-	// not two, and frames queued behind each other share one. Each body
-	// is still its own allocation, because decoded payloads alias it and
-	// a stored fragment must pin only its own frame. Once the buffer is
-	// drained, bufio reads a remainder of at least readBuffer straight
-	// into the body, so a bulk frame copies only what was buffered and
-	// its last partial buffer.
+	// not two, and frames queued behind each other share one. A frame a
+	// local receiver expects (Expect) has its body read into the buffer
+	// that receiver named. Every other body is its own allocation, because
+	// decoded payloads alias it and a stored fragment must pin only its
+	// own frame. Once the buffer is drained, bufio reads a remainder of at
+	// least readBuffer straight into the body, so a bulk frame copies only
+	// what was buffered and its last partial buffer.
 	br := bufio.NewReaderSize(conn, readBuffer)
 	var lenBuf [4]byte
 	for {
@@ -845,6 +860,13 @@ func (m *Mesh) readFrames(conn net.Conn) (int, uint64, error) {
 		n := binary.LittleEndian.Uint32(lenBuf[:])
 		if n < frameHeaderLen || n > maxFrame {
 			return peer, arrival, nil // corrupt stream; drop the connection
+		}
+		if m.expect.Armed() > 0 {
+			if landed, err := m.land(br, peer, int(n)); err != nil {
+				return peer, arrival, err
+			} else if landed {
+				continue
+			}
 		}
 		body := make([]byte, n)
 		if _, err := io.ReadFull(br, body); err != nil {
@@ -881,7 +903,45 @@ func (m *Mesh) readFrames(conn net.Conn) (int, uint64, error) {
 	}
 }
 
+// land reads the frame of n bytes that br holds next, from peer, into
+// the expectation it matches, if any, and delivers it. It reports whether
+// it did; otherwise it has consumed nothing. A partitioned pair's frames
+// match nothing, so they are filtered on the normal path.
+func (m *Mesh) land(br *bufio.Reader, peer, n int) (bool, error) {
+	pre, err := br.Peek(min(n, frameHeaderLen+transport.MaxExpectHead))
+	if err != nil {
+		return false, err
+	}
+	r := wire.NewReader(pre)
+	gen := r.U64()
+	from := int(r.U32())
+	to := int(r.U32())
+	class := transport.Class(r.U8())
+	kind := r.U8()
+	tctx := trace.Ctx{Span: r.U64(), Clock: r.U64()}
+	if to != m.self || from != peer || m.dropInbound(from, m.self) {
+		return false, nil
+	}
+	e := m.expect.Claim(from, gen, kind, n-frameHeaderLen, pre[frameHeaderLen:])
+	if e == nil {
+		return false, nil
+	}
+	head, body := e.Reply.WireParts()
+	if _, err := br.Discard(frameHeaderLen + len(head)); err != nil {
+		return false, err
+	}
+	if _, err := io.ReadFull(br, body); err != nil {
+		return false, err // claimed and never landed: its receiver gives the buffer up
+	}
+	e.Land()
+	if !m.port.Push(transport.Message{From: from, To: m.self, Class: class, Payload: e.Reply, Trace: tctx, Gen: gen}) {
+		m.noteDropped()
+	}
+	return true, nil
+}
+
 var _ transport.Interconnect = (*Mesh)(nil)
+var _ transport.Lander = (*Mesh)(nil)
 
 // --- Local port ---
 

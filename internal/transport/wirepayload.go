@@ -76,8 +76,11 @@ func RegisterWireDecoder(kind uint8, dec func(data []byte) (any, error)) {
 
 // DecodeWirePayload rebuilds a payload from its wire encoding. The data
 // slice is handed over to the decoder: callers pass bytes nobody modifies
-// afterwards (the TCP mesh reads each frame into an allocation of its own),
-// so a decoder of bulk payloads may keep a sub-slice instead of copying.
+// afterwards (the TCP mesh reads each frame it decodes into an allocation
+// of its own), so a decoder of bulk payloads may keep a sub-slice instead
+// of copying. A frame the mesh lands in a buffer its receiver named
+// (Expectation) is not decoded at all: it arrives as the receiver's own
+// Reply.
 func DecodeWirePayload(kind uint8, data []byte) (any, error) {
 	wireDecMu.RLock()
 	dec := wireDecoders[kind]
