@@ -42,7 +42,7 @@ const (
 type wplane struct{ *WComm }
 
 func (p wplane) SendColl(packed []byte, dst, k int) error {
-	return p.l.sendUser(p.c, packed, dst, mpi.MaxUserTag+101+k, true)
+	return p.l.sendUser(p.c, packed, dst, mpi.MaxUserTag+101+k, viaColl)
 }
 
 func (p wplane) RecvColl(_ []byte, n, src, k int) ([]byte, error) {

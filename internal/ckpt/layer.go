@@ -534,10 +534,20 @@ func planeCtx(c *mpi.Comm, coll bool) uint32 {
 	return c.Ctx()
 }
 
+// sendVia names the substrate entry a wrapped send goes out through.
+type sendVia uint8
+
+const (
+	viaSend sendVia = iota // a blocking point-to-point send
+	viaPost                // a posted point-to-point send (Isend)
+	viaColl                // the layer's collective plane
+)
+
 // sendUser transmits a packed user payload with the protocol applied: check
 // control messages, suppress Was-Early re-sends during recovery, piggyback
 // the header, and count the send (paper Figure 4, chkpt_MPI_Send).
-func (l *Layer) sendUser(c *mpi.Comm, payload []byte, destComm, tag int, coll bool) error {
+func (l *Layer) sendUser(c *mpi.Comm, payload []byte, destComm, tag int, via sendVia) error {
+	coll := via == viaColl
 	if l.err != nil {
 		return l.err
 	}
@@ -559,9 +569,12 @@ func (l *Layer) sendUser(c *mpi.Comm, payload []byte, destComm, tag int, coll bo
 	buf = l.encodeHeader(buf)
 	buf = append(buf, payload...)
 	var err error
-	if coll {
+	switch via {
+	case viaColl:
 		err = c.SendPackedColl(buf, destComm, tag)
-	} else {
+	case viaPost:
+		err = c.PostPacked(buf, destComm, tag)
+	default:
 		err = c.SendPacked(buf, destComm, tag)
 	}
 	if err != nil {

@@ -82,7 +82,7 @@ func (w *WComm) Send(buf []byte, count int, dt *mpi.Datatype, dest, tag int) err
 	if err != nil {
 		return err
 	}
-	return w.l.sendUser(w.c, packed, dest, tag, false)
+	return w.l.sendUser(w.c, packed, dest, tag, viaSend)
 }
 
 // SendBytes sends a raw byte payload.
@@ -90,7 +90,7 @@ func (w *WComm) SendBytes(data []byte, dest, tag int) error {
 	if err := checkWrappedTag(tag); err != nil {
 		return err
 	}
-	return w.l.sendUser(w.c, data, dest, tag, false)
+	return w.l.sendUser(w.c, data, dest, tag, viaSend)
 }
 
 // Recv receives into buf; src may be mpi.AnySource and tag mpi.AnyTag.
@@ -177,7 +177,10 @@ func (w *WComm) Iprobe(src, tag int) (mpi.Status, bool, error) {
 
 // Isend starts a non-blocking send and returns a request handle from the
 // indirection table. The send protocol runs at initiation: "non-blocking
-// send operations execute the send protocol described in Section 3".
+// send operations execute the send protocol described in Section 3". The
+// message is posted (mpi.Comm.PostPacked): it owns its bytes, so the
+// request completes at once while a socket transport may still be
+// writing its frame.
 func (w *WComm) Isend(buf []byte, count int, dt *mpi.Datatype, dest, tag int) (int, error) {
 	if err := checkWrappedTag(tag); err != nil {
 		return 0, err
@@ -186,7 +189,7 @@ func (w *WComm) Isend(buf []byte, count int, dt *mpi.Datatype, dest, tag int) (i
 	if err != nil {
 		return 0, err
 	}
-	if err := w.l.sendUser(w.c, packed, dest, tag, false); err != nil {
+	if err := w.l.sendUser(w.c, packed, dest, tag, viaPost); err != nil {
 		return 0, err
 	}
 	e := w.l.reqs.New(&ReqEntry{

@@ -295,8 +295,9 @@ func (p *Proc) BufferDetach() int {
 // AttachedBuffer returns the currently attached buffer capacity.
 func (p *Proc) AttachedBuffer() int { return p.attachCap }
 
-// send transmits a packed payload.
-func (p *Proc) send(destWorld, tag int, ctx uint32, data []byte) error {
+// send transmits a packed payload, which the envelope owns from here on.
+// A posted send (Isend) may return before the transport has written it.
+func (p *Proc) send(destWorld, tag int, ctx uint32, data []byte, posted bool) error {
 	env := &Envelope{SrcWorld: p.rank, Tag: tag, Ctx: ctx, Data: data}
 	p.stats.Sends++
 	p.stats.BytesSent += uint64(len(data))
@@ -305,6 +306,7 @@ func (p *Proc) send(destWorld, tag int, ctx uint32, data []byte) error {
 		To:      destWorld,
 		Class:   transport.Data,
 		Payload: env,
+		Posted:  posted,
 	})
 	if err != nil {
 		return ErrDown

@@ -11,7 +11,7 @@ func (c *Comm) Send(buf []byte, count int, dt *Datatype, dest, tag int) error {
 	if err := checkUserTag(tag); err != nil {
 		return err
 	}
-	return c.sendInternal(buf, count, dt, dest, tag, c.ctx)
+	return c.sendInternal(buf, count, dt, dest, tag, c.ctx, false)
 }
 
 // SendBytes sends a raw byte payload.
@@ -19,7 +19,7 @@ func (c *Comm) SendBytes(data []byte, dest, tag int) error {
 	return c.Send(data, len(data), TypeByte, dest, tag)
 }
 
-func (c *Comm) sendInternal(buf []byte, count int, dt *Datatype, dest, tag int, ctx uint32) error {
+func (c *Comm) sendInternal(buf []byte, count int, dt *Datatype, dest, tag int, ctx uint32, posted bool) error {
 	wr, err := c.WorldRank(dest)
 	if err != nil {
 		return err
@@ -28,7 +28,7 @@ func (c *Comm) sendInternal(buf []byte, count int, dt *Datatype, dest, tag int, 
 	if err != nil {
 		return err
 	}
-	return c.proc.send(wr, tag, ctx, packed)
+	return c.proc.send(wr, tag, ctx, packed, posted)
 }
 
 // Bsend is a buffered send: identical delivery semantics to Send, but the
@@ -136,11 +136,22 @@ func (c *Comm) statusFor(env *Envelope) Status {
 // that frame user payloads with their own headers and reserve internal tags
 // above MaxUserTag. Application code should use Send.
 func (c *Comm) SendPacked(data []byte, dest, tag int) error {
+	return c.sendPacked(data, dest, tag, c.ctx, false)
+}
+
+// PostPacked is SendPacked for a non-blocking send: the transport may
+// still be writing the message when it returns. The message owns a copy
+// of data, so the caller may reuse data at once.
+func (c *Comm) PostPacked(data []byte, dest, tag int) error {
+	return c.sendPacked(data, dest, tag, c.ctx, true)
+}
+
+func (c *Comm) sendPacked(data []byte, dest, tag int, ctx uint32, posted bool) error {
 	wr, err := c.WorldRank(dest)
 	if err != nil {
 		return err
 	}
-	return c.proc.send(wr, tag, c.ctx, append([]byte(nil), data...))
+	return c.proc.send(wr, tag, ctx, append([]byte(nil), data...), posted)
 }
 
 // IrecvPacked posts a non-blocking receive of a packed payload into buf,
@@ -181,11 +192,7 @@ func (c *Comm) CollCtx() uint32 { return c.collCtx() }
 
 // SendPackedColl is SendPacked on the communicator's collective plane.
 func (c *Comm) SendPackedColl(data []byte, dest, tag int) error {
-	wr, err := c.WorldRank(dest)
-	if err != nil {
-		return err
-	}
-	return c.proc.send(wr, tag, c.collCtx(), append([]byte(nil), data...))
+	return c.sendPacked(data, dest, tag, c.collCtx(), false)
 }
 
 // RecvPackedColl is RecvPacked on the communicator's collective plane.

@@ -79,15 +79,16 @@ func (r *Request) complete(env *Envelope) {
 	}
 }
 
-// Isend starts a non-blocking send. Because sends are eager, the returned
-// request is already complete; it exists so code written against the
-// non-blocking API (and the checkpoint layer's request table) works
-// uniformly.
+// Isend starts a non-blocking send. The payload is packed into a buffer
+// the message owns, so buf may be reused at once and the returned request
+// is already complete. The message is posted (transport.Message.Posted):
+// a socket transport may queue its frame and write it after Isend
+// returns, behind the sends before it and ahead of the sends after it.
 func (c *Comm) Isend(buf []byte, count int, dt *Datatype, dest, tag int) (*Request, error) {
 	if err := checkUserTag(tag); err != nil {
 		return nil, err
 	}
-	if err := c.sendInternal(buf, count, dt, dest, tag, c.ctx); err != nil {
+	if err := c.sendInternal(buf, count, dt, dest, tag, c.ctx, true); err != nil {
 		return nil, err
 	}
 	return &Request{proc: c.proc, kind: reqSend, done: true}, nil

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -250,5 +251,51 @@ func TestDemuxGenerations(t *testing.T) {
 	}
 	if stale := g1.Open(2); stale.Send(Message{From: 1, To: 0, Payload: kindedPayload{kind: testKindA}}) != ErrDown {
 		t.Fatal("reopening the current generation gave a live view")
+	}
+}
+
+// sendRecorder records the messages handed to the interconnect it wraps.
+type sendRecorder struct {
+	Interconnect
+	mu   sync.Mutex
+	sent []Message
+}
+
+func (r *sendRecorder) Send(msg Message) error {
+	r.mu.Lock()
+	r.sent = append(r.sent, msg)
+	r.mu.Unlock()
+	return r.Interconnect.Send(msg)
+}
+
+// TestDemuxPassesPostedFlag: a plane and a generation view hand a posted
+// send to the shared mesh with the flag as the sender set it.
+func TestDemuxPassesPostedFlag(t *testing.T) {
+	nw := NewNetwork(2)
+	rec := &sendRecorder{Interconnect: nw}
+	d := NewDemux(rec, 0)
+	plane := d.Plane(testKindA)
+	gens := d.Generations(testKindB, 2)
+	d.Start()
+	defer d.Close()
+	view := gens.Open(3)
+	for _, posted := range []bool{true, false} {
+		if err := plane.Send(Message{From: 0, To: 1, Payload: kindedPayload{kind: testKindA}, Posted: posted}); err != nil {
+			t.Fatal(err)
+		}
+		if err := view.Send(Message{From: 0, To: 1, Payload: kindedPayload{kind: testKindB}, Posted: posted}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	want := []bool{true, true, false, false}
+	if len(rec.sent) != len(want) {
+		t.Fatalf("mesh saw %d sends, want %d", len(rec.sent), len(want))
+	}
+	for i, msg := range rec.sent {
+		if msg.Posted != want[i] {
+			t.Fatalf("send %d reached the mesh with Posted=%v, want %v", i, msg.Posted, want[i])
+		}
 	}
 }

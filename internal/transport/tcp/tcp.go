@@ -5,8 +5,11 @@
 // listens on its own address, dials peers lazily on first send, and frames
 // every message with a length prefix (internal/wire encoding). Delivery
 // keeps the per-(source, destination) FIFO guarantee the MPI layer needs,
-// because each ordered pair maps to one TCP connection and frames are
-// written atomically under a per-connection lock.
+// because each ordered pair maps to one TCP connection, fed by one send
+// queue and one writer at a time. A blocking send finding the connection
+// idle writes its frame itself; a posted send (transport.Message.Posted)
+// queues its frame and returns, and a writer goroutine hands everything
+// queued to the kernel in one writev.
 //
 // Failure model: a peer that dies takes its sockets with it. Sends toward
 // it fail, are counted as dropped, and do not error the sender — exactly
@@ -120,7 +123,7 @@ type Mesh struct {
 	partMu      sync.Mutex
 	partBlocked map[[2]int]bool
 	partHold    bool
-	partHeld    []heldFrame
+	partHeld    []*peerConn // peers whose send queues a hold rule paused
 
 	statMu sync.Mutex
 	stats  transport.Stats
@@ -132,12 +135,6 @@ type Mesh struct {
 	wg sync.WaitGroup
 }
 
-// heldFrame is one outbound frame buffered by a hold-mode partition rule.
-type heldFrame struct {
-	to    int
-	frame wireFrame
-}
-
 // wireFrame is one encoded message. A small message is one buffer — length
 // prefix, frame header, body — handed to the kernel with one write. A bulk
 // body (checkpoint fragments) is not copied behind the header: it stays
@@ -145,6 +142,9 @@ type heldFrame struct {
 type wireFrame struct {
 	head []byte
 	body []byte // nil when head carries the body
+	// done, set while a blocking Send waits behind the writer, is closed
+	// once the frame is in the kernel, held or counted as dropped.
+	done chan struct{}
 }
 
 // bulkBody is the body size from which a frame is sent as two segments.
@@ -154,27 +154,70 @@ type wireFrame struct {
 // not (8 MiB rs 4+2 commit: 8 % faster without it).
 const bulkBody = 4 << 10
 
-// writeTo hands the frame to the kernel.
-func (f wireFrame) writeTo(c net.Conn) error {
-	if f.body == nil {
-		_, err := c.Write(f.head)
-		return err
+// writeBatch hands frames to c with one write, or with one writev when
+// they span more than one buffer, and returns how many whole frames it
+// wrote. A single small frame takes the plain write: Go's writev path
+// costs a frame about a microsecond more (see bulkBody). iov is the
+// caller's segment list, reused from batch to batch.
+func writeBatch(c net.Conn, iov *net.Buffers, frames []wireFrame) (int, error) {
+	if len(frames) == 1 && frames[0].body == nil {
+		if _, err := c.Write(frames[0].head); err != nil {
+			return 0, err
+		}
+		return 1, nil
 	}
-	bufs := net.Buffers{f.head, f.body}
-	_, err := bufs.WriteTo(c)
-	return err
+	bufs := (*iov)[:0]
+	for _, f := range frames {
+		bufs = append(bufs, f.head)
+		if f.body != nil {
+			bufs = append(bufs, f.body)
+		}
+	}
+	*iov = bufs
+	written, err := iov.WriteTo(c) // consumes *iov
+	clear(bufs)                    // the frames' buffers are their senders' again
+	*iov = bufs[:0]
+	if err == nil {
+		return len(frames), nil
+	}
+	n := 0
+	for _, f := range frames {
+		size := int64(len(f.head) + len(f.body))
+		if written < size {
+			break
+		}
+		written -= size
+		n++
+	}
+	return n, err
 }
 
-// peerConn is the outbound connection to one peer. mu is its write lock
-// and guards conn, connected and the backoff. The peer's events (arrival,
-// departure) are recorded without mu, by the read paths, which must not
-// wait behind a dial that holds it.
+// peerConn is the outbound connection to one peer.
+//
+// mu is its write lock and guards conn, raw, connected and iov: whoever
+// holds it is the one writing to conn. qmu guards the send queue and the
+// writer role and is never held across I/O, so a post never waits for a
+// write. The peer's events (arrival, departure) and the redial backoff are
+// atomics, read without either lock by the read paths, which must not wait
+// behind a dial, and by posts, which must not wait behind a write.
 type peerConn struct {
+	rank int
+
 	mu        sync.Mutex
 	conn      net.Conn
-	connected bool      // ever connected: re-dials use the short window
-	downUntil time.Time // failed-dial backoff: drop sends without redialing
-	downSeen  uint64    // arrivals when the backoff began; a later one lifts it
+	raw       syscall.RawConn // conn's socket, kept for connDead
+	connected bool            // ever connected: re-dials use the short window
+	iov       net.Buffers     // the writer's segment list
+
+	qmu     sync.Mutex
+	queue   []wireFrame   // frames waiting for the writer, in send order
+	spare   []wireFrame   // the writer's previous batch, emptied, for reuse
+	writing bool          // the writer role is held: by a Send writing inline, or by drain
+	paused  bool          // a hold rule caught the queue: it waits for Heal
+	quiet   chan struct{} // closed when the role is next released (Shutdown waits on it)
+
+	downUntil atomic.Int64  // failed-dial backoff, in Unix ns (0: none): drop sends without redialing
+	downSeen  atomic.Uint64 // arrivals when the backoff began; a later one lifts it
 
 	connecting atomic.Pointer[<-chan struct{}] // the stop of the Connect in flight (nil: none)
 
@@ -185,9 +228,18 @@ type peerConn struct {
 
 // backedOff reports whether sends must drop without redialing: a dial
 // failed within redialBackoff and the peer has not connected since.
-// Callers hold p.mu.
 func (p *peerConn) backedOff() bool {
-	return time.Now().Before(p.downUntil) && p.arrivals.Load() == p.downSeen
+	until := p.downUntil.Load()
+	return until != 0 && time.Now().UnixNano() < until && p.arrivals.Load() == p.downSeen.Load()
+}
+
+// setConn installs a freshly dialed connection and keeps its socket for
+// connDead. Callers hold p.mu.
+func (p *peerConn) setConn(c net.Conn) {
+	p.conn, p.raw = c, nil
+	if sc, ok := c.(syscall.Conn); ok {
+		p.raw, _ = sc.SyscallConn()
+	}
 }
 
 // departed reports whether the peer's latest connection said goodbye or
@@ -272,7 +324,7 @@ func (m *Mesh) Connect(rank int, stop <-chan struct{}) {
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		m.write(rank, wireFrame{}) // connect only: one dial loop per peer, shared with sends
+		m.writeFrames(p, nil) // connect only: one dial loop per peer, shared with sends
 		p.connecting.CompareAndSwap(&stop, nil)
 	}()
 }
@@ -286,9 +338,13 @@ func (m *Mesh) Addr() string { return m.ln.Addr().String() }
 // (blackhole: a partition outlasting TCP's patience). With hold=true
 // matched outbound frames are buffered instead and delivered in their
 // original order at the next Heal (a short partition: the kernel's
-// retransmissions win). The outbound connection of a blocked pair is
-// closed at the next send, so no half-open socket lingers behind the
-// rule. Frames already buffered by a previous hold rule set stay held.
+// retransmissions win): the peer's send queue pauses, and every frame for
+// it, held or sent later, waits there in send order. An established
+// connection of a blocked pair stays up, so the frames written on it
+// before the rule still arrive ahead of those written after it; a
+// connection dialed as the rule landed is closed at once, so no half-open
+// socket lingers behind the rule. Frames already buffered by a previous
+// hold rule set stay held.
 func (m *Mesh) SetPartition(block [][2]int, hold bool) {
 	blocked := make(map[[2]int]bool, len(block))
 	for _, p := range block {
@@ -300,31 +356,25 @@ func (m *Mesh) SetPartition(block [][2]int, hold bool) {
 	m.partMu.Unlock()
 }
 
-// Heal clears the partition rules and flushes frames buffered by a hold
-// rule set, in capture order, on a background drainer (the first write to
-// a severed pair may pay a re-dial). Drop-mode pairs simply re-dial
-// lazily on their next send — their frames are gone.
+// Heal clears the partition rules and resumes every send queue a hold
+// rule paused: each peer's writer sends its held frames in capture order
+// (the first write to a severed pair may pay a re-dial), and a send after
+// Heal queues behind them. Drop-mode pairs simply re-dial lazily on their
+// next send — their frames are gone.
 func (m *Mesh) Heal() {
 	m.partMu.Lock()
+	defer m.partMu.Unlock()
 	m.partBlocked = nil
-	held := m.partHeld
-	m.partHeld = nil
-	m.partMu.Unlock()
-	if len(held) == 0 || m.down.Load() {
-		return
-	}
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		for _, h := range held {
-			if m.down.Load() {
-				return
-			}
-			if !m.write(h.to, h.frame) {
-				m.noteDropped()
-			}
+	for _, p := range m.partHeld {
+		p.qmu.Lock()
+		p.paused = false
+		if len(p.queue) > 0 && !p.writing && !m.down.Load() {
+			m.claim(p)
+			go m.drain(p)
 		}
-	}()
+		p.qmu.Unlock()
+	}
+	m.partHeld = nil
 }
 
 // dropRule reports whether the directed pair is currently severed.
@@ -343,16 +393,45 @@ func (m *Mesh) dropInbound(from, to int) bool {
 	return m.partBlocked[[2]int{from, to}] && !m.partHold
 }
 
-// holdIfActive buffers a frame if a hold-mode rule currently covers the
-// pair, reporting whether it did.
-func (m *Mesh) holdIfActive(to int, frame wireFrame) bool {
+// holdIfActive reports whether a partition rule covers the pair of frames
+// about to be written, and buffers them if it is a hold rule: they go back
+// to the head of the peer's queue, ahead of everything sent after them,
+// and the queue pauses until Heal. A blocking sender of one of them
+// returns as from any held frame. The check and the hold are one critical
+// section, so a Heal cannot slip between them and lose the frames.
+func (m *Mesh) holdIfActive(p *peerConn, frames []wireFrame) (blocked, held bool) {
 	m.partMu.Lock()
 	defer m.partMu.Unlock()
-	if !m.partBlocked[[2]int{m.self, to}] || !m.partHold {
-		return false
+	if !m.partBlocked[[2]int{m.self, p.rank}] {
+		return false, false
 	}
-	m.partHeld = append(m.partHeld, heldFrame{to: to, frame: frame})
-	return true
+	if !m.partHold || len(frames) == 0 {
+		return true, m.partHold
+	}
+	p.qmu.Lock()
+	defer p.qmu.Unlock()
+	q := make([]wireFrame, 0, len(frames)+len(p.queue))
+	for _, f := range frames {
+		q = append(q, wireFrame{head: f.head, body: f.body}) // their senders are released by the caller
+	}
+	for _, f := range p.queue {
+		if f.done != nil {
+			close(f.done) // held now: its sender waits no longer
+		}
+		q = append(q, wireFrame{head: f.head, body: f.body})
+	}
+	p.queue = q
+	m.pauseLocked(p)
+	return true, true
+}
+
+// pauseLocked pauses p's send queue until Heal. Callers hold m.partMu and
+// p.qmu.
+func (m *Mesh) pauseLocked(p *peerConn) {
+	if !p.paused {
+		p.paused = true
+		m.partHeld = append(m.partHeld, p)
+	}
 }
 
 // Self returns the local rank.
@@ -408,13 +487,32 @@ func (m *Mesh) ReportLosses() { m.lossReports.Store(true) }
 // Shutdown implements transport.Interconnect: close the listener and every
 // connection and kill the local port, unblocking all receives. Each
 // outbound connection first carries a goodbye frame, so the peer can tell
-// this orderly exit from a crash.
+// this orderly exit from a crash. The goodbye is the connection's last
+// frame: writers busy with queued frames get goodbyeTimeout to finish
+// them, and whatever is still queued after that is counted as dropped.
 func (m *Mesh) Shutdown() {
 	if m.down.Swap(true) {
 		return
 	}
 	close(m.closed)
 	_ = m.ln.Close()
+	m.mu.Lock()
+	peers := make([]*peerConn, 0, len(m.peers))
+	for _, p := range m.peers {
+		peers = append(peers, p)
+	}
+	m.mu.Unlock()
+	expired := make(chan struct{})
+	timer := time.AfterFunc(goodbyeTimeout, func() { close(expired) })
+	defer timer.Stop()
+	for _, p := range peers {
+		if quiet := p.quietChan(); quiet != nil {
+			select {
+			case <-quiet:
+			case <-expired:
+			}
+		}
+	}
 	outbound := make(map[int]net.Conn)
 	m.mu.Lock()
 	for rank, p := range m.peers {
@@ -443,8 +541,25 @@ func (m *Mesh) Close() {
 	m.wg.Wait()
 }
 
+// quietChan returns a channel closed when p's writer role is next
+// released, or nil when no writer is active.
+func (p *peerConn) quietChan() <-chan struct{} {
+	p.qmu.Lock()
+	defer p.qmu.Unlock()
+	if !p.writing {
+		return nil
+	}
+	if p.quiet == nil {
+		p.quiet = make(chan struct{})
+	}
+	return p.quiet
+}
+
 // Send implements transport.Interconnect. A payload the wire cannot carry
-// is refused before anything is counted or traced.
+// is refused before anything is counted or traced. A posted message
+// (transport.Message.Posted) is queued for the peer's writer unless it is
+// a transport.SplitPayload: a split body is the caller's memory, which
+// must be in the kernel before Send returns.
 func (m *Mesh) Send(msg transport.Message) error {
 	if m.down.Load() {
 		return transport.ErrDown
@@ -479,31 +594,144 @@ func (m *Mesh) Send(msg transport.Message) error {
 	}
 	if msg.To == m.self {
 		if !m.port.Push(msg) {
-			m.noteDropped()
+			m.noteDropped(1)
 		}
 		return nil
 	}
-	frame := encodeFrame(msg, kind, head, body)
-	if m.dropRule(m.self, msg.To) {
-		// Partitioned pair: in hold mode the frame is buffered for the next
-		// Heal; in drop mode it vanishes and the sender never errors (the
-		// in-memory Network's semantics for a severed pair). write()
-		// re-checks the rule after any dial, so a rule installed while a
-		// send is mid-flight still cannot leak a frame or a connection.
-		if !m.holdIfActive(msg.To, frame) {
-			m.noteDropped()
-		}
-		return nil
-	}
-	if !m.write(msg.To, frame) {
-		m.noteDropped()
-	}
+	_, split := msg.Payload.(transport.SplitPayload)
+	m.send(m.peer(msg.To), encodeFrame(msg, kind, head, body), msg.Posted && !split)
 	return nil
 }
 
-func (m *Mesh) noteDropped() {
+// send hands one frame to the peer's writer role. A frame for a severed
+// pair is dropped or held first. A blocking send that finds the role free
+// takes it and writes the frame itself; one that finds frames queued or
+// the role held joins the queue and waits until its frame is in the kernel
+// or counted as dropped. A posted frame joins the queue, and starts a
+// writer goroutine if none is running; a post toward a departed or
+// backed-off peer is dropped at once instead.
+func (m *Mesh) send(p *peerConn, f wireFrame, posted bool) {
+	if m.severed(p, f) {
+		return
+	}
+	if posted && p.connecting.Load() == nil && (p.departed() || p.backedOff()) {
+		m.noteDropped(1)
+		return
+	}
+	p.qmu.Lock()
+	if m.down.Load() {
+		p.qmu.Unlock()
+		m.noteDropped(1)
+		return
+	}
+	switch {
+	case p.writing || p.paused:
+		if !posted && !p.paused {
+			f.done = make(chan struct{})
+		}
+		p.queue = append(p.queue, f)
+		p.qmu.Unlock()
+		if f.done != nil {
+			<-f.done
+		}
+		return
+	case posted:
+		p.queue = append(p.queue, f)
+		m.claim(p)
+		p.qmu.Unlock()
+		go m.drain(p)
+		return
+	}
+	m.claim(p)
+	p.qmu.Unlock()
+	m.noteDropped(m.writeFrames(p, []wireFrame{f}))
+	p.qmu.Lock()
+	if len(p.queue) > 0 && !p.paused {
+		go m.drain(p) // frames queued meanwhile: the role passes to a writer
+	} else {
+		m.releaseLocked(p)
+	}
+	p.qmu.Unlock()
+}
+
+// severed deals with a frame for a partitioned pair and reports whether the
+// pair is partitioned. In drop mode the frame vanishes and the sender never
+// errors (the in-memory Network's semantics for a severed pair); in hold
+// mode it joins the peer's paused queue. writeFrames re-checks the rule
+// after any dial, so a rule installed while a frame is queued or
+// mid-flight still cannot leak a frame or a connection.
+func (m *Mesh) severed(p *peerConn, f wireFrame) bool {
+	m.partMu.Lock()
+	defer m.partMu.Unlock()
+	if !m.partBlocked[[2]int{m.self, p.rank}] {
+		return false
+	}
+	if !m.partHold {
+		m.noteDropped(1)
+		return true
+	}
+	p.qmu.Lock()
+	p.queue = append(p.queue, f)
+	m.pauseLocked(p)
+	p.qmu.Unlock()
+	return true
+}
+
+// claim takes p's free writer role. Callers hold p.qmu and have seen the
+// role free and the mesh up under it. The role holder is counted in m.wg
+// until it releases the role, so a writer handing the role over to a
+// goroutine never adds to m.wg while Close may be waiting on it at zero.
+func (m *Mesh) claim(p *peerConn) {
+	p.writing = true
+	m.wg.Add(1)
+}
+
+// releaseLocked releases p's writer role. Callers hold p.qmu and the role.
+func (m *Mesh) releaseLocked(p *peerConn) {
+	p.writing = false
+	if p.quiet != nil {
+		close(p.quiet)
+		p.quiet = nil
+	}
+	m.wg.Done()
+}
+
+// drain is a peer's writer goroutine; it holds the writer role. It takes
+// everything queued, hands it to the kernel with one liveness probe and
+// one writev, and repeats until the queue is empty or paused.
+func (m *Mesh) drain(p *peerConn) {
+	var last []wireFrame
+	for {
+		p.qmu.Lock()
+		if last != nil {
+			p.spare = last
+		}
+		batch := p.queue
+		if len(batch) == 0 || p.paused {
+			m.releaseLocked(p)
+			p.qmu.Unlock()
+			return
+		}
+		p.queue, p.spare = p.spare, nil
+		p.qmu.Unlock()
+		m.noteDropped(m.writeFrames(p, batch))
+		for _, f := range batch {
+			if f.done != nil {
+				close(f.done)
+			}
+		}
+		clear(batch)
+		last = batch[:0]
+	}
+}
+
+// noteDropped counts n dropped messages.
+func (m *Mesh) noteDropped(n int) {
+	if n == 0 {
+		return
+	}
 	m.statMu.Lock()
-	m.stats.MessagesDropped++
+	m.stats.MessagesDropped += uint64(n)
 	m.statMu.Unlock()
 }
 
@@ -571,7 +799,7 @@ func (m *Mesh) peer(rank int) *peerConn {
 	defer m.mu.Unlock()
 	p := m.peers[rank]
 	if p == nil {
-		p = &peerConn{wake: make(chan struct{}, 1)}
+		p = &peerConn{rank: rank, wake: make(chan struct{}, 1)}
 		m.peers[rank] = p
 	}
 	return p
@@ -586,14 +814,10 @@ func (m *Mesh) peer(rank int) *peerConn {
 // half-open connection without error, which would silently swallow one
 // frame per dead connection. The peek bypasses the net poller (an expired
 // read deadline would short-circuit before reporting the buffered EOF) and
-// costs one syscall on the happy path.
-func connDead(c net.Conn) bool {
-	sc, ok := c.(syscall.Conn)
-	if !ok {
-		return false
-	}
-	raw, err := sc.SyscallConn()
-	if err != nil {
+// costs one syscall per batch on the happy path. raw is the socket kept
+// when the connection was dialed (peerConn.setConn).
+func connDead(raw syscall.RawConn) bool {
+	if raw == nil {
 		return false
 	}
 	dead := false
@@ -614,15 +838,17 @@ func connDead(c net.Conn) bool {
 	return dead
 }
 
-// write delivers one frame to a peer, dialing or re-dialing as needed. It
-// reports false when the frame could not be handed to the kernel (the peer
-// is down or departed); the message is then dropped, never queued. An
-// empty frame only connects (Connect); it and every write while it is in
-// flight dial patiently, sharing one dial loop per peer.
-func (m *Mesh) write(rank int, frame wireFrame) bool {
+// writeFrames hands frames to a peer in order, dialing or re-dialing as
+// needed, with one liveness probe and one write for the lot. It returns
+// how many of them, at the tail, it dropped because they could not reach
+// the kernel (the peer is down or departed); a dropped frame is never
+// queued again. Frames a hold rule catches are held, not dropped. An empty
+// list only connects (Connect); it and every write while it is in flight
+// dial patiently, sharing one dial loop per peer.
+func (m *Mesh) writeFrames(p *peerConn, frames []wireFrame) (lost int) {
 	debug := m.debug
-	connect := frame.head == nil
-	p := m.peer(rank)
+	rank := p.rank
+	connect := len(frames) == 0
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var stop <-chan struct{}
@@ -632,7 +858,7 @@ func (m *Mesh) write(rank int, frame wireFrame) bool {
 	}
 	patient := connect || pending != nil
 	departed := p.departed()
-	if p.conn != nil && (departed || connDead(p.conn)) {
+	if p.conn != nil && (departed || connDead(p.raw)) {
 		if debug && !departed {
 			fmt.Fprintf(os.Stderr, "tcp[%d]: probe found dead conn to %d, redialing\n", m.self, rank)
 		}
@@ -640,12 +866,13 @@ func (m *Mesh) write(rank int, frame wireFrame) bool {
 		p.conn = nil
 	}
 	if departed && !patient {
-		return false // gone: nothing to dial until it connects again
+		return len(frames) // gone: nothing to dial until it connects again
 	}
+	fresh := false // p.conn was dialed for these frames
 	for attempt := 0; attempt < 2; attempt++ {
 		if p.conn == nil {
 			if !patient && p.backedOff() {
-				return false // recent dial failure: drop without redialing
+				return len(frames) // recent dial failure: drop without redialing
 			}
 			window := m.dialWindow
 			if p.connected && !patient {
@@ -664,37 +891,49 @@ func (m *Mesh) write(rank int, frame wireFrame) bool {
 				if debug {
 					fmt.Fprintf(os.Stderr, "tcp[%d]: dial %d failed\n", m.self, rank)
 				}
-				p.downUntil, p.downSeen = time.Now().Add(redialBackoff), seen
-				return false
+				p.downSeen.Store(seen)
+				p.downUntil.Store(time.Now().Add(redialBackoff).UnixNano())
+				return len(frames)
 			}
-			p.conn = conn
+			p.setConn(conn)
 			p.connected = true
-			p.downUntil = time.Time{}
+			p.downUntil.Store(0)
+			fresh = true
 		}
-		if m.dropRule(m.self, rank) {
-			// A partition rule landed between Send's fast-path check and the
-			// (re)dial above: the frame must not cross, and the freshly
-			// dialed probe connection must not linger half-open behind the
-			// rule — close it here instead of leaking it in p.conn. Under a
-			// hold rule the frame is re-queued for the Heal flush.
-			_ = p.conn.Close()
-			p.conn = nil
-			return !connect && m.holdIfActive(rank, frame)
+		if blocked, held := m.holdIfActive(p, frames); blocked {
+			// A partition rule landed after the frames passed Send's check:
+			// they must not cross. Under a hold rule they go back to the
+			// head of the queue for the Heal. An established connection
+			// stays up: frames it already carries must not race a
+			// connection dialed after the rule. A probe connection dialed
+			// for these frames must not linger half-open behind the rule —
+			// close it here instead of leaking it in p.conn.
+			if fresh {
+				_ = p.conn.Close()
+				p.conn = nil
+			}
+			if held || connect {
+				return 0
+			}
+			return len(frames)
 		}
 		if connect {
-			return true
+			return 0
 		}
-		// Frames must hit the kernel atomically per connection to keep the
+		// Frames must hit the kernel in order per connection to keep the
 		// per-(src,dst) FIFO guarantee; p.mu is that per-peer write lock.
-		if err := frame.writeTo(p.conn); err == nil { //c3lint:allow lockblock per-peer FIFO framing requires the write under the lock
-			return true
-		} else if debug {
+		n, err := writeBatch(p.conn, &p.iov, frames) //c3lint:allow lockblock per-peer FIFO framing requires the write under the lock
+		if err == nil {
+			return 0
+		}
+		if debug {
 			fmt.Fprintf(os.Stderr, "tcp[%d]: write to %d failed: %v\n", m.self, rank, err)
 		}
+		frames = frames[n:] // the rest go once more, on a fresh connection
 		_ = p.conn.Close()
 		p.conn = nil
 	}
-	return false
+	return len(frames)
 }
 
 // dial connects to a peer and completes the handshake, retrying within the
@@ -898,7 +1137,7 @@ func (m *Mesh) readFrames(conn net.Conn) (int, uint64, error) {
 			continue // unknown or corrupt payload: drop the frame, keep the conn
 		}
 		if !m.port.Push(transport.Message{From: from, To: to, Class: class, Payload: payload, Trace: tctx, Gen: gen}) {
-			m.noteDropped()
+			m.noteDropped(1)
 		}
 	}
 }
@@ -935,7 +1174,7 @@ func (m *Mesh) land(br *bufio.Reader, peer, n int) (bool, error) {
 	}
 	e.Land()
 	if !m.port.Push(transport.Message{From: from, To: m.self, Class: class, Payload: e.Reply, Trace: tctx, Gen: gen}) {
-		m.noteDropped()
+		m.noteDropped(1)
 	}
 	return true, nil
 }

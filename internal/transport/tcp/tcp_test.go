@@ -222,18 +222,21 @@ func TestMeshRefusedSendIsNotCounted(t *testing.T) {
 
 // BenchmarkMeshWindow is one window of frames between two loopback meshes,
 // then an 8 B reply: the small-message stream (32 x 1 KiB, each frame
-// inline) and, as the bulk bypass, checkpoint-fragment-sized frames
-// (4 x 1 MiB, each written as header plus body).
+// inline), the same stream posted (an Isend window: the frames queue and
+// the peer's writer sends them in batches), and, as the bulk bypass,
+// checkpoint-fragment-sized frames (4 x 1 MiB, each written as header plus
+// body).
 func BenchmarkMeshWindow(b *testing.B) {
 	for _, c := range []struct {
 		name          string
 		window, frame int
-	}{{"32x1KiB", 32, 1 << 10}, {"4x1MiB", 4, 1 << 20}} {
-		b.Run(c.name, func(b *testing.B) { benchWindow(b, c.window, c.frame) })
+		posted        bool
+	}{{"32x1KiB", 32, 1 << 10, false}, {"32x1KiB-posted", 32, 1 << 10, true}, {"4x1MiB", 4, 1 << 20, false}} {
+		b.Run(c.name, func(b *testing.B) { benchWindow(b, c.window, c.frame, c.posted) })
 	}
 }
 
-func benchWindow(b *testing.B, window, frame int) {
+func benchWindow(b *testing.B, window, frame int, posted bool) {
 	meshes := newTestMeshes(b, 2)
 	client, server := meshes[0].Endpoint(0), meshes[1].Endpoint(1)
 	payload, reply := make(testPayload, frame), make(testPayload, 8)
@@ -259,7 +262,7 @@ func benchWindow(b *testing.B, window, frame int) {
 	b.ResetTimer()
 	for i := 0; i < n; i++ {
 		for k := 0; k < window; k++ {
-			if err := meshes[0].Send(transport.Message{From: 0, To: 1, Payload: payload}); err != nil {
+			if err := meshes[0].Send(transport.Message{From: 0, To: 1, Payload: payload, Posted: posted}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -64,6 +64,16 @@ func (c Class) String() string {
 // Gen is the sending attempt's generation: a Demux generation view stamps
 // it and interconnects carry it untouched, so the receiving node's view can
 // drop an older attempt's frames and hold a newer one's.
+//
+// Posted marks a send that need not wait for its frame to reach the
+// kernel: a non-blocking send whose payload owns its bytes, so nothing the
+// sender does afterwards can change them. An interconnect may queue a
+// posted message and return at once; per-pair FIFO order still holds
+// against every send before and after it. A drop the interconnect can
+// tell at send time (a departed peer, a severed pair) is counted before
+// Send returns, and a later one when the queue reaches it. The in-memory
+// Network ignores the flag, because its Send never waits on I/O, and the
+// TCP mesh does not carry it on the wire.
 type Message struct {
 	From    int
 	To      int
@@ -71,6 +81,7 @@ type Message struct {
 	Payload any
 	Trace   trace.Ctx
 	Gen     uint64
+	Posted  bool
 }
 
 // payloadSize reports the payload's transport size when it exposes one.
@@ -148,7 +159,10 @@ type Interconnect interface {
 	Size() int
 	// Send delivers msg toward its destination. It never blocks on the
 	// destination's consumption and returns ErrDown only when the local
-	// side has been shut down.
+	// side has been shut down. It returns once the message is handed on
+	// (to the destination's queue, or to the kernel) or counted as
+	// dropped; a posted message (Message.Posted) may instead be queued
+	// behind the sends before it and handed on after Send returns.
 	Send(msg Message) error
 	// Endpoint returns the receive port for a rank. Implementations backed
 	// by one process per rank return a dead port for non-local ranks.
