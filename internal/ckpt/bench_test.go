@@ -2,6 +2,8 @@ package ckpt
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -57,45 +59,97 @@ func newLayers(tb testing.TB, world *mpi.World, n int) []*Layer {
 }
 
 func benchPingPong(b *testing.B, size int, layered bool) {
+	p := newEchoPair(b, size, layered)
+	b.SetBytes(int64(2 * size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := p.run(b.N); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// echoPair is two ranks over the in-memory network, straight through mpi
+// or through ckpt.Layer, playing ping-pong with messages of one size.
+type echoPair struct {
+	comms    [2]pingPonger
+	msg, buf []byte
+}
+
+func newEchoPair(tb testing.TB, size int, layered bool) *echoPair {
 	world := mpi.NewWorld(2)
-	defer world.Shutdown()
-	comms := [2]pingPonger{world.Proc(0).CommWorld(), world.Proc(1).CommWorld()}
+	tb.Cleanup(world.Shutdown)
+	p := &echoPair{
+		comms: [2]pingPonger{world.Proc(0).CommWorld(), world.Proc(1).CommWorld()},
+		msg:   make([]byte, size),
+		buf:   make([]byte, size),
+	}
 	if layered {
-		for r, l := range newLayers(b, world, 2) {
-			comms[r] = l.World()
+		for r, l := range newLayers(tb, world, 2) {
+			p.comms[r] = l.World()
 		}
 	}
-	n := b.N
+	return p
+}
+
+// run plays n round trips, rank 1 echoing each message back, and returns
+// once both ranks are done.
+func (p *echoPair) run(n int) error {
 	echoed := make(chan error, 1)
 	go func() {
-		buf := make([]byte, size)
+		buf := make([]byte, len(p.buf))
 		for i := 0; i < n; i++ {
-			if _, err := comms[1].RecvBytes(buf, 0, 1); err != nil {
+			if _, err := p.comms[1].RecvBytes(buf, 0, 1); err != nil {
 				echoed <- err
 				return
 			}
-			if err := comms[1].SendBytes(buf, 0, 2); err != nil {
+			if err := p.comms[1].SendBytes(buf, 0, 2); err != nil {
 				echoed <- err
 				return
 			}
 		}
 		echoed <- nil
 	}()
-	msg, buf := make([]byte, size), make([]byte, size)
-	b.SetBytes(int64(2 * size))
-	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < n; i++ {
-		if err := comms[0].SendBytes(msg, 1, 1); err != nil {
-			b.Fatal(err)
+		if err := p.comms[0].SendBytes(p.msg, 1, 1); err != nil {
+			return err
 		}
-		if _, err := comms[0].RecvBytes(buf, 1, 2); err != nil {
-			b.Fatal(err)
+		if _, err := p.comms[0].RecvBytes(p.buf, 1, 2); err != nil {
+			return err
 		}
 	}
-	b.StopTimer()
-	if err := <-echoed; err != nil {
-		b.Fatal(err)
+	return <-echoed
+}
+
+// TestLayerAddsNoAllocationPerMessage: a round trip through the protocol
+// layer allocates no more objects than one straight through mpi, at 8 B
+// and at 1 KiB. The layer packs each message once behind its header and
+// reads each arrival in place, so a message costs it no buffer of its own.
+// A round trip's count is the difference between runs of 2k and k round
+// trips, each begun and ended with both ranks idle, so no allocation of
+// the echo's straddles a measurement.
+func TestLayerAddsNoAllocationPerMessage(t *testing.T) {
+	const k = 200
+	for _, size := range []int{8, 1 << 10} {
+		var allocs [2]float64
+		for i, layered := range []bool{false, true} {
+			p := newEchoPair(t, size, layered)
+			mallocs := func(n int) uint64 {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				if err := p.run(n); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs
+			}
+			once := mallocs(k)
+			allocs[i] = math.Round(float64(mallocs(2*k)-once) / k)
+		}
+		t.Logf("%d B round trip: direct %v allocs, layer %v", size, allocs[0], allocs[1])
+		if allocs[1] > allocs[0] {
+			t.Errorf("%d B round trip: layer allocates %v objects, direct %v", size, allocs[1], allocs[0])
+		}
 	}
 }
 

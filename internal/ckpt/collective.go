@@ -41,11 +41,18 @@ const (
 // AllreduceAux.
 type wplane struct{ *WComm }
 
+// SendColl copies the engine's view into the message packUser builds
+// behind the header, the stream's one copy.
 func (p wplane) SendColl(packed []byte, dst, k int) error {
-	return p.l.sendUser(p.c, packed, dst, mpi.MaxUserTag+101+k, viaColl)
+	msg, err := p.l.packUser(packed, len(packed), mpi.TypeByte)
+	if err != nil {
+		return err
+	}
+	return p.l.sendUser(p.c, msg, dst, mpi.MaxUserTag+101+k, viaColl)
 }
 
-func (p wplane) RecvColl(_ []byte, n, src, k int) ([]byte, error) {
+// RecvColl returns the payload as a view of the message (finishRecv).
+func (p wplane) RecvColl(n, src, k int) ([]byte, error) {
 	res, err := p.l.recvUser(p.c, n, src, mpi.MaxUserTag+101+k, true)
 	return res.payload, err
 }

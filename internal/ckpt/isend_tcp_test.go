@@ -12,10 +12,9 @@ import (
 	"c3/internal/transport/tcp"
 )
 
-// tcpLayers brings up n ranks, each with its own loopback tcp.Mesh, MPI
-// world and protocol layer (the stack a c3node worker runs), torn down
-// when the test ends.
-func tcpLayers(t *testing.T, n int) []*Layer {
+// tcpWorlds brings up n ranks, each with its own loopback tcp.Mesh and MPI
+// world, torn down when the test ends. World r hosts rank r.
+func tcpWorlds(t testing.TB, n int) []*mpi.World {
 	t.Helper()
 	var meshes []*tcp.Mesh
 	for try := 0; ; try++ {
@@ -52,14 +51,25 @@ func tcpLayers(t *testing.T, n int) []*Layer {
 			m.Close()
 		}
 	})
+	worlds := make([]*mpi.World, n)
+	for r := range worlds {
+		worlds[r] = mpi.NewWorld(n, mpi.WithInterconnect(meshes[r]))
+	}
+	return worlds
+}
+
+// tcpLayers is tcpWorlds with a protocol layer on every rank (the stack a
+// c3node worker runs).
+func tcpLayers(t testing.TB, n int) []*Layer {
+	t.Helper()
+	worlds := tcpWorlds(t, n)
 	layers, errs := make([]*Layer, n), make([]error, n)
 	var wg sync.WaitGroup
 	for r := range layers {
 		wg.Add(1)
 		go func(r int) { // New is collective
 			defer wg.Done()
-			world := mpi.NewWorld(n, mpi.WithInterconnect(meshes[r]))
-			layers[r], errs[r] = New(world.Proc(r), Config{Store: stable.NewMemStore()})
+			layers[r], errs[r] = New(worlds[r].Proc(r), Config{Store: stable.NewMemStore()})
 		}(r)
 	}
 	wg.Wait()
@@ -133,5 +143,94 @@ func TestWCommIsendWindowOverTCP(t *testing.T) {
 	}
 	for _, l := range layers {
 		_ = l.Close(false)
+	}
+}
+
+// BenchmarkIsendWindowOverTCP prices the smallmsg-tcp workload's window
+// between two ranks on loopback meshes: 32 posted Isends of 1 KiB, Waitall,
+// then the receiver's 8 B ack, which it sends once it has received all 32.
+// The direct row runs straight through mpi.Comm, the layer row through
+// WComm. Allocations count both ranks.
+func BenchmarkIsendWindowOverTCP(b *testing.B) {
+	const window, size = 32, 1 << 10
+	for _, layered := range []bool{false, true} {
+		name := "direct"
+		if layered {
+			name = "layer"
+		}
+		b.Run(name, func(b *testing.B) {
+			var isend func(buf []byte) error
+			var waitall func() error
+			var comms [2]pingPonger
+			if layered {
+				layers := tcpLayers(b, 2)
+				w := layers[0].World()
+				ids := make([]int, 0, window)
+				isend = func(buf []byte) error {
+					id, err := w.Isend(buf, len(buf), mpi.TypeByte, 1, 1)
+					ids = append(ids, id)
+					return err
+				}
+				waitall = func() error {
+					_, err := w.Waitall(ids)
+					ids = ids[:0]
+					return err
+				}
+				comms = [2]pingPonger{w, layers[1].World()}
+			} else {
+				worlds := tcpWorlds(b, 2)
+				c := worlds[0].Proc(0).CommWorld()
+				reqs := make([]*mpi.Request, 0, window)
+				isend = func(buf []byte) error {
+					req, err := c.Isend(buf, len(buf), mpi.TypeByte, 1, 1)
+					reqs = append(reqs, req)
+					return err
+				}
+				waitall = func() error {
+					_, err := mpi.Waitall(reqs)
+					reqs = reqs[:0]
+					return err
+				}
+				comms = [2]pingPonger{c, worlds[1].Proc(1).CommWorld()}
+			}
+			n := b.N
+			served := make(chan error, 1)
+			go func() {
+				buf, ack := make([]byte, size), make([]byte, 8)
+				for i := 0; i < n; i++ {
+					for k := 0; k < window; k++ {
+						if _, err := comms[1].RecvBytes(buf, 0, 1); err != nil {
+							served <- err
+							return
+						}
+					}
+					if err := comms[1].SendBytes(ack, 0, 2); err != nil {
+						served <- err
+						return
+					}
+				}
+				served <- nil
+			}()
+			msg, ack := make([]byte, size), make([]byte, 8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < n; i++ {
+				for k := 0; k < window; k++ {
+					if err := isend(msg); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := waitall(); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := comms[0].RecvBytes(ack, 1, 2); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if err := <-served; err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -543,10 +543,22 @@ const (
 	viaColl                // the layer's collective plane
 )
 
-// sendUser transmits a packed user payload with the protocol applied: check
-// control messages, suppress Was-Early re-sends during recovery, piggyback
-// the header, and count the send (paper Figure 4, chkpt_MPI_Send).
-func (l *Layer) sendUser(c *mpi.Comm, payload []byte, destComm, tag int, via sendVia) error {
+// packUser packs count elements of dt from buf into a fresh buffer, behind
+// room for the piggyback header. That buffer is the whole message: sendUser
+// writes the header into the room and hands the buffer over to mpi
+// (Comm.SendPacked), so a wrapped message is packed once and copied no
+// further before it reaches the transport.
+func (l *Layer) packUser(buf []byte, count int, dt *mpi.Datatype) ([]byte, error) {
+	w := l.codec.Width()
+	return dt.AppendPacked(make([]byte, w, w+max(count, 0)*dt.Size()), buf, count)
+}
+
+// sendUser transmits a message packUser built, with the protocol applied:
+// check control messages, suppress Was-Early re-sends during recovery,
+// piggyback the header, and count the send (paper Figure 4,
+// chkpt_MPI_Send). The header is written at the last moment, because the
+// control messages checked first may move the epoch.
+func (l *Layer) sendUser(c *mpi.Comm, msg []byte, destComm, tag int, via sendVia) error {
 	coll := via == viaColl
 	if l.err != nil {
 		return l.err
@@ -564,31 +576,28 @@ func (l *Layer) sendUser(c *mpi.Comm, payload []byte, destComm, tag int, via sen
 		l.maybeFinishRestore()
 		return nil
 	}
-	w := l.codec.Width()
-	buf := make([]byte, 0, w+len(payload))
-	buf = l.encodeHeader(buf)
-	buf = append(buf, payload...)
+	l.encodeHeader(msg[:0]) // in place: packUser left the room
 	var err error
 	switch via {
 	case viaColl:
-		err = c.SendPackedColl(buf, destComm, tag)
+		err = c.SendPackedColl(msg, destComm, tag)
 	case viaPost:
-		err = c.PostPacked(buf, destComm, tag)
+		err = c.PostPacked(msg, destComm, tag)
 	default:
-		err = c.SendPacked(buf, destComm, tag)
+		err = c.SendPacked(msg, destComm, tag)
 	}
 	if err != nil {
 		return err
 	}
 	l.noteSent(c, destComm)
-	l.stats.PiggybackBytes += uint64(w)
+	l.stats.PiggybackBytes += uint64(l.codec.Width())
 	return nil
 }
 
 // recvResult describes a protocol-level receive completion.
 type recvResult struct {
 	status        mpi.Status // user view: Bytes excludes the header
-	payload       []byte     // packed user payload
+	payload       []byte     // packed user payload: a view of the message, or the log's copy
 	class         Class
 	lateSeq       uint64 // valid when class == ClassLate
 	replay        bool   // satisfied from the Late-Message-Registry
@@ -631,19 +640,18 @@ func (l *Layer) recvUser(c *mpi.Comm, capBytes, src, tag int, coll bool) (recvRe
 			l.maybeFinishRestore()
 		}
 	}
-	w := l.codec.Width()
-	staging := make([]byte, w+capBytes)
 	var st mpi.Status
+	var msg []byte
 	var err error
 	if coll {
-		st, err = c.RecvPackedColl(staging, src, tag)
+		st, msg, err = c.RecvPackedColl(src, tag)
 	} else {
-		st, err = c.RecvPacked(staging, src, tag)
+		st, msg, err = c.RecvPacked(src, tag)
 	}
 	if err != nil {
 		return recvResult{}, err
 	}
-	res, err := l.finishRecv(c, st, staging, wildcard, coll)
+	res, err := l.finishRecv(c, st, msg, capBytes, wildcard, coll)
 	if err != nil {
 		return res, err
 	}
@@ -652,19 +660,25 @@ func (l *Layer) recvUser(c *mpi.Comm, capBytes, src, tag int, coll bool) (recvRe
 	return res, l.applyTransitions()
 }
 
-// finishRecv strips the header from a raw arrival and performs the
-// classification bookkeeping. It is shared by blocking receives and
-// non-blocking completions.
-func (l *Layer) finishRecv(c *mpi.Comm, st mpi.Status, staging []byte, wildcard, coll bool) (recvResult, error) {
+// finishRecv decodes the header of an arrived message, msg, and performs
+// the classification bookkeeping. It is shared by blocking receives and
+// non-blocking completions. msg is the message's own bytes (a view of its
+// frame, mpi.Comm.IrecvPacked), so the payload it returns is a view too,
+// unpacked by the caller straight into the user's buffer. A payload longer
+// than capBytes is refused before it is accounted.
+func (l *Layer) finishRecv(c *mpi.Comm, st mpi.Status, msg []byte, capBytes int, wildcard, coll bool) (recvResult, error) {
 	w := l.codec.Width()
 	if st.Bytes < w {
 		return recvResult{}, l.fatal(fmt.Errorf("ckpt: message without piggyback header (%d bytes)", st.Bytes))
 	}
-	hdr, err := l.codec.Decode(staging[:st.Bytes])
+	if st.Bytes-w > capBytes {
+		return recvResult{}, fmt.Errorf("%w: %d bytes into %d-byte buffer", mpi.ErrTruncate, st.Bytes-w, capBytes)
+	}
+	hdr, err := l.codec.Decode(msg)
 	if err != nil {
 		return recvResult{}, l.fatal(err)
 	}
-	payload := staging[w:st.Bytes]
+	payload := msg[w:]
 	ust := mpi.Status{Source: st.Source, Tag: st.Tag, Bytes: st.Bytes - w}
 	cls, seq, err := l.accountRecv(c, ust, hdr, payload, wildcard, coll)
 	if err != nil {

@@ -55,7 +55,6 @@ type ReqEntry struct {
 	dt       *mpi.Datatype // application datatype (nil until reattached)
 	count    int           // element count
 	comm     *mpi.Comm
-	staging  []byte       // raw receive buffer (header + packed payload)
 	mpiReq   *mpi.Request // live request, nil if replayed/suppressed
 	wildcard bool
 	replay   *LateEntry // reserved log entry for recovery-time requests

@@ -78,34 +78,25 @@ func (w *WComm) Send(buf []byte, count int, dt *mpi.Datatype, dest, tag int) err
 	if err := checkWrappedTag(tag); err != nil {
 		return err
 	}
-	packed, err := dt.Pack(buf, count)
+	msg, err := w.l.packUser(buf, count, dt)
 	if err != nil {
 		return err
 	}
-	return w.l.sendUser(w.c, packed, dest, tag, viaSend)
+	return w.l.sendUser(w.c, msg, dest, tag, viaSend)
 }
 
 // SendBytes sends a raw byte payload.
 func (w *WComm) SendBytes(data []byte, dest, tag int) error {
-	if err := checkWrappedTag(tag); err != nil {
-		return err
-	}
-	return w.l.sendUser(w.c, data, dest, tag, viaSend)
+	return w.Send(data, len(data), mpi.TypeByte, dest, tag)
 }
 
 // Recv receives into buf; src may be mpi.AnySource and tag mpi.AnyTag.
 func (w *WComm) Recv(buf []byte, count int, dt *mpi.Datatype, src, tag int) (mpi.Status, error) {
 	res, err := w.l.recvUser(w.c, count*dt.Size(), src, tag, false)
-	if err != nil {
-		return res.status, err
+	if err == nil {
+		err = deliverPayload(res.payload, buf, dt)
 	}
-	if dt.Size() > 0 {
-		n := len(res.payload) / dt.Size()
-		if _, err := dt.Unpack(res.payload, buf, n); err != nil {
-			return res.status, err
-		}
-	}
-	return res.status, nil
+	return res.status, err
 }
 
 // RecvBytes receives a raw byte payload.
@@ -185,11 +176,11 @@ func (w *WComm) Isend(buf []byte, count int, dt *mpi.Datatype, dest, tag int) (i
 	if err := checkWrappedTag(tag); err != nil {
 		return 0, err
 	}
-	packed, err := dt.Pack(buf, count)
+	msg, err := w.l.packUser(buf, count, dt)
 	if err != nil {
 		return 0, err
 	}
-	if err := w.l.sendUser(w.c, packed, dest, tag, viaPost); err != nil {
+	if err := w.l.sendUser(w.c, msg, dest, tag, viaPost); err != nil {
 		return 0, err
 	}
 	e := w.l.reqs.New(&ReqEntry{
@@ -254,8 +245,7 @@ func (w *WComm) Irecv(buf []byte, count int, dt *mpi.Datatype, src, tag int) (in
 			l.maybeFinishRestore()
 		}
 	}
-	e.staging = make([]byte, l.codec.Width()+capBytes)
-	req, err := w.c.IrecvPacked(e.staging, postSrc, postTag)
+	req, err := w.c.IrecvPacked(postSrc, postTag)
 	if err != nil {
 		return 0, err
 	}
@@ -363,7 +353,7 @@ func (l *Layer) replayLateCompletion(e *ReqEntry) (mpi.Status, error) {
 // logging phase, we mark the type of message matching the posted request"),
 // pin wildcard completions for replay, and unpack into the app buffer.
 func (l *Layer) completeRecvEntry(e *ReqEntry, st mpi.Status) error {
-	res, err := l.finishRecv(e.comm, st, e.staging, false, false)
+	res, err := l.finishRecv(e.comm, st, e.mpiReq.Data(), e.BytesCap, false, false)
 	if err != nil {
 		return err
 	}
@@ -451,7 +441,7 @@ func (l *Layer) testReq(id int) (mpi.Status, bool, error) {
 		return mpi.Status{}, false, nil
 	}
 	if err := l.completeRecvEntry(e, st); err != nil {
-		return e.Status, true, err
+		return e.Status, e.Done, err
 	}
 	ust := e.Status
 	l.reqs.Release(id, l.inPeriod())
@@ -663,7 +653,7 @@ func (l *Layer) adoptRestored(e *ReqEntry, re *restoredEntry) error {
 			if !ok || ce.Comm == nil {
 				return fmt.Errorf("ckpt: request %d: communicator ctx %d not restored", e.ID, e.Ctx)
 			}
-			req, err := ce.Comm.IrecvPacked(e.staging, int(e.PinSrc), int(e.PinTag))
+			req, err := ce.Comm.IrecvPacked(int(e.PinSrc), int(e.PinTag))
 			if err != nil {
 				return err
 			}
@@ -674,9 +664,9 @@ func (l *Layer) adoptRestored(e *ReqEntry, re *restoredEntry) error {
 }
 
 // repostRestored posts the underlying receive for a restored crossing
-// request that the prologue did not re-create. The payload lands in a
-// staging buffer; the application must call ReattachRecvBuffer before
-// waiting on it.
+// request that the prologue did not re-create. The request has no buffer
+// to unpack into until the application calls ReattachRecvBuffer, which it
+// must do before waiting on it.
 func (l *Layer) repostRestored(e *ReqEntry) error {
 	ce, ok := l.comms.ByCtx(e.Ctx)
 	if !ok || ce.Comm == nil {
@@ -688,8 +678,7 @@ func (l *Layer) repostRestored(e *ReqEntry) error {
 	if e.Pinned {
 		src, tag = int(e.PinSrc), int(e.PinTag)
 	}
-	e.staging = make([]byte, l.codec.Width()+e.BytesCap)
-	req, err := ce.Comm.IrecvPacked(e.staging, src, tag)
+	req, err := ce.Comm.IrecvPacked(src, tag)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -267,6 +268,74 @@ func TestLateReplayAfterFailure(t *testing.T) {
 	}
 	if res.Stats[1].Stats.ReplayedLate != 1 {
 		t.Fatalf("rank 1 replayed %d late messages, want 1", res.Stats[1].Stats.ReplayedLate)
+	}
+}
+
+// TestLateReplayKeepsBytesAsSent: a late message's payload is logged when
+// it arrives and replayed after a failure with the bytes it was sent with,
+// though the sender overwrote its buffer as soon as SendBytes returned and
+// the in-memory interconnect hands messages over by reference. The go
+// message sent after the overwrite carries the overwritten bytes; it is
+// late too, and is received first, so the payload is logged only after
+// the overwrite, and after a later message of the same size was packed.
+func TestLateReplayKeepsBytesAsSent(t *testing.T) {
+	const tagData, tagGo = 7, 8
+	sent := bytes.Repeat([]byte("late"), 256)
+	rec := newRecorder()
+	cfg := cluster.Config{
+		Ranks:    2,
+		Failures: []cluster.FailureSpec{{Rank: 0, AtPragma: 2}},
+		App: func(env cluster.Env) error {
+			phase := env.State().Int("phase")
+			if _, err := env.Restore(); err != nil {
+				return err
+			}
+			w := env.World()
+			if phase.Get() < 1 {
+				if env.Rank() == 0 {
+					buf := bytes.Clone(sent)
+					if err := w.SendBytes(buf, 1, tagData); err != nil {
+						return err
+					}
+					copy(buf, bytes.Repeat([]byte{'!'}, len(buf)))
+					if err := w.SendBytes(buf, 1, tagGo); err != nil {
+						return err
+					}
+				}
+				phase.Set(1)
+				if err := env.CheckpointNow(); err != nil { // pragma 1
+					return err
+				}
+			}
+			if env.Rank() == 1 && phase.Get() < 2 {
+				got := make([]byte, len(sent))
+				if _, err := w.RecvBytes(make([]byte, len(sent)), 0, tagGo); err != nil {
+					return err
+				}
+				if _, err := w.RecvBytes(got, 0, tagData); err != nil {
+					return err
+				}
+				if bytes.Equal(got, sent) {
+					rec.add("intact", 1)
+				}
+				phase.Set(2)
+			}
+			if err := cluster.LayerOf(env).Sync(); err != nil {
+				return err
+			}
+			return env.Checkpoint() // pragma 2: rank 0 dies here on attempt 0
+		},
+	}
+	res := run(t, cfg)
+	if res.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2", res.Attempts)
+	}
+	// Received for real on attempt 0, then replayed from the log.
+	if n := len(rec.get("intact")); n != 2 {
+		t.Fatalf("%d of 2 receives saw the bytes as sent", n)
+	}
+	if res.Stats[1].Stats.ReplayedLate != 2 {
+		t.Fatalf("rank 1 replayed %d late messages, want 2", res.Stats[1].Stats.ReplayedLate)
 	}
 }
 

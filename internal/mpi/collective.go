@@ -15,16 +15,14 @@ import (
 // Ownership: SendColl must not keep packed after it returns, so the engine
 // passes views of user buffers and reused scratch space without copying.
 // RecvColl receives one stream of kind k from src, at most n bytes, and
-// returns its bytes: either buf, filled, or bytes the plane already holds,
-// which the engine only reads. buf is nil or n bytes long; a plane that
-// fills a buffer allocates one when buf is nil, and a plane that holds the
-// bytes ignores buf, so the engine allocates nothing for it. The engine
-// checks the exact size.
+// returns the bytes the plane holds for it: the message's own (see
+// Comm.IrecvPacked), which the engine only reads, so it receives into no
+// buffer of its own. The engine checks the exact size.
 type Plane interface {
 	Rank() int
 	Size() int
 	SendColl(packed []byte, dst, k int) error
-	RecvColl(buf []byte, n, src, k int) ([]byte, error)
+	RecvColl(n, src, k int) ([]byte, error)
 }
 
 // Collective kinds. A plane maps each to a tag of its own; distinct tags
@@ -46,36 +44,25 @@ const (
 // above the user range, so they never match user point-to-point traffic.
 type nativePlane struct{ *Comm }
 
+// SendColl copies packed into the message: it is a view of a user buffer
+// or of scratch space the engine reuses, and the message must own its
+// bytes (Comm.SendPackedColl).
 func (p nativePlane) SendColl(packed []byte, dst, k int) error {
-	return p.SendPackedColl(packed, dst, MaxUserTag+1+k)
+	return p.SendPackedColl(append([]byte(nil), packed...), dst, MaxUserTag+1+k)
 }
 
-func (p nativePlane) RecvColl(buf []byte, n, src, k int) ([]byte, error) {
-	if buf == nil {
-		buf = make([]byte, n)
-	}
-	st, err := p.RecvPackedColl(buf, src, MaxUserTag+1+k)
-	if err != nil {
-		return nil, err
-	}
-	return buf[:st.Bytes], nil
+func (p nativePlane) RecvColl(_, src, k int) ([]byte, error) {
+	_, data, err := p.RecvPackedColl(src, MaxUserTag+1+k)
+	return data, err
 }
 
-// recv receives a stream of exactly n bytes into buf (see Plane).
-func recv(p Plane, buf []byte, n, src, k int) ([]byte, error) {
-	got, err := p.RecvColl(buf, n, src, k)
+// recv receives a stream of exactly n bytes (see Plane).
+func recv(p Plane, n, src, k int) ([]byte, error) {
+	got, err := p.RecvColl(n, src, k)
 	if err == nil && len(got) != n {
 		err = fmt.Errorf("%w: collective stream from %d: %d bytes, want %d", ErrTruncate, src, len(got), n)
 	}
 	return got, err
-}
-
-// land makes dst hold the received stream got, unless the plane filled dst
-// itself.
-func land(dst, got []byte) {
-	if len(got) > 0 && &dst[0] != &got[0] {
-		copy(dst, got)
-	}
 }
 
 // sendView returns count elements of dt from buf packed for sending. A
@@ -85,7 +72,7 @@ func sendView(dt *Datatype, buf []byte, count int, scratch *[]byte) ([]byte, err
 	if n := count * dt.size; dt.dense && count >= 0 && n <= len(buf) {
 		return buf[:n], nil
 	}
-	b, err := dt.appendPacked((*scratch)[:0], buf, count)
+	b, err := dt.AppendPacked((*scratch)[:0], buf, count)
 	*scratch = b
 	return b, err
 }
@@ -98,7 +85,7 @@ func Barrier(p Plane) error {
 		if err := p.SendColl(nil, (me+k)%n, kBarrier); err != nil {
 			return err
 		}
-		if _, err := recv(p, nil, 0, (me-k+n)%n, kBarrier); err != nil {
+		if _, err := recv(p, 0, (me-k+n)%n, kBarrier); err != nil {
 			return err
 		}
 	}
@@ -108,13 +95,13 @@ func Barrier(p Plane) error {
 // bcast sends the size bytes of root's buf down a binomial tree over
 // virtual ranks, root being 0: a rank receives from vr with its lowest set
 // bit cleared and forwards to vr|bit for each bit below that one. It
-// returns the bytes this rank now holds; elsewhere than at root, buf is
-// the receive buffer, or nil (see Plane).
+// returns the bytes this rank now holds: elsewhere than at root, the
+// plane's (see Plane), and buf is not used.
 func bcast(p Plane, buf []byte, size, root, k int) ([]byte, error) {
 	n := p.Size()
 	vr := (p.Rank() - root + n) % n
 	if vr != 0 {
-		got, err := recv(p, buf, size, (vr&(vr-1)+root)%n, k)
+		got, err := recv(p, size, (vr&(vr-1)+root)%n, k)
 		if err != nil {
 			return nil, err
 		}
@@ -159,11 +146,11 @@ func gatherInto(p Plane, mine, all []byte, root, k int) error {
 			copy(slot, mine)
 			continue
 		}
-		got, err := recv(p, slot, chunk, r, k)
+		got, err := recv(p, chunk, r, k)
 		if err != nil {
 			return err
 		}
-		land(slot, got)
+		copy(slot, got)
 	}
 	return nil
 }
@@ -182,14 +169,12 @@ func Gather(p Plane, sendBuf []byte, sendCount int, sendType *Datatype, recvBuf 
 	if recvCount*recvType.Size() != len(mine) {
 		return fmt.Errorf("%w: gather recv %d bytes/rank, send %d", ErrInvalid, recvCount*recvType.Size(), len(mine))
 	}
-	var space []byte // a filling plane's buffer, reused for every stream
 	for r := 0; r < p.Size(); r++ {
 		got := mine
 		if r != root {
-			if got, err = recv(p, space, len(mine), r, kGather); err != nil {
+			if got, err = recv(p, len(mine), r, kGather); err != nil {
 				return err
 			}
-			space = got
 		}
 		if _, err := recvType.Unpack(got, recvBuf[r*recvCount*recvType.Extent():], recvCount); err != nil {
 			return err
@@ -203,7 +188,7 @@ func Gather(p Plane, sendBuf []byte, sendCount int, sendType *Datatype, recvBuf 
 func Scatter(p Plane, sendBuf []byte, sendCount int, sendType *Datatype, recvBuf []byte, recvCount int, recvType *Datatype, root int) error {
 	chunk := recvCount * recvType.Size()
 	if p.Rank() != root {
-		got, err := recv(p, nil, chunk, root, kScatter)
+		got, err := recv(p, chunk, root, kScatter)
 		if err != nil {
 			return err
 		}
@@ -279,14 +264,12 @@ func Alltoall(p Plane, sendBuf []byte, count int, dt *Datatype, recvBuf []byte) 
 			return err
 		}
 	}
-	var space []byte // a filling plane's buffer, reused for every stream
 	for k := 1; k < n; k++ {
 		src := (me - k + n) % n
-		got, err := recv(p, space, count*dt.Size(), src, kAlltoall)
+		got, err := recv(p, count*dt.Size(), src, kAlltoall)
 		if err != nil {
 			return err
 		}
-		space = got
 		if _, err := dt.Unpack(got, recvBuf[src*span:], count); err != nil {
 			return err
 		}
@@ -317,11 +300,11 @@ func Alltoallv(p Plane, sendBuf []byte, sendCounts, sendDispls []int, recvBuf []
 	for k := 1; k < n; k++ {
 		src := (me - k + n) % n
 		slot := recvBuf[recvDispls[src] : recvDispls[src]+recvCounts[src]]
-		got, err := recv(p, slot, len(slot), src, kAlltoall)
+		got, err := recv(p, len(slot), src, kAlltoall)
 		if err != nil {
 			return err
 		}
-		land(slot, got)
+		copy(slot, got)
 	}
 	return nil
 }
@@ -329,9 +312,10 @@ func Alltoallv(p Plane, sendBuf []byte, sendCounts, sendDispls []int, recvBuf []
 // fold sends every rank's mine to root, which folds the contributions in
 // ascending rank order, acc = op(acc, x_r), so floating-point results are
 // deterministic, and returns acc (nil elsewhere). With aux, each
-// contribution leads with an int64 folded by MIN. The root receives into
-// two buffers and swaps them as it folds: Op.Apply writes its second
-// operand, and bytes a plane holds are only read.
+// contribution leads with an int64 folded by MIN. The root copies each
+// contribution into one of two buffers and swaps them as it folds:
+// Op.Apply writes its second operand, and bytes a plane holds are only
+// read.
 func fold(p Plane, mine []byte, root, k int, op *Op, dt *Datatype, count int, aux bool) ([]byte, error) {
 	if p.Rank() != root {
 		return nil, p.SendColl(mine, root, k)
@@ -345,7 +329,7 @@ func fold(p Plane, mine []byte, root, k int, op *Op, dt *Datatype, count int, au
 		got := mine
 		if r != root {
 			var err error
-			if got, err = recv(p, x, len(x), r, k); err != nil {
+			if got, err = recv(p, len(x), r, k); err != nil {
 				return nil, err
 			}
 		}
@@ -353,7 +337,7 @@ func fold(p Plane, mine []byte, root, k int, op *Op, dt *Datatype, count int, au
 			copy(acc, got)
 			continue
 		}
-		land(x, got)
+		copy(x, got)
 		if aux && int64(binary.LittleEndian.Uint64(acc)) < int64(binary.LittleEndian.Uint64(x)) {
 			copy(x[:8], acc[:8])
 		}
@@ -386,7 +370,7 @@ func Reduce(p Plane, sendBuf, recvBuf []byte, count int, dt *Datatype, op *Op, r
 // in the same round: a fold to rank 0 plus a broadcast.
 func allreduceAux(p Plane, sendBuf, recvBuf []byte, count int, dt *Datatype, op *Op, aux int64) (int64, error) {
 	mine := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+count*dt.Size()), uint64(aux))
-	mine, err := dt.appendPacked(mine, sendBuf, count)
+	mine, err := dt.AppendPacked(mine, sendBuf, count)
 	if err != nil {
 		return 0, err
 	}
@@ -416,7 +400,7 @@ func Scan(p Plane, sendBuf, recvBuf []byte, count int, dt *Datatype, op *Op) err
 	}
 	n, me := p.Size(), p.Rank()
 	if me > 0 {
-		prefix, err := recv(p, nil, len(acc), me-1, kScan)
+		prefix, err := recv(p, len(acc), me-1, kScan)
 		if err != nil {
 			return err
 		}

@@ -175,7 +175,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		}
 	} else {
 		var err error
-		if myEnc, err = p.RecvColl(nil, 8+8*n+64, 0, kCtxAlloc); err != nil {
+		if myEnc, err = p.RecvColl(8+8*n+64, 0, kCtxAlloc); err != nil {
 			return nil, err
 		}
 	}

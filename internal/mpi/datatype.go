@@ -210,12 +210,13 @@ func Struct(blockLens, byteDispls []int, types []*Datatype) (*Datatype, error) {
 // reuse src as soon as Send returns while the receiver still holds the
 // packed bytes.
 func (d *Datatype) Pack(src []byte, count int) ([]byte, error) {
-	return d.appendPacked(nil, src, count)
+	return d.AppendPacked(nil, src, count)
 }
 
-// appendPacked appends the packed form of count elements of src to dst. A
-// nil dst gets a fresh buffer of exactly the packed size.
-func (d *Datatype) appendPacked(dst, src []byte, count int) ([]byte, error) {
+// AppendPacked appends the packed form of count elements of src to dst, as
+// Pack does, so a caller can pack a message behind a header of its own in
+// one buffer. A nil dst gets a fresh buffer of exactly the packed size.
+func (d *Datatype) AppendPacked(dst, src []byte, count int) ([]byte, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("%w: pack count %d", ErrInvalid, count)
 	}

@@ -97,23 +97,42 @@ func (e *Envelope) TransportSize() int { return len(e.Data) }
 // WireKind implements transport.WirePayload.
 func (e *Envelope) WireKind() uint8 { return transport.WireKindEnvelope }
 
+// envelopeHead is the length of an envelope's encoding before its data:
+// source, tag, context and the data's length prefix.
+const envelopeHead = 4 + 8 + 4 + 4
+
 // MarshalWire implements transport.WirePayload.
 func (e *Envelope) MarshalWire() []byte {
-	w := wire.NewWriter(24 + len(e.Data))
+	w := wire.NewWriter(envelopeHead + len(e.Data))
+	e.writeHead(w)
+	return append(w.Bytes(), e.Data...)
+}
+
+// WireParts implements transport.SplitPayload: the data is the message's
+// own (see Comm.SendPacked), so a wire may frame or write it from where it
+// lies.
+func (e *Envelope) WireParts() (head, body []byte) {
+	w := wire.NewWriter(envelopeHead)
+	e.writeHead(w)
+	return w.Bytes(), e.Data
+}
+
+func (e *Envelope) writeHead(w *wire.Writer) {
 	w.U32(uint32(e.SrcWorld))
 	w.I64(int64(e.Tag))
 	w.U32(e.Ctx)
-	w.Bytes32(e.Data)
-	return w.Bytes()
+	w.U32(uint32(len(e.Data)))
 }
 
 func init() {
+	// The decoder keeps a view of the frame it is handed (DecodeWirePayload
+	// hands the bytes over): a received envelope's Data is its frame body.
 	transport.RegisterWireDecoder(transport.WireKindEnvelope, func(data []byte) (any, error) {
 		r := wire.NewReader(data)
 		e := &Envelope{SrcWorld: int(r.U32())}
 		e.Tag = int(r.I64())
 		e.Ctx = r.U32()
-		e.Data = r.Bytes32()
+		e.Data = r.View32()
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("mpi: corrupt envelope frame: %w", err)
 		}

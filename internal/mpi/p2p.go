@@ -62,21 +62,6 @@ func (c *Comm) RecvBytes(buf []byte, src, tag int) (Status, error) {
 	return c.Recv(buf, len(buf), TypeByte, src, tag)
 }
 
-// recvInternal is a blocking receive on an explicit context id (collective
-// plane). Wildcards are permitted.
-func (p *Proc) recvInternal(buf []byte, src, tag int, c *Comm, ctx uint32) (Status, error) {
-	req := &Request{
-		proc: p, kind: reqRecv, buf: buf, count: len(buf), dt: TypeByte,
-		src: src, tag: tag, comm: c, ctx: ctx,
-	}
-	if env := p.takeUnexpected(req); env != nil {
-		req.complete(env)
-	} else {
-		p.posted = append(p.posted, req)
-	}
-	return req.Wait()
-}
-
 // Sendrecv performs a combined send and receive, safe against exchange
 // deadlock (sends are eager).
 func (c *Comm) Sendrecv(
@@ -135,13 +120,18 @@ func (c *Comm) statusFor(env *Envelope) Status {
 // exists for protocol layers (such as the checkpoint coordination layer)
 // that frame user payloads with their own headers and reserve internal tags
 // above MaxUserTag. Application code should use Send.
+//
+// The message takes data over as it is, without a copy: the caller built
+// data for this message and must not modify it after the call. The
+// in-memory interconnect hands the same slice to the receiver, and a
+// socket transport may write it after SendPacked returns.
 func (c *Comm) SendPacked(data []byte, dest, tag int) error {
 	return c.sendPacked(data, dest, tag, c.ctx, false)
 }
 
 // PostPacked is SendPacked for a non-blocking send: the transport may
-// still be writing the message when it returns. The message owns a copy
-// of data, so the caller may reuse data at once.
+// still be writing the message when it returns. data is handed over as in
+// SendPacked, which is what lets the send complete at once.
 func (c *Comm) PostPacked(data []byte, dest, tag int) error {
 	return c.sendPacked(data, dest, tag, c.ctx, true)
 }
@@ -151,38 +141,37 @@ func (c *Comm) sendPacked(data []byte, dest, tag int, ctx uint32, posted bool) e
 	if err != nil {
 		return err
 	}
-	return c.proc.send(wr, tag, ctx, append([]byte(nil), data...), posted)
+	return c.proc.send(wr, tag, ctx, data, posted)
 }
 
-// IrecvPacked posts a non-blocking receive of a packed payload into buf,
-// with no user-tag restriction. For protocol layers; see SendPacked.
-func (c *Comm) IrecvPacked(buf []byte, src, tag int) (*Request, error) {
+// IrecvPacked posts a non-blocking receive of a packed payload, with no
+// user-tag restriction. For protocol layers; see SendPacked.
+//
+// The request completes with the message's own bytes instead of a copy:
+// Request.Data returns them. They are a view of the frame the message
+// arrived in, or, on the in-memory interconnect, the buffer its sender
+// handed over; nobody else modifies them, so the caller may read them for
+// as long as it likes, and copies only what it keeps beyond that. There
+// is no receive buffer, so nothing is truncated: the caller checks the
+// length against what it can take.
+func (c *Comm) IrecvPacked(src, tag int) (*Request, error) {
 	if src != AnySource {
 		if _, err := c.WorldRank(src); err != nil {
 			return nil, err
 		}
 	}
-	req := &Request{
-		proc: c.proc, kind: reqRecv,
-		buf: buf, count: len(buf), dt: TypeByte,
-		src: src, tag: tag, comm: c, ctx: c.ctx,
-	}
-	if env := c.proc.takeUnexpected(req); env != nil {
-		req.complete(env)
-	} else {
-		c.proc.posted = append(c.proc.posted, req)
-	}
-	return req, nil
+	return c.proc.post(&Request{proc: c.proc, kind: reqRecv, view: true, src: src, tag: tag, comm: c, ctx: c.ctx}), nil
 }
 
-// RecvPacked receives a packed payload into buf, blocking. For protocol
-// layers; see SendPacked.
-func (c *Comm) RecvPacked(buf []byte, src, tag int) (Status, error) {
-	req, err := c.IrecvPacked(buf, src, tag)
+// RecvPacked receives a packed payload, blocking, and returns its bytes
+// as IrecvPacked's request does. For protocol layers; see SendPacked.
+func (c *Comm) RecvPacked(src, tag int) (Status, []byte, error) {
+	req, err := c.IrecvPacked(src, tag)
 	if err != nil {
-		return Status{}, err
+		return Status{}, nil, err
 	}
-	return req.Wait()
+	st, err := req.Wait()
+	return st, req.buf, err
 }
 
 // CollCtx returns the communicator's collective-plane context id. Protocol
@@ -190,14 +179,17 @@ func (c *Comm) RecvPacked(buf []byte, src, tag int) (Status, error) {
 // application wildcard receives on the point-to-point plane.
 func (c *Comm) CollCtx() uint32 { return c.collCtx() }
 
-// SendPackedColl is SendPacked on the communicator's collective plane.
+// SendPackedColl is SendPacked on the communicator's collective plane,
+// and hands data over in the same way.
 func (c *Comm) SendPackedColl(data []byte, dest, tag int) error {
 	return c.sendPacked(data, dest, tag, c.collCtx(), false)
 }
 
 // RecvPackedColl is RecvPacked on the communicator's collective plane.
-func (c *Comm) RecvPackedColl(buf []byte, src, tag int) (Status, error) {
-	return c.proc.recvInternal(buf, src, tag, c, c.collCtx())
+func (c *Comm) RecvPackedColl(src, tag int) (Status, []byte, error) {
+	req := c.proc.post(&Request{proc: c.proc, kind: reqRecv, view: true, src: src, tag: tag, comm: c, ctx: c.collCtx()})
+	st, err := req.Wait()
+	return st, req.buf, err
 }
 
 func checkUserTag(tag int) error {

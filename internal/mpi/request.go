@@ -16,6 +16,9 @@ type Request struct {
 	proc *Proc
 	kind reqKind
 	done bool
+	// view marks a view receive (Comm.IrecvPacked): it has no buffer to
+	// fill, and completes with buf set to the message's own bytes.
+	view bool
 
 	// Receive parameters.
 	buf   []byte
@@ -28,6 +31,21 @@ type Request struct {
 
 	status Status
 	err    error
+}
+
+// Data returns the payload a completed view receive (Comm.IrecvPacked)
+// holds: the message's own bytes, not a copy.
+func (r *Request) Data() []byte { return r.buf }
+
+// post completes a receive request at once from the unexpected queue when
+// a match already arrived, and queues it as posted otherwise.
+func (p *Proc) post(req *Request) *Request {
+	if env := p.takeUnexpected(req); env != nil {
+		req.complete(env)
+	} else {
+		p.posted = append(p.posted, req)
+	}
+	return req
 }
 
 // Done reports whether the request has completed. It does not progress the
@@ -57,13 +75,18 @@ func (r *Request) matches(env *Envelope) bool {
 	return true
 }
 
-// complete unpacks the payload into the request's buffer and records status.
+// complete unpacks the payload into the request's buffer, or keeps it for a
+// view receive, and records status.
 func (r *Request) complete(env *Envelope) {
 	r.done = true
 	commSrc, _ := r.comm.worldToComm(env.SrcWorld)
 	r.status = Status{Source: commSrc, Tag: env.Tag, Bytes: len(env.Data)}
 	r.proc.stats.Recvs++
 	r.proc.stats.BytesRecvd += uint64(len(env.Data))
+	if r.view {
+		r.buf = env.Data
+		return
+	}
 
 	maxBytes := r.count * r.dt.Size()
 	if len(env.Data) > maxBytes {
@@ -105,17 +128,11 @@ func (c *Comm) Irecv(buf []byte, count int, dt *Datatype, src, tag int) (*Reques
 			return nil, err
 		}
 	}
-	req := &Request{
+	return c.proc.post(&Request{
 		proc: c.proc, kind: reqRecv,
 		buf: buf, count: count, dt: dt,
 		src: src, tag: tag, comm: c, ctx: c.ctx,
-	}
-	if env := c.proc.takeUnexpected(req); env != nil {
-		req.complete(env)
-	} else {
-		c.proc.posted = append(c.proc.posted, req)
-	}
-	return req, nil
+	}), nil
 }
 
 // Wait blocks until the request completes and returns its status.

@@ -194,20 +194,23 @@ func writeBatch(c net.Conn, iov *net.Buffers, frames []wireFrame) (int, error) {
 
 // peerConn is the outbound connection to one peer.
 //
-// mu is its write lock and guards conn, raw, connected and iov: whoever
-// holds it is the one writing to conn. qmu guards the send queue and the
-// writer role and is never held across I/O, so a post never waits for a
-// write. The peer's events (arrival, departure) and the redial backoff are
-// atomics, read without either lock by the read paths, which must not wait
-// behind a dial, and by posts, which must not wait behind a write.
+// mu is its write lock and guards conn, raw, dead, connected and iov:
+// whoever holds it is the one writing to conn. qmu guards the send queue
+// and the writer role and is never held across I/O, so a post never waits
+// for a write. The peer's events (arrival, departure) and the redial
+// backoff are atomics, read without either lock by the read paths, which
+// must not wait behind a dial, and by posts, which must not wait behind a
+// write.
 type peerConn struct {
 	rank int
 
 	mu        sync.Mutex
 	conn      net.Conn
-	raw       syscall.RawConn // conn's socket, kept for connDead
-	connected bool            // ever connected: re-dials use the short window
-	iov       net.Buffers     // the writer's segment list
+	raw       syscall.RawConn  // conn's socket, kept for connDead
+	peek      func(fd uintptr) // connDead's probe of raw, made once: it sets dead
+	dead      bool             // the last probe's verdict
+	connected bool             // ever connected: re-dials use the short window
+	iov       net.Buffers      // the writer's segment list
 
 	qmu     sync.Mutex
 	queue   []wireFrame   // frames waiting for the writer, in send order
@@ -234,11 +237,15 @@ func (p *peerConn) backedOff() bool {
 }
 
 // setConn installs a freshly dialed connection and keeps its socket for
-// connDead. Callers hold p.mu.
+// connDead, whose probe closure is made here once, not on every probe.
+// Callers hold p.mu.
 func (p *peerConn) setConn(c net.Conn) {
 	p.conn, p.raw = c, nil
 	if sc, ok := c.(syscall.Conn); ok {
 		p.raw, _ = sc.SyscallConn()
+	}
+	if p.peek == nil {
+		p.peek = func(fd uintptr) { p.dead = peekDead(fd) }
 	}
 }
 
@@ -557,9 +564,9 @@ func (p *peerConn) quietChan() <-chan struct{} {
 
 // Send implements transport.Interconnect. A payload the wire cannot carry
 // is refused before anything is counted or traced. A posted message
-// (transport.Message.Posted) is queued for the peer's writer unless it is
-// a transport.SplitPayload: a split body is the caller's memory, which
-// must be in the kernel before Send returns.
+// (transport.Message.Posted) is queued for the peer's writer: it owns its
+// bytes, a transport.SplitPayload's body included, so its frame may be
+// written after Send returns.
 func (m *Mesh) Send(msg transport.Message) error {
 	if m.down.Load() {
 		return transport.ErrDown
@@ -598,8 +605,7 @@ func (m *Mesh) Send(msg transport.Message) error {
 		}
 		return nil
 	}
-	_, split := msg.Payload.(transport.SplitPayload)
-	m.send(m.peer(msg.To), encodeFrame(msg, kind, head, body), msg.Posted && !split)
+	m.send(m.peer(msg.To), encodeFrame(msg, kind, head, body), msg.Posted)
 	return nil
 }
 
@@ -814,28 +820,31 @@ func (m *Mesh) peer(rank int) *peerConn {
 // half-open connection without error, which would silently swallow one
 // frame per dead connection. The peek bypasses the net poller (an expired
 // read deadline would short-circuit before reporting the buffered EOF) and
-// costs one syscall per batch on the happy path. raw is the socket kept
-// when the connection was dialed (peerConn.setConn).
-func connDead(raw syscall.RawConn) bool {
-	if raw == nil {
+// costs one syscall per batch on the happy path, and no allocation: the
+// probe closure is the one setConn kept. Callers hold p.mu.
+func (p *peerConn) connDead() bool {
+	if p.raw == nil {
 		return false
 	}
-	dead := false
-	if err := raw.Control(func(fd uintptr) {
-		var buf [1]byte
-		n, _, errno := syscall.Recvfrom(int(fd), buf[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
-		switch {
-		case errno == nil && n == 0:
-			dead = true // orderly FIN buffered
-		case errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK:
-			// nothing buffered: healthy
-		case errno != nil:
-			dead = true // RST or another socket error
-		}
-	}); err != nil {
+	p.dead = false
+	if err := p.raw.Control(p.peek); err != nil {
 		return false
 	}
-	return dead
+	return p.dead
+}
+
+// peekDead reports whether the socket fd has a FIN or an error buffered.
+func peekDead(fd uintptr) bool {
+	var buf [1]byte
+	n, _, errno := syscall.Recvfrom(int(fd), buf[:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+	switch {
+	case errno == nil && n == 0:
+		return true // orderly FIN buffered
+	case errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK:
+		return false // nothing buffered: healthy
+	default:
+		return errno != nil // RST or another socket error
+	}
 }
 
 // writeFrames hands frames to a peer in order, dialing or re-dialing as
@@ -858,7 +867,7 @@ func (m *Mesh) writeFrames(p *peerConn, frames []wireFrame) (lost int) {
 	}
 	patient := connect || pending != nil
 	departed := p.departed()
-	if p.conn != nil && (departed || connDead(p.raw)) {
+	if p.conn != nil && (departed || p.connDead()) {
 		if debug && !departed {
 			fmt.Fprintf(os.Stderr, "tcp[%d]: probe found dead conn to %d, redialing\n", m.self, rank)
 		}
