@@ -103,9 +103,8 @@ func scaleHeartbeat(n, groupSize int) time.Duration {
 	}
 	hb := time.Duration(0.3 * float64(n) * float64(fanout) / 25000 * float64(time.Second))
 	// Past ~500 ranks the binding constraint stops being message
-	// throughput: a 1024-rank world runs tens of thousands of goroutines
-	// (n detectors x group-width send workers), and on a small host the
-	// scheduling tail latency of a delayed tick eats into the lease
+	// throughput: a 1024-rank world runs thousands of detector goroutines,
+	// and on a small host the scheduling tail latency of a delayed tick eats into the lease
 	// window — false suspicions, then a gossip storm. Doubling the
 	// interval doubles every real-time window relative to that fixed tail.
 	if n >= 512 {

@@ -59,14 +59,6 @@ type Options struct {
 	// HeartbeatInterval is the detector's tick period (default 25ms): lease
 	// evaluation, gossip and agreement retransmission run once per tick.
 	HeartbeatInterval time.Duration
-	// LeaseTimeout is the contact-lease horizon, the detector's one
-	// silence rule: a group member from which no message arrived within
-	// the lease is suspected, and a peer counts toward this rank's live
-	// view (the fencing rule) only while its lease is fresh. Every rank
-	// lease-pings each group member at a third of the lease, so a live
-	// peer renews it a few times per horizon. Default 10 heartbeat
-	// intervals.
-	LeaseTimeout time.Duration
 	// GroupSize sets the two-level topology: the membership is partitioned
 	// into member.Topology groups of g consecutive ring slots, leases and
 	// lease pings stay inside the group, and one runtime delegate per group
@@ -148,6 +140,12 @@ func (c Cause) String() string {
 	return causeNames[c.known()]
 }
 
+// leaseBeats is the contact lease in heartbeat intervals, the detector's
+// one silence rule: a group member silent for a lease is suspected, and a
+// peer counts toward the live view (fencing) only while its lease is
+// fresh. Lease pings go out at a third of the lease.
+const leaseBeats = 10
+
 // Detector is one rank's failure-detection and membership endpoint.
 type Detector struct {
 	opts     Options
@@ -199,10 +197,6 @@ type Detector struct {
 	wasDelegate bool                    // delegate role at the previous tick (trace edges)
 	relayAgg    map[aggKey]map[int]bool // delegate's cumulative vote aggregation
 
-	sendMu        sync.Mutex
-	senders       map[int]chan outFrame
-	sendersClosed bool
-
 	done chan struct{}
 	wg   sync.WaitGroup
 }
@@ -220,9 +214,6 @@ func New(opts Options) (*Detector, error) {
 	}
 	if opts.Clock == nil {
 		opts.Clock = time.Now
-	}
-	if opts.LeaseTimeout <= 0 {
-		opts.LeaseTimeout = 10 * opts.HeartbeatInterval
 	}
 	if opts.Members.Size() == 0 {
 		opts.Members = member.Launch(opts.Ranks)
@@ -251,14 +242,13 @@ func New(opts Options) (*Detector, error) {
 		pendingLeave: make(map[int]bool),
 		lastSent:     make(map[int]time.Time),
 		relayAgg:     make(map[aggKey]map[int]bool),
-		senders:      make(map[int]chan outFrame),
 		changed:      make(chan struct{}),
 		done:         make(chan struct{}),
 	}
 	if d.epoch < 1 {
 		d.epoch, d.memberEpoch = 1, 1
 	}
-	d.lease = opts.LeaseTimeout
+	d.lease = leaseBeats * opts.HeartbeatInterval
 	now := d.clock()
 	d.retopoLocked(now)
 	// Startup grace: every peer begins with a fresh lease, so a world that
@@ -284,8 +274,8 @@ func (d *Detector) Start() {
 	go d.recvLoop()
 }
 
-// Close stops the detector: the ticker exits, the local receive port is
-// killed, and the per-peer send workers drain. The shared mesh is left
+// Close stops the detector: the ticker exits and the local receive port
+// is killed, which also fails every later send. The shared mesh is left
 // untouched (the demux owns it).
 func (d *Detector) Close() {
 	d.mu.Lock()
@@ -298,12 +288,6 @@ func (d *Detector) Close() {
 	close(d.done)
 	d.net.Kill(d.self)
 	d.wg.Wait()
-	d.sendMu.Lock()
-	d.sendersClosed = true
-	for _, ch := range d.senders {
-		close(ch)
-	}
-	d.sendMu.Unlock()
 }
 
 // Epoch returns the current committed epoch (1 before any failure).
@@ -402,50 +386,22 @@ func (d *Detector) logf(format string, args ...any) {
 
 // --- Outbound path ---
 
-// outFrame is one queued detector send: the payload and the intermediate
-// hop it routes through (-1: direct).
-type outFrame struct {
-	p   payload
-	via int
-}
-
-// send enqueues a payload toward a peer on its dedicated worker, so a dead
-// peer's connection stalls never delay lease pings to live peers. With a
-// relay wired, sends to cross-group non-delegates route through the
-// destination group's runtime delegate.
+// send posts a payload toward a peer (transport.Message.Posted), so a dead
+// peer's stalled dial never delays pings to live peers. With a relay, a
+// cross-group non-delegate is reached through its group's delegate.
+// Callers must not hold d.mu: the demux's send observer (ObserveSend) and
+// the route lookup take it.
 func (d *Detector) send(to int, p payload) {
-	via := -1
 	if d.relay != nil {
 		d.mu.Lock()
-		via = d.routeLocked(to)
+		via := d.routeLocked(to)
 		d.mu.Unlock()
-	}
-	d.sendMu.Lock()
-	if d.sendersClosed {
-		d.sendMu.Unlock()
-		return
-	}
-	ch := d.senders[to]
-	if ch == nil {
-		ch = make(chan outFrame, 64)
-		d.senders[to] = ch
-		go d.sendWorker(to, ch)
-	}
-	d.sendMu.Unlock()
-	select {
-	case ch <- outFrame{p: p, via: via}:
-	default: // worker stalled on a dead peer: drop, pings are periodic
-	}
-}
-
-func (d *Detector) sendWorker(to int, ch chan outFrame) {
-	for f := range ch {
-		if f.via >= 0 && d.relay != nil {
-			_ = d.relay.Send(f.via, to, f.p)
-			continue
+		if via >= 0 {
+			_ = d.relay.Send(via, to, p)
+			return
 		}
-		_ = d.net.Send(transport.Message{From: d.self, To: to, Class: transport.Control, Payload: f.p})
 	}
+	_ = d.net.Send(transport.Message{From: d.self, To: to, Class: transport.Control, Payload: p, Posted: true})
 }
 
 // --- Receive path ---

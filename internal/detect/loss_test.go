@@ -56,9 +56,9 @@ func TestLossReportCommitsWithinTwoHeartbeats(t *testing.T) {
 	const victim = 2
 	survivors := []int{0, 1, 3}
 	w.kill(victim)
-	// The closed detector's send workers still flush what they had queued;
-	// let them finish, since a crashed process sends nothing after its
-	// death and its connections' last frames come before the loss report.
+	// Let the closed detector's last frames land, since a crashed process
+	// sends nothing after its death and its connections' last frames come
+	// before the loss report.
 	time.Sleep(hb)
 	start := time.Now()
 	for _, s := range survivors {

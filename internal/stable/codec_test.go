@@ -156,9 +156,9 @@ func TestCodecRecRoundtrip(t *testing.T) {
 	rs, _ := NewCodec("rs", 3, 2)
 	shards, _ := rs.Encode(blob)
 	rec := replCommitRec{frags: 5, data: 3, total: len(blob), sum: replSum(blob), sums: shardSums(shards)}
-	owner, version, inc, got, err := decodeReplCommit(encodeReplCommit(7, 11, 3, rec))
-	if err != nil || owner != 7 || version != 11 || inc != 3 {
-		t.Fatalf("header roundtrip: %d %d %d %v", owner, version, inc, err)
+	owner, version, got, err := decodeReplCommit(encodeReplCommit(7, 11, rec))
+	if err != nil || owner != 7 || version != 11 {
+		t.Fatalf("header roundtrip: %d %d %v", owner, version, err)
 	}
 	if got.frags != rec.frags || got.data != rec.data ||
 		got.total != rec.total || got.sum != rec.sum || len(got.sums) != len(rec.sums) {
@@ -191,7 +191,7 @@ func TestMarkerRequiresGeometryAndDigests(t *testing.T) {
 	noSums.sums = nil
 	noData.data = 0
 	for name, rec := range map[string]replCommitRec{"good": good, "empty sums": noSums, "data=0": noData} {
-		_, _, _, _, errCommit := decodeReplCommit(encodeReplCommit(1, 2, 0, rec))
+		_, _, _, errCommit := decodeReplCommit(encodeReplCommit(1, 2, rec))
 		_, entries, errLast := decodeDistRespLast(encodeDistRespLast(9, []distLastEntry{{version: 2, rec: rec}}))
 		if name == "good" {
 			if errCommit != nil || errLast != nil || len(entries) != 1 {

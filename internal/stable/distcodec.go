@@ -437,29 +437,25 @@ func (p fragPayload) MarshalWire() []byte {
 }
 
 // The fragment header names the line and the shard index; the geometry
-// travels in the marker alone, which reassembly validates against. The
-// incarnation field is kept for layout and always sent as zero.
-func encodeReplFrag(owner, version int, inc uint64, idx int, frag []byte) fragPayload {
+// travels in the marker alone, which reassembly validates against.
+func encodeReplFrag(owner, version, idx int, frag []byte) fragPayload {
 	w := wire.NewWriter(replFragHeader)
 	w.U8(replMsgFrag)
 	w.Int(owner)
 	w.Int(version)
-	w.U64(inc)
 	w.Int(idx)
 	w.U32(uint32(len(frag)))
 	return fragPayload{head: w.Bytes(), body: frag}
 }
 
 // replFragHeader is the encoded size of a fragment payload's fixed fields.
-const replFragHeader = 1 + 8 + 8 + 8 + 8 + 4
+const replFragHeader = 1 + 8 + 8 + 8 + 4
 
-func decodeReplFrag(data replPayload) (owner, version int, inc uint64, idx int, frag []byte, err error) {
+func decodeReplFrag(data replPayload) (owner, version, idx int, frag []byte, err error) {
 	r := wire.NewReader(data[1:])
-	owner, version = r.Int(), r.Int()
-	inc = r.U64()
-	idx = r.Int()
+	owner, version, idx = r.Int(), r.Int(), r.Int()
 	frag = r.View32() // aliases data: one fragment per payload, so it pins only itself
-	return owner, version, inc, idx, frag, r.Err()
+	return owner, version, idx, frag, r.Err()
 }
 
 // writeReplRec and readReplRec (de)serialize a commit marker's record; the
@@ -488,28 +484,26 @@ func readReplRec(r *wire.Reader) replCommitRec {
 // count clamping in repeated decoders.
 const replRecWireMin = 8 + 8 + 8 + 8 + 4 + 8
 
-func encodeReplCommit(owner, version int, inc uint64, rec replCommitRec) replPayload {
-	w := wire.NewWriter(64 + 8*len(rec.sums))
+func encodeReplCommit(owner, version int, rec replCommitRec) replPayload {
+	w := wire.NewWriter(56 + 8*len(rec.sums))
 	w.U8(replMsgCommit)
 	w.Int(owner)
 	w.Int(version)
-	w.U64(inc)
 	writeReplRec(w, rec)
 	return replPayload(w.Bytes())
 }
 
-func decodeReplCommit(data replPayload) (owner, version int, inc uint64, rec replCommitRec, err error) {
+func decodeReplCommit(data replPayload) (owner, version int, rec replCommitRec, err error) {
 	r := wire.NewReader(data[1:])
 	owner, version = r.Int(), r.Int()
-	inc = r.U64()
 	rec = readReplRec(r)
 	if err := r.Err(); err != nil {
-		return owner, version, inc, rec, err
+		return owner, version, rec, err
 	}
 	if !rec.sane() {
-		return owner, version, inc, rec, fmt.Errorf("stable: insane commit marker geometry (frags=%d data=%d total=%d)", rec.frags, rec.data, rec.total)
+		return owner, version, rec, fmt.Errorf("stable: insane commit marker geometry (frags=%d data=%d total=%d)", rec.frags, rec.data, rec.total)
 	}
-	return owner, version, inc, rec, nil
+	return owner, version, rec, nil
 }
 
 func encodeReplAck(owner, version, from int) replPayload {

@@ -24,8 +24,8 @@ func FuzzReplDecode(f *testing.F) {
 	for _, g := range [][2]int{{1, 2}, {4, 2}} {
 		shards, _ := newRSCodec(g[0], g[1]).Encode(blob)
 		rec := replCommitRec{frags: len(shards), data: g[0], total: len(blob), sum: replSum(blob), sums: shardSums(shards)}
-		f.Add([]byte(encodeReplFrag(1, 3, 0, len(shards)-1, shards[len(shards)-1]).MarshalWire()))
-		f.Add([]byte(encodeReplCommit(1, 3, 0, rec)))
+		f.Add([]byte(encodeReplFrag(1, 3, len(shards)-1, shards[len(shards)-1]).MarshalWire()))
+		f.Add([]byte(encodeReplCommit(1, 3, rec)))
 		f.Add([]byte(encodeDistRespLast(9, []distLastEntry{{version: 3, rec: rec, held: []int{1, 2}}})))
 		f.Add([]byte(encodeDistRespFrag(10, true, shards[1]).MarshalWire()))
 	}
@@ -41,8 +41,8 @@ func FuzzReplDecode(f *testing.F) {
 			return
 		}
 		p := replPayload(data)
-		_, _, _, _, _, _ = decodeReplFrag(p)
-		_, _, _, _, _ = decodeReplCommit(p)
+		_, _, _, _, _ = decodeReplFrag(p)
+		_, _, _, _ = decodeReplCommit(p)
 		_, _, _, _ = decodeReplAck(p)
 		_, _, _ = decodeDistQueryLast(p)
 		_, _, _ = decodeDistRespLast(p)

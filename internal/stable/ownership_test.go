@@ -180,11 +180,11 @@ func TestFragmentPayloadOwnsItsBytes(t *testing.T) {
 	frags := make([][]byte, len(shards))
 	for idx, s := range shards {
 		want[idx] = append([]byte(nil), s...)
-		payload := encodeReplFrag(1, 1, 0, idx, s)
+		payload := encodeReplFrag(1, 1, idx, s)
 		if head, body := payload.WireParts(); len(head) != replFragHeader || &body[0] != &s[0] || len(body) != len(s) {
 			t.Fatalf("fragment %d: payload is not the header and a view of the shard", idx)
 		}
-		if _, _, _, gotIdx, frag, err := decodeReplFrag(payload.MarshalWire()); err != nil || gotIdx != idx {
+		if _, _, gotIdx, frag, err := decodeReplFrag(payload.MarshalWire()); err != nil || gotIdx != idx {
 			t.Fatalf("fragment %d roundtrip: idx %d, %v", idx, gotIdx, err)
 		} else {
 			frags[idx] = frag

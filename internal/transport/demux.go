@@ -20,7 +20,8 @@ package transport
 // A third hook carries loss reports: a backend that can tell a dead peer
 // process from its connection's end (LossReporter) queues a PeerLost
 // marker behind that connection's last frame, and the lost observer fires
-// only after the recv observer has seen every frame before it.
+// only after the recv observer has seen every frame before it, and the
+// recv observer also sees its progress reports on long frames.
 
 import (
 	"sync"
@@ -31,10 +32,15 @@ import (
 // connection whose peer process is gone. Message.From names the peer.
 type PeerLost struct{}
 
+// PeerProgress is the payload of a progress report, which a LossReporter
+// queues for each 64 KiB of a long frame body from Message.From. It goes
+// to the recv observer alone: no trace event, no plane.
+type PeerProgress struct{}
+
 // LossReporter is implemented by interconnects that can confirm a peer
-// process's death from its connection (the TCP mesh). Reports are off
-// until ReportLosses is called: a consumer that does not read PeerLost
-// markers (the MPI layer) never receives one.
+// process's death from its connection (the TCP mesh). Reports, of losses
+// and of progress, are off until ReportLosses is called: a consumer that
+// does not read PeerLost markers (the MPI layer) never receives one.
 type LossReporter interface {
 	ReportLosses()
 }
@@ -131,7 +137,8 @@ func (d *Demux) Close() {
 }
 
 // route records one message's receive edge and hands it to its plane,
-// after the recv observer, or a loss report to the lost observer.
+// after the recv observer, or a loss report to the lost observer. A
+// progress report, which no plane claims, only reaches the recv observer.
 func (d *Demux) route(msg Message) {
 	if _, ok := msg.Payload.(PeerLost); ok {
 		d.mu.Lock()

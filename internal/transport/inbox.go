@@ -76,6 +76,13 @@ func (q *Inbox) Forward(fn func(Message)) {
 	q.forward = fn
 }
 
+// Forwarding reports whether Forward has made the inbox a pass-through.
+func (q *Inbox) Forwarding() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.forward != nil
+}
+
 // Kill discards every queued message, refuses later pushes and makes
 // every receive, pending or future, return ErrDown.
 func (q *Inbox) Kill() {

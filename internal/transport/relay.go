@@ -104,7 +104,8 @@ func (r *Relay) Delivered() int64 { return r.delivered.Load() }
 
 // Send routes inner toward dest through the intermediate rank via. A send
 // to self (or via self) short-circuits: the payload is injected locally or
-// sent directly without touching the wire twice.
+// sent directly without touching the wire twice. The frame is posted
+// (Message.Posted), as a forward is.
 func (r *Relay) Send(via, dest int, inner WirePayload) error {
 	p := &RelayPayload{Orig: r.self, Dest: dest, Kind: inner.WireKind(),
 		Data: inner.MarshalWire(), Hops: relayMaxHops}
@@ -113,9 +114,9 @@ func (r *Relay) Send(via, dest int, inner WirePayload) error {
 		return nil
 	}
 	if via == r.self || via == dest {
-		return r.plane.Send(Message{From: r.self, To: dest, Class: Control, Payload: p})
+		via = dest
 	}
-	return r.plane.Send(Message{From: r.self, To: via, Class: Control, Payload: p})
+	return r.plane.Send(Message{From: r.self, To: via, Class: Control, Payload: p, Posted: true})
 }
 
 func (r *Relay) loop() {
@@ -140,7 +141,7 @@ func (r *Relay) loop() {
 		fwd := *p
 		fwd.Hops--
 		r.forwarded.Add(1)
-		_ = r.plane.Send(Message{From: r.self, To: p.Dest, Class: Control, Payload: &fwd})
+		_ = r.plane.Send(Message{From: r.self, To: p.Dest, Class: Control, Payload: &fwd, Posted: true})
 	}
 }
 

@@ -23,12 +23,14 @@ func (m *Mesh) crash() {
 	_ = m.ln.Close()
 	m.mu.Lock()
 	for _, p := range m.peers {
-		p.mu.Lock()
+		p.qmu.Lock()
 		if p.conn != nil {
-			_ = p.conn.Close()
-			p.conn = nil
+			_ = p.conn.Close() // a writer holding the role sees its write fail
+			if !p.writing {
+				p.conn = nil
+			}
 		}
-		p.mu.Unlock()
+		p.qmu.Unlock()
 	}
 	for c := range m.inbound {
 		_ = c.Close()
@@ -132,13 +134,12 @@ func TestMeshNoLossReport(t *testing.T) {
 		// Rank 0 resets its connection but keeps running: its listener
 		// answers the confirming dial's handshake.
 		p := meshes[0].peer(1)
-		p.mu.Lock()
-		if tc, ok := p.conn.(*net.TCPConn); ok {
-			_ = tc.SetLinger(0)
-		}
-		_ = p.conn.Close()
-		p.conn = nil
-		p.mu.Unlock()
+		meshes[0].withRole(p, func() {
+			if tc, ok := p.conn.(*net.TCPConn); ok {
+				_ = tc.SetLinger(0)
+			}
+			meshes[0].setConn(p, nil)
+		})
 		assertNoLoss(t, meshes[1], 300*time.Millisecond)
 		// The pair still works: the next send redials.
 		sendN(t, meshes[0], 1, 1)
@@ -238,5 +239,84 @@ func TestMeshConnectWaitsForDepartedPeer(t *testing.T) {
 			t.Fatalf("dropped = %d, want 0", got)
 		}
 		close(stop)
+	}
+}
+
+// TestMeshReportsProgressOnLongBody: with loss reports on, each 64 KiB of
+// a long frame body counts as contact from its sender. A raw peer sends a
+// 1 MiB frame in 64 KiB pieces and, after each of the first three, waits
+// for the demux's recv observer for as long as a lease (ten 25 ms
+// heartbeats): it must fire within each pause, before the frame completes,
+// whether the body takes the normal path or lands in an expected buffer.
+func TestMeshReportsProgressOnLongBody(t *testing.T) {
+	const lease = 250 * time.Millisecond
+	for _, landed := range []bool{false, true} {
+		t.Run(map[bool]string{false: "normal", true: "landed"}[landed], func(t *testing.T) {
+			lns, addrs := listenAll(t, 1)
+			m, err := New(0, []string{addrs[0], "127.0.0.1:1"}, withListener(lns[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(m.Close)
+			d := transport.NewDemux(m, 0)
+			plane := d.Plane(taggedKind)
+			heard := make(chan struct{}, 64)
+			d.SetObservers(func(from int) {
+				if from == 1 {
+					select {
+					case heard <- struct{}{}:
+					default:
+					}
+				}
+			}, nil, func(int) {})
+			d.Start()
+			payload := tagged("answer-1", 1<<20, 5)
+			if landed {
+				expectInto(t, plane.(transport.Lander), 1, "answer-1", len(payload.body))
+			}
+			msg := transport.Message{From: 1, To: 0, Payload: payload}
+			kind, head, body, err := marshalBody(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := encodeFrame(msg, kind, head, body)
+			full := append(f.head, f.body...)
+
+			c := rawHandshake(t, m.Addr(), 1)
+			defer c.Close()
+			sent := 0
+			sendTo := func(end int) {
+				if _, err := c.Write(full[sent:end]); err != nil {
+					t.Fatal(err)
+				}
+				sent = end
+			}
+			// Past the length prefix, the frame and payload heads: piece i
+			// completes the body's i-th chunk on either path.
+			start := 4 + frameHeaderLen + len(payload.tag)
+			for i := 1; i <= 3; i++ {
+				sendTo(start + i*progressChunk)
+				select {
+				case <-heard:
+				case <-time.After(lease):
+					t.Fatalf("no contact from the sender within a lease of its %d KiB of a 1 MiB frame", i*progressChunk>>10)
+				}
+			}
+			sendTo(len(full))
+			got := make(chan transport.Message, 1)
+			go func() {
+				if msg, err := plane.Endpoint(0).Recv(); err == nil {
+					got <- msg
+				}
+			}()
+			select {
+			case msg := <-got:
+				if p, ok := msg.Payload.(taggedPayload); !ok || !bytes.Equal(p.body, payload.body) {
+					t.Fatalf("the frame arrived as %T with other bytes", msg.Payload)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the frame never arrived")
+			}
+		})
 	}
 }

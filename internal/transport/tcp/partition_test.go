@@ -184,11 +184,11 @@ func (m *Mesh) openOutbound() int {
 	defer m.mu.Unlock()
 	open := 0
 	for _, p := range m.peers {
-		p.mu.Lock()
+		p.qmu.Lock()
 		if p.conn != nil {
 			open++
 		}
-		p.mu.Unlock()
+		p.qmu.Unlock()
 	}
 	return open
 }

@@ -21,11 +21,32 @@ import (
 	"c3/internal/wire"
 )
 
-// write hands one frame to a peer's connection outside the writer role,
-// as a send already past Send's partition check does. It reports false
-// when the frame was dropped.
+// write hands one frame to a peer's connection under the writer role, as
+// a send already past Send's partition check does. It reports false when
+// the frame was dropped.
 func (m *Mesh) write(rank int, frame wireFrame) bool {
-	return m.writeFrames(m.peer(rank), []wireFrame{frame}) == 0
+	p, lost := m.peer(rank), 0
+	m.withRole(p, func() { lost = m.writeFrames(p, []wireFrame{frame}) })
+	return lost == 0
+}
+
+// withRole runs f holding p's writer role: it waits until the role is
+// free, claims it, and afterwards drains what was queued meanwhile.
+func (m *Mesh) withRole(p *peerConn, f func()) {
+	for {
+		if quiet := p.quietChan(); quiet != nil {
+			<-quiet
+		}
+		p.qmu.Lock()
+		if !p.writing {
+			m.claim(p)
+			p.qmu.Unlock()
+			break
+		}
+		p.qmu.Unlock()
+	}
+	f()
+	m.drain(p)
 }
 
 // post sends body from m to rank as a posted message.
@@ -350,5 +371,90 @@ func TestMeshRulesKeepPairOrder(t *testing.T) {
 				last[s] = i
 			}
 		}
+	}
+}
+
+// deafPeer is rank 1 of a two-rank world that answers one dialer's
+// handshake and then never reads, so a writer with more to send than the
+// socket buffers hold blocks in its write. unstick closes the connection,
+// which fails that write.
+func deafPeer(t *testing.T) (addr string, unstick func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		var pre [hsLen]byte
+		if _, err := io.ReadFull(c, pre[:]); err == nil {
+			_, _ = c.Write([]byte{hsAccept})
+		}
+		conns <- c
+	}()
+	var once sync.Once
+	unstick = func() {
+		once.Do(func() {
+			_ = ln.Close()
+			select {
+			case c := <-conns:
+				_ = c.Close()
+			case <-time.After(time.Second):
+			}
+		})
+	}
+	t.Cleanup(unstick)
+	return ln.Addr().String(), unstick
+}
+
+// TestMeshShutdownBehindStuckWrite: a writer stuck in a 64 MiB write to a
+// peer that stopped reading delays Shutdown by at most goodbyeTimeout.
+// Shutdown closes that connection under the writer instead of waiting for
+// it, so Close returns once the write has failed.
+func TestMeshShutdownBehindStuckWrite(t *testing.T) {
+	addr, unstick := deafPeer(t)
+	lns, addrs := listenAll(t, 1)
+	m, err := New(0, []string{addrs[0], addr}, withListener(lns[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := make(splitPayload, 64<<20)
+	if err := m.Send(transport.Message{From: 0, To: 1, Class: transport.Data, Payload: big, Posted: true}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond) // the writer dials, fills the socket buffers and blocks
+	if p := m.peer(1); p.quietChan() == nil {
+		t.Fatal("the writer finished a 64 MiB write to a peer that never reads")
+	}
+	const bound = goodbyeTimeout + time.Second
+	start := time.Now()
+	shut := make(chan struct{})
+	go func() {
+		m.Shutdown()
+		close(shut)
+	}()
+	select {
+	case <-shut:
+	case <-time.After(bound):
+		unstick()
+		<-shut
+		t.Fatalf("Shutdown still blocked %v behind a stuck write", bound)
+	}
+	t.Logf("Shutdown returned after %v", time.Since(start))
+	closed := make(chan struct{})
+	go func() {
+		m.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		unstick()
+		<-closed
+		t.Fatal("Close still blocked 5s after Shutdown closed the stuck connection")
 	}
 }

@@ -194,17 +194,17 @@ func writeBatch(c net.Conn, iov *net.Buffers, frames []wireFrame) (int, error) {
 
 // peerConn is the outbound connection to one peer.
 //
-// mu is its write lock and guards conn, raw, dead, connected and iov:
-// whoever holds it is the one writing to conn. qmu guards the send queue
-// and the writer role and is never held across I/O, so a post never waits
-// for a write. The peer's events (arrival, departure) and the redial
-// backoff are atomics, read without either lock by the read paths, which
-// must not wait behind a dial, and by posts, which must not wait behind a
-// write.
+// The writer role is the connection's only serializer: whoever holds it
+// dials, probes and writes, and owns raw, dead, connected and iov. qmu
+// guards the send queue and the role and is never held across I/O, so a
+// post never waits for a write. conn is written by the role holder under
+// qmu and read by it without; Shutdown reads it under qmu. The peer's
+// events (arrival, departure) and the redial backoff are atomics, read
+// without a lock by the read paths, which must not wait behind a dial, and
+// by posts, which must not wait behind a write.
 type peerConn struct {
 	rank int
 
-	mu        sync.Mutex
 	conn      net.Conn
 	raw       syscall.RawConn  // conn's socket, kept for connDead
 	peek      func(fd uintptr) // connDead's probe of raw, made once: it sets dead
@@ -222,7 +222,7 @@ type peerConn struct {
 	downUntil atomic.Int64  // failed-dial backoff, in Unix ns (0: none): drop sends without redialing
 	downSeen  atomic.Uint64 // arrivals when the backoff began; a later one lifts it
 
-	connecting atomic.Pointer[<-chan struct{}] // the stop of the Connect in flight (nil: none)
+	connecting atomic.Pointer[<-chan struct{}] // the stop of the Connect not yet served (nil: none)
 
 	arrivals atomic.Uint64 // handshakes accepted from the peer
 	byeAt    atomic.Uint64 // the arrival whose connection said goodbye or was lost (0: none)
@@ -236,10 +236,21 @@ func (p *peerConn) backedOff() bool {
 	return until != 0 && time.Now().UnixNano() < until && p.arrivals.Load() == p.downSeen.Load()
 }
 
-// setConn installs a freshly dialed connection and keeps its socket for
-// connDead, whose probe closure is made here once, not on every probe.
-// Callers hold p.mu.
-func (p *peerConn) setConn(c net.Conn) {
+// setConn closes p's connection, if any, and installs c (nil: none),
+// keeping its socket for connDead, whose probe closure is made here once.
+// On a mesh that is down, c is closed instead, so no write starts on a
+// connection Shutdown did not see, and setConn reports false. Callers hold
+// the writer role.
+func (m *Mesh) setConn(p *peerConn, c net.Conn) bool {
+	if p.conn != nil {
+		_ = p.conn.Close()
+	}
+	p.qmu.Lock()
+	defer p.qmu.Unlock()
+	if c != nil && m.down.Load() {
+		_ = c.Close()
+		c = nil
+	}
 	p.conn, p.raw = c, nil
 	if sc, ok := c.(syscall.Conn); ok {
 		p.raw, _ = sc.SyscallConn()
@@ -247,6 +258,7 @@ func (p *peerConn) setConn(c net.Conn) {
 	if p.peek == nil {
 		p.peek = func(fd uintptr) { p.dead = peekDead(fd) }
 	}
+	return c != nil
 }
 
 // departed reports whether the peer's latest connection said goodbye or
@@ -266,13 +278,9 @@ func (p *peerConn) signal() {
 }
 
 // redialBackoff is how long sends to a peer drop immediately after a
-// failed (re)dial. Without it, every queued message toward a dead peer
-// pays a full dial window while holding the peer's connection lock,
-// serializing into multi-second stalls for everything else addressed to
-// that rank (the failure detector's heartbeat queue, recovery queries).
-// With it, the first send after a death pays one dial; the rest fail fast.
-// The peer's next connection to this mesh lifts it, so a restarted peer's
-// queries are answered at once instead of after the backoff.
+// failed (re)dial, so only the first send after a death pays a dial
+// window, not every frame queued behind it. The peer's next connection
+// to this mesh lifts it, so a restarted peer is answered at once.
 const redialBackoff = 200 * time.Millisecond
 
 // confirmTimeout bounds the dial and handshake that confirm a loss report
@@ -321,19 +329,20 @@ func New(self int, addrs []string, opts ...Option) (*Mesh, error) {
 // window even if rank was reachable before and, if rank is departed, once
 // it has connected here again. Until then every send to rank waits too, so
 // frames for a peer being replaced reach the replacement. Closing stop
-// (nil: never) ends the wait and drops the waiting frames.
+// (nil: never) ends the wait and drops the waiting frames. The dial holds
+// the writer role, claimed for a writer goroutine or served by its holder.
 func (m *Mesh) Connect(rank int, stop <-chan struct{}) {
 	if rank == m.self || rank < 0 || rank >= m.n || m.down.Load() {
 		return
 	}
 	p := m.peer(rank)
 	p.connecting.Store(&stop)
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		m.writeFrames(p, nil) // connect only: one dial loop per peer, shared with sends
-		p.connecting.CompareAndSwap(&stop, nil)
-	}()
+	p.qmu.Lock()
+	defer p.qmu.Unlock()
+	if !p.writing && !m.down.Load() {
+		m.claim(p)
+		go m.drain(p)
+	}
 }
 
 // Addr returns the mesh's bound listen address.
@@ -496,7 +505,9 @@ func (m *Mesh) ReportLosses() { m.lossReports.Store(true) }
 // outbound connection first carries a goodbye frame, so the peer can tell
 // this orderly exit from a crash. The goodbye is the connection's last
 // frame: writers busy with queued frames get goodbyeTimeout to finish
-// them, and whatever is still queued after that is counted as dropped.
+// them, and whatever is still queued after that is counted as dropped. A
+// writer still busy then has its connection closed under it, with no
+// goodbye: its write fails, and it drops the rest and lets the role go.
 func (m *Mesh) Shutdown() {
 	if m.down.Swap(true) {
 		return
@@ -520,16 +531,21 @@ func (m *Mesh) Shutdown() {
 			}
 		}
 	}
+	// The mesh is down, so no role is claimed from here on.
 	outbound := make(map[int]net.Conn)
-	m.mu.Lock()
-	for rank, p := range m.peers {
-		p.mu.Lock()
-		if p.conn != nil {
-			outbound[rank] = p.conn
+	for _, p := range peers {
+		p.qmu.Lock()
+		switch {
+		case p.conn == nil:
+		case p.writing:
+			_ = p.conn.Close()
+		default:
+			outbound[p.rank] = p.conn
 			p.conn = nil
 		}
-		p.mu.Unlock()
+		p.qmu.Unlock()
 	}
+	m.mu.Lock()
 	for c := range m.inbound {
 		_ = c.Close()
 	}
@@ -652,8 +668,8 @@ func (m *Mesh) send(p *peerConn, f wireFrame, posted bool) {
 	p.qmu.Unlock()
 	m.noteDropped(m.writeFrames(p, []wireFrame{f}))
 	p.qmu.Lock()
-	if len(p.queue) > 0 && !p.paused {
-		go m.drain(p) // frames queued meanwhile: the role passes to a writer
+	if len(p.queue) > 0 && !p.paused || p.connecting.Load() != nil {
+		go m.drain(p) // work queued meanwhile: the role passes to a writer
 	} else {
 		m.releaseLocked(p)
 	}
@@ -704,7 +720,8 @@ func (m *Mesh) releaseLocked(p *peerConn) {
 
 // drain is a peer's writer goroutine; it holds the writer role. It takes
 // everything queued, hands it to the kernel with one liveness probe and
-// one writev, and repeats until the queue is empty or paused.
+// one writev, and repeats until the queue is empty or paused. Before it
+// lets the role go, it serves a Connect that waits, dialing patiently.
 func (m *Mesh) drain(p *peerConn) {
 	var last []wireFrame
 	for {
@@ -714,9 +731,16 @@ func (m *Mesh) drain(p *peerConn) {
 		}
 		batch := p.queue
 		if len(batch) == 0 || p.paused {
-			m.releaseLocked(p)
+			pending := p.connecting.Load()
+			if pending == nil {
+				m.releaseLocked(p)
+				p.qmu.Unlock()
+				return
+			}
 			p.qmu.Unlock()
-			return
+			m.writeFrames(p, nil)
+			p.connecting.CompareAndSwap(pending, nil)
+			continue
 		}
 		p.queue, p.spare = p.spare, nil
 		p.qmu.Unlock()
@@ -821,7 +845,7 @@ func (m *Mesh) peer(rank int) *peerConn {
 // frame per dead connection. The peek bypasses the net poller (an expired
 // read deadline would short-circuit before reporting the buffered EOF) and
 // costs one syscall per batch on the happy path, and no allocation: the
-// probe closure is the one setConn kept. Callers hold p.mu.
+// probe closure is the one setConn kept. Callers hold the writer role.
 func (p *peerConn) connDead() bool {
 	if p.raw == nil {
 		return false
@@ -852,14 +876,12 @@ func peekDead(fd uintptr) bool {
 // how many of them, at the tail, it dropped because they could not reach
 // the kernel (the peer is down or departed); a dropped frame is never
 // queued again. Frames a hold rule catches are held, not dropped. An empty
-// list only connects (Connect); it and every write while it is in flight
-// dial patiently, sharing one dial loop per peer.
+// list only connects (Connect); it and every write while a Connect waits
+// dial patiently. Callers hold the writer role.
 func (m *Mesh) writeFrames(p *peerConn, frames []wireFrame) (lost int) {
 	debug := m.debug
 	rank := p.rank
 	connect := len(frames) == 0
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var stop <-chan struct{}
 	pending := p.connecting.Load()
 	if pending != nil {
@@ -871,8 +893,7 @@ func (m *Mesh) writeFrames(p *peerConn, frames []wireFrame) (lost int) {
 		if debug && !departed {
 			fmt.Fprintf(os.Stderr, "tcp[%d]: probe found dead conn to %d, redialing\n", m.self, rank)
 		}
-		_ = p.conn.Close()
-		p.conn = nil
+		m.setConn(p, nil)
 	}
 	if departed && !patient {
 		return len(frames) // gone: nothing to dial until it connects again
@@ -885,17 +906,13 @@ func (m *Mesh) writeFrames(p *peerConn, frames []wireFrame) (lost int) {
 			}
 			window := m.dialWindow
 			if p.connected && !patient {
-				// The peer was reachable before and vanished without a
-				// goodbye — likely dead. Don't stall the sender; a restarted
-				// peer is retried on the next send, or at once when it
-				// connects here.
+				// Reachable before and gone without a goodbye: likely dead,
+				// so the redial is short. A restarted peer is retried on
+				// the next send, or at once when it connects here.
 				window = 250 * time.Millisecond
 			}
-			// Dialing under p.mu is deliberate: the lock is per-peer, so a
-			// dead peer stalls only its own frames. A redial after a loss is
-			// bounded to 250ms, and a patient dial ends with its attempt.
 			seen := p.arrivals.Load()
-			conn := m.dial(rank, p, window, patient, stop) //c3lint:allow lockblock per-peer lock; redial bounded to 250ms, a patient dial by its stop
+			conn := m.dial(rank, p, window, patient, stop)
 			if conn == nil {
 				if debug {
 					fmt.Fprintf(os.Stderr, "tcp[%d]: dial %d failed\n", m.self, rank)
@@ -904,22 +921,21 @@ func (m *Mesh) writeFrames(p *peerConn, frames []wireFrame) (lost int) {
 				p.downUntil.Store(time.Now().Add(redialBackoff).UnixNano())
 				return len(frames)
 			}
-			p.setConn(conn)
+			if !m.setConn(p, conn) {
+				return len(frames) // Shutdown came first
+			}
 			p.connected = true
 			p.downUntil.Store(0)
 			fresh = true
 		}
 		if blocked, held := m.holdIfActive(p, frames); blocked {
 			// A partition rule landed after the frames passed Send's check:
-			// they must not cross. Under a hold rule they go back to the
-			// head of the queue for the Heal. An established connection
-			// stays up: frames it already carries must not race a
-			// connection dialed after the rule. A probe connection dialed
-			// for these frames must not linger half-open behind the rule —
-			// close it here instead of leaking it in p.conn.
+			// they must not cross, and a hold rule keeps them for Heal. An
+			// established connection stays up, so frames it already carries
+			// cannot race a later one; a probe connection dialed for these
+			// frames must not linger half-open behind the rule.
 			if fresh {
-				_ = p.conn.Close()
-				p.conn = nil
+				m.setConn(p, nil)
 			}
 			if held || connect {
 				return 0
@@ -929,9 +945,7 @@ func (m *Mesh) writeFrames(p *peerConn, frames []wireFrame) (lost int) {
 		if connect {
 			return 0
 		}
-		// Frames must hit the kernel in order per connection to keep the
-		// per-(src,dst) FIFO guarantee; p.mu is that per-peer write lock.
-		n, err := writeBatch(p.conn, &p.iov, frames) //c3lint:allow lockblock per-peer FIFO framing requires the write under the lock
+		n, err := writeBatch(p.conn, &p.iov, frames)
 		if err == nil {
 			return 0
 		}
@@ -939,8 +953,7 @@ func (m *Mesh) writeFrames(p *peerConn, frames []wireFrame) (lost int) {
 			fmt.Fprintf(os.Stderr, "tcp[%d]: write to %d failed: %v\n", m.self, rank, err)
 		}
 		frames = frames[n:] // the rest go once more, on a fresh connection
-		_ = p.conn.Close()
-		p.conn = nil
+		m.setConn(p, nil)
 	}
 	return len(frames)
 }
@@ -1117,7 +1130,7 @@ func (m *Mesh) readFrames(conn net.Conn) (int, uint64, error) {
 			}
 		}
 		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
+		if err := m.readBody(br, peer, body); err != nil {
 			return peer, arrival, err
 		}
 		r := wire.NewReader(body)
@@ -1178,7 +1191,7 @@ func (m *Mesh) land(br *bufio.Reader, peer, n int) (bool, error) {
 	if _, err := br.Discard(frameHeaderLen + len(head)); err != nil {
 		return false, err
 	}
-	if _, err := io.ReadFull(br, body); err != nil {
+	if err := m.readBody(br, peer, body); err != nil {
 		return false, err // claimed and never landed: its receiver gives the buffer up
 	}
 	e.Land()
@@ -1186,6 +1199,28 @@ func (m *Mesh) land(br *bufio.Reader, peer, n int) (bool, error) {
 		m.noteDropped(1)
 	}
 	return true, nil
+}
+
+// progressChunk is how much of a long frame body is read per progress
+// report.
+const progressChunk = 64 << 10
+
+// readBody reads a frame body from peer. Where a demux asked for loss
+// reports (they are on and the port forwards to it), each progressChunk of
+// a longer body is reported as contact from peer (transport.PeerProgress),
+// so a peer shipping a long frame is never silent.
+func (m *Mesh) readBody(br *bufio.Reader, peer int, body []byte) error {
+	if len(body) > progressChunk && m.lossReports.Load() && m.port.Forwarding() {
+		for len(body) > progressChunk {
+			if _, err := io.ReadFull(br, body[:progressChunk]); err != nil {
+				return err
+			}
+			body = body[progressChunk:]
+			m.port.Push(transport.Message{From: peer, To: m.self, Class: transport.Control, Payload: transport.PeerProgress{}})
+		}
+	}
+	_, err := io.ReadFull(br, body)
+	return err
 }
 
 var _ transport.Interconnect = (*Mesh)(nil)

@@ -93,9 +93,11 @@ func payloadSize(msg Message) int {
 }
 
 // TraceRecv records the message-edge delivery on the local recorder. A
-// loss report is not an edge: no send matches it.
+// loss or progress report is not an edge: no send matches it.
 func TraceRecv(rank int, msg Message) {
-	if _, lost := msg.Payload.(PeerLost); !lost {
+	switch msg.Payload.(type) {
+	case PeerLost, PeerProgress:
+	default:
 		trace.Default().Recv(int32(rank), int32(msg.From), msg.Trace, uint64(payloadSize(msg)))
 	}
 }
