@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"slices"
 
 	"c3/internal/mpi"
 	"c3/internal/stable"
@@ -126,7 +127,21 @@ func (l *Layer) startCheckpoint() error {
 		}
 		l.stats.CheckpointBytes += uint64(len(appImg))
 		l.pendingBytes += uint64(len(appImg))
+	} else if l.committer == nil {
+		// A synchronous line writes the registered memory where it lies:
+		// the application is blocked here until the store has it, and no
+		// store keeps a write's input once the write returns.
+		parts := l.state.SaveParts()
+		if err := l.pending.WriteParts(secApp, parts); err != nil {
+			return l.fatal(err)
+		}
+		for _, p := range parts {
+			l.stats.CheckpointBytes += uint64(len(p))
+			l.pendingBytes += uint64(len(p))
+		}
 	} else {
+		// The async committer writes after the application has moved on,
+		// so it gets a snapshot.
 		appImg := l.state.Save()
 		if err := writeSection(secApp, appImg); err != nil {
 			return l.fatal(err)
@@ -420,13 +435,17 @@ func (l *Layer) Restore() (bool, error) {
 			return false, l.fatal(err)
 		}
 	}
-	scratch := make([]byte, 1<<20)
+	var scratch []byte // sized by each list as it arrives
 	for q := 0; q < l.n; q++ {
 		if q == l.rank {
 			continue
 		}
-		st, err := l.ctrl.RecvBytes(scratch, q, ctrlTagSuppress)
+		st, err := l.ctrl.Probe(q, ctrlTagSuppress)
 		if err != nil {
+			return false, l.fatal(err)
+		}
+		scratch = slices.Grow(scratch[:0], st.Bytes)[:st.Bytes]
+		if st, err = l.ctrl.RecvBytes(scratch, q, ctrlTagSuppress); err != nil {
 			return false, l.fatal(err)
 		}
 		items, err := decodeSuppressItems(scratch[:st.Bytes])
@@ -463,8 +482,12 @@ func (l *Layer) Restore() (bool, error) {
 // dump, or an incremental chain walked back to its full anchor and applied
 // forward.
 func (l *Layer) loadAppState(snap stable.Snapshot, line uint64) error {
-	if img, err := snap.ReadSection(secApp); err == nil {
-		return l.state.Load(img)
+	if sec, err := snap.OpenSection(secApp); err == nil {
+		err = l.state.LoadFrom(sec, sec.Size())
+		if cerr := sec.Close(); err == nil {
+			err = cerr
+		}
+		return err
 	}
 	img, err := snap.ReadSection(secAppInc)
 	if err != nil {

@@ -136,9 +136,13 @@ type Layer struct {
 
 // Stats aggregates protocol activity for the overhead experiments.
 type Stats struct {
-	Sends            uint64
-	Recvs            uint64
-	PiggybackBytes   uint64
+	Sends          uint64
+	Recvs          uint64
+	PiggybackBytes uint64
+	// ControlMessages counts the Checkpoint-Initiated messages this rank
+	// processed, not those sent to it: one that is still unread when the
+	// rank finishes is never counted, so the world's sum can fall well
+	// short of lines × P × (P−1).
 	ControlMessages  uint64
 	LateLogged       uint64
 	LateLoggedBytes  uint64

@@ -59,6 +59,10 @@ func (h *commitLogHandle) WriteSection(name string, data []byte) error {
 	return h.inner.WriteSection(name, data)
 }
 
+func (h *commitLogHandle) WriteParts(name string, parts [][]byte) error {
+	return h.inner.WriteParts(name, parts)
+}
+
 func (h *commitLogHandle) Commit() error {
 	if err := h.inner.Commit(); err != nil {
 		return err

@@ -9,10 +9,10 @@
 //
 // Two tiers of severity:
 //
-//   - ordering-critical operations (Sync, Commit, WriteSection, Rename,
-//     plus the stable.Store mutators Begin/Retire/Truncate): the error may
-//     not be dropped at all — neither a bare call statement nor an
-//     explicit `_ =` discard passes.
+//   - ordering-critical operations (Sync, Commit, WriteSection,
+//     WriteParts, Rename, plus the stable.Store mutators
+//     Begin/Retire/Truncate): the error may not be dropped at all —
+//     neither a bare call statement nor an explicit `_ =` discard passes.
 //
 //   - cleanup operations (Close, Abort): a bare call statement is a
 //     finding, but an explicit `_ = x.Close()` or a `defer x.Close()` is
@@ -42,6 +42,7 @@ var critical = map[string]bool{
 	"Sync":         true,
 	"Commit":       true,
 	"WriteSection": true,
+	"WriteParts":   true,
 	"Rename":       true, // os.Rename: the commit point of DiskStore
 	"Begin":        true,
 	"Retire":       true,
@@ -58,7 +59,7 @@ var cleanup = map[string]bool{
 var Analyzer = &analysis.Analyzer{
 	Name: "c3commiterr",
 	Doc: "commit/restore paths (stable, ckpt, cluster) may not drop errors from Sync, Commit, " +
-		"WriteSection, Rename, Begin, Retire, Truncate (never) or Close, Abort (bare statement)",
+		"WriteSection, WriteParts, Rename, Begin, Retire, Truncate (never) or Close, Abort (bare statement)",
 	Run: run,
 }
 

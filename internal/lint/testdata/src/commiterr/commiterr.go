@@ -11,6 +11,7 @@ type store struct{}
 func (store) Sync() error                    { return nil }
 func (store) Commit() error                  { return nil }
 func (store) WriteSection(name string) error { return nil }
+func (store) WriteParts(name string) error   { return nil }
 func (store) Close() error                   { return nil }
 func (store) Abort() error                   { return nil }
 
@@ -20,6 +21,7 @@ func commit(s store) error {
 	if err := s.WriteSection("data"); err != nil {
 		return err
 	}
+	s.WriteParts("data")             // want `store\.WriteParts error silently dropped on the commit/restore path`
 	os.Rename("staged", "committed") // want `os\.Rename error silently dropped`
 	go s.Commit()                    // want `go store\.Commit drops its error`
 	return s.Sync()

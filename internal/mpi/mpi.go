@@ -28,6 +28,7 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -84,11 +85,18 @@ func (s Status) Count(dt *Datatype) int {
 // Envelope is the unit the MPI layer exchanges over the transport.
 // It is exported so that diagnostic tooling can inspect traffic, but
 // applications never construct Envelopes directly.
+//
+// An envelope is framed at most once: Proc.send makes one per message
+// and hands it to one transport Send, which frames it before it returns
+// (a posted frame is queued already built), and a received envelope is
+// delivered, never sent on. So WireParts may build the head in the
+// envelope itself.
 type Envelope struct {
 	SrcWorld int // world rank of the sender
 	Tag      int
-	Ctx      uint32 // communicator context id
-	Data     []byte // packed payload
+	Ctx      uint32             // communicator context id
+	head     [envelopeHead]byte // WireParts' head; beside Ctx it fills a 64-byte struct
+	Data     []byte             // packed payload
 }
 
 // TransportSize implements transport.Sizer.
@@ -103,25 +111,29 @@ const envelopeHead = 4 + 8 + 4 + 4
 
 // MarshalWire implements transport.WirePayload.
 func (e *Envelope) MarshalWire() []byte {
-	w := wire.NewWriter(envelopeHead + len(e.Data))
-	e.writeHead(w)
-	return append(w.Bytes(), e.Data...)
+	b := make([]byte, envelopeHead+len(e.Data))
+	e.putHead(b)
+	copy(b[envelopeHead:], e.Data)
+	return b
 }
 
 // WireParts implements transport.SplitPayload: the data is the message's
 // own (see Comm.SendPacked), so a wire may frame or write it from where it
-// lies.
+// lies. The head is the envelope's own buffer, which the envelope's one
+// framing copies into its frame.
 func (e *Envelope) WireParts() (head, body []byte) {
-	w := wire.NewWriter(envelopeHead)
-	e.writeHead(w)
-	return w.Bytes(), e.Data
+	e.putHead(e.head[:])
+	return e.head[:], e.Data
 }
 
-func (e *Envelope) writeHead(w *wire.Writer) {
-	w.U32(uint32(e.SrcWorld))
-	w.I64(int64(e.Tag))
-	w.U32(e.Ctx)
-	w.U32(uint32(len(e.Data)))
+// putHead writes the encoding before the data into b[:envelopeHead]:
+// source, tag, context and the data's length prefix.
+func (e *Envelope) putHead(b []byte) {
+	_ = b[envelopeHead-1]
+	binary.LittleEndian.PutUint32(b[0:], uint32(e.SrcWorld))
+	binary.LittleEndian.PutUint64(b[4:], uint64(e.Tag))
+	binary.LittleEndian.PutUint32(b[12:], e.Ctx)
+	binary.LittleEndian.PutUint32(b[16:], uint32(len(e.Data)))
 }
 
 func init() {

@@ -1,9 +1,12 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
+
+	"c3/internal/transport"
 )
 
 // runRanks executes fn once per rank, each on its own goroutine, and fails
@@ -671,4 +674,23 @@ func TestAllreduceAux(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestEnvelopeWireParts: the head WireParts builds in the envelope is
+// MarshalWire's encoding up to the data, decodes back to the envelope,
+// and costs no allocation.
+func TestEnvelopeWireParts(t *testing.T) {
+	e := &Envelope{SrcWorld: 3, Tag: -2, Ctx: 9, Data: []byte("payload")}
+	head, body := e.WireParts()
+	joined := append(append([]byte(nil), head...), body...)
+	if !bytes.Equal(joined, e.MarshalWire()) {
+		t.Fatalf("head+body %x differ from MarshalWire %x", joined, e.MarshalWire())
+	}
+	got, err := transport.DecodeWirePayload(e.WireKind(), joined)
+	if d, ok := got.(*Envelope); err != nil || !ok || d.SrcWorld != 3 || d.Tag != -2 || d.Ctx != 9 || string(d.Data) != "payload" {
+		t.Fatalf("decoded %+v, %v", got, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.WireParts() }); n != 0 {
+		t.Fatalf("WireParts allocated %v times per call", n)
+	}
 }

@@ -18,7 +18,7 @@ type DelayedStore struct {
 	bandwidth float64 // bytes/second; <= 0 means infinite
 }
 
-// NewDelayedStore wraps inner, charging perOp on every WriteSection and
+// NewDelayedStore wraps inner, charging perOp on every section write and
 // Commit plus a per-byte cost derived from bandwidth (bytes/second).
 func NewDelayedStore(inner Store, perOp time.Duration, bandwidth float64) *DelayedStore {
 	return &DelayedStore{inner: inner, perOp: perOp, bandwidth: bandwidth}
@@ -76,8 +76,12 @@ type delayedCkpt struct {
 }
 
 func (c *delayedCkpt) WriteSection(name string, data []byte) error {
-	c.store.charge(len(data))
-	return c.inner.WriteSection(name, data)
+	return c.WriteParts(name, [][]byte{data})
+}
+
+func (c *delayedCkpt) WriteParts(name string, parts [][]byte) error {
+	c.store.charge(partsLen(parts))
+	return c.inner.WriteParts(name, parts)
 }
 
 func (c *delayedCkpt) Commit() error {

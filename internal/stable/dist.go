@@ -411,23 +411,34 @@ func (s *DistStore) Begin(rank, version int) (Checkpoint, error) {
 }
 
 func (h *distHandle) WriteSection(name string, data []byte) error {
+	return h.WriteParts(name, [][]byte{data})
+}
+
+func (h *distHandle) WriteParts(name string, parts [][]byte) error {
 	if h.done {
 		return fmt.Errorf("stable: write to finished checkpoint (%d,%d)", h.rank, h.version)
 	}
 	if i := slices.IndexFunc(h.sections, func(sec blobSection) bool { return sec.name == name }); i >= 0 {
 		h.dropSection(i)
 	}
-	h.appendSection(name, data)
+	n := h.appendSection(name, parts...)
 	h.store.mu.Lock()
-	h.store.bytesWritten += int64(len(data))
+	h.store.bytesWritten += int64(n)
 	h.store.mu.Unlock()
 	return nil
 }
 
-func (h *distHandle) appendSection(name string, data []byte) {
+// appendSection appends the section whose contents are the parts'
+// concatenation to the blob, and returns its length.
+func (h *distHandle) appendSection(name string, parts ...[]byte) int {
+	n := partsLen(parts)
 	h.blob.String(name)
-	h.blob.Bytes32(data)
-	h.sections = append(h.sections, blobSection{name: name, at: h.blob.Len() - len(data), n: len(data)})
+	h.blob.U32(uint32(n))
+	h.sections = append(h.sections, blobSection{name: name, at: h.blob.Len(), n: n})
+	for _, p := range parts {
+		h.blob.Raw(p)
+	}
+	return n
 }
 
 // dropSection rebuilds the blob without section i, so a section written

@@ -22,8 +22,11 @@
 package stable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -91,11 +94,20 @@ type NodeFailer interface {
 	FailNode(rank int)
 }
 
-// Checkpoint is an open, uncommitted checkpoint being written.
+// Checkpoint is an open, uncommitted checkpoint being written. No write
+// retains its input once it returns: the caller may change or reuse the
+// bytes at once, which is what lets WriteParts take views of live
+// application memory.
 type Checkpoint interface {
 	// WriteSection stores a named section. Writing a section twice
 	// replaces it.
 	WriteSection(name string, data []byte) error
+	// WriteParts stores a named section whose contents are the
+	// concatenation of parts, without joining them first; WriteSection is
+	// WriteParts of one part. A disk store writes each part to the
+	// section's file as it is, an in-memory or diskless store copies the
+	// parts once into its own buffer.
+	WriteParts(name string, parts [][]byte) error
 	// Commit makes the checkpoint durable and visible to recovery.
 	Commit() error
 	// Abort discards the checkpoint.
@@ -109,10 +121,30 @@ type Snapshot interface {
 	// bytes they hold, not a copy. The caller must not modify them, and
 	// must copy whatever it keeps past the line's retirement.
 	ReadSection(name string) ([]byte, error)
+	// OpenSection returns a reader over one section, open until its Close:
+	// for a disk store the section's file itself, read in place, and for an
+	// in-memory store a reader of the bytes ReadSection would return.
+	OpenSection(name string) (SectionReader, error)
 	// Sections lists the section names, sorted.
 	Sections() ([]string, error)
 	// Close releases resources.
 	Close() error
+}
+
+// SectionReader reads one section of a committed checkpoint.
+type SectionReader interface {
+	io.ReaderAt
+	io.Closer
+	// Size is the section's length in bytes.
+	Size() int64
+}
+
+// partsLen is the length of the parts' concatenation.
+func partsLen(parts [][]byte) (n int) {
+	for _, p := range parts {
+		n += len(p)
+	}
+	return n
 }
 
 // GlobalLine computes the most recent recovery line committed on all nodes:
@@ -178,12 +210,17 @@ func (s *MemStore) Begin(rank, version int) (Checkpoint, error) {
 }
 
 func (h *memHandle) WriteSection(name string, data []byte) error {
+	return h.WriteParts(name, [][]byte{data})
+}
+
+func (h *memHandle) WriteParts(name string, parts [][]byte) error {
 	h.store.mu.Lock()
 	defer h.store.mu.Unlock()
 	if h.ck.commit {
 		return fmt.Errorf("stable: write to committed checkpoint %v", h.key)
 	}
-	h.ck.sections[name] = append([]byte(nil), data...)
+	data := bytes.Join(parts, nil)
+	h.ck.sections[name] = data
 	h.store.bytesWritten += int64(len(data))
 	return nil
 }
@@ -263,6 +300,19 @@ func (m *memSnap) ReadSection(name string) ([]byte, error) {
 	return data, nil
 }
 
+func (m *memSnap) OpenSection(name string) (SectionReader, error) {
+	data, err := m.ReadSection(name)
+	if err != nil {
+		return nil, err
+	}
+	return viewSection{bytes.NewReader(data)}, nil
+}
+
+// viewSection reads a section an in-memory store holds, where it lies.
+type viewSection struct{ *bytes.Reader }
+
+func (viewSection) Close() error { return nil }
+
 func (m *memSnap) Sections() ([]string, error) {
 	names := make([]string, 0, len(m.ck.sections))
 	for n := range m.ck.sections {
@@ -307,8 +357,12 @@ func (s *NullStore) Begin(rank, version int) (Checkpoint, error) {
 }
 
 func (h *nullHandle) WriteSection(name string, data []byte) error {
+	return h.WriteParts(name, [][]byte{data})
+}
+
+func (h *nullHandle) WriteParts(name string, parts [][]byte) error {
 	h.store.mu.Lock()
-	h.store.bytesWritten += int64(len(data))
+	h.store.bytesWritten += int64(partsLen(parts))
 	h.store.mu.Unlock()
 	return nil
 }
@@ -487,11 +541,16 @@ func syncDir(dir string) error {
 	return err
 }
 
-// WriteSection writes the section straight to its final file: only the
-// COMMITTED marker makes a version visible, so no tmp file and rename are
-// needed. data is not retained once WriteSection returns; the file's fsync
-// and close run in the background until Commit or Abort joins them.
 func (h *diskHandle) WriteSection(name string, data []byte) error {
+	return h.WriteParts(name, [][]byte{data})
+}
+
+// WriteParts writes the section straight to its final file, one Write per
+// part, and digests each part as it goes: only the COMMITTED marker makes
+// a version visible, so no tmp file and rename are needed. The parts are
+// not retained once WriteParts returns; the file's fsync and close run in
+// the background until Commit or Abort joins them.
+func (h *diskHandle) WriteParts(name string, parts [][]byte) error {
 	file := sectionFile(name)
 	for _, s := range h.sections {
 		if s.Name != name && sectionFile(s.Name) == file {
@@ -502,9 +561,13 @@ func (h *diskHandle) WriteSection(name string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("stable: write section %q: %w", name, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close() // the write error is the one to report
-		return fmt.Errorf("stable: write section %q: %w", name, err)
+	var sum uint32
+	for _, p := range parts {
+		if _, err := f.Write(p); err != nil {
+			_ = f.Close() // the write error is the one to report
+			return fmt.Errorf("stable: write section %q: %w", name, err)
+		}
+		sum = crc32.Update(sum, castagnoli, p)
 	}
 	h.inBackground(fmt.Sprintf("sync section %q", name), func() error {
 		err := syncClose(f)
@@ -513,7 +576,7 @@ func (h *diskHandle) WriteSection(name string, data []byte) error {
 		}
 		return err
 	})
-	meta := SectionMeta{Name: name, Bytes: len(data), Sum: replSum(data)}
+	meta := SectionMeta{Name: name, Bytes: partsLen(parts), Sum: uint64(sum)}
 	for i, s := range h.sections {
 		if s.Name == name { // re-written section: replace its record
 			h.sections[i] = meta
@@ -674,6 +737,28 @@ func (d *diskSnap) ReadSection(name string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: section %q", ErrNotFound, name)
 	}
 	return data, err
+}
+
+func (d *diskSnap) OpenSection(name string) (SectionReader, error) {
+	f, err := os.Open(filepath.Join(d.dir, sectionFile(name)))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("%w: section %q", ErrNotFound, name)
+	}
+	if err != nil {
+		return nil, err
+	}
+	st, err := f.Stat()
+	if err != nil {
+		_ = f.Close() // the stat error is the one to report
+		return nil, err
+	}
+	return fileSection{io.NewSectionReader(f, 0, st.Size()), f}, nil
+}
+
+// fileSection reads a section file with pread, until it is closed.
+type fileSection struct {
+	*io.SectionReader
+	io.Closer
 }
 
 func (d *diskSnap) Sections() ([]string, error) {

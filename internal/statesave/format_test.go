@@ -2,9 +2,12 @@ package statesave
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"c3/internal/wire"
@@ -104,12 +107,59 @@ func TestSaveMatchesReferenceEncoder(t *testing.T) {
 	}
 }
 
+// TestSavePartsMatchSave: the parts form is the same image, and its bulk
+// parts are the registered memory itself, not a copy of it.
+func TestSavePartsMatchSave(t *testing.T) {
+	g, _ := goldenRegistry(true)
+	img := g.Save()
+	parts := g.SaveParts()
+	if !bytes.Equal(bytes.Join(parts, nil), img) {
+		t.Fatal("the parts, concatenated, differ from Save's image")
+	}
+	// Change the registered memory after the parts were taken: a part that
+	// views it changes with it.
+	fs, bs := g.Float64s("fs", 5).Data(), g.Bytes("bs").Data()
+	fs[0], bs[0] = 99, 'j'
+	joined := bytes.Join(parts, nil)
+	g2, _ := goldenRegistry(false)
+	if err := g2.Load(joined); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(g2.Bytes("bs").Data()); got != "jello" {
+		t.Fatalf("the Bytes part is a copy: it reads %q after the cell changed", got)
+	}
+	if got := g2.Float64s("fs", 5).Data()[0]; littleEndian && got != 99 {
+		t.Fatalf("the Float64s part is a copy: it reads %v after the cell changed", got)
+	}
+	if !bytes.Equal(joined, g.Save()) {
+		t.Fatal("the parts no longer match Save once the state changed")
+	}
+}
+
+// loaders are the two entry points of the one decoder: an image in memory,
+// and the same bytes read through an io.ReaderAt.
+var loaders = []struct {
+	name string
+	load func(g *Registry, img []byte) error
+}{
+	{"Load", func(g *Registry, img []byte) error { return g.Load(img) }},
+	{"LoadFrom", func(g *Registry, img []byte) error {
+		return g.LoadFrom(bytes.NewReader(img), int64(len(img)))
+	}},
+}
+
 func TestParentImageRestores(t *testing.T) {
+	for _, l := range loaders {
+		t.Run(l.name, func(t *testing.T) { testParentImageRestores(t, l.load) })
+	}
+}
+
+func testParentImageRestores(t *testing.T, load func(*Registry, []byte) error) {
 	g, h := goldenRegistry(false)
 	grid := h.Alloc("grid", 16) // allocated before the restore; "empty" after it
 	fs, _ := g.Lookup("fs")
 	alias := fs.(*Float64s).Data()
-	if err := g.Load(parentImage(t)); err != nil {
+	if err := load(g, parentImage(t)); err != nil {
 		t.Fatal(err)
 	}
 	if g.Int("it").Get() != 42 || g.Float64("x").Get() != -2.5 || !g.Bool("ok").Get() {
@@ -176,6 +226,41 @@ func TestTruncatedImageLeavesFloat64sUntouched(t *testing.T) {
 		}
 		untouched("truncated image")
 	}
+	// The same cuts of a section file, and images whose count promises
+	// more than the body holds: "v"'s body length is at offset 9 and its
+	// count at 13.
+	patched := func(at int, v uint32) []byte {
+		b := bytes.Clone(img)
+		binary.LittleEndian.PutUint32(b[at:], v)
+		return b
+	}
+	bad := map[string][]byte{
+		"inflated count":       patched(13, 1001),
+		"huge count":           patched(13, 1<<31-1),
+		"inflated body length": patched(9, 4+8*1001),
+		"shrunken body length": patched(9, 4+8*500),
+	}
+	for _, cut := range []int{len(img) - 1, len(img) - 8, len(img) / 2, 20} {
+		bad[fmt.Sprintf("file cut to %d", cut)] = img[:cut]
+	}
+	for what, b := range bad {
+		f, err := os.Create(filepath.Join(t.TempDir(), "s_app.bin"))
+		if err == nil {
+			_, err = f.Write(b)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g2.LoadFrom(f, int64(len(b))); err == nil {
+			t.Fatalf("%s: the section file loaded", what)
+		}
+		_ = f.Close() // read-only from here; the load's outcome is what counts
+		untouched(what)
+		if err := g2.Load(b); err == nil {
+			t.Fatalf("%s: the image loaded", what)
+		}
+		untouched(what + " in memory")
+	}
 	// The section itself, given a body that ends early.
 	w := wire.NewWriter(0)
 	src.Save(w)
@@ -187,6 +272,12 @@ func TestTruncatedImageLeavesFloat64sUntouched(t *testing.T) {
 }
 
 func TestLoadDoesNotRetainImage(t *testing.T) {
+	for _, l := range loaders {
+		t.Run(l.name, func(t *testing.T) { testLoadDoesNotRetainImage(t, l.load) })
+	}
+}
+
+func testLoadDoesNotRetainImage(t *testing.T, load func(*Registry, []byte) error) {
 	g, h := NewRegistry(), NewHeap()
 	g.Bytes("b").SetData([]byte("payload"))
 	g.Register(h.Section())
@@ -200,7 +291,7 @@ func TestLoadDoesNotRetainImage(t *testing.T) {
 	g2.Register(h2.Section())
 	same := h2.Alloc("same", 4)
 	grown := h2.Alloc("grown", 2) // a different length: the block is replaced
-	if err := g2.Load(img); err != nil {
+	if err := load(g2, img); err != nil {
 		t.Fatal(err)
 	}
 	for i := range img {
@@ -216,6 +307,28 @@ func TestLoadDoesNotRetainImage(t *testing.T) {
 	}
 	if grownNow != grown {
 		t.Fatal("restore replaced the heap block instead of its contents")
+	}
+}
+
+// TestBytesLoadsWithOneCopy: a Bytes body read through an io.ReaderAt
+// lands in the cell's new slice directly, not in a buffer its Load would
+// copy again.
+func TestBytesLoadsWithOneCopy(t *testing.T) {
+	const size = 1 << 20
+	g := NewRegistry()
+	g.Bytes("b").SetData(bytes.Repeat([]byte{7}, size))
+	img := g.Save()
+	g2 := NewRegistry()
+	b2 := g2.Bytes("b")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := g2.LoadFrom(bytes.NewReader(img), int64(len(img)))
+	runtime.ReadMemStats(&after)
+	if err != nil || !bytes.Equal(b2.Data(), g.Bytes("b").Data()) {
+		t.Fatalf("the Bytes cell did not load: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*size {
+		t.Fatalf("loading a %d-byte Bytes cell allocated %d bytes", size, got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package statesave
 
 import (
+	"bytes"
 	"testing"
 
 	"c3/internal/wire"
@@ -21,7 +22,8 @@ func fuzzRegistry() (*Registry, *Heap) {
 }
 
 // FuzzDeserialize throws arbitrary bytes at every statesave decode entry
-// point: Registry.Load, Heap.Load, and the incremental-image decoder. A
+// point: Registry.Load, Registry.LoadFrom, Heap.Load, and the
+// incremental-image decoder. A
 // corrupt checkpoint image must produce an error, never a panic or an
 // oversized allocation.
 func FuzzDeserialize(f *testing.F) {
@@ -48,6 +50,8 @@ func FuzzDeserialize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, h := fuzzRegistry()
 		_ = g.Load(data) // error or success; must not panic
+		g, _ = fuzzRegistry()
+		_ = g.LoadFrom(bytes.NewReader(data), int64(len(data)))
 		_ = h.Load(data) // likewise
 		_, _, _, _, _ = DecodeIncrement(data)
 		_ = g.LoadSectionBodies(map[string][]byte{"it": data})

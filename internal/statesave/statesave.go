@@ -98,17 +98,64 @@ func (g *Registry) LiveBytes() int {
 	return total
 }
 
-// Save serializes every registered section. Each body is written straight
-// into the image behind a length prefix filled in afterwards, so a
-// section's bytes are encoded once and never copied.
+// Save serializes every registered section into one image. Each body is
+// written straight into the image behind a length prefix filled in
+// afterwards, so a section's bytes are encoded once and never copied.
 func (g *Registry) Save() []byte {
 	w := wire.NewWriter(1024 + g.LiveBytes())
+	g.walk(w, nil)
+	return w.Bytes()
+}
+
+// SaveParts returns Save's image as parts whose concatenation is Save's
+// bytes, without building the image: the framing, the small sections and
+// the Custom and heap bodies are encoded into one small buffer, and every
+// bulk cell's body after its count (a Bytes cell's always, a Float64s or
+// Int64s cell's on a little-endian host) is a view of the registered
+// memory itself. The views alias live application state, so the parts are
+// valid only while the application is blocked in the pragma that took
+// them: a caller writes them out before it returns and keeps none of them
+// (an asynchronous commit takes Save's snapshot instead).
+func (g *Registry) SaveParts() [][]byte {
+	type cut struct {
+		at   int // where in the framing the view goes
+		view []byte
+	}
+	var cuts []cut
+	w := wire.NewWriter(512)
+	g.walk(w, func(b []byte) { cuts = append(cuts, cut{at: w.Len(), view: b}) })
+	framing := w.Bytes()
+	parts := make([][]byte, 0, 2*len(cuts)+1)
+	from := 0
+	for _, c := range cuts {
+		parts = append(parts, framing[from:c.at], c.view)
+		from = c.at
+	}
+	if from < len(framing) {
+		parts = append(parts, framing[from:])
+	}
+	return parts
+}
+
+// walk writes the image into w: the section count, then each section's
+// name and length-prefixed body. With view non-nil, a bulk cell's body is
+// its count in w followed by its memory handed to view, which w does not
+// get; with view nil every body is encoded into w by the section's Save.
+func (g *Registry) walk(w *wire.Writer, view func(b []byte)) {
 	w.U32(uint32(len(g.sections)))
 	for _, s := range g.sections {
 		w.String(s.Name())
-		bytes32(w, s.Save)
+		count, mem, bulk := memory(s)
+		if !bulk || view == nil {
+			bytes32(w, s.Save)
+			continue
+		}
+		w.U32(uint32(4 + len(mem)))
+		w.U32(uint32(count))
+		if len(mem) > 0 {
+			view(mem)
+		}
 	}
-	return w.Bytes()
 }
 
 // bytes32 writes what body appends to w as a length-prefixed byte string:
@@ -118,30 +165,6 @@ func bytes32(w *wire.Writer, body func(w *wire.Writer)) {
 	w.U32(0)
 	body(w)
 	w.PatchU32(at, uint32(w.Len()-at-4))
-}
-
-// Load restores sections by name from a Save image. Sections present in the
-// image but not registered are an error (the program shape diverged);
-// registered sections missing from the image are left untouched. Each
-// section decodes from a view of data, straight into its own storage.
-func (g *Registry) Load(data []byte) error {
-	r := wire.NewReader(data)
-	n := r.Count(8) // minimum bytes per serialized section
-	for i := 0; i < n; i++ {
-		name := r.String()
-		body := r.View32()
-		if r.Err() != nil {
-			return fmt.Errorf("statesave: corrupt image: %w", r.Err())
-		}
-		s, ok := g.byName[name]
-		if !ok {
-			return fmt.Errorf("statesave: image has unregistered section %q", name)
-		}
-		if err := s.Load(wire.NewReader(body)); err != nil {
-			return fmt.Errorf("statesave: section %q: %w", name, err)
-		}
-	}
-	return r.Err()
 }
 
 // --- Scalar cells ---

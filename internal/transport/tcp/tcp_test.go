@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"c3/internal/mpi"
 	"c3/internal/transport"
 	"c3/internal/wire"
 )
@@ -223,23 +224,36 @@ func TestMeshRefusedSendIsNotCounted(t *testing.T) {
 // BenchmarkMeshWindow is one window of frames between two loopback meshes,
 // then an 8 B reply: the small-message stream (32 x 1 KiB, each frame
 // inline), the same stream posted (an Isend window: the frames queue and
-// the peer's writer sends them in batches), and, as the bulk bypass,
-// checkpoint-fragment-sized frames (4 x 1 MiB, each written as header plus
-// body).
+// the peer's writer sends them in batches), the posted stream as the MPI
+// layer sends it (a new mpi.Envelope per frame, framed from its head and
+// data), and, as the bulk bypass, checkpoint-fragment-sized frames
+// (4 x 1 MiB, each written as header plus body).
 func BenchmarkMeshWindow(b *testing.B) {
 	for _, c := range []struct {
-		name          string
-		window, frame int
-		posted        bool
-	}{{"32x1KiB", 32, 1 << 10, false}, {"32x1KiB-posted", 32, 1 << 10, true}, {"4x1MiB", 4, 1 << 20, false}} {
-		b.Run(c.name, func(b *testing.B) { benchWindow(b, c.window, c.frame, c.posted) })
+		name              string
+		window, frame     int
+		posted, envelopes bool
+	}{
+		{"32x1KiB", 32, 1 << 10, false, false},
+		{"32x1KiB-posted", 32, 1 << 10, true, false},
+		{"32x1KiB-envelopes", 32, 1 << 10, true, true},
+		{"4x1MiB", 4, 1 << 20, false, false},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchWindow(b, c.window, c.frame, c.posted, c.envelopes) })
 	}
 }
 
-func benchWindow(b *testing.B, window, frame int, posted bool) {
+// benchWindow times windows of frames, each answered by one short reply.
+// With envelopes, each frame is a new mpi.Envelope, as every MPI send
+// makes one; otherwise one testPayload is sent again and again.
+func benchWindow(b *testing.B, window, frame int, posted, envelopes bool) {
 	meshes := newTestMeshes(b, 2)
 	client, server := meshes[0].Endpoint(0), meshes[1].Endpoint(1)
 	payload, reply := make(testPayload, frame), make(testPayload, 8)
+	next := func() any { return payload }
+	if envelopes {
+		next = func() any { return &mpi.Envelope{Tag: 1, Data: payload} }
+	}
 	n := b.N
 	served := make(chan error, 1)
 	go func() {
@@ -262,7 +276,7 @@ func benchWindow(b *testing.B, window, frame int, posted bool) {
 	b.ResetTimer()
 	for i := 0; i < n; i++ {
 		for k := 0; k < window; k++ {
-			if err := meshes[0].Send(transport.Message{From: 0, To: 1, Payload: payload, Posted: posted}); err != nil {
+			if err := meshes[0].Send(transport.Message{From: 0, To: 1, Payload: next(), Posted: posted}); err != nil {
 				b.Fatal(err)
 			}
 		}

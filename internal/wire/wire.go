@@ -91,6 +91,10 @@ func (w *Writer) Bytes32(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
+// Raw appends b as it is, with no length prefix: the rest of a value
+// whose prefix was written already.
+func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.U32(uint32(len(s)))
