@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"c3/internal/apps"
-	"c3/internal/bench"
 	"c3/internal/ckpt"
 	"c3/internal/cluster"
 	"c3/internal/stable"
@@ -99,7 +98,6 @@ func main() {
 			s.Sends, s.PiggybackBytes, s.CheckpointsTaken,
 			fmtMB(s.CheckpointBytes), s.LateLogged, s.EarlyRecorded, s.ReplayedLate, s.SuppressedSends)
 	}
-	_ = bench.Options{} // keep the experiment harness linked for -table users
 }
 
 func fmtMB(b uint64) string { return fmt.Sprintf("%.2f", float64(b)/(1<<20)) }

@@ -72,11 +72,14 @@ func (l *Layer) Checkpoint(force bool) error {
 func (l *Layer) startCheckpoint() error {
 	begin := l.clock()
 	l.epoch++
-	line := l.epoch
-	sp := trace.Default().Begin(int32(l.rank), trace.KindSerialize, 0, line)
-	defer func() { sp.End(l.pendingBytes) }()
-	l.pendingLine = line
-	l.pendingBytes = 0
+	sp := trace.Default().Begin(int32(l.rank), trace.KindSerialize, 0, l.epoch)
+	job, err := l.committer.begin(l.epoch)
+	if err != nil {
+		sp.End(0)
+		return l.fatal(err)
+	}
+	defer func() { sp.End(job.bytes) }()
+	l.line = job
 
 	// Prepare counters first (Figure 5): "Copy Received-Counters to
 	// Late-Received-Counters; copy Early-Received-Counters to
@@ -89,82 +92,38 @@ func (l *Layer) startCheckpoint() error {
 		l.received[q], l.earlyRecvd[q] = l.earlyRecvd[q], 0
 	}
 
-	// In async mode the store is never touched on this thread: sections are
-	// captured into a commit job the background committer writes out.
-	// writeSection abstracts over the two destinations.
-	var writeSection func(name string, data []byte) error
-	if l.committer != nil {
-		l.pendingJob = &commitJob{line: line}
-		writeSection = func(name string, data []byte) error {
-			l.pendingJob.sections = append(l.pendingJob.sections, namedSection{name: name, data: data})
-			return nil
-		}
-	} else {
-		ck, err := l.store.Begin(l.rank, int(line))
-		if err != nil {
-			return l.fatal(fmt.Errorf("ckpt: begin checkpoint %d: %w", line, err))
-		}
-		l.pending = ck
-		writeSection = ck.WriteSection
-	}
-
-	// Save application state: a full registry dump, or — with incremental
-	// checkpointing enabled — only the sections whose contents changed
-	// since the previous line, anchored by periodic full snapshots.
+	// Save application state: the registry's parts, views of the
+	// registered memory that the line writes where they lie or copies —
+	// or, with incremental checkpointing enabled, only the sections whose
+	// contents changed since the previous line, anchored by periodic full
+	// snapshots.
 	if k := l.cfg.FullCheckpointEvery; k > 1 {
 		cur := l.state.Sections()
-		full := l.lastSections == nil || (line-1)%uint64(k) == 0
 		var appImg []byte
-		if full {
+		if l.lastSections == nil || (job.line-1)%uint64(k) == 0 {
 			appImg = statesave.EncodeIncrement(true, 0, cur, nil)
 		} else {
 			delta, removed := statesave.DiffSections(l.lastSections, cur)
-			appImg = statesave.EncodeIncrement(false, line-1, delta, removed)
+			appImg = statesave.EncodeIncrement(false, job.line-1, delta, removed)
 		}
 		l.lastSections = cur
-		if err := writeSection(secAppInc, appImg); err != nil {
-			return l.fatal(err)
-		}
-		l.stats.CheckpointBytes += uint64(len(appImg))
-		l.pendingBytes += uint64(len(appImg))
-	} else if l.committer == nil {
-		// A synchronous line writes the registered memory where it lies:
-		// the application is blocked here until the store has it, and no
-		// store keeps a write's input once the write returns.
-		parts := l.state.SaveParts()
-		if err := l.pending.WriteParts(secApp, parts); err != nil {
-			return l.fatal(err)
-		}
-		for _, p := range parts {
-			l.stats.CheckpointBytes += uint64(len(p))
-			l.pendingBytes += uint64(len(p))
-		}
+		err = job.write(secAppInc, appImg)
 	} else {
-		// The async committer writes after the application has moved on,
-		// so it gets a snapshot.
-		appImg := l.state.Save()
-		if err := writeSection(secApp, appImg); err != nil {
-			return l.fatal(err)
-		}
-		l.stats.CheckpointBytes += uint64(len(appImg))
-		l.pendingBytes += uint64(len(appImg))
+		err = job.write(secApp, l.state.SaveParts()...)
 	}
-
-	// Save basic MPI state and the handle tables.
-	mpiImg := l.saveMPIState()
-	if err := writeSection(secMPI, mpiImg); err != nil {
+	if err != nil {
 		return l.fatal(err)
 	}
-	l.stats.CheckpointBytes += uint64(len(mpiImg))
-	l.pendingBytes += uint64(len(mpiImg))
 
-	// Save and reset the Early-Message-Registry.
-	earlyImg := l.earlyReg.Serialize()
-	if err := writeSection(secEarly, earlyImg); err != nil {
+	// Save basic MPI state and the handle tables, then save and reset the
+	// Early-Message-Registry.
+	if err := job.write(secMPI, l.saveMPIState()); err != nil {
 		return l.fatal(err)
 	}
-	l.stats.CheckpointBytes += uint64(len(earlyImg))
-	l.pendingBytes += uint64(len(earlyImg))
+	if err := job.write(secEarly, l.earlyReg.Serialize()); err != nil {
+		return l.fatal(err)
+	}
+	l.stats.CheckpointBytes += job.bytes
 	l.earlyReg.Reset()
 
 	// Send Checkpoint-Initiated to every other process Q with Sent-Count[Q].
@@ -172,7 +131,7 @@ func (l *Layer) startCheckpoint() error {
 		if q == l.rank {
 			continue
 		}
-		m := ctrlInitiated{Line: line, SentToYou: l.sent[q]}
+		m := ctrlInitiated{Line: job.line, SentToYou: l.sent[q]}
 		if err := l.ctrl.SendBytes(m.encode(), q, ctrlTagInitiated); err != nil {
 			return l.fatal(err)
 		}
@@ -223,50 +182,22 @@ func (l *Layer) startCheckpoint() error {
 // commit the version, and return to Run mode.
 func (l *Layer) commitCheckpoint() error {
 	begin := l.clock()
-	if l.pending == nil && l.pendingJob == nil {
+	job := l.line
+	if job == nil {
 		return l.fatal(fmt.Errorf("ckpt: commit without open checkpoint"))
 	}
+	l.line = nil
 	lateImg := l.lateReg.Serialize()
 	resImg := l.results.Serialize()
-	reqImg := l.reqs.Serialize(l.pendingLine)
+	reqImg := l.reqs.Serialize(job.line)
 	l.stats.CheckpointBytes += uint64(len(lateImg) + len(resImg) + len(reqImg))
-	l.pendingBytes += uint64(len(lateImg) + len(resImg) + len(reqImg))
-	if l.committer != nil {
-		// Async: the line is protocol-complete; hand the full capture to the
-		// background committer. The FIFO pipeline guarantees the previous
-		// line is durable before this one commits at the store.
-		job := l.pendingJob
-		l.pendingJob = nil
-		job.sections = append(job.sections,
-			namedSection{name: secLate, data: lateImg},
-			namedSection{name: secResults, data: resImg},
-			namedSection{name: secRequests, data: reqImg})
-		job.retireBelow = l.pendingRetire
-		l.pendingRetire = 0
-		if err := l.committer.enqueue(job); err != nil {
-			return l.fatal(fmt.Errorf("ckpt: async commit checkpoint %d: %w", l.pendingLine, err))
-		}
-	} else {
-		sp := trace.Default().Begin(int32(l.rank), trace.KindCommit, 0, l.pendingLine)
-		if err := l.pending.WriteSection(secLate, lateImg); err != nil {
-			sp.End(0)
-			return l.fatal(err)
-		}
-		if err := l.pending.WriteSection(secResults, resImg); err != nil {
-			sp.End(0)
-			return l.fatal(err)
-		}
-		if err := l.pending.WriteSection(secRequests, reqImg); err != nil {
-			sp.End(0)
-			return l.fatal(err)
-		}
-		if err := l.pending.Commit(); err != nil {
-			sp.End(0)
-			return l.fatal(fmt.Errorf("ckpt: commit checkpoint %d: %w", l.pendingLine, err))
-		}
-		sp.End(l.pendingBytes)
-		l.stats.StoredBytes += storedSizeOf(l.pending, l.pendingBytes)
-		l.pending = nil
+	// The committer finishes the line here, or queues it behind the lines
+	// in flight; either way line k is durable before line k+1 commits.
+	if err := l.committer.commit(job,
+		namedSection{name: secLate, data: lateImg},
+		namedSection{name: secResults, data: resImg},
+		namedSection{name: secRequests, data: reqImg}); err != nil {
+		return l.fatal(err)
 	}
 	l.lateReg.Reset()
 	l.results.Reset()
@@ -274,17 +205,6 @@ func (l *Layer) commitCheckpoint() error {
 	l.mode = ModeRun
 	l.stats.CommitDuration += l.clock().Sub(begin)
 	return nil
-}
-
-// storedSizeOf is the stable-storage footprint of a committed handle: the
-// store's own report when it gives one (the diskless replicated stores
-// count local copy plus replica shards and parity), the line's raw section
-// bytes otherwise.
-func storedSizeOf(ck stable.Checkpoint, fallback uint64) uint64 {
-	if sz, ok := ck.(stable.StoredSizer); ok {
-		return uint64(sz.StoredSize())
-	}
-	return fallback
 }
 
 // saveMPIState serializes the "basic MPI state" (Figure 5): world shape,
@@ -466,9 +386,7 @@ func (l *Layer) Restore() (bool, error) {
 	l.nextStarted = make([]bool, l.n)
 	l.nextStartedCount = 0
 	l.nextExpected = newExpected(l.n)
-	l.pending = nil
-	l.pendingJob = nil
-	l.pendingRetire = 0
+	l.line = nil
 	l.mode = ModeRestore
 	l.stats.Restores++
 	l.stats.RestoreDuration += l.clock().Sub(begin)

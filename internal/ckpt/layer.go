@@ -104,22 +104,13 @@ type Layer struct {
 
 	world *WComm
 
-	pending     stable.Checkpoint
-	pendingLine uint64
-
-	// Asynchronous commit pipeline state (Policy.AsyncCommit). pendingJob
-	// accumulates the serialized sections of the line in progress;
-	// pendingRetire defers the garbage-collection floor to the committer.
-	committer     *committer
-	pendingJob    *commitJob
-	pendingRetire int
+	// committer writes every recovery line out; line is the one in
+	// progress, between startCheckpoint and commitCheckpoint.
+	committer *committer
+	line      *commitJob
 
 	// Incremental checkpointing state: the previous line's section images.
 	lastSections map[string]statesave.SectionImage
-
-	// pendingBytes is the raw section bytes of the line in progress — the
-	// StoredBytes fallback for stores that do not report a footprint.
-	pendingBytes uint64
 
 	pragmaCount  int
 	lastCkptTime time.Time
@@ -248,13 +239,7 @@ func New(p *mpi.Proc, cfg Config) (*Layer, error) {
 	l.ctrl = ctrl
 	l.comms = NewCommTable(p.CommWorld())
 	l.world = &WComm{l: l, c: p.CommWorld(), handle: HandleWorld}
-	if cfg.Policy.AsyncCommit {
-		if sched != nil {
-			l.committer = newVirtualCommitter(l.store, l.rank, clock)
-		} else {
-			l.committer = newCommitter(l.store, l.rank, clock)
-		}
-	}
+	l.committer = newCommitter(l.store, l.rank, clock, cfg.Policy.AsyncCommit, sched != nil)
 	return l, nil
 }
 
@@ -285,14 +270,13 @@ func (l *Layer) Epoch() uint64 { return l.epoch }
 // committer's (which advance concurrently while a commit is in flight).
 func (l *Layer) Stats() Stats {
 	st := l.stats
-	if c := l.committer; c != nil {
-		c.mu.Lock()
-		st.AsyncCommits = c.asyncCommits
-		st.AsyncWriteDuration = c.writeDuration
-		st.CommitStallLatency = c.stallDuration
-		st.StoredBytes += c.storedBytes
-		c.mu.Unlock()
-	}
+	c := l.committer
+	c.mu.Lock()
+	st.AsyncCommits = c.asyncCommits
+	st.AsyncWriteDuration = c.writeDuration
+	st.CommitStallLatency = c.stallDuration
+	st.StoredBytes = c.storedBytes
+	c.mu.Unlock()
 	return st
 }
 
@@ -300,9 +284,6 @@ func (l *Layer) Stats() Stats {
 // recovery line is durable at the stable store, returning the first store
 // error. It is a no-op without AsyncCommit.
 func (l *Layer) DrainCommits() error {
-	if l.committer == nil {
-		return nil
-	}
 	if err := l.committer.drain(); err != nil {
 		return l.fatal(err)
 	}
@@ -315,18 +296,13 @@ func (l *Layer) DrainCommits() error {
 // the runtime can wipe node-local storage without a racing write
 // resurrecting lost data.
 func (l *Layer) AbortCommits() {
-	if l.committer != nil {
-		l.committer.abort()
-	}
+	l.committer.abort()
 }
 
 // Close tears the layer's background resources down at the end of an
 // attempt. When abort is set the pipeline is discarded (fail-stop);
 // otherwise it is drained so final checkpoints reach the store.
 func (l *Layer) Close(abort bool) error {
-	if l.committer == nil {
-		return nil
-	}
 	var err error
 	if abort {
 		l.committer.abort()
@@ -379,11 +355,9 @@ func (l *Layer) checkControl() error {
 	if l.err != nil {
 		return l.err
 	}
-	if l.committer != nil {
-		// Advance the virtual commit pipeline (no-op for the real one).
-		if err := l.committer.pump(); err != nil {
-			return l.fatal(err)
-		}
+	// Advance the virtual commit pipeline (a no-op for the others).
+	if err := l.committer.pump(); err != nil {
+		return l.fatal(err)
 	}
 	for {
 		st, found, err := l.ctrl.Iprobe(mpi.AnySource, mpi.AnyTag)
@@ -460,35 +434,20 @@ func (l *Layer) enterRecvOnlyLog() {
 	}
 	l.mode = ModeRecvOnlyLog
 	// Everyone started line L, so everyone committed line L-1; recovery can
-	// never need anything older — garbage-collect it. With incremental
-	// checkpointing the floor is the full-snapshot anchor of line L-1, so
-	// the delta chain stays reachable.
-	if l.epoch >= 2 {
-		floor := l.epoch - 1
-		if l.committer != nil {
-			// With the async pipeline, "everyone started line L" no longer
-			// implies everyone durably committed L-1: a peer can have up to
-			// two protocol-committed lines still in flight (one at the
-			// store, one double-buffered), and a fail-stop failure discards
-			// both — its durable watermark can trail its epoch by three
-			// lines. Keep two extra lines so the global recovery line is
-			// never garbage-collected out from under a failed peer.
-			if floor <= asyncPipelineDepth {
-				return
-			}
-			floor -= asyncPipelineDepth
-		}
+	// never need anything older — garbage-collect it. Behind a commit
+	// pipeline of depth d, "everyone started line L" only implies everyone
+	// durably committed L-1-d: a peer can hold d protocol-committed lines
+	// not yet durable (one at the store, one double-buffered), and a
+	// fail-stop failure discards them all, so d extra lines stay and the
+	// global recovery line is never garbage-collected out from under a
+	// failed peer. With incremental checkpointing the floor is the
+	// full-snapshot anchor, so the delta chain stays reachable.
+	if d := uint64(l.committer.depth); l.epoch >= d+2 {
+		floor := l.epoch - 1 - d
 		if k := uint64(l.cfg.FullCheckpointEvery); k > 1 {
 			floor = floor - (floor-1)%k
 		}
-		if l.committer != nil {
-			// Defer the (possibly disk-touching) garbage collection to the
-			// background committer; it runs after this line commits.
-			l.pendingRetire = int(floor)
-		} else {
-			// Best-effort GC: stale versions are harmless; the commit stands.
-			_ = l.store.Retire(l.rank, int(floor)) //c3lint:allow commiterr best-effort GC; commit already durable
-		}
+		l.committer.setFloor(l.line, int(floor))
 	}
 }
 

@@ -197,6 +197,47 @@ func TestAsyncRetireKeepsFailedPeersLine(t *testing.T) {
 	}
 }
 
+// TestRetireKeepsOnlyTheFloor pins that a failure-free run garbage-collects
+// in both commit modes: a rank keeps its lines down to the last
+// garbage-collection floor and no older — two versions when lines commit
+// inline, and up to asyncPipelineDepth+2 = 4 behind the asynchronous
+// pipeline, which holds the floor back by its depth.
+func TestRetireKeepsOnlyTheFloor(t *testing.T) {
+	const ranks = 3
+	for _, tc := range []struct {
+		async bool
+		keep  int
+	}{{false, 2}, {true, 4}} {
+		store, err := stable.NewDiskStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got sync.Map
+		run(t, cluster.Config{
+			Ranks:  ranks,
+			App:    sched.StressApp(12, &got),
+			Store:  store,
+			Policy: ckpt.Policy{EveryNthPragma: 2, AsyncCommit: tc.async},
+		})
+		for r := 0; r < ranks; r++ {
+			last, ok, err := store.LastCommitted(r)
+			if err != nil || !ok {
+				t.Fatalf("async=%v: rank %d has no committed line: %v", tc.async, r, err)
+			}
+			var kept []int
+			for v := 1; v <= last; v++ {
+				if snap, err := store.Open(r, v); err == nil {
+					_ = snap.Close() // read-only snapshot, never read
+					kept = append(kept, v)
+				}
+			}
+			if len(kept) > tc.keep {
+				t.Errorf("async=%v: rank %d keeps versions %v, want at most %d", tc.async, r, kept, tc.keep)
+			}
+		}
+	}
+}
+
 // TestAsyncReplicatedSurvivesFailure is the headline scenario: asynchronous
 // commit into the diskless replicated store, a fail-stop failure that wipes
 // the victim's node memory, and recovery that reassembles the victim's last

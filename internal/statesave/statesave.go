@@ -115,7 +115,7 @@ func (g *Registry) Save() []byte {
 // memory itself. The views alias live application state, so the parts are
 // valid only while the application is blocked in the pragma that took
 // them: a caller writes them out before it returns and keeps none of them
-// (an asynchronous commit takes Save's snapshot instead).
+// (an asynchronous commit copies them before the pragma returns).
 func (g *Registry) SaveParts() [][]byte {
 	type cut struct {
 		at   int // where in the framing the view goes
