@@ -2,11 +2,11 @@ package ckpt
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"c3/internal/mpi"
 	"c3/internal/stable"
-	"c3/internal/statesave"
 	"c3/internal/trace"
 	"c3/internal/wire"
 )
@@ -14,7 +14,8 @@ import (
 // Section names within a checkpoint version.
 const (
 	secApp      = "app"      // application state (statesave registry dump)
-	secAppInc   = "appinc"   // application state, incremental encoding
+	secAppDelta = "appdelta" // the registry image of a delta line's changed sections
+	secAppHead  = "apphead"  // a delta line's base line and live section names
 	secMPI      = "mpi"      // basic MPI state + handle tables + counters
 	secEarly    = "early"    // Early-Message-Registry (written at start)
 	secLate     = "late"     // Late-Message-Registry (written at commit)
@@ -93,25 +94,8 @@ func (l *Layer) startCheckpoint() error {
 	}
 
 	// Save application state: the registry's parts, views of the
-	// registered memory that the line writes where they lie or copies —
-	// or, with incremental checkpointing enabled, only the sections whose
-	// contents changed since the previous line, anchored by periodic full
-	// snapshots.
-	if k := l.cfg.FullCheckpointEvery; k > 1 {
-		cur := l.state.Sections()
-		var appImg []byte
-		if l.lastSections == nil || (job.line-1)%uint64(k) == 0 {
-			appImg = statesave.EncodeIncrement(true, 0, cur, nil)
-		} else {
-			delta, removed := statesave.DiffSections(l.lastSections, cur)
-			appImg = statesave.EncodeIncrement(false, job.line-1, delta, removed)
-		}
-		l.lastSections = cur
-		err = job.write(secAppInc, appImg)
-	} else {
-		err = job.write(secApp, l.state.SaveParts()...)
-	}
-	if err != nil {
+	// registered memory that the line writes where they lie or copies.
+	if err := l.writeAppState(job); err != nil {
 		return l.fatal(err)
 	}
 
@@ -174,6 +158,56 @@ func (l *Layer) startCheckpoint() error {
 	l.lastCkptTime = l.clock()
 	l.stats.StartDuration += l.clock().Sub(begin)
 	return nil
+}
+
+// writeAppState writes a line's application state. A full line is the
+// registry image of every section. With incremental checkpointing (the
+// paper's Section 5 future work) a full line anchors every k-th line, and
+// the others are delta lines: the registry image of only the sections
+// whose digest changed since the previous line, beside a header naming
+// that base line and every section live at this one.
+func (l *Layer) writeAppState(job *commitJob) error {
+	if k := uint64(l.cfg.FullCheckpointEvery); k > 1 {
+		prev, cur := l.lastDigests, l.state.Digests()
+		l.lastDigests = cur
+		if prev != nil && (job.line-1)%k != 0 {
+			if err := job.write(secAppHead, encodeDeltaHead(job.line-1, l.state.SortedNames())); err != nil {
+				return err
+			}
+			return job.write(secAppDelta, l.state.SaveParts(func(name string) bool {
+				d, ok := prev[name]
+				return !ok || d != cur[name]
+			})...)
+		}
+	}
+	return job.write(secApp, l.state.SaveParts(nil)...)
+}
+
+// encodeDeltaHead is a delta line's header: its base line and the names of
+// the sections live at it.
+func encodeDeltaHead(base uint64, live []string) []byte {
+	w := wire.NewWriter(64)
+	w.U64(base)
+	w.U32(uint32(len(live)))
+	for _, name := range live {
+		w.String(name)
+	}
+	return w.Bytes()
+}
+
+// decodeDeltaHead parses encodeDeltaHead's bytes.
+func decodeDeltaHead(data []byte) (base uint64, live map[string]bool, err error) {
+	r := wire.NewReader(data)
+	base = r.U64()
+	n := r.Count(4) // minimum bytes per name
+	live = make(map[string]bool, n)
+	for i := 0; i < n; i++ {
+		live[r.String()] = true
+	}
+	if r.Err() != nil {
+		return 0, nil, fmt.Errorf("ckpt: corrupt incremental header: %w", r.Err())
+	}
+	return base, live, nil
 }
 
 // commitCheckpoint is chkpt_CommitCheckpoint (Figure 5): save the
@@ -396,61 +430,70 @@ func (l *Layer) Restore() (bool, error) {
 	return true, nil
 }
 
-// loadAppState restores the registry from a snapshot: either the plain full
-// dump, or an incremental chain walked back to its full anchor and applied
-// forward.
+// loadAppState restores the registry from line's snapshot. A full line
+// loads whole. For a delta line each section live at it loads from the
+// newest line of its chain that holds the section, walking back through
+// the base lines to the full anchor; a section not live at line is never
+// loaded, so one unregistered since an older line of the chain stays as
+// the prologue registered it (the tombstone rule).
 func (l *Layer) loadAppState(snap stable.Snapshot, line uint64) error {
-	if sec, err := snap.OpenSection(secApp); err == nil {
-		err = l.state.LoadFrom(sec, sec.Size())
-		if cerr := sec.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
-	img, err := snap.ReadSection(secAppInc)
-	if err != nil {
-		return fmt.Errorf("ckpt: checkpoint %d has neither full nor incremental app state: %w", line, err)
-	}
-	type increment struct {
-		sections map[string]statesave.SectionImage
-		removed  []string
-	}
-	var deltas []increment
-	for {
-		full, base, sections, removed, err := statesave.DecodeIncrement(img)
-		if err != nil {
+	var live map[string]bool // the sections live at a delta line
+	var load func(name string) bool
+	if head, err := snap.ReadSection(secAppHead); err == nil {
+		if _, live, err = decodeDeltaHead(head); err != nil {
 			return err
 		}
-		deltas = append(deltas, increment{sections: sections, removed: removed})
-		if full {
-			break
-		}
-		baseSnap, err := l.store.Open(l.rank, int(base))
-		if err != nil {
-			return fmt.Errorf("ckpt: incremental base %d missing: %w", base, err)
-		}
-		img, err = baseSnap.ReadSection(secAppInc)
-		_ = baseSnap.Close() // read-only snapshot; ReadSection's err is what matters
-		if err != nil {
-			return err
+		pending := maps.Clone(live)
+		load = func(name string) bool {
+			if !pending[name] {
+				return false
+			}
+			delete(pending, name)
+			return true
 		}
 	}
-	// Apply from the anchor forward, honoring each delta's tombstones so a
-	// section dropped between anchor and line does not resurrect.
-	merged := deltas[len(deltas)-1].sections
-	for i := len(deltas) - 2; i >= 0; i-- {
-		merged = statesave.MergeSections(merged, deltas[i].sections, deltas[i].removed)
+	base, err := l.loadLine(snap, line, load)
+	for err == nil && base > 0 {
+		s, oerr := l.store.Open(l.rank, int(base))
+		if oerr != nil {
+			return fmt.Errorf("ckpt: incremental base %d missing: %w", base, oerr)
+		}
+		base, err = l.loadLine(s, base, load)
+		_ = s.Close() // read-only snapshot; the load's err is what matters
 	}
-	bodies := make(map[string][]byte, len(merged))
-	for name, simg := range merged {
-		bodies[name] = simg.Body
-	}
-	if err := l.state.LoadSectionBodies(bodies); err != nil {
+	if err != nil || l.cfg.FullCheckpointEvery <= 1 {
 		return err
 	}
-	// Subsequent deltas diff against the restored line's images.
-	l.lastSections = merged
+	// The next delta diffs against the sections live at the restored line.
+	l.lastDigests = l.state.Digests()
+	if live != nil {
+		maps.DeleteFunc(l.lastDigests, func(name string, _ uint64) bool { return !live[name] })
+	}
 	return nil
+}
+
+// loadLine loads the sections load admits (every one with load nil) from
+// one line of a chain, and returns its base line: zero for a full line.
+func (l *Layer) loadLine(snap stable.Snapshot, line uint64, load func(name string) bool) (base uint64, err error) {
+	name := secApp
+	if head, herr := snap.ReadSection(secAppHead); herr == nil {
+		if base, _, err = decodeDeltaHead(head); err != nil {
+			return 0, err
+		}
+		if base == 0 || base >= line {
+			return 0, fmt.Errorf("ckpt: checkpoint %d names base line %d", line, base)
+		}
+		name = secAppDelta
+	}
+	sec, err := snap.OpenSection(name)
+	if err != nil {
+		return 0, fmt.Errorf("ckpt: checkpoint %d has neither full nor incremental app state: %w", line, err)
+	}
+	err = l.state.LoadFrom(sec, sec.Size(), load)
+	if cerr := sec.Close(); err == nil {
+		err = cerr
+	}
+	return base, err
 }
 
 func (l *Layer) loadMPIState(data []byte) error {

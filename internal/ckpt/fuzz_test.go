@@ -9,7 +9,8 @@ import (
 
 // FuzzDeserialize throws arbitrary bytes at the checkpoint decode entry
 // points: the handle tables (datatypes, communicators, reduction ops), the
-// message registries, the collective result log, and the request table —
+// message registries, the collective result log, the request table, and
+// an incremental line's header —
 // everything recovery reads from stable storage or a socket. Corrupt input
 // must produce an error, never a panic or an unbounded allocation.
 func FuzzDeserialize(f *testing.F) {
@@ -40,6 +41,8 @@ func FuzzDeserialize(f *testing.F) {
 	rt := NewReqTable()
 	f.Add(rt.Serialize(1))
 
+	f.Add(encodeDeltaHead(6, []string{"hot", "it", "static"}))
+
 	// Truncation of a real image.
 	img := tt.Serialize()
 	f.Add(img[:len(img)/2])
@@ -68,5 +71,6 @@ func FuzzDeserialize(f *testing.F) {
 		_, _, _, _ = deserializeReqTable(data)
 		_, _ = decodeSuppressItems(data)
 		_, _ = decodeCtrlInitiated(data)
+		_, _, _ = decodeDeltaHead(data)
 	})
 }

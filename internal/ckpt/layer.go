@@ -109,8 +109,8 @@ type Layer struct {
 	committer *committer
 	line      *commitJob
 
-	// Incremental checkpointing state: the previous line's section images.
-	lastSections map[string]statesave.SectionImage
+	// lastDigests is the previous line's section digests (incremental lines).
+	lastDigests map[string]uint64
 
 	pragmaCount  int
 	lastCkptTime time.Time

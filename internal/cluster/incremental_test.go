@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -8,7 +9,6 @@ import (
 	"c3/internal/cluster"
 	"c3/internal/mpi"
 	"c3/internal/stable"
-	"c3/internal/statesave"
 )
 
 // incrementalApp has a large static section and a small hot section, the
@@ -48,7 +48,8 @@ func incrementalApp(iters int, sums *sync.Map) func(cluster.Env) error {
 
 // TestIncrementalCheckpointRecovery runs the paper's future-work extension:
 // deltas between full snapshots must recover exactly, across a failure that
-// lands several deltas past the last full checkpoint.
+// lands several deltas past the last full checkpoint, on every kind of
+// store and behind both commit modes.
 func TestIncrementalCheckpointRecovery(t *testing.T) {
 	const ranks = 3
 	const iters = 10
@@ -56,22 +57,47 @@ func TestIncrementalCheckpointRecovery(t *testing.T) {
 	var ref sync.Map
 	run(t, cluster.Config{Ranks: ranks, Direct: true, App: incrementalApp(iters, &ref)})
 
-	var got sync.Map
-	res := run(t, cluster.Config{
-		Ranks:               ranks,
-		App:                 incrementalApp(iters, &got),
-		Policy:              ckpt.Policy{EveryNthPragma: 1}, // checkpoint every iteration
-		FullCheckpointEvery: 4,
-		Failures:            []cluster.FailureSpec{{Rank: 1, AtPragma: 7}},
-	})
-	if res.Attempts != 2 {
-		t.Fatalf("attempts = %d", res.Attempts)
+	stores := []struct {
+		name string
+		open func(t *testing.T) stable.Store
+	}{
+		{"mem", func(*testing.T) stable.Store { return stable.NewMemStore() }},
+		{"disk", func(t *testing.T) stable.Store {
+			store, err := stable.NewDiskStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return store
+		}},
+		{"replicated", func(t *testing.T) stable.Store {
+			store := stable.NewReplicatedStore(ranks)
+			t.Cleanup(store.Close)
+			return store
+		}},
 	}
-	for r := 0; r < ranks; r++ {
-		want, _ := ref.Load(r)
-		gotv, ok := got.Load(r)
-		if !ok || want != gotv {
-			t.Fatalf("rank %d: ref %v vs incremental-recovered %v", r, want, gotv)
+	for _, st := range stores {
+		for _, async := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/async=%v", st.name, async), func(t *testing.T) {
+				var got sync.Map
+				res := run(t, cluster.Config{
+					Ranks:               ranks,
+					App:                 incrementalApp(iters, &got),
+					Store:               st.open(t),
+					Policy:              ckpt.Policy{EveryNthPragma: 1, AsyncCommit: async}, // checkpoint every iteration
+					FullCheckpointEvery: 4,
+					Failures:            []cluster.FailureSpec{{Rank: 1, AtPragma: 7}},
+				})
+				if res.Attempts != 2 {
+					t.Fatalf("attempts = %d", res.Attempts)
+				}
+				for r := 0; r < ranks; r++ {
+					want, _ := ref.Load(r)
+					gotv, ok := got.Load(r)
+					if !ok || want != gotv {
+						t.Fatalf("rank %d: ref %v vs incremental-recovered %v", r, want, gotv)
+					}
+				}
+			})
 		}
 	}
 }
@@ -214,38 +240,5 @@ func TestIncrementalRemovedSectionStaysRemoved(t *testing.T) {
 		if !ok || want != gotv {
 			t.Fatalf("rank %d: ref %v vs recovered %v — removed section resurrected", r, want, gotv)
 		}
-	}
-}
-
-// TestDiffMergeTombstoneRoundtrip pins the statesave-level contract the
-// recovery chain walk relies on.
-func TestDiffMergeTombstoneRoundtrip(t *testing.T) {
-	img := func(b byte) statesave.SectionImage {
-		return statesave.SectionImage{Body: []byte{b}, Digest: uint64(b)}
-	}
-	anchor := map[string]statesave.SectionImage{"keep": img(1), "gone": img(2)}
-	cur := map[string]statesave.SectionImage{"keep": img(1), "new": img(3)}
-
-	delta, removed := statesave.DiffSections(anchor, cur)
-	if len(delta) != 1 || len(removed) != 1 || removed[0] != "gone" {
-		t.Fatalf("DiffSections = delta %v removed %v", delta, removed)
-	}
-	enc := statesave.EncodeIncrement(false, 5, delta, removed)
-	full, base, sections, gotRemoved, err := statesave.DecodeIncrement(enc)
-	if err != nil || full || base != 5 {
-		t.Fatalf("DecodeIncrement: full=%v base=%d err=%v", full, base, err)
-	}
-	if len(gotRemoved) != 1 || gotRemoved[0] != "gone" {
-		t.Fatalf("tombstones lost in encoding: %v", gotRemoved)
-	}
-	merged := statesave.MergeSections(anchor, sections, gotRemoved)
-	if _, resurrected := merged["gone"]; resurrected {
-		t.Fatal("merge resurrected the removed section")
-	}
-	if _, ok := merged["new"]; !ok {
-		t.Fatal("merge dropped the delta's new section")
-	}
-	if _, ok := merged["keep"]; !ok {
-		t.Fatal("merge dropped the unchanged section")
 	}
 }

@@ -164,8 +164,6 @@ type NodeConfig struct {
 	Result func() string
 	// Policy controls pragma firing.
 	Policy ckpt.Policy
-	// FullCheckpointEvery enables incremental checkpointing (see Config).
-	FullCheckpointEvery int
 	// Kill schedules this node's own failure: when the spec fires (on the
 	// first attempt), the node reports itself as the victim and blocks,
 	// awaiting the launcher's real SIGKILL.
@@ -370,11 +368,10 @@ func (w *node) emitSuccess(attempt int) {
 func (w *node) attemptBody(ic transport.Interconnect, attempt int, restore bool) error {
 	world := mpi.NewWorld(w.cfg.Ranks, mpi.WithInterconnect(ic))
 	cfg := Config{
-		Ranks:               w.cfg.Ranks,
-		App:                 w.cfg.App,
-		Args:                w.cfg.Args,
-		Policy:              w.cfg.Policy,
-		FullCheckpointEvery: w.cfg.FullCheckpointEvery,
+		Ranks:  w.cfg.Ranks,
+		App:    w.cfg.App,
+		Args:   w.cfg.Args,
+		Policy: w.cfg.Policy,
 		// The failure fires at the exact protocol point the spec names, but
 		// the death itself is real: announce, then freeze until SIGKILL.
 		failAction: func() error {

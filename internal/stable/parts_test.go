@@ -58,7 +58,7 @@ func TestWritePartsIsWriteSection(t *testing.T) {
 				}
 			}
 			write(1, func(ck Checkpoint) error { return ck.WriteSection("app", img) })
-			write(2, func(ck Checkpoint) error { return ck.WriteParts("app", g.SaveParts()) })
+			write(2, func(ck Checkpoint) error { return ck.WriteParts("app", g.SaveParts(nil)) })
 			for v := 1; v <= 2; v++ {
 				snap, err := s.Open(0, v)
 				if err != nil {
@@ -79,7 +79,7 @@ func TestWritePartsIsWriteSection(t *testing.T) {
 				g2 := partsRegistry()
 				x := g2.Float64s("x", 0).Data()
 				clear(x)
-				if err := g2.LoadFrom(sec, sec.Size()); err != nil {
+				if err := g2.LoadFrom(sec, sec.Size(), nil); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(g2.Save(), img) || &g2.Float64s("x", 0).Data()[0] != &x[0] {

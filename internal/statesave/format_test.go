@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -112,7 +113,7 @@ func TestSaveMatchesReferenceEncoder(t *testing.T) {
 func TestSavePartsMatchSave(t *testing.T) {
 	g, _ := goldenRegistry(true)
 	img := g.Save()
-	parts := g.SaveParts()
+	parts := g.SaveParts(nil)
 	if !bytes.Equal(bytes.Join(parts, nil), img) {
 		t.Fatal("the parts, concatenated, differ from Save's image")
 	}
@@ -136,6 +137,51 @@ func TestSavePartsMatchSave(t *testing.T) {
 	}
 }
 
+// TestSectionFilters: SaveParts with a filter is Save's image of a registry
+// of just the admitted sections, Digests hashes the bodies Save writes, and
+// LoadFrom with a filter restores the admitted sections and skips the
+// rest, registered or not.
+func TestSectionFilters(t *testing.T) {
+	g, _ := goldenRegistry(true)
+	keep := func(name string) bool { return name == "it" || name == "fs" || name == "custom" }
+	sub := NewRegistry()
+	for _, s := range g.sections {
+		if keep(s.Name()) {
+			sub.Register(s)
+		}
+	}
+	img := bytes.Join(g.SaveParts(keep), nil)
+	if !bytes.Equal(img, sub.Save()) {
+		t.Fatal("the filtered parts differ from Save's image of the admitted sections")
+	}
+
+	digests := g.Digests()
+	if len(digests) != len(g.sections) {
+		t.Fatalf("%d digests for %d sections", len(digests), len(g.sections))
+	}
+	for _, s := range g.sections {
+		body := wire.NewWriter(0)
+		s.Save(body)
+		h := fnv.New64a()
+		h.Write(body.Bytes())
+		if digests[s.Name()] != h.Sum64() {
+			t.Errorf("section %q: digest %x, want the FNV-64a of its body %x", s.Name(), digests[s.Name()], h.Sum64())
+		}
+	}
+
+	g2 := NewRegistry()
+	it, fs := g2.Int("it"), g2.Float64s("fs", 5)
+	x := g2.Float64("x") // registered but not admitted
+	x.Set(7)
+	full := g.Save()
+	if err := g2.LoadFrom(bytes.NewReader(full), int64(len(full)), func(name string) bool { return name == "it" || name == "fs" }); err != nil {
+		t.Fatal(err)
+	}
+	if it.Get() != 42 || fs.Data()[0] != 1 || x.Get() != 7 {
+		t.Fatalf("filtered load: it=%d fs[0]=%v x=%v, want 42 1 7", it.Get(), fs.Data()[0], x.Get())
+	}
+}
+
 // loaders are the two entry points of the one decoder: an image in memory,
 // and the same bytes read through an io.ReaderAt.
 var loaders = []struct {
@@ -144,7 +190,7 @@ var loaders = []struct {
 }{
 	{"Load", func(g *Registry, img []byte) error { return g.Load(img) }},
 	{"LoadFrom", func(g *Registry, img []byte) error {
-		return g.LoadFrom(bytes.NewReader(img), int64(len(img)))
+		return g.LoadFrom(bytes.NewReader(img), int64(len(img)), nil)
 	}},
 }
 
@@ -251,7 +297,7 @@ func TestTruncatedImageLeavesFloat64sUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g2.LoadFrom(f, int64(len(b))); err == nil {
+		if err := g2.LoadFrom(f, int64(len(b)), nil); err == nil {
 			t.Fatalf("%s: the section file loaded", what)
 		}
 		_ = f.Close() // read-only from here; the load's outcome is what counts
@@ -322,7 +368,7 @@ func TestBytesLoadsWithOneCopy(t *testing.T) {
 	b2 := g2.Bytes("b")
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := g2.LoadFrom(bytes.NewReader(img), int64(len(img)))
+	err := g2.LoadFrom(bytes.NewReader(img), int64(len(img)), nil)
 	runtime.ReadMemStats(&after)
 	if err != nil || !bytes.Equal(b2.Data(), g.Bytes("b").Data()) {
 		t.Fatalf("the Bytes cell did not load: %v", err)

@@ -22,13 +22,13 @@ func fuzzRegistry() (*Registry, *Heap) {
 }
 
 // FuzzDeserialize throws arbitrary bytes at every statesave decode entry
-// point: Registry.Load, Registry.LoadFrom, Heap.Load, and the
-// incremental-image decoder. A
-// corrupt checkpoint image must produce an error, never a panic or an
-// oversized allocation.
+// point: Registry.Load, Registry.LoadFrom and Heap.Load. A corrupt
+// checkpoint image must produce an error, never a panic or an oversized
+// allocation.
 func FuzzDeserialize(f *testing.F) {
-	// Corpus: a real committed registry image, a real heap image, and a
-	// real incremental image — the exact bytes a checkpoint writes.
+	// Corpus: a real committed registry image, a real heap image, and the
+	// parts an incremental checkpoint writes for an anchor and for a delta
+	// of two sections — the exact bytes a checkpoint writes.
 	g, h := fuzzRegistry()
 	g.Int("it").Set(41)
 	g.Float64s("grid", 16).Data()[3] = 2.5
@@ -38,8 +38,8 @@ func FuzzDeserialize(f *testing.F) {
 	hw := wire.NewWriter(128)
 	h.Section().Save(hw)
 	f.Add(hw.Bytes())
-	f.Add(EncodeIncrement(true, 0, g.Sections(), nil))
-	f.Add(EncodeIncrement(false, 7, g.Sections(), []string{"scratch", "gone"}))
+	f.Add(bytes.Join(g.SaveParts(nil), nil))
+	f.Add(bytes.Join(g.SaveParts(func(name string) bool { return name == "it" || name == "grid" }), nil))
 	// Truncations and bit flips of the real image.
 	img := g.Save()
 	f.Add(img[:len(img)/2])
@@ -51,9 +51,9 @@ func FuzzDeserialize(f *testing.F) {
 		g, h := fuzzRegistry()
 		_ = g.Load(data) // error or success; must not panic
 		g, _ = fuzzRegistry()
-		_ = g.LoadFrom(bytes.NewReader(data), int64(len(data)))
+		_ = g.LoadFrom(bytes.NewReader(data), int64(len(data)), nil)
+		g, _ = fuzzRegistry()
+		_ = g.LoadFrom(bytes.NewReader(data), int64(len(data)), func(name string) bool { return name != "grid" })
 		_ = h.Load(data) // likewise
-		_, _, _, _, _ = DecodeIncrement(data)
-		_ = g.LoadSectionBodies(map[string][]byte{"it": data})
 	})
 }

@@ -48,7 +48,7 @@ func bytesOf[T float64 | int64](vs []T) []byte {
 // registered sections missing from the image are left untouched. Each
 // section decodes from a view of data, straight into its own storage.
 func (g *Registry) Load(data []byte) error {
-	return g.load(&image{mem: data, size: len(data)})
+	return g.load(&image{mem: data, size: len(data)}, nil)
 }
 
 // LoadFrom is Load of the size-byte image that r holds, such as a
@@ -57,21 +57,27 @@ func (g *Registry) Load(data []byte) error {
 // registered slice, and the framing and every other body through a small
 // read-ahead buffer. As with Load, a count the image cannot hold fails
 // before anything is allocated or written; only a read error of r itself,
-// once the framing has checked out, can leave a slice partly read.
-func (g *Registry) LoadFrom(r io.ReaderAt, size int64) error {
+// once the framing has checked out, can leave a slice partly read. With
+// load non-nil only the sections it admits by name are restored: the
+// others are skipped unread, registered or not.
+func (g *Registry) LoadFrom(r io.ReaderAt, size int64, load func(name string) bool) error {
 	if size < 0 || int64(int(size)) != size {
 		return fmt.Errorf("statesave: image size %d out of range", size)
 	}
-	return g.load(&image{ra: r, size: int(size)})
+	return g.load(&image{ra: r, size: int(size)}, load)
 }
 
-func (g *Registry) load(img *image) error {
+func (g *Registry) load(img *image, load func(name string) bool) error {
 	n := img.count(8) // minimum bytes per serialized section
 	for i := 0; i < n; i++ {
 		name := img.string()
 		size := img.length()
 		if img.err != nil {
 			return fmt.Errorf("statesave: corrupt image: %w", img.err)
+		}
+		if load != nil && !load(name) {
+			img.off += size
+			continue
 		}
 		s, ok := g.byName[name]
 		if !ok {

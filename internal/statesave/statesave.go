@@ -23,6 +23,7 @@ package statesave
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 
 	"c3/internal/wire"
@@ -68,8 +69,8 @@ func (g *Registry) Register(s Section) {
 // Unregister removes a section from the registry — the Go analogue of the
 // C3 runtime pruning its state description as variables leave scope. The
 // section stops appearing in snapshots; with incremental checkpointing the
-// next delta records a tombstone so recovery does not resurrect it from an
-// older anchor. Unknown names are a no-op.
+// next delta no longer names it live, so recovery does not resurrect it
+// from an older line of the chain. Unknown names are a no-op.
 func (g *Registry) Unregister(name string) {
 	if _, ok := g.byName[name]; !ok {
 		return
@@ -103,7 +104,7 @@ func (g *Registry) LiveBytes() int {
 // afterwards, so a section's bytes are encoded once and never copied.
 func (g *Registry) Save() []byte {
 	w := wire.NewWriter(1024 + g.LiveBytes())
-	g.walk(w, nil)
+	g.walk(w, nil, nil)
 	return w.Bytes()
 }
 
@@ -115,15 +116,17 @@ func (g *Registry) Save() []byte {
 // memory itself. The views alias live application state, so the parts are
 // valid only while the application is blocked in the pragma that took
 // them: a caller writes them out before it returns and keeps none of them
-// (an asynchronous commit copies them before the pragma returns).
-func (g *Registry) SaveParts() [][]byte {
+// (an asynchronous commit copies them before the pragma returns). With
+// keep non-nil the image holds only the sections keep admits by name, as
+// Save's image of a registry of just those sections would.
+func (g *Registry) SaveParts(keep func(name string) bool) [][]byte {
 	type cut struct {
 		at   int // where in the framing the view goes
 		view []byte
 	}
 	var cuts []cut
 	w := wire.NewWriter(512)
-	g.walk(w, func(b []byte) { cuts = append(cuts, cut{at: w.Len(), view: b}) })
+	g.walk(w, func(b []byte) { cuts = append(cuts, cut{at: w.Len(), view: b}) }, keep)
 	framing := w.Bytes()
 	parts := make([][]byte, 0, 2*len(cuts)+1)
 	from := 0
@@ -138,12 +141,18 @@ func (g *Registry) SaveParts() [][]byte {
 }
 
 // walk writes the image into w: the section count, then each section's
-// name and length-prefixed body. With view non-nil, a bulk cell's body is
-// its count in w followed by its memory handed to view, which w does not
-// get; with view nil every body is encoded into w by the section's Save.
-func (g *Registry) walk(w *wire.Writer, view func(b []byte)) {
-	w.U32(uint32(len(g.sections)))
+// name and length-prefixed body, for every section keep admits (all of
+// them with keep nil). With view non-nil, a bulk cell's body is its count
+// in w followed by its memory handed to view, which w does not get; with
+// view nil every body is encoded into w by the section's Save.
+func (g *Registry) walk(w *wire.Writer, view func(b []byte), keep func(name string) bool) {
+	at, n := w.Len(), 0
+	w.U32(0)
 	for _, s := range g.sections {
+		if keep != nil && !keep(s.Name()) {
+			continue
+		}
+		n++
 		w.String(s.Name())
 		count, mem, bulk := memory(s)
 		if !bulk || view == nil {
@@ -156,6 +165,30 @@ func (g *Registry) walk(w *wire.Writer, view func(b []byte)) {
 			view(mem)
 		}
 	}
+	w.PatchU32(at, uint32(n))
+}
+
+// Digests returns each registered section's FNV-64a digest over its body,
+// the bytes Save writes for it: a bulk cell's count and then its memory,
+// hashed where it lies, and any other section's encoding.
+func (g *Registry) Digests() map[string]uint64 {
+	out := make(map[string]uint64, len(g.sections))
+	h := fnv.New64a()
+	w := wire.NewWriter(64)
+	for _, s := range g.sections {
+		h.Reset()
+		w.Reset()
+		if count, mem, bulk := memory(s); bulk {
+			w.U32(uint32(count))
+			h.Write(w.Bytes())
+			h.Write(mem)
+		} else {
+			s.Save(w)
+			h.Write(w.Bytes())
+		}
+		out[s.Name()] = h.Sum64()
+	}
+	return out
 }
 
 // bytes32 writes what body appends to w as a length-prefixed byte string:
