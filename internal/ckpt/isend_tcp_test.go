@@ -234,3 +234,37 @@ func BenchmarkIsendWindowOverTCP(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPingPongOverTCP prices the smallmsg-tcp workload's op between
+// two ranks on loopback meshes: one 64 B blocking round trip, the echoPair
+// of BenchmarkProtocolPerMessage over TCP. The direct row runs straight
+// through mpi.Comm, the layer row through WComm. Allocations count both
+// ranks.
+func BenchmarkPingPongOverTCP(b *testing.B) {
+	const size = 64
+	for _, layered := range []bool{false, true} {
+		name := "direct"
+		if layered {
+			name = "layer"
+		}
+		b.Run(name, func(b *testing.B) {
+			p := &echoPair{msg: make([]byte, size), buf: make([]byte, size)}
+			if layered {
+				layers := tcpLayers(b, 2)
+				p.comms = [2]pingPonger{layers[0].World(), layers[1].World()}
+			} else {
+				worlds := tcpWorlds(b, 2)
+				p.comms = [2]pingPonger{worlds[0].Proc(0).CommWorld(), worlds[1].Proc(1).CommWorld()}
+			}
+			if err := p.run(100); err != nil { // both connections up
+				b.Fatal(err)
+			}
+			b.SetBytes(2 * size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := p.run(b.N); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -40,6 +40,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -131,6 +132,8 @@ type Mesh struct {
 	// expect holds the answers a local receiver awaits into buffers of its
 	// own (Expect); the readers land matching frames' bodies there.
 	expect transport.Expectations
+
+	polls atomic.Uint64 // reader polls begun (pollConn), read by tests
 
 	wg sync.WaitGroup
 }
@@ -1083,7 +1086,9 @@ func (m *Mesh) readLoop(conn net.Conn) {
 // dialer's rank (-1 for a foreign dialer), its arrival number for this
 // connection, and the read error that ended the connection; nil means it
 // ended for a reason of its own (a goodbye, a foreign or corrupt stream).
-// A goodbye marks the peer departed.
+// A goodbye marks the peer departed. Having delivered an MPI frame and
+// drained its buffer, it polls the socket for the next frame before it
+// parks (pollConn).
 func (m *Mesh) readFrames(conn net.Conn) (int, uint64, error) {
 	var pre [hsLen]byte
 	_ = conn.SetReadDeadline(time.Now().Add(hsTimeout))
@@ -1112,7 +1117,8 @@ func (m *Mesh) readFrames(conn net.Conn) (int, uint64, error) {
 	// own frame. Once the buffer is drained, bufio reads a remainder of at
 	// least readBuffer straight into the body, so a bulk frame copies only
 	// what was buffered and its last partial buffer.
-	br := bufio.NewReaderSize(conn, readBuffer)
+	pc := newPollConn(conn, &m.polls)
+	br := bufio.NewReaderSize(pc, readBuffer)
 	var lenBuf [4]byte
 	for {
 		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
@@ -1161,7 +1167,84 @@ func (m *Mesh) readFrames(conn net.Conn) (int, uint64, error) {
 		if !m.port.Push(transport.Message{From: from, To: to, Class: class, Payload: payload, Trace: tctx, Gen: gen}) {
 			m.noteDropped(1)
 		}
+		pc.armed = kind == transport.WireKindEnvelope && br.Buffered() == 0
 	}
+}
+
+// pollBudget bounds the poll an inbound connection's reader runs before it
+// parks in the netpoller (pollConn). A 64 B MPI round trip between two
+// loopback meshes costs about 20 µs per hop when the reader parks, most of
+// it the netpoller's wake-up; a reply that lands within the budget is read
+// without one. It is a constant, not an option, like transport's
+// pollRounds: it trades a reader's CPU against message gaps, which no
+// caller knows better than the transport.
+const pollBudget = 50 * time.Microsecond
+
+// pollConn is an inbound connection as its reader's bufio.Reader sees it.
+// A read the reader arms polls the socket before it parks: it retries a
+// non-blocking read(2) through the socket's RawConn, yielding between
+// tries, for up to pollBudget, and then falls back to the blocking Read,
+// which parks in the netpoller. Any result but "no data yet" is returned
+// as the blocking Read would return it. The reader arms a read only at a
+// frame boundary with its buffer empty, right after an MPI frame: a rank
+// that has just received a message is likely to see the next one within
+// microseconds, a store's query replies and bulk bodies are not, and a
+// poller holds a P that the process's parked readers need. It polls only
+// while its previous armed wait ended within the budget, so a connection
+// gone idle parks at once and, with more ranks than processors, a poller
+// does not take the CPU of the rank it waits for.
+type pollConn struct {
+	net.Conn
+	raw   syscall.RawConn       // nil: the connection cannot poll
+	try   func(fd uintptr) bool // one non-blocking read into buf, made once
+	buf   []byte
+	n     int
+	errno error
+	armed bool // the next Read waits at a frame boundary after an MPI frame
+	quick bool // the last armed wait ended within pollBudget
+	polls *atomic.Uint64
+}
+
+func newPollConn(conn net.Conn, polls *atomic.Uint64) *pollConn {
+	c := &pollConn{Conn: conn, quick: true, polls: polls}
+	// With one P a poll never overlaps the goroutine that answers, and it
+	// keeps every parked reader of the process from the netpoller.
+	if sc, ok := conn.(syscall.Conn); ok && runtime.GOMAXPROCS(0) > 1 {
+		c.raw, _ = sc.SyscallConn()
+	}
+	c.try = func(fd uintptr) bool {
+		c.n, c.errno = syscall.Read(int(fd), c.buf)
+		return true
+	}
+	return c
+}
+
+// Read implements io.Reader.
+func (c *pollConn) Read(b []byte) (int, error) {
+	if !c.armed {
+		return c.Conn.Read(b)
+	}
+	c.armed = false
+	start := time.Now()
+	if c.quick && c.raw != nil {
+		c.polls.Add(1)
+		c.buf = b
+		for time.Since(start) < pollBudget && c.raw.Read(c.try) == nil {
+			switch {
+			case c.n > 0:
+				return c.n, nil
+			case c.errno == syscall.EAGAIN || c.errno == syscall.EINTR:
+				runtime.Gosched()
+			case c.errno == nil:
+				return 0, io.EOF
+			default:
+				return 0, os.NewSyscallError("read", c.errno)
+			}
+		}
+	}
+	n, err := c.Conn.Read(b)
+	c.quick = time.Since(start) <= pollBudget
+	return n, err
 }
 
 // land reads the frame of n bytes that br holds next, from peer, into
@@ -1230,9 +1313,10 @@ var _ transport.Lander = (*Mesh)(nil)
 
 // port is the local rank's receive queue: a transport.Inbox whose receives
 // are traced (a demux that takes its messages through Forward traces them
-// itself). It parks at once on an empty queue, never polls: its producers
-// are reader goroutines woken by the netpoller, and a receiver yielding in
-// a loop keeps its P from reaching the netpoller.
+// itself). It parks at once on an empty queue: its producers are reader
+// goroutines, and a receiver yielding in a loop keeps its P from reaching
+// the netpoller that wakes them. The poll sits in the readers instead,
+// which poll their own sockets after an MPI frame (pollConn).
 type port struct{ *transport.Inbox }
 
 // Recv implements transport.Port.
