@@ -551,9 +551,9 @@ func (w *node) run() error {
 				start(int(epoch)-1, true)
 			case "part":
 				// part a+b+... — sever the listed group from the rest on the
-				// node mesh, in hold mode: frames toward the far side are
-				// buffered and delivered at the heal, modeling a partition
-				// shorter than TCP's retransmission patience.
+				// node mesh, in hold mode: frames this node reads from the
+				// far side are held and delivered at the heal, modeling a
+				// partition shorter than TCP's retransmission patience.
 				if len(cmd) < 2 {
 					w.emit("error malformed part command")
 					continue

@@ -779,16 +779,7 @@ func (s *DistStore) daemon() {
 				continue
 			}
 			s.mu.Lock()
-			for key := range s.node.frags {
-				if key.owner == owner && ((above && key.version > version) || (!above && key.version < version)) {
-					delete(s.node.frags, key)
-				}
-			}
-			for key := range s.node.commits {
-				if key.owner == owner && ((above && key.version > version) || (!above && key.version < version)) {
-					delete(s.node.commits, key)
-				}
-			}
+			s.node.prune(owner, version, above)
 			s.mu.Unlock()
 		}
 	}
@@ -1265,16 +1256,7 @@ func (s *DistStore) prune(rank, version int, above bool) error {
 	// fragments for the same versions.
 	p := encodeDistPrune(rank, version, above)
 	s.mu.Lock()
-	for key := range s.node.frags {
-		if key.owner == rank && ((above && key.version > version) || (!above && key.version < version)) {
-			delete(s.node.frags, key)
-		}
-	}
-	for key := range s.node.commits {
-		if key.owner == rank && ((above && key.version > version) || (!above && key.version < version)) {
-			delete(s.node.commits, key)
-		}
-	}
+	s.node.prune(rank, version, above)
 	s.mu.Unlock()
 	for _, q := range s.peerList() {
 		s.send(q, transport.Control, p)

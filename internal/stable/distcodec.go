@@ -27,6 +27,24 @@ func newReplNode() *replNode {
 	}
 }
 
+// prune deletes the fragments and commit markers this node holds for
+// owner's versions above version, or below it when above is false.
+func (n *replNode) prune(owner, version int, above bool) {
+	drop := func(o, v int) bool {
+		return o == owner && ((above && v > version) || (!above && v < version))
+	}
+	for key := range n.frags {
+		if drop(key.owner, key.version) {
+			delete(n.frags, key)
+		}
+	}
+	for key := range n.commits {
+		if drop(key.owner, key.version) {
+			delete(n.commits, key)
+		}
+	}
+}
+
 type replFragKey struct {
 	owner, version, idx int
 }

@@ -6,6 +6,7 @@ package transport
 // every assertion is immediate — no settling sleeps.
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -130,5 +131,47 @@ func TestNetworkPartitionReplaceRules(t *testing.T) {
 	nw.Heal()
 	if msg, ok, _ := nw.Endpoint(1).TryRecv(); !ok || msg.Payload.(testPayload).seq != 7 {
 		t.Fatalf("frame held under the replaced rule set lost: %v %v", msg, ok)
+	}
+}
+
+// TestNetworkPartitionSendDuringHealKeepsOrder: a send issued while Heal
+// flushes the held messages is delivered after all of them, so the pair's
+// FIFO order survives the heal. The sender waits until the flush has begun
+// (the destination's queue is no longer empty) and then sends at once.
+func TestNetworkPartitionSendDuringHealKeepsOrder(t *testing.T) {
+	const held, during = 20000, 200
+	for round := 0; round < 5; round++ {
+		nw := NewNetwork(2)
+		nw.Partition([][2]int{{0, 1}}, true)
+		for i := 0; i < held; i++ {
+			if err := nw.Send(Message{From: 0, To: 1, Payload: testPayload{seq: i}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ep := nw.Endpoint(1)
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			for ep.Pending() == 0 {
+				runtime.Gosched()
+			}
+			for i := held; i < held+during; i++ {
+				if err := nw.Send(Message{From: 0, To: 1, Payload: testPayload{seq: i}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		nw.Heal()
+		<-sent
+		for i := 0; i < held+during; i++ {
+			msg, ok, err := ep.TryRecv()
+			if err != nil || !ok {
+				t.Fatalf("round %d: delivery %d missing (ok=%v err=%v)", round, i, ok, err)
+			}
+			if got := msg.Payload.(testPayload).seq; got != i {
+				t.Fatalf("round %d: delivery %d was message %d", round, i, got)
+			}
+		}
 	}
 }

@@ -159,6 +159,37 @@ func TestMeshNoLossReport(t *testing.T) {
 	})
 }
 
+// TestMeshLossObserverSendsUnderRule: a loss report is delivered while a
+// hold rule covers another pair, and the demux's lost observer sends on the
+// mesh from inside that delivery, as the failure detector's suspect gossip
+// does. Rank 1 holds its pair with rank 3 when rank 0 crashes: the report
+// must reach the observer, and its send must return and reach rank 2.
+func TestMeshLossObserverSendsUnderRule(t *testing.T) {
+	meshes := newTestMeshes(t, 4)
+	d := transport.NewDemux(meshes[1], 1)
+	lost := make(chan int, 1)
+	d.SetObservers(nil, nil, func(from int) {
+		_ = meshes[1].Send(transport.Message{From: 1, To: 2, Payload: testPayload("suspect")})
+		lost <- from
+	})
+	d.Start()
+	sendN(t, meshes[0], 1, 1)
+	meshes[1].SetPartition([][2]int{{1, 3}, {3, 1}}, true)
+	meshes[0].crash()
+	select {
+	case from := <-lost:
+		if from != 0 {
+			t.Fatalf("loss reported for rank %d, want 0", from)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no loss report reached the observer while a rule held another pair")
+	}
+	msg, ok := awaitMsg(t, meshes[2], 5*time.Second)
+	if p, isFrame := msg.Payload.(testPayload); !ok || !isFrame || string(p) != "suspect" {
+		t.Fatalf("rank 2 got %#v (ok=%v), want the observer's frame", msg.Payload, ok)
+	}
+}
+
 // awaitLoss waits for m's PeerLost marker for rank.
 func awaitLoss(t *testing.T, m *Mesh, rank int) {
 	t.Helper()
@@ -316,6 +347,89 @@ func TestMeshReportsProgressOnLongBody(t *testing.T) {
 				}
 			case <-time.After(5 * time.Second):
 				t.Fatal("the frame never arrived")
+			}
+		})
+	}
+}
+
+// TestMeshHeldPeerLongBodyMakesNoContact: a long body from a peer a hold
+// rule severs reports no progress, so a frame the rule keeps never counts
+// as contact. A raw peer sends a 1 MiB frame in 64 KiB pieces under the
+// rule, and the demux's recv observer must stay quiet after each of the
+// first three; the frame is delivered at Heal, whether or not its answer
+// was expected.
+func TestMeshHeldPeerLongBodyMakesNoContact(t *testing.T) {
+	for _, landed := range []bool{false, true} {
+		t.Run(map[bool]string{false: "normal", true: "expected"}[landed], func(t *testing.T) {
+			lns, addrs := listenAll(t, 1)
+			m, err := New(0, []string{addrs[0], "127.0.0.1:1"}, withListener(lns[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(m.Close)
+			d := transport.NewDemux(m, 0)
+			plane := d.Plane(taggedKind)
+			heard := make(chan struct{}, 64)
+			d.SetObservers(func(from int) {
+				if from == 1 {
+					select {
+					case heard <- struct{}{}:
+					default:
+					}
+				}
+			}, nil, func(int) {})
+			d.Start()
+			m.SetPartition([][2]int{{0, 1}, {1, 0}}, true)
+			payload := tagged("answer-1", 1<<20, 5)
+			if landed {
+				expectInto(t, plane.(transport.Lander), 1, "answer-1", len(payload.body))
+			}
+			msg := transport.Message{From: 1, To: 0, Payload: payload}
+			kind, head, body, err := marshalBody(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := encodeFrame(msg, kind, head, body)
+			full := append(f.head, f.body...)
+
+			c := rawHandshake(t, m.Addr(), 1)
+			defer c.Close()
+			sent := 0
+			sendTo := func(end int) {
+				if _, err := c.Write(full[sent:end]); err != nil {
+					t.Fatal(err)
+				}
+				sent = end
+			}
+			start := 4 + frameHeaderLen + len(payload.tag)
+			for i := 1; i <= 3; i++ {
+				sendTo(start + i*progressChunk)
+				select {
+				case <-heard:
+					t.Fatalf("a held peer counted as contact after %d KiB of a 1 MiB frame", i*progressChunk>>10)
+				case <-time.After(100 * time.Millisecond):
+				}
+			}
+			sendTo(len(full))
+			got := make(chan transport.Message, 1)
+			go func() {
+				if msg, err := plane.Endpoint(0).Recv(); err == nil {
+					got <- msg
+				}
+			}()
+			select {
+			case <-got:
+				t.Fatal("the held frame was delivered before Heal")
+			case <-time.After(200 * time.Millisecond):
+			}
+			m.Heal()
+			select {
+			case msg := <-got:
+				if p, ok := msg.Payload.(taggedPayload); !ok || !bytes.Equal(p.body, payload.body) {
+					t.Fatalf("the frame arrived as %T with other bytes", msg.Payload)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the held frame never arrived after Heal")
 			}
 		})
 	}

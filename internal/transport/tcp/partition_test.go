@@ -1,10 +1,9 @@
 package tcp
 
 // Partition fault-model tests for the real TCP mesh: blackhole (drop) and
-// short-split (hold) rules, asymmetric cuts, the Heal flush, the
-// rule-vs-redial race that used to leak a half-open probe connection, and
-// the generation handshake that keeps frames from vanishing into a stale
-// listener during an attempt transition.
+// short-split (hold) rules, asymmetric cuts, the Heal flush, a hold rule
+// on the receiving mesh alone, and the rule-vs-redial race that used to
+// leak a half-open probe connection.
 
 import (
 	"fmt"
@@ -139,13 +138,38 @@ func TestMeshPartitionHoldFlushesInOrder(t *testing.T) {
 	}
 }
 
+// TestMeshReceiverHoldsUntilHeal: a hold rule takes effect at the mesh
+// that installed it. With the rules on the receiving mesh only, the
+// sender's frames cross the wire and wait at the receiver: none is
+// delivered before the receiver's Heal, and all arrive in order after it,
+// ahead of a frame sent after the Heal.
+func TestMeshReceiverHoldsUntilHeal(t *testing.T) {
+	meshes := newTestMeshes(t, 2)
+	warmPair(t, meshes[0], meshes[1])
+	meshes[1].SetPartition([][2]int{{0, 1}, {1, 0}}, true)
+	const k = 10
+	var want []string
+	for i := 0; i < k; i++ {
+		want = append(want, fmt.Sprintf("held-%02d", i))
+		timedSend(t, meshes[0], 1, want[i])
+	}
+	assertSilent(t, meshes[1], 300*time.Millisecond)
+	meshes[1].Heal()
+	want = append(want, "after")
+	timedSend(t, meshes[0], 1, "after")
+	expectBodies(t, meshes[1], want)
+	if d := meshes[0].Stats().MessagesDropped + meshes[1].Stats().MessagesDropped; d != 0 {
+		t.Fatalf("%d frames dropped under a hold rule", d)
+	}
+}
+
 // TestMeshWriteUnderRuleClosesProbeConn is the regression test for the
-// redial-vs-rule race: a partition rule installed between Send's fast-path
-// check and the (re)dial inside write() used to leave the freshly dialed
-// probe connection half-open behind the rule. write() must close it, leak
-// nothing, and — under a hold rule — still queue the frame for the Heal
-// flush. Calling write() directly models the send that was already past
-// the fast-path check when the rule landed.
+// redial-vs-rule race: a drop rule installed between Send's fast-path
+// check and the (re)dial inside writeFrames used to leave the freshly
+// dialed probe connection half-open behind the rule. writeFrames must drop
+// the frame, close the connection and leak nothing. Calling it directly
+// models the send that was already past the fast-path check when the rule
+// landed.
 func TestMeshWriteUnderRuleClosesProbeConn(t *testing.T) {
 	meshes := newTestMeshes(t, 2)
 	msg := transport.Message{From: 0, To: 1, Payload: testPayload("late")}
@@ -153,28 +177,12 @@ func TestMeshWriteUnderRuleClosesProbeConn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := encodeFrame(msg, kind, head, body)
-
-	// Drop mode: the frame vanishes and so must the probe connection.
 	setPartitionAll(meshes, [][2]int{{0, 1}}, false)
-	if meshes[0].write(1, frame) {
+	if meshes[0].write(1, encodeFrame(msg, kind, head, body)) {
 		t.Fatal("write reported success across a drop rule")
 	}
 	if open := meshes[0].openOutbound(); open != 0 {
 		t.Fatalf("drop-mode write leaked %d outbound connection(s)", open)
-	}
-
-	// Hold mode: the frame is captured for the flush, connection still closed.
-	setPartitionAll(meshes, [][2]int{{0, 1}}, true)
-	if !meshes[0].write(1, frame) {
-		t.Fatal("hold-mode write did not capture the frame")
-	}
-	if open := meshes[0].openOutbound(); open != 0 {
-		t.Fatalf("hold-mode write leaked %d outbound connection(s)", open)
-	}
-	healAll(meshes)
-	if msg, ok := awaitMsg(t, meshes[1], 5*time.Second); !ok || string(msg.Payload.(testPayload)) != "late" {
-		t.Fatalf("held frame lost across heal: %v %v", msg, ok)
 	}
 }
 

@@ -113,18 +113,10 @@ type Mesh struct {
 	// lossReports turns on PeerLost markers (ReportLosses).
 	lossReports atomic.Bool
 
-	// Partition fault model: directed (from, to) pairs currently severed.
-	// In drop mode outbound frames whose pair matches vanish before they
-	// reach the kernel and inbound frames are filtered too, so an
-	// asymmetric rule set holds even against frames already in flight. In
-	// hold mode matched outbound frames are buffered and delivered in
-	// order at the next Heal — modeling a partition shorter than TCP's
-	// retransmission patience, where established connections recover and
-	// no data is lost.
-	partMu      sync.Mutex
-	partBlocked map[[2]int]bool
-	partHold    bool
-	partHeld    []*peerConn // peers whose send queues a hold rule paused
+	// The partition fault model, consulted where frames arrive: the
+	// readers drop or hold the frames of a peer a rule cuts off
+	// (SetPartition).
+	cut *transport.Cut
 
 	statMu sync.Mutex
 	stats  transport.Stats
@@ -146,7 +138,7 @@ type wireFrame struct {
 	head []byte
 	body []byte // nil when head carries the body
 	// done, set while a blocking Send waits behind the writer, is closed
-	// once the frame is in the kernel, held or counted as dropped.
+	// once the frame is in the kernel or counted as dropped.
 	done chan struct{}
 }
 
@@ -219,7 +211,6 @@ type peerConn struct {
 	queue   []wireFrame   // frames waiting for the writer, in send order
 	spare   []wireFrame   // the writer's previous batch, emptied, for reuse
 	writing bool          // the writer role is held: by a Send writing inline, or by drain
-	paused  bool          // a hold rule caught the queue: it waits for Heal
 	quiet   chan struct{} // closed when the role is next released (Shutdown waits on it)
 
 	downUntil atomic.Int64  // failed-dial backoff, in Unix ns (0: none): drop sends without redialing
@@ -313,6 +304,7 @@ func New(self int, addrs []string, opts ...Option) (*Mesh, error) {
 		port:       port{transport.NewInbox(self)},
 		debug:      os.Getenv("C3_TCP_DEBUG") != "",
 	}
+	m.cut = transport.NewCut(m.port.Push)
 	for _, o := range opts {
 		o(m)
 	}
@@ -351,107 +343,24 @@ func (m *Mesh) Connect(rank int, stop <-chan struct{}) {
 // Addr returns the mesh's bound listen address.
 func (m *Mesh) Addr() string { return m.ln.Addr().String() }
 
-// SetPartition installs directed partition rules, replacing any active
-// rule set. With hold=false a matched (from, to) frame is dropped on the
-// send side before reaching the kernel and filtered on the receive side
-// (blackhole: a partition outlasting TCP's patience). With hold=true
-// matched outbound frames are buffered instead and delivered in their
-// original order at the next Heal (a short partition: the kernel's
-// retransmissions win): the peer's send queue pauses, and every frame for
-// it, held or sent later, waits there in send order. An established
-// connection of a blocked pair stays up, so the frames written on it
-// before the rule still arrive ahead of those written after it; a
-// connection dialed as the rule landed is closed at once, so no half-open
-// socket lingers behind the rule. Frames already buffered by a previous
-// hold rule set stay held.
-func (m *Mesh) SetPartition(block [][2]int, hold bool) {
-	blocked := make(map[[2]int]bool, len(block))
-	for _, p := range block {
-		blocked[p] = true
-	}
-	m.partMu.Lock()
-	m.partBlocked = blocked
-	m.partHold = hold
-	m.partMu.Unlock()
-}
+// SetPartition installs directed partition rules on this mesh, replacing
+// any active rule set (transport.Cut.Set). A rule takes effect where
+// frames arrive: this mesh's readers drop (hold=false: a blackhole, a
+// partition outlasting TCP's patience) or hold (hold=true: a short
+// partition the kernel's retransmissions bridge) every frame they read
+// from a peer the rules cut off, frames already in flight included, and a
+// held frame is delivered in order at the next Heal. A drop rule also
+// drops this mesh's own frames for a pair it covers before they reach the
+// kernel, and closes a connection dialed as the rule landed, so no
+// half-open socket lingers behind it. A hold rule leaves the sending side
+// alone: its frames wait at the receiver, which holds them if its own
+// rules are in. Frames held under a previous rule set stay held.
+func (m *Mesh) SetPartition(block [][2]int, hold bool) { m.cut.Set(block, hold) }
 
-// Heal clears the partition rules and resumes every send queue a hold
-// rule paused: each peer's writer sends its held frames in capture order
-// (the first write to a severed pair may pay a re-dial), and a send after
-// Heal queues behind them. Drop-mode pairs simply re-dial lazily on their
-// next send — their frames are gone.
-func (m *Mesh) Heal() {
-	m.partMu.Lock()
-	defer m.partMu.Unlock()
-	m.partBlocked = nil
-	for _, p := range m.partHeld {
-		p.qmu.Lock()
-		p.paused = false
-		if len(p.queue) > 0 && !p.writing && !m.down.Load() {
-			m.claim(p)
-			go m.drain(p)
-		}
-		p.qmu.Unlock()
-	}
-	m.partHeld = nil
-}
-
-// dropRule reports whether the directed pair is currently severed.
-func (m *Mesh) dropRule(from, to int) bool {
-	m.partMu.Lock()
-	defer m.partMu.Unlock()
-	return m.partBlocked[[2]int{from, to}]
-}
-
-// dropInbound reports whether an inbound frame on the pair should be
-// filtered: only drop-mode rules apply (hold mode promises delivery, so
-// frames already in flight pass).
-func (m *Mesh) dropInbound(from, to int) bool {
-	m.partMu.Lock()
-	defer m.partMu.Unlock()
-	return m.partBlocked[[2]int{from, to}] && !m.partHold
-}
-
-// holdIfActive reports whether a partition rule covers the pair of frames
-// about to be written, and buffers them if it is a hold rule: they go back
-// to the head of the peer's queue, ahead of everything sent after them,
-// and the queue pauses until Heal. A blocking sender of one of them
-// returns as from any held frame. The check and the hold are one critical
-// section, so a Heal cannot slip between them and lose the frames.
-func (m *Mesh) holdIfActive(p *peerConn, frames []wireFrame) (blocked, held bool) {
-	m.partMu.Lock()
-	defer m.partMu.Unlock()
-	if !m.partBlocked[[2]int{m.self, p.rank}] {
-		return false, false
-	}
-	if !m.partHold || len(frames) == 0 {
-		return true, m.partHold
-	}
-	p.qmu.Lock()
-	defer p.qmu.Unlock()
-	q := make([]wireFrame, 0, len(frames)+len(p.queue))
-	for _, f := range frames {
-		q = append(q, wireFrame{head: f.head, body: f.body}) // their senders are released by the caller
-	}
-	for _, f := range p.queue {
-		if f.done != nil {
-			close(f.done) // held now: its sender waits no longer
-		}
-		q = append(q, wireFrame{head: f.head, body: f.body})
-	}
-	p.queue = q
-	m.pauseLocked(p)
-	return true, true
-}
-
-// pauseLocked pauses p's send queue until Heal. Callers hold m.partMu and
-// p.qmu.
-func (m *Mesh) pauseLocked(p *peerConn) {
-	if !p.paused {
-		p.paused = true
-		m.partHeld = append(m.partHeld, p)
-	}
-}
+// Heal clears the partition rules and delivers every frame a hold rule
+// kept, in the order it was read, ahead of any frame read after the Heal.
+// Drop-mode pairs re-dial lazily on their next send; their frames are gone.
+func (m *Mesh) Heal() { m.noteDropped(m.cut.Heal()) }
 
 // Self returns the local rank.
 func (m *Mesh) Self() int { return m.self }
@@ -628,18 +537,15 @@ func (m *Mesh) Send(msg transport.Message) error {
 	return nil
 }
 
-// send hands one frame to the peer's writer role. A frame for a severed
-// pair is dropped or held first. A blocking send that finds the role free
-// takes it and writes the frame itself; one that finds frames queued or
+// send hands one frame to the peer's writer role. A frame for a pair a
+// drop rule covers is dropped first. A blocking send that finds the role
+// free takes it and writes the frame itself; one that finds frames queued or
 // the role held joins the queue and waits until its frame is in the kernel
 // or counted as dropped. A posted frame joins the queue, and starts a
 // writer goroutine if none is running; a post toward a departed or
 // backed-off peer is dropped at once instead.
 func (m *Mesh) send(p *peerConn, f wireFrame, posted bool) {
-	if m.severed(p, f) {
-		return
-	}
-	if posted && p.connecting.Load() == nil && (p.departed() || p.backedOff()) {
+	if m.cut.Drops(m.self, p.rank) || posted && p.connecting.Load() == nil && (p.departed() || p.backedOff()) {
 		m.noteDropped(1)
 		return
 	}
@@ -650,8 +556,8 @@ func (m *Mesh) send(p *peerConn, f wireFrame, posted bool) {
 		return
 	}
 	switch {
-	case p.writing || p.paused:
-		if !posted && !p.paused {
+	case p.writing:
+		if !posted {
 			f.done = make(chan struct{})
 		}
 		p.queue = append(p.queue, f)
@@ -671,35 +577,12 @@ func (m *Mesh) send(p *peerConn, f wireFrame, posted bool) {
 	p.qmu.Unlock()
 	m.noteDropped(m.writeFrames(p, []wireFrame{f}))
 	p.qmu.Lock()
-	if len(p.queue) > 0 && !p.paused || p.connecting.Load() != nil {
+	if len(p.queue) > 0 || p.connecting.Load() != nil {
 		go m.drain(p) // work queued meanwhile: the role passes to a writer
 	} else {
 		m.releaseLocked(p)
 	}
 	p.qmu.Unlock()
-}
-
-// severed deals with a frame for a partitioned pair and reports whether the
-// pair is partitioned. In drop mode the frame vanishes and the sender never
-// errors (the in-memory Network's semantics for a severed pair); in hold
-// mode it joins the peer's paused queue. writeFrames re-checks the rule
-// after any dial, so a rule installed while a frame is queued or
-// mid-flight still cannot leak a frame or a connection.
-func (m *Mesh) severed(p *peerConn, f wireFrame) bool {
-	m.partMu.Lock()
-	defer m.partMu.Unlock()
-	if !m.partBlocked[[2]int{m.self, p.rank}] {
-		return false
-	}
-	if !m.partHold {
-		m.noteDropped(1)
-		return true
-	}
-	p.qmu.Lock()
-	p.queue = append(p.queue, f)
-	m.pauseLocked(p)
-	p.qmu.Unlock()
-	return true
 }
 
 // claim takes p's free writer role. Callers hold p.qmu and have seen the
@@ -723,7 +606,7 @@ func (m *Mesh) releaseLocked(p *peerConn) {
 
 // drain is a peer's writer goroutine; it holds the writer role. It takes
 // everything queued, hands it to the kernel with one liveness probe and
-// one writev, and repeats until the queue is empty or paused. Before it
+// one writev, and repeats until the queue is empty. Before it
 // lets the role go, it serves a Connect that waits, dialing patiently.
 func (m *Mesh) drain(p *peerConn) {
 	var last []wireFrame
@@ -733,7 +616,7 @@ func (m *Mesh) drain(p *peerConn) {
 			p.spare = last
 		}
 		batch := p.queue
-		if len(batch) == 0 || p.paused {
+		if len(batch) == 0 {
 			pending := p.connecting.Load()
 			if pending == nil {
 				m.releaseLocked(p)
@@ -877,10 +760,10 @@ func peekDead(fd uintptr) bool {
 // writeFrames hands frames to a peer in order, dialing or re-dialing as
 // needed, with one liveness probe and one write for the lot. It returns
 // how many of them, at the tail, it dropped because they could not reach
-// the kernel (the peer is down or departed); a dropped frame is never
-// queued again. Frames a hold rule catches are held, not dropped. An empty
-// list only connects (Connect); it and every write while a Connect waits
-// dial patiently. Callers hold the writer role.
+// the kernel (the peer is down or departed, or a drop rule covers the
+// pair); a dropped frame is never queued again. An empty list only
+// connects (Connect); it and every write while a Connect waits dial
+// patiently. Callers hold the writer role.
 func (m *Mesh) writeFrames(p *peerConn, frames []wireFrame) (lost int) {
 	debug := m.debug
 	rank := p.rank
@@ -931,16 +814,16 @@ func (m *Mesh) writeFrames(p *peerConn, frames []wireFrame) (lost int) {
 			p.downUntil.Store(0)
 			fresh = true
 		}
-		if blocked, held := m.holdIfActive(p, frames); blocked {
-			// A partition rule landed after the frames passed Send's check:
-			// they must not cross, and a hold rule keeps them for Heal. An
-			// established connection stays up, so frames it already carries
-			// cannot race a later one; a probe connection dialed for these
-			// frames must not linger half-open behind the rule.
+		if m.cut.Drops(m.self, rank) {
+			// A drop rule landed after the frames passed Send's check: they
+			// must not cross. An established connection stays up, so frames
+			// it already carries cannot race a later one; a probe connection
+			// dialed for these frames must not linger half-open behind the
+			// rule.
 			if fresh {
 				m.setConn(p, nil)
 			}
-			if held || connect {
+			if connect {
 				return 0
 			}
 			return len(frames)
@@ -1029,7 +912,7 @@ func (m *Mesh) handshakeReply(conn net.Conn, timeout time.Duration) (byte, error
 // covered by a partition rule never confirms: the rule, not a death, may
 // be what cut it.
 func (m *Mesh) peerGone(rank int) bool {
-	if m.down.Load() || m.dropRule(m.self, rank) || m.dropRule(rank, m.self) {
+	if m.down.Load() || m.cut.Severs(m.self, rank) || m.cut.Severs(rank, m.self) {
 		return false
 	}
 	conn, err := net.DialTimeout("tcp", m.addrs[rank], confirmTimeout)
@@ -1078,7 +961,7 @@ func (m *Mesh) readLoop(conn net.Conn) {
 		p := m.peer(peer)
 		p.byeAt.Store(arrival) // departed until its next arrival
 		p.signal()
-		m.port.Push(transport.Message{From: peer, To: m.self, Class: transport.Control, Payload: transport.PeerLost{}})
+		m.cut.Deliver(transport.Message{From: peer, To: m.self, Class: transport.Control, Payload: transport.PeerLost{}})
 	}
 }
 
@@ -1086,7 +969,8 @@ func (m *Mesh) readLoop(conn net.Conn) {
 // dialer's rank (-1 for a foreign dialer), its arrival number for this
 // connection, and the read error that ended the connection; nil means it
 // ended for a reason of its own (a goodbye, a foreign or corrupt stream).
-// A goodbye marks the peer departed. Having delivered an MPI frame and
+// A goodbye marks the peer departed. Every other frame goes through the
+// partition rules (transport.Cut.Deliver). Having delivered an MPI frame and
 // drained its buffer, it polls the socket for the next frame before it
 // parks (pollConn).
 func (m *Mesh) readFrames(conn net.Conn) (int, uint64, error) {
@@ -1157,14 +1041,11 @@ func (m *Mesh) readFrames(conn net.Conn) (int, uint64, error) {
 			p.signal()
 			return peer, arrival, nil // orderly exit: no loss to report
 		}
-		if m.dropInbound(from, m.self) {
-			continue // blackholed pair: filter frames already in flight
-		}
 		payload, err := transport.DecodeWirePayload(kind, body[frameHeaderLen:])
 		if err != nil {
 			continue // unknown or corrupt payload: drop the frame, keep the conn
 		}
-		if !m.port.Push(transport.Message{From: from, To: to, Class: class, Payload: payload, Trace: tctx, Gen: gen}) {
+		if !m.cut.Deliver(transport.Message{From: from, To: to, Class: class, Payload: payload, Trace: tctx, Gen: gen}) {
 			m.noteDropped(1)
 		}
 		pc.armed = kind == transport.WireKindEnvelope && br.Buffered() == 0
@@ -1250,7 +1131,7 @@ func (c *pollConn) Read(b []byte) (int, error) {
 // land reads the frame of n bytes that br holds next, from peer, into
 // the expectation it matches, if any, and delivers it. It reports whether
 // it did; otherwise it has consumed nothing. A partitioned pair's frames
-// match nothing, so they are filtered on the normal path.
+// match nothing, so the partition rules take them on the normal path.
 func (m *Mesh) land(br *bufio.Reader, peer, n int) (bool, error) {
 	pre, err := br.Peek(min(n, frameHeaderLen+transport.MaxExpectHead))
 	if err != nil {
@@ -1263,7 +1144,7 @@ func (m *Mesh) land(br *bufio.Reader, peer, n int) (bool, error) {
 	class := transport.Class(r.U8())
 	kind := r.U8()
 	tctx := trace.Ctx{Span: r.U64(), Clock: r.U64()}
-	if to != m.self || from != peer || m.dropInbound(from, m.self) {
+	if to != m.self || from != peer || m.cut.Severs(from, m.self) {
 		return false, nil
 	}
 	e := m.expect.Claim(from, gen, kind, n-frameHeaderLen, pre[frameHeaderLen:])
@@ -1278,7 +1159,7 @@ func (m *Mesh) land(br *bufio.Reader, peer, n int) (bool, error) {
 		return false, err // claimed and never landed: its receiver gives the buffer up
 	}
 	e.Land()
-	if !m.port.Push(transport.Message{From: from, To: m.self, Class: class, Payload: e.Reply, Trace: tctx, Gen: gen}) {
+	if !m.cut.Deliver(transport.Message{From: from, To: m.self, Class: class, Payload: e.Reply, Trace: tctx, Gen: gen}) {
 		m.noteDropped(1)
 	}
 	return true, nil
@@ -1291,9 +1172,10 @@ const progressChunk = 64 << 10
 // readBody reads a frame body from peer. Where a demux asked for loss
 // reports (they are on and the port forwards to it), each progressChunk of
 // a longer body is reported as contact from peer (transport.PeerProgress),
-// so a peer shipping a long frame is never silent.
+// so a peer shipping a long frame is never silent. A peer the partition
+// rules cut off makes no contact: its body is dropped or held once read.
 func (m *Mesh) readBody(br *bufio.Reader, peer int, body []byte) error {
-	if len(body) > progressChunk && m.lossReports.Load() && m.port.Forwarding() {
+	if len(body) > progressChunk && m.lossReports.Load() && m.port.Forwarding() && !m.cut.Severs(peer, m.self) {
 		for len(body) > progressChunk {
 			if _, err := io.ReadFull(br, body[:progressChunk]); err != nil {
 				return err

@@ -193,15 +193,11 @@ type Network struct {
 	statMu sync.Mutex
 	stats  Stats
 
-	// Partition fault model: directed pairs currently severed. Severed
-	// messages are dropped (blackhole) or, with hold semantics, buffered
-	// for delivery at the next heal. Rules are installed manually
-	// (Partition/Heal) or by armed scheduler events (WithPartitionPlan).
-	partMu      sync.Mutex
-	partBlocked map[[2]int]bool
-	partHold    bool
-	partHeld    []Message
-	partPlan    []SchedPartitionEvent
+	// The partition fault model, one for every rank, consulted at Send.
+	// Rules are installed manually (Partition/Heal) or by armed scheduler
+	// events (WithPartitionPlan).
+	cut      *Cut
+	partPlan []SchedPartitionEvent
 }
 
 // Option configures a Network.
@@ -234,6 +230,7 @@ func NewNetwork(n int, opts ...Option) *Network {
 	for i := range nw.eps {
 		nw.eps[i] = newEndpoint(nw, i)
 	}
+	nw.cut = NewCut(nw.deliver)
 	if nw.sched != nil && len(nw.partPlan) > 0 {
 		nw.sched.ArmPartitions(nw.partPlan, nw.applyPartitionEvent)
 	}
@@ -247,16 +244,17 @@ func NewNetwork(n int, opts ...Option) *Network {
 	return nw
 }
 
-// Partition severs the given directed (from, to) pairs. With hold, severed
-// messages are buffered and delivered in order at the next Heal (a short
-// split bridged by retransmission); without it they are silently dropped
-// (a blackhole), counted in Stats.MessagesDropped. Replaces any active
-// rule set.
+// Partition severs the given directed (from, to) pairs (Cut.Set). With
+// hold, severed messages are buffered and delivered in order at the next
+// Heal (a short split bridged by retransmission); without it they are
+// silently dropped (a blackhole), counted in Stats.MessagesDropped.
+// Replaces any active rule set; messages it held stay held.
 func (nw *Network) Partition(block [][2]int, hold bool) {
 	nw.applyPartitionEvent(SchedPartitionEvent{Block: block, Hold: hold})
 }
 
-// Heal clears the active partition and delivers every held message.
+// Heal clears the active partition and delivers every held message, ahead
+// of any send that follows.
 func (nw *Network) Heal() {
 	nw.applyPartitionEvent(SchedPartitionEvent{Heal: true})
 }
@@ -264,41 +262,24 @@ func (nw *Network) Heal() {
 // applyPartitionEvent is the rule installer shared by the manual API and
 // the scheduler's armed events.
 func (nw *Network) applyPartitionEvent(ev SchedPartitionEvent) {
-	nw.partMu.Lock()
 	if !ev.Heal {
-		blocked := make(map[[2]int]bool, len(ev.Block))
-		for _, p := range ev.Block {
-			blocked[p] = true
-		}
-		nw.partBlocked = blocked
-		nw.partHold = ev.Hold
-		nw.partMu.Unlock()
+		nw.cut.Set(ev.Block, ev.Hold)
 		return
 	}
-	nw.partBlocked = nil
-	held := nw.partHeld
-	nw.partHeld = nil
-	nw.partMu.Unlock()
-	for _, m := range held {
-		if !nw.eps[m.To].push(m) {
-			nw.noteDropped()
-		}
+	for range nw.cut.Heal() {
+		nw.noteDropped()
 	}
 }
 
-// sever consults the active partition rules for one message. It reports
-// true when the message must not be delivered now (held or dropped).
-func (nw *Network) sever(msg Message) (severed, held bool) {
-	nw.partMu.Lock()
-	defer nw.partMu.Unlock()
-	if !nw.partBlocked[[2]int{msg.From, msg.To}] {
-		return false, false
+// deliver hands msg to its destination endpoint, through the delay line
+// when a latency model is installed and the network runs in real time. It
+// reports false when the destination is killed.
+func (nw *Network) deliver(msg Message) bool {
+	dst := nw.eps[msg.To]
+	if nw.latency == nil || nw.sched != nil {
+		return dst.push(msg)
 	}
-	if nw.partHold {
-		nw.partHeld = append(nw.partHeld, msg)
-		return true, true
-	}
-	return true, false
+	return dst.pushDelayed(msg, nw.latency(msg.From, msg.To, payloadSize(msg)))
 }
 
 // Size returns the number of endpoints.
@@ -329,12 +310,7 @@ func (nw *Network) Send(msg Message) error {
 	if msg.To < 0 || msg.To >= nw.n {
 		return fmt.Errorf("transport: destination %d out of range [0,%d)", msg.To, nw.n)
 	}
-	dst := nw.eps[msg.To]
-
-	size := 0
-	if s, ok := msg.Payload.(Sizer); ok {
-		size = s.TransportSize()
-	}
+	size := payloadSize(msg)
 	nw.statMu.Lock()
 	nw.stats.MessagesSent++
 	if msg.Class == Control {
@@ -354,30 +330,10 @@ func (nw *Network) Send(msg Message) error {
 		// instantaneous under the token (latency models are ignored; time
 		// is logical). Per-pair FIFO holds because pushes are serialized.
 		nw.sched.point(msg.From)
-		if severed, heldMsg := nw.sever(msg); severed {
-			if !heldMsg {
-				nw.noteDropped()
-			}
-			return nil
-		}
-		if !dst.push(msg) {
-			nw.noteDropped()
-		}
-		return nil
 	}
-	if severed, heldMsg := nw.sever(msg); severed {
-		if !heldMsg {
-			nw.noteDropped()
-		}
-		return nil
+	if !nw.cut.Deliver(msg) {
+		nw.noteDropped()
 	}
-	if nw.latency == nil {
-		if !dst.push(msg) {
-			nw.noteDropped()
-		}
-		return nil
-	}
-	dst.pushDelayed(msg, nw.latency(msg.From, msg.To, size))
 	return nil
 }
 
@@ -446,12 +402,11 @@ func (ep *Endpoint) push(msg Message) bool {
 	return true
 }
 
-// pushDelayed queues msg on the delay line without blocking; a message
-// toward a killed endpoint is dropped at once.
-func (ep *Endpoint) pushDelayed(msg Message, delay time.Duration) {
+// pushDelayed queues msg on the delay line without blocking. It reports
+// false for a message toward a killed endpoint, dropped at once.
+func (ep *Endpoint) pushDelayed(msg Message, delay time.Duration) bool {
 	if ep.Killed() {
-		ep.nw.noteDropped()
-		return
+		return false
 	}
 	// The latency model is wall-clock by definition and is only installed
 	// by real-time tests and benches; scheduled (replayable) runs install
@@ -465,6 +420,7 @@ func (ep *Endpoint) pushDelayed(msg Message, delay time.Duration) {
 	if start {
 		go ep.deliveryLoop()
 	}
+	return true
 }
 
 func (ep *Endpoint) deliveryLoop() {
