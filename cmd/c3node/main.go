@@ -81,24 +81,22 @@ import (
 )
 
 func main() {
-	if hasFlag("-worker") {
+	if isWorker(os.Args) {
 		workerMain()
 		return
 	}
 	launcherMain()
 }
 
-func hasFlag(name string) bool {
-	for _, a := range os.Args[1:] {
-		if a == name || a == name+"=true" || strings.TrimPrefix(a, "-") == strings.TrimPrefix(name, "-") {
-			return true
-		}
-	}
-	return false
+// isWorker reports whether args start a worker: the launcher spawns each
+// one with -worker as its first argument. No later argument counts, so a
+// flag value that reads "worker" leaves the launcher a launcher.
+func isWorker(args []string) bool {
+	return len(args) > 1 && (args[1] == "-worker" || args[1] == "--worker")
 }
 
-// parseKill parses "rank=R,at=P[,after=K]".
-func parseKill(s string) (*cluster.FailureSpec, error) {
+// parseKill parses "rank=R,at=P[,after=K]" for a world of ranks ranks.
+func parseKill(s string, ranks int) (*cluster.FailureSpec, error) {
 	if s == "" {
 		return nil, nil
 	}
@@ -122,6 +120,9 @@ func parseKill(s string) (*cluster.FailureSpec, error) {
 		default:
 			return nil, fmt.Errorf("unknown kill spec key %q", kv[0])
 		}
+	}
+	if spec.Rank < 0 || spec.Rank >= ranks {
+		return nil, fmt.Errorf("kill rank %d out of range [0,%d)", spec.Rank, ranks)
 	}
 	return spec, nil
 }
@@ -189,7 +190,7 @@ func launcherMain() {
 	if _, ok := apps.Lookup(*kernel); !ok {
 		fatalf("unknown kernel %q (use c3run -list)", *kernel)
 	}
-	killSpec, err := parseKill(*kill)
+	killSpec, err := parseKill(*kill, *ranks)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -466,7 +467,7 @@ func workerMain() {
 	}
 	p := k.Defaults(apps.Class(*class))
 	out := apps.NewOutput()
-	killSpec, err := parseKill(*kill)
+	killSpec, err := parseKill(*kill, *ranks)
 	if err != nil {
 		fatalf("worker: %v", err)
 	}

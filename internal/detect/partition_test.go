@@ -85,7 +85,7 @@ func TestQuorumMatrix(t *testing.T) {
 				hb := tuned(5 * time.Millisecond)
 				w := newWorld(t, n, hb)
 				time.Sleep(10 * hb) // settle
-				w.nw.Partition(splitPairs(groupA, n), false)
+				w.nw.SetPartition(splitPairs(groupA, n), false)
 
 				var majority, minority []int
 				switch {
@@ -185,7 +185,7 @@ func TestMinorityFencesAndHealsOnRejoin(t *testing.T) {
 	hb := tuned(5 * time.Millisecond)
 	w := newWorld(t, 5, hb)
 	time.Sleep(10 * hb)
-	w.nw.Partition(splitPairs([]int{3, 4}, 5), false)
+	w.nw.SetPartition(splitPairs([]int{3, 4}, 5), false)
 
 	w.awaitFenced(t, []int{3, 4}, 10*time.Second)
 	for _, r := range []int{0, 1, 2} {

@@ -59,7 +59,7 @@ func acks(node *DistStore, st ackState, from ...int) bool {
 func TestFailNodeReleasesCommitBlockedOnWipedHolder(t *testing.T) {
 	s := NewReplicatedStore(4)
 	defer s.Close()
-	s.net.Partition([][2]int{{0, 1}}, true) // holder 1 never sees the commit, so never acks
+	s.net.SetPartition([][2]int{{0, 1}}, true) // holder 1 never sees the commit, so never acks
 	done := make(chan error, 1)
 	go func() { done <- commitApp(s, 0, 1, "blocked") }()
 	waitFor(t, "the commit waits on holder 1", func() bool { return acks(s.nodes[0], ackPending, 1) })
@@ -87,7 +87,7 @@ func TestFailNodeCommitFailsPastParityBudget(t *testing.T) {
 	s := NewReplicatedStore(n, WithDistCodec(mustCodec(t, "rs", 3, 1)), WithDistGroupSize(g))
 	defer s.Close()
 	parity := s.nodes[owner].Topology().ParityHolder(owner)
-	s.net.Partition([][2]int{{owner, 1}}, true)
+	s.net.SetPartition([][2]int{{owner, 1}}, true)
 	done := make(chan error, 1)
 	go func() { done <- commitApp(s, owner, 1, "three of four shards, then two") }()
 	waitFor(t, "every other holder acked", func() bool { return acks(s.nodes[owner], ackDone, 2, 3, 4, parity) })
@@ -146,7 +146,7 @@ func TestFailNodeDropsFragmentsQueuedToIt(t *testing.T) {
 func TestFailNodeOwnInFlightCommitKeepsNoLocalCopy(t *testing.T) {
 	s := NewReplicatedStore(4, WithAckTimeout(200*time.Millisecond))
 	defer s.Close()
-	s.net.Partition([][2]int{{0, 1}}, true)
+	s.net.SetPartition([][2]int{{0, 1}}, true)
 	done := make(chan error, 1)
 	go func() { done <- commitApp(s, 0, 1, "owner dies mid-commit") }()
 	waitFor(t, "holder 2 acked", func() bool { return acks(s.nodes[0], ackDone, 2) })

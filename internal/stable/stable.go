@@ -634,26 +634,40 @@ func (h *diskHandle) Abort() error {
 	return os.RemoveAll(h.dir)
 }
 
-// LastCommitted implements Store.
-func (s *DiskStore) LastCommitted(rank int) (int, bool, error) {
+// versions lists the version directories of rank, by version number. A
+// rank that has no directory has no versions; an entry that is not a
+// version directory is skipped.
+func (s *DiskStore) versions(rank int) (map[int]string, error) {
 	rankDir := filepath.Join(s.root, fmt.Sprintf("rank%04d", rank))
 	entries, err := os.ReadDir(rankDir)
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, false, nil
+		return nil, nil
 	}
 	if err != nil {
-		return 0, false, fmt.Errorf("stable: list versions: %w", err)
+		return nil, err
 	}
-	best, ok := 0, false
+	dirs := make(map[int]string, len(entries))
 	for _, e := range entries {
 		if !e.IsDir() || !strings.HasPrefix(e.Name(), "v") {
 			continue
 		}
 		var v int
-		if _, err := fmt.Sscanf(e.Name(), "v%d", &v); err != nil {
-			continue
+		if _, err := fmt.Sscanf(e.Name(), "v%d", &v); err == nil {
+			dirs[v] = filepath.Join(rankDir, e.Name())
 		}
-		if _, err := os.Stat(filepath.Join(rankDir, e.Name(), "COMMITTED")); err != nil {
+	}
+	return dirs, nil
+}
+
+// LastCommitted implements Store.
+func (s *DiskStore) LastCommitted(rank int) (int, bool, error) {
+	dirs, err := s.versions(rank)
+	if err != nil {
+		return 0, false, fmt.Errorf("stable: list versions: %w", err)
+	}
+	best, ok := 0, false
+	for v, dir := range dirs {
+		if _, err := os.Stat(filepath.Join(dir, "COMMITTED")); err != nil {
 			continue
 		}
 		if !ok || v > best {
@@ -677,51 +691,23 @@ func (s *DiskStore) Open(rank, version int) (Snapshot, error) {
 
 // Retire implements Store.
 func (s *DiskStore) Retire(rank, version int) error {
-	rankDir := filepath.Join(s.root, fmt.Sprintf("rank%04d", rank))
-	entries, err := os.ReadDir(rankDir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "v") {
-			continue
-		}
-		var v int
-		if _, err := fmt.Sscanf(e.Name(), "v%d", &v); err != nil {
-			continue
-		}
-		if v < version {
-			if err := os.RemoveAll(filepath.Join(rankDir, e.Name())); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return s.remove(rank, func(v int) bool { return v < version })
 }
 
 // Truncate implements Store.
 func (s *DiskStore) Truncate(rank, version int) error {
-	rankDir := filepath.Join(s.root, fmt.Sprintf("rank%04d", rank))
-	entries, err := os.ReadDir(rankDir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
+	return s.remove(rank, func(v int) bool { return v > version })
+}
+
+// remove deletes rank's version directories whose version drop selects.
+func (s *DiskStore) remove(rank int, drop func(v int) bool) error {
+	dirs, err := s.versions(rank)
 	if err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "v") {
-			continue
-		}
-		var v int
-		if _, err := fmt.Sscanf(e.Name(), "v%d", &v); err != nil {
-			continue
-		}
-		if v > version {
-			if err := os.RemoveAll(filepath.Join(rankDir, e.Name())); err != nil {
+	for v, dir := range dirs {
+		if drop(v) {
+			if err := os.RemoveAll(dir); err != nil {
 				return err
 			}
 		}

@@ -12,9 +12,9 @@ import (
 // order at Heal (a short split bridged by retransmission).
 //
 // The rules in force are an immutable snapshot behind one atomic pointer,
-// so Severs and Drops never lock, and Deliver locks only to hold a message
-// or to queue it behind a running Heal's flush. No message is handed on
-// under the lock: push may send, and a send consults the cut again.
+// so Severs never locks, and Deliver locks only to hold a message or to
+// queue it behind a running Heal's flush. No message is handed on under
+// the lock: push may send, and a send consults the cut again.
 type Cut struct {
 	push  func(Message) bool     // hands a message on; false: its destination is gone
 	rules atomic.Pointer[cutSet] // nil: no rule in force, nothing held, no flush running
@@ -71,12 +71,6 @@ func (c *Cut) Set(block [][2]int, hold bool) {
 func (c *Cut) Severs(from, to int) bool {
 	r := c.rules.Load()
 	return r != nil && r.blocked[[2]int{from, to}]
-}
-
-// Drops reports whether a drop rule in force severs the directed pair.
-func (c *Cut) Drops(from, to int) bool {
-	r := c.rules.Load()
-	return r != nil && !r.hold && r.blocked[[2]int{from, to}]
 }
 
 // Deliver hands msg on unless a rule severs its pair: a hold rule keeps it

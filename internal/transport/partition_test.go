@@ -22,7 +22,7 @@ func cutPairs(a, b []int) [][2]int {
 
 func TestNetworkPartitionDropSever(t *testing.T) {
 	nw := NewNetwork(3)
-	nw.Partition(cutPairs([]int{0, 1}, []int{2}), false)
+	nw.SetPartition(cutPairs([]int{0, 1}, []int{2}), false)
 
 	if err := nw.Send(Message{From: 0, To: 2, Payload: testPayload{seq: 1}}); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestNetworkPartitionDropSever(t *testing.T) {
 
 func TestNetworkPartitionHoldFlushesInOrder(t *testing.T) {
 	nw := NewNetwork(2)
-	nw.Partition(cutPairs([]int{0}, []int{1}), true)
+	nw.SetPartition(cutPairs([]int{0}, []int{1}), true)
 
 	const k = 10
 	for i := 0; i < k; i++ {
@@ -93,7 +93,7 @@ func TestNetworkPartitionHoldFlushesInOrder(t *testing.T) {
 func TestNetworkPartitionAsymmetric(t *testing.T) {
 	nw := NewNetwork(2)
 	// Sever only 1 -> 0.
-	nw.Partition([][2]int{{1, 0}}, false)
+	nw.SetPartition([][2]int{{1, 0}}, false)
 
 	if err := nw.Send(Message{From: 0, To: 1, Payload: testPayload{seq: 1}}); err != nil {
 		t.Fatal(err)
@@ -114,13 +114,13 @@ func TestNetworkPartitionAsymmetric(t *testing.T) {
 // that re-partitions before healing loses nothing it promised to hold.
 func TestNetworkPartitionReplaceRules(t *testing.T) {
 	nw := NewNetwork(3)
-	nw.Partition(cutPairs([]int{0}, []int{1}), true)
+	nw.SetPartition(cutPairs([]int{0}, []int{1}), true)
 	if err := nw.Send(Message{From: 0, To: 1, Payload: testPayload{seq: 7}}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Replace: now only 0 <-> 2 is cut; 0 -> 1 flows again.
-	nw.Partition(cutPairs([]int{0}, []int{2}), true)
+	nw.SetPartition(cutPairs([]int{0}, []int{2}), true)
 	if err := nw.Send(Message{From: 0, To: 1, Payload: testPayload{seq: 8}}); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestNetworkPartitionSendDuringHealKeepsOrder(t *testing.T) {
 	const held, during = 20000, 200
 	for round := 0; round < 5; round++ {
 		nw := NewNetwork(2)
-		nw.Partition([][2]int{{0, 1}}, true)
+		nw.SetPartition([][2]int{{0, 1}}, true)
 		for i := 0; i < held; i++ {
 			if err := nw.Send(Message{From: 0, To: 1, Payload: testPayload{seq: i}}); err != nil {
 				t.Fatal(err)

@@ -215,28 +215,3 @@ func TestMeshClaimedBufferIsNotHandedBack(t *testing.T) {
 		t.Fatal("Cancel handed back a buffer whose frame never finished")
 	}
 }
-
-// TestDemuxPlaneLandsExpectedFrame: an expectation armed on a Demux plane
-// over the mesh lands that plane's frame, so a node's replication plane
-// restores in place too.
-func TestDemuxPlaneLandsExpectedFrame(t *testing.T) {
-	meshes := newTestMeshes(t, 2)
-	d := transport.NewDemux(meshes[1], 1)
-	plane := d.Plane(taggedKind)
-	d.Start()
-	lander, ok := plane.(transport.Lander)
-	if !ok {
-		t.Fatal("a Demux plane is not a Lander")
-	}
-	e := expectInto(t, lander, 0, "answer-1", 32<<10)
-	if err := meshes[0].Send(transport.Message{From: 0, To: 1, Payload: tagged("answer-1", 32<<10, 3)}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := plane.Endpoint(1).Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := msg.Payload.(taggedPayload); !ok || &p.body[0] != &bodyOf(e)[0] {
-		t.Fatal("the plane's expected frame did not land in the named buffer")
-	}
-}

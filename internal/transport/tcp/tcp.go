@@ -344,22 +344,20 @@ func (m *Mesh) Connect(rank int, stop <-chan struct{}) {
 func (m *Mesh) Addr() string { return m.ln.Addr().String() }
 
 // SetPartition installs directed partition rules on this mesh, replacing
-// any active rule set (transport.Cut.Set). A rule takes effect where
-// frames arrive: this mesh's readers drop (hold=false: a blackhole, a
-// partition outlasting TCP's patience) or hold (hold=true: a short
-// partition the kernel's retransmissions bridge) every frame they read
-// from a peer the rules cut off, frames already in flight included, and a
-// held frame is delivered in order at the next Heal. A drop rule also
-// drops this mesh's own frames for a pair it covers before they reach the
-// kernel, and closes a connection dialed as the rule landed, so no
-// half-open socket lingers behind it. A hold rule leaves the sending side
-// alone: its frames wait at the receiver, which holds them if its own
-// rules are in. Frames held under a previous rule set stay held.
+// any active rule set (transport.Cut.Set). As on the in-memory Network,
+// the rules govern the messages that arrive here: this mesh's readers drop
+// (hold=false: a blackhole, a partition outlasting TCP's patience) or hold
+// (hold=true: a short partition the kernel's retransmissions bridge) every
+// frame they read from a peer the rules cut off, frames already in flight
+// included, and a held frame is delivered in order at the next Heal. The
+// sending side never consults a rule: a pair leaving this mesh is governed
+// by the receiving mesh's rules, and its connection stays up whatever they
+// are. Frames held under a previous rule set stay held.
 func (m *Mesh) SetPartition(block [][2]int, hold bool) { m.cut.Set(block, hold) }
 
 // Heal clears the partition rules and delivers every frame a hold rule
 // kept, in the order it was read, ahead of any frame read after the Heal.
-// Drop-mode pairs re-dial lazily on their next send; their frames are gone.
+// The frames a drop rule discarded are gone.
 func (m *Mesh) Heal() { m.noteDropped(m.cut.Heal()) }
 
 // Self returns the local rank.
@@ -537,15 +535,14 @@ func (m *Mesh) Send(msg transport.Message) error {
 	return nil
 }
 
-// send hands one frame to the peer's writer role. A frame for a pair a
-// drop rule covers is dropped first. A blocking send that finds the role
-// free takes it and writes the frame itself; one that finds frames queued or
-// the role held joins the queue and waits until its frame is in the kernel
-// or counted as dropped. A posted frame joins the queue, and starts a
-// writer goroutine if none is running; a post toward a departed or
-// backed-off peer is dropped at once instead.
+// send hands one frame to the peer's writer role. A blocking send that
+// finds the role free takes it and writes the frame itself; one that finds
+// frames queued or the role held joins the queue and waits until its frame
+// is in the kernel or counted as dropped. A posted frame joins the queue,
+// and starts a writer goroutine if none is running; a post toward a
+// departed or backed-off peer is dropped at once instead.
 func (m *Mesh) send(p *peerConn, f wireFrame, posted bool) {
-	if m.cut.Drops(m.self, p.rank) || posted && p.connecting.Load() == nil && (p.departed() || p.backedOff()) {
+	if posted && p.connecting.Load() == nil && (p.departed() || p.backedOff()) {
 		m.noteDropped(1)
 		return
 	}
@@ -760,10 +757,9 @@ func peekDead(fd uintptr) bool {
 // writeFrames hands frames to a peer in order, dialing or re-dialing as
 // needed, with one liveness probe and one write for the lot. It returns
 // how many of them, at the tail, it dropped because they could not reach
-// the kernel (the peer is down or departed, or a drop rule covers the
-// pair); a dropped frame is never queued again. An empty list only
-// connects (Connect); it and every write while a Connect waits dial
-// patiently. Callers hold the writer role.
+// the kernel (the peer is down or departed); a dropped frame is never
+// queued again. An empty list only connects (Connect); it and every write
+// while a Connect waits dial patiently. Callers hold the writer role.
 func (m *Mesh) writeFrames(p *peerConn, frames []wireFrame) (lost int) {
 	debug := m.debug
 	rank := p.rank
@@ -784,7 +780,6 @@ func (m *Mesh) writeFrames(p *peerConn, frames []wireFrame) (lost int) {
 	if departed && !patient {
 		return len(frames) // gone: nothing to dial until it connects again
 	}
-	fresh := false // p.conn was dialed for these frames
 	for attempt := 0; attempt < 2; attempt++ {
 		if p.conn == nil {
 			if !patient && p.backedOff() {
@@ -812,21 +807,6 @@ func (m *Mesh) writeFrames(p *peerConn, frames []wireFrame) (lost int) {
 			}
 			p.connected = true
 			p.downUntil.Store(0)
-			fresh = true
-		}
-		if m.cut.Drops(m.self, rank) {
-			// A drop rule landed after the frames passed Send's check: they
-			// must not cross. An established connection stays up, so frames
-			// it already carries cannot race a later one; a probe connection
-			// dialed for these frames must not linger half-open behind the
-			// rule.
-			if fresh {
-				m.setConn(p, nil)
-			}
-			if connect {
-				return 0
-			}
-			return len(frames)
 		}
 		if connect {
 			return 0
@@ -902,17 +882,16 @@ func (m *Mesh) handshakeReply(conn net.Conn, timeout time.Duration) (byte, error
 }
 
 // peerGone confirms a loss: rank's inbound connection ended without a
-// goodbye, which a crash does but so do a write error, a partition rule or
-// a redial on the peer's side. One fresh dial plus the handshake tells
-// them apart. A refused or reset connect means the process is gone, and so
-// does a connection reset or closed before the handshake reply: a dying
-// process's listener still completes connects from its backlog for about
-// 100 µs after its connections close. A reply proves a live process, and
-// a timeout proves nothing. A pair
-// covered by a partition rule never confirms: the rule, not a death, may
-// be what cut it.
+// goodbye, which a crash does but so do a write error or a redial on the
+// peer's side. One fresh dial plus the handshake tells them apart. A
+// refused or reset connect means the process is gone, and so does a
+// connection reset or closed before the handshake reply: a dying process's
+// listener still completes connects from its backlog for about 100 µs
+// after its connections close. A reply proves a live process, and a
+// timeout proves nothing. A peer this mesh's rules cut off never confirms:
+// the rule, not a death, may be what cut it.
 func (m *Mesh) peerGone(rank int) bool {
-	if m.down.Load() || m.cut.Severs(m.self, rank) || m.cut.Severs(rank, m.self) {
+	if m.down.Load() || m.cut.Severs(rank, m.self) {
 		return false
 	}
 	conn, err := net.DialTimeout("tcp", m.addrs[rank], confirmTimeout)

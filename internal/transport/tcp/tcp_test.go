@@ -2,7 +2,6 @@ package tcp
 
 import (
 	"bytes"
-	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -90,30 +89,6 @@ func recvOne(t *testing.T, m *Mesh, timeout time.Duration) (transport.Message, b
 		return msg, true
 	case <-time.After(timeout):
 		return transport.Message{}, false
-	}
-}
-
-func TestMeshDeliveryAndFIFO(t *testing.T) {
-	meshes := newTestMeshes(t, 3)
-	const k = 50
-	for i := 0; i < k; i++ {
-		p := testPayload(fmt.Sprintf("msg-%03d", i))
-		if err := meshes[0].Send(transport.Message{From: 0, To: 1, Class: transport.Data, Payload: p}); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	for i := 0; i < k; i++ {
-		msg, ok := recvOne(t, meshes[1], 5*time.Second)
-		if !ok {
-			t.Fatalf("timed out waiting for message %d", i)
-		}
-		want := fmt.Sprintf("msg-%03d", i)
-		if got := string(msg.Payload.(testPayload)); got != want {
-			t.Fatalf("message %d: got %q, want %q (FIFO violated)", i, got, want)
-		}
-		if msg.From != 0 || msg.To != 1 {
-			t.Fatalf("message %d: bad addressing %d->%d", i, msg.From, msg.To)
-		}
 	}
 }
 

@@ -70,10 +70,10 @@ func (c Class) String() string {
 // sender does afterwards can change them. An interconnect may queue a
 // posted message and return at once; per-pair FIFO order still holds
 // against every send before and after it. A drop the interconnect can
-// tell at send time (a departed peer, a severed pair) is counted before
-// Send returns, and a later one when the queue reaches it. The in-memory
-// Network ignores the flag, because its Send never waits on I/O, and the
-// TCP mesh does not carry it on the wire.
+// tell at send time (a departed peer) is counted before Send returns, and
+// a later one when the queue reaches it. The in-memory Network ignores
+// the flag, because its Send never waits on I/O, and the TCP mesh does
+// not carry it on the wire.
 type Message struct {
 	From    int
 	To      int
@@ -148,10 +148,11 @@ type Port interface {
 }
 
 // Interconnect is the abstraction the MPI substrate and the replicated
-// stable store program against. Three implementations exist: the in-memory
-// Network (real OS scheduling), the same Network under a virtual Scheduler
-// (deterministic logical scheduling), and the tcp.Mesh (real sockets, one
-// OS process per rank).
+// stable store program against. Four implementations answer to one table
+// of contract cases (TestInterconnectContract, in internal/transport/tcp):
+// the in-memory Network (real OS scheduling), the same Network under a
+// virtual Scheduler (deterministic logical scheduling), the tcp.Mesh (real
+// sockets, one OS process per rank), and a Demux plane view.
 //
 // Delivery is reliable and FIFO per (source, destination) pair while both
 // ends are up; messages addressed to a dead or unreachable rank are dropped
@@ -194,8 +195,8 @@ type Network struct {
 	stats  Stats
 
 	// The partition fault model, one for every rank, consulted at Send.
-	// Rules are installed manually (Partition/Heal) or by armed scheduler
-	// events (WithPartitionPlan).
+	// Rules are installed manually (SetPartition/Heal) or by armed
+	// scheduler events (WithPartitionPlan).
 	cut      *Cut
 	partPlan []SchedPartitionEvent
 }
@@ -212,7 +213,7 @@ func WithLatency(m LatencyModel) Option {
 // network's virtual scheduler: each fires at a seeded trigger step and is
 // recorded in the decision trace, so partitioned executions replay and
 // shrink exactly like any other schedule. Requires WithScheduler; ignored
-// under real scheduling (use Partition/Heal directly there).
+// under real scheduling (use SetPartition/Heal directly there).
 func WithPartitionPlan(events []SchedPartitionEvent) Option {
 	return func(nw *Network) { nw.partPlan = append([]SchedPartitionEvent(nil), events...) }
 }
@@ -244,12 +245,13 @@ func NewNetwork(n int, opts ...Option) *Network {
 	return nw
 }
 
-// Partition severs the given directed (from, to) pairs (Cut.Set). With
-// hold, severed messages are buffered and delivered in order at the next
-// Heal (a short split bridged by retransmission); without it they are
-// silently dropped (a blackhole), counted in Stats.MessagesDropped.
-// Replaces any active rule set; messages it held stay held.
-func (nw *Network) Partition(block [][2]int, hold bool) {
+// SetPartition installs directed partition rules (Cut.Set), replacing any
+// rule set in force; messages held under it stay held. Like tcp.Mesh's,
+// the rules govern the messages that arrive at this interconnect: with
+// hold, a severed pair's messages are kept and delivered in order at the
+// next Heal (a short split bridged by retransmission); without it they are
+// dropped (a blackhole), counted in Stats.MessagesDropped.
+func (nw *Network) SetPartition(block [][2]int, hold bool) {
 	nw.applyPartitionEvent(SchedPartitionEvent{Block: block, Hold: hold})
 }
 
