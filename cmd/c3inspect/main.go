@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -100,50 +101,40 @@ func inspect(w io.Writer, store *stable.DiskStore, rank, version int) error {
 	}
 	fmt.Fprintf(w, "rank %d version %d: marker format %d, membership-epoch %d\n",
 		rank, v, meta.Format, meta.MembershipEpoch)
-	recorded := make(map[string]stable.SectionMeta, len(meta.Sections))
-	for _, s := range meta.Sections {
-		recorded[s.Name] = s
-	}
 
 	snap, err := store.Open(rank, v)
 	if err != nil {
 		return fmt.Errorf("open rank %d version %d: %w", rank, v, err)
 	}
 	defer snap.Close()
-	sections, err := snap.Sections()
-	if err != nil {
-		return fmt.Errorf("list sections: %w", err)
-	}
 	total, bad := 0, 0
-	for _, name := range sections {
-		data, err := snap.ReadSection(name)
+	for _, s := range meta.Sections {
+		data, err := snap.ReadSection(s.Name)
+		if errors.Is(err, stable.ErrNotFound) {
+			fmt.Fprintf(w, "  MISSING: marker records section %q but the store has none\n", s.Name)
+			bad++
+			continue
+		}
 		if err != nil {
-			return fmt.Errorf("read %q: %w", name, err)
+			return fmt.Errorf("read %q: %w", s.Name, err)
 		}
-		note := ""
-		if s, ok := recorded[name]; ok {
-			switch {
-			case s.Bytes != len(data):
-				note = fmt.Sprintf("  SIZE MISMATCH (marker %d)", s.Bytes)
-				bad++
-			case meta.Format < 2:
-				note = "  format 1 (FNV-1a) digest not verified"
-			case s.Sum != stable.SectionSum(data):
-				note = fmt.Sprintf("  DIGEST MISMATCH (marker %08x)", s.Sum)
-				bad++
-			default:
-				note = fmt.Sprintf("  crc32c %08x ok", s.Sum)
-			}
-			delete(recorded, name)
+		var note string
+		switch {
+		case s.Bytes != len(data):
+			note = fmt.Sprintf("  SIZE MISMATCH (marker %d)", s.Bytes)
+			bad++
+		case meta.Format < 2:
+			note = "  format 1 (FNV-1a) digest not verified"
+		case s.Sum != stable.SectionSum(data):
+			note = fmt.Sprintf("  DIGEST MISMATCH (marker %08x)", s.Sum)
+			bad++
+		default:
+			note = fmt.Sprintf("  crc32c %08x ok", s.Sum)
 		}
-		fmt.Fprintf(w, "  %-10s %8d bytes%s\n", name, len(data), note)
+		fmt.Fprintf(w, "  %-10s %8d bytes%s\n", s.Name, len(data), note)
 		total += len(data)
 	}
 	fmt.Fprintf(w, "  %-10s %8d bytes\n", "total", total)
-	for name := range recorded {
-		fmt.Fprintf(w, "  MISSING: marker records section %q but the store has none\n", name)
-		bad++
-	}
 	if bad > 0 {
 		return fmt.Errorf("%d section(s) disagree with the commit marker", bad)
 	}

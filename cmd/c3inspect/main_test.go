@@ -84,3 +84,43 @@ func TestInspectVerifiesByMarkerFormat(t *testing.T) {
 		t.Fatalf("flipped bit not reported (err %v):\n%s", err, out.String())
 	}
 }
+
+// TestInspectListsMarkerNames: a section whose name is not path-safe is
+// listed and verified under the name it was written with, and a recorded
+// section whose file is gone is reported MISSING.
+func TestInspectListsMarkerNames(t *testing.T) {
+	root := t.TempDir()
+	store, err := stable.NewDiskStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := store.Begin(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"app", "user state"} {
+		if err := ck.WriteSection(name, []byte("contents of "+name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	if err := inspect(&out, store, 0, 1); err != nil {
+		t.Fatalf("intact line: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "user state") || strings.Count(out.String(), " ok\n") != 2 {
+		t.Fatalf("intact line: want both sections verified by name:\n%s", out.String())
+	}
+
+	if err := os.Remove(filepath.Join(root, "rank0000", "v00000001", "s_user_state.bin")); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	err = inspect(&out, store, 0, 1)
+	if err == nil || !strings.Contains(out.String(), `MISSING: marker records section "user state"`) {
+		t.Fatalf("deleted section file not reported (err %v):\n%s", err, out.String())
+	}
+}

@@ -1011,8 +1011,8 @@ func (s *DistStore) LastCommitted(rank int) (int, bool, error) {
 	best, ok := 0, false
 	if rank == s.self {
 		s.mu.Lock()
-		for v, ck := range s.node.local {
-			if ck.commit && (!ok || v > best) {
+		for v := range s.node.local {
+			if !ok || v > best {
 				best, ok = v, true
 			}
 		}
@@ -1052,9 +1052,6 @@ func (s *DistStore) Open(rank, version int) (Snapshot, error) {
 	if rank == s.self {
 		if ck, ok := s.node.local[version]; ok {
 			s.mu.Unlock()
-			if !ck.commit {
-				return nil, fmt.Errorf("%w: rank %d version %d", ErrNotCommitted, rank, version)
-			}
 			return &memSnap{ck: ck}, nil
 		}
 		rl = s.lines[version]

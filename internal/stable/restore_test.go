@@ -370,26 +370,3 @@ func TestRebuildDigestsAsWritten(t *testing.T) {
 		}
 	}
 }
-
-// TestReadSectionIsAView: an in-memory snapshot hands out the bytes it
-// holds: two reads of a section share them, and a read allocates nothing.
-func TestReadSectionIsAView(t *testing.T) {
-	mem := NewMemStore()
-	writeCommitted(t, mem, 0, 1, map[string][]byte{"app": testBlob(4096, 1)})
-	dist := distWorld(t, 3)
-	writeDistCommitted(t, dist[0], 0, 1, map[string][]byte{"app": testBlob(4096, 1)})
-	for name, s := range map[string]Store{"mem": mem, "dist": dist[0]} {
-		snap, err := s.Open(0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, _ := snap.ReadSection("app")
-		b, _ := snap.ReadSection("app")
-		if &a[0] != &b[0] {
-			t.Fatalf("%s: two reads of a section returned different bytes", name)
-		}
-		if allocs := testing.AllocsPerRun(10, func() { _, _ = snap.ReadSection("app") }); allocs != 0 {
-			t.Fatalf("%s: ReadSection allocates %v times", name, allocs)
-		}
-	}
-}

@@ -9,16 +9,22 @@
 // Commit is atomic: a checkpoint that was not committed is invisible to
 // recovery.
 //
-// Three implementations are provided, matching the paper's experimental
+// Six implementations are provided. Three match the paper's experimental
 // configurations (Section 6.4):
 //
 //   - DiskStore writes sections to per-rank, per-version directories with a
 //     rename-committed marker (Configuration #3, "saving application state
 //     to the local disk on each node");
-//   - MemStore keeps everything in memory (used by tests and by recovery
-//     experiments that should not touch the filesystem);
 //   - NullStore goes through all encoding work but discards the bytes
-//     (Configuration #2, "without saving any checkpoint data to disk").
+//     (Configuration #2, "without saving any checkpoint data to disk");
+//   - MemStore keeps everything in memory (used by tests and by recovery
+//     experiments that should not touch the filesystem).
+//
+// DelayedStore wraps another store and charges a cost to every write.
+// DistStore is the diskless store of one rank, which replicates each line
+// to its peers' memory over an interconnect, and ReplicatedStore is an
+// in-process world of DistStores. All six keep one contract, run against
+// each of them by TestStoreContract.
 package stable
 
 import (
@@ -34,12 +40,9 @@ import (
 	"sync"
 )
 
-// ErrNotFound is returned when the requested checkpoint or section is absent.
+// ErrNotFound is returned when the requested checkpoint or section is
+// absent. A checkpoint that was begun and not committed is absent.
 var ErrNotFound = errors.New("stable: not found")
-
-// ErrNotCommitted is returned when opening a version that was never
-// committed.
-var ErrNotCommitted = errors.New("stable: version not committed")
 
 // ErrFenced is returned by a fenced DistStore commit: the local rank has
 // lost contact with a strict majority of the world (it sits on the
@@ -54,7 +57,9 @@ var ErrFenced = errors.New("stable: fenced (no majority contact)")
 // checkpoint is only ever touched by its own rank.
 type Store interface {
 	// Begin opens a new checkpoint for (rank, version). Any uncommitted
-	// data for the same pair is discarded.
+	// data for the same pair is discarded. Re-beginning a version that is
+	// already committed is not supported: recovery truncates above its line
+	// before it re-executes.
 	Begin(rank, version int) (Checkpoint, error)
 	// LastCommitted returns the highest committed version for the rank;
 	// ok is false if none exists.
@@ -257,11 +262,8 @@ func (s *MemStore) Open(rank, version int) (Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ck, ok := s.byKey[[2]int{rank, version}]
-	if !ok {
+	if !ok || !ck.commit {
 		return nil, fmt.Errorf("%w: rank %d version %d", ErrNotFound, rank, version)
-	}
-	if !ck.commit {
-		return nil, fmt.Errorf("%w: rank %d version %d", ErrNotCommitted, rank, version)
 	}
 	return &memSnap{ck: ck}, nil
 }
@@ -331,13 +333,10 @@ func (m *memSnap) Close() error { return nil }
 type NullStore struct {
 	mu           sync.Mutex
 	bytesWritten int64
-	committed    map[[2]int]bool
 }
 
 // NewNullStore returns a NullStore.
-func NewNullStore() *NullStore {
-	return &NullStore{committed: make(map[[2]int]bool)}
-}
+func NewNullStore() *NullStore { return &NullStore{} }
 
 // BytesWritten returns the total bytes that were encoded and discarded.
 func (s *NullStore) BytesWritten() int64 {
@@ -346,14 +345,11 @@ func (s *NullStore) BytesWritten() int64 {
 	return s.bytesWritten
 }
 
-type nullHandle struct {
-	store *NullStore
-	key   [2]int
-}
+type nullHandle struct{ store *NullStore }
 
 // Begin implements Store.
 func (s *NullStore) Begin(rank, version int) (Checkpoint, error) {
-	return &nullHandle{store: s, key: [2]int{rank, version}}, nil
+	return &nullHandle{store: s}, nil
 }
 
 func (h *nullHandle) WriteSection(name string, data []byte) error {
@@ -367,12 +363,7 @@ func (h *nullHandle) WriteParts(name string, parts [][]byte) error {
 	return nil
 }
 
-func (h *nullHandle) Commit() error {
-	h.store.mu.Lock()
-	h.store.committed[h.key] = true
-	h.store.mu.Unlock()
-	return nil
-}
+func (h *nullHandle) Commit() error { return nil }
 
 func (h *nullHandle) Abort() error { return nil }
 
@@ -680,11 +671,8 @@ func (s *DiskStore) LastCommitted(rank int) (int, bool, error) {
 // Open implements Store.
 func (s *DiskStore) Open(rank, version int) (Snapshot, error) {
 	dir := s.dir(rank, version)
-	if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: rank %d version %d", ErrNotFound, rank, version)
-	}
 	if _, err := os.Stat(filepath.Join(dir, "COMMITTED")); err != nil {
-		return nil, fmt.Errorf("%w: rank %d version %d", ErrNotCommitted, rank, version)
+		return nil, fmt.Errorf("%w: rank %d version %d", ErrNotFound, rank, version)
 	}
 	return &diskSnap{dir: dir}, nil
 }
@@ -747,17 +735,16 @@ type fileSection struct {
 	io.Closer
 }
 
+// Sections lists the names the commit marker records, which are the names
+// as written: a section's file name is the name made path-safe.
 func (d *diskSnap) Sections() ([]string, error) {
-	entries, err := os.ReadDir(d.dir)
+	meta, err := readMarker(d.dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		n := e.Name()
-		if strings.HasPrefix(n, "s_") && strings.HasSuffix(n, ".bin") {
-			names = append(names, strings.TrimSuffix(strings.TrimPrefix(n, "s_"), ".bin"))
-		}
+	names := make([]string, len(meta.Sections))
+	for i, s := range meta.Sections {
+		names[i] = s.Name
 	}
 	sort.Strings(names)
 	return names, nil
